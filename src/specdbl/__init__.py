@@ -45,6 +45,7 @@ from .groups import (
     GroupElement,
     char_matrix,
     char_value,
+    convolve_counts,
     difference_set,
     element_decode,
     element_encode,
@@ -94,6 +95,7 @@ __all__ = [
     "element_decode",
     "char_value",
     "char_matrix",
+    "convolve_counts",
     "sumset",
     "difference_set",
     "negate_set",

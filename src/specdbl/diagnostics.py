@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .fourier import dft, spectrum
-from .groups import ElementSet, difference_set, make_group, sumset
+from .groups import ElementSet, convolve_counts, difference_set, make_group, sumset
 
 __all__ = [
     "DoublingReport",
@@ -24,7 +24,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DoublingReport:
-    """Probability that a random ordered pair of large characters sums large."""
+    """Probability that a random ordered pair of large characters sums large.
+
+    Every pair is counted, so ``exact`` is always True.
+    """
 
     epsilon: float
     p: float
@@ -34,54 +37,29 @@ class DoublingReport:
     spec_size: int
     small_spec_size: int
     exact: bool
-    sample_count: Optional[int]
 
 
-def statistical_doubling(
-    a: ElementSet,
-    eps: float,
-    seed: int = 0,
-    exact_pair_limit: int = 10**7,
-    samples: int = 200_000,
-) -> DoublingReport:
+def statistical_doubling(a: ElementSet, eps: float) -> DoublingReport:
     """Measure Pr[g1 + g2 lands in the (eps^2/2)-spectrum] over ordered pairs
     g1, g2 drawn from the eps-spectrum.
 
-    Exhaustive when the pair count fits under exact_pair_limit, otherwise a
-    seeded sample (flagged; the exact-mode lower bound eps^2/2 is only
-    asserted for exhaustive counts).
+    Counts all pairs at once through one convolution of the spectrum with
+    itself, and asserts the lower bound eps^2/2.
     """
-    group = a.group
+    lower = eps * eps / 2.0
     table = dft(a)
     spec = spectrum(table, eps)
-    small = spectrum(table, eps * eps / 2.0)
-    members = spec.indices()
-    m = members.size
-    small_mask = small.members.mask
-    coords = group.decode_indices(members)
-    lower = eps * eps / 2.0
-
-    if m * m <= exact_pair_limit:
-        hits = 0
-        for row in coords:
-            shifted = group.encode_coords(coords + row)
-            hits += int(np.count_nonzero(small_mask[shifted]))
-        total = m * m
-        p = hits / total
-        if p < lower:
-            raise AssertionError(
-                f"exact doubling probability {p} fell below the bound {lower}"
-            )
-        return DoublingReport(eps, p, lower, total, hits, m, len(small), True, None)
-
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, m, size=samples)
-    j = rng.integers(0, m, size=samples)
-    sums = group.encode_coords(coords[i] + coords[j])
-    hits = int(np.count_nonzero(small_mask[sums]))
-    return DoublingReport(
-        eps, hits / samples, lower, samples, hits, m, len(small), False, samples
-    )
+    small = spectrum(table, lower)
+    m = len(spec)
+    counts = convolve_counts(spec.members, spec.members)
+    hits = int(counts[small.members.mask].sum())
+    total = m * m
+    p = hits / total
+    if p < lower:
+        raise AssertionError(
+            f"exact doubling probability {p} fell below the bound {lower}"
+        )
+    return DoublingReport(eps, p, lower, total, hits, m, len(small), True)
 
 
 @dataclass(frozen=True)
@@ -108,15 +86,11 @@ def high_threshold_closure(a: ElementSet, eps: float) -> ClosureReport:
     outside = sums.mask & ~target.members.mask
     if not outside.any():
         return ClosureReport(eps, 4.0 * eps - 3.0, True, len(spec), len(target), None)
-    bad = int(np.flatnonzero(outside)[0])
-    coords = group.decode_indices(spec.indices())
-    witness = None
-    for row in coords:
-        shifted = group.encode_coords(coords + row)
-        hit = np.flatnonzero(shifted == bad)
-        if hit.size:
-            witness = (tuple(int(v) for v in row), group.decode(int(spec.indices()[hit[0]])))
-            break
+    bad = group.decode(int(np.flatnonzero(outside)[0]))
+    members = spec.indices()
+    partners = group.encode_coords(np.asarray(bad) - group.decode_indices(members))
+    first = int(np.flatnonzero(spec.members.mask[partners])[0])
+    witness = (group.decode(members[first]), group.decode(partners[first]))
     return ClosureReport(eps, 4.0 * eps - 3.0, False, len(spec), len(target), witness)
 
 

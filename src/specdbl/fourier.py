@@ -67,13 +67,12 @@ class FourierTable:
 def dft(a: ElementSet) -> FourierTable:
     """Fourier table of 1_A via per-axis fast transforms.
 
-    The flat little-endian index order maps onto a C-ordered array of shape
-    (n_k, ..., n_1), one axis per cyclic factor; the sign convention here is
-    the conjugate of the usual forward FFT, which coincides for real input.
+    The flat index vector is reshaped to the group's array ``shape``, one axis
+    per cyclic factor; the sign convention here is the conjugate of the usual
+    forward FFT, which coincides for real input.
     """
     group = a.group
-    shape = tuple(reversed(group.orders))
-    values = a.mask.astype(np.float64).reshape(shape)
+    values = a.mask.astype(np.float64).reshape(group.shape)
     transformed = np.fft.fftn(values)
     coeffs = np.conj(transformed).ravel()
     return FourierTable(group, coeffs, a.size)
@@ -101,8 +100,7 @@ def dft_naive(a: ElementSet) -> FourierTable:
 def inverse_dft(table: FourierTable) -> np.ndarray:
     """Recover the indicator vector from a Fourier table (real, near 0/1)."""
     group = table.group
-    shape = tuple(reversed(group.orders))
-    spectrumside = np.conj(table.coeffs).reshape(shape)
+    spectrumside = np.conj(table.coeffs).reshape(group.shape)
     values = np.fft.ifftn(spectrumside).ravel()
     return values.real
 

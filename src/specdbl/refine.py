@@ -23,7 +23,7 @@ from typing import Optional
 
 from .coherence import build_matrix
 from .fourier import dft, spectrum
-from .groups import ElementSet, difference_set, sumset
+from .groups import ElementSet, sumset
 from .regularity import C1_DEFAULT, C_DEFAULT, decide_regularity, extract_minor
 
 __all__ = [
@@ -116,18 +116,6 @@ def _resolve_k(cfg: RefineConfig, theorem: int, group_size: int) -> float:
     return float(group_size) ** power
 
 
-def _direct_doubling_check(theorem: int, cfg: RefineConfig, table, rho: float,
-                           spec_rho, gate) -> bool:
-    """Exact test of the regular-case doubling conclusion, bypassing the
-    certificate: |S - S| <= 2 |Spec_gate|^2 / (0.8 |Spec_rho|) for the final
-    spectrum S."""
-    level = cfg.epsilon if theorem == 1 else rho
-    final_spec = spectrum(table, level)
-    diff = difference_set(final_spec.members, final_spec.members)
-    bound = 2.0 * len(gate) ** 2 / (0.8 * len(spec_rho))
-    return len(diff) <= bound
-
-
 def _measure(theorem: int, cfg: RefineConfig, k_value: float, current: ElementSet,
              table, rho: float, initial_spec_size: int) -> dict:
     group = current.group
@@ -135,13 +123,13 @@ def _measure(theorem: int, cfg: RefineConfig, k_value: float, current: ElementSe
     final_spec = spectrum(table, level)
     spec_rho = spectrum(table, rho)
     gate = spectrum(table, _gate_level(theorem, cfg.epsilon, rho))
+    # spectra are closed under negation, so S - S = S + S
     plus = sumset(final_spec.members, final_spec.members)
-    minus = difference_set(final_spec.members, final_spec.members)
     measured = {
         "spec_level": level,
         "spec_size": len(final_spec),
         "sumset_size": len(plus),
-        "difference_size": len(minus),
+        "difference_size": len(plus),
         "spec_rho_size": len(spec_rho),
         "gate_size": len(gate),
         "certified_doubling_bound": 2.0 * len(gate) ** 2 / (0.8 * len(spec_rho)),
@@ -172,6 +160,7 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
     terminated: Optional[str] = None
     certified = False
     initial_spec_size = 0
+    undecided: Optional[dict] = None
 
     for i in range(cfg.max_iterations):
         lam = _lambda_level(theorem, cfg.epsilon, rho)
@@ -255,21 +244,21 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
             continue
 
         # undecided verdict (or degenerate extraction) with a passing gate:
-        # test the doubling conclusion directly
-        direct = _direct_doubling_check(theorem, cfg, table, rho, spec_rho, gate)
-        trace.append(RefineTraceStep(
-            action="finish", rho_next=rho, direct_check=direct, **base,
-        ))
-        if direct:
-            terminated = "finished"
-            certified = False
-        else:
-            terminated = "inconclusive"
+        # the run ends on an exact test of the doubling conclusion,
+        # |S - S| <= 2 |Spec_gate|^2 / (0.8 |Spec_rho|), made on the final
+        # measurement below
+        undecided = base
         break
 
-    if terminated is None:
-        terminated = "budget_exhausted"
     measured = _measure(theorem, cfg, k_value, current, table, rho, initial_spec_size)
+    if undecided is not None:
+        direct = measured["sumset_size"] <= measured["certified_doubling_bound"]
+        trace.append(RefineTraceStep(
+            action="finish", rho_next=rho, direct_check=direct, **undecided,
+        ))
+        terminated = "finished" if direct else "inconclusive"
+    elif terminated is None:
+        terminated = "budget_exhausted"
     return RefineResult(
         theorem=theorem,
         a_star=current,

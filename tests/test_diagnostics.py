@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from specdbl import cli, diagnostics
 from specdbl.diagnostics import (
     example_counterexample,
     high_threshold_closure,
     statistical_doubling,
     sumset_stats,
 )
-from specdbl.fourier import dft, spectrum
+from specdbl.fileio import write_set_file
+from specdbl.fourier import SpectrumSet, dft, spectrum
 from specdbl.groups import (
     ElementSet,
     make_group,
@@ -63,15 +65,22 @@ def test_doubling_random_sweep_exact():
                 assert rep.p >= eps * eps / 2.0
 
 
-def test_doubling_sampled_path_flagged():
-    g = make_group([2] * 6)
-    a = random_subset(g, 20, seed=4)
-    rep = statistical_doubling(a, 0.2, seed=99, exact_pair_limit=1, samples=5000)
-    assert not rep.exact
-    assert rep.sample_count == 5000
-    assert 0.0 <= rep.p <= 1.0
-    again = statistical_doubling(a, 0.2, seed=99, exact_pair_limit=1, samples=5000)
-    assert again.p == rep.p
+def test_doubling_counts_every_pair_of_a_large_spectrum():
+    # more than 3162 characters, so more than 10^7 ordered pairs
+    g = make_group([2] * 12)
+    a = random_subset(g, 100, seed=0)
+    rep = statistical_doubling(a, 0.02)
+    assert rep.exact
+    assert rep.spec_size > 3162
+    assert rep.total_pairs == rep.spec_size ** 2
+
+    # row-by-row pair count; in Z_2^k the flat index of a sum is the XOR
+    table = dft(a)
+    spec = spectrum(table, 0.02).indices()
+    small = spectrum(table, 0.02 * 0.02 / 2).members.mask
+    hits = sum(int(np.count_nonzero(small[spec ^ x])) for x in spec)
+    assert rep.hit_pairs == hits
+    assert rep.p == hits / rep.total_pairs
 
 
 def test_closure_requires_high_threshold():
@@ -94,6 +103,34 @@ def test_closure_holds_on_sweep():
                 assert rep.ok, rep
                 assert rep.target_level == pytest.approx(4 * eps - 3)
                 assert rep.violation is None
+
+
+def test_closure_failure_reports_a_witness_pair(monkeypatch, tmp_path, capsys):
+    g = make_group([3, 4])
+    h = subgroup_span(g, [(1, 0)])
+    eps = 0.9
+    spec = spectrum(dft(h), eps).members
+    assert len(spec) == 4
+
+    def starved(table, level):
+        # a target level that keeps only the trivial character
+        if level < eps:
+            return SpectrumSet(level, table.set_size, ElementSet.from_indices(table.group, [0]))
+        return spectrum(table, level)
+
+    monkeypatch.setattr(diagnostics, "spectrum", starved)
+    rep = high_threshold_closure(h, eps)
+    assert rep.ok is False
+    assert rep.target_size == 1
+    first, second = rep.violation
+    assert first in spec and second in spec
+    total = tuple((x + y) % n for x, y, n in zip(first, second, g.orders))
+    assert total != (0, 0)
+
+    setfile = tmp_path / "h.json"
+    write_set_file(setfile, h)
+    assert cli.main(["verify", "--input", str(setfile), "--closure", str(eps)]) == 1
+    assert f"closure FAIL: witness pair {rep.violation}" in capsys.readouterr().out
 
 
 def test_example_counterexample_small_cases():

@@ -7,6 +7,7 @@ from specdbl.groups import (
     ElementSet,
     char_value,
     char_matrix,
+    convolve_counts,
     difference_set,
     element_decode,
     element_encode,
@@ -128,14 +129,18 @@ def test_char_matrix_matches_scalar():
             assert m[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-def _naive_sumset(group, s, t):
-    out = set()
+def _naive_counts(group, s, t):
+    counts = np.zeros(group.size, dtype=np.int64)
     for a in s.indices():
         ca = element_decode(group, a)
         for b in t.indices():
             cb = element_decode(group, b)
-            out.add(element_encode(group, tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders))))
-    return out
+            counts[element_encode(group, tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders)))] += 1
+    return counts
+
+
+def _naive_sumset(group, s, t):
+    return set(np.flatnonzero(_naive_counts(group, s, t)).tolist())
 
 
 def test_sumset_against_naive_oracle():
@@ -146,6 +151,10 @@ def test_sumset_against_naive_oracle():
             s = random_subset(g, min(g.size, 1 + (trial * 3) % (g.size)), seed)
             t = random_subset(g, min(g.size, 1 + (trial * 5) % (g.size)), seed + 1)
             seed += 2
+            counts = convolve_counts(s, t)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, _naive_counts(g, s, t))
+            assert np.array_equal(convolve_counts(s, s), _naive_counts(g, s, s))
             got = sumset(s, t)
             assert set(got.indices()) == _naive_sumset(g, s, t)
             assert got == sumset(t, s)
