@@ -78,7 +78,6 @@ from .regularity import (
     extract_minor,
     spectral_certificate,
     step_approximate,
-    witness_search,
 )
 
 __version__ = "0.1.0"
@@ -123,7 +122,6 @@ __all__ = [
     "IrregularityWitness",
     "RegularityVerdict",
     "spectral_certificate",
-    "witness_search",
     "brute_force_max",
     "decide_regularity",
     "MinorExtraction",

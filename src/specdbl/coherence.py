@@ -27,7 +27,7 @@ _TOL = 1e-9
 class CoherenceMatrix:
     """Dense unit-modulus matrix with optional element labels on both axes."""
 
-    __slots__ = ("entries", "row_indices", "col_indices", "group", "col_means")
+    __slots__ = ("entries", "row_indices", "col_indices", "group")
 
     def __init__(
         self,
@@ -35,7 +35,6 @@ class CoherenceMatrix:
         row_indices: Optional[np.ndarray] = None,
         col_indices: Optional[np.ndarray] = None,
         group: Optional[FiniteAbelianGroup] = None,
-        col_means: Optional[np.ndarray] = None,
         _check_column_sums: bool = False,
     ):
         entries = np.asarray(entries, dtype=np.complex128)
@@ -51,14 +50,11 @@ class CoherenceMatrix:
                 raise AssertionError("column sums must be real")
             if float(sums.real.min()) < -_TOL * scale:
                 raise AssertionError("column sums must be nonnegative")
-        if col_means is None:
-            col_means = np.abs(entries.mean(axis=0))
         entries.setflags(write=False)
         self.entries = entries
         self.row_indices = None if row_indices is None else np.asarray(row_indices, dtype=np.int64)
         self.col_indices = None if col_indices is None else np.asarray(col_indices, dtype=np.int64)
         self.group = group
-        self.col_means = np.asarray(col_means, dtype=np.float64)
 
     @property
     def n_rows(self) -> int:
@@ -129,7 +125,6 @@ def build_matrix(
         row_indices=rows,
         col_indices=cols,
         group=group,
-        col_means=mags / a.size,
         _check_column_sums=True,
     )
 

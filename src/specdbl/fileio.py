@@ -8,18 +8,21 @@ Two formats, both plain JSON with sorted keys and two-space indentation:
 
 Writing is canonical (same document, same bytes), so a load/save cycle of a
 set file reproduces it exactly.  Trace files carry enough to rebuild the
-RefineResult and re-run the audit against the stored one.
+RefineResult and re-run the audit against the stored one.  Traces are written
+at version 2 and set files at version 1; version 1 traces still read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 from typing import Optional
 
 from .groups import ElementSet, FiniteAbelianGroup
 from .refine import RefineConfig, RefineResult, RefineTraceStep, audit_trace
+from .regularity import C1_DEFAULT, C_DEFAULT, WITNESS_BUDGET
 
 __all__ = [
     "FileFormatError",
@@ -31,6 +34,22 @@ __all__ = [
 
 SET_FORMAT = "specdbl-set"
 TRACE_FORMAT = "specdbl-trace"
+_VERSIONS = {SET_FORMAT: (1,), TRACE_FORMAT: (1, 2)}
+# Config keys that version 2 dropped, with the only values a version 1
+# writer ever stored; another value describes a run version 2 cannot express.
+_V1_CONFIG = {
+    "c1": C1_DEFAULT,
+    "c": C_DEFAULT,
+    "witness_restarts": WITNESS_BUDGET[0],
+    "witness_alternations": WITNESS_BUDGET[1],
+}
+# measured keys that the audit and the bound report compute with
+_MEASURED_NUMBERS = ("K", "spec_level", "spec_size", "sumset_size",
+                     "certified_doubling_bound", "interim_bound")
+# JSON types each field accepts (Optional[X] gives X or None), resolved once
+# because resolving annotations costs more than reading a step
+_KINDS = {cls: {name: typing.get_args(t) or (t,) for name, t in typing.get_type_hints(cls).items()}
+          for cls in (RefineConfig, RefineTraceStep)}
 
 
 class FileFormatError(ValueError):
@@ -55,26 +74,48 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _is(value, kind) -> bool:
+    """JSON type test: bools are not numbers, ints are floats."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _field(doc: dict, name: str, kind, path) -> object:
     if name not in doc:
         raise FileFormatError(f"{path}: missing field {name!r}")
     value = doc[name]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FileFormatError(f"{path}: field {name!r} must be a number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise FileFormatError(f"{path}: field {name!r} must be {kind.__name__}")
-    return value
+    if not _is(value, kind):
+        noun = "a number" if kind is float else kind.__name__
+        raise FileFormatError(f"{path}: field {name!r} must be {noun}")
+    return float(value) if kind is float else value
 
 
-def _check_header(doc: dict, expected: str, path) -> None:
+def _typed(cls, raw, path, label):
+    """Build the dataclass cls from raw, checking every value against its annotation."""
+    fields = _KINDS[cls]
+    if not isinstance(raw, dict) or set(raw) != set(fields):
+        raise FileFormatError(f"{path}: {label} has the wrong keys")
+    values = {}
+    for name, kinds in fields.items():
+        value = raw[name]
+        if not any(_is(value, kind) for kind in kinds):
+            raise FileFormatError(f"{path}: {label}: field {name!r} has the wrong type")
+        values[name] = float(value) if float in kinds and value is not None else value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {label}: {exc}") from exc
+
+
+def _check_header(doc: dict, expected: str, path) -> int:
     fmt = _field(doc, "format", str, path)
     if fmt != expected:
         raise FileFormatError(f"{path}: format {fmt!r}, expected {expected!r}")
     version = _field(doc, "version", int, path)
-    if version != 1:
+    if version not in _VERSIONS[expected]:
         raise FileFormatError(f"{path}: unsupported version {version}")
+    return version
 
 
 def _coords_of(members: ElementSet) -> list:
@@ -124,19 +165,15 @@ def read_set_file(path) -> tuple[ElementSet, dict]:
     return members, metadata
 
 
-def _config_dict(cfg: RefineConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def write_trace_file(path, result: RefineResult, original: ElementSet) -> None:
     if original.group.orders != result.a_star.group.orders:
         raise ValueError("the original set lives in a different group than the result")
     audit = audit_trace(result)
     doc = {
         "format": TRACE_FORMAT,
-        "version": 1,
+        "version": 2,
         "theorem": result.theorem,
-        "config": _config_dict(result.config),
+        "config": dataclasses.asdict(result.config),
         "orders": list(original.group.orders),
         "input_elements": _coords_of(original),
         "a_star": _coords_of(result.a_star),
@@ -151,39 +188,32 @@ def write_trace_file(path, result: RefineResult, original: ElementSet) -> None:
     Path(path).write_text(_dump(doc))
 
 
-_STEP_FIELDS = {f.name for f in dataclasses.fields(RefineTraceStep)}
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RefineConfig)}
-
-
 def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
     """Rebuild (result, original input set, stored audit dict) from a trace file."""
     doc = _load_json(path)
-    _check_header(doc, TRACE_FORMAT, path)
+    version = _check_header(doc, TRACE_FORMAT, path)
     theorem = _field(doc, "theorem", int, path)
     if theorem not in (1, 2):
         raise FileFormatError(f"{path}: field 'theorem' must be 1 or 2")
 
-    raw_cfg = _field(doc, "config", dict, path)
-    if set(raw_cfg) != _CONFIG_FIELDS:
-        raise FileFormatError(f"{path}: field 'config' has the wrong keys")
-    try:
-        cfg = RefineConfig(**raw_cfg)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: field 'config': {exc}") from exc
+    raw_cfg = dict(_field(doc, "config", dict, path))
+    if version == 1:
+        for key, expected in _V1_CONFIG.items():
+            value = raw_cfg.pop(key, None)
+            if type(value) is not type(expected) or value != expected:
+                raise FileFormatError(f"{path}: field 'config': version 1 key {key!r} "
+                                      f"must be {expected!r}, got {value!r}")
+    cfg = _typed(RefineConfig, raw_cfg, path, "field 'config'")
 
     orders = doc.get("orders")
     original = _set_from(orders, doc.get("input_elements"), path, "input_elements")
     a_star = _set_from(orders, doc.get("a_star"), path, "a_star")
 
     steps = _field(doc, "steps", list, path)
-    trace = []
-    for i, raw in enumerate(steps):
-        if not isinstance(raw, dict) or set(raw) != _STEP_FIELDS:
-            raise FileFormatError(f"{path}: step {i} has the wrong keys")
-        try:
-            trace.append(RefineTraceStep(**raw))
-        except TypeError as exc:
-            raise FileFormatError(f"{path}: step {i}: {exc}") from exc
+    trace = [_typed(RefineTraceStep, raw, path, f"step {i}") for i, raw in enumerate(steps)]
+    measured = _field(doc, "measured", dict, path)
+    for key in _MEASURED_NUMBERS:
+        _field(measured, key, float, f"{path}: field 'measured'")
 
     terminated = _field(doc, "terminated", str, path)
     if terminated not in ("finished", "budget_exhausted", "inconclusive"):
@@ -196,7 +226,7 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
         terminated=terminated,
         certified=bool(_field(doc, "certified", bool, path)),
         trace=tuple(trace),
-        measured=_field(doc, "measured", dict, path),
+        measured=measured,
         config=cfg,
         initial_size=_field(doc, "initial_size", int, path),
     )

@@ -24,7 +24,7 @@ from typing import Optional
 from .coherence import build_matrix
 from .fourier import dft, spectrum
 from .groups import ElementSet, sumset
-from .regularity import C1_DEFAULT, C_DEFAULT, decide_regularity, extract_minor
+from .regularity import C_DEFAULT, decide_regularity, extract_minor
 
 __all__ = [
     "RefineConfig",
@@ -46,11 +46,7 @@ class RefineConfig:
     k_bound: Optional[float] = None  # default |G|^delta (linear) or |G|^(delta/2) (squaring)
     mode: str = "opportunistic"
     max_iterations: int = 500
-    witness_restarts: int = 8
-    witness_alternations: int = 60
     seed: int = 0
-    c1: float = C1_DEFAULT
-    c: float = C_DEFAULT
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -63,8 +59,6 @@ class RefineConfig:
             raise ValueError(f"mode must be 'faithful' or 'opportunistic', got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.witness_restarts < 1 or self.witness_alternations < 1:
-            raise ValueError("witness budgets must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -185,12 +179,7 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
             terminated = "inconclusive"
             break
         matrix = build_matrix(current, spec_rho, table)
-        verdict = decide_regularity(
-            matrix,
-            lam,
-            budget=(cfg.witness_restarts, cfg.witness_alternations),
-            seed=cfg.seed + 7919 * i,
-        )
+        verdict = decide_regularity(matrix, lam, seed=cfg.seed + 7919 * i)
         base = dict(
             index=i,
             rho=rho,
@@ -208,15 +197,17 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
         extraction = None
         degenerate = False
         if verdict.status == "irregular":
-            extraction = extract_minor(
-                matrix, verdict.witness, lam, mode=cfg.mode, c1=cfg.c1, c=cfg.c
-            )
+            extraction = extract_minor(matrix, verdict.witness, lam, mode=cfg.mode)
             if cfg.mode == "opportunistic" and extraction.new_mean <= rho:
                 degenerate = True  # no measurable progress; treat as undecided
 
         if verdict.status == "irregular" and not degenerate:
             if cfg.mode == "faithful":
-                rho_next = min(1.0, rho + (cfg.c / 2.0) * lam**15)
+                # the increment is below one ulp of rho; extraction asserted the
+                # minor beats the matrix mean (>= rho) by it, so the next float
+                # above rho still bounds the new mean from below
+                rho_next = min(1.0, max(rho + (C_DEFAULT / 2.0) * lam**15,
+                                        math.nextafter(rho, 2.0)))
             else:
                 rho_next = min(1.0, extraction.new_mean)
             trace.append(RefineTraceStep(

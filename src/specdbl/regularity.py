@@ -2,16 +2,13 @@
 
 A matrix M on A x Gamma is lambda-regular when |f^T M g| < lambda * |A| *
 |Gamma| for every pair of sup-norm-1 test functions with at least one side
-summing to zero.  The decision machinery below is three-tier:
-
-  * a sound certificate from the top singular values of the row- and
-    column-centred matrix (Regular when it beats lambda),
-  * an alternating witness search for concrete violating pairs (Irregular
-    when one reaches lambda),
-  * a discretised exhaustive oracle for tiny instances,
-
-and an Undetermined verdict carries the sandwich between the best witness
-found and the certificate bound.  When a witness exists, a minor with a
+summing to zero.  decide_regularity is the one decision: a sound certificate
+from the top singular values of the row- and column-centred matrix (Regular
+when it beats lambda), then witness candidates in a fixed order, the best
+pair of an alternating search and, on tiny matrices only, a discretised
+exhaustive grid (Irregular at the first candidate that reaches lambda).  An
+Undetermined verdict carries the sandwich between the best candidate value
+and the certificate bound.  When a witness exists, a minor with a
 strictly larger mean is cut out of the matrix along the level pieces of the
 step-function approximation of the witness pair.
 """
@@ -31,13 +28,13 @@ from .groups import ElementSet
 __all__ = [
     "C1_DEFAULT",
     "C_DEFAULT",
+    "WITNESS_BUDGET",
     "StepFunction",
     "RegularityVerdict",
     "IrregularityWitness",
     "MinorExtraction",
     "step_approximate",
     "spectral_certificate",
-    "witness_search",
     "brute_force_max",
     "decide_regularity",
     "extract_minor",
@@ -49,6 +46,8 @@ C1_DEFAULT = 1.0 / (2.0 * 6400.0**2)
 # Minor-improvement constant; C1^2 - 2*C/C1 = C1^2/2 > 0 as the quadrant
 # argument requires.
 C_DEFAULT = C1_DEFAULT**3 / 4.0
+# Alternating search: restarts per constrained side, alternations per restart.
+WITNESS_BUDGET = (8, 60)
 
 _ORTH_TOL = 1e-8
 
@@ -204,8 +203,9 @@ def _project_centered(values: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _alternating_search(entries: np.ndarray, restarts: int, max_iter: int, seed: int):
+def _alternating_search(entries: np.ndarray, seed: int):
     """Best (value, f, g, constrained_side) found by alternating phase ascent."""
+    restarts, max_iter = WITNESS_BUDGET
     nr, nc = entries.shape
     scale = nr * nc
     best = (0.0, np.zeros(nr, dtype=complex), np.zeros(nc, dtype=complex), "rows")
@@ -233,22 +233,6 @@ def _alternating_search(entries: np.ndarray, restarts: int, max_iter: int, seed:
             if value > best[0]:
                 best = (value, f.copy(), g.copy(), side)
     return best
-
-
-def witness_search(
-    m: CoherenceMatrix,
-    lam: float,
-    budget: tuple[int, int] = (8, 60),
-    seed: int = 0,
-) -> Optional[IrregularityWitness]:
-    """Alternating maximisation for a witness at level lambda; None if not found."""
-    restarts, max_iter = budget
-    value, f, g, side = _alternating_search(m.entries, restarts, max_iter, seed)
-    if value < lam * (1 - 1e-12):
-        return None
-    return IrregularityWitness(
-        BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
-    )
 
 
 def _root_grid(n: int, r: int) -> np.ndarray:
@@ -301,36 +285,34 @@ def brute_force_max(
     return best_val / scale, fs[best_pair[0]], gs[best_pair[1]]
 
 
-def decide_regularity(
-    m: CoherenceMatrix,
-    lam: float,
-    budget: tuple[int, int] = (8, 60),
-    seed: int = 0,
-) -> RegularityVerdict:
-    """Certificate first, then witness search, then a tiny-scale exhaustive pass."""
+def _witness_candidates(m: CoherenceMatrix, seed: int):
+    """Lazy (value, f, g, constrained_side) candidates in the order they are tried.
+
+    The exhaustive grid is only reached when the alternating search failed,
+    and only on matrices small enough for it.
+    """
+    yield _alternating_search(m.entries, seed)
+    if 5 ** (m.n_rows + m.n_cols) <= 10_000_000:  # 4th roots of unity and 0 per entry
+        for side in ("rows", "cols"):
+            value, f, g = brute_force_max(m, 4, side)
+            yield value, f, g, side
+
+
+def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> RegularityVerdict:
+    """Certificate first, then witness candidates until one reaches lambda."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     upper, certified = spectral_certificate(m, lam)
     if certified:
         return RegularityVerdict("regular", lam, upper, None, 0.0)
-    restarts, max_iter = budget
-    value, f, g, side = _alternating_search(m.entries, restarts, max_iter, seed)
-    if value >= lam * (1 - 1e-12):
-        witness = IrregularityWitness(
-            BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
-        )
-        return RegularityVerdict("irregular", lam, upper, witness, value)
-    lower = value
-    if (5) ** (m.n_rows + m.n_cols) <= 10_000_000:
-        for brute_side in ("rows", "cols"):
-            bval, bf, bg = brute_force_max(m, 4, brute_side)
-            if bval > lower:
-                lower = bval
-            if bval >= lam * (1 - 1e-12):
-                witness = IrregularityWitness(
-                    BoundedFunction("rows", bf), BoundedFunction("cols", bg), brute_side, bval
-                )
-                return RegularityVerdict("irregular", lam, upper, witness, bval)
+    lower = 0.0
+    for value, f, g, side in _witness_candidates(m, seed):
+        if value >= lam * (1 - 1e-12):
+            witness = IrregularityWitness(
+                BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
+            )
+            return RegularityVerdict("irregular", lam, upper, witness, value)
+        lower = max(lower, value)
     return RegularityVerdict("undetermined", lam, upper, None, lower)
 
 
@@ -360,8 +342,6 @@ def extract_minor(
     witness: IrregularityWitness,
     lam: float,
     mode: str = "opportunistic",
-    c1: float = C1_DEFAULT,
-    c: float = C_DEFAULT,
 ) -> MinorExtraction:
     """Cut a quadrant with a larger coherence mean out of an irregular matrix.
 
@@ -427,14 +407,14 @@ def extract_minor(
 
     improvement = mu - rho
     if mode == "faithful":
-        floor_rows = c * lam**15 * nr
-        floor_cols = c * lam**15 * nc
+        floor_rows = C_DEFAULT * lam**15 * nr
+        floor_cols = C_DEFAULT * lam**15 * nc
         if rsel.size < floor_rows or csel.size < floor_cols:
             raise AssertionError(
                 f"faithful minor sides {rsel.size}x{csel.size} fall below the "
                 f"c*lambda^15 floor ({floor_rows}, {floor_cols})"
             )
-        if improvement < (c / 2.0) * lam**15:
+        if improvement < (C_DEFAULT / 2.0) * lam**15:
             raise AssertionError(
                 f"faithful minor improves the mean by {improvement}, below (c/2)*lambda^15"
             )

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from specdbl.fileio import read_set_file, read_trace_file
+from specdbl.regularity import C1_DEFAULT, C_DEFAULT
 
 
 def run_cli(*argv):
@@ -120,13 +121,17 @@ def test_refine_and_report_round_trip(tmp_path):
     assert doc["bound_report"]["certified_doubling_holds"] is True
 
 
-def test_report_rejects_a_tampered_trace(tmp_path):
+def _refined_trace(tmp_path):
     setfile = tmp_path / "a.json"
     run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
     trace = tmp_path / "trace.json"
     run_cli("refine", "--input", str(setfile), "--epsilon", "0.4",
             "--delta", "0.3", "--seed", "1", "--out", str(trace))
+    return trace
 
+
+def test_report_rejects_a_tampered_trace(tmp_path):
+    trace = _refined_trace(tmp_path)
     doc = json.loads(trace.read_text())
     doc["rho_star"] = 0.001
     trace.write_text(json.dumps(doc))
@@ -134,6 +139,63 @@ def test_report_rejects_a_tampered_trace(tmp_path):
     proc = run_cli("report", "--trace", str(trace))
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout or "differs" in proc.stdout
+
+
+def _as_version_1(doc, **old):
+    values = {"c1": C1_DEFAULT, "c": C_DEFAULT, "witness_restarts": 8,
+              "witness_alternations": 60}
+    values.update(old)
+    doc["version"] = 1
+    doc["config"].update(values)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda d: d["steps"][0].update(rho="x"),
+    lambda d: d["measured"].pop("spec_level"),
+    lambda d: _as_version_1(d, c1="zz"),
+    lambda d: _as_version_1(d, witness_restarts=3),
+], ids=["step-rho-string", "measured-missing-key", "v1-c1-string", "v1-other-budget"])
+def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
+    trace = _refined_trace(tmp_path)
+    doc = json.loads(trace.read_text())
+    tamper(doc)
+    trace.write_text(json.dumps(doc))
+
+    proc = run_cli("report", "--trace", str(trace))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_version_1_trace_reports_like_version_2(tmp_path):
+    trace = _refined_trace(tmp_path)
+    doc = json.loads(trace.read_text())
+    assert doc["version"] == 2
+    old = tmp_path / "v1.json"
+    _as_version_1(doc)
+    old.write_text(json.dumps(doc))
+
+    new_proc = run_cli("report", "--trace", str(trace), "--format", "json")
+    old_proc = run_cli("report", "--trace", str(old), "--format", "json")
+    assert new_proc.returncode == old_proc.returncode == 0, old_proc.stderr
+    assert old_proc.stdout == new_proc.stdout
+
+
+def test_faithful_mode_passes_its_audit(tmp_path):
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "random", "--group", "3,5,11,13", "--size", "60",
+            "--seed", "1", "--out", str(setfile))
+    trace = tmp_path / "trace.json"
+    proc = run_cli("refine", "--input", str(setfile), "--mode", "faithful",
+                   "--epsilon", "0.3", "--delta", "0.2", "--max-iterations", "5",
+                   "--out", str(trace))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "audit=ok" in proc.stdout
+
+    result, _, _ = read_trace_file(trace)
+    minors = [s for s in result.trace if s.action == "minor"]
+    assert minors
+    assert all(s.rho_next > s.rho for s in minors)
 
 
 def test_verify_checks_pass_on_a_subgroup(tmp_path):

@@ -21,7 +21,6 @@ def test_subgroup_matrix_is_all_ones():
     assert m.entries.shape == (4, 4)
     assert np.max(np.abs(m.entries - 1.0)) < 1e-12
     assert mean_value(m) == pytest.approx(1.0)
-    assert np.allclose(m.col_means, 1.0)
 
 
 def test_trivial_set_matrix():

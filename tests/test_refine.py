@@ -180,7 +180,7 @@ def test_bound_report_requires_a_finished_run():
 def test_undecided_verdict_falls_back_to_the_direct_check(plane, monkeypatch):
     _, h = plane
 
-    def undecided(matrix, lam, budget=(8, 60), seed=0):
+    def undecided(matrix, lam, seed=0):
         return RegularityVerdict(
             status="undetermined", lam=lam, upper_bound=1.0,
             witness=None, lower_bound=0.0,

@@ -16,7 +16,6 @@ from specdbl.regularity import (
     extract_minor,
     spectral_certificate,
     step_approximate,
-    witness_search,
 )
 
 
@@ -132,13 +131,14 @@ def test_certificate_dominates_brute_force():
             assert value <= upper + 1e-9
 
 
-# ---------------------------------------------------------------- witness search
+# ---------------------------------------------------------------- witnesses
 
 
 def test_witness_block_sign():
     m = block_sign_matrix()
-    w = witness_search(m, 0.5, seed=1)
-    assert w is not None
+    verdict = decide_regularity(m, 0.5, seed=1)
+    assert verdict.status == "irregular"
+    w = verdict.witness
     assert w.value >= 0.5
     recomputed = abs(w.f.values @ m.entries @ w.g.values) / m.entries.size
     assert recomputed == pytest.approx(w.value, abs=1e-9)
@@ -146,13 +146,15 @@ def test_witness_block_sign():
 
 def test_witness_none_on_all_ones():
     m = CoherenceMatrix.from_entries(np.ones((6, 6), dtype=complex))
-    assert witness_search(m, 1e-3, seed=0) is None
+    verdict = decide_regularity(m, 1e-3, seed=0)
+    assert verdict.status != "irregular"
+    assert verdict.witness is None
 
 
 def test_witness_deterministic():
     m = planted_matrix(3)
-    a = witness_search(m, 0.05, seed=9)
-    b = witness_search(m, 0.05, seed=9)
+    a = decide_regularity(m, 0.05, seed=9).witness
+    b = decide_regularity(m, 0.05, seed=9).witness
     assert a is not None and b is not None
     assert np.array_equal(a.f.values, b.f.values)
     assert np.array_equal(a.g.values, b.g.values)
