@@ -180,7 +180,7 @@ def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]
     """Value of the character indexed by gamma at the element x.
 
     gamma(x) = exp(2*pi*i * sum_j gamma_j x_j / n_j), evaluated through a table
-    of exact roots of unity so the modulus is 1 to machine precision.
+    of roots of unity so the modulus is 1 to machine precision.
     """
     g = np.asarray(tuple(gamma), dtype=np.int64) % group._orders_arr
     c = np.asarray(tuple(x), dtype=np.int64) % group._orders_arr
@@ -197,7 +197,11 @@ def char_matrix(
     """Matrix of character values gamma(a): rows are elements, columns gammas.
 
     Both arguments are flat index arrays.  Phases are accumulated as integers
-    mod L = lcm(orders), so every entry is an exact root of unity.
+    mod L = lcm(orders), so every entry is the tabled root of unity, exact
+    within one rounding: -1 comes out as -1 + 1.2e-16j.  The table is not
+    snapped to exact +-1, +-i, because that changes which witness and minor
+    the refinement finds on groups with an even factor; the certificate
+    absorbs the imaginary residue instead.
     """
     a = group.decode_indices(np.asarray(elements, dtype=np.int64))
     g = group.decode_indices(np.asarray(gammas, dtype=np.int64))
@@ -239,7 +243,25 @@ class ElementSet:
 
     @classmethod
     def from_coords(cls, group: FiniteAbelianGroup, coords: Iterable[Sequence[int]]) -> "ElementSet":
-        return cls.from_indices(group, [group.encode(c) for c in coords])
+        """Set of the given coordinate rows, each checked like ``encode`` checks it."""
+        rows = list(coords)
+        if not rows:
+            return cls(group, np.zeros(group.size, dtype=bool))
+        try:
+            c = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            for row in rows:
+                group.encode(row)  # raises the out-of-range error for the huge value
+            raise
+        if c.ndim != 2 or c.shape[1] != group.rank:
+            raise ValueError(f"expected {group.rank} coordinates, got rows of shape {c.shape[1:]}")
+        bad = np.argwhere((c < 0) | (c >= group._orders_arr))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"coordinate {c[i, j]} out of range for Z_{group.orders[j]}")
+        mask = np.zeros(group.size, dtype=bool)
+        mask[group.encode_coords(c)] = True
+        return cls(group, mask)
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)

@@ -294,7 +294,11 @@ class AuditReport:
 
 
 def audit_trace(result: RefineResult) -> AuditReport:
-    """Recompute the combinatorial side-conditions from the trace records."""
+    """Recompute the combinatorial side-conditions from the trace records.
+
+    Each step's lambda must be the level of its rho, and a certified step
+    must carry a regular verdict whose bound lies below lambda.
+    """
     cfg = result.config
     theorem = result.theorem
     eps = cfg.epsilon
@@ -320,6 +324,18 @@ def audit_trace(result: RefineResult) -> AuditReport:
                 )
             if s.a_size > prev.a_size:
                 violations.append(f"step {s.index}: set size grew {prev.a_size} -> {s.a_size}")
+        lam = _lambda_level(theorem, eps, s.rho)
+        if not math.isclose(s.lam, lam, rel_tol=1e-12):
+            violations.append(f"step {s.index}: lambda {s.lam} is not the level {lam} of rho {s.rho}")
+        if s.certified != (s.verdict_status == "regular"):
+            violations.append(
+                f"step {s.index}: certified={s.certified} contradicts the verdict {s.verdict_status!r}"
+            )
+        if s.certified and not s.upper_bound < s.lam:
+            violations.append(
+                f"step {s.index}: certified although the bound {s.upper_bound} "
+                f"is not below lambda {s.lam}"
+            )
         if s.action == "minor":
             if s.rho_next <= s.rho:
                 violations.append(f"step {s.index}: minor step did not raise rho")

@@ -3,14 +3,15 @@
 A matrix M on A x Gamma is lambda-regular when |f^T M g| < lambda * |A| *
 |Gamma| for every pair of sup-norm-1 test functions with at least one side
 summing to zero.  decide_regularity is the one decision: a sound certificate
-from the top singular values of the row- and column-centred matrix (Regular
-when it beats lambda), then witness candidates in a fixed order, the best
-pair of an alternating search and, on tiny matrices only, a discretised
-exhaustive grid (Irregular at the first candidate that reaches lambda).  An
-Undetermined verdict carries the sandwich between the best candidate value
-and the certificate bound.  When a witness exists, a minor with a
-strictly larger mean is cut out of the matrix along the level pieces of the
-step-function approximation of the witness pair.
+that bounds the top singular values of the row- and column-centred matrix
+by the top eigenvalue of the smaller Gram matrix plus a stated rounding
+margin (Regular when it beats lambda), then witness candidates in a fixed
+order, the best pair of an alternating search and, on tiny matrices only, a
+discretised exhaustive grid (Irregular at the first candidate that reaches
+lambda).  An Undetermined verdict carries the sandwich between the best
+candidate value and the certificate bound.  When a witness exists, a minor
+with a strictly larger mean is cut out of the matrix along the level pieces
+of the step-function approximation of the witness pair.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ C_DEFAULT = C1_DEFAULT**3 / 4.0
 WITNESS_BUDGET = (8, 60)
 
 _ORTH_TOL = 1e-8
+# unit roundoff of float64, the u of the certificate's margin
+_UNIT = np.finfo(np.float64).eps / 2.0
+# centred matrices with imaginary parts this small take the real path
+_REAL_IMAG_TOL = 1e-12
 
 
 class StepFunction:
@@ -171,20 +176,76 @@ class RegularityVerdict:
             )
 
 
+def _gram_top(c: np.ndarray) -> float:
+    """Upper bound on the largest singular value of c, from its smaller Gram matrix.
+
+    The Gram product is formed on the smaller side, so its eigenproblem has
+    min(rows, cols) unknowns; the margin is the one derived in
+    spectral_certificate.
+    """
+    rows, cols = c.shape
+    ct = c.conj().T if np.iscomplexobj(c) else c.T  # c @ c.T runs as one dsyrk
+    h = c @ ct if rows <= cols else ct @ c
+    top = float(np.linalg.eigvalsh(h)[-1])
+    fro2 = float(np.vdot(c, c).real)
+    margin = 4.0 * (max(rows, cols) + 1) * _UNIT * fro2
+    return math.sqrt(max(top, 0.0) + margin)
+
+
 def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
     """Sound upper bound on sup_{f,g} |f^T M g| / (|A| |Gamma|).
 
     Centring kills the uncontrolled all-ones direction on the constrained
-    side; the top singular value of the centred matrix then dominates every
-    admissible pair.  Exact dense SVD keeps the bound a certificate.
+    side: a sup-norm-1 f summing to zero has f^T M g = f^T C g with C = M
+    minus its column means, so |f^T M g| <= ||C||_2 sqrt(|A| |Gamma|), and
+    likewise with the row means when g sums to zero.  The bound is the
+    larger of the two normalised norms, each bounded from above in floating
+    point (unit roundoff u = 2^-53):
+
+    - Centring.  Each entry of the computed C is off by at most
+      2 (k + 2) u max|M|, where k is the length of the averaged axis (a mean
+      of k terms in any summation order, then one subtraction; the 2
+      covers real and imaginary parts).  So ||C - C_computed||_2 is below
+      sqrt(|A| |Gamma|) times that.
+    - Real arithmetic.  When max|Im C| <= 1e-12, as on Z_2^k where every
+      entry is +-1 up to the rounding of the root table, the norm is taken
+      of Re C and ||Im C||_F is added: ||C||_2 <= ||Re C||_2 + ||Im C||_F
+      holds for any C, so the threshold only picks the cheaper path.
+    - Gram matrix.  sigma_max(C)^2 is the top eigenvalue of H = C C^H (or
+      C^H C, whichever is smaller), formed after centring: a Gram product
+      of the uncentred matrix would cancel against the all-ones direction
+      and carry an error of order |A| |Gamma| instead of ||C||_F^2.  With
+      n = max(rows, cols) terms per entry, the computed H is within
+      1.5 (n + 2) u ||C||_F^2 of H in norm (real or complex inner
+      products), and eigvalsh returns an exact eigenvalue of a matrix
+      within 2 n u ||H||_2 of the computed H (LAPACK's backward error,
+      whose modest growth factor is taken as 2n).  Both together stay
+      below margin = 4 (n + 1) u ||C||_F^2, which leaves room for the
+      relative error of evaluating ||C||_F^2 (at most rows*cols*u, below
+      1e-6 for any matrix that fits in memory).  So sigma_max(C) <=
+      sqrt(max(top, 0) + margin).
+    - Finally the square root, the sums and the division round by at most
+      5u relative, covered by the factor 1 + 8u.
+
+    The margin scales with ||C||_F, not with |A| |Gamma|, so a matrix whose
+    centring is (nearly) zero, such as the all-ones matrix, still gets a
+    bound near 0.
     """
     e = m.entries
-    centred_rows = e - e.mean(axis=0, keepdims=True)
-    centred_cols = e - e.mean(axis=1, keepdims=True)
-    sigma_rows = float(np.linalg.svd(centred_rows, compute_uv=False)[0])
-    sigma_cols = float(np.linalg.svd(centred_cols, compute_uv=False)[0])
-    scale = math.sqrt(e.shape[0] * e.shape[1])
-    upper = max(sigma_rows, sigma_cols) / scale
+    rows, cols = e.shape
+    scale = math.sqrt(rows * cols)
+    entry = float(np.max(np.abs(e)))
+    re, im = e.real, e.imag
+    upper = 0.0
+    for axis, k in ((0, rows), (1, cols)):
+        im_c = im - im.mean(axis=axis, keepdims=True)
+        if float(np.max(np.abs(im_c))) <= _REAL_IMAG_TOL:
+            re_c = re - re.mean(axis=axis, keepdims=True)
+            sigma = _gram_top(re_c) + float(np.linalg.norm(im_c))
+        else:
+            sigma = _gram_top(e - e.mean(axis=axis, keepdims=True))
+        centring = 2.0 * (k + 2) * _UNIT * entry
+        upper = max(upper, (sigma / scale + centring) * (1.0 + 8.0 * _UNIT))
     return upper, upper < lam
 
 

@@ -141,6 +141,34 @@ def test_report_rejects_a_tampered_trace(tmp_path):
     assert "FAIL" in proc.stdout or "differs" in proc.stdout
 
 
+@pytest.mark.parametrize("forge,needle", [
+    (lambda s: s.update(upper_bound=0.9), "certified although the bound 0.9 is not below lambda"),
+    (lambda s: s.update(lam=0.95, upper_bound=0.9), "lambda 0.95 is not the level"),
+    (lambda s: s.update(verdict_status="undetermined"), "contradicts the verdict 'undetermined'"),
+], ids=["upper-bound", "lambda", "verdict"])
+def test_report_rejects_a_forged_certificate(tmp_path, forge, needle):
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "example1", "--n", "3", "--out", str(setfile))
+    trace = tmp_path / "trace.json"
+    run_cli("refine", "--input", str(setfile), "--epsilon", "0.4",
+            "--delta", "0.3", "--seed", "1", "--out", str(trace))
+    proc = run_cli("report", "--trace", str(trace))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "audit: ok" in proc.stdout
+
+    doc = json.loads(trace.read_text())
+    finish = doc["steps"][-1]
+    assert finish["action"] == "finish" and finish["certified"]
+    assert finish["upper_bound"] < finish["lam"] < 0.9
+    forge(finish)
+    trace.write_text(json.dumps(doc))
+
+    proc = run_cli("report", "--trace", str(trace))
+    assert proc.returncode == 1
+    assert "audit: FAIL" in proc.stdout
+    assert needle in proc.stdout
+
+
 def _as_version_1(doc, **old):
     values = {"c1": C1_DEFAULT, "c": C_DEFAULT, "witness_restarts": 8,
               "witness_alternations": 60}
@@ -233,6 +261,16 @@ def test_file_errors_exit_2(tmp_path):
     proc = run_cli("refine", "--input", str(bad), "--epsilon", "0.4",
                    "--delta", "0.3", "--out", str(tmp_path / "t.json"))
     assert proc.returncode == 2
+
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    doc = json.loads(setfile.read_text())
+    doc["elements"][1][2] = 2
+    setfile.write_text(json.dumps(doc))
+    proc = run_cli("spectrum", "--input", str(setfile), "--epsilon", "0.4")
+    assert proc.returncode == 2
+    assert "coordinate 2 out of range for Z_2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_parameters_exit_2(tmp_path):

@@ -49,6 +49,8 @@ def test_set_file_layout(tmp_path):
     (lambda d: d.update(elements=[[1, 2, 3]]), "elements"),
     (lambda d: d.update(elements=[[5, 0]]), "elements"),
     (lambda d: d.update(metadata=7), "metadata"),
+    (lambda d: d.update(elements=[[0, 1], [1, -1]]), "coordinate -1 out of range for Z_2"),
+    (lambda d: d.update(elements=[[10**30, 0]]), "out of range for Z_2"),
 ])
 def test_malformed_set_files_are_reported(tmp_path, mutate, needle):
     g = FiniteAbelianGroup((2, 2))

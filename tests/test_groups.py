@@ -90,6 +90,22 @@ def test_vectorised_codec_matches_scalar():
         assert np.array_equal(g.encode_coords(coords), idx)
 
 
+def test_from_coords_matches_scalar_encode():
+    g = make_group([2, 3, 5])
+    rng = np.random.default_rng(4)
+    rows = [tuple(int(rng.integers(n)) for n in g.orders) for _ in range(20)]
+    expected = ElementSet.from_indices(g, [element_encode(g, r) for r in rows])
+    assert ElementSet.from_coords(g, rows) == expected
+    assert ElementSet.from_coords(g, iter(rows)) == expected
+    assert ElementSet.from_coords(g, []).size == 0
+    for bad, message in [([(0, 0, 0), (1, 3, 0)], "coordinate 3 out of range for Z_3"),
+                         ([(0, 0, -1)], "coordinate -1 out of range for Z_5"),
+                         ([(10**30, 0, 0)], "out of range for Z_2"),
+                         ([(0, 0)], "expected 3 coordinates")]:
+        with pytest.raises(ValueError, match=message):
+            ElementSet.from_coords(g, bad)
+
+
 def test_char_value_examples():
     g4 = make_group([4])
     assert char_value(g4, (1,), (1,)) == pytest.approx(1j)

@@ -120,6 +120,51 @@ def test_certificate_block_sign_upper_is_one():
     assert not spectral_certificate(m, 0.999)[1]
 
 
+def _svd_upper(entries):
+    """Reference bound: top singular value of each centring by dense SVD."""
+    centrings = (entries - entries.mean(axis=0, keepdims=True),
+                 entries - entries.mean(axis=1, keepdims=True))
+    top = max(np.linalg.svd(c, compute_uv=False)[0] for c in centrings)
+    return top / np.sqrt(entries.size)
+
+
+def _unit_matrix(shape):
+    return np.exp(2j * np.pi * np.random.default_rng([41, *shape]).random(shape))
+
+
+def _sign_matrix(shape=(30, 50)):
+    return np.random.default_rng([43, *shape]).choice([-1.0, 1.0], size=shape).astype(complex)
+
+
+def _noisy(entries):
+    # the Z_2^k case: root_table gives -1 as -1 + 1.2e-16j
+    return entries + 1e-16j * np.random.default_rng(47).standard_normal(entries.shape)
+
+
+@pytest.mark.parametrize("entries", [
+    *(_unit_matrix(shape) for shape in [(1, 12), (12, 1), (7, 40), (40, 7), (60, 60)]),
+    _sign_matrix(), _sign_matrix((50, 30)), _noisy(_sign_matrix()), _noisy(_sign_matrix((50, 30))),
+    np.ones((5, 7), dtype=complex), block_sign_matrix().entries,
+], ids=["unit-1x12", "unit-12x1", "unit-7x40", "unit-40x7", "unit-60x60",
+        "sign-30x50", "sign-50x30", "noisy-sign-30x50", "noisy-sign-50x30", "ones", "block-sign"])
+def test_certificate_is_sound_against_svd(entries):
+    upper, _ = spectral_certificate(CoherenceMatrix.from_entries(entries), 1.0)
+    reference = _svd_upper(entries)
+    assert reference <= upper <= reference + 1e-9
+
+
+def test_example_set_matrix_is_real_up_to_rounding():
+    # on Z_2^k the certificate takes its real path (max|Im C| <= 1e-12 after
+    # centring); losing it would keep every output and double the cost
+    bundle = example_counterexample(4)
+    t = dft(bundle.members)
+    e = build_matrix(bundle.members, spectrum(t, 0.4), t).entries
+    assert e.shape == (31, 31)
+    for axis in (0, 1):
+        centred = e - e.mean(axis=axis, keepdims=True)
+        assert float(np.max(np.abs(centred.imag))) <= 1e-12
+
+
 def test_certificate_dominates_brute_force():
     rng = np.random.default_rng(5)
     for trial in range(10):
