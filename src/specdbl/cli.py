@@ -147,7 +147,7 @@ def _cmd_refine(args) -> int:
     run = refine_theorem1 if args.theorem == 1 else refine_theorem2
     result = run(members, cfg)
     write_trace_file(args.out, result, members)
-    audit = audit_trace(result)
+    audit = audit_trace(result, members)
     print(
         f"{result.terminated} after {len(result.trace)} steps: "
         f"|A*|={result.a_star.size} rho*={_fmt(result.rho_star)} "
@@ -208,7 +208,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     result, original, stored_audit = read_trace_file(args.trace)
-    audit = audit_trace(result)
+    audit = audit_trace(result, original)
     mismatch = audit.to_dict() != stored_audit
     ok = audit.ok and not mismatch
 

@@ -168,7 +168,7 @@ def read_set_file(path) -> tuple[ElementSet, dict]:
 def write_trace_file(path, result: RefineResult, original: ElementSet) -> None:
     if original.group.orders != result.a_star.group.orders:
         raise ValueError("the original set lives in a different group than the result")
-    audit = audit_trace(result)
+    audit = audit_trace(result, original)
     doc = {
         "format": TRACE_FORMAT,
         "version": 2,

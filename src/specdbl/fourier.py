@@ -9,6 +9,12 @@ so coeffs[0] = |A| and sum |coeffs|^2 = |A| * |G| (Parseval).  The spectrum at
 level eps collects the characters whose coefficient magnitude is at least
 eps * |A|, up to an absolute slack of 1e-9 * |A| so exact boundary ties land
 inside the set.
+
+``dft`` and ``inverse_dft`` transform the order-2 axes of the group's array
+shape with the exact Walsh-Hadamard transform of ``groups._walsh_hadamard``
+and every other axis with numpy's FFT.  On a pure 2-group every coefficient
+of a set is an integer of magnitude at most |A|, computed exactly, with
+imaginary part 0; a group with no factor of order 2 takes one numpy FFT call.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 
 import numpy as np
 
-from .groups import ElementSet, FiniteAbelianGroup
+from .groups import ElementSet, FiniteAbelianGroup, _walsh_hadamard
 
 __all__ = [
     "FourierTable",
@@ -68,12 +74,17 @@ def dft(a: ElementSet) -> FourierTable:
     """Fourier table of 1_A via per-axis fast transforms.
 
     The flat index vector is reshaped to the group's array ``shape``, one axis
-    per cyclic factor; the sign convention here is the conjugate of the usual
-    forward FFT, which coincides for real input.
+    per cyclic factor.  The order-2 axes go first, through the Walsh-Hadamard
+    transform in real arithmetic: on 0/1 input every partial sum is an integer
+    of magnitude at most |A| <= 2^20, so that step is exact.  The remaining
+    axes go through ``np.fft.fftn``; with no order-2 axis that is the one
+    call over the whole array.  The sign convention here is the conjugate of
+    the usual forward FFT, which coincides for real input.
     """
     group = a.group
-    values = a.mask.astype(np.float64).reshape(group.shape)
-    transformed = np.fft.fftn(values)
+    axes = group._fft_axes
+    values = _walsh_hadamard(group, a.mask.astype(np.float64).reshape(group.shape))
+    transformed = np.fft.fftn(values, axes=axes) if axes else values.astype(np.complex128)
     coeffs = np.conj(transformed).ravel()
     return FourierTable(group, coeffs, a.size)
 
@@ -98,11 +109,19 @@ def dft_naive(a: ElementSet) -> FourierTable:
 
 
 def inverse_dft(table: FourierTable) -> np.ndarray:
-    """Recover the indicator vector from a Fourier table (real, near 0/1)."""
+    """Recover the indicator vector from a Fourier table (real, near 0/1).
+
+    ``np.fft.ifftn`` over the axes of order other than 2, then, on the real
+    part, the Walsh-Hadamard transform over the order-2 axes divided by
+    2^(their number).  The Walsh-Hadamard matrix is real, so taking the real
+    part first loses nothing; on a pure 2-group with integer coefficients the
+    whole inverse is exact.
+    """
     group = table.group
+    axes = group._fft_axes
     spectrumside = np.conj(table.coeffs).reshape(group.shape)
-    values = np.fft.ifftn(spectrumside).ravel()
-    return values.real
+    values = np.fft.ifftn(spectrumside, axes=axes).real if axes else spectrumside.real
+    return _walsh_hadamard(group, values, inverse=True).ravel()
 
 
 class SpectrumSet:

@@ -1,7 +1,16 @@
-"""Finite abelian groups as products of cyclic factors, with dense element sets."""
+"""Finite abelian groups as products of cyclic factors, with dense element sets.
+
+A function on the group is a float64 array of the group's ``shape``, one axis
+per cyclic factor.  Transforms over that array split the axes in two: the
+axes of order 2 go through an exact Walsh-Hadamard transform (``_walsh_hadamard``,
+a +-1 matrix product in real arithmetic), and every other axis through
+numpy's FFT.  A group with no factor of order 2 takes numpy's FFT alone.
+"""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from typing import Iterable, Optional, Sequence
@@ -27,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_GROUP = 1 << 20
+
+# Most order-2 axes one Sylvester matrix covers: 2^6 = 64 rows.
+_WHT_CHUNK = 6
 
 GroupElement = tuple[int, ...]
 
@@ -75,6 +87,22 @@ class FiniteAbelianGroup:
         self.rank = len(orders)
         self.size = size
         self.shape = tuple(reversed(orders))
+        # Transform plan: runs of consecutive order-2 axes, cut into chunks of
+        # r <= _WHT_CHUNK axes, each stored as (pre, r, post) for the reshape
+        # (pre, 2^r, post); the remaining axes are the ones numpy's FFT takes.
+        blocks = []
+        axis = 0
+        for is_two, run in itertools.groupby(self.shape, key=lambda n: n == 2):
+            end = axis + len(list(run))
+            if is_two:
+                for start in range(axis, end, _WHT_CHUNK):
+                    r = min(_WHT_CHUNK, end - start)
+                    pre = math.prod(self.shape[:start])
+                    blocks.append((pre, r, size // (pre << r)))
+            axis = end
+        self._wht_blocks = tuple(blocks)
+        self._wht_size = 1 << sum(r for _, r, _ in blocks)
+        self._fft_axes = tuple(i for i, n in enumerate(self.shape) if n != 2)
         strides = np.empty(self.rank, dtype=np.int64)
         acc = 1
         for j, n in enumerate(orders):
@@ -298,19 +326,68 @@ def _require_same_group(s: ElementSet, t: ElementSet) -> FiniteAbelianGroup:
     return s.group
 
 
+@functools.lru_cache(maxsize=None)
+def _sylvester(r: int) -> np.ndarray:
+    """The 2^r x 2^r +-1 Sylvester-Hadamard matrix, entry (-1)^popcount(j & k)."""
+    h = np.ones((1, 1))
+    for _ in range(r):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+def _walsh_hadamard(group: FiniteAbelianGroup, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Transform a real array of the group's ``shape`` over its order-2 axes.
+
+    On an axis of order 2 the character sum is y[k] = sum_x (-1)^(k x) f(x),
+    so the transform over a chunk of r such axes is a product with the
+    Sylvester matrix of size 2^r (symmetric, and its own inverse up to 2^-r).
+    Each chunk is one ``np.matmul`` over the reshape (pre, 2^r, post).  Every
+    product is +-1 times an entry, so on integer input every partial sum is a
+    signed sum of input entries: exact while the sum of their magnitudes stays
+    below 2^53.  ``inverse`` divides by 2^(number of order-2 axes), a power of
+    two, so that step is exact too.  The other axes are left untouched; a
+    group without an order-2 axis returns ``x`` itself.
+    """
+    for pre, r, post in group._wht_blocks:
+        x = np.matmul(_sylvester(r), x.reshape(pre, 1 << r, post))
+    x = x.reshape(group.shape)
+    if inverse and group._wht_blocks:
+        x = x / group._wht_size
+    return x
+
+
 def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     """Counts r(x) = #{(a, b) in S x T : a + b = x} for every flat index x.
 
-    The additive convolution 1_S * 1_T, computed with real FFTs over the
-    group's array shape (one forward transform when ``t is s``) and rounded.
-    Every count is an integer of at most |G| <= 2^20, where the transform's
-    float64 error is many orders of magnitude below 1/2, so rounding recovers
-    the counts exactly; a residue over 0.25 means the transform itself failed.
+    The additive convolution 1_S * 1_T, computed by transform, pointwise
+    product and inverse transform over the group's array shape, then rounded
+    (one forward transform when ``t is s``).  The order-2 axes go through
+    ``_walsh_hadamard``, the other axes through ``rfftn``/``irfftn``; a group
+    with no order-2 factor takes the two numpy calls alone.
+
+    On a pure 2-group every step is exact: the forward transforms are integers
+    of magnitude at most |S| and |T|, and every partial sum of the inverse is a
+    signed sum of products S^(g) T^(g), bounded by Cauchy-Schwarz and Parseval
+    by sum |S^ T^| <= sqrt(|G||S| |G||T|) = |G| sqrt(|S||T|) <= 2^40 < 2^53.
+    On other groups every count is an integer of at most |G| <= 2^20, where
+    the FFT's float64 error is many orders of magnitude below 1/2, so rounding
+    recovers the counts exactly; a residue over 0.25 means the transform
+    itself failed.
     """
     group = _require_same_group(s, t)
-    fs = np.fft.rfftn(s.mask.reshape(group.shape).astype(np.float64))
-    ft = fs if t is s else np.fft.rfftn(t.mask.reshape(group.shape).astype(np.float64))
-    raw = np.fft.irfftn(fs * ft, s=group.shape, axes=tuple(range(group.rank))).ravel()
+    axes = group._fft_axes
+
+    def forward(u: ElementSet) -> np.ndarray:
+        x = _walsh_hadamard(group, u.mask.reshape(group.shape).astype(np.float64))
+        return np.fft.rfftn(x, axes=axes) if axes else x
+
+    fs = forward(s)
+    ft = fs if t is s else forward(t)
+    raw = fs * ft
+    if axes:
+        raw = np.fft.irfftn(raw, s=[group.shape[i] for i in axes], axes=axes)
+    raw = _walsh_hadamard(group, raw, inverse=True).ravel()
     counts = np.rint(raw)
     residue = float(np.max(np.abs(raw - counts)))
     if residue > 0.25:

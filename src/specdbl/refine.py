@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .coherence import build_matrix
 from .fourier import dft, spectrum
 from .groups import ElementSet, sumset
@@ -293,11 +295,12 @@ class AuditReport:
         }
 
 
-def audit_trace(result: RefineResult) -> AuditReport:
+def audit_trace(result: RefineResult, original: Optional[ElementSet] = None) -> AuditReport:
     """Recompute the combinatorial side-conditions from the trace records.
 
     Each step's lambda must be the level of its rho, and a certified step
-    must carry a regular verdict whose bound lies below lambda.
+    must carry a regular verdict whose bound lies below lambda.  Given the
+    input set ``original``, the final set must also lie inside it.
     """
     cfg = result.config
     theorem = result.theorem
@@ -389,6 +392,12 @@ def audit_trace(result: RefineResult) -> AuditReport:
             )
     else:
         violations.append("empty trace")
+    if original is not None:
+        outside = int(np.count_nonzero(result.a_star.mask & ~original.mask))
+        if outside:
+            violations.append(
+                f"{outside} of the {result.a_star.size} final elements lie outside the input set"
+            )
 
     t_ratios = []
     for j, pos in enumerate(growth_positions):

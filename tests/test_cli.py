@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -167,6 +168,30 @@ def test_report_rejects_a_forged_certificate(tmp_path, forge, needle):
     assert proc.returncode == 1
     assert "audit: FAIL" in proc.stdout
     assert needle in proc.stdout
+
+
+def test_report_rejects_a_final_set_outside_the_input(tmp_path):
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "example1", "--n", "3", "--out", str(setfile))
+    trace = tmp_path / "trace.json"
+    run_cli("refine", "--input", str(setfile), "--epsilon", "0.4",
+            "--delta", "0.3", "--theorem", "1", "--seed", "1", "--out", str(trace))
+    proc = run_cli("report", "--trace", str(trace))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "audit: ok" in proc.stdout
+
+    doc = json.loads(trace.read_text())
+    inside = {tuple(row) for row in doc["input_elements"]}
+    rank = len(doc["orders"])
+    assert doc["orders"] == [2] * rank
+    stranger = next(c for c in itertools.product((0, 1), repeat=rank) if c not in inside)
+    doc["a_star"][0] = list(stranger)
+    trace.write_text(json.dumps(doc))
+
+    proc = run_cli("report", "--trace", str(trace))
+    assert proc.returncode == 1
+    assert "audit: FAIL" in proc.stdout
+    assert f"1 of the {len(doc['a_star'])} final elements lie outside the input set" in proc.stdout
 
 
 def _as_version_1(doc, **old):

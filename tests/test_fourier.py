@@ -1,4 +1,5 @@
 import cmath
+import inspect
 
 import numpy as np
 import pytest
@@ -11,8 +12,12 @@ from specdbl.fourier import (
     parseval_capacity,
     spectrum,
 )
-from specdbl.groups import ElementSet, make_group, random_subset, subgroup_span
+from specdbl.groups import ElementSet, convolve_counts, make_group, random_subset, subgroup_span
 from specdbl.diagnostics import example_counterexample
+
+# order-2 factors between other factors, so the Walsh-Hadamard chunks and the
+# FFT axes interleave in the group's array shape
+MIXED_ORDERS = [[2, 3, 2, 5, 2], [32, 32, 2], [4, 2, 2, 3]]
 
 
 def _from_scratch_coeffs(group, members):
@@ -41,7 +46,7 @@ def test_dft_small_groups_from_scratch():
 def test_dft_matches_naive_sweep():
     # the fast path against the naive character-sum reference
     rng_seed = 100
-    for orders in [[2] * 8, [16, 16], [3, 3, 3, 3], [5, 7, 7], [252]]:
+    for orders in [[2] * 8, [16, 16], [3, 3, 3, 3], [5, 7, 7], [252]] + MIXED_ORDERS:
         g = make_group(orders)
         for size in [1, g.size // 4, g.size // 2]:
             a = random_subset(g, max(1, size), seed=rng_seed)
@@ -78,10 +83,12 @@ def test_parseval_and_conjugate_symmetry():
 
 
 def test_plancherel_roundtrip():
-    g = make_group([3, 5, 2])
-    a = random_subset(g, 9, seed=2)
-    values = inverse_dft(dft(a))
-    assert np.max(np.abs(values - a.mask)) < 1e-9
+    for orders in [[3, 5, 2], [2] * 9] + MIXED_ORDERS:
+        g = make_group(orders)
+        for seed, size in enumerate([9, g.size // 2]):
+            a = random_subset(g, size, seed=seed)
+            values = inverse_dft(dft(a))
+            assert np.max(np.abs(values - a.mask)) < 1e-9
 
 
 def test_table_validation_rejects_garbage():
@@ -159,3 +166,58 @@ def test_parseval_capacity_values():
     assert parseval_capacity(64, 2, 0.25) == pytest.approx(512.0)
     with pytest.raises(ValueError):
         parseval_capacity(16, 4, 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 5, 8])
+def test_dft_on_a_2_group_is_exact(k):
+    g = make_group([2] * k)
+    for size in [1, g.size // 3, g.size]:
+        a = random_subset(g, size, seed=size + k)
+        t, ref = dft(a), dft_naive(a)
+        assert np.array_equal(t.coeffs.real, np.rint(ref.coeffs.real))
+        assert np.all(t.coeffs.imag == 0.0)
+
+
+def _record_fft_lengths(monkeypatch):
+    """Wrap the np.fft functions the package calls; return the lengths they transform."""
+    lengths = []
+    for name in ["fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"]:
+        original = getattr(np.fft, name)
+
+        def wrapper(*args, _original=original, _sig=inspect.signature(original), **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            arg = bound.arguments
+            shape = np.shape(arg["a"])
+            if "axis" in arg:  # 1-D transform: length n, or the axis length
+                lengths.append(arg["n"] if arg["n"] is not None else shape[arg["axis"]])
+            elif arg["s"] is not None:
+                lengths.extend(arg["s"])
+            else:
+                axes = range(len(shape)) if arg["axes"] is None else arg["axes"]
+                lengths.extend(shape[i] for i in axes)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, wrapper)
+    return lengths
+
+
+@pytest.mark.parametrize("orders", [[2] * 10, [32, 32, 2]], ids=str)
+def test_no_fft_runs_over_an_axis_of_length_2(monkeypatch, orders):
+    g = make_group(orders)
+    s = random_subset(g, g.size // 3, seed=1)
+    t = random_subset(g, g.size // 5, seed=2)
+    lengths = _record_fft_lengths(monkeypatch)
+    inverse_dft(dft(s))
+    convolve_counts(s, t)
+    convolve_counts(s, s)
+    assert 2 not in lengths
+    assert sorted(set(lengths)) == sorted(set(orders) - {2})
+
+
+@pytest.mark.parametrize("orders", [[3, 5, 11, 13], [13, 13, 13]], ids=str)
+def test_groups_without_order_2_keep_the_single_fft(orders):
+    g = make_group(orders)
+    a = random_subset(g, g.size // 3, seed=4)
+    expected = np.conj(np.fft.fftn(a.mask.astype(np.float64).reshape(g.shape))).ravel()
+    assert np.array_equal(dft(a).coeffs, expected)

@@ -161,7 +161,9 @@ def _naive_sumset(group, s, t):
 
 def test_sumset_against_naive_oracle():
     seed = 0
-    for orders in SMALL_ORDERS + [[2, 2, 2, 2], [8, 8], [60]]:
+    # the last three put order-2 factors between others, so Walsh-Hadamard
+    # chunks and FFT axes interleave
+    for orders in SMALL_ORDERS + [[2, 2, 2, 2], [8, 8], [60], [2, 3, 2, 5, 2], [32, 32, 2], [4, 2, 2, 3]]:
         g = make_group(orders)
         for trial in range(4):
             s = random_subset(g, min(g.size, 1 + (trial * 3) % (g.size)), seed)
@@ -229,3 +231,25 @@ def test_element_set_immutable():
         s.mask[0] = False
     with pytest.raises(ValueError):
         ElementSet.from_indices(g, [4])
+
+
+def test_convolution_on_a_2_group_rounds_nothing(monkeypatch):
+    # the Walsh-Hadamard path is exact: the raw counts handed to np.rint
+    # are integers already
+    g = make_group([2] * 12)
+    s = random_subset(g, 3000, seed=5)
+    t = random_subset(g, 2500, seed=6)
+    raws = []
+    rint = np.rint
+
+    def recording_rint(x, *args, **kwargs):
+        raws.append(np.array(x))
+        return rint(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "rint", recording_rint)
+    counts = convolve_counts(s, t)
+    self_counts = convolve_counts(s, s)
+    monkeypatch.undo()
+    assert len(raws) == 2
+    assert np.array_equal(raws[0], counts) and np.array_equal(raws[1], self_counts)
+    assert counts.sum() == s.size * t.size and self_counts.sum() == s.size ** 2
