@@ -122,7 +122,9 @@ def _cmd_spectrum(args) -> int:
             "capacity": capacity,
             "members": [[int(x) for x in row] for row in spec.members.coords()],
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        # one compact line: the member list has a row for each of up to |G|
+        # characters, and an indented row takes about 4.5x the bytes
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
         for row in spec.members.coords():
             print(",".join(str(int(x)) for x in row))

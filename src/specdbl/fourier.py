@@ -11,8 +11,9 @@ eps * |A|, up to an absolute slack of 1e-9 * |A| so exact boundary ties land
 inside the set.
 
 ``dft`` and ``inverse_dft`` transform the order-2 axes of the group's array
-shape with the exact Walsh-Hadamard transform of ``groups._walsh_hadamard``
-and every other axis with numpy's FFT.  On a pure 2-group every coefficient
+shape with an exact Walsh-Hadamard transform and every other axis with
+numpy's FFT (the transform pair lives in ``groups``, next to the group's
+array shape).  On a pure 2-group every coefficient
 of a set is an integer of magnitude at most |A|, computed exactly, with
 imaginary part 0; a group with no factor of order 2 takes one numpy FFT call.
 """
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .groups import ElementSet, FiniteAbelianGroup, _walsh_hadamard
+from .groups import ElementSet, FiniteAbelianGroup, _inverse_transform, _transform
 
 __all__ = [
     "FourierTable",
@@ -82,10 +83,7 @@ def dft(a: ElementSet) -> FourierTable:
     the usual forward FFT, which coincides for real input.
     """
     group = a.group
-    axes = group._fft_axes
-    values = _walsh_hadamard(group, a.mask.astype(np.float64).reshape(group.shape))
-    transformed = np.fft.fftn(values, axes=axes) if axes else values.astype(np.complex128)
-    coeffs = np.conj(transformed).ravel()
+    coeffs = np.conj(_transform(group, a.mask)).ravel()
     return FourierTable(group, coeffs, a.size)
 
 
@@ -111,17 +109,12 @@ def dft_naive(a: ElementSet) -> FourierTable:
 def inverse_dft(table: FourierTable) -> np.ndarray:
     """Recover the indicator vector from a Fourier table (real, near 0/1).
 
-    ``np.fft.ifftn`` over the axes of order other than 2, then, on the real
-    part, the Walsh-Hadamard transform over the order-2 axes divided by
-    2^(their number).  The Walsh-Hadamard matrix is real, so taking the real
-    part first loses nothing; on a pure 2-group with integer coefficients the
-    whole inverse is exact.
+    ``np.fft.ifftn`` over the axes of order other than 2, then the inverse
+    Walsh-Hadamard transform over the order-2 axes; on a pure 2-group with
+    integer coefficients the whole inverse is exact.
     """
     group = table.group
-    axes = group._fft_axes
-    spectrumside = np.conj(table.coeffs).reshape(group.shape)
-    values = np.fft.ifftn(spectrumside, axes=axes).real if axes else spectrumside.real
-    return _walsh_hadamard(group, values, inverse=True).ravel()
+    return _inverse_transform(group, np.conj(table.coeffs).reshape(group.shape))
 
 
 class SpectrumSet:

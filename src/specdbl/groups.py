@@ -2,9 +2,11 @@
 
 A function on the group is a float64 array of the group's ``shape``, one axis
 per cyclic factor.  Transforms over that array split the axes in two: the
-axes of order 2 go through an exact Walsh-Hadamard transform (``_walsh_hadamard``,
-a +-1 matrix product in real arithmetic), and every other axis through
-numpy's FFT.  A group with no factor of order 2 takes numpy's FFT alone.
+axes of order 2 go through an exact Walsh-Hadamard transform (a +-1 matrix
+product in real arithmetic), and every other axis through numpy's FFT.
+``_transform`` and ``_inverse_transform`` are that pair, shared by
+``convolve_counts`` and ``fourier.dft``/``inverse_dft``; a group with no
+factor of order 2 takes numpy's FFT alone.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class FiniteAbelianGroup:
                     blocks.append((pre, r, size // (pre << r)))
             axis = end
         self._wht_blocks = tuple(blocks)
-        self._wht_size = 1 << sum(r for _, r, _ in blocks)
         self._fft_axes = tuple(i for i, n in enumerate(self.shape) if n != 2)
         strides = np.empty(self.rank, dtype=np.int64)
         acc = 1
@@ -336,25 +337,52 @@ def _sylvester(r: int) -> np.ndarray:
     return h
 
 
-def _walsh_hadamard(group: FiniteAbelianGroup, x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Transform a real array of the group's ``shape`` over its order-2 axes.
+def _walsh_hadamard(group: FiniteAbelianGroup, x: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of ``x`` over the order-2 axes.
 
     On an axis of order 2 the character sum is y[k] = sum_x (-1)^(k x) f(x),
     so the transform over a chunk of r such axes is a product with the
-    Sylvester matrix of size 2^r (symmetric, and its own inverse up to 2^-r).
-    Each chunk is one ``np.matmul`` over the reshape (pre, 2^r, post).  Every
-    product is +-1 times an entry, so on integer input every partial sum is a
-    signed sum of input entries: exact while the sum of their magnitudes stays
-    below 2^53.  ``inverse`` divides by 2^(number of order-2 axes), a power of
-    two, so that step is exact too.  The other axes are left untouched; a
-    group without an order-2 axis returns ``x`` itself.
+    Sylvester matrix of size 2^r (symmetric, and its own inverse up to 2^-r),
+    one ``np.matmul`` over the reshape (pre, 2^r, post).  Every product is +-1
+    times an entry, so on integer input every partial sum is a signed sum of
+    input entries: exact while the sum of their magnitudes stays below 2^53.
     """
     for pre, r, post in group._wht_blocks:
         x = np.matmul(_sylvester(r), x.reshape(pre, 1 << r, post))
-    x = x.reshape(group.shape)
-    if inverse and group._wht_blocks:
-        x = x / group._wht_size
-    return x
+    return x.reshape(group.shape)
+
+
+def _transform(group: FiniteAbelianGroup, mask: np.ndarray, real: bool = False) -> np.ndarray:
+    """Forward transform of the 0/1 indicator ``mask``, over the group's ``shape``.
+
+    The order-2 axes go first, through ``_walsh_hadamard`` in real arithmetic;
+    the other axes then go through ``np.fft.fftn``, or ``np.fft.rfftn`` when
+    ``real``.  A group with no order-2 factor makes that one numpy call alone;
+    a pure 2-group makes none (its result is complex128 unless ``real``).
+    """
+    x = _walsh_hadamard(group, mask.reshape(group.shape).astype(np.float64))
+    axes = group._fft_axes
+    if not axes:
+        return x if real else x.astype(np.complex128)
+    return np.fft.rfftn(x, axes=axes) if real else np.fft.fftn(x, axes=axes)
+
+
+def _inverse_transform(group: FiniteAbelianGroup, y: np.ndarray, real: bool = False) -> np.ndarray:
+    """Inverse of ``_transform``, as a flat real vector.
+
+    ``np.fft.ifftn`` (``np.fft.irfftn`` when ``real``) over the axes of order
+    other than 2, then, on the real part, ``_walsh_hadamard`` again divided by
+    2^(number of order-2 axes).  The Walsh-Hadamard matrix is real, so taking
+    the real part first loses nothing, and dividing by a power of two is exact.
+    """
+    axes = group._fft_axes
+    if axes:
+        shape = [group.shape[i] for i in axes]
+        y = np.fft.irfftn(y, s=shape, axes=axes) if real else np.fft.ifftn(y, axes=axes)
+    y = _walsh_hadamard(group, y.real)
+    if group._wht_blocks:
+        y = y / (1 << group.shape.count(2))
+    return y.ravel()
 
 
 def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
@@ -362,9 +390,10 @@ def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
 
     The additive convolution 1_S * 1_T, computed by transform, pointwise
     product and inverse transform over the group's array shape, then rounded
-    (one forward transform when ``t is s``).  The order-2 axes go through
-    ``_walsh_hadamard``, the other axes through ``rfftn``/``irfftn``; a group
-    with no order-2 factor takes the two numpy calls alone.
+    (one forward transform when ``t is s``).  ``_transform`` and
+    ``_inverse_transform`` take the order-2 axes through the Walsh-Hadamard
+    transform and the other axes through ``rfftn``/``irfftn``; a group with
+    no order-2 factor takes the two numpy calls alone.
 
     On a pure 2-group every step is exact: the forward transforms are integers
     of magnitude at most |S| and |T|, and every partial sum of the inverse is a
@@ -376,18 +405,9 @@ def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     itself failed.
     """
     group = _require_same_group(s, t)
-    axes = group._fft_axes
-
-    def forward(u: ElementSet) -> np.ndarray:
-        x = _walsh_hadamard(group, u.mask.reshape(group.shape).astype(np.float64))
-        return np.fft.rfftn(x, axes=axes) if axes else x
-
-    fs = forward(s)
-    ft = fs if t is s else forward(t)
-    raw = fs * ft
-    if axes:
-        raw = np.fft.irfftn(raw, s=[group.shape[i] for i in axes], axes=axes)
-    raw = _walsh_hadamard(group, raw, inverse=True).ravel()
+    fs = _transform(group, s.mask, real=True)
+    ft = fs if t is s else _transform(group, t.mask, real=True)
+    raw = _inverse_transform(group, fs * ft, real=True)
     counts = np.rint(raw)
     residue = float(np.max(np.abs(raw - counts)))
     if residue > 0.25:

@@ -295,12 +295,12 @@ class AuditReport:
         }
 
 
-def audit_trace(result: RefineResult, original: Optional[ElementSet] = None) -> AuditReport:
+def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     """Recompute the combinatorial side-conditions from the trace records.
 
     Each step's lambda must be the level of its rho, and a certified step
-    must carry a regular verdict whose bound lies below lambda.  Given the
-    input set ``original``, the final set must also lie inside it.
+    must carry a regular verdict whose bound lies below lambda, and the final
+    set must lie inside the input set ``original``.
     """
     cfg = result.config
     theorem = result.theorem
@@ -392,12 +392,11 @@ def audit_trace(result: RefineResult, original: Optional[ElementSet] = None) -> 
             )
     else:
         violations.append("empty trace")
-    if original is not None:
-        outside = int(np.count_nonzero(result.a_star.mask & ~original.mask))
-        if outside:
-            violations.append(
-                f"{outside} of the {result.a_star.size} final elements lie outside the input set"
-            )
+    outside = int(np.count_nonzero(result.a_star.mask & ~original.mask))
+    if outside:
+        violations.append(
+            f"{outside} of the {result.a_star.size} final elements lie outside the input set"
+        )
 
     t_ratios = []
     for j, pos in enumerate(growth_positions):

@@ -307,7 +307,7 @@ def test_criterion_10_end_to_end_refinement():
         plus = sumset(spec.members, spec.members)
         assert len(plus) < limit
 
-        report = audit_trace(result)
+        report = audit_trace(result, bundle.members)
         assert report.ok, report.violations
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

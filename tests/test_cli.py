@@ -80,6 +80,7 @@ def test_spectrum_formats(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["spectrum_size"] == 7
     assert len(doc["members"]) == 7
+    assert proc.stdout.count("\n") == 1 and " " not in proc.stdout
 
     proc = run_cli("spectrum", "--input", str(setfile), "--epsilon", "0.4",
                    "--format", "csv")

@@ -86,7 +86,7 @@ def test_trace_file_round_trip(tmp_path):
     loaded, original, stored_audit = read_trace_file(path)
     assert original == ex.members
     assert loaded == result
-    recomputed = audit_trace(loaded)
+    recomputed = audit_trace(loaded, original)
     assert recomputed.to_dict() == stored_audit
     assert recomputed.ok
 
@@ -142,7 +142,7 @@ def test_tampered_trace_fails_its_audit(tmp_path):
     doc = json.loads(path.read_text())
     doc["rho_star"] = 0.2
     path.write_text(json.dumps(doc))
-    loaded, _, stored_audit = read_trace_file(path)
-    recomputed = audit_trace(loaded)
+    loaded, original, stored_audit = read_trace_file(path)
+    recomputed = audit_trace(loaded, original)
     assert not recomputed.ok
     assert recomputed.to_dict() != stored_audit

@@ -41,7 +41,7 @@ def test_subgroup_is_a_fixed_point(plane, run):
     assert result.rho_star == 0.5
     assert result.measured["doubling"] == 1.0
     assert result.measured["spec_size"] == 4
-    assert audit_trace(result).ok
+    assert audit_trace(result, h).ok
 
 
 def test_example_set_collapses_to_a_subgroup_block():
@@ -58,7 +58,7 @@ def test_example_set_collapses_to_a_subgroup_block():
     assert result.measured["spec_size"] == 8
     assert result.measured["sumset_size"] == 8
     assert result.measured["sumset_size"] < ex.members.group.size
-    assert audit_trace(result).ok
+    assert audit_trace(result, ex.members).ok
 
 
 def test_example_set_squaring_schedule():
@@ -67,7 +67,7 @@ def test_example_set_squaring_schedule():
     result = refine_theorem2(ex.members, cfg)
     assert result.terminated == "finished"
     assert result.certified
-    assert audit_trace(result).ok
+    assert audit_trace(result, ex.members).ok
     # squaring schedule reports the K^2-style interim bounds
     assert "k_squared_bound" in result.measured
     assert result.measured["sumset_size"] <= result.measured["k_squared_bound"]
@@ -96,7 +96,7 @@ def test_trace_invariants_on_random_sets(orders, size, seed, run):
     cfg = RefineConfig(epsilon=0.35, delta=0.4, seed=seed)
     result = run(a, cfg)
     assert result.terminated in ("finished", "budget_exhausted", "inconclusive")
-    report = audit_trace(result)
+    report = audit_trace(result, a)
     assert report.ok, report.violations
     sizes = [s.a_size for s in result.trace]
     assert sizes == sorted(sizes, reverse=True)
@@ -127,22 +127,22 @@ def test_audit_flags_a_tampered_trace(plane):
     _, h = plane
     cfg = RefineConfig(epsilon=0.5, delta=0.3, seed=0)
     result = refine_theorem1(h, cfg)
-    assert audit_trace(result).ok
+    assert audit_trace(result, h).ok
 
     low = dataclasses.replace(result.trace[0], rho=1e-6, rho_next=1e-6)
     tampered = dataclasses.replace(result, trace=(low,), rho_star=1e-6)
-    report = audit_trace(tampered)
+    report = audit_trace(tampered, h)
     assert not report.ok
     assert any("below the floor" in v for v in report.violations)
 
     fake_growth = dataclasses.replace(result.trace[0], action="growth")
     tampered = dataclasses.replace(result, trace=(fake_growth,))
-    report = audit_trace(tampered)
+    report = audit_trace(tampered, h)
     assert not report.ok
     assert any("gate held" in v for v in report.violations)
 
     drifted = dataclasses.replace(result, rho_star=0.25)
-    report = audit_trace(drifted)
+    report = audit_trace(drifted, h)
     assert not report.ok
     assert any("does not match the last step" in v for v in report.violations)
 
@@ -150,9 +150,15 @@ def test_audit_flags_a_tampered_trace(plane):
         result.trace[0], verdict_status="undetermined", certified=False
     )
     tampered = dataclasses.replace(result, trace=(uncertified,))
-    report = audit_trace(tampered)
+    report = audit_trace(tampered, h)
     assert not report.ok
     assert any("certified flag" in v for v in report.violations)
+
+    g, _ = plane
+    line = subgroup_span(g, [(0, 0, 1, 0)])
+    report = audit_trace(result, line)
+    assert not report.ok
+    assert "3 of the 4 final elements lie outside the input set" in report.violations
 
 
 def test_bound_report_round_trips_and_holds(plane):
@@ -194,7 +200,7 @@ def test_undecided_verdict_falls_back_to_the_direct_check(plane, monkeypatch):
     assert result.terminated == "finished"
     assert not result.certified
     assert result.trace[-1].direct_check is True
-    assert audit_trace(result).ok
+    assert audit_trace(result, h).ok
 
 
 def test_threshold_floor_aborts_honestly(plane):
@@ -204,7 +210,7 @@ def test_threshold_floor_aborts_honestly(plane):
     assert result.terminated == "inconclusive"
     assert not result.certified
     assert result.trace[0].action == "abort"
-    assert audit_trace(result).ok
+    assert audit_trace(result, h).ok
 
 
 def test_config_validation():
