@@ -12,6 +12,21 @@ lambda).  An Undetermined verdict carries the sandwich between the best
 candidate value and the certificate bound.  When a witness exists, a minor
 with a strictly larger mean is cut out of the matrix along the level pieces
 of the step-function approximation of the witness pair.
+
+The search and the cut are block linear algebra.  The 8 restarts of a side
+run as the rows of one block, two matrix products per iteration; the
+pieces come from one sort, and every piece-pair sum from one
+np.add.reduceat pass per axis.  Two rules keep their choices off rounding
+noise, so a block product and one restart at a time, or one BLAS thread and
+several, pick the same witness and minor:
+
+- Zero rule: an entry of a product whose modulus is at or below the
+  a-priori rounding bound of its inner product, sqrt(2) gamma_2n n max|M|
+  for vectors of sup-norm at most 1 (derived in _product_bound), counts as
+  0 and gets phase 0.
+- Tie rule: of candidates within 1e-9 relative of the best, the first in a
+  fixed order wins: rows restarts 0..7 then cols restarts 0..7 for the
+  search, row-major order for the piece pair.
 """
 
 from __future__ import annotations
@@ -55,6 +70,8 @@ _ORTH_TOL = 1e-8
 _UNIT = np.finfo(np.float64).eps / 2.0
 # centred matrices with imaginary parts this small take the real path
 _REAL_IMAG_TOL = 1e-12
+# witness values and piece-pair sums this close to the best count as tied
+_TIE_REL = 1e-9
 
 
 class StepFunction:
@@ -67,15 +84,16 @@ class StepFunction:
         self.eta = float(eta)
         self.r = int(r)
         self.domain_size = int(domain_size)
-        seen = np.zeros(domain_size, dtype=bool)
-        for positions, alpha in self.pieces:
-            if positions.size == 0:
-                raise AssertionError("step functions keep nonempty pieces only")
-            if abs(alpha) > 1.0 + 1e-12:
-                raise AssertionError(f"piece coefficient {alpha} exceeds the unit ball")
-            if seen[positions].any():
-                raise AssertionError("step function pieces must be disjoint")
-            seen[positions] = True
+        sizes = np.array([p.size for p, _ in self.pieces], dtype=np.int64)
+        if (sizes == 0).any():
+            raise AssertionError("step functions keep nonempty pieces only")
+        alphas = np.abs(np.array([alpha for _, alpha in self.pieces], dtype=complex))
+        if (alphas > 1.0 + 1e-12).any():
+            raise AssertionError(f"piece coefficient {alphas.max()} exceeds the unit ball")
+        if self.pieces:
+            covered = np.bincount(np.concatenate([p for p, _ in self.pieces]))
+            if covered.size > domain_size or covered.max() > 1:
+                raise AssertionError("step function pieces must be disjoint and in the domain")
         if len(self.pieces) > 100.0 / self.eta**2 + 1e-9:
             raise AssertionError(
                 f"{len(self.pieces)} pieces exceed the bound 100/eta^2 for eta={self.eta}"
@@ -100,17 +118,15 @@ def _build_pieces(values: np.ndarray, r: int):
     theta = np.where(theta <= 0, theta + 2 * np.pi, theta)
     k = np.ceil(theta * r / (2 * np.pi)).astype(np.int64) - 1
     k = np.clip(k, 0, r - 1)
-    live = j >= 1  # the zero magnitude band contributes coefficient 0
-    pieces = []
-    if live.any():
-        keys = j[live] * r + k[live]
-        positions = np.flatnonzero(live)
-        for key in np.unique(keys):
-            sel = positions[keys == key]
-            jj, kk = divmod(int(key), r)
-            alpha = (jj / r) * np.exp(2j * np.pi * kk / r)
-            pieces.append((sel, complex(alpha)))
-    return pieces
+    positions = np.flatnonzero(j >= 1)  # the zero magnitude band contributes coefficient 0
+    keys = j[positions] * r + k[positions]
+    uniq, label, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    by_label = positions[np.argsort(label, kind="stable")]
+    ends = np.cumsum(counts).tolist()
+    jj, kk = np.divmod(uniq, r)
+    alphas = ((jj / r) * np.exp(2j * np.pi * kk / r)).tolist()
+    return [(by_label[start:end], alpha)
+            for start, end, alpha in zip([0] + ends[:-1], ends, alphas)]
 
 
 def step_approximate(f: BoundedFunction, eta: float) -> StepFunction:
@@ -249,51 +265,108 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
     return upper, upper < lam
 
 
-def _phase_of(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    nz = values != 0
-    out[nz] = np.conj(values[nz]) / np.abs(values[nz])
+def _product_bound(n: int, entry: float) -> float:
+    """A-priori rounding bound of a complex inner product of length n.
+
+    The zero rule.  The real part of sum_j x_j y_j is a sum of the 2n real
+    products a_j c_j and -b_j d_j (x_j = a_j + i b_j, y_j = c_j + i d_j),
+    however BLAS orders or fuses the operations, so its computed value is
+    off by at most gamma_2n sum_j (|a_j c_j| + |b_j d_j|) <= gamma_2n
+    sum_j |x_j| |y_j|, with gamma_m = m u / (1 - m u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., eq. (3.5)); likewise the
+    imaginary part.  So the modulus error is at most
+    sqrt(2) gamma_2n n max|x| max|y|: the real-arithmetic bound
+    gamma_n n max|x| max|y|, widened for complex products.  Every f and g
+    of the search has sup-norm at most 1, so the bound takes max|y| = 1
+    and max|x| = entry, the largest matrix entry.  A computed entry at or
+    below the bound may stand for an exact zero: on Z_2^k the root table
+    stores -1 as -1 + 1.2e-16j, so a sum that is exactly 0 comes out near
+    1e-16 with a phase set by the summation order.  _phase_of maps such
+    entries to 0 so that no choice follows rounding noise.  Taking
+    max|y| = 1 rather than the vector's own maximum also zeroes the product
+    of a centred vector that cancelled to rounding noise, as the phases of
+    the two conjugate rows of a 2-element set's matrix do.
+    """
+    gamma = 2 * n * _UNIT / (1.0 - 2 * n * _UNIT)
+    return math.sqrt(2.0) * gamma * n * entry
+
+
+def _phase_of(values: np.ndarray, bound: float) -> np.ndarray:
+    """conj(v)/|v| entrywise, and 0 where |v| <= bound (the zero rule); bound > 0."""
+    mags = np.abs(values)
+    scale = np.divide(mags > bound, np.maximum(mags, bound, out=mags), out=mags)
+    out = np.conj(values)
+    out *= scale  # in place: a fresh block-sized product costs page faults
     return out
 
 
 def _project_centered(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.mean()
-    sup = float(np.max(np.abs(shifted)))
-    if sup > 1.0:
-        shifted = shifted / sup
+    """Subtract each row's mean, then scale rows back into the unit ball."""
+    shifted = values - values.mean(axis=-1, keepdims=True)
+    shifted *= 1.0 / np.maximum(np.abs(shifted).max(axis=-1, keepdims=True), 1.0)
     return shifted
 
 
+def _first_near_max(values) -> int:
+    """The tie rule: the first index whose value is within 1e-9 relative of the maximum.
+
+    Two candidates that agree to 1e-9 are equally good witnesses, and which
+    of them rounds higher depends on the summation order (and so on the BLAS
+    kernel and thread count); the fixed order decides instead.
+    """
+    values = np.asarray(values)
+    return int(np.argmax(values >= values.max() * (1.0 - _TIE_REL)))
+
+
 def _alternating_search(entries: np.ndarray, seed: int):
-    """Best (value, f, g, constrained_side) found by alternating phase ascent."""
+    """Best (value, f, g, constrained_side) found by alternating phase ascent.
+
+    Per side, the restarts run as the rows of one block, as in the block
+    1-norm estimator of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21
+    (2000) 1185-1201): an iteration is the two products G M^T and F M.  A
+    restart leaves the block when its value stops climbing by more than
+    1e-12, so each keeps its own early stop.  The value f^T M g =
+    sum_j (f M)_j g_j is read off the vector just formed; on the
+    unconstrained side it is sum |f M|.  Entries at or below the rounding
+    bound of their product get phase 0 (_product_bound), and the best
+    candidate is picked by the tie rule over the order rows restarts 0..7,
+    cols restarts 0..7 (_first_near_max).  With both rules the result does
+    not depend on how BLAS rounds, which a one-restart-at-a-time search
+    reproduces.
+    """
     restarts, max_iter = WITNESS_BUDGET
     nr, nc = entries.shape
     scale = nr * nc
-    best = (0.0, np.zeros(nr, dtype=complex), np.zeros(nc, dtype=complex), "rows")
+    entry = float(np.max(np.abs(entries)))
+    zero_f, zero_g = _product_bound(nc, entry), _product_bound(nr, entry)
+    found = [None] * (2 * restarts)
     for side_idx, side in enumerate(("rows", "cols")):
-        for restart in range(restarts):
-            if restart == 0:
-                g = np.ones(nc, dtype=complex)
-            else:
-                rng = np.random.default_rng([seed, side_idx, restart])
-                g = np.exp(2j * np.pi * rng.random(nc))
-            prev = -1.0
-            f = np.zeros(nr, dtype=complex)
-            for _ in range(max_iter):
-                f = _phase_of(entries @ g)
-                if side == "rows":
-                    f = _project_centered(f)
-                g = _phase_of(entries.T @ f)
-                if side == "cols":
-                    g = _project_centered(g)
-                value = abs(complex(f @ entries @ g)) / scale
-                if value <= prev + 1e-12:
+        g = np.empty((restarts, nc), dtype=complex)
+        g[0] = 1.0
+        for restart in range(1, restarts):
+            rng = np.random.default_rng([seed, side_idx, restart])
+            g[restart] = np.exp(2j * np.pi * rng.random(nc))
+        slots = side_idx * restarts + np.arange(restarts)
+        prev = np.full(restarts, -1.0)
+        for step in range(max_iter):
+            f = _phase_of(g @ entries.T, zero_f)
+            if side == "rows":
+                f = _project_centered(f)
+            raw = f @ entries
+            g = _phase_of(raw, zero_g)
+            if side == "cols":
+                g = _project_centered(g)
+            value = np.abs((raw[:, None, :] @ g[:, :, None])[:, 0, 0]) / scale
+            stop = (value <= prev + 1e-12) | (step + 1 == max_iter)
+            if stop.any():
+                for k in np.flatnonzero(stop):
+                    found[slots[k]] = (float(value[k]), f[k].copy(), g[k].copy(), side)
+                if stop.all():
                     break
-                prev = value
-            value = abs(complex(f @ entries @ g)) / scale
-            if value > best[0]:
-                best = (value, f.copy(), g.copy(), side)
-    return best
+                keep = ~stop
+                g, value, slots = g[keep], value[keep], slots[keep]
+            prev = value
+    return found[_first_near_max([c[0] for c in found])]
 
 
 def _root_grid(n: int, r: int) -> np.ndarray:
@@ -393,6 +466,39 @@ class MinorExtraction:
     quadrant: str
 
 
+def _best_piece_pair(entries: np.ndarray, rho_c: complex, row_pieces, col_pieces):
+    """(i, j) of the piece pair whose block sum deviates most from the mean.
+
+    For pieces P, Q with entry sum S over P x Q, the deviation is
+    |phase * S - rho |P| |Q||, where rho = |mean| and phase = conj(mean) / rho:
+    the sum of the mean-subtracted matrix, rotated onto the mean.  Pieces
+    are disjoint and come ordered by label, so concatenating them sorts the
+    positions by label, and np.add.reduceat over the label runs sums the
+    rows and then the columns: two passes and no indicator matrices, which
+    would hold (pieces x positions) complex numbers.  The pick is the tie
+    rule's, the first pair in row-major order within 1e-9 of the largest.
+    """
+    def runs(pieces):
+        sizes = np.array([p.size for p in pieces])
+        return np.concatenate(pieces), sizes, np.cumsum(sizes) - sizes
+
+    rows, row_sizes, row_starts = runs(row_pieces)
+    cols, col_sizes, col_starts = runs(col_pieces)
+    by_row = np.add.reduceat(entries[rows], row_starts, axis=0)
+    sums = np.add.reduceat(by_row[:, cols], col_starts, axis=1)
+    rho = abs(rho_c)
+    phase = np.conj(rho_c) / rho if rho > 0 else 1.0
+    raw = np.abs(phase * sums - rho * np.outer(row_sizes, col_sizes))
+    return divmod(_first_near_max(raw.ravel()), len(col_pieces))
+
+
+def _complement(positions: np.ndarray, n: int) -> np.ndarray:
+    """The sorted positions of range(n) outside positions."""
+    keep = np.ones(n, dtype=bool)
+    keep[positions] = False
+    return np.flatnonzero(keep)
+
+
 def _quadrant_mean(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     block = entries[np.ix_(rows, cols)]
     return float(np.mean(np.abs(block.mean(axis=0))))
@@ -408,10 +514,10 @@ def extract_minor(
 
     The witness pair is step-approximated (eta = lambda/8 faithful, measured
     value / 8 opportunistic); the piece pair carrying the largest raw sum of
-    the mean-subtracted matrix is located, and of its four quadrants (piece or
-    complement on each side) the one with the largest recomputed coherence
-    mean wins.  Ties prefer the larger min-side, then the fixed quadrant
-    order.
+    the mean-subtracted matrix is located (_best_piece_pair), and of its four
+    quadrants (piece or complement on each side) the one with the largest
+    recomputed coherence mean wins.  Ties prefer the larger min-side, then
+    the fixed quadrant order.
     """
     if mode not in ("faithful", "opportunistic"):
         raise ValueError(f"mode must be 'faithful' or 'opportunistic', got {mode!r}")
@@ -425,7 +531,6 @@ def extract_minor(
         raise ValueError("witness shape does not match the matrix")
     rho_c = complex(entries.mean())
     rho = abs(rho_c)
-    phase = np.conj(rho_c) / rho if rho > 0 else 1.0
 
     eta = min(1.0, (lam if mode == "faithful" else witness.value) / 8.0)
     f_step = step_approximate(witness.f, eta)
@@ -435,22 +540,12 @@ def extract_minor(
 
     row_pieces = [p for p, _ in f_step.pieces]
     col_pieces = [p for p, _ in g_step.pieces]
-    best_sum = -1.0
-    pick = (0, 0)
-    for i, rp in enumerate(row_pieces):
-        sums_along = entries[rp].sum(axis=0)
-        for j, cp in enumerate(col_pieces):
-            raw = phase * complex(sums_along[cp].sum()) - rho * rp.size * cp.size
-            if abs(raw) > best_sum:
-                best_sum = abs(raw)
-                pick = (i, j)
+    i, j = _best_piece_pair(entries, rho_c, row_pieces, col_pieces)
 
-    all_rows = np.arange(nr)
-    all_cols = np.arange(nc)
-    rp = row_pieces[pick[0]]
-    cp = col_pieces[pick[1]]
-    row_options = [("piece", rp), ("complement", np.setdiff1d(all_rows, rp))]
-    col_options = [("piece", cp), ("complement", np.setdiff1d(all_cols, cp))]
+    rp = row_pieces[i]
+    cp = col_pieces[j]
+    row_options = [("piece", rp), ("complement", _complement(rp, nr))]
+    col_options = [("piece", cp), ("complement", _complement(cp, nc))]
     candidates = []
     for rname, rsel in row_options:
         for cname, csel in col_options:

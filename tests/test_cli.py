@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -9,11 +11,12 @@ from specdbl.fileio import read_set_file, read_trace_file
 from specdbl.regularity import C1_DEFAULT, C_DEFAULT
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "specdbl.cli", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -250,6 +253,46 @@ def test_faithful_mode_passes_its_audit(tmp_path):
     minors = [s for s in result.trace if s.action == "minor"]
     assert minors
     assert all(s.rho_next > s.rho for s in minors)
+
+
+def _assert_same_document(a, b, where="trace"):
+    """Equal apart from floats, which agree to 1e-9 relative."""
+    if isinstance(a, float) or isinstance(b, float):
+        assert type(a) in (int, float) and type(b) in (int, float), where
+        assert math.isclose(a, b, rel_tol=1e-9), f"{where}: {a} vs {b}"
+    elif isinstance(a, dict) and isinstance(b, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_same_document(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_document(x, y, f"{where}[{i}]")
+    else:
+        assert a == b and type(a) is type(b), f"{where}: {a!r} vs {b!r}"
+
+
+def test_refine_trace_does_not_depend_on_blas_threads(tmp_path):
+    # a random set in Z_3^8 whose step-4 witness value moved by 0.36 % between
+    # one and two BLAS threads before the search got its zero and tie rules
+    inp = tmp_path / "a.json"
+    proc = run_cli("gen", "--kind", "random", "--group", ",".join(["3"] * 8),
+                   "--size", "820", "--seed", "1", "--out", str(inp))
+    assert proc.returncode == 0, proc.stderr
+    docs, outputs = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"trace{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = run_cli("refine", "--input", str(inp), "--epsilon", "0.4", "--delta", "0.3",
+                       "--theorem", "2", "--seed", "3", "--max-iterations", "40",
+                       "--out", str(out), env=env)
+        assert proc.returncode == 0, proc.stderr
+        docs.append(json.loads(out.read_text()))
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert any(step["action"] == "minor" for step in docs[0]["steps"])
+    _assert_same_document(docs[0], docs[1])
 
 
 def test_verify_checks_pass_on_a_subgroup(tmp_path):

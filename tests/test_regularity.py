@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,12 @@ from specdbl.groups import make_group, random_subset, subgroup_span, sumset, Ele
 from specdbl.regularity import (
     C1_DEFAULT,
     C_DEFAULT,
+    WITNESS_BUDGET,
     IrregularityWitness,
+    StepFunction,
+    _alternating_search,
+    _best_piece_pair,
+    _build_pieces,
     brute_force_max,
     decide_regularity,
     extract_minor,
@@ -99,6 +106,56 @@ def test_step_rejects_bad_eta():
     for eta in [0.0, -0.1, 1.5]:
         with pytest.raises(ValueError):
             step_approximate(f, eta)
+
+
+def _loop_build_pieces(values, r):
+    """The per-key loop that _build_pieces replaced: oracle for its pieces and their order."""
+    mags = np.abs(values)
+    j = np.minimum(np.ceil(mags * r).astype(np.int64) - 1, r - 1)
+    theta = np.angle(values)
+    theta = np.where(theta <= 0, theta + 2 * np.pi, theta)
+    k = np.clip(np.ceil(theta * r / (2 * np.pi)).astype(np.int64) - 1, 0, r - 1)
+    live = j >= 1
+    pieces = []
+    if live.any():
+        keys = j[live] * r + k[live]
+        positions = np.flatnonzero(live)
+        for key in np.unique(keys):
+            jj, kk = divmod(int(key), r)
+            pieces.append((positions[keys == key], complex((jj / r) * np.exp(2j * np.pi * kk / r))))
+    return pieces
+
+
+def _assert_same_pieces(pieces, expected):
+    # np.exp over an array may take another code path than the scalar call,
+    # a few ulp apart, so coefficients agree to 8 eps; positions exactly
+    assert len(pieces) == len(expected)
+    for (pos, alpha), (want_pos, want_alpha) in zip(pieces, expected):
+        assert np.array_equal(pos, want_pos)
+        assert abs(alpha - want_alpha) <= 8 * np.finfo(np.float64).eps
+
+
+def test_build_pieces_matches_the_loop():
+    rng = np.random.default_rng(17)
+    boundary = np.array([0.0, 1.0, 0.5, -0.5, 1j, -1j, 0.1, -0.1, -1 + 1.2e-16j, 1 - 1e-17j])
+    for n, r in [(1, 10), (40, 13), (500, 100), (2155, 800)]:
+        values = rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+        values[: min(n, boundary.size)] = boundary[: min(n, boundary.size)]
+        _assert_same_pieces(_build_pieces(values, r), _loop_build_pieces(values, r))
+    assert _build_pieces(np.zeros(5, dtype=complex), 10) == []
+
+
+def test_step_function_rejects_overlapping_pieces():
+    fine = StepFunction([(np.array([0, 2]), 0.5), (np.array([1]), 1j)], 1.0, 10, 3)
+    assert fine.values().tolist() == [0.5, 1j, 0.5]
+    with pytest.raises(AssertionError, match="disjoint"):
+        StepFunction([(np.array([0, 2]), 0.5), (np.array([2]), 1j)], 1.0, 10, 3)
+    with pytest.raises(AssertionError, match="disjoint"):
+        StepFunction([(np.array([3]), 0.5)], 1.0, 10, 3)  # outside the domain
+    with pytest.raises(AssertionError, match="nonempty"):
+        StepFunction([(np.array([], dtype=np.int64), 0.5)], 1.0, 10, 3)
+    with pytest.raises(AssertionError, match="unit ball"):
+        StepFunction([(np.array([0]), 1.5)], 1.0, 10, 3)
 
 
 # ---------------------------------------------------------------- certificate
@@ -213,6 +270,102 @@ def test_witness_validation():
         IrregularityWitness(f, g, "rows", 0.5)  # rows side does not sum to zero
     w = IrregularityWitness(f, g, "cols", 0.5)
     assert w.constrained_side == "cols"
+
+
+_U = np.finfo(np.float64).eps / 2
+
+
+def _zero_bound(n, entry):
+    """sqrt(2) gamma_2n n max|M| for vectors of sup-norm <= 1: at or below it a product is 0."""
+    return math.sqrt(2) * (2 * n * _U / (1 - 2 * n * _U)) * n * entry
+
+
+def _reference_phase(matrix, x, entry):
+    bound = _zero_bound(x.size, entry)
+    return np.array([0j if abs(v) <= bound else np.conj(v) / abs(v) for v in matrix @ x])
+
+
+def _reference_centre(v):
+    shifted = v - v.mean()
+    sup = np.max(np.abs(shifted))
+    return shifted / sup if sup > 1 else shifted
+
+
+def reference_search(entries, seed):
+    """One restart at a time with three products per step: the oracle for the block search."""
+    restarts, max_iter = WITNESS_BUDGET
+    nr, nc = entries.shape
+    entry = np.max(np.abs(entries))
+    found = []
+    for side_idx, side in enumerate(("rows", "cols")):
+        for restart in range(restarts):
+            if restart == 0:
+                g = np.ones(nc, dtype=complex)
+            else:
+                g = np.exp(2j * np.pi * np.random.default_rng([seed, side_idx, restart]).random(nc))
+            prev = -1.0
+            for _ in range(max_iter):
+                f = _reference_phase(entries, g, entry)
+                if side == "rows":
+                    f = _reference_centre(f)
+                g = _reference_phase(entries.T, f, entry)
+                if side == "cols":
+                    g = _reference_centre(g)
+                value = abs(complex(f @ entries @ g)) / (nr * nc)
+                if value <= prev + 1e-12:
+                    break
+                prev = value
+            found.append((value, f, g, side))
+    top = max(c[0] for c in found)
+    return next(c for c in found if c[0] >= top * (1 - 1e-9))  # the tie rule
+
+
+def _pair_matrix():
+    # the matrix of a 2-element set: its rows are conjugate and, the spectrum
+    # being closed under negation, both row sums are real, so the centred
+    # phases of the first rows restart cancel to rounding noise, and only
+    # the zero rule keeps the phase of that noise out of the search
+    a = ElementSet.from_indices(make_group([13, 13, 13]), np.array([5, 1000]))
+    t = dft(a)
+    return build_matrix(a, spectrum(t, 0.1), t).entries
+
+
+@pytest.mark.parametrize("entries", [
+    *(_unit_matrix(shape) for shape in [(3, 40), (40, 3), (60, 60)]),
+    _noisy(_sign_matrix((50, 30))), _noisy(_sign_matrix((2, 165))), block_sign_matrix().entries,
+    _pair_matrix(),
+], ids=["unit-3x40", "unit-40x3", "unit-60x60", "noisy-sign-50x30", "noisy-sign-2x165",
+        "block-sign", "pair-set"])
+def test_block_search_matches_the_sequential_reference(entries):
+    for seed in (0, 3):
+        value, f, g, side = _alternating_search(entries, seed)
+        want_value, want_f, want_g, want_side = reference_search(entries, seed)
+        assert side == want_side
+        assert value == pytest.approx(want_value, rel=1e-12)
+        assert np.max(np.abs(f - want_f)) <= 1e-9
+        assert np.max(np.abs(g - want_g)) <= 1e-9
+
+
+def test_block_search_runs_the_restarts_together():
+    # every product with the matrix is counted; a block search makes at most
+    # two per iteration and side, the one-restart-at-a-time form three per
+    # iteration and restart
+    calls = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                calls.append(ufunc)
+            inputs = tuple(x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    entries = _unit_matrix((60, 60)).view(Counting)
+    cap_per_side = 2 * WITNESS_BUDGET[1]
+    _alternating_search(entries, 3)
+    assert 0 < len(calls) <= 2 * cap_per_side
+    calls.clear()
+    reference_search(entries, 3)
+    assert len(calls) > 2 * cap_per_side
 
 
 # ---------------------------------------------------------------- brute force
@@ -391,3 +544,61 @@ def test_extract_on_example_set_matrix():
     # the extracted pair maps back into the original sets
     assert set(ext.a_sub.indices()) <= set(bundle.members.indices())
     assert set(ext.gamma_sub.indices()) <= set(spectrum(t, 0.4).indices())
+
+
+def _loop_pick(entries, row_pieces, col_pieces):
+    """The double loop over piece pairs that _best_piece_pair replaced (first strict maximum)."""
+    rho_c = complex(entries.mean())
+    rho = abs(rho_c)
+    phase = np.conj(rho_c) / rho if rho > 0 else 1.0
+    best_sum = -1.0
+    pick = (0, 0)
+    for i, rp in enumerate(row_pieces):
+        sums_along = entries[rp].sum(axis=0)
+        for j, cp in enumerate(col_pieces):
+            raw = phase * complex(sums_along[cp].sum()) - rho * rp.size * cp.size
+            if abs(raw) > best_sum:
+                best_sum = abs(raw)
+                pick = (i, j)
+    return pick
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (7, 40), (40, 7), (60, 60), (7, 2155)])
+def test_piece_pair_matches_the_double_loop(shape):
+    entries = _unit_matrix(shape)
+    m = CoherenceMatrix.from_entries(entries)
+    value, f, g, side = _alternating_search(entries, 5)
+    witness = IrregularityWitness(BoundedFunction("rows", f), BoundedFunction("cols", g), side, value)
+    f_step = step_approximate(witness.f, value / 8)
+    g_step = step_approximate(witness.g, value / 8)
+    _assert_same_pieces(f_step.pieces, _loop_build_pieces(witness.f.values, f_step.r))
+    _assert_same_pieces(g_step.pieces, _loop_build_pieces(witness.g.values, g_step.r))
+    rows = [p for p, _ in f_step.pieces]
+    cols = [p for p, _ in g_step.pieces]
+    if shape == (7, 2155):
+        assert len(cols) >= 200
+    i, j = _best_piece_pair(entries, complex(entries.mean()), rows, cols)
+    assert (i, j) == _loop_pick(entries, rows, cols)
+    ext = extract_minor(m, witness, value)
+    row_piece, col_piece = ext.quadrant.split("/")
+    want_rows = rows[i] if row_piece == "piece" else np.setdiff1d(np.arange(shape[0]), rows[i])
+    want_cols = cols[j] if col_piece == "piece" else np.setdiff1d(np.arange(shape[1]), cols[j])
+    assert np.array_equal(ext.row_positions, want_rows)
+    assert np.array_equal(ext.col_positions, want_cols)
+
+
+def test_tied_piece_pairs_go_to_the_first_in_row_major_order():
+    # a symmetric matrix with a planted block at pieces (0, 2) and its
+    # transpose at (2, 0): the two pair sums are the same numbers added in
+    # another order, tied in exact arithmetic; with this seed the later pair
+    # rounds higher, so the old strict maximum took (2, 0) and (3, 1)
+    rng = np.random.default_rng(5)
+    angles = rng.random((20, 20))
+    block = 0.05 * rng.random((5, 5))
+    angles[0:5, 10:15] = block
+    angles[10:15, 0:5] = block.T
+    entries = np.exp(2j * np.pi * (angles + angles.T) / 2)
+    pieces = [np.arange(s, s + 5) for s in range(0, 20, 5)]
+    assert _best_piece_pair(entries, complex(entries.mean()), pieces, pieces) == (0, 2)
+    flipped = entries[::-1, ::-1]  # now the block pairs are (1, 3) and (3, 1)
+    assert _best_piece_pair(flipped, complex(flipped.mean()), pieces, pieces) == (1, 3)
