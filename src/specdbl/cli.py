@@ -16,13 +16,7 @@ from .diagnostics import (
     high_threshold_closure,
     statistical_doubling,
 )
-from .fileio import (
-    FileFormatError,
-    read_set_file,
-    read_trace_file,
-    write_set_file,
-    write_trace_file,
-)
+from .fileio import read_set_file, read_trace_file, write_set_file, write_trace_file
 from .fourier import dft, parseval_capacity, spectrum
 from .groups import FiniteAbelianGroup, random_subset, subgroup_span
 from .refine import (
@@ -120,14 +114,14 @@ def _cmd_spectrum(args) -> int:
             "set_size": members.size,
             "spectrum_size": len(spec),
             "capacity": capacity,
-            "members": [[int(x) for x in row] for row in spec.members.coords()],
+            "members": spec.members.coords(),
         }
         # one compact line: the member list has a row for each of up to |G|
         # characters, and an indented row takes about 4.5x the bytes
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
         for row in spec.members.coords():
-            print(",".join(str(int(x)) for x in row))
+            print(",".join(map(str, row)))
     else:
         print(
             f"spectrum at epsilon={_fmt(args.epsilon)}: {len(spec)} of "
@@ -319,13 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # fileio.FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ at version 2 and set files at version 1; version 1 traces still read.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import typing
 from pathlib import Path
@@ -118,10 +119,6 @@ def _check_header(doc: dict, expected: str, path) -> int:
     return version
 
 
-def _coords_of(members: ElementSet) -> list:
-    return [[int(x) for x in row] for row in members.coords()]
-
-
 def _set_from(orders: list, elements: list, path, label: str) -> ElementSet:
     if not isinstance(orders, list) or not all(
         isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders
@@ -133,13 +130,14 @@ def _set_from(orders: list, elements: list, path, label: str) -> ElementSet:
         raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(elements, list):
         raise FileFormatError(f"{path}: field {label!r} must be a list")
-    for row in elements:
-        if not isinstance(row, list) or len(row) != len(orders) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in row
-        ):
-            raise FileFormatError(
-                f"{path}: field {label!r} must contain coordinate rows of length {len(orders)}"
-            )
+    # whole-list passes in C: JSON gives rows as lists and coordinates as
+    # ints, and a bool (an int subclass) is not a coordinate
+    if not (set(map(type, elements)) <= {list}
+            and set(map(len, elements)) <= {len(orders)}
+            and set(map(type, itertools.chain.from_iterable(elements))) <= {int}):
+        raise FileFormatError(
+            f"{path}: field {label!r} must contain coordinate rows of length {len(orders)}"
+        )
     try:
         return ElementSet.from_coords(group, elements)
     except (ValueError, IndexError) as exc:
@@ -151,7 +149,7 @@ def write_set_file(path, members: ElementSet, metadata: Optional[dict] = None) -
         "format": SET_FORMAT,
         "version": 1,
         "orders": list(members.group.orders),
-        "elements": _coords_of(members),
+        "elements": members.coords(),
         "metadata": metadata or {},
     }
     Path(path).write_text(_dump(doc))
@@ -175,8 +173,8 @@ def write_trace_file(path, result: RefineResult, original: ElementSet) -> None:
         "theorem": result.theorem,
         "config": dataclasses.asdict(result.config),
         "orders": list(original.group.orders),
-        "input_elements": _coords_of(original),
-        "a_star": _coords_of(result.a_star),
+        "input_elements": original.coords(),
+        "a_star": result.a_star.coords(),
         "rho_star": result.rho_star,
         "terminated": result.terminated,
         "certified": result.certified,

@@ -40,7 +40,13 @@ REL_TOL = 1e-9
 
 
 class FourierTable:
-    """All Fourier coefficients of one indicator function."""
+    """All Fourier coefficients of one indicator function.
+
+    Construction checks the coefficient at 0 against the set size, Parseval's
+    energy |A| |G|, and conjugate symmetry coeffs[-gamma] = conj(coeffs[gamma]),
+    with -gamma taken by ``FiniteAbelianGroup.negate`` (on a pure 2-group,
+    where every character is its own negative, that is imaginary part 0).
+    """
 
     __slots__ = ("group", "coeffs", "set_size")
 
@@ -59,7 +65,7 @@ class FourierTable:
             raise AssertionError(
                 f"Parseval mismatch: coefficient energy {energy}, expected {expected}"
             )
-        sym_err = float(np.max(np.abs(coeffs[group.negation_perm()] - np.conj(coeffs))))
+        sym_err = float(np.max(np.abs(group.negate(coeffs) - np.conj(coeffs))))
         if sym_err > REL_TOL * scale:
             raise AssertionError(f"conjugate symmetry violated by {sym_err}")
         coeffs.setflags(write=False)
@@ -118,7 +124,12 @@ def inverse_dft(table: FourierTable) -> np.ndarray:
 
 
 class SpectrumSet:
-    """Characters whose coefficient is large relative to the set size."""
+    """Characters whose coefficient is large relative to the set size.
+
+    For a nonempty base set, construction checks that the members contain the
+    trivial character, are closed under negation (``FiniteAbelianGroup.negate``
+    of the mask is the mask) and fit in the Parseval capacity.
+    """
 
     __slots__ = ("threshold", "base_size", "members")
 
@@ -127,8 +138,7 @@ class SpectrumSet:
         if base_size > 0:
             if not members.contains_index(0):
                 raise AssertionError("spectrum must contain the trivial character")
-            neg = group.negation_perm()
-            if not np.array_equal(members.mask, members.mask[neg]):
+            if not np.array_equal(members.mask, group.negate(members.mask)):
                 raise AssertionError("spectrum must be closed under negation")
             cap = parseval_capacity(group.size, base_size, threshold)
             if members.size > cap + REL_TOL * cap:

@@ -7,6 +7,11 @@ product in real arithmetic), and every other axis through numpy's FFT.
 ``_transform`` and ``_inverse_transform`` are that pair, shared by
 ``convolve_counts`` and ``fourier.dft``/``inverse_dft``; a group with no
 factor of order 2 takes numpy's FFT alone.
+
+The same ``shape`` gives the rest of the layout.  The vectorised codec between
+flat indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
+over it, and negation is a reversal mod n of each axis of order above 2
+(``FiniteAbelianGroup.negate``); axes of order 1 and 2 are their own negatives.
 """
 
 from __future__ import annotations
@@ -104,16 +109,9 @@ class FiniteAbelianGroup:
             axis = end
         self._wht_blocks = tuple(blocks)
         self._fft_axes = tuple(i for i, n in enumerate(self.shape) if n != 2)
-        strides = np.empty(self.rank, dtype=np.int64)
-        acc = 1
-        for j, n in enumerate(orders):
-            strides[j] = acc
-            acc *= n
-        self._strides = strides
         self._orders_arr = np.array(orders, dtype=np.int64)
         self._root_lcm = math.lcm(*orders)
         self._root_table: Optional[np.ndarray] = None
-        self._negation: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup(orders={list(self.orders)})"
@@ -133,11 +131,12 @@ class FiniteAbelianGroup:
             raise ValueError(
                 f"expected {self.rank} coordinates, got {len(coords)}"
             )
-        idx = 0
-        for c, n, s in zip(coords, self.orders, self._strides):
+        for c, n in zip(coords, self.orders):
             if not 0 <= c < n:
                 raise ValueError(f"coordinate {c} out of range for Z_{n}")
-            idx += c * int(s)
+        idx = 0
+        for c, n in zip(reversed(coords), self.shape):
+            idx = idx * n + c
         return idx
 
     def decode(self, index: int) -> GroupElement:
@@ -154,17 +153,13 @@ class FiniteAbelianGroup:
 
     def decode_indices(self, indices: np.ndarray) -> np.ndarray:
         """Vectorised decode: (m,) index array -> (m, rank) coordinate array."""
-        r = np.asarray(indices, dtype=np.int64).copy()
-        out = np.empty((r.shape[0], self.rank), dtype=np.int64)
-        for j, n in enumerate(self.orders):
-            out[:, j] = r % n
-            r //= n
-        return out
+        axes = np.unravel_index(np.asarray(indices, dtype=np.int64), self.shape)
+        return np.stack(axes[::-1], axis=-1)
 
     def encode_coords(self, coords: np.ndarray) -> np.ndarray:
         """Vectorised encode of an (m, rank) coordinate array, reducing mod orders."""
-        c = np.asarray(coords, dtype=np.int64) % self._orders_arr
-        return c @ self._strides
+        c = np.asarray(coords, dtype=np.int64)
+        return np.ravel_multi_index(tuple(np.moveaxis(c, -1, 0)[::-1]), self.shape, mode="wrap")
 
     # -- characters --------------------------------------------------------
 
@@ -179,17 +174,22 @@ class FiniteAbelianGroup:
         """Per-factor weights L/n_j used to express character phases mod L."""
         return self._root_lcm // self._orders_arr
 
+    def negate(self, values: np.ndarray) -> np.ndarray:
+        """``values(-x)`` for a flat vector ``values`` indexed by the group.
+
+        Negation acts on each axis of ``shape`` alone, as i -> -i mod n: one
+        ``np.take`` per axis of order above 2.  Axes of order 1 and 2 are
+        their own negatives, so on a pure 2-group the result is ``values``.
+        """
+        x = np.asarray(values).reshape(self.shape)
+        for axis, n in enumerate(self.shape):
+            if n > 2:
+                x = np.take(x, -np.arange(n) % n, axis=axis)
+        return x.reshape(self.size)
+
     def negation_perm(self) -> np.ndarray:
         """Permutation sending each flat index to the index of its inverse."""
-        if self._negation is None:
-            r = np.arange(self.size, dtype=np.int64)
-            neg = np.zeros(self.size, dtype=np.int64)
-            for n, s in zip(self.orders, self._strides):
-                d = r % n
-                r //= n
-                neg += ((n - d) % n) * int(s)
-            self._negation = neg
-        return self._negation
+        return self.negate(np.arange(self.size, dtype=np.int64))
 
 
 def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
@@ -296,7 +296,8 @@ class ElementSet:
         return np.flatnonzero(self.mask)
 
     def coords(self) -> list[GroupElement]:
-        return [self.group.decode(i) for i in self.indices()]
+        """Member coordinate rows in index order, as tuples of Python ints."""
+        return list(map(tuple, self.group.decode_indices(self.indices()).tolist()))
 
     def contains_index(self, index: int) -> bool:
         return bool(self.mask[index])
@@ -422,10 +423,7 @@ def sumset(s: ElementSet, t: ElementSet) -> ElementSet:
 
 def negate_set(s: ElementSet) -> ElementSet:
     """Pointwise inverse -S."""
-    perm = s.group.negation_perm()
-    mask = np.zeros(s.group.size, dtype=bool)
-    mask[perm[s.indices()]] = True
-    return ElementSet(s.group, mask)
+    return ElementSet(s.group, s.group.negate(s.mask))
 
 
 def difference_set(s: ElementSet, t: ElementSet) -> ElementSet:

@@ -18,7 +18,7 @@ the combinatorial claims from the records alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -113,12 +113,11 @@ def _resolve_k(cfg: RefineConfig, theorem: int, group_size: int) -> float:
 
 
 def _measure(theorem: int, cfg: RefineConfig, k_value: float, current: ElementSet,
-             table, rho: float, initial_spec_size: int) -> dict:
+             table, rho: float, spec_rho, gate, initial_spec_size: int) -> dict:
+    """Final measurements; ``spec_rho`` and ``gate`` are the final state's spectra."""
     group = current.group
     level = cfg.epsilon if theorem == 1 else rho
-    final_spec = spectrum(table, level)
-    spec_rho = spectrum(table, rho)
-    gate = spectrum(table, _gate_level(theorem, cfg.epsilon, rho))
+    final_spec = spec_rho if level == rho else spectrum(table, level)
     # spectra are closed under negation, so S - S = S + S
     plus = sumset(final_spec.members, final_spec.members)
     measured = {
@@ -155,16 +154,17 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
     trace: list[RefineTraceStep] = []
     terminated: Optional[str] = None
     certified = False
-    initial_spec_size = 0
     undecided: Optional[dict] = None
 
-    for i in range(cfg.max_iterations):
+    for i in range(cfg.max_iterations + 1):
         lam = _lambda_level(theorem, cfg.epsilon, rho)
         gate_level = _gate_level(theorem, cfg.epsilon, rho)
         spec_rho = spectrum(table, rho)
         gate = spectrum(table, gate_level)
         if i == 0:
-            initial_spec_size = len(spectrum(table, cfg.epsilon))
+            initial_spec_size = len(spec_rho)  # rho is epsilon here
+        if i == cfg.max_iterations:
+            break  # budget spent; every exit holds the final state's spectra
         if len(spec_rho) < 1:
             raise AssertionError("a spectrum can never be empty")
         gate_ok = len(gate) <= k_value * len(spec_rho)
@@ -243,7 +243,8 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
         undecided = base
         break
 
-    measured = _measure(theorem, cfg, k_value, current, table, rho, initial_spec_size)
+    measured = _measure(theorem, cfg, k_value, current, table, rho, spec_rho, gate,
+                        initial_spec_size)
     if undecided is not None:
         direct = measured["sumset_size"] <= measured["certified_doubling_bound"]
         trace.append(RefineTraceStep(
@@ -435,21 +436,7 @@ class BoundReport:
     asymptotic_reference: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "rho_star": self.rho_star,
-            "empirical_shrink": self.empirical_shrink,
-            "spec_level": self.spec_level,
-            "spec_size": self.spec_size,
-            "sumset_size": self.sumset_size,
-            "certified_doubling_bound": self.certified_doubling_bound,
-            "interim_bound": self.interim_bound,
-            "certified_doubling_holds": self.certified_doubling_holds,
-            "interim_holds": self.interim_holds,
-            "certified": self.certified,
-            "asymptotic_reference": self.asymptotic_reference,
-        }
+        return asdict(self)  # every field is a scalar
 
 
 def final_bound_report(result: RefineResult, a_original: ElementSet) -> BoundReport:

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from specdbl import cli
 from specdbl.fileio import read_set_file, read_trace_file
 from specdbl.regularity import C1_DEFAULT, C_DEFAULT
 
@@ -349,3 +355,43 @@ def test_bad_parameters_exit_2(tmp_path):
                    "--delta", "0.3", "--out", str(tmp_path / "t.json"))
     assert proc.returncode == 2
     assert "epsilon" in proc.stderr
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def set_documents(draw):
+    """A set file's orders and elements: well-formed, with bad numbers, or arbitrary JSON."""
+    orders = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)
+                  | st.lists(st.integers(-3, 70), max_size=4) | JSON_VALUES)
+    if isinstance(orders, list) and all(type(n) is int and n > 0 for n in orders):
+        row = st.tuples(*(st.integers(0, n - 1) for n in orders)).map(list)
+    else:
+        row = st.lists(st.integers(-1, 8), max_size=4)
+    elements = draw(st.lists(row, max_size=12)
+                    | st.lists(st.lists(st.integers(-3, 70) | JSON_VALUES, max_size=4), max_size=6)
+                    | JSON_VALUES)
+    return {"format": "specdbl-set", "version": 1, "orders": orders,
+            "elements": elements, "metadata": {}}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=set_documents(), fmt=st.sampled_from(["text", "json", "csv"]))
+def test_spectrum_on_fuzzed_set_files_exits_0_or_2(doc, fmt):
+    sink = io.StringIO()
+    # the size ceiling keeps every valid group at or below 4096 elements
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"SPECDBL_MAX_GROUP": "4096"}), \
+            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        path = os.path.join(tmp, "a.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        try:
+            code = cli.main(["spectrum", "--input", path, "--epsilon", "0.3", "--format", fmt])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), sink.getvalue()

@@ -40,6 +40,9 @@ def test_set_file_layout(tmp_path):
     assert path.read_text().endswith("\n")
 
 
+ROWS = "must contain coordinate rows of length 2"
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.pop("elements"), "elements"),
     (lambda d: d.pop("orders"), "orders"),
@@ -51,6 +54,13 @@ def test_set_file_layout(tmp_path):
     (lambda d: d.update(metadata=7), "metadata"),
     (lambda d: d.update(elements=[[0, 1], [1, -1]]), "coordinate -1 out of range for Z_2"),
     (lambda d: d.update(elements=[[10**30, 0]]), "out of range for Z_2"),
+    pytest.param(lambda d: d.update(elements=[[0, 1], [True, 0]]), ROWS, id="bool-coordinate"),
+    pytest.param(lambda d: d.update(elements=[[0.5, 0]]), ROWS, id="float-coordinate"),
+    pytest.param(lambda d: d.update(elements=[[0, "1"]]), ROWS, id="string-coordinate"),
+    pytest.param(lambda d: d.update(elements=[[None, 0]]), ROWS, id="null-coordinate"),
+    pytest.param(lambda d: d.update(elements=[[0, 1], [1]]), ROWS, id="ragged-row"),
+    pytest.param(lambda d: d.update(elements=[[[0], 1]]), ROWS, id="nested-list"),
+    pytest.param(lambda d: d.update(elements=[(0, 1), 3]), ROWS, id="row-not-a-list"),
 ])
 def test_malformed_set_files_are_reported(tmp_path, mutate, needle):
     g = FiniteAbelianGroup((2, 2))

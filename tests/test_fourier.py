@@ -6,6 +6,7 @@ import pytest
 
 from specdbl.fourier import (
     FourierTable,
+    SpectrumSet,
     dft,
     dft_naive,
     inverse_dft,
@@ -150,6 +151,33 @@ def test_spectrum_invariants_random_sweep():
                 neg = g.negation_perm()
                 assert np.array_equal(s.members.mask, s.members.mask[neg])
                 assert len(s) <= parseval_capacity(g.size, size, eps) * (1 + 1e-9)
+
+
+def test_table_rejects_broken_conjugate_symmetry():
+    # the right DC value and Parseval energy, but coeffs[-gamma] != conj(coeffs[gamma])
+    g = make_group([4, 3])
+    a = ElementSet.from_coords(g, [(0, 0), (1, 0), (0, 1)])
+    coeffs = dft(a).coeffs.copy()
+    gamma = g.encode((1, 1))
+    assert abs(coeffs[gamma].imag) > 0.5
+    coeffs[gamma] = np.conj(coeffs[gamma])  # same modulus, so Parseval still holds
+    with pytest.raises(AssertionError, match="conjugate symmetry"):
+        FourierTable(g, coeffs, 3)
+    # on Z_2^3 every character is its own negative, so the check is imaginary part 0
+    g2 = make_group([2, 2, 2])
+    coeffs = np.ones(g2.size, dtype=complex)  # the table of {0}
+    coeffs[5] = 1j
+    with pytest.raises(AssertionError, match="conjugate symmetry"):
+        FourierTable(g2, coeffs, 1)
+    FourierTable(g2, np.ones(g2.size), 1)
+
+
+def test_spectrum_set_rejects_a_mask_not_closed_under_negation():
+    g = make_group([5])
+    members = ElementSet.from_indices(g, [0, 1])  # -1 = 4 is missing
+    with pytest.raises(AssertionError, match="closed under negation"):
+        SpectrumSet(0.5, 4, members)
+    SpectrumSet(0.5, 4, ElementSet.from_indices(g, [0, 1, 4]))
 
 
 def test_spectrum_rejects_bad_eps():

@@ -81,13 +81,38 @@ def test_encode_rejects_out_of_range():
 
 
 def test_vectorised_codec_matches_scalar():
-    for orders in SMALL_ORDERS:
+    for orders in SMALL_ORDERS + [[1, 3], [7], [2] * 10]:
         g = make_group(orders)
         idx = np.arange(g.size)
         coords = g.decode_indices(idx)
         for i in range(g.size):
             assert tuple(coords[i]) == element_decode(g, i)
         assert np.array_equal(g.encode_coords(coords), idx)
+        empty = g.decode_indices(np.array([], dtype=np.int64))
+        assert empty.shape == (0, g.rank)
+        assert g.encode_coords(empty).shape == (0,)
+        # one coordinate row encodes to a scalar, reduced mod the orders
+        last = g.encode_coords(coords[-1] + np.array(orders))
+        assert np.ndim(last) == 0 and last == g.size - 1
+
+
+def test_negation_matches_coordinate_negation():
+    for orders in SMALL_ORDERS + [[1, 3], [5], [9, 2, 4], [2] * 7]:
+        g = make_group(orders)
+        expected = [element_encode(g, tuple(-c % n for c, n in zip(element_decode(g, i), orders)))
+                    for i in range(g.size)]
+        assert g.negation_perm().tolist() == expected
+        s = random_subset(g, (g.size + 1) // 2, seed=len(expected))
+        assert set(negate_set(s).indices().tolist()) == {expected[i] for i in s.indices()}
+
+
+def test_coords_are_tuples_of_python_ints():
+    g = make_group([3, 2, 5])
+    s = random_subset(g, 11, seed=2)
+    rows = s.coords()
+    assert rows == [element_decode(g, i) for i in s.indices()]
+    assert all(type(row) is tuple and all(type(c) is int for c in row) for row in rows)
+    assert ElementSet.from_indices(g, []).coords() == []
 
 
 def test_from_coords_matches_scalar_encode():
