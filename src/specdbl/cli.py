@@ -142,8 +142,7 @@ def _cmd_refine(args) -> int:
     )
     run = refine_theorem1 if args.theorem == 1 else refine_theorem2
     result = run(members, cfg)
-    write_trace_file(args.out, result, members)
-    audit = audit_trace(result, members)
+    audit = write_trace_file(args.out, result, members)
     print(
         f"{result.terminated} after {len(result.trace)} steps: "
         f"|A*|={result.a_star.size} rho*={_fmt(result.rho_star)} "
@@ -231,7 +230,7 @@ def _cmd_report(args) -> int:
     else:
         print(
             f"run: {result.terminated} in {len(result.trace)} steps, "
-            f"|A|={result.initial_size} -> |A*|={result.a_star.size}, "
+            f"|A|={original.size} -> |A*|={result.a_star.size}, "
             f"rho*={_fmt(result.rho_star)}, certified={result.certified}"
         )
         print(

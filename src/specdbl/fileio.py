@@ -1,15 +1,18 @@
 """JSON documents for sets and refinement traces.
 
-Two formats, both plain JSON with sorted keys and two-space indentation:
+Two formats, both plain JSON with sorted keys:
 
-  specdbl-set    orders of the ambient group plus the member coordinates
-  specdbl-trace  a full refinement run: config, input, result, step records,
-                 and the audit computed at write time
+  specdbl-set    orders of the ambient group plus the member coordinates,
+                 indented by two spaces (version 1)
+  specdbl-trace  a full refinement run on one compact line (version 3):
+                 config, input, result, step records, the four measured
+                 counts, and the audit computed at write time
 
 Writing is canonical (same document, same bytes), so a load/save cycle of a
-set file reproduces it exactly.  Trace files carry enough to rebuild the
-RefineResult and re-run the audit against the stored one.  Traces are written
-at version 2 and set files at version 1; version 1 traces still read.
+set file reproduces it exactly.  A trace stores measurements only; reading
+it derives K, the bounds and the rest of ``measured`` with the run's own
+``refine._measure``.  Version 1 and 2 traces still read, and the derived
+values they stored are dropped unread.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from pathlib import Path
 from typing import Optional
 
 from .groups import ElementSet, FiniteAbelianGroup
-from .refine import RefineConfig, RefineResult, RefineTraceStep, audit_trace
+from .refine import (MEASURED_COUNTS, AuditReport, RefineConfig, RefineResult,
+                     RefineTraceStep, _measure, audit_trace)
 from .regularity import C1_DEFAULT, C_DEFAULT, WITNESS_BUDGET
 
 __all__ = [
@@ -35,7 +39,7 @@ __all__ = [
 
 SET_FORMAT = "specdbl-set"
 TRACE_FORMAT = "specdbl-trace"
-_VERSIONS = {SET_FORMAT: (1,), TRACE_FORMAT: (1, 2)}
+_VERSIONS = {SET_FORMAT: (1,), TRACE_FORMAT: (1, 2, 3)}
 # Config keys that version 2 dropped, with the only values a version 1
 # writer ever stored; another value describes a run version 2 cannot express.
 _V1_CONFIG = {
@@ -44,9 +48,9 @@ _V1_CONFIG = {
     "witness_restarts": WITNESS_BUDGET[0],
     "witness_alternations": WITNESS_BUDGET[1],
 }
-# measured keys that the audit and the bound report compute with
-_MEASURED_NUMBERS = ("K", "spec_level", "spec_size", "sumset_size",
-                     "certified_doubling_bound", "interim_bound")
+# step keys version 3 derives: index is the position, lam the level of rho,
+# gate_ok and certified follow from the sizes and the verdict
+_V2_STEP_KEYS = frozenset(("index", "lam", "gate_ok", "certified"))
 # JSON types each field accepts (Optional[X] gives X or None), resolved once
 # because resolving annotations costs more than reading a step
 _KINDS = {cls: {name: typing.get_args(t) or (t,) for name, t in typing.get_type_hints(cls).items()}
@@ -55,10 +59,6 @@ _KINDS = {cls: {name: typing.get_args(t) or (t,) for name, t in typing.get_type_
 
 class FileFormatError(ValueError):
     """Raised when a document cannot be read or does not match its schema."""
-
-
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _load_json(path) -> dict:
@@ -92,10 +92,10 @@ def _field(doc: dict, name: str, kind, path) -> object:
     return float(value) if kind is float else value
 
 
-def _typed(cls, raw, path, label):
-    """Build the dataclass cls from raw, checking every value against its annotation."""
+def _typed(cls, raw, path, label, dropped=frozenset()):
+    """Build the dataclass cls from raw, checking each value; ``dropped`` keys go unread."""
     fields = _KINDS[cls]
-    if not isinstance(raw, dict) or set(raw) != set(fields):
+    if not isinstance(raw, dict) or set(raw) - dropped != set(fields):
         raise FileFormatError(f"{path}: {label} has the wrong keys")
     values = {}
     for name, kinds in fields.items():
@@ -152,7 +152,7 @@ def write_set_file(path, members: ElementSet, metadata: Optional[dict] = None) -
         "elements": members.coords(),
         "metadata": metadata or {},
     }
-    Path(path).write_text(_dump(doc))
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_set_file(path) -> tuple[ElementSet, dict]:
@@ -163,13 +163,14 @@ def read_set_file(path) -> tuple[ElementSet, dict]:
     return members, metadata
 
 
-def write_trace_file(path, result: RefineResult, original: ElementSet) -> None:
+def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditReport:
+    """Write ``result`` as a version 3 trace; return the audit stored in it."""
     if original.group.orders != result.a_star.group.orders:
         raise ValueError("the original set lives in a different group than the result")
     audit = audit_trace(result, original)
     doc = {
         "format": TRACE_FORMAT,
-        "version": 2,
+        "version": 3,
         "theorem": result.theorem,
         "config": dataclasses.asdict(result.config),
         "orders": list(original.group.orders),
@@ -178,12 +179,13 @@ def write_trace_file(path, result: RefineResult, original: ElementSet) -> None:
         "rho_star": result.rho_star,
         "terminated": result.terminated,
         "certified": result.certified,
-        "initial_size": result.initial_size,
-        "measured": result.measured,
+        "measured": {key: result.measured[key] for key in MEASURED_COUNTS},
         "steps": [dataclasses.asdict(s) for s in result.trace],
         "audit": audit.to_dict(),
     }
-    Path(path).write_text(_dump(doc))
+    # one line: a row per input element, and only then does the C encoder run
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    return audit
 
 
 def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
@@ -206,12 +208,23 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
     orders = doc.get("orders")
     original = _set_from(orders, doc.get("input_elements"), path, "input_elements")
     a_star = _set_from(orders, doc.get("a_star"), path, "a_star")
+    if not a_star.size:  # a refinement never empties its set
+        raise FileFormatError(f"{path}: field 'a_star' is empty")
 
     steps = _field(doc, "steps", list, path)
-    trace = [_typed(RefineTraceStep, raw, path, f"step {i}") for i, raw in enumerate(steps)]
-    measured = _field(doc, "measured", dict, path)
-    for key in _MEASURED_NUMBERS:
-        _field(measured, key, float, f"{path}: field 'measured'")
+    dropped = _V2_STEP_KEYS if version < 3 else frozenset()
+    trace = [_typed(RefineTraceStep, raw, path, f"step {i}", dropped)
+             for i, raw in enumerate(steps)]
+    # only the counts are read; a version 1 or 2 trace's derived values are not
+    stored = _field(doc, "measured", dict, path)
+    counts = {key: _field(stored, key, int, f"{path}: field 'measured'")
+              for key in MEASURED_COUNTS}
+    rho_star = _field(doc, "rho_star", float, path)
+    try:
+        measured = _measure(theorem, cfg, a_star.group.size, a_star.size, rho_star,
+                            trace[0].spec_size if trace else 0, **counts)
+    except ArithmeticError as exc:  # rho* = 0 or a count past float range
+        raise FileFormatError(f"{path}: cannot derive the measured values: {exc}") from exc
 
     terminated = _field(doc, "terminated", str, path)
     if terminated not in ("finished", "budget_exhausted", "inconclusive"):
@@ -220,13 +233,12 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
     result = RefineResult(
         theorem=theorem,
         a_star=a_star,
-        rho_star=_field(doc, "rho_star", float, path),
+        rho_star=rho_star,
         terminated=terminated,
         certified=bool(_field(doc, "certified", bool, path)),
         trace=tuple(trace),
         measured=measured,
         config=cfg,
-        initial_size=_field(doc, "initial_size", int, path),
     )
     audit = _field(doc, "audit", dict, path)
     return result, original, audit

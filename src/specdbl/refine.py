@@ -12,7 +12,8 @@ matrix of A_i against its rho_i-spectrum:
 The first procedure runs the linear-shrink schedule (lambda = eps*rho/150,
 gate at eps*rho/2); the second runs the squaring schedule (lambda = rho^2/150,
 gate at rho^2/2).  Every round appends a trace record; the audit recomputes
-the combinatorial claims from the records alone.
+the combinatorial claims from the records alone.  ``_measure`` derives the
+final measurements from four counts, which are all a stored trace keeps.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ __all__ = [
     "final_bound_report",
 ]
 
+# what a trace stores of ``RefineResult.measured``; ``_measure`` derives the rest
+MEASURED_COUNTS = ("spec_size", "sumset_size", "spec_rho_size", "gate_size")
+
 
 @dataclass(frozen=True)
 class RefineConfig:
@@ -65,17 +69,13 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class RefineTraceStep:
-    index: int
-    action: str  # "finish" | "minor" | "growth"
+    action: str  # "finish" | "minor" | "growth" | "abort"
     rho: float
-    lam: float
     rho_next: float
     a_size: int
     spec_size: int
     gate_size: int
-    gate_ok: bool
     verdict_status: str
-    certified: bool
     upper_bound: float
     witness_value: Optional[float]
     new_mean: Optional[float] = None
@@ -94,7 +94,6 @@ class RefineResult:
     trace: tuple
     measured: dict
     config: RefineConfig
-    initial_size: int
 
 
 def _gate_level(theorem: int, epsilon: float, rho: float) -> float:
@@ -112,34 +111,49 @@ def _resolve_k(cfg: RefineConfig, theorem: int, group_size: int) -> float:
     return float(group_size) ** power
 
 
-def _measure(theorem: int, cfg: RefineConfig, k_value: float, current: ElementSet,
-             table, rho: float, spec_rho, gate, initial_spec_size: int) -> dict:
-    """Final measurements; ``spec_rho`` and ``gate`` are the final state's spectra."""
-    group = current.group
-    level = cfg.epsilon if theorem == 1 else rho
-    final_spec = spec_rho if level == rho else spectrum(table, level)
-    # spectra are closed under negation, so S - S = S + S
-    plus = sumset(final_spec.members, final_spec.members)
+def _rho_floor(theorem: int, epsilon: float, growths: int) -> float:
+    """Least rho after ``growths`` growths: rho_0 = eps = 2 (eps/2), a minor
+    raises rho, a growth maps it to eps rho / 2 (theorem 1) or rho^2 / 2."""
+    return 2.0 * (epsilon / 2.0) ** (growths + 1 if theorem == 1 else 2**growths)
+
+
+def _outcome(trace) -> tuple:
+    """(terminated, certified) of a run whose records are ``trace``."""
+    last = trace[-1]
+    if last.action == "finish":
+        regular = last.verdict_status == "regular"
+        return ("finished" if regular or last.direct_check else "inconclusive"), regular
+    return ("inconclusive" if last.action == "abort" else "budget_exhausted"), False
+
+
+def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho: float,
+             initial_spec_size: int, *, spec_size: int, sumset_size: int,
+             spec_rho_size: int, gate_size: int) -> dict:
+    """Every measured quantity of a final state (A*, rho*) from its counts:
+    |S| for S = Spec at the measured level, |S + S| (= |S - S|, spectra being
+    closed under negation), |Spec_rho*|, |Spec_gate| and step 0's |Spec_eps|."""
+    k_value = _resolve_k(cfg, theorem, group_size)
     measured = {
-        "spec_level": level,
-        "spec_size": len(final_spec),
-        "sumset_size": len(plus),
-        "difference_size": len(plus),
-        "spec_rho_size": len(spec_rho),
-        "gate_size": len(gate),
-        "certified_doubling_bound": 2.0 * len(gate) ** 2 / (0.8 * len(spec_rho)),
-        "doubling": len(plus) / max(1, len(final_spec)),
+        "spec_level": cfg.epsilon if theorem == 1 else rho,
+        "spec_size": spec_size,
+        "sumset_size": sumset_size,
+        "difference_size": sumset_size,
+        "spec_rho_size": spec_rho_size,
+        "gate_size": gate_size,
+        # max(1, .) only acts on counts no spectrum has, which the audit rejects
+        "certified_doubling_bound": 2.0 * gate_size**2 / (0.8 * max(1, spec_rho_size)),
+        "doubling": sumset_size / max(1, spec_size),
         "initial_spec_size": initial_spec_size,
         "K": k_value,
     }
     if theorem == 1:
         measured["interim_bound"] = (
-            8.0 * k_value * group.size / (cfg.epsilon**2 * rho**2 * current.size)
+            8.0 * k_value * group_size / (cfg.epsilon**2 * rho**2 * a_size)
         )
     else:
-        measured["interim_bound"] = 2.0 * k_value * len(gate)
-        measured["k_squared_bound"] = 2.0 * k_value**2 * len(spec_rho)
-        measured["spec_ratio"] = len(spec_rho) / max(1, initial_spec_size)
+        measured["interim_bound"] = 2.0 * k_value * gate_size
+        measured["k_squared_bound"] = 2.0 * k_value**2 * spec_rho_size
+        measured["spec_ratio"] = spec_rho_size / max(1, initial_spec_size)
     return measured
 
 
@@ -152,8 +166,6 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
     table = dft(current)
     rho = cfg.epsilon
     trace: list[RefineTraceStep] = []
-    terminated: Optional[str] = None
-    certified = False
     undecided: Optional[dict] = None
 
     for i in range(cfg.max_iterations + 1):
@@ -161,42 +173,23 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
         gate_level = _gate_level(theorem, cfg.epsilon, rho)
         spec_rho = spectrum(table, rho)
         gate = spectrum(table, gate_level)
-        if i == 0:
-            initial_spec_size = len(spec_rho)  # rho is epsilon here
         if i == cfg.max_iterations:
             break  # budget spent; every exit holds the final state's spectra
         if len(spec_rho) < 1:
             raise AssertionError("a spectrum can never be empty")
         gate_ok = len(gate) <= k_value * len(spec_rho)
+        base = dict(rho=rho, a_size=current.size, spec_size=len(spec_rho), gate_size=len(gate))
         if rho < 1e-8:
             # the threshold has sunk to the numerical slack of the transform;
             # membership in the spectrum no longer means anything
-            trace.append(RefineTraceStep(
-                index=i, action="abort", rho=rho, lam=lam, rho_next=rho,
-                a_size=current.size, spec_size=len(spec_rho),
-                gate_size=len(gate), gate_ok=gate_ok,
-                verdict_status="undetermined", certified=False,
-                upper_bound=1.0, witness_value=None,
-            ))
-            terminated = "inconclusive"
+            trace.append(RefineTraceStep(action="abort", rho_next=rho, upper_bound=1.0,
+                                         verdict_status="undetermined", witness_value=None, **base))
             break
         matrix = build_matrix(current, spec_rho, table)
         verdict = decide_regularity(matrix, lam, seed=cfg.seed + 7919 * i)
-        base = dict(
-            index=i,
-            rho=rho,
-            lam=lam,
-            a_size=current.size,
-            spec_size=len(spec_rho),
-            gate_size=len(gate),
-            gate_ok=gate_ok,
-            verdict_status=verdict.status,
-            certified=verdict.status == "regular",
-            upper_bound=verdict.upper_bound,
-            witness_value=None if verdict.witness is None else verdict.witness.value,
-        )
+        base.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
+                    witness_value=None if verdict.witness is None else verdict.witness.value)
 
-        extraction = None
         degenerate = False
         if verdict.status == "irregular":
             extraction = extract_minor(matrix, verdict.witness, lam, mode=cfg.mode)
@@ -226,8 +219,6 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
 
         if verdict.status == "regular" and gate_ok:
             trace.append(RefineTraceStep(action="finish", rho_next=rho, **base))
-            terminated = "finished"
-            certified = True
             break
 
         if not gate_ok:
@@ -243,16 +234,19 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
         undecided = base
         break
 
-    measured = _measure(theorem, cfg, k_value, current, table, rho, spec_rho, gate,
-                        initial_spec_size)
+    # the measured level is epsilon (theorem 1) or rho (theorem 2); with no
+    # step recorded yet, spec_rho is step 0's
+    final_spec = spec_rho if theorem == 2 or cfg.epsilon == rho else spectrum(table, cfg.epsilon)
+    plus = sumset(final_spec.members, final_spec.members)
+    measured = _measure(theorem, cfg, group.size, current.size, rho,
+                        trace[0].spec_size if trace else len(spec_rho), spec_size=len(final_spec),
+                        sumset_size=len(plus), spec_rho_size=len(spec_rho), gate_size=len(gate))
     if undecided is not None:
         direct = measured["sumset_size"] <= measured["certified_doubling_bound"]
         trace.append(RefineTraceStep(
             action="finish", rho_next=rho, direct_check=direct, **undecided,
         ))
-        terminated = "finished" if direct else "inconclusive"
-    elif terminated is None:
-        terminated = "budget_exhausted"
+    terminated, certified = _outcome(trace)
     return RefineResult(
         theorem=theorem,
         a_star=current,
@@ -262,7 +256,6 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
         trace=tuple(trace),
         measured=measured,
         config=cfg,
-        initial_size=a.size,
     )
 
 
@@ -286,91 +279,87 @@ class AuditReport:
     t_ratios: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "k1": self.k1,
-            "k2": self.k2,
-            "growth_positions": list(self.growth_positions),
-            "t_ratios": list(self.t_ratios),
-        }
+        """The JSON form a trace stores: tuples become lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     """Recompute the combinatorial side-conditions from the trace records.
 
-    Each step's lambda must be the level of its rho, and a certified step
-    must carry a regular verdict whose bound lies below lambda, and the final
-    set must lie inside the input set ``original``.
+    K and lambda are derived, and a regular verdict's bound lies below lambda.
+    Counts must be ones a spectrum in G can have, only a non-regular finish
+    carries the direct doubling check, the last step gives the stored outcome,
+    and the final set lies inside the input set ``original``.
     """
     cfg = result.config
     theorem = result.theorem
     eps = cfg.epsilon
-    k_value = result.measured["K"]
+    group_size = original.group.size
+    k_value = _resolve_k(cfg, theorem, group_size)
+    m = result.measured
+    doubling_holds = m["sumset_size"] <= m["certified_doubling_bound"]
     violations = []
     steps = result.trace
-    half = eps / 2.0
 
-    growth_before = 0
     growth_positions = []
     prev: Optional[RefineTraceStep] = None
     for pos, s in enumerate(steps):
-        floor = half ** (growth_before + 1) if theorem == 1 else half ** (2 ** (growth_before + 1))
+        floor = _rho_floor(theorem, eps, len(growth_positions))
         if s.rho < floor * (1 - 1e-12):
             violations.append(
-                f"step {s.index}: rho={s.rho} below the floor {floor} "
-                f"after {growth_before} growth steps"
+                f"step {pos}: rho={s.rho} below the floor {floor} "
+                f"after {len(growth_positions)} growth steps"
             )
         if prev is not None:
             if s.rho != prev.rho_next:
                 violations.append(
-                    f"step {s.index}: rho {s.rho} does not continue rho_next {prev.rho_next}"
+                    f"step {pos}: rho {s.rho} does not continue rho_next {prev.rho_next}"
                 )
             if s.a_size > prev.a_size:
-                violations.append(f"step {s.index}: set size grew {prev.a_size} -> {s.a_size}")
+                violations.append(f"step {pos}: set size grew {prev.a_size} -> {s.a_size}")
+        if not 1 <= s.spec_size <= s.gate_size <= group_size:
+            violations.append(f"step {pos}: no spectrum in |G|={group_size} has |Spec_rho|="
+                              f"{s.spec_size} inside |Spec_gate|={s.gate_size}")
         lam = _lambda_level(theorem, eps, s.rho)
-        if not math.isclose(s.lam, lam, rel_tol=1e-12):
-            violations.append(f"step {s.index}: lambda {s.lam} is not the level {lam} of rho {s.rho}")
-        if s.certified != (s.verdict_status == "regular"):
+        if s.verdict_status == "regular" and not s.upper_bound < lam:
             violations.append(
-                f"step {s.index}: certified={s.certified} contradicts the verdict {s.verdict_status!r}"
+                f"step {pos}: certified although the bound {s.upper_bound} "
+                f"is not below lambda {lam}"
             )
-        if s.certified and not s.upper_bound < s.lam:
-            violations.append(
-                f"step {s.index}: certified although the bound {s.upper_bound} "
-                f"is not below lambda {s.lam}"
-            )
+        direct = (doubling_holds if s.action == "finish" and s.verdict_status != "regular"
+                  else None)
+        if s.direct_check != direct:
+            violations.append(f"step {pos}: direct_check is {s.direct_check}, expected {direct}")
         if s.action == "minor":
             if s.rho_next <= s.rho:
-                violations.append(f"step {s.index}: minor step did not raise rho")
+                violations.append(f"step {pos}: minor step did not raise rho")
         elif s.action == "growth":
             expected = _gate_level(theorem, eps, s.rho)
             if not math.isclose(s.rho_next, expected, rel_tol=1e-12, abs_tol=0.0):
                 violations.append(
-                    f"step {s.index}: growth step moved rho to {s.rho_next}, expected {expected}"
+                    f"step {pos}: growth step moved rho to {s.rho_next}, expected {expected}"
                 )
             if s.gate_size <= k_value * s.spec_size:
                 violations.append(
-                    f"step {s.index}: growth step fired although the gate held "
+                    f"step {pos}: growth step fired although the gate held "
                     f"({s.gate_size} <= {k_value} * {s.spec_size})"
                 )
             growth_positions.append(pos)
-            growth_before += 1
         elif s.action == "finish":
             if s.gate_size > k_value * s.spec_size:
                 violations.append(
-                    f"step {s.index}: finish with a failing gate "
+                    f"step {pos}: finish with a failing gate "
                     f"({s.gate_size} > {k_value} * {s.spec_size})"
                 )
         elif s.action == "abort":
             pass  # numerical-floor bailout carries no combinatorial claim
         else:
-            violations.append(f"step {s.index}: unknown action {s.action!r}")
+            violations.append(f"step {pos}: unknown action {s.action!r}")
         prev = s
     k2 = len(growth_positions)
     k1 = sum(1 for s in steps if s.action == "minor")
 
-    final_floor = half ** (k2 + 1) if theorem == 1 else half ** (2**k2)
+    final_floor = _rho_floor(theorem, eps, k2)
     if result.rho_star < final_floor * (1 - 1e-12):
         violations.append(
             f"final rho {result.rho_star} below the floor {final_floor} for k2={k2}"
@@ -381,33 +370,31 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             violations.append(
                 f"final rho {result.rho_star} does not match the last step ({last.rho_next})"
             )
-        if result.terminated == "finished" and last.action != "finish":
-            violations.append("result marked finished but the trace does not end in one")
-        if result.certified and not (
-            last.action == "finish" and last.verdict_status == "regular"
-        ):
-            violations.append("certified flag without a certified finish step")
+        outcome = _outcome(steps)
+        if (result.terminated, result.certified) != outcome:
+            violations.append(f"result {result.terminated} with certified flag "
+                              f"{result.certified}, but the last step gives {outcome}")
         if result.a_star.size > last.a_size:
             violations.append(
                 f"final set size {result.a_star.size} exceeds the last recorded {last.a_size}"
             )
     else:
         violations.append("empty trace")
+    # 0 is in every spectrum, S in S + S, Spec_rho in Spec_gate; theorem 2 measures at rho
+    spec, plus, spec_rho, gate = (m[key] for key in MEASURED_COUNTS)
+    if not (1 <= spec <= plus <= group_size and 1 <= spec_rho <= gate <= group_size
+            and (theorem == 1 or spec == spec_rho)):
+        violations.append(f"no spectrum in |G|={group_size} has the measured |S|={spec}, "
+                          f"|S+S|={plus}, |Spec_rho|={spec_rho}, |Spec_gate|={gate}")
     outside = int(np.count_nonzero(result.a_star.mask & ~original.mask))
     if outside:
         violations.append(
             f"{outside} of the {result.a_star.size} final elements lie outside the input set"
         )
 
-    t_ratios = []
-    for j, pos in enumerate(growth_positions):
-        if pos + 1 >= len(steps):
-            break
-        numerator = steps[pos + 1].spec_size
-        end = growth_positions[j + 1] if j + 1 < len(growth_positions) else None
-        if end is None:
-            break
-        t_ratios.append(numerator / steps[end].spec_size)
+    # spectrum size after each growth over that at the next (below 1: a violation)
+    t_ratios = [steps[p + 1].spec_size / max(1, steps[q].spec_size)
+                for p, q in zip(growth_positions, growth_positions[1:])]
 
     return AuditReport(
         ok=not violations,

@@ -7,14 +7,28 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specdbl import cli
-from specdbl.fileio import read_set_file, read_trace_file
+from specdbl.fileio import read_set_file, read_trace_file, write_trace_file
+from specdbl.refine import audit_trace
 from specdbl.regularity import C1_DEFAULT, C_DEFAULT
+
+# Version 2 traces as the last version 2 writer wrote them, one BLAS thread:
+#   specdbl gen --kind example1 --n 3 --out ex3.json
+#   specdbl refine --input ex3.json --epsilon 0.4 --delta 0.3 --seed 1 \
+#       --out v2_example1_n3_t1.json
+#   ... --theorem 2 --max-iterations 1 --out v2_example1_n3_t2_budget1.json
+#   specdbl gen --kind random --group 3,5,11,13 --size 350 --seed 3 --out z.json
+#   specdbl refine --input z.json --epsilon 0.1 --delta 0.3 --seed 3 --theorem 2 \
+#       --out v2_shrink_z3_5_11_13_t2.json
+DATA = Path(__file__).resolve().parent / "data"
+V2_TRACES = sorted(DATA.glob("v2_*.json"))
+SHRINK_V2 = DATA / "v2_shrink_z3_5_11_13_t2.json"
 
 
 def run_cli(*argv, env=None):
@@ -24,6 +38,14 @@ def run_cli(*argv, env=None):
         text=True,
         env=env,
     )
+
+
+def report(path, fmt="text"):
+    """(exit code, stdout + stderr) of an in-process ``specdbl report``."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main(["report", "--trace", str(path), "--format", fmt])
+    return code, sink.getvalue()
 
 
 def test_gen_example_set_is_deterministic(tmp_path):
@@ -152,25 +174,32 @@ def test_report_rejects_a_tampered_trace(tmp_path):
     assert "FAIL" in proc.stdout or "differs" in proc.stdout
 
 
-@pytest.mark.parametrize("forge,needle", [
-    (lambda s: s.update(upper_bound=0.9), "certified although the bound 0.9 is not below lambda"),
-    (lambda s: s.update(lam=0.95, upper_bound=0.9), "lambda 0.95 is not the level"),
-    (lambda s: s.update(verdict_status="undetermined"), "contradicts the verdict 'undetermined'"),
+@pytest.mark.parametrize("version,forge,needle", [
+    (3, lambda s: s.update(upper_bound=0.9), "certified although the bound 0.9 is not below lambda"),
+    # version 3 stores no lambda, and a version 2 trace's is never read
+    (2, lambda s: s.update(lam=0.95, upper_bound=0.9),
+     "certified although the bound 0.9 is not below lambda"),
+    (3, lambda s: s.update(verdict_status="undetermined"),
+     "certified flag True, but the last step gives ('inconclusive', False)"),
 ], ids=["upper-bound", "lambda", "verdict"])
-def test_report_rejects_a_forged_certificate(tmp_path, forge, needle):
-    setfile = tmp_path / "a.json"
-    run_cli("gen", "--kind", "example1", "--n", "3", "--out", str(setfile))
+def test_report_rejects_a_forged_certificate(tmp_path, version, forge, needle):
     trace = tmp_path / "trace.json"
-    run_cli("refine", "--input", str(setfile), "--epsilon", "0.4",
-            "--delta", "0.3", "--seed", "1", "--out", str(trace))
+    if version == 2:
+        trace.write_bytes((DATA / "v2_example1_n3_t1.json").read_bytes())
+    else:
+        setfile = tmp_path / "a.json"
+        run_cli("gen", "--kind", "example1", "--n", "3", "--out", str(setfile))
+        run_cli("refine", "--input", str(setfile), "--epsilon", "0.4",
+                "--delta", "0.3", "--seed", "1", "--out", str(trace))
     proc = run_cli("report", "--trace", str(trace))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "audit: ok" in proc.stdout
 
     doc = json.loads(trace.read_text())
+    assert doc["version"] == version
     finish = doc["steps"][-1]
-    assert finish["action"] == "finish" and finish["certified"]
-    assert finish["upper_bound"] < finish["lam"] < 0.9
+    assert finish["action"] == "finish" and finish["verdict_status"] == "regular"
+    assert finish["upper_bound"] < 0.9
     forge(finish)
     trace.write_text(json.dumps(doc))
 
@@ -214,10 +243,14 @@ def _as_version_1(doc, **old):
 
 @pytest.mark.parametrize("tamper", [
     lambda d: d["steps"][0].update(rho="x"),
-    lambda d: d["measured"].pop("spec_level"),
+    lambda d: d["measured"].pop("gate_size"),
     lambda d: _as_version_1(d, c1="zz"),
     lambda d: _as_version_1(d, witness_restarts=3),
-], ids=["step-rho-string", "measured-missing-key", "v1-c1-string", "v1-other-budget"])
+    lambda d: d.update(a_star=[]),
+    lambda d: d.update(rho_star=0.0),
+    lambda d: d["measured"].update(gate_size=10**400),
+], ids=["step-rho-string", "measured-missing-key", "v1-c1-string", "v1-other-budget",
+        "empty-a-star", "rho-star-zero", "count-past-float-range"])
 def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
     trace = _refined_trace(tmp_path)
     doc = json.loads(trace.read_text())
@@ -231,17 +264,98 @@ def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
 
 
 def test_version_1_trace_reports_like_version_2(tmp_path):
-    trace = _refined_trace(tmp_path)
-    doc = json.loads(trace.read_text())
-    assert doc["version"] == 2
-    old = tmp_path / "v1.json"
-    _as_version_1(doc)
-    old.write_text(json.dumps(doc))
+    # each stored version 2 trace, its version 1 form and its version 3
+    # rewrite give the same report, byte for byte
+    assert len(V2_TRACES) == 3
+    for stored in V2_TRACES:
+        doc = json.loads(stored.read_text())
+        assert doc["version"] == 2
+        old = tmp_path / "v1.json"
+        _as_version_1(doc)
+        old.write_text(json.dumps(doc))
+        new = tmp_path / "v3.json"
+        write_trace_file(new, *read_trace_file(stored)[:2])
+        assert json.loads(new.read_text())["version"] == 3
+        for fmt in ("text", "json"):
+            expected = report(stored, fmt)
+            assert expected[0] == 0, expected[1]
+            assert report(old, fmt) == expected
+            assert report(new, fmt) == expected
 
-    new_proc = run_cli("report", "--trace", str(trace), "--format", "json")
-    old_proc = run_cli("report", "--trace", str(old), "--format", "json")
-    assert new_proc.returncode == old_proc.returncode == 0, old_proc.stderr
-    assert old_proc.stdout == new_proc.stdout
+
+def _forge_k(doc):
+    doc["measured"]["K"] = 1e12
+    doc["steps"][-1]["gate_size"] = 10**9
+
+
+def _forge_bounds(doc):
+    doc["measured"].update(certified_doubling_bound=1e30, interim_bound=1e30, sumset_size=10**8)
+
+
+def _forge_direct_check(doc):
+    doc["certified"] = False
+    doc["measured"]["certified_doubling_bound"] = 1.0
+    doc["steps"][-1].update(verdict_status="undetermined", certified=False, direct_check=False)
+
+
+@pytest.mark.parametrize("forge,needle", [
+    (_forge_k, "finish with a failing gate (1000000000 > "),
+    (_forge_bounds, "no spectrum in |G|=64 has the measured |S|=8, |S+S|=100000000"),
+    (_forge_direct_check, "direct_check is False, expected True"),
+], ids=["K", "bounds", "direct-check"])
+def test_report_derives_what_a_version_2_trace_stored(tmp_path, forge, needle):
+    # each forgery keeps the audit that a reader taking K and the bounds from
+    # the file recomputes, so such a reader printed "audit: ok" and exited 0
+    doc = json.loads((DATA / "v2_example1_n3_t1.json").read_text())
+    forge(doc)
+    trace = tmp_path / "forged.json"
+    trace.write_text(json.dumps(doc))
+    code, out = report(trace)
+    assert code == 1
+    assert "audit: FAIL" in out
+    assert needle in out
+
+
+@pytest.mark.parametrize("counts", [
+    {"spec_size": 0},
+    {"sumset_size": 2144},
+    {"sumset_size": 2146},
+    {"spec_rho_size": 0},
+    {"gate_size": 2144},
+    {"spec_size": 2000},
+], ids=["empty-spectrum", "sumset-below-spectrum", "sumset-above-group",
+        "empty-rho-spectrum", "gate-below-rho", "theorem-2-levels"])
+def test_report_rejects_impossible_counts(tmp_path, counts):
+    trace = tmp_path / "trace.json"
+    write_trace_file(trace, *read_trace_file(SHRINK_V2)[:2])
+    assert report(trace)[0] == 0
+    doc = json.loads(trace.read_text())
+    assert doc["measured"] == {"gate_size": 2145, "spec_rho_size": 2145,
+                               "spec_size": 2145, "sumset_size": 2145}
+    doc["measured"].update(counts)
+    trace.write_text(json.dumps(doc))
+    code, out = report(trace)
+    assert code == 1
+    assert "violation: no spectrum in |G|=2145 has the measured" in out
+
+
+def test_refine_audits_once(tmp_path):
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return audit_trace(*args)
+
+    sink = io.StringIO()
+    with mock.patch("specdbl.fileio.audit_trace", counted), \
+            mock.patch("specdbl.cli.audit_trace", counted), contextlib.redirect_stdout(sink):
+        code = cli.main(["refine", "--input", str(setfile), "--epsilon", "0.4", "--delta", "0.3",
+                         "--out", str(tmp_path / "t.json")])
+    assert code == 0
+    assert "audit=ok" in sink.getvalue()
+    assert len(calls) == 1
 
 
 def test_faithful_mode_passes_its_audit(tmp_path):

@@ -91,14 +91,30 @@ def test_trace_file_round_trip(tmp_path):
     cfg = RefineConfig(epsilon=0.4, delta=0.3, seed=1)
     result = refine_theorem1(ex.members, cfg)
     path = tmp_path / "trace.json"
-    write_trace_file(path, result, ex.members)
+    written = write_trace_file(path, result, ex.members)
 
     loaded, original, stored_audit = read_trace_file(path)
     assert original == ex.members
     assert loaded == result
+    assert written.to_dict() == stored_audit
     recomputed = audit_trace(loaded, original)
     assert recomputed.to_dict() == stored_audit
     assert recomputed.ok
+
+
+def test_trace_file_layout(tmp_path):
+    ex = example_counterexample(3)
+    result = refine_theorem1(ex.members, RefineConfig(epsilon=0.4, delta=0.3, seed=1))
+    path = tmp_path / "trace.json"
+    write_trace_file(path, result, ex.members)
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1 and " " not in text
+    doc = json.loads(text)
+    assert doc["version"] == 3
+    assert "initial_size" not in doc
+    assert doc["measured"] == {"spec_size": 8, "sumset_size": 8, "spec_rho_size": 8, "gate_size": 8}
+    assert all(set(step).isdisjoint({"index", "lam", "gate_ok", "certified"})
+               for step in doc["steps"])
 
 
 def test_trace_file_rejects_mismatched_groups(tmp_path):

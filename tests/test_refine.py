@@ -35,7 +35,7 @@ def test_subgroup_is_a_fixed_point(plane, run):
     assert result.certified
     assert len(result.trace) == 1
     step = result.trace[0]
-    assert step.index == 0 and step.action == "finish"
+    assert step.action == "finish"
     assert step.verdict_status == "regular"
     assert result.a_star == h
     assert result.rho_star == 0.5
@@ -146,19 +146,41 @@ def test_audit_flags_a_tampered_trace(plane):
     assert not report.ok
     assert any("does not match the last step" in v for v in report.violations)
 
-    uncertified = dataclasses.replace(
-        result.trace[0], verdict_status="undetermined", certified=False
-    )
+    uncertified = dataclasses.replace(result.trace[0], verdict_status="undetermined")
     tampered = dataclasses.replace(result, trace=(uncertified,))
     report = audit_trace(tampered, h)
     assert not report.ok
     assert any("certified flag" in v for v in report.violations)
+
+    checked = dataclasses.replace(result.trace[0], direct_check=True)
+    report = audit_trace(dataclasses.replace(result, trace=(checked,)), h)
+    assert report.violations == ("step 0: direct_check is True, expected None",)
+
+    unfinished = dataclasses.replace(result, terminated="inconclusive", certified=False)
+    report = audit_trace(unfinished, h)
+    assert report.violations == (
+        "result inconclusive with certified flag False, but the last step gives "
+        "('finished', True)",
+    )
 
     g, _ = plane
     line = subgroup_span(g, [(0, 0, 1, 0)])
     report = audit_trace(result, line)
     assert not report.ok
     assert "3 of the 4 final elements lie outside the input set" in report.violations
+
+
+@pytest.mark.parametrize("run", [refine_theorem1, refine_theorem2])
+def test_audit_floor_is_rho_after_the_growths(plane, run):
+    # rho is at least 2 (eps/2)^(g+1) (theorem 1) or 2 (eps/2)^(2^g)
+    # (theorem 2) after g growths: eps itself before the first
+    _, h = plane
+    result = run(h, RefineConfig(epsilon=0.5, delta=0.3, seed=0))
+    assert result.rho_star == 0.5 and audit_trace(result, h).ok
+    low = dataclasses.replace(result.trace[0], rho=0.49, rho_next=0.49)
+    report = audit_trace(dataclasses.replace(result, trace=(low,), rho_star=0.49), h)
+    assert "step 0: rho=0.49 below the floor 0.5 after 0 growth steps" in report.violations
+    assert "final rho 0.49 below the floor 0.5 for k2=0" in report.violations
 
 
 def test_bound_report_round_trips_and_holds(plane):
@@ -201,6 +223,14 @@ def test_undecided_verdict_falls_back_to_the_direct_check(plane, monkeypatch):
     assert not result.certified
     assert result.trace[-1].direct_check is True
     assert audit_trace(result, h).ok
+
+    failed = dataclasses.replace(result.trace[-1], direct_check=False)
+    report = audit_trace(dataclasses.replace(result, trace=(failed,)), h)
+    assert report.violations == (
+        "step 0: direct_check is False, expected True",
+        "result finished with certified flag False, but the last step gives "
+        "('inconclusive', False)",
+    )
 
 
 def test_threshold_floor_aborts_honestly(plane):
