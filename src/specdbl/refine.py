@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -59,8 +60,8 @@ class RefineConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.k_bound is not None and self.k_bound < 1.0:
-            raise ValueError(f"the gate constant K must be at least 1, got {self.k_bound}")
+        if self.k_bound is not None and not 1.0 <= self.k_bound < math.inf:
+            raise ValueError(f"the gate constant K must be finite and at least 1, got {self.k_bound}")
         if self.mode not in ("faithful", "opportunistic"):
             raise ValueError(f"mode must be 'faithful' or 'opportunistic', got {self.mode!r}")
         if self.max_iterations < 1:
@@ -126,6 +127,12 @@ def _outcome(trace) -> tuple:
     return ("inconclusive" if last.action == "abort" else "budget_exhausted"), False
 
 
+def _gate_ok(gate_size: int, k_value: float, spec_size: int) -> bool:
+    """The gate |Spec_gate| <= K |Spec_rho|, compared exactly, so that no count
+    a trace stores can overflow it."""
+    return gate_size <= Fraction(k_value) * spec_size
+
+
 def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho: float,
              initial_spec_size: int, *, spec_size: int, sumset_size: int,
              spec_rho_size: int, gate_size: int) -> dict:
@@ -177,7 +184,7 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
             break  # budget spent; every exit holds the final state's spectra
         if len(spec_rho) < 1:
             raise AssertionError("a spectrum can never be empty")
-        gate_ok = len(gate) <= k_value * len(spec_rho)
+        gate_ok = _gate_ok(len(gate), k_value, len(spec_rho))
         base = dict(rho=rho, a_size=current.size, spec_size=len(spec_rho), gate_size=len(gate))
         if rho < 1e-8:
             # the threshold has sunk to the numerical slack of the transform;
@@ -302,6 +309,7 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     steps = result.trace
 
     growth_positions = []
+    bad_counts = False
     prev: Optional[RefineTraceStep] = None
     for pos, s in enumerate(steps):
         floor = _rho_floor(theorem, eps, len(growth_positions))
@@ -318,6 +326,7 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             if s.a_size > prev.a_size:
                 violations.append(f"step {pos}: set size grew {prev.a_size} -> {s.a_size}")
         if not 1 <= s.spec_size <= s.gate_size <= group_size:
+            bad_counts = True  # the t-ratios below take the counts to floating point
             violations.append(f"step {pos}: no spectrum in |G|={group_size} has |Spec_rho|="
                               f"{s.spec_size} inside |Spec_gate|={s.gate_size}")
         lam = _lambda_level(theorem, eps, s.rho)
@@ -339,14 +348,14 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
                 violations.append(
                     f"step {pos}: growth step moved rho to {s.rho_next}, expected {expected}"
                 )
-            if s.gate_size <= k_value * s.spec_size:
+            if _gate_ok(s.gate_size, k_value, s.spec_size):
                 violations.append(
                     f"step {pos}: growth step fired although the gate held "
                     f"({s.gate_size} <= {k_value} * {s.spec_size})"
                 )
             growth_positions.append(pos)
         elif s.action == "finish":
-            if s.gate_size > k_value * s.spec_size:
+            if not _gate_ok(s.gate_size, k_value, s.spec_size):
                 violations.append(
                     f"step {pos}: finish with a failing gate "
                     f"({s.gate_size} > {k_value} * {s.spec_size})"
@@ -392,9 +401,11 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             f"{outside} of the {result.a_star.size} final elements lie outside the input set"
         )
 
-    # spectrum size after each growth over that at the next (below 1: a violation)
-    t_ratios = [steps[p + 1].spec_size / max(1, steps[q].spec_size)
-                for p, q in zip(growth_positions, growth_positions[1:])]
+    # spectrum size after each growth over that at the next (below 1: a violation);
+    # none when a step's counts failed their check
+    t_ratios = [] if bad_counts else [
+        steps[p + 1].spec_size / max(1, steps[q].spec_size)
+        for p, q in zip(growth_positions, growth_positions[1:])]
 
     return AuditReport(
         ok=not violations,

@@ -5,7 +5,8 @@ A matrix M on A x Gamma is lambda-regular when |f^T M g| < lambda * |A| *
 summing to zero.  decide_regularity is the one decision: a sound certificate
 that bounds the top singular values of the row- and column-centred matrix
 by the top eigenvalue of the smaller Gram matrix plus a stated rounding
-margin (Regular when it beats lambda), then witness candidates in a fixed
+margin (on large matrices, a Lanczos estimate of it that a Cholesky test
+verifies; Regular when it beats lambda), then witness candidates in a fixed
 order, the best pair of an alternating search and, on tiny matrices only, a
 discretised exhaustive grid (Irregular at the first candidate that reaches
 lambda).  An Undetermined verdict carries the sandwich between the best
@@ -66,12 +67,22 @@ C_DEFAULT = C1_DEFAULT**3 / 4.0
 WITNESS_BUDGET = (8, 60)
 
 _ORTH_TOL = 1e-8
+# Gram sides from this one up get a Lanczos estimate and a Cholesky test in
+# place of eigvalsh (one BLAS thread, the two against eigvalsh: 0.80 against
+# 0.69 ms at side 128, 1.04 against 1.07 at 160, 1.58 against 1.74 at 200)
+_LANCZOS_MIN_SIDE = 200
+_LANCZOS_STEPS = 40
+# the Cholesky test runs at s^2 = theta (1 + _SHIFT_REL) + _SHIFT_FLOOR
+_SHIFT_REL = 1e-3
+_SHIFT_FLOOR = 2.0**-500
 # unit roundoff of float64, the u of the certificate's margin
 _UNIT = np.finfo(np.float64).eps / 2.0
 # centred matrices with imaginary parts this small take the real path
 _REAL_IMAG_TOL = 1e-12
 # witness values and piece-pair sums this close to the best count as tied
 _TIE_REL = 1e-9
+# step-function grid coordinates this close to an edge count as on it
+_EDGE_TOL = 1e-9
 
 
 class StepFunction:
@@ -110,14 +121,22 @@ class StepFunction:
         return out
 
 
+def _on_grid(x: np.ndarray) -> np.ndarray:
+    """x with every entry within 1e-9 of an integer moved onto that integer."""
+    near = np.rint(x)
+    return np.where(np.abs(x - near) <= _EDGE_TOL, near, x)
+
+
 def _build_pieces(values: np.ndarray, r: int):
-    mags = np.abs(values)
-    j = np.ceil(mags * r).astype(np.int64) - 1
+    """Level pieces: magnitude band j holds (j/r, (j+1)/r], phase sector k the
+    angles in (2 pi k / r, 2 pi (k+1) / r] with angle 0 taken as 2 pi.  A value
+    within rounding of an edge counts as on it (_on_grid), so 1, 1 + 1e-17j
+    and 1 - 1e-17j share the last sector."""
+    j = np.ceil(_on_grid(np.abs(values) * r)).astype(np.int64) - 1
     j = np.minimum(j, r - 1)
-    theta = np.angle(values)
-    theta = np.where(theta <= 0, theta + 2 * np.pi, theta)
-    k = np.ceil(theta * r / (2 * np.pi)).astype(np.int64) - 1
-    k = np.clip(k, 0, r - 1)
+    x = _on_grid(np.angle(values) * r / (2 * np.pi))
+    x = np.where(x <= 0, x + r, x)
+    k = np.clip(np.ceil(x).astype(np.int64) - 1, 0, r - 1)
     positions = np.flatnonzero(j >= 1)  # the zero magnitude band contributes coefficient 0
     keys = j[positions] * r + k[positions]
     uniq, label, counts = np.unique(keys, return_inverse=True, return_counts=True)
@@ -192,19 +211,118 @@ class RegularityVerdict:
             )
 
 
-def _gram_top(c: np.ndarray) -> float:
-    """Upper bound on the largest singular value of c, from its smaller Gram matrix.
-
-    The Gram product is formed on the smaller side, so its eigenproblem has
-    min(rows, cols) unknowns; the margin is the one derived in
-    spectral_certificate.
-    """
+def _gram(c: np.ndarray) -> np.ndarray:
+    """The Gram matrix of c on its smaller side, c c^H or c^H c."""
     rows, cols = c.shape
     ct = c.conj().T if np.iscomplexobj(c) else c.T  # c @ c.T runs as one dsyrk
-    h = c @ ct if rows <= cols else ct @ c
-    top = float(np.linalg.eigvalsh(h)[-1])
+    return c @ ct if rows <= cols else ct @ c
+
+
+def _lanczos_top(h: np.ndarray) -> float:
+    """Largest Ritz value of the Hermitian h after at most 40 Lanczos steps.
+
+    Full reorthogonalisation (two classical Gram-Schmidt passes against the
+    whole basis) keeps the basis orthonormal.  The start vector is a
+    fixed-seed Gaussian, since the ones vector lies in the null space of a
+    centred Gram matrix.  The run stops once the Ritz residual beta_k |y_k|
+    is at most theta * _SHIFT_REL / 2, so that an eigenvalue of h lies within
+    half the Cholesky shift of theta (Kuczynski and Wozniakowski, SIAM J.
+    Matrix Anal. Appl. 13 (1992), bound how fast the top one is reached).
+    """
+    side = h.shape[0]
+    q = np.random.default_rng(0).standard_normal(side).astype(h.dtype)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(_LANCZOS_STEPS, side), side), dtype=h.dtype)
+    alphas, betas = [], []
+    for k in range(basis.shape[0]):
+        basis[k] = q
+        w = h @ q
+        alphas.append(float(np.vdot(q, w).real))
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= (done.conj() @ w) @ done
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta = float(ritz[-1])
+        if beta * abs(vecs[-1, -1]) <= theta * _SHIFT_REL / 2 or beta == 0.0:
+            break
+        betas.append(beta)
+        q = w / beta
+    return max(theta, 0.0)
+
+
+def _cholesky_top(h: np.ndarray) -> Optional[float]:
+    """s^2 > lambda_max(h), verified by one Cholesky factorisation, or None.
+
+    Overwrites h with s^2 I - h - cI; _gram_top derives c.
+    """
+    side = h.shape[0]
+    s2 = _lanczos_top(h) * (1.0 + _SHIFT_REL) + _SHIFT_FLOOR
+    terms = (2 if np.iscomplexobj(h) else 1) * (side + 1)
+    gamma = terms * _UNIT / (1.0 - terms * _UNIT)
+    shift = 2.0 * (gamma / (1.0 - gamma) * side * (1.0 + _UNIT) ** 2 + 3.0 * _UNIT) * s2
+    np.negative(h, out=h)
+    h.flat[:: side + 1] += s2 - shift
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+    return s2
+
+
+def _gram_top(c: np.ndarray) -> float:
+    """Upper bound on the largest singular value of c, from its smaller Gram matrix H.
+
+    H has side n = min(rows, cols), and the margin is the one derived in
+    spectral_certificate: the top eigenvalue of the computed H plus margin
+    bounds sigma_max(c)^2.  Below _LANCZOS_MIN_SIDE that eigenvalue comes
+    from eigvalsh.  From there up, a Lanczos run gives an estimate theta,
+    and s^2 = theta (1 + 1e-3) + 2^-500 is tested instead: if a
+    floating-point Cholesky factorisation of s^2 I - H - cI runs to
+    completion, s^2 I - H is positive definite (Rump, Verification of
+    positive definiteness, BIT 46 (2006) 433-452), so the top eigenvalue of
+    H is below s^2 and the bound is sqrt(s^2 + margin).  The shift c:
+
+    - Forming the matrix.  It is built in H's buffer: the off-diagonal
+      entries are negated exactly, and a diagonal entry is
+      fl(d - h_ii) with d = fl(s^2 - c).  A pivot of the factorisation
+      is positive only if its diagonal entry is, and h_ii >= 0 (a sum of
+      squares), so 0 < d - h_ii <= d <= (1 + u) s^2.  The factored A~
+      therefore differs from s^2 I - H - cI by a diagonal E with
+      |E_ii| <= u (d - h_ii) + u (s^2 - c) <= 3u s^2.
+    - Factorising.  A computed factor R satisfies R^H R = A~ + dA with
+      |dA| <= gamma_m |R^H| |R| (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., Thm 10.3), m = n + 1 real terms, or
+      2 (n + 1) for complex entries (each complex product is two real
+      ones, as in _product_bound).  With r_i the columns of R,
+      |R^H||R| <= ||r_i|| ||r_j|| entrywise and ||r_i||^2 <=
+      a~_ii / (1 - gamma_m), so ||dA||_2 <= gamma_m / (1 - gamma_m)
+      tr(A~) <= gamma_m / (1 - gamma_m) n (1 + u)^2 s^2: Rump's
+      (n + 1) u tr(s^2 I - H)-order term.
+    - R^H R is positive semidefinite, so lambda_min(s^2 I - H) >=
+      c - ||dA||_2 - ||E||_2 >= c / 2 > 0 for
+      c = 2 (gamma_m / (1 - gamma_m) n (1 + u)^2 + 3u) s^2.  The factor 2
+      also covers the rounding of c itself and Rump's underflow term
+      4 eta (2 (n + 1) + max a~_ii), eta = 2^-1074, which stays below
+      1e-300 while the floor keeps c / 2 above 2^-550.
+    - At n = 1023, c is about 2.3e-10 s^2.  The floor lets an exactly zero
+      H, the centring of the all-ones matrix, pass.
+
+    A Ritz value is at most the top eigenvalue, so the bound is at most
+    about sqrt(1 + 1e-3), i.e. 1 + 5e-4, times the eigvalsh one.  If the
+    factorisation fails (the Lanczos run missed the top eigenvalue, or the
+    margin is too thin), H is formed again and eigvalsh decides, so no
+    bound is weaker than the eigvalsh path's.
+    """
     fro2 = float(np.vdot(c, c).real)
-    margin = 4.0 * (max(rows, cols) + 1) * _UNIT * fro2
+    margin = 4.0 * (max(c.shape) + 1) * _UNIT * fro2
+    h = _gram(c)
+    if h.shape[0] >= _LANCZOS_MIN_SIDE:
+        s2 = _cholesky_top(h)
+        if s2 is not None:
+            return math.sqrt(s2 + margin)
+        h = _gram(c)
+    top = float(np.linalg.eigvalsh(h)[-1])
     return math.sqrt(max(top, 0.0) + margin)
 
 
@@ -239,7 +357,10 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
       below margin = 4 (n + 1) u ||C||_F^2, which leaves room for the
       relative error of evaluating ||C||_F^2 (at most rows*cols*u, below
       1e-6 for any matrix that fits in memory).  So sigma_max(C) <=
-      sqrt(max(top, 0) + margin).
+      sqrt(max(top, 0) + margin).  From Gram side 200 up, top is replaced
+      by an s^2 that a Cholesky test proves to exceed the computed H's top
+      eigenvalue (derived in _gram_top), so the margin's eigvalsh share
+      goes unused there.
     - Finally the square root, the sums and the division round by at most
       5u relative, covered by the factor 1 + 8u.
 
@@ -255,9 +376,10 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
     upper = 0.0
     for axis, k in ((0, rows), (1, cols)):
         im_c = im - im.mean(axis=axis, keepdims=True)
-        if float(np.max(np.abs(im_c))) <= _REAL_IMAG_TOL:
-            re_c = re - re.mean(axis=axis, keepdims=True)
-            sigma = _gram_top(re_c) + float(np.linalg.norm(im_c))
+        im_fro = float(np.linalg.norm(im_c)) if np.max(np.abs(im_c)) <= _REAL_IMAG_TOL else None
+        del im_c  # freed before the Gram matrix is formed
+        if im_fro is not None:
+            sigma = _gram_top(re - re.mean(axis=axis, keepdims=True)) + im_fro
         else:
             sigma = _gram_top(e - e.mean(axis=axis, keepdims=True))
         centring = 2.0 * (k + 2) * _UNIT * entry

@@ -249,8 +249,11 @@ def _as_version_1(doc, **old):
     lambda d: d.update(a_star=[]),
     lambda d: d.update(rho_star=0.0),
     lambda d: d["measured"].update(gate_size=10**400),
+    lambda d: d["config"].update(k_bound=math.inf),
+    lambda d: d["config"].update(k_bound=math.nan),
 ], ids=["step-rho-string", "measured-missing-key", "v1-c1-string", "v1-other-budget",
-        "empty-a-star", "rho-star-zero", "count-past-float-range"])
+        "empty-a-star", "rho-star-zero", "count-past-float-range", "k-bound-infinite",
+        "k-bound-nan"])
 def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
     trace = _refined_trace(tmp_path)
     doc = json.loads(trace.read_text())
@@ -339,6 +342,19 @@ def test_report_rejects_impossible_counts(tmp_path, counts):
     assert "violation: no spectrum in |G|=2145 has the measured" in out
 
 
+def test_report_survives_a_step_count_past_float_range(tmp_path):
+    # the gate test used to multiply K by this count in floating point and
+    # end in an OverflowError traceback; the count check reports it instead
+    doc = json.loads((DATA / "v2_example1_n3_t1.json").read_text())
+    doc["steps"][-1]["spec_size"] = 10**400
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc))
+    proc = run_cli("report", "--trace", str(trace))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"violation: step 1: no spectrum in |G|=64 has |Spec_rho|={10**400}" in proc.stdout
+
+
 def test_refine_audits_once(tmp_path):
     setfile = tmp_path / "a.json"
     run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
@@ -392,12 +408,10 @@ def _assert_same_document(a, b, where="trace"):
         assert a == b and type(a) is type(b), f"{where}: {a!r} vs {b!r}"
 
 
-def test_refine_trace_does_not_depend_on_blas_threads(tmp_path):
-    # a random set in Z_3^8 whose step-4 witness value moved by 0.36 % between
-    # one and two BLAS threads before the search got its zero and tie rules
+def _refine_under_one_and_two_threads(tmp_path, gen, theorem):
+    """Traces of one refine run under 1 and 2 BLAS threads, checked to agree."""
     inp = tmp_path / "a.json"
-    proc = run_cli("gen", "--kind", "random", "--group", ",".join(["3"] * 8),
-                   "--size", "820", "--seed", "1", "--out", str(inp))
+    proc = run_cli("gen", *gen, "--out", str(inp))
     assert proc.returncode == 0, proc.stderr
     docs, outputs = [], []
     for threads in ("1", "2"):
@@ -405,7 +419,7 @@ def test_refine_trace_does_not_depend_on_blas_threads(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
         proc = run_cli("refine", "--input", str(inp), "--epsilon", "0.4", "--delta", "0.3",
-                       "--theorem", "2", "--seed", "3", "--max-iterations", "40",
+                       "--theorem", theorem, "--seed", "3", "--max-iterations", "40",
                        "--out", str(out), env=env)
         assert proc.returncode == 0, proc.stderr
         docs.append(json.loads(out.read_text()))
@@ -413,6 +427,22 @@ def test_refine_trace_does_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
     assert any(step["action"] == "minor" for step in docs[0]["steps"])
     _assert_same_document(docs[0], docs[1])
+    return docs[0]
+
+
+def test_refine_trace_does_not_depend_on_blas_threads(tmp_path):
+    # a random set in Z_3^8 whose step-4 witness value moved by 0.36 % between
+    # one and two BLAS threads before the search got its zero and tie rules
+    _refine_under_one_and_two_threads(
+        tmp_path, ("--kind", "random", "--group", ",".join(["3"] * 8), "--size", "820",
+                   "--seed", "1"), "2")
+
+
+def test_certificate_past_the_crossover_does_not_depend_on_blas_threads(tmp_path):
+    # the two-axis set in Z_2^16: Gram sides 511 and 255, both taking the
+    # Lanczos estimate and the Cholesky test
+    doc = _refine_under_one_and_two_threads(tmp_path, ("--kind", "example1", "--n", "8"), "1")
+    assert min(min(s["a_size"], s["spec_size"]) for s in doc["steps"]) >= 200
 
 
 def test_verify_checks_pass_on_a_subgroup(tmp_path):

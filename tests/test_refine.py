@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,23 @@ def test_final_spectrum_state_matches_measured():
     assert len(spec) == result.measured["spec_size"]
     plus = sumset(spec.members, spec.members)
     assert len(plus) == result.measured["sumset_size"]
+
+
+def test_audit_survives_counts_past_float_range(plane):
+    # counts past float range fail the count check and reach neither the
+    # gate tests nor the t-ratios, which take them to floating point
+    _, h = plane
+    result = refine_theorem1(h, RefineConfig(epsilon=0.5, delta=0.3, seed=0))
+    step = result.trace[0]
+    grow = dataclasses.replace(step, action="growth", rho_next=step.rho)
+    for trace in [
+        (dataclasses.replace(step, spec_size=10**400),),
+        (grow, dataclasses.replace(grow, spec_size=10**400), step),
+    ]:
+        report = audit_trace(dataclasses.replace(result, trace=trace), h)
+        assert not report.ok
+        assert report.t_ratios == ()
+        assert any(f"|Spec_rho|={10**400}" in v for v in report.violations)
 
 
 def test_audit_flags_a_tampered_trace(plane):
@@ -250,8 +268,9 @@ def test_config_validation():
         RefineConfig(epsilon=1.0, delta=0.3)
     with pytest.raises(ValueError, match="delta"):
         RefineConfig(epsilon=0.4, delta=1.5)
-    with pytest.raises(ValueError, match="K"):
-        RefineConfig(epsilon=0.4, delta=0.3, k_bound=0.5)
+    for k_bound in (0.5, math.inf, math.nan):  # the gate compares K exactly, as a fraction
+        with pytest.raises(ValueError, match="K"):
+            RefineConfig(epsilon=0.4, delta=0.3, k_bound=k_bound)
     with pytest.raises(ValueError, match="mode"):
         RefineConfig(epsilon=0.4, delta=0.3, mode="sloppy")
     with pytest.raises(ValueError, match="max_iterations"):

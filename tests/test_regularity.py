@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from specdbl.coherence import BoundedFunction, CoherenceMatrix, build_matrix
 from specdbl.diagnostics import example_counterexample
 from specdbl.fourier import dft, spectrum
 from specdbl.groups import make_group, random_subset, subgroup_span, sumset, ElementSet
+from specdbl import regularity
 from specdbl.regularity import (
     C1_DEFAULT,
     C_DEFAULT,
@@ -108,13 +110,18 @@ def test_step_rejects_bad_eta():
             step_approximate(f, eta)
 
 
+def _snapped(x):
+    """x, or the integer within 1e-9 of it: a grid coordinate on an edge up to rounding."""
+    return float(round(x)) if abs(x - round(x)) <= 1e-9 else x
+
+
 def _loop_build_pieces(values, r):
-    """The per-key loop that _build_pieces replaced: oracle for its pieces and their order."""
-    mags = np.abs(values)
-    j = np.minimum(np.ceil(mags * r).astype(np.int64) - 1, r - 1)
-    theta = np.angle(values)
-    theta = np.where(theta <= 0, theta + 2 * np.pi, theta)
-    k = np.clip(np.ceil(theta * r / (2 * np.pi)).astype(np.int64) - 1, 0, r - 1)
+    """The per-key loop that _build_pieces replaced, one value at a time with the
+    edge rule: oracle for its pieces and their order."""
+    j = np.array([min(math.ceil(_snapped(abs(v) * r)) - 1, r - 1) for v in values], dtype=np.int64)
+    sectors = [_snapped(np.angle(v) * r / (2 * np.pi)) for v in values]
+    k = np.array([min(max(math.ceil(x if x > 0 else x + r) - 1, 0), r - 1) for x in sectors],
+                 dtype=np.int64)
     live = j >= 1
     pieces = []
     if live.any():
@@ -143,6 +150,23 @@ def test_build_pieces_matches_the_loop():
         values[: min(n, boundary.size)] = boundary[: min(n, boundary.size)]
         _assert_same_pieces(_build_pieces(values, r), _loop_build_pieces(values, r))
     assert _build_pieces(np.zeros(5, dtype=complex), 10) == []
+
+
+@pytest.mark.parametrize("r", [10, 13, 800])
+def test_build_pieces_puts_rounding_noise_on_the_edge(r):
+    # +1 lies on the edge between the last sector and sector 0; its two
+    # rounded neighbours used to land on either side of it
+    for value in (1.0 + 0j, 1 + 1e-17j, 1 - 1e-17j):
+        [(positions, alpha)] = _build_pieces(np.array([value]), r)
+        assert positions.tolist() == [0]
+        assert alpha == pytest.approx((r - 1) / r * np.exp(-2j * np.pi / r), abs=1e-15)
+    # the same on an inner sector edge and on a magnitude level
+    level, edge = 4 / r, np.exp(2j * np.pi * 3 / r)
+    want = _build_pieces(np.array([level * edge]), r)[0][1]
+    assert want == pytest.approx(3 / r * np.exp(2j * np.pi * 2 / r), abs=1e-15)  # the lower band and sector
+    for value in (level * edge * np.exp(1e-15j), level * edge * np.exp(-1e-15j),
+                  (level + 1e-16) * edge, (level - 1e-16) * edge):
+        assert _build_pieces(np.array([value]), r)[0][1] == want
 
 
 def test_step_function_rejects_overlapping_pieces():
@@ -208,6 +232,101 @@ def test_certificate_is_sound_against_svd(entries):
     upper, _ = spectral_certificate(CoherenceMatrix.from_entries(entries), 1.0)
     reference = _svd_upper(entries)
     assert reference <= upper <= reference + 1e-9
+
+
+def _rank_one_noise(shape):
+    # phases a_i + b_j plus noise of 0.05 turns: a dominant top singular value
+    rng = np.random.default_rng([53, *shape])
+    angles = rng.random(shape[0])[:, None] + rng.random(shape[1]) + 0.05 * rng.random(shape)
+    return np.exp(2j * np.pi * angles)
+
+
+def _counting_eigvalsh():
+    """A patch of np.linalg.eigvalsh that records the side of every matrix it gets."""
+    sides, real = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sides.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    return mock.patch.object(np.linalg, "eigvalsh", counted), sides
+
+
+LARGE = {
+    "sign-256x300": _sign_matrix((256, 300)),
+    "sign-300x256": _sign_matrix((300, 256)),
+    "noisy-sign-256x300": _noisy(_sign_matrix((256, 300))),
+    "unit-256x256": _unit_matrix((256, 256)),
+    "unit-400x256": _unit_matrix((400, 256)),
+    "rank-one-noise-300x260": _rank_one_noise((300, 260)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_certificate_is_sound_and_tight(name):
+    # Gram sides of 256 and more take the Lanczos estimate and the Cholesky
+    # test: never below the SVD bound, at most 1e-3 relative above it
+    entries = LARGE[name]
+    patch, sides = _counting_eigvalsh()
+    with patch:
+        upper, _ = spectral_certificate(CoherenceMatrix.from_entries(entries), 1.0)
+    reference = _svd_upper(entries)
+    assert reference <= upper <= reference * (1 + 1e-3) + 1e-12
+    assert sides == []
+
+
+@pytest.mark.parametrize("name", ["sign-256x300", "unit-400x256", "rank-one-noise-300x260"])
+def test_large_certificate_around_lambda(name):
+    m = CoherenceMatrix.from_entries(LARGE[name])
+    reference = _svd_upper(m.entries)
+    # top singular value just above lambda: never certified
+    assert not spectral_certificate(m, reference * (1 - 1e-9))[1]
+    assert not spectral_certificate(m, reference)[1]
+    # just below: the fast path's 1e-3 slack still certifies
+    assert spectral_certificate(m, reference * (1 + 2e-3))[1]
+
+
+def test_large_all_ones_takes_the_fast_path():
+    # the centred matrix is exactly 0, so the Lanczos estimate is 0 and the
+    # Cholesky test passes at the floor
+    m = CoherenceMatrix.from_entries(np.ones((256, 300), dtype=complex))
+    patch, sides = _counting_eigvalsh()
+    with patch:
+        upper, certified = spectral_certificate(m, 1e-4)
+    assert upper < 1e-12
+    assert certified
+    assert sides == []
+
+
+@pytest.mark.parametrize("name", ["sign-256x300", "unit-256x256"])
+def test_failed_cholesky_falls_back_to_the_eigvalsh_bound(name):
+    m = CoherenceMatrix.from_entries(LARGE[name])
+    with mock.patch.object(regularity, "_LANCZOS_MIN_SIDE", 10**9):
+        eigvalsh_bound = spectral_certificate(m, 1.0)[0]
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    patch, sides = _counting_eigvalsh()
+    with patch, mock.patch.object(np.linalg, "cholesky", fail):
+        upper = spectral_certificate(m, 1.0)[0]
+    assert upper == eigvalsh_bound
+    assert sides == [256, 256]
+
+
+def test_certify_matrix_takes_the_fast_path():
+    # example_counterexample(9)'s first matrix has Gram side 1023; a silent
+    # fall back to eigvalsh there keeps every output and loses the speed
+    bundle = example_counterexample(9)
+    t = dft(bundle.members)
+    m = build_matrix(bundle.members, spectrum(t, 0.4), t)
+    assert m.entries.shape == (1023, 1023)
+    patch, sides = _counting_eigvalsh()
+    with patch:
+        upper, _ = spectral_certificate(m, 1.0)
+    assert sides == []
+    reference = _svd_upper(m.entries)
+    assert reference <= upper <= reference * (1 + 1e-3)
 
 
 def test_example_set_matrix_is_real_up_to_rounding():
