@@ -12,12 +12,12 @@ sum is therefore at least eps * |A| * |Gamma|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .fourier import FourierTable, SpectrumSet
-from .groups import ElementSet, FiniteAbelianGroup, char_matrix
+from .groups import ElementSet, char_matrix
 
 __all__ = ["CoherenceMatrix", "BoundedFunction", "build_matrix", "bilinear", "mean_value"]
 
@@ -25,36 +25,19 @@ _TOL = 1e-9
 
 
 class CoherenceMatrix:
-    """Dense unit-modulus matrix with optional element labels on both axes."""
+    """Dense matrix of unit-modulus entries."""
 
-    __slots__ = ("entries", "row_indices", "col_indices", "group")
+    __slots__ = ("entries",)
 
-    def __init__(
-        self,
-        entries: np.ndarray,
-        row_indices: Optional[np.ndarray] = None,
-        col_indices: Optional[np.ndarray] = None,
-        group: Optional[FiniteAbelianGroup] = None,
-        _check_column_sums: bool = False,
-    ):
+    def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=np.complex128)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError(f"entries must be a nonempty 2-d array, got shape {entries.shape}")
         mod_err = float(np.max(np.abs(np.abs(entries) - 1.0)))
         if mod_err > _TOL:
             raise AssertionError(f"entries must have unit modulus, worst error {mod_err}")
-        if _check_column_sums:
-            sums = entries.sum(axis=0)
-            scale = entries.shape[0]
-            if float(np.max(np.abs(sums.imag))) > _TOL * scale:
-                raise AssertionError("column sums must be real")
-            if float(sums.real.min()) < -_TOL * scale:
-                raise AssertionError("column sums must be nonnegative")
         entries.setflags(write=False)
         self.entries = entries
-        self.row_indices = None if row_indices is None else np.asarray(row_indices, dtype=np.int64)
-        self.col_indices = None if col_indices is None else np.asarray(col_indices, dtype=np.int64)
-        self.group = group
 
     @property
     def n_rows(self) -> int:
@@ -63,11 +46,6 @@ class CoherenceMatrix:
     @property
     def n_cols(self) -> int:
         return self.entries.shape[1]
-
-    @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "CoherenceMatrix":
-        """Unlabelled matrix for experiments; only unit modulus is enforced."""
-        return cls(entries)
 
     def __repr__(self) -> str:
         return f"CoherenceMatrix({self.n_rows}x{self.n_cols})"
@@ -101,7 +79,10 @@ def build_matrix(
     gamma: Union[ElementSet, SpectrumSet],
     table: FourierTable,
 ) -> CoherenceMatrix:
-    """Coherence matrix of the set A against the character family Gamma."""
+    """Coherence matrix of the set A against the character family Gamma.
+
+    Row i stands for ``a.indices()[i]``, column j for ``gamma.indices()[j]``.
+    """
     if isinstance(gamma, SpectrumSet):
         gamma = gamma.members
     group = a.group
@@ -119,14 +100,13 @@ def build_matrix(
         raise ValueError(
             f"characters with vanishing set-average cannot be normalised: {offenders}"
         )
-    entries = char_matrix(group, rows, cols) * (np.conj(coeffs) / mags)[None, :]
-    return CoherenceMatrix(
-        entries,
-        row_indices=rows,
-        col_indices=cols,
-        group=group,
-        _check_column_sums=True,
-    )
+    m = CoherenceMatrix(char_matrix(group, rows, cols) * (np.conj(coeffs) / mags)[None, :])
+    sums = m.entries.sum(axis=0)
+    if float(np.max(np.abs(sums.imag))) > _TOL * a.size:
+        raise AssertionError("column sums must be real")
+    if float(sums.real.min()) < -_TOL * a.size:
+        raise AssertionError("column sums must be nonnegative")
+    return m
 
 
 def bilinear(f: BoundedFunction, m: CoherenceMatrix, g: BoundedFunction) -> complex:

@@ -82,6 +82,14 @@ def _is(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def _float(value, where: str) -> float:
+    """float(value) for a JSON number; an int past float range is a format error."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FileFormatError(f"{where} is past float range") from exc
+
+
 def _field(doc: dict, name: str, kind, path) -> object:
     if name not in doc:
         raise FileFormatError(f"{path}: missing field {name!r}")
@@ -89,7 +97,7 @@ def _field(doc: dict, name: str, kind, path) -> object:
     if not _is(value, kind):
         noun = "a number" if kind is float else kind.__name__
         raise FileFormatError(f"{path}: field {name!r} must be {noun}")
-    return float(value) if kind is float else value
+    return _float(value, f"{path}: field {name!r}") if kind is float else value
 
 
 def _typed(cls, raw, path, label, dropped=frozenset()):
@@ -102,7 +110,9 @@ def _typed(cls, raw, path, label, dropped=frozenset()):
         value = raw[name]
         if not any(_is(value, kind) for kind in kinds):
             raise FileFormatError(f"{path}: {label}: field {name!r} has the wrong type")
-        values[name] = float(value) if float in kinds and value is not None else value
+        if float in kinds and value is not None:
+            value = _float(value, f"{path}: {label}: field {name!r}")
+        values[name] = value
     try:
         return cls(**values)
     except ValueError as exc:

@@ -127,6 +127,11 @@ def _outcome(trace) -> tuple:
     return ("inconclusive" if last.action == "abort" else "budget_exhausted"), False
 
 
+def _size_after(step: RefineTraceStep) -> Optional[int]:
+    """|A| after ``step``: a minor keeps its rows, every other step the set."""
+    return step.minor_rows if step.action == "minor" else step.a_size
+
+
 def _gate_ok(gate_size: int, k_value: float, spec_size: int) -> bool:
     """The gate |Spec_gate| <= K |Spec_rho|, compared exactly, so that no count
     a trace stores can overflow it."""
@@ -219,7 +224,8 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
                 minor_cols=int(extraction.col_positions.size),
                 **base,
             ))
-            current = extraction.a_sub
+            # row i of the matrix stands for current.indices()[i]
+            current = ElementSet.from_indices(group, current.indices()[extraction.row_positions])
             table = dft(current)
             rho = rho_next
             continue
@@ -296,7 +302,9 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     K and lambda are derived, and a regular verdict's bound lies below lambda.
     Counts must be ones a spectrum in G can have, only a non-regular finish
     carries the direct doubling check, the last step gives the stored outcome,
-    and the final set lies inside the input set ``original``.
+    a certified run meets both bounds, each step starts from the set size the
+    one before it leaves (a minor leaves its ``minor_rows``), and the final set
+    is that size and lies inside the input set ``original``.
     """
     cfg = result.config
     theorem = result.theorem
@@ -323,8 +331,9 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
                 violations.append(
                     f"step {pos}: rho {s.rho} does not continue rho_next {prev.rho_next}"
                 )
-            if s.a_size > prev.a_size:
-                violations.append(f"step {pos}: set size grew {prev.a_size} -> {s.a_size}")
+            if s.a_size != _size_after(prev):
+                violations.append(f"step {pos}: |A|={s.a_size}, but step {pos - 1} "
+                                  f"leaves {_size_after(prev)}")
         if not 1 <= s.spec_size <= s.gate_size <= group_size:
             bad_counts = True  # the t-ratios below take the counts to floating point
             violations.append(f"step {pos}: no spectrum in |G|={group_size} has |Spec_rho|="
@@ -342,6 +351,8 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
         if s.action == "minor":
             if s.rho_next <= s.rho:
                 violations.append(f"step {pos}: minor step did not raise rho")
+            if s.minor_rows is None or not 1 <= s.minor_rows <= s.a_size:
+                violations.append(f"step {pos}: a minor of {s.minor_rows} rows of {s.a_size}")
         elif s.action == "growth":
             expected = _gate_level(theorem, eps, s.rho)
             if not math.isclose(s.rho_next, expected, rel_tol=1e-12, abs_tol=0.0):
@@ -383,10 +394,9 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
         if (result.terminated, result.certified) != outcome:
             violations.append(f"result {result.terminated} with certified flag "
                               f"{result.certified}, but the last step gives {outcome}")
-        if result.a_star.size > last.a_size:
-            violations.append(
-                f"final set size {result.a_star.size} exceeds the last recorded {last.a_size}"
-            )
+        if result.a_star.size != _size_after(last):
+            violations.append(f"final |A*|={result.a_star.size}, but the last step "
+                              f"leaves {_size_after(last)}")
     else:
         violations.append("empty trace")
     # 0 is in every spectrum, S in S + S, Spec_rho in Spec_gate; theorem 2 measures at rho
@@ -395,6 +405,11 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             and (theorem == 1 or spec == spec_rho)):
         violations.append(f"no spectrum in |G|={group_size} has the measured |S|={spec}, "
                           f"|S+S|={plus}, |Spec_rho|={spec_rho}, |Spec_gate|={gate}")
+    if result.certified:
+        for key, label in (("certified_doubling_bound", "certified doubling"),
+                           ("interim_bound", "interim")):
+            if not plus <= m[key]:
+                violations.append(f"certified, but |S+S|={plus} is above the {label} bound {m[key]}")
     outside = int(np.count_nonzero(result.a_star.mask & ~original.mask))
     if outside:
         violations.append(

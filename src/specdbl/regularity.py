@@ -40,12 +40,10 @@ from typing import Optional
 import numpy as np
 
 from .coherence import BoundedFunction, CoherenceMatrix
-from .groups import ElementSet
 
 __all__ = [
     "C1_DEFAULT",
     "C_DEFAULT",
-    "WITNESS_BUDGET",
     "StepFunction",
     "RegularityVerdict",
     "IrregularityWitness",
@@ -574,12 +572,11 @@ def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> Regulari
 
 @dataclass(frozen=True)
 class MinorExtraction:
-    """A quadrant of the matrix whose coherence mean beats the parent mean."""
+    """A quadrant of the matrix whose coherence mean beats the parent mean,
+    given by the positions of its rows and columns."""
 
     row_positions: np.ndarray
     col_positions: np.ndarray
-    a_sub: Optional[ElementSet]
-    gamma_sub: Optional[ElementSet]
     old_mean: float
     new_mean: float
     improvement: float
@@ -697,15 +694,9 @@ def extract_minor(
                 f"faithful minor improves the mean by {improvement}, below (c/2)*lambda^15"
             )
 
-    a_sub = gamma_sub = None
-    if m.group is not None and m.row_indices is not None and m.col_indices is not None:
-        a_sub = ElementSet.from_indices(m.group, m.row_indices[rsel])
-        gamma_sub = ElementSet.from_indices(m.group, m.col_indices[csel])
     return MinorExtraction(
         row_positions=rsel,
         col_positions=csel,
-        a_sub=a_sub,
-        gamma_sub=gamma_sub,
         old_mean=rho,
         new_mean=mu,
         improvement=improvement,

@@ -198,15 +198,15 @@ def test_criterion_06_regularity_sandwich():
         rows = int(rng.integers(2, 41))
         cols = int(rng.integers(2, 41))
         entries = np.exp(2j * np.pi * rng.random((rows, cols)))
-        m = CoherenceMatrix.from_entries(entries)
+        m = CoherenceMatrix(entries)
         verdict = decide_regularity(m, 0.1, seed=5)
         assert verdict.lower_bound <= verdict.upper_bound + 1e-9
 
-    ones = CoherenceMatrix.from_entries(np.ones((12, 9), dtype=complex))
+    ones = CoherenceMatrix(np.ones((12, 9), dtype=complex))
     assert decide_regularity(ones, 1e-4).status == "regular"
 
     s = np.concatenate([np.ones(4), -np.ones(4)])
-    block = CoherenceMatrix.from_entries(np.outer(s, s).astype(complex))
+    block = CoherenceMatrix(np.outer(s, s).astype(complex))
     verdict = decide_regularity(block, 0.5)
     assert verdict.status == "irregular"
     assert verdict.witness.value >= 0.5
@@ -240,7 +240,7 @@ def _planted(seed, size=16, block=8):
     rng = np.random.default_rng([777, seed])
     entries = np.exp(2j * np.pi * rng.random((size, size)))
     entries[:block, :block] = 1.0
-    m = CoherenceMatrix.from_entries(entries)
+    m = CoherenceMatrix(entries)
     f = np.full(size, -block / size, dtype=complex)
     f[:block] = 1.0 - block / size
     g = np.zeros(size, dtype=complex)

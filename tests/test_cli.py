@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -241,7 +242,29 @@ def _as_version_1(doc, **old):
     doc["config"].update(values)
 
 
+def _at(doc, path):
+    """The container that holds the last key of ``path`` in ``doc``, and that key."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    return doc, last
+
+
+def _past_float_range(*path):
+    def tamper(doc):
+        container, key = _at(doc, path)
+        container[key] = 10**400
+    return tamper
+
+
+# every float field a trace stores, as a path into its document
+FLOAT_FIELDS = [("rho_star",), ("config", "epsilon"), ("config", "delta"), ("config", "k_bound"),
+                *(("steps", 0, name) for name in
+                  ("rho", "rho_next", "upper_bound", "witness_value", "new_mean"))]
+
+
 @pytest.mark.parametrize("tamper", [
+    *(_past_float_range(*path) for path in FLOAT_FIELDS),
     lambda d: d["steps"][0].update(rho="x"),
     lambda d: d["measured"].pop("gate_size"),
     lambda d: _as_version_1(d, c1="zz"),
@@ -251,7 +274,8 @@ def _as_version_1(doc, **old):
     lambda d: d["measured"].update(gate_size=10**400),
     lambda d: d["config"].update(k_bound=math.inf),
     lambda d: d["config"].update(k_bound=math.nan),
-], ids=["step-rho-string", "measured-missing-key", "v1-c1-string", "v1-other-budget",
+], ids=[*("float-range-" + "-".join(map(str, path)) for path in FLOAT_FIELDS),
+        "step-rho-string", "measured-missing-key", "v1-c1-string", "v1-other-budget",
         "empty-a-star", "rho-star-zero", "count-past-float-range", "k-bound-infinite",
         "k-bound-nan"])
 def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
@@ -353,6 +377,43 @@ def test_report_survives_a_step_count_past_float_range(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert f"violation: step 1: no spectrum in |G|=64 has |Spec_rho|={10**400}" in proc.stdout
+
+
+@functools.cache
+def _v3_text(stored):
+    """The version 3 rewrite of a stored trace, as JSON text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v3.json"
+        write_trace_file(path, *read_trace_file(stored)[:2])
+        return path.read_text()
+
+
+def _forge_step(i, **fields):
+    return lambda doc: doc["steps"][i].update(fields)
+
+
+@pytest.mark.parametrize("stored,forge,needle", [
+    ("v2_example1_n3_t1.json", _forge_step(0, minor_rows=3), "step 1: |A|=7, but step 0 leaves 3"),
+    ("v2_shrink_z3_5_11_13_t2.json", _forge_step(2, a_size=3), "step 2: |A|=3, but step 1 leaves 4"),
+    ("v2_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=9),
+     "final |A*|=7, but the last step leaves 9"),
+    ("v2_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=20),
+     "step 0: a minor of 20 rows of 15"),
+    ("v2_example1_n3_t1.json", lambda doc: doc["measured"].update(sumset_size=64),
+     "certified, but |S+S|=64 is above the certified doubling bound 20.0"),
+], ids=["minor-rows", "size-without-a-minor", "final-size", "minor-past-its-matrix",
+        "certified-bound"])
+def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, needle):
+    doc = json.loads(_v3_text(DATA / stored))
+    forge(doc)
+    trace = tmp_path / "forged.json"
+    trace.write_text(json.dumps(doc))
+    code, out = report(trace)
+    assert code == 1
+    assert "audit: FAIL" in out
+    assert f"violation: {needle}" in out
+    code, out = report(trace, "json")
+    assert code == 1 and json.loads(out)["ok"] is False
 
 
 def test_refine_audits_once(tmp_path):
@@ -539,3 +600,48 @@ def test_spectrum_on_fuzzed_set_files_exits_0_or_2(doc, fmt):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2), sink.getvalue()
+
+
+def _field_paths(node, prefix=()):
+    """Paths to every key of every object, and to the first and last item of every list."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = [0, -1] if node else []
+    else:
+        keys = []
+    for key in keys:
+        yield prefix + (key,)
+        yield from _field_paths(node[key], prefix + (key,))
+
+
+DELETE = object()
+
+
+@st.composite
+def mutated_traces(draw):
+    """A stored trace with one field replaced by a JSON value or a huge int, or deleted."""
+    doc = json.loads(_v3_text(draw(st.sampled_from(V2_TRACES))))
+    path = draw(st.sampled_from(list(_field_paths(doc))))
+    value = draw(st.just(DELETE) | JSON_VALUES
+                 | st.integers(10**300, 10**400) | st.integers(-10**400, -10**300))
+    container, key = _at(doc, path)
+    if value is DELETE:
+        del container[key]
+    else:
+        container[key] = value
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_traces(), fmt=st.sampled_from(["text", "json"]))
+def test_report_on_fuzzed_traces_exits_0_1_or_2(doc, fmt):
+    sink = io.StringIO()
+    # the size ceiling keeps a group whose orders were replaced small
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"SPECDBL_MAX_GROUP": "4096"}), \
+            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        path = os.path.join(tmp, "trace.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        code = cli.main(["report", "--trace", path, "--format", fmt])
+    assert code in (0, 1, 2), sink.getvalue()

@@ -65,8 +65,6 @@ def test_matrix_matches_naive_construction():
     spec = spectrum(t, 0.2)
     m = build_matrix(a, spec, t)
     assert np.max(np.abs(m.entries - _naive_matrix(a, spec.members, t))) < 1e-9
-    assert m.row_indices.tolist() == a.indices().tolist()
-    assert m.col_indices.tolist() == spec.indices().tolist()
 
 
 def test_grand_sum_bound_on_spectrum():
@@ -141,10 +139,10 @@ def test_bounded_function_validation():
 
 def test_from_entries_checks_modulus():
     block = np.ones((2, 2), dtype=complex)
-    m = CoherenceMatrix.from_entries(block)
-    assert m.group is None and m.row_indices is None
+    m = CoherenceMatrix(block)
+    assert m.n_rows == m.n_cols == 2 and not m.entries.flags.writeable
     with pytest.raises(AssertionError):
-        CoherenceMatrix.from_entries(np.array([[1.0, 0.5], [1.0, 1.0]]))
+        CoherenceMatrix(np.array([[1.0, 0.5], [1.0, 1.0]]))
 
 
 def test_build_matrix_input_validation():

@@ -30,14 +30,14 @@ from specdbl.regularity import (
 
 def block_sign_matrix(half=2):
     s = np.concatenate([np.ones(half), -np.ones(half)])
-    return CoherenceMatrix.from_entries(np.outer(s, s))
+    return CoherenceMatrix(np.outer(s, s))
 
 
 def planted_matrix(seed, size=16, block=8):
     rng = np.random.default_rng([777, seed])
     entries = np.exp(2j * np.pi * rng.random((size, size)))
     entries[:block, :block] = 1.0
-    return CoherenceMatrix.from_entries(entries)
+    return CoherenceMatrix(entries)
 
 
 def planted_witness(size=16, block=8):
@@ -186,7 +186,7 @@ def test_step_function_rejects_overlapping_pieces():
 
 
 def test_certificate_all_ones_regular():
-    m = CoherenceMatrix.from_entries(np.ones((5, 7), dtype=complex))
+    m = CoherenceMatrix(np.ones((5, 7), dtype=complex))
     upper, certified = spectral_certificate(m, 1e-4)
     assert upper < 1e-12
     assert certified
@@ -229,7 +229,7 @@ def _noisy(entries):
 ], ids=["unit-1x12", "unit-12x1", "unit-7x40", "unit-40x7", "unit-60x60",
         "sign-30x50", "sign-50x30", "noisy-sign-30x50", "noisy-sign-50x30", "ones", "block-sign"])
 def test_certificate_is_sound_against_svd(entries):
-    upper, _ = spectral_certificate(CoherenceMatrix.from_entries(entries), 1.0)
+    upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     reference = _svd_upper(entries)
     assert reference <= upper <= reference + 1e-9
 
@@ -269,7 +269,7 @@ def test_large_certificate_is_sound_and_tight(name):
     entries = LARGE[name]
     patch, sides = _counting_eigvalsh()
     with patch:
-        upper, _ = spectral_certificate(CoherenceMatrix.from_entries(entries), 1.0)
+        upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     reference = _svd_upper(entries)
     assert reference <= upper <= reference * (1 + 1e-3) + 1e-12
     assert sides == []
@@ -277,7 +277,7 @@ def test_large_certificate_is_sound_and_tight(name):
 
 @pytest.mark.parametrize("name", ["sign-256x300", "unit-400x256", "rank-one-noise-300x260"])
 def test_large_certificate_around_lambda(name):
-    m = CoherenceMatrix.from_entries(LARGE[name])
+    m = CoherenceMatrix(LARGE[name])
     reference = _svd_upper(m.entries)
     # top singular value just above lambda: never certified
     assert not spectral_certificate(m, reference * (1 - 1e-9))[1]
@@ -289,7 +289,7 @@ def test_large_certificate_around_lambda(name):
 def test_large_all_ones_takes_the_fast_path():
     # the centred matrix is exactly 0, so the Lanczos estimate is 0 and the
     # Cholesky test passes at the floor
-    m = CoherenceMatrix.from_entries(np.ones((256, 300), dtype=complex))
+    m = CoherenceMatrix(np.ones((256, 300), dtype=complex))
     patch, sides = _counting_eigvalsh()
     with patch:
         upper, certified = spectral_certificate(m, 1e-4)
@@ -300,7 +300,7 @@ def test_large_all_ones_takes_the_fast_path():
 
 @pytest.mark.parametrize("name", ["sign-256x300", "unit-256x256"])
 def test_failed_cholesky_falls_back_to_the_eigvalsh_bound(name):
-    m = CoherenceMatrix.from_entries(LARGE[name])
+    m = CoherenceMatrix(LARGE[name])
     with mock.patch.object(regularity, "_LANCZOS_MIN_SIDE", 10**9):
         eigvalsh_bound = spectral_certificate(m, 1.0)[0]
 
@@ -345,7 +345,7 @@ def test_certificate_dominates_brute_force():
     rng = np.random.default_rng(5)
     for trial in range(10):
         entries = np.exp(2j * np.pi * rng.random((4, 4)))
-        m = CoherenceMatrix.from_entries(entries)
+        m = CoherenceMatrix(entries)
         upper, _ = spectral_certificate(m, 1.0)
         for side in ("rows", "cols"):
             value, _, _ = brute_force_max(m, 4, side)
@@ -366,7 +366,7 @@ def test_witness_block_sign():
 
 
 def test_witness_none_on_all_ones():
-    m = CoherenceMatrix.from_entries(np.ones((6, 6), dtype=complex))
+    m = CoherenceMatrix(np.ones((6, 6), dtype=complex))
     verdict = decide_regularity(m, 1e-3, seed=0)
     assert verdict.status != "irregular"
     assert verdict.witness is None
@@ -491,7 +491,7 @@ def test_block_search_runs_the_restarts_together():
 
 
 def test_brute_force_all_ones_is_zero():
-    m = CoherenceMatrix.from_entries(np.ones((3, 3), dtype=complex))
+    m = CoherenceMatrix(np.ones((3, 3), dtype=complex))
     value, f, g = brute_force_max(m, 2, "rows")
     assert value == pytest.approx(0.0, abs=1e-12)
     assert abs(f.sum()) < 1e-9
@@ -506,7 +506,7 @@ def test_brute_force_block_sign_reaches_one():
 
 
 def test_brute_force_budget_guard():
-    m = CoherenceMatrix.from_entries(np.ones((8, 8), dtype=complex))
+    m = CoherenceMatrix(np.ones((8, 8), dtype=complex))
     with pytest.raises(ValueError, match="budget"):
         brute_force_max(m, 4, "rows", budget=1000)
 
@@ -515,7 +515,7 @@ def test_brute_force_budget_guard():
 
 
 def test_decide_three_tiers():
-    regular = decide_regularity(CoherenceMatrix.from_entries(np.ones((4, 4), dtype=complex)), 1e-4)
+    regular = decide_regularity(CoherenceMatrix(np.ones((4, 4), dtype=complex)), 1e-4)
     assert regular.status == "regular"
     assert regular.witness is None
 
@@ -533,7 +533,7 @@ def test_decide_sandwich_on_random_matrices():
         nr = int(rng.integers(2, 12))
         nc = int(rng.integers(2, 12))
         entries = np.exp(2j * np.pi * rng.random((nr, nc)))
-        m = CoherenceMatrix.from_entries(entries)
+        m = CoherenceMatrix(entries)
         verdict = decide_regularity(m, 0.4, seed=trial)
         statuses.add(verdict.status)
         assert verdict.lower_bound <= verdict.upper_bound + 1e-9
@@ -658,11 +658,15 @@ def test_extract_on_example_set_matrix():
     assert verdict.status == "irregular"
     ext = extract_minor(m, verdict.witness, 0.01)
     assert ext.improvement > 0.0
-    assert ext.a_sub is not None and ext.gamma_sub is not None
-    assert ext.a_sub.size == ext.row_positions.size
-    # the extracted pair maps back into the original sets
-    assert set(ext.a_sub.indices()) <= set(bundle.members.indices())
-    assert set(ext.gamma_sub.indices()) <= set(spectrum(t, 0.4).indices())
+    # the quadrant is given by distinct, sorted positions inside the matrix
+    for positions, n in ((ext.row_positions, m.n_rows), (ext.col_positions, m.n_cols)):
+        assert positions.size >= 1 and np.all(np.diff(positions) > 0)
+        assert 0 <= positions[0] and positions[-1] < n
+    assert ext.row_fraction == ext.row_positions.size / m.n_rows
+    assert ext.col_fraction == ext.col_positions.size / m.n_cols
+    # and its mean is the recomputed coherence mean of those rows and columns
+    block = m.entries[np.ix_(ext.row_positions, ext.col_positions)]
+    assert ext.new_mean == pytest.approx(np.mean(np.abs(block.mean(axis=0))), abs=1e-12)
 
 
 def _loop_pick(entries, row_pieces, col_pieces):
@@ -685,7 +689,7 @@ def _loop_pick(entries, row_pieces, col_pieces):
 @pytest.mark.parametrize("shape", [(16, 16), (7, 40), (40, 7), (60, 60), (7, 2155)])
 def test_piece_pair_matches_the_double_loop(shape):
     entries = _unit_matrix(shape)
-    m = CoherenceMatrix.from_entries(entries)
+    m = CoherenceMatrix(entries)
     value, f, g, side = _alternating_search(entries, 5)
     witness = IrregularityWitness(BoundedFunction("rows", f), BoundedFunction("cols", g), side, value)
     f_step = step_approximate(witness.f, value / 8)
