@@ -2,15 +2,26 @@
 
 A matrix M on A x Gamma is lambda-regular when |f^T M g| < lambda * |A| *
 |Gamma| for every pair of sup-norm-1 test functions with at least one side
-summing to zero.  decide_regularity is the one decision: a sound certificate
-that bounds the top singular values of the row- and column-centred matrix
-by the top eigenvalue of the smaller Gram matrix plus a stated rounding
-margin (on large matrices, a Lanczos estimate of it that a Cholesky test
-verifies; Regular when it beats lambda), then witness candidates in a fixed
-order, the best pair of an alternating search and, on tiny matrices only, a
-discretised exhaustive grid (Irregular at the first candidate that reaches
-lambda).  An Undetermined verdict carries the sandwich between the best
-candidate value and the certificate bound.  When a witness exists, a minor
+summing to zero.  decide_regularity is the one decision, in four tiers,
+cheapest first; the first that decides wins:
+
+1. Frobenius certificate: ||C||_F bounds the top singular value of the row-
+   and column-centred matrix C, plus stated rounding terms (Regular when
+   below lambda).
+2. The best pair of an alternating search (Irregular when it reaches
+   lambda).
+3. Gram certificate: the top eigenvalue of the smaller Gram matrix of each
+   centring, from one eigvalsh, plus a stated margin (Regular when below
+   lambda).
+4. On tiny matrices only, a discretised exhaustive grid (Irregular when a
+   grid pair reaches lambda).
+
+A sound bound below lambda and a witness at lambda cannot coexist, so the
+order decides which work is done, not the status.  The witness test allows
+1e-12 relative below lambda; a search value in that slack counts only once
+the Gram certificate has failed, so it never outranks a bound that would
+certify.  An Undetermined verdict carries the sandwich between the best
+candidate value and the Gram bound.  When a witness exists, a minor
 with a strictly larger mean is cut out of the matrix along the level pieces
 of the step-function approximation of the witness pair.
 
@@ -65,18 +76,8 @@ C_DEFAULT = C1_DEFAULT**3 / 4.0
 WITNESS_BUDGET = (8, 60)
 
 _ORTH_TOL = 1e-8
-# Gram sides from this one up get a Lanczos estimate and a Cholesky test in
-# place of eigvalsh (one BLAS thread, the two against eigvalsh: 0.80 against
-# 0.69 ms at side 128, 1.04 against 1.07 at 160, 1.58 against 1.74 at 200)
-_LANCZOS_MIN_SIDE = 200
-_LANCZOS_STEPS = 40
-# the Cholesky test runs at s^2 = theta (1 + _SHIFT_REL) + _SHIFT_FLOOR
-_SHIFT_REL = 1e-3
-_SHIFT_FLOOR = 2.0**-500
-# unit roundoff of float64, the u of the certificate's margin
+# unit roundoff of float64, the u of the certificates' margins
 _UNIT = np.finfo(np.float64).eps / 2.0
-# centred matrices with imaginary parts this small take the real path
-_REAL_IMAG_TOL = 1e-12
 # witness values and piece-pair sums this close to the best count as tied
 _TIE_REL = 1e-9
 # step-function grid coordinates this close to an edge count as on it
@@ -189,7 +190,12 @@ class IrregularityWitness:
 
 @dataclass(frozen=True)
 class RegularityVerdict:
-    """Outcome of the three-tier regularity decision."""
+    """Outcome of the regularity decision.
+
+    upper_bound is the last certificate's bound: the Frobenius one when that
+    tier certifies or the search reaches lambda outright, the Gram one once
+    that tier has run.
+    """
 
     status: str  # "regular" | "irregular" | "undetermined"
     lam: float
@@ -209,123 +215,56 @@ class RegularityVerdict:
             )
 
 
-def _gram(c: np.ndarray) -> np.ndarray:
-    """The Gram matrix of c on its smaller side, c c^H or c^H c."""
-    rows, cols = c.shape
-    ct = c.conj().T if np.iscomplexobj(c) else c.T  # c @ c.T runs as one dsyrk
-    return c @ ct if rows <= cols else ct @ c
+def _frobenius_top(c: np.ndarray) -> float:
+    """Upper bound on ||c||_F, and so on the largest singular value of c.
 
-
-def _lanczos_top(h: np.ndarray) -> float:
-    """Largest Ritz value of the Hermitian h after at most 40 Lanczos steps.
-
-    Full reorthogonalisation (two classical Gram-Schmidt passes against the
-    whole basis) keeps the basis orthonormal.  The start vector is a
-    fixed-seed Gaussian, since the ones vector lies in the null space of a
-    centred Gram matrix.  The run stops once the Ritz residual beta_k |y_k|
-    is at most theta * _SHIFT_REL / 2, so that an eigenvalue of h lies within
-    half the Cholesky shift of theta (Kuczynski and Wozniakowski, SIAM J.
-    Matrix Anal. Appl. 13 (1992), bound how fast the top one is reached).
+    The real part of vdot(c, c) sums 2 rows cols nonnegative real squares,
+    so in any summation order its computed value is at least
+    (1 - gamma_{2 rows cols}) times the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., eq. (3.5)).  Dividing by that
+    factor is covered by multiplying by 1 + 4 rows cols u while
+    rows cols u <= 1/8, which holds for any matrix that fits in memory; the
+    two roundings of that product add u to the square root, which the
+    1 + 8u factor of _centred_bound still covers.
     """
-    side = h.shape[0]
-    q = np.random.default_rng(0).standard_normal(side).astype(h.dtype)
-    q /= np.linalg.norm(q)
-    basis = np.empty((min(_LANCZOS_STEPS, side), side), dtype=h.dtype)
-    alphas, betas = [], []
-    for k in range(basis.shape[0]):
-        basis[k] = q
-        w = h @ q
-        alphas.append(float(np.vdot(q, w).real))
-        done = basis[: k + 1]
-        for _ in range(2):
-            w -= (done.conj() @ w) @ done
-        beta = float(np.linalg.norm(w))
-        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        theta = float(ritz[-1])
-        if beta * abs(vecs[-1, -1]) <= theta * _SHIFT_REL / 2 or beta == 0.0:
-            break
-        betas.append(beta)
-        q = w / beta
-    return max(theta, 0.0)
-
-
-def _cholesky_top(h: np.ndarray) -> Optional[float]:
-    """s^2 > lambda_max(h), verified by one Cholesky factorisation, or None.
-
-    Overwrites h with s^2 I - h - cI; _gram_top derives c.
-    """
-    side = h.shape[0]
-    s2 = _lanczos_top(h) * (1.0 + _SHIFT_REL) + _SHIFT_FLOOR
-    terms = (2 if np.iscomplexobj(h) else 1) * (side + 1)
-    gamma = terms * _UNIT / (1.0 - terms * _UNIT)
-    shift = 2.0 * (gamma / (1.0 - gamma) * side * (1.0 + _UNIT) ** 2 + 3.0 * _UNIT) * s2
-    np.negative(h, out=h)
-    h.flat[:: side + 1] += s2 - shift
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return None
-    return s2
+    return math.sqrt(float(np.vdot(c, c).real) * (1.0 + 4.0 * c.size * _UNIT))
 
 
 def _gram_top(c: np.ndarray) -> float:
     """Upper bound on the largest singular value of c, from its smaller Gram matrix H.
 
-    H has side n = min(rows, cols), and the margin is the one derived in
-    spectral_certificate: the top eigenvalue of the computed H plus margin
-    bounds sigma_max(c)^2.  Below _LANCZOS_MIN_SIDE that eigenvalue comes
-    from eigvalsh.  From there up, a Lanczos run gives an estimate theta,
-    and s^2 = theta (1 + 1e-3) + 2^-500 is tested instead: if a
-    floating-point Cholesky factorisation of s^2 I - H - cI runs to
-    completion, s^2 I - H is positive definite (Rump, Verification of
-    positive definiteness, BIT 46 (2006) 433-452), so the top eigenvalue of
-    H is below s^2 and the bound is sqrt(s^2 + margin).  The shift c:
-
-    - Forming the matrix.  It is built in H's buffer: the off-diagonal
-      entries are negated exactly, and a diagonal entry is
-      fl(d - h_ii) with d = fl(s^2 - c).  A pivot of the factorisation
-      is positive only if its diagonal entry is, and h_ii >= 0 (a sum of
-      squares), so 0 < d - h_ii <= d <= (1 + u) s^2.  The factored A~
-      therefore differs from s^2 I - H - cI by a diagonal E with
-      |E_ii| <= u (d - h_ii) + u (s^2 - c) <= 3u s^2.
-    - Factorising.  A computed factor R satisfies R^H R = A~ + dA with
-      |dA| <= gamma_m |R^H| |R| (Higham, Accuracy and Stability of
-      Numerical Algorithms, 2nd ed., Thm 10.3), m = n + 1 real terms, or
-      2 (n + 1) for complex entries (each complex product is two real
-      ones, as in _product_bound).  With r_i the columns of R,
-      |R^H||R| <= ||r_i|| ||r_j|| entrywise and ||r_i||^2 <=
-      a~_ii / (1 - gamma_m), so ||dA||_2 <= gamma_m / (1 - gamma_m)
-      tr(A~) <= gamma_m / (1 - gamma_m) n (1 + u)^2 s^2: Rump's
-      (n + 1) u tr(s^2 I - H)-order term.
-    - R^H R is positive semidefinite, so lambda_min(s^2 I - H) >=
-      c - ||dA||_2 - ||E||_2 >= c / 2 > 0 for
-      c = 2 (gamma_m / (1 - gamma_m) n (1 + u)^2 + 3u) s^2.  The factor 2
-      also covers the rounding of c itself and Rump's underflow term
-      4 eta (2 (n + 1) + max a~_ii), eta = 2^-1074, which stays below
-      1e-300 while the floor keeps c / 2 above 2^-550.
-    - At n = 1023, c is about 2.3e-10 s^2.  The floor lets an exactly zero
-      H, the centring of the all-ones matrix, pass.
-
-    A Ritz value is at most the top eigenvalue, so the bound is at most
-    about sqrt(1 + 1e-3), i.e. 1 + 5e-4, times the eigvalsh one.  If the
-    factorisation fails (the Lanczos run missed the top eigenvalue, or the
-    margin is too thin), H is formed again and eigvalsh decides, so no
-    bound is weaker than the eigvalsh path's.
+    H = c c^H or c^H c has side min(rows, cols); its top eigenvalue comes
+    from one eigvalsh, and the margin is the one derived in
+    spectral_certificate.
     """
     fro2 = float(np.vdot(c, c).real)
     margin = 4.0 * (max(c.shape) + 1) * _UNIT * fro2
-    h = _gram(c)
-    if h.shape[0] >= _LANCZOS_MIN_SIDE:
-        s2 = _cholesky_top(h)
-        if s2 is not None:
-            return math.sqrt(s2 + margin)
-        h = _gram(c)
+    ch = c.conj().T
+    h = c @ ch if c.shape[0] <= c.shape[1] else ch @ c
     top = float(np.linalg.eigvalsh(h)[-1])
     return math.sqrt(max(top, 0.0) + margin)
 
 
+def _centred_bound(e: np.ndarray, top) -> float:
+    """Sound bound on sup |f^T e g| / (rows cols) from both centrings C of e.
+
+    Each C gives (top(C) / sqrt(rows cols) + centring error) (1 + 8u), where
+    top(C) bounds the largest singular value of the computed C from above;
+    spectral_certificate derives the other two terms.
+    """
+    rows, cols = e.shape
+    scale = math.sqrt(rows * cols)
+    entry = float(np.max(np.abs(e)))
+    upper = 0.0
+    for axis, k in ((0, rows), (1, cols)):
+        sigma = top(e - e.mean(axis=axis, keepdims=True))
+        centring = 2.0 * (k + 2) * _UNIT * entry
+        upper = max(upper, (sigma / scale + centring) * (1.0 + 8.0 * _UNIT))
+    return upper
+
+
 def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
-    """Sound upper bound on sup_{f,g} |f^T M g| / (|A| |Gamma|).
+    """Sound upper bound on sup_{f,g} |f^T M g| / (|A| |Gamma|), from the Gram matrices.
 
     Centring kills the uncontrolled all-ones direction on the constrained
     side: a sup-norm-1 f summing to zero has f^T M g = f^T C g with C = M
@@ -339,49 +278,28 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
       of k terms in any summation order, then one subtraction; the 2
       covers real and imaginary parts).  So ||C - C_computed||_2 is below
       sqrt(|A| |Gamma|) times that.
-    - Real arithmetic.  When max|Im C| <= 1e-12, as on Z_2^k where every
-      entry is +-1 up to the rounding of the root table, the norm is taken
-      of Re C and ||Im C||_F is added: ||C||_2 <= ||Re C||_2 + ||Im C||_F
-      holds for any C, so the threshold only picks the cheaper path.
     - Gram matrix.  sigma_max(C)^2 is the top eigenvalue of H = C C^H (or
       C^H C, whichever is smaller), formed after centring: a Gram product
       of the uncentred matrix would cancel against the all-ones direction
       and carry an error of order |A| |Gamma| instead of ||C||_F^2.  With
       n = max(rows, cols) terms per entry, the computed H is within
-      1.5 (n + 2) u ||C||_F^2 of H in norm (real or complex inner
-      products), and eigvalsh returns an exact eigenvalue of a matrix
-      within 2 n u ||H||_2 of the computed H (LAPACK's backward error,
-      whose modest growth factor is taken as 2n).  Both together stay
-      below margin = 4 (n + 1) u ||C||_F^2, which leaves room for the
-      relative error of evaluating ||C||_F^2 (at most rows*cols*u, below
-      1e-6 for any matrix that fits in memory).  So sigma_max(C) <=
-      sqrt(max(top, 0) + margin).  From Gram side 200 up, top is replaced
-      by an s^2 that a Cholesky test proves to exceed the computed H's top
-      eigenvalue (derived in _gram_top), so the margin's eigvalsh share
-      goes unused there.
+      1.5 (n + 2) u ||C||_F^2 of H in norm, and eigvalsh returns an exact
+      eigenvalue of a matrix within 2 n u ||H||_2 of the computed H
+      (LAPACK's backward error, whose modest growth factor is taken as
+      2n).  Both together stay below margin = 4 (n + 1) u ||C||_F^2, which
+      leaves room for the relative error of evaluating ||C||_F^2 (at most
+      4 rows cols u, below 1e-6 for any matrix that fits in memory).  So
+      sigma_max(C) <= sqrt(max(top, 0) + margin), top being the largest
+      eigenvalue eigvalsh returns for the computed H.
     - Finally the square root, the sums and the division round by at most
       5u relative, covered by the factor 1 + 8u.
 
     The margin scales with ||C||_F, not with |A| |Gamma|, so a matrix whose
     centring is (nearly) zero, such as the all-ones matrix, still gets a
-    bound near 0.
+    bound near 0.  decide_regularity's Frobenius tier is the same bound with
+    ||C||_F >= sigma_max(C) in place of the Gram step.
     """
-    e = m.entries
-    rows, cols = e.shape
-    scale = math.sqrt(rows * cols)
-    entry = float(np.max(np.abs(e)))
-    re, im = e.real, e.imag
-    upper = 0.0
-    for axis, k in ((0, rows), (1, cols)):
-        im_c = im - im.mean(axis=axis, keepdims=True)
-        im_fro = float(np.linalg.norm(im_c)) if np.max(np.abs(im_c)) <= _REAL_IMAG_TOL else None
-        del im_c  # freed before the Gram matrix is formed
-        if im_fro is not None:
-            sigma = _gram_top(re - re.mean(axis=axis, keepdims=True)) + im_fro
-        else:
-            sigma = _gram_top(e - e.mean(axis=axis, keepdims=True))
-        centring = 2.0 * (k + 2) * _UNIT * entry
-        upper = max(upper, (sigma / scale + centring) * (1.0 + 8.0 * _UNIT))
+    upper = _centred_bound(m.entries, _gram_top)
     return upper, upper < lam
 
 
@@ -542,8 +460,9 @@ def brute_force_max(
 def _witness_candidates(m: CoherenceMatrix, seed: int):
     """Lazy (value, f, g, constrained_side) candidates in the order they are tried.
 
-    The exhaustive grid is only reached when the alternating search failed,
-    and only on matrices small enough for it.
+    The alternating search comes first.  The exhaustive grid follows only
+    when neither the search nor the Gram certificate decided, and only on
+    matrices small enough for it.
     """
     yield _alternating_search(m.entries, seed)
     if 5 ** (m.n_rows + m.n_cols) <= 10_000_000:  # 4th roots of unity and 0 per entry
@@ -553,14 +472,20 @@ def _witness_candidates(m: CoherenceMatrix, seed: int):
 
 
 def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> RegularityVerdict:
-    """Certificate first, then witness candidates until one reaches lambda."""
+    """Frobenius certificate, search, Gram certificate, grid: the first that decides wins."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    upper, certified = spectral_certificate(m, lam)
-    if certified:
+    upper = _centred_bound(m.entries, _frobenius_top)
+    if upper < lam:
         return RegularityVerdict("regular", lam, upper, None, 0.0)
+    candidates = _witness_candidates(m, seed)
+    search = next(candidates)
+    if search[0] < lam:
+        upper, certified = spectral_certificate(m, lam)
+        if certified:
+            return RegularityVerdict("regular", lam, upper, None, 0.0)
     lower = 0.0
-    for value, f, g, side in _witness_candidates(m, seed):
+    for value, f, g, side in itertools.chain([search], candidates):
         if value >= lam * (1 - 1e-12):
             witness = IrregularityWitness(
                 BoundedFunction("rows", f), BoundedFunction("cols", g), side, value

@@ -32,7 +32,9 @@ V2_TRACES = sorted(DATA.glob("v2_*.json"))
 SHRINK_V2 = DATA / "v2_shrink_z3_5_11_13_t2.json"
 
 
-def run_cli(*argv, env=None):
+def run_module(*argv, env=None):
+    """``python -m specdbl.cli`` in a child process: the entry point, or settings
+    such as the BLAS thread count that a process reads when it starts."""
     return subprocess.run(
         [sys.executable, "-m", "specdbl.cli", *argv],
         capture_output=True,
@@ -41,19 +43,29 @@ def run_cli(*argv, env=None):
     )
 
 
+def run_cli(*argv):
+    """``specdbl`` in this process, as a CompletedProcess with its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects a command line
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
 def report(path, fmt="text"):
-    """(exit code, stdout + stderr) of an in-process ``specdbl report``."""
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        code = cli.main(["report", "--trace", str(path), "--format", fmt])
-    return code, sink.getvalue()
+    """(exit code, stdout + stderr) of ``specdbl report``."""
+    proc = run_cli("report", "--trace", str(path), "--format", fmt)
+    return proc.returncode, proc.stdout + proc.stderr
 
 
 def test_gen_example_set_is_deterministic(tmp_path):
+    # once through the module entry point, once in this process
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"
-    for path in (first, second):
-        proc = run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(path))
+    for run, path in ((run_module, first), (run_cli, second)):
+        proc = run("gen", "--kind", "example1", "--n", "2", "--out", str(path))
         assert proc.returncode == 0, proc.stderr
     assert first.read_bytes() == second.read_bytes()
     members, meta = read_set_file(first)
@@ -479,9 +491,9 @@ def _refine_under_one_and_two_threads(tmp_path, gen, theorem):
         out = tmp_path / f"trace{threads}.json"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
-        proc = run_cli("refine", "--input", str(inp), "--epsilon", "0.4", "--delta", "0.3",
-                       "--theorem", theorem, "--seed", "3", "--max-iterations", "40",
-                       "--out", str(out), env=env)
+        proc = run_module("refine", "--input", str(inp), "--epsilon", "0.4", "--delta", "0.3",
+                          "--theorem", theorem, "--seed", "3", "--max-iterations", "40",
+                          "--out", str(out), env=env)
         assert proc.returncode == 0, proc.stderr
         docs.append(json.loads(out.read_text()))
         outputs.append(proc.stdout)
@@ -500,8 +512,8 @@ def test_refine_trace_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_certificate_past_the_crossover_does_not_depend_on_blas_threads(tmp_path):
-    # the two-axis set in Z_2^16: Gram sides 511 and 255, both taking the
-    # Lanczos estimate and the Cholesky test
+    # the two-axis set in Z_2^16: matrices with 511 and 255 rows, whose
+    # verdicts come from the Frobenius bound and the search
     doc = _refine_under_one_and_two_threads(tmp_path, ("--kind", "example1", "--n", "8"), "1")
     assert min(min(s["a_size"], s["spec_size"]) for s in doc["steps"]) >= 200
 

@@ -10,7 +10,7 @@ from specdbl.coherence import BoundedFunction, CoherenceMatrix, build_matrix
 from specdbl.diagnostics import example_counterexample
 from specdbl.fourier import dft, spectrum
 from specdbl.groups import make_group, random_subset, subgroup_span, sumset, ElementSet
-from specdbl import regularity
+from specdbl import refine, regularity
 from specdbl.regularity import (
     C1_DEFAULT,
     C_DEFAULT,
@@ -201,12 +201,25 @@ def test_certificate_block_sign_upper_is_one():
     assert not spectral_certificate(m, 0.999)[1]
 
 
+def _centrings(entries):
+    return (entries - entries.mean(axis=0, keepdims=True),
+            entries - entries.mean(axis=1, keepdims=True))
+
+
 def _svd_upper(entries):
     """Reference bound: top singular value of each centring by dense SVD."""
-    centrings = (entries - entries.mean(axis=0, keepdims=True),
-                 entries - entries.mean(axis=1, keepdims=True))
-    top = max(np.linalg.svd(c, compute_uv=False)[0] for c in centrings)
+    top = max(np.linalg.svd(c, compute_uv=False)[0] for c in _centrings(entries))
     return top / np.sqrt(entries.size)
+
+
+def _fro_upper(entries):
+    """The larger Frobenius norm of the two centrings, normalised, without rounding terms."""
+    return max(np.linalg.norm(c) for c in _centrings(entries)) / np.sqrt(entries.size)
+
+
+def _frobenius_bound(entries):
+    """The bound of decide_regularity's first tier."""
+    return regularity._centred_bound(entries, regularity._frobenius_top)
 
 
 def _unit_matrix(shape):
@@ -232,6 +245,8 @@ def test_certificate_is_sound_against_svd(entries):
     upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     reference = _svd_upper(entries)
     assert reference <= upper <= reference + 1e-9
+    frobenius = _frobenius_bound(entries)
+    assert reference <= frobenius <= _fro_upper(entries) + 1e-9
 
 
 def _rank_one_noise(shape):
@@ -241,15 +256,15 @@ def _rank_one_noise(shape):
     return np.exp(2j * np.pi * angles)
 
 
-def _counting_eigvalsh():
-    """A patch of np.linalg.eigvalsh that records the side of every matrix it gets."""
-    sides, real = [], np.linalg.eigvalsh
+def _counting(owner, name):
+    """A patch of owner.name that records the first argument of every call."""
+    calls, real = [], getattr(owner, name)
 
     def counted(a, *args, **kwargs):
-        sides.append(a.shape[0])
+        calls.append(a)
         return real(a, *args, **kwargs)
 
-    return mock.patch.object(np.linalg, "eigvalsh", counted), sides
+    return mock.patch.object(owner, name, counted), calls
 
 
 LARGE = {
@@ -264,15 +279,12 @@ LARGE = {
 
 @pytest.mark.parametrize("name", sorted(LARGE))
 def test_large_certificate_is_sound_and_tight(name):
-    # Gram sides of 256 and more take the Lanczos estimate and the Cholesky
-    # test: never below the SVD bound, at most 1e-3 relative above it
+    # Gram sides of 256 and more: never below the SVD bound, and within the
+    # small matrices' tolerance above it
     entries = LARGE[name]
-    patch, sides = _counting_eigvalsh()
-    with patch:
-        upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
+    upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     reference = _svd_upper(entries)
-    assert reference <= upper <= reference * (1 + 1e-3) + 1e-12
-    assert sides == []
+    assert reference <= upper <= reference + 1e-9
 
 
 @pytest.mark.parametrize("name", ["sign-256x300", "unit-400x256", "rank-one-noise-300x260"])
@@ -282,63 +294,74 @@ def test_large_certificate_around_lambda(name):
     # top singular value just above lambda: never certified
     assert not spectral_certificate(m, reference * (1 - 1e-9))[1]
     assert not spectral_certificate(m, reference)[1]
-    # just below: the fast path's 1e-3 slack still certifies
-    assert spectral_certificate(m, reference * (1 + 2e-3))[1]
+    # just below: certified, and decide_regularity gets there through the
+    # Gram tier, since the Frobenius bound misses lambda and the search
+    # stays below it
+    lam = reference * (1 + 2e-3)
+    assert spectral_certificate(m, lam)[1]
+    assert _frobenius_bound(m.entries) >= lam
+    patch, calls = _counting(regularity, "spectral_certificate")
+    with patch:
+        verdict = decide_regularity(m, lam)
+    assert verdict.status == "regular"
+    assert len(calls) == 1
+    assert verdict.upper_bound == spectral_certificate(m, lam)[0]
+
+
+def test_search_value_within_the_witness_slack_waits_for_the_gram_tier():
+    # the block sign pattern times [[1, 1], [1, -1]]: flat top singular
+    # vectors that the search reaches, at 1/sqrt(2), against a Frobenius
+    # bound of 1.  With lambda 5e-13 relative above the search value, that
+    # value lies in the witness test's slack while the Gram bound, 8e-15
+    # above it, certifies: the verdict must be the certificate's.
+    m = CoherenceMatrix(np.kron(block_sign_matrix().entries, [[1, 1], [1, -1]]))
+    value = _alternating_search(m.entries, 0)[0]
+    lam = value * (1 + 5e-13)
+    assert lam * (1 - 1e-12) <= value < lam
+    assert spectral_certificate(m, lam)[1]
+    assert _frobenius_bound(m.entries) >= lam
+    verdict = decide_regularity(m, lam)
+    assert verdict.status == "regular"
+    assert verdict.witness is None
+    assert verdict.upper_bound < lam
 
 
 def test_large_all_ones_takes_the_fast_path():
-    # the centred matrix is exactly 0, so the Lanczos estimate is 0 and the
-    # Cholesky test passes at the floor
+    # the centred matrix is exactly 0, so both bounds are rounding terms
     m = CoherenceMatrix(np.ones((256, 300), dtype=complex))
-    patch, sides = _counting_eigvalsh()
-    with patch:
-        upper, certified = spectral_certificate(m, 1e-4)
+    upper, certified = spectral_certificate(m, 1e-4)
     assert upper < 1e-12
     assert certified
-    assert sides == []
+    assert _frobenius_bound(m.entries) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["sign-256x300", "unit-256x256"])
-def test_failed_cholesky_falls_back_to_the_eigvalsh_bound(name):
-    m = CoherenceMatrix(LARGE[name])
-    with mock.patch.object(regularity, "_LANCZOS_MIN_SIDE", 10**9):
-        eigvalsh_bound = spectral_certificate(m, 1.0)[0]
+def test_certify_run_decides_without_the_gram_tier():
+    # the certify workload's run on example_counterexample(9): its 1023x1023
+    # matrix is irregular and its 511x512 finishing matrix regular, and the
+    # Frobenius bound and the search decide both; a silent return to the
+    # Gram certificate first keeps every output and loses the speed
+    matrices, verdicts = [], []
 
-    def fail(a):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    def recorded(m, lam, seed=0):
+        verdict = decide_regularity(m, lam, seed)
+        matrices.append(m)
+        verdicts.append((m.entries.shape, verdict.status))
+        return verdict
 
-    patch, sides = _counting_eigvalsh()
-    with patch, mock.patch.object(np.linalg, "cholesky", fail):
-        upper = spectral_certificate(m, 1.0)[0]
-    assert upper == eigvalsh_bound
-    assert sides == [256, 256]
-
-
-def test_certify_matrix_takes_the_fast_path():
-    # example_counterexample(9)'s first matrix has Gram side 1023; a silent
-    # fall back to eigvalsh there keeps every output and loses the speed
     bundle = example_counterexample(9)
-    t = dft(bundle.members)
-    m = build_matrix(bundle.members, spectrum(t, 0.4), t)
-    assert m.entries.shape == (1023, 1023)
-    patch, sides = _counting_eigvalsh()
-    with patch:
-        upper, _ = spectral_certificate(m, 1.0)
-    assert sides == []
-    reference = _svd_upper(m.entries)
-    assert reference <= upper <= reference * (1 + 1e-3)
-
-
-def test_example_set_matrix_is_real_up_to_rounding():
-    # on Z_2^k the certificate takes its real path (max|Im C| <= 1e-12 after
-    # centring); losing it would keep every output and double the cost
-    bundle = example_counterexample(4)
-    t = dft(bundle.members)
-    e = build_matrix(bundle.members, spectrum(t, 0.4), t).entries
-    assert e.shape == (31, 31)
-    for axis in (0, 1):
-        centred = e - e.mean(axis=axis, keepdims=True)
-        assert float(np.max(np.abs(centred.imag))) <= 1e-12
+    certificates, certificate_calls = _counting(regularity, "spectral_certificate")
+    eigensolver, eigvalsh_calls = _counting(np.linalg, "eigvalsh")
+    with certificates, eigensolver, mock.patch.object(refine, "decide_regularity", recorded):
+        result = refine.refine_theorem1(bundle.members, refine.RefineConfig(0.4, 0.3))
+    assert verdicts == [((1023, 1023), "irregular"), ((511, 512), "regular")]
+    assert result.certified
+    assert certificate_calls == [] and eigvalsh_calls == []
+    # both bounds stay sound on the large matrix, and the Gram one tight
+    entries = matrices[0].entries
+    reference = _svd_upper(entries)
+    upper, _ = spectral_certificate(matrices[0], 1.0)
+    assert reference <= upper <= reference + 1e-9
+    assert reference <= _frobenius_bound(entries)
 
 
 def test_certificate_dominates_brute_force():
@@ -347,9 +370,11 @@ def test_certificate_dominates_brute_force():
         entries = np.exp(2j * np.pi * rng.random((4, 4)))
         m = CoherenceMatrix(entries)
         upper, _ = spectral_certificate(m, 1.0)
+        frobenius = _frobenius_bound(entries)
         for side in ("rows", "cols"):
             value, _, _ = brute_force_max(m, 4, side)
             assert value <= upper + 1e-9
+            assert value <= frobenius + 1e-9
 
 
 # ---------------------------------------------------------------- witnesses
