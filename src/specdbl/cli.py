@@ -207,7 +207,8 @@ def _cmd_report(args) -> int:
     mismatch = audit.to_dict() != stored_audit
     ok = audit.ok and not mismatch
 
-    bound = final_bound_report(result, original) if result.terminated == "finished" else None
+    sheet = result.terminated == "finished" and original.group.size >= 2  # else no bound sheet
+    bound = final_bound_report(result, original) if sheet else None
 
     if args.format == "json":
         doc = {

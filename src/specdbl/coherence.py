@@ -19,7 +19,7 @@ import numpy as np
 from .fourier import FourierTable, SpectrumSet
 from .groups import ElementSet, char_matrix
 
-__all__ = ["CoherenceMatrix", "BoundedFunction", "build_matrix", "bilinear", "mean_value"]
+__all__ = ["CoherenceMatrix", "BoundedFunction", "build_matrix", "bilinear"]
 
 _TOL = 1e-9
 
@@ -120,7 +120,3 @@ def bilinear(f: BoundedFunction, m: CoherenceMatrix, g: BoundedFunction) -> comp
         )
     return complex(f.values @ m.entries @ g.values)
 
-
-def mean_value(m: CoherenceMatrix) -> complex:
-    """Average entry of the matrix."""
-    return complex(m.entries.mean())

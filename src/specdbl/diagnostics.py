@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .fourier import dft, spectrum
-from .groups import ElementSet, convolve_counts, difference_set, make_group, sumset
+from .groups import ElementSet, FiniteAbelianGroup, convolve_counts, difference_set, sumset
 
 __all__ = [
     "DoublingReport",
@@ -119,7 +119,7 @@ def example_counterexample(n: int) -> ExampleSetBundle:
     """
     if not 1 <= n <= 10:
         raise ValueError(f"n must lie in [1, 10], got {n}")
-    group = make_group([2] * (2 * n))
+    group = FiniteAbelianGroup([2] * (2 * n))
     half = 1 << n
     idx = sorted(set(range(half)) | {v * half for v in range(half)})
     members = ElementSet.from_indices(group, idx)

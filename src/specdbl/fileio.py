@@ -230,10 +230,12 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
     counts = {key: _field(stored, key, int, f"{path}: field 'measured'")
               for key in MEASURED_COUNTS}
     rho_star = _field(doc, "rho_star", float, path)
+    if not rho_star > 0:  # a spectrum level
+        raise FileFormatError(f"{path}: field 'rho_star' must be positive, got {rho_star}")
     try:
         measured = _measure(theorem, cfg, a_star.group.size, a_star.size, rho_star,
                             trace[0].spec_size if trace else 0, **counts)
-    except ArithmeticError as exc:  # rho* = 0 or a count past float range
+    except ArithmeticError as exc:  # a count past float range
         raise FileFormatError(f"{path}: cannot derive the measured values: {exc}") from exc
 
     terminated = _field(doc, "terminated", str, path)

@@ -170,9 +170,9 @@ def spectrum(table: FourierTable, eps: float) -> SpectrumSet:
 
 
 def parseval_capacity(group_size: int, set_size: int, epsilon: float) -> float:
-    """Upper bound |G| / (eps^2 |A|) on the size of the eps-spectrum."""
+    """Upper bound |G| / (eps^2 |A|) on the size of the eps-spectrum; inf
+    when eps^2 |A| is 0 (an empty set, or eps^2 underflowing)."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if set_size <= 0:
-        return math.inf
-    return group_size / (epsilon * epsilon * set_size)
+    denominator = epsilon * epsilon * set_size
+    return group_size / denominator if denominator > 0 else math.inf

@@ -29,9 +29,6 @@ __all__ = [
     "FiniteAbelianGroup",
     "GroupElement",
     "ElementSet",
-    "make_group",
-    "element_encode",
-    "element_decode",
     "char_value",
     "char_matrix",
     "convolve_counts",
@@ -186,23 +183,6 @@ class FiniteAbelianGroup:
             if n > 2:
                 x = np.take(x, -np.arange(n) % n, axis=axis)
         return x.reshape(self.size)
-
-    def negation_perm(self) -> np.ndarray:
-        """Permutation sending each flat index to the index of its inverse."""
-        return self.negate(np.arange(self.size, dtype=np.int64))
-
-
-def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
-    """Build the group Z_{orders[0]} x Z_{orders[1]} x ... (desk-scale checked)."""
-    return FiniteAbelianGroup(orders)
-
-
-def element_encode(group: FiniteAbelianGroup, coords: Sequence[int]) -> int:
-    return group.encode(coords)
-
-
-def element_decode(group: FiniteAbelianGroup, index: int) -> GroupElement:
-    return group.decode(index)
 
 
 def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]) -> complex:

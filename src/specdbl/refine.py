@@ -159,8 +159,9 @@ def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho:
         "K": k_value,
     }
     if theorem == 1:
+        denominator = cfg.epsilon**2 * rho**2 * a_size  # 0 once eps^2 rho^2 underflows
         measured["interim_bound"] = (
-            8.0 * k_value * group_size / (cfg.epsilon**2 * rho**2 * a_size)
+            8.0 * k_value * group_size / denominator if denominator > 0 else math.inf
         )
     else:
         measured["interim_bound"] = 2.0 * k_value * gate_size

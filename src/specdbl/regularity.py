@@ -2,7 +2,7 @@
 
 A matrix M on A x Gamma is lambda-regular when |f^T M g| < lambda * |A| *
 |Gamma| for every pair of sup-norm-1 test functions with at least one side
-summing to zero.  decide_regularity is the one decision, in four tiers,
+summing to zero.  decide_regularity is the one decision, in three tiers,
 cheapest first; the first that decides wins:
 
 1. Frobenius certificate: ||C||_F bounds the top singular value of the row-
@@ -13,17 +13,18 @@ cheapest first; the first that decides wins:
 3. Gram certificate: the top eigenvalue of the smaller Gram matrix of each
    centring, from one eigvalsh, plus a stated margin (Regular when below
    lambda).
-4. On tiny matrices only, a discretised exhaustive grid (Irregular when a
-   grid pair reaches lambda).
 
 A sound bound below lambda and a witness at lambda cannot coexist, so the
 order decides which work is done, not the status.  The witness test allows
 1e-12 relative below lambda; a search value in that slack counts only once
 the Gram certificate has failed, so it never outranks a bound that would
-certify.  An Undetermined verdict carries the sandwich between the best
-candidate value and the Gram bound.  When a witness exists, a minor
-with a strictly larger mean is cut out of the matrix along the level pieces
-of the step-function approximation of the witness pair.
+certify.  When no tier decides, the verdict is Undetermined and carries the
+sandwich between the search value and the Gram bound.  brute_force_max, an
+exhaustive grid over roots of unity on tiny matrices, takes no part in the
+decision; it is the tests' reference for the search and the bounds.  When
+a witness exists, a minor with a strictly larger mean is cut out of the
+matrix along the level pieces of the step-function approximation of the
+witness pair.
 
 The search and the cut are block linear algebra.  The 8 restarts of a side
 run as the rows of one block, two matrix products per iteration; the
@@ -61,7 +62,6 @@ __all__ = [
     "MinorExtraction",
     "step_approximate",
     "spectral_certificate",
-    "brute_force_max",
     "decide_regularity",
     "extract_minor",
 ]
@@ -194,7 +194,8 @@ class RegularityVerdict:
 
     upper_bound is the last certificate's bound: the Frobenius one when that
     tier certifies or the search reaches lambda outright, the Gram one once
-    that tier has run.
+    that tier has run.  lower_bound is the search value on irregular and
+    undetermined verdicts and 0 on regular ones.
     """
 
     status: str  # "regular" | "irregular" | "undetermined"
@@ -421,6 +422,9 @@ def brute_force_max(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exhaustive |f^T M g| / (|A| |Gamma|) over r-th roots of unity plus 0.
 
+    The tests' reference for the search and the certificates on tiny
+    matrices; decide_regularity does not call it.
+
     The constrained side keeps only grid vectors of minimal |sum| (exact zero
     when attainable, which the 0 entry always makes true).
     """
@@ -457,42 +461,25 @@ def brute_force_max(
     return best_val / scale, fs[best_pair[0]], gs[best_pair[1]]
 
 
-def _witness_candidates(m: CoherenceMatrix, seed: int):
-    """Lazy (value, f, g, constrained_side) candidates in the order they are tried.
-
-    The alternating search comes first.  The exhaustive grid follows only
-    when neither the search nor the Gram certificate decided, and only on
-    matrices small enough for it.
-    """
-    yield _alternating_search(m.entries, seed)
-    if 5 ** (m.n_rows + m.n_cols) <= 10_000_000:  # 4th roots of unity and 0 per entry
-        for side in ("rows", "cols"):
-            value, f, g = brute_force_max(m, 4, side)
-            yield value, f, g, side
-
-
 def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> RegularityVerdict:
-    """Frobenius certificate, search, Gram certificate, grid: the first that decides wins."""
+    """Frobenius certificate, search, Gram certificate (only below lambda): the
+    first that decides wins; else undetermined above the search value."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     upper = _centred_bound(m.entries, _frobenius_top)
     if upper < lam:
         return RegularityVerdict("regular", lam, upper, None, 0.0)
-    candidates = _witness_candidates(m, seed)
-    search = next(candidates)
-    if search[0] < lam:
+    value, f, g, side = _alternating_search(m.entries, seed)
+    if value < lam:
         upper, certified = spectral_certificate(m, lam)
         if certified:
             return RegularityVerdict("regular", lam, upper, None, 0.0)
-    lower = 0.0
-    for value, f, g, side in itertools.chain([search], candidates):
-        if value >= lam * (1 - 1e-12):
-            witness = IrregularityWitness(
-                BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
-            )
-            return RegularityVerdict("irregular", lam, upper, witness, value)
-        lower = max(lower, value)
-    return RegularityVerdict("undetermined", lam, upper, None, lower)
+    if value >= lam * (1 - 1e-12):
+        witness = IrregularityWitness(
+            BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
+        )
+        return RegularityVerdict("irregular", lam, upper, witness, value)
+    return RegularityVerdict("undetermined", lam, upper, None, value)
 
 
 @dataclass(frozen=True)

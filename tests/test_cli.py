@@ -574,6 +574,43 @@ def test_bad_parameters_exit_2(tmp_path):
     assert "epsilon" in proc.stderr
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("spectrum", "--epsilon", "1e-300"),
+    ("verify", "--parseval", "1e-300"),
+    ("verify", "--statistical-doubling", "1e-300"),
+    ("refine", "--epsilon", "1e-100"),
+])
+def test_tiny_epsilon_exits_0_or_2(tmp_path, command, flag, value):
+    # eps^2 (or eps^2 rho^2) underflows to 0; the Parseval capacity and the
+    # interim bound are then inf, not a division by zero
+    setfile, trace = tmp_path / "a.json", tmp_path / "t.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    extra = ("--delta", "0.3", "--out", str(trace)) if command == "refine" else ()
+    proc = run_cli(command, "--input", str(setfile), flag, value, *extra)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if command == "refine":
+        code, out = report(trace, "json")
+        assert code == 0, out
+        assert json.loads(out)["measured"]["interim_bound"] == math.inf
+
+
+def test_report_in_the_trivial_group_skips_the_bound_sheet(tmp_path):
+    setfile, trace = tmp_path / "z1.json", tmp_path / "t.json"
+    run_cli("gen", "--kind", "random", "--group", "1", "--size", "1", "--out", str(setfile))
+    proc = run_cli("refine", "--input", str(setfile), "--epsilon", "0.5", "--delta", "0.3",
+                   "--out", str(trace))
+    assert proc.returncode == 0, proc.stderr
+    assert "finished" in proc.stdout and "audit=ok" in proc.stdout
+    code, out = report(trace)
+    assert code == 0, out
+    assert "audit: ok" in out
+    assert "bounds:" not in out and "profile:" not in out
+    code, out = report(trace, "json")
+    assert code == 0, out
+    assert json.loads(out)["bound_report"] is None
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),

@@ -1,30 +1,29 @@
 import numpy as np
 import pytest
 
-from specdbl.coherence import BoundedFunction, CoherenceMatrix, bilinear, build_matrix, mean_value
+from specdbl.coherence import BoundedFunction, CoherenceMatrix, bilinear, build_matrix
 from specdbl.fourier import dft, spectrum
 from specdbl.groups import (
     ElementSet,
+    FiniteAbelianGroup,
     char_value,
-    element_decode,
-    make_group,
     random_subset,
     subgroup_span,
 )
 
 
 def test_subgroup_matrix_is_all_ones():
-    g = make_group([2] * 4)
+    g = FiniteAbelianGroup([2] * 4)
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
     t = dft(h)
     m = build_matrix(h, spectrum(t, 1.0), t)
     assert m.entries.shape == (4, 4)
     assert np.max(np.abs(m.entries - 1.0)) < 1e-12
-    assert mean_value(m) == pytest.approx(1.0)
+    assert m.entries.mean() == pytest.approx(1.0)
 
 
 def test_trivial_set_matrix():
-    g = make_group([3, 3])
+    g = FiniteAbelianGroup([3, 3])
     a = ElementSet.from_indices(g, [0])
     t = dft(a)
     m = build_matrix(a, spectrum(t, 1.0), t)
@@ -37,7 +36,7 @@ def test_trivial_set_matrix():
 
 
 def test_zero_average_character_rejected():
-    g = make_group([2] * 4)
+    g = FiniteAbelianGroup([2] * 4)
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
     t = dft(h)
     bad = ElementSet.from_indices(g, [0, 1])  # index 1 is not in the perp
@@ -53,13 +52,13 @@ def _naive_matrix(a, gamma, table):
     for j, ci in enumerate(cols):
         cval = table.coeffs[ci]
         for i, ai in enumerate(rows):
-            chi = char_value(g, element_decode(g, int(ci)), element_decode(g, int(ai)))
+            chi = char_value(g, g.decode(int(ci)), g.decode(int(ai)))
             out[i, j] = chi * np.conj(cval) / abs(cval)
     return out
 
 
 def test_matrix_matches_naive_construction():
-    g = make_group([2, 3, 4])
+    g = FiniteAbelianGroup([2, 3, 4])
     a = random_subset(g, 9, seed=3)
     t = dft(a)
     spec = spectrum(t, 0.2)
@@ -71,7 +70,7 @@ def test_grand_sum_bound_on_spectrum():
     # 1_A^T M 1_Gamma is real, at least eps |A| |Gamma|, and |A| |Gamma| times the mean
     seed = 20
     for orders in [[2] * 5, [3, 3, 3]]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         for eps in [0.2, 0.4, 0.7]:
             a = random_subset(g, g.size // 3, seed=seed)
             seed += 1
@@ -83,14 +82,14 @@ def test_grand_sum_bound_on_spectrum():
             total = bilinear(ones_f, m, ones_g)
             assert abs(total.imag) < 1e-9 * a.size * len(spec)
             assert total.real >= eps * a.size * len(spec) * (1 - 1e-6) - 1e-6
-            assert total == pytest.approx(a.size * len(spec) * mean_value(m))
-            mv = mean_value(m)
+            assert total == pytest.approx(a.size * len(spec) * m.entries.mean())
+            mv = m.entries.mean()
             assert abs(mv.imag) < 1e-12
             assert mv.real >= eps * (1 - 1e-6) - 1e-9
 
 
 def test_mean_value_naive_average():
-    g = make_group([4, 4])
+    g = FiniteAbelianGroup([4, 4])
     a = random_subset(g, 6, seed=8)
     t = dft(a)
     m = build_matrix(a, spectrum(t, 0.1), t)
@@ -98,11 +97,11 @@ def test_mean_value_naive_average():
     for i in range(m.n_rows):
         for j in range(m.n_cols):
             acc += m.entries[i, j]
-    assert mean_value(m) == pytest.approx(acc / (m.n_rows * m.n_cols), abs=1e-12)
+    assert m.entries.mean() == pytest.approx(acc / (m.n_rows * m.n_cols), abs=1e-12)
 
 
 def test_bilinear_degenerate_cases():
-    g = make_group([2] * 4)
+    g = FiniteAbelianGroup([2] * 4)
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
     t = dft(h)
     m = build_matrix(h, spectrum(t, 1.0), t)
@@ -115,7 +114,7 @@ def test_bilinear_degenerate_cases():
 
 
 def test_bilinear_shape_and_side_errors():
-    g = make_group([2, 2])
+    g = FiniteAbelianGroup([2, 2])
     a = ElementSet.from_indices(g, [0, 1])
     t = dft(a)
     m = build_matrix(a, spectrum(t, 0.4), t)
@@ -146,8 +145,8 @@ def test_from_entries_checks_modulus():
 
 
 def test_build_matrix_input_validation():
-    g = make_group([2, 2])
-    g2 = make_group([3])
+    g = FiniteAbelianGroup([2, 2])
+    g2 = FiniteAbelianGroup([3])
     a = ElementSet.from_indices(g, [0, 1])
     t = dft(a)
     with pytest.raises(ValueError):

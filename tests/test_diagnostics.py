@@ -12,7 +12,7 @@ from specdbl.fileio import write_set_file
 from specdbl.fourier import SpectrumSet, dft, spectrum
 from specdbl.groups import (
     ElementSet,
-    make_group,
+    FiniteAbelianGroup,
     random_subset,
     subgroup_span,
     sumset,
@@ -20,7 +20,7 @@ from specdbl.groups import (
 
 
 def test_doubling_subgroup_is_certain():
-    g = make_group([2] * 4)
+    g = FiniteAbelianGroup([2] * 4)
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
     rep = statistical_doubling(h, 0.5)
     assert rep.exact
@@ -55,7 +55,7 @@ def test_doubling_example_set_exact_oracle():
 def test_doubling_random_sweep_exact():
     seed = 0
     for orders in [[2] * 4, [3, 3, 3]]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         for size in [2, 5, g.size // 2]:
             for eps in [0.3, 0.5, 0.7]:
                 a = random_subset(g, size, seed=seed)
@@ -67,7 +67,7 @@ def test_doubling_random_sweep_exact():
 
 def test_doubling_counts_every_pair_of_a_large_spectrum():
     # more than 3162 characters, so more than 10^7 ordered pairs
-    g = make_group([2] * 12)
+    g = FiniteAbelianGroup([2] * 12)
     a = random_subset(g, 100, seed=0)
     rep = statistical_doubling(a, 0.02)
     assert rep.exact
@@ -84,7 +84,7 @@ def test_doubling_counts_every_pair_of_a_large_spectrum():
 
 
 def test_closure_requires_high_threshold():
-    g = make_group([2] * 4)
+    g = FiniteAbelianGroup([2] * 4)
     a = random_subset(g, 6, seed=0)
     for eps in [0.5, 0.75]:
         with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ def test_closure_requires_high_threshold():
 def test_closure_holds_on_sweep():
     seed = 10
     for orders in [[2] * 4, [3, 3, 3]]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         for size in [1, 4, g.size // 2]:
             a = random_subset(g, size, seed=seed)
             seed += 1
@@ -106,7 +106,7 @@ def test_closure_holds_on_sweep():
 
 
 def test_closure_failure_reports_a_witness_pair(monkeypatch, tmp_path, capsys):
-    g = make_group([3, 4])
+    g = FiniteAbelianGroup([3, 4])
     h = subgroup_span(g, [(1, 0)])
     eps = 0.9
     spec = spectrum(dft(h), eps).members
@@ -163,13 +163,13 @@ def test_example_counterexample_small_cases():
 
 def test_sumset_stats_examples():
     # arithmetic progression {0..m-1} in Z_N with 2m < N
-    g = make_group([29])
+    g = FiniteAbelianGroup([29])
     s = ElementSet.from_indices(g, range(8))
     st = sumset_stats(s)
     assert st.plus_size == 15
     assert st.doubling == pytest.approx(15 / 8)
 
-    g2 = make_group([2] * 4)
+    g2 = FiniteAbelianGroup([2] * 4)
     h = subgroup_span(g2, [(1, 0, 0, 0), (0, 1, 0, 0)])
     sh = sumset_stats(h)
     assert sh.plus_size == 4 and sh.minus_size == 4

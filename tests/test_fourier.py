@@ -13,7 +13,7 @@ from specdbl.fourier import (
     parseval_capacity,
     spectrum,
 )
-from specdbl.groups import ElementSet, convolve_counts, make_group, random_subset, subgroup_span
+from specdbl.groups import ElementSet, FiniteAbelianGroup, convolve_counts, random_subset, subgroup_span
 from specdbl.diagnostics import example_counterexample
 
 # order-2 factors between other factors, so the Walsh-Hadamard chunks and the
@@ -37,7 +37,7 @@ def _from_scratch_coeffs(group, members):
 
 def test_dft_small_groups_from_scratch():
     for orders in [[2, 3], [4], [2, 2, 2], [3, 3]]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         a = random_subset(g, max(1, g.size // 3), seed=5)
         t = dft(a)
         expected = _from_scratch_coeffs(g, a.indices())
@@ -48,7 +48,7 @@ def test_dft_matches_naive_sweep():
     # the fast path against the naive character-sum reference
     rng_seed = 100
     for orders in [[2] * 8, [16, 16], [3, 3, 3, 3], [5, 7, 7], [252]] + MIXED_ORDERS:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         for size in [1, g.size // 4, g.size // 2]:
             a = random_subset(g, max(1, size), seed=rng_seed)
             rng_seed += 1
@@ -58,13 +58,13 @@ def test_dft_matches_naive_sweep():
 
 
 def test_dft_zero_coefficient_is_size():
-    g = make_group([2, 2, 2, 2])
+    g = FiniteAbelianGroup([2, 2, 2, 2])
     a = random_subset(g, 7, seed=1)
     assert dft(a).coeffs[0] == pytest.approx(7.0)
 
 
 def test_dft_subgroup_is_scaled_perp_indicator():
-    g = make_group([2, 2, 2, 2])
+    g = FiniteAbelianGroup([2, 2, 2, 2])
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
     t = dft(h)
     perp = {0, 4, 8, 12}
@@ -75,17 +75,17 @@ def test_dft_subgroup_is_scaled_perp_indicator():
 
 def test_parseval_and_conjugate_symmetry():
     for orders in [[2, 2, 2], [3, 4], [10]]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         a = random_subset(g, g.size // 2, seed=11)
         t = dft(a)
         assert np.sum(np.abs(t.coeffs) ** 2) == pytest.approx(a.size * g.size)
-        neg = g.negation_perm()
+        neg = g.negate(np.arange(g.size))
         assert np.max(np.abs(t.coeffs[neg] - np.conj(t.coeffs))) < 1e-9
 
 
 def test_plancherel_roundtrip():
     for orders in [[3, 5, 2], [2] * 9] + MIXED_ORDERS:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         for seed, size in enumerate([9, g.size // 2]):
             a = random_subset(g, size, seed=seed)
             values = inverse_dft(dft(a))
@@ -93,7 +93,7 @@ def test_plancherel_roundtrip():
 
 
 def test_table_validation_rejects_garbage():
-    g = make_group([2, 2])
+    g = FiniteAbelianGroup([2, 2])
     with pytest.raises(AssertionError):
         FourierTable(g, np.array([3.0, 0, 0, 0]), 2)  # wrong DC value
     with pytest.raises(AssertionError):
@@ -127,7 +127,7 @@ def test_spectrum_example_set_thresholds():
 
 
 def test_spectrum_subgroup_all_levels():
-    g = make_group([2, 2, 2, 2])
+    g = FiniteAbelianGroup([2, 2, 2, 2])
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
     t = dft(h)
     for eps in [0.1, 0.5, 1.0]:
@@ -140,7 +140,7 @@ def test_spectrum_subgroup_all_levels():
 def test_spectrum_invariants_random_sweep():
     seed = 0
     for orders in [[2] * 6, [3, 3, 3], [4, 5]]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         for size in [1, 3, g.size // 2]:
             a = random_subset(g, size, seed=seed)
             seed += 1
@@ -148,14 +148,14 @@ def test_spectrum_invariants_random_sweep():
             for eps in [0.05, 0.25, 0.5, 0.9, 1.0]:
                 s = spectrum(t, eps)
                 assert s.members.contains_index(0)
-                neg = g.negation_perm()
+                neg = g.negate(np.arange(g.size))
                 assert np.array_equal(s.members.mask, s.members.mask[neg])
                 assert len(s) <= parseval_capacity(g.size, size, eps) * (1 + 1e-9)
 
 
 def test_table_rejects_broken_conjugate_symmetry():
     # the right DC value and Parseval energy, but coeffs[-gamma] != conj(coeffs[gamma])
-    g = make_group([4, 3])
+    g = FiniteAbelianGroup([4, 3])
     a = ElementSet.from_coords(g, [(0, 0), (1, 0), (0, 1)])
     coeffs = dft(a).coeffs.copy()
     gamma = g.encode((1, 1))
@@ -164,7 +164,7 @@ def test_table_rejects_broken_conjugate_symmetry():
     with pytest.raises(AssertionError, match="conjugate symmetry"):
         FourierTable(g, coeffs, 3)
     # on Z_2^3 every character is its own negative, so the check is imaginary part 0
-    g2 = make_group([2, 2, 2])
+    g2 = FiniteAbelianGroup([2, 2, 2])
     coeffs = np.ones(g2.size, dtype=complex)  # the table of {0}
     coeffs[5] = 1j
     with pytest.raises(AssertionError, match="conjugate symmetry"):
@@ -173,7 +173,7 @@ def test_table_rejects_broken_conjugate_symmetry():
 
 
 def test_spectrum_set_rejects_a_mask_not_closed_under_negation():
-    g = make_group([5])
+    g = FiniteAbelianGroup([5])
     members = ElementSet.from_indices(g, [0, 1])  # -1 = 4 is missing
     with pytest.raises(AssertionError, match="closed under negation"):
         SpectrumSet(0.5, 4, members)
@@ -181,7 +181,7 @@ def test_spectrum_set_rejects_a_mask_not_closed_under_negation():
 
 
 def test_spectrum_rejects_bad_eps():
-    g = make_group([2, 2])
+    g = FiniteAbelianGroup([2, 2])
     t = dft(random_subset(g, 2, seed=0))
     for eps in [0.0, -0.5, 1.5]:
         with pytest.raises(ValueError):
@@ -198,7 +198,7 @@ def test_parseval_capacity_values():
 
 @pytest.mark.parametrize("k", [1, 5, 8])
 def test_dft_on_a_2_group_is_exact(k):
-    g = make_group([2] * k)
+    g = FiniteAbelianGroup([2] * k)
     for size in [1, g.size // 3, g.size]:
         a = random_subset(g, size, seed=size + k)
         t, ref = dft(a), dft_naive(a)
@@ -232,7 +232,7 @@ def _record_fft_lengths(monkeypatch):
 
 @pytest.mark.parametrize("orders", [[2] * 10, [32, 32, 2]], ids=str)
 def test_no_fft_runs_over_an_axis_of_length_2(monkeypatch, orders):
-    g = make_group(orders)
+    g = FiniteAbelianGroup(orders)
     s = random_subset(g, g.size // 3, seed=1)
     t = random_subset(g, g.size // 5, seed=2)
     lengths = _record_fft_lengths(monkeypatch)
@@ -245,7 +245,7 @@ def test_no_fft_runs_over_an_axis_of_length_2(monkeypatch, orders):
 
 @pytest.mark.parametrize("orders", [[3, 5, 11, 13], [13, 13, 13]], ids=str)
 def test_groups_without_order_2_keep_the_single_fft(orders):
-    g = make_group(orders)
+    g = FiniteAbelianGroup(orders)
     a = random_subset(g, g.size // 3, seed=4)
     expected = np.conj(np.fft.fftn(a.mask.astype(np.float64).reshape(g.shape))).ravel()
     assert np.array_equal(dft(a).coeffs, expected)

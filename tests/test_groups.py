@@ -5,13 +5,11 @@ import pytest
 
 from specdbl.groups import (
     ElementSet,
+    FiniteAbelianGroup,
     char_value,
     char_matrix,
     convolve_counts,
     difference_set,
-    element_decode,
-    element_encode,
-    make_group,
     negate_set,
     random_subset,
     subgroup_span,
@@ -22,71 +20,71 @@ SMALL_ORDERS = [[2], [3], [4], [2, 2], [2, 3], [4, 4], [2, 2, 2], [2, 3, 5], [6,
 
 
 def test_make_group_sizes():
-    assert make_group([2, 2, 2, 2]).size == 16
-    assert make_group([4]).size == 4
-    assert make_group([2, 3, 5]).size == 30
-    assert make_group([4]).orders != make_group([2, 2]).orders
+    assert FiniteAbelianGroup([2, 2, 2, 2]).size == 16
+    assert FiniteAbelianGroup([4]).size == 4
+    assert FiniteAbelianGroup([2, 3, 5]).size == 30
+    assert FiniteAbelianGroup([4]).orders != FiniteAbelianGroup([2, 2]).orders
 
 
 def test_make_group_rejects_bad_orders():
     with pytest.raises(ValueError):
-        make_group([])
+        FiniteAbelianGroup([])
     with pytest.raises(ValueError):
-        make_group([0, 2])
+        FiniteAbelianGroup([0, 2])
     with pytest.raises(ValueError):
-        make_group([2, -3])
+        FiniteAbelianGroup([2, -3])
 
 
 def test_group_size_ceiling(monkeypatch):
     with pytest.raises(ValueError):
-        make_group([2] * 21)
+        FiniteAbelianGroup([2] * 21)
     monkeypatch.setenv("SPECDBL_MAX_GROUP", str(1 << 21))
-    assert make_group([2] * 21).size == 1 << 21
+    assert FiniteAbelianGroup([2] * 21).size == 1 << 21
     monkeypatch.setenv("SPECDBL_MAX_GROUP", "16")
     with pytest.raises(ValueError):
-        make_group([32])
+        FiniteAbelianGroup([32])
     monkeypatch.setenv("SPECDBL_MAX_GROUP", "zero")
     with pytest.raises(ValueError):
-        make_group([2])
+        FiniteAbelianGroup([2])
 
 
 def test_encode_examples():
-    g = make_group([2, 2])
-    assert element_encode(g, (0, 0)) == 0
-    assert element_encode(g, (1, 0)) == 1
-    assert element_encode(g, (0, 1)) == 2
-    g23 = make_group([2, 3])
-    assert element_encode(g23, (1, 2)) == 5
+    g = FiniteAbelianGroup([2, 2])
+    assert g.encode((0, 0)) == 0
+    assert g.encode((1, 0)) == 1
+    assert g.encode((0, 1)) == 2
+    g23 = FiniteAbelianGroup([2, 3])
+    assert g23.encode((1, 2)) == 5
 
 
 def test_encode_decode_roundtrip_exhaustive():
     for orders in SMALL_ORDERS:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         for i in range(g.size):
-            assert element_encode(g, element_decode(g, i)) == i
-        seen = {element_encode(g, c) for c in itertools.product(*[range(n) for n in orders])}
+            assert g.encode(g.decode(i)) == i
+        seen = {g.encode(c) for c in itertools.product(*[range(n) for n in orders])}
         assert seen == set(range(g.size))
 
 
 def test_encode_rejects_out_of_range():
-    g = make_group([2, 3])
+    g = FiniteAbelianGroup([2, 3])
     with pytest.raises(ValueError):
-        element_encode(g, (2, 0))
+        g.encode((2, 0))
     with pytest.raises(ValueError):
-        element_encode(g, (0, -1))
+        g.encode((0, -1))
     with pytest.raises(ValueError):
-        element_encode(g, (0, 0, 0))
+        g.encode((0, 0, 0))
     with pytest.raises(ValueError):
-        element_decode(g, 6)
+        g.decode(6)
 
 
 def test_vectorised_codec_matches_scalar():
     for orders in SMALL_ORDERS + [[1, 3], [7], [2] * 10]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         idx = np.arange(g.size)
         coords = g.decode_indices(idx)
         for i in range(g.size):
-            assert tuple(coords[i]) == element_decode(g, i)
+            assert tuple(coords[i]) == g.decode(i)
         assert np.array_equal(g.encode_coords(coords), idx)
         empty = g.decode_indices(np.array([], dtype=np.int64))
         assert empty.shape == (0, g.rank)
@@ -98,28 +96,28 @@ def test_vectorised_codec_matches_scalar():
 
 def test_negation_matches_coordinate_negation():
     for orders in SMALL_ORDERS + [[1, 3], [5], [9, 2, 4], [2] * 7]:
-        g = make_group(orders)
-        expected = [element_encode(g, tuple(-c % n for c, n in zip(element_decode(g, i), orders)))
+        g = FiniteAbelianGroup(orders)
+        expected = [g.encode(tuple(-c % n for c, n in zip(g.decode(i), orders)))
                     for i in range(g.size)]
-        assert g.negation_perm().tolist() == expected
+        assert g.negate(np.arange(g.size)).tolist() == expected
         s = random_subset(g, (g.size + 1) // 2, seed=len(expected))
         assert set(negate_set(s).indices().tolist()) == {expected[i] for i in s.indices()}
 
 
 def test_coords_are_tuples_of_python_ints():
-    g = make_group([3, 2, 5])
+    g = FiniteAbelianGroup([3, 2, 5])
     s = random_subset(g, 11, seed=2)
     rows = s.coords()
-    assert rows == [element_decode(g, i) for i in s.indices()]
+    assert rows == [g.decode(i) for i in s.indices()]
     assert all(type(row) is tuple and all(type(c) is int for c in row) for row in rows)
     assert ElementSet.from_indices(g, []).coords() == []
 
 
 def test_from_coords_matches_scalar_encode():
-    g = make_group([2, 3, 5])
+    g = FiniteAbelianGroup([2, 3, 5])
     rng = np.random.default_rng(4)
     rows = [tuple(int(rng.integers(n)) for n in g.orders) for _ in range(20)]
-    expected = ElementSet.from_indices(g, [element_encode(g, r) for r in rows])
+    expected = ElementSet.from_indices(g, [g.encode(r) for r in rows])
     assert ElementSet.from_coords(g, rows) == expected
     assert ElementSet.from_coords(g, iter(rows)) == expected
     assert ElementSet.from_coords(g, []).size == 0
@@ -132,10 +130,10 @@ def test_from_coords_matches_scalar_encode():
 
 
 def test_char_value_examples():
-    g4 = make_group([4])
+    g4 = FiniteAbelianGroup([4])
     assert char_value(g4, (1,), (1,)) == pytest.approx(1j)
     assert char_value(g4, (0,), (3,)) == pytest.approx(1.0)
-    g22 = make_group([2, 2])
+    g22 = FiniteAbelianGroup([2, 2])
     assert char_value(g22, (1, 1), (1, 0)) == pytest.approx(-1.0)
 
 
@@ -143,8 +141,8 @@ def test_char_value_is_a_character():
     # unit modulus, symmetry in (gamma, x), and the homomorphism law,
     # exhaustively on small groups
     for orders in [[2, 3], [4], [2, 2, 2], [3, 3]]:
-        g = make_group(orders)
-        elems = [element_decode(g, i) for i in range(g.size)]
+        g = FiniteAbelianGroup(orders)
+        elems = [g.decode(i) for i in range(g.size)]
         for gamma in elems:
             for x in elems:
                 v = char_value(g, gamma, x)
@@ -160,23 +158,23 @@ def test_char_value_is_a_character():
 
 
 def test_char_matrix_matches_scalar():
-    g = make_group([2, 3, 2])
+    g = FiniteAbelianGroup([2, 3, 2])
     rows = np.array([0, 3, 7, 11])
     cols = np.array([1, 2, 5, 6, 10])
     m = char_matrix(g, rows, cols)
     for i, a in enumerate(rows):
         for j, c in enumerate(cols):
-            expected = char_value(g, element_decode(g, c), element_decode(g, a))
+            expected = char_value(g, g.decode(c), g.decode(a))
             assert m[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def _naive_counts(group, s, t):
     counts = np.zeros(group.size, dtype=np.int64)
     for a in s.indices():
-        ca = element_decode(group, a)
+        ca = group.decode(a)
         for b in t.indices():
-            cb = element_decode(group, b)
-            counts[element_encode(group, tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders)))] += 1
+            cb = group.decode(b)
+            counts[group.encode(tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders)))] += 1
     return counts
 
 
@@ -189,7 +187,7 @@ def test_sumset_against_naive_oracle():
     # the last three put order-2 factors between others, so Walsh-Hadamard
     # chunks and FFT axes interleave
     for orders in SMALL_ORDERS + [[2, 2, 2, 2], [8, 8], [60], [2, 3, 2, 5, 2], [32, 32, 2], [4, 2, 2, 3]]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         for trial in range(4):
             s = random_subset(g, min(g.size, 1 + (trial * 3) % (g.size)), seed)
             t = random_subset(g, min(g.size, 1 + (trial * 5) % (g.size)), seed + 1)
@@ -204,7 +202,7 @@ def test_sumset_against_naive_oracle():
 
 
 def test_sumset_identity_and_empty():
-    g = make_group([2, 2, 2])
+    g = FiniteAbelianGroup([2, 2, 2])
     s = random_subset(g, 5, seed=7)
     zero = ElementSet.from_indices(g, [0])
     assert sumset(s, zero) == s
@@ -214,29 +212,29 @@ def test_sumset_identity_and_empty():
 
 def test_negate_involution_and_difference():
     for orders in [[5], [2, 3], [4, 4]]:
-        g = make_group(orders)
+        g = FiniteAbelianGroup(orders)
         s = random_subset(g, g.size // 2, seed=3)
         assert negate_set(negate_set(s)) == s
         assert set(difference_set(s, s).indices()) == _naive_sumset(g, s, negate_set(s))
-    g2 = make_group([2, 2, 2])
+    g2 = FiniteAbelianGroup([2, 2, 2])
     s = random_subset(g2, 4, seed=9)
     assert negate_set(s) == s  # every element is its own inverse
 
 
 def test_subgroup_span_examples():
-    g = make_group([2, 2, 2, 2])
+    g = FiniteAbelianGroup([2, 2, 2, 2])
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
     assert len(h) == 4
     assert set(h.indices()) == {0, 1, 2, 3}
     assert subgroup_span(g, []).indices().tolist() == [0]
-    cyc = make_group([12])
+    cyc = FiniteAbelianGroup([12])
     assert len(subgroup_span(cyc, [(4,)])) == 3
     # closed under addition
     assert sumset(h, h) == h
 
 
 def test_random_subset_deterministic():
-    g = make_group([2] * 6)
+    g = FiniteAbelianGroup([2] * 6)
     a = random_subset(g, 10, seed=42)
     b = random_subset(g, 10, seed=42)
     c = random_subset(g, 10, seed=43)
@@ -248,7 +246,7 @@ def test_random_subset_deterministic():
 
 
 def test_element_set_immutable():
-    g = make_group([2, 2])
+    g = FiniteAbelianGroup([2, 2])
     s = ElementSet.from_indices(g, [0, 3])
     with pytest.raises(AttributeError):
         s.size = 5
@@ -261,7 +259,7 @@ def test_element_set_immutable():
 def test_convolution_on_a_2_group_rounds_nothing(monkeypatch):
     # the Walsh-Hadamard path is exact: the raw counts handed to np.rint
     # are integers already
-    g = make_group([2] * 12)
+    g = FiniteAbelianGroup([2] * 12)
     s = random_subset(g, 3000, seed=5)
     t = random_subset(g, 2500, seed=6)
     raws = []

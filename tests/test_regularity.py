@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from specdbl.coherence import BoundedFunction, CoherenceMatrix, build_matrix
 from specdbl.diagnostics import example_counterexample
 from specdbl.fourier import dft, spectrum
-from specdbl.groups import make_group, random_subset, subgroup_span, sumset, ElementSet
+from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span, sumset
 from specdbl import refine, regularity
 from specdbl.regularity import (
     C1_DEFAULT,
@@ -469,7 +469,7 @@ def _pair_matrix():
     # being closed under negation, both row sums are real, so the centred
     # phases of the first rows restart cancel to rounding noise, and only
     # the zero rule keeps the phase of that noise out of the search
-    a = ElementSet.from_indices(make_group([13, 13, 13]), np.array([5, 1000]))
+    a = ElementSet.from_indices(FiniteAbelianGroup([13, 13, 13]), np.array([5, 1000]))
     t = dft(a)
     return build_matrix(a, spectrum(t, 0.1), t).entries
 
@@ -551,6 +551,23 @@ def test_decide_three_tiers():
     assert irregular.lower_bound <= irregular.upper_bound + 1e-9
 
 
+def test_decide_undetermined_between_the_search_and_the_gram_bound():
+    # search 0.5795, Gram bound 0.6974, grid 0.5734: at lambda 0.64 neither
+    # a certificate nor a witness decides, and the sandwich is what is left
+    m = CoherenceMatrix(np.exp(2j * np.pi * np.random.default_rng(3).random((4, 5))))
+    lam = 0.64
+    search = _alternating_search(m.entries, 0)[0]
+    gram, certified = spectral_certificate(m, lam)
+    assert search < lam <= gram and not certified
+    verdict = decide_regularity(m, lam)
+    assert verdict.status == "undetermined"
+    assert verdict.witness is None
+    assert verdict.lower_bound == search
+    assert verdict.upper_bound == gram
+    for side in ("rows", "cols"):
+        assert brute_force_max(m, 4, side)[0] <= verdict.upper_bound
+
+
 def test_decide_sandwich_on_random_matrices():
     rng = np.random.default_rng(31)
     statuses = set()
@@ -585,7 +602,7 @@ def test_neighbourhood_count_under_certified_regularity():
     # if M(A, Spec_rho(A)) is certified (eps*rho/150)-regular then every
     # gamma in Spec_eps(A) has 0.9 |Spec_rho| shifted neighbours inside
     # Spec_{eps*rho/2}(A)
-    g = make_group([2] * 4)
+    g = FiniteAbelianGroup([2] * 4)
     eps, rho = 0.5, 0.5
     instances = [subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])]
     instances += [random_subset(g, 5, seed=s) for s in range(12)]
