@@ -47,6 +47,8 @@ def statistical_doubling(a: ElementSet, eps: float) -> DoublingReport:
     itself, and asserts the lower bound eps^2/2.
     """
     lower = eps * eps / 2.0
+    if not lower > 0:  # a tiny eps underflows; name it, not the level
+        raise ValueError(f"statistical doubling needs eps^2/2 > 0, got eps={eps}")
     table = dft(a)
     spec = spectrum(table, eps)
     small = spectrum(table, lower)

@@ -112,10 +112,22 @@ def _resolve_k(cfg: RefineConfig, theorem: int, group_size: int) -> float:
     return float(group_size) ** power
 
 
-def _rho_floor(theorem: int, epsilon: float, growths: int) -> float:
-    """Least rho after ``growths`` growths: rho_0 = eps = 2 (eps/2), a minor
-    raises rho, a growth maps it to eps rho / 2 (theorem 1) or rho^2 / 2."""
-    return 2.0 * (epsilon / 2.0) ** (growths + 1 if theorem == 1 else 2**growths)
+def _rho_after(theorem: int, cfg: RefineConfig, action: str, rho: float,
+               new_mean: Optional[float]) -> float:
+    """rho after a step from rho: a minor raises it, a growth drops it to the
+    gate level, and a finish or an abort keeps it."""
+    if action == "growth":
+        return _gate_level(theorem, cfg.epsilon, rho)
+    if action != "minor":
+        return rho
+    if cfg.mode == "faithful":
+        # the increment is below one ulp of rho; extraction asserted the
+        # minor beats the matrix mean (>= rho) by it, so the next float
+        # above rho still bounds the new mean from below
+        lam = _lambda_level(theorem, cfg.epsilon, rho)
+        return min(1.0, max(rho + (C_DEFAULT / 2.0) * lam**15, math.nextafter(rho, 2.0)))
+    # nan equals no stored value: a minor without its mean has no next rho
+    return math.nan if new_mean is None else min(1.0, new_mean)
 
 
 def _outcome(trace) -> tuple:
@@ -210,14 +222,7 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
                 degenerate = True  # no measurable progress; treat as undecided
 
         if verdict.status == "irregular" and not degenerate:
-            if cfg.mode == "faithful":
-                # the increment is below one ulp of rho; extraction asserted the
-                # minor beats the matrix mean (>= rho) by it, so the next float
-                # above rho still bounds the new mean from below
-                rho_next = min(1.0, max(rho + (C_DEFAULT / 2.0) * lam**15,
-                                        math.nextafter(rho, 2.0)))
-            else:
-                rho_next = min(1.0, extraction.new_mean)
+            rho_next = _rho_after(theorem, cfg, "minor", rho, extraction.new_mean)
             trace.append(RefineTraceStep(
                 action="minor", rho_next=rho_next,
                 new_mean=extraction.new_mean,
@@ -298,14 +303,16 @@ class AuditReport:
 
 
 def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
-    """Recompute the combinatorial side-conditions from the trace records.
+    """Replay the trace by the run's own rules and recompute its side-conditions.
 
-    K and lambda are derived, and a regular verdict's bound lies below lambda.
-    Counts must be ones a spectrum in G can have, only a non-regular finish
-    carries the direct doubling check, the last step gives the stored outcome,
-    a certified run meets both bounds, each step starts from the set size the
-    one before it leaves (a minor leaves its ``minor_rows``), and the final set
-    is that size and lies inside the input set ``original``.
+    Two chains are walked as a run walks them: rho from epsilon by
+    ``_rho_after``, and |A| from |original|, a minor leaving its ``minor_rows``.
+    Each step must start where the walk stands and store the rho it moves to,
+    and rho* and |A*| must be where the walk ends.  K and lambda are derived,
+    and a regular verdict's bound lies below lambda.  Counts must be ones a
+    spectrum in G can have, only a non-regular finish carries the direct
+    doubling check, the last step gives the stored outcome, a certified run
+    meets both bounds, and the final set lies inside the input set ``original``.
     """
     cfg = result.config
     theorem = result.theorem
@@ -319,22 +326,17 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
 
     growth_positions = []
     bad_counts = False
-    prev: Optional[RefineTraceStep] = None
+    rho, size = eps, original.size
     for pos, s in enumerate(steps):
-        floor = _rho_floor(theorem, eps, len(growth_positions))
-        if s.rho < floor * (1 - 1e-12):
-            violations.append(
-                f"step {pos}: rho={s.rho} below the floor {floor} "
-                f"after {len(growth_positions)} growth steps"
-            )
-        if prev is not None:
-            if s.rho != prev.rho_next:
-                violations.append(
-                    f"step {pos}: rho {s.rho} does not continue rho_next {prev.rho_next}"
-                )
-            if s.a_size != _size_after(prev):
-                violations.append(f"step {pos}: |A|={s.a_size}, but step {pos - 1} "
-                                  f"leaves {_size_after(prev)}")
+        before = f"step {pos - 1} leaves" if pos else "the run starts at"
+        if s.rho != rho:
+            violations.append(f"step {pos}: rho={s.rho}, but {before} {rho}")
+        if s.a_size != size:
+            violations.append(f"step {pos}: |A|={s.a_size}, but {before} {size}")
+        rho, size = _rho_after(theorem, cfg, s.action, rho, s.new_mean), _size_after(s)
+        if s.rho_next != rho:
+            violations.append(f"step {pos}: {s.action} step moved rho to {s.rho_next}, "
+                              f"expected {rho}")
         if not 1 <= s.spec_size <= s.gate_size <= group_size:
             bad_counts = True  # the t-ratios below take the counts to floating point
             violations.append(f"step {pos}: no spectrum in |G|={group_size} has |Spec_rho|="
@@ -355,11 +357,6 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             if s.minor_rows is None or not 1 <= s.minor_rows <= s.a_size:
                 violations.append(f"step {pos}: a minor of {s.minor_rows} rows of {s.a_size}")
         elif s.action == "growth":
-            expected = _gate_level(theorem, eps, s.rho)
-            if not math.isclose(s.rho_next, expected, rel_tol=1e-12, abs_tol=0.0):
-                violations.append(
-                    f"step {pos}: growth step moved rho to {s.rho_next}, expected {expected}"
-                )
             if _gate_ok(s.gate_size, k_value, s.spec_size):
                 violations.append(
                     f"step {pos}: growth step fired although the gate held "
@@ -376,28 +373,18 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             pass  # numerical-floor bailout carries no combinatorial claim
         else:
             violations.append(f"step {pos}: unknown action {s.action!r}")
-        prev = s
     k2 = len(growth_positions)
     k1 = sum(1 for s in steps if s.action == "minor")
 
-    final_floor = _rho_floor(theorem, eps, k2)
-    if result.rho_star < final_floor * (1 - 1e-12):
-        violations.append(
-            f"final rho {result.rho_star} below the floor {final_floor} for k2={k2}"
-        )
     if steps:
-        last = steps[-1]
-        if result.rho_star != last.rho_next:
-            violations.append(
-                f"final rho {result.rho_star} does not match the last step ({last.rho_next})"
-            )
+        if result.rho_star != rho:
+            violations.append(f"final rho {result.rho_star} does not match the last step ({rho})")
         outcome = _outcome(steps)
         if (result.terminated, result.certified) != outcome:
             violations.append(f"result {result.terminated} with certified flag "
                               f"{result.certified}, but the last step gives {outcome}")
-        if result.a_star.size != _size_after(last):
-            violations.append(f"final |A*|={result.a_star.size}, but the last step "
-                              f"leaves {_size_after(last)}")
+        if result.a_star.size != size:
+            violations.append(f"final |A*|={result.a_star.size}, but the last step leaves {size}")
     else:
         violations.append("empty trace")
     # 0 is in every spectrum, S in S + S, Spec_rho in Spec_gate; theorem 2 measures at rho

@@ -80,6 +80,8 @@ _ORTH_TOL = 1e-8
 _UNIT = np.finfo(np.float64).eps / 2.0
 # witness values and piece-pair sums this close to the best count as tied
 _TIE_REL = 1e-9
+# a witness value this close below lambda (relative) reaches it: the search's rounding
+_WITNESS_SLACK = 1e-12
 # step-function grid coordinates this close to an edge count as on it
 _EDGE_TOL = 1e-9
 
@@ -208,7 +210,7 @@ class RegularityVerdict:
         if self.status not in ("regular", "irregular", "undetermined"):
             raise ValueError(f"unknown status {self.status!r}")
         if self.status == "irregular":
-            if self.witness is None or self.witness.value < self.lam * (1 - 1e-12):
+            if self.witness is None or self.witness.value < self.lam * (1 - _WITNESS_SLACK):
                 raise AssertionError("irregular verdicts need a witness at level lambda")
         if self.lower_bound > self.upper_bound + 1e-9:
             raise AssertionError(
@@ -474,7 +476,7 @@ def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> Regulari
         upper, certified = spectral_certificate(m, lam)
         if certified:
             return RegularityVerdict("regular", lam, upper, None, 0.0)
-    if value >= lam * (1 - 1e-12):
+    if value >= lam * (1 - _WITNESS_SLACK):
         witness = IrregularityWitness(
             BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
         )
@@ -552,7 +554,7 @@ def extract_minor(
     """
     if mode not in ("faithful", "opportunistic"):
         raise ValueError(f"mode must be 'faithful' or 'opportunistic', got {mode!r}")
-    if witness.value < lam * (1 - 1e-12):
+    if witness.value < lam * (1 - _WITNESS_SLACK):
         raise ValueError(
             f"witness value {witness.value} is below the regularity level {lam}"
         )

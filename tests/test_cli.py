@@ -413,8 +413,22 @@ def _forge_step(i, **fields):
      "step 0: a minor of 20 rows of 15"),
     ("v2_example1_n3_t1.json", lambda doc: doc["measured"].update(sumset_size=64),
      "certified, but |S+S|=64 is above the certified doubling bound 20.0"),
+    ("v2_example1_n3_t1.json", lambda doc: (doc["steps"][1].update(rho_next=0.5),
+                                            doc.update(rho_star=0.5)),
+     "step 1: finish step moved rho to 0.5, expected 1.0"),
+    ("v2_example1_n3_t1.json", _forge_step(0, a_size=40),
+     "step 0: |A|=40, but the run starts at 15"),
+    ("v2_example1_n3_t1.json", _forge_step(0, rho=0.45),
+     "step 0: rho=0.45, but the run starts at 0.4"),
+    ("v2_example1_n3_t1.json", _forge_step(0, new_mean=None),
+     "step 0: minor step moved rho to 1.0, expected nan"),
+    ("v2_example1_n3_t1.json", _forge_step(0, new_mean=0.3, rho_next=0.3),
+     "step 0: minor step did not raise rho"),
+    ("v2_example1_n3_t1.json", _forge_step(1, action="jump"), "step 1: unknown action 'jump'"),
+    ("v2_example1_n3_t1.json", lambda doc: doc["steps"].clear(), "empty trace"),
 ], ids=["minor-rows", "size-without-a-minor", "final-size", "minor-past-its-matrix",
-        "certified-bound"])
+        "certified-bound", "finish-rho", "input-size", "start-rho", "minor-without-mean",
+        "minor-not-raising-rho", "unknown-action", "empty-trace"])
 def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, needle):
     doc = json.loads(_v3_text(DATA / stored))
     forge(doc)
@@ -572,6 +586,15 @@ def test_bad_parameters_exit_2(tmp_path):
                    "--delta", "0.3", "--out", str(tmp_path / "t.json"))
     assert proc.returncode == 2
     assert "epsilon" in proc.stderr
+
+
+def test_statistical_doubling_names_an_eps_whose_level_underflows(tmp_path):
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    proc = run_cli("verify", "--input", str(setfile), "--statistical-doubling", "1e-300")
+    assert proc.returncode == 2
+    assert "1e-300" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command, flag, value", [

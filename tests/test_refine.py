@@ -151,7 +151,7 @@ def test_audit_flags_a_tampered_trace(plane):
     tampered = dataclasses.replace(result, trace=(low,), rho_star=1e-6)
     report = audit_trace(tampered, h)
     assert not report.ok
-    assert any("below the floor" in v for v in report.violations)
+    assert "step 0: rho=1e-06, but the run starts at 0.5" in report.violations
 
     fake_growth = dataclasses.replace(result.trace[0], action="growth")
     tampered = dataclasses.replace(result, trace=(fake_growth,))
@@ -190,15 +190,14 @@ def test_audit_flags_a_tampered_trace(plane):
 
 @pytest.mark.parametrize("run", [refine_theorem1, refine_theorem2])
 def test_audit_floor_is_rho_after_the_growths(plane, run):
-    # rho is at least 2 (eps/2)^(g+1) (theorem 1) or 2 (eps/2)^(2^g)
-    # (theorem 2) after g growths: eps itself before the first
+    # rho starts at eps, and a finish keeps it
     _, h = plane
     result = run(h, RefineConfig(epsilon=0.5, delta=0.3, seed=0))
     assert result.rho_star == 0.5 and audit_trace(result, h).ok
     low = dataclasses.replace(result.trace[0], rho=0.49, rho_next=0.49)
     report = audit_trace(dataclasses.replace(result, trace=(low,), rho_star=0.49), h)
-    assert "step 0: rho=0.49 below the floor 0.5 after 0 growth steps" in report.violations
-    assert "final rho 0.49 below the floor 0.5 for k2=0" in report.violations
+    assert "step 0: rho=0.49, but the run starts at 0.5" in report.violations
+    assert "final rho 0.49 does not match the last step (0.5)" in report.violations
 
 
 def test_bound_report_round_trips_and_holds(plane):

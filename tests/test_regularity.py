@@ -77,6 +77,14 @@ def test_step_pointwise_error_and_count_sweep():
             assert s.piece_count <= 100.0 / eta**2
             for _, alpha in s.pieces:
                 assert abs(alpha) <= 1.0
+    # one value at the centre of each of the 11 x 12 cells of r = ceil(10/0.9)
+    # = 12: 132 pieces pass 100/0.9^2, so the grid is rebuilt at r = 11
+    mags = (np.arange(1, 12) + 0.5) / 12
+    phases = 2 * np.pi * (np.arange(12) + 0.5) / 12
+    vals = (mags[:, None] * np.exp(1j * phases[None, :])).ravel()
+    s = step_approximate(BoundedFunction("rows", vals), 0.9)
+    assert (s.r, s.piece_count) == (11, 110)
+    assert np.max(np.abs(s.values() - vals)) == pytest.approx(0.507, abs=1e-3)
 
 
 def test_step_boundary_magnitudes():
