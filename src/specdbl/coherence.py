@@ -7,6 +7,11 @@ For a in A and gamma in Gamma with nonzero set-average gamma(A), the entry is
 a unit-modulus number whose column sums come out real and nonnegative, equal
 to |A| * |gamma(A)|.  When Gamma sits inside the eps-spectrum of A the grand
 sum is therefore at least eps * |A| * |Gamma|.
+
+On a pure 2-group (every factor of order 1 or 2) every character and every
+set-average is real, so each entry is exactly +1 or -1 and the matrix is
+float64; every other group gives complex128.  Nothing downstream forks on
+the dtype: the regularity code takes either.
 """
 
 from __future__ import annotations
@@ -25,15 +30,18 @@ _TOL = 1e-9
 
 
 class CoherenceMatrix:
-    """Dense matrix of unit-modulus entries."""
+    """Dense matrix of unit-modulus entries: float64 when the input is real
+    (the exact +-1 matrices of a pure 2-group), complex128 otherwise."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=np.complex128)
+        entries = np.asarray(entries)
+        entries = entries.astype(np.float64 if np.isrealobj(entries) else np.complex128, copy=False)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError(f"entries must be a nonempty 2-d array, got shape {entries.shape}")
-        mod_err = float(np.max(np.abs(np.abs(entries) - 1.0)))
+        mags = np.abs(entries)
+        mod_err = max(float(mags.max()) - 1.0, 1.0 - float(mags.min()))
         if mod_err > _TOL:
             raise AssertionError(f"entries must have unit modulus, worst error {mod_err}")
         entries.setflags(write=False)
@@ -100,7 +108,11 @@ def build_matrix(
         raise ValueError(
             f"characters with vanishing set-average cannot be normalised: {offenders}"
         )
-    m = CoherenceMatrix(char_matrix(group, rows, cols) * (np.conj(coeffs) / mags)[None, :])
+    # conj(c)/|c| is exactly +-1 on a pure 2-group, where char_matrix is real
+    norm = np.conj(coeffs) / mags
+    chars = char_matrix(group, rows, cols)
+    chars *= norm.real if np.isrealobj(chars) else norm
+    m = CoherenceMatrix(chars)
     sums = m.entries.sum(axis=0)
     if float(np.max(np.abs(sums.imag))) > _TOL * a.size:
         raise AssertionError("column sums must be real")

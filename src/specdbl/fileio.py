@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import typing
 from pathlib import Path
 from typing import Optional
@@ -83,11 +84,15 @@ def _is(value, kind) -> bool:
 
 
 def _float(value, where: str) -> float:
-    """float(value) for a JSON number; an int past float range is a format error."""
+    """float(value) for a JSON number; NaN, +-Infinity and an int past float
+    range are format errors, since no run writes them."""
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:
         raise FileFormatError(f"{where} is past float range") from exc
+    if not math.isfinite(number):
+        raise FileFormatError(f"{where} must be finite, got {number}")
+    return number
 
 
 def _field(doc: dict, name: str, kind, path) -> object:

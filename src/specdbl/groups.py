@@ -161,10 +161,18 @@ class FiniteAbelianGroup:
     # -- characters --------------------------------------------------------
 
     def root_table(self) -> np.ndarray:
-        """Table of the L-th roots of unity, L = lcm of the factor orders."""
+        """Table of the L-th roots of unity, L = lcm of the factor orders.
+
+        When every factor has order 1 or 2 (L <= 2) the roots are real, and
+        the table is the float64 array [1., -1.] (or [1.]), exact; every
+        other group gets the complex128 table exp(2 pi i k / L).
+        """
         if self._root_table is None:
             L = self._root_lcm
-            self._root_table = np.exp(2j * np.pi * np.arange(L) / L)
+            if L <= 2:
+                self._root_table = np.array([1.0, -1.0])[:L]
+            else:
+                self._root_table = np.exp(2j * np.pi * np.arange(L) / L)
         return self._root_table
 
     def char_weights(self) -> np.ndarray:
@@ -205,18 +213,26 @@ def char_matrix(
 ) -> np.ndarray:
     """Matrix of character values gamma(a): rows are elements, columns gammas.
 
-    Both arguments are flat index arrays.  Phases are accumulated as integers
-    mod L = lcm(orders), so every entry is the tabled root of unity, exact
-    within one rounding: -1 comes out as -1 + 1.2e-16j.  The table is not
-    snapped to exact +-1, +-i, because that changes which witness and minor
-    the refinement finds on groups with an even factor; the certificate
-    absorbs the imaginary residue instead.
+    Both arguments are flat index arrays.  The phase of gamma(a) is
+    sum_j (a_j L/n_j) g_j mod L, L = lcm(orders), and the entry is the tabled
+    root of unity (``root_table``): on a pure 2-group the float64 +-1 table,
+    so the matrix is real and exact; elsewhere a complex128 matrix, exact
+    within one rounding.  The phases come from one float64 BLAS product of
+    the weighted coordinates, cast back to int64 before ``% L``.  That is
+    exact: each term a_j (L/n_j) g_j is an integer below L^2, so every
+    partial sum is an integer below rank L^2, and integers below 2^53 add
+    and multiply exactly in float64 in any order.  A group with
+    rank L^2 >= 2^53 (none under ``DEFAULT_MAX_GROUP`` comes near) keeps the
+    int64 product.
     """
-    a = group.decode_indices(np.asarray(elements, dtype=np.int64))
+    a = group.decode_indices(np.asarray(elements, dtype=np.int64)) * group.char_weights()
     g = group.decode_indices(np.asarray(gammas, dtype=np.int64))
-    w = group.char_weights()
     L = group._root_lcm
-    phases = ((a * w) @ g.T) % L
+    if group.rank * L * L < 2**53:
+        phases = (a.astype(np.float64) @ g.T.astype(np.float64)).astype(np.int64)
+    else:
+        phases = a @ g.T
+    np.remainder(phases, L, out=phases)
     return group.root_table()[phases]
 
 

@@ -317,19 +317,37 @@ def _product_bound(n: int, entry: float) -> float:
     Stability of Numerical Algorithms, 2nd ed., eq. (3.5)); likewise the
     imaginary part.  So the modulus error is at most
     sqrt(2) gamma_2n n max|x| max|y|: the real-arithmetic bound
-    gamma_n n max|x| max|y|, widened for complex products.  Every f and g
-    of the search has sup-norm at most 1, so the bound takes max|y| = 1
-    and max|x| = entry, the largest matrix entry.  A computed entry at or
-    below the bound may stand for an exact zero: on Z_2^k the root table
-    stores -1 as -1 + 1.2e-16j, so a sum that is exactly 0 comes out near
-    1e-16 with a phase set by the summation order.  _phase_of maps such
-    entries to 0 so that no choice follows rounding noise.  Taking
+    gamma_n n max|x| max|y|, widened for complex products.  The same bound
+    covers a real matrix times a complex vector done as one real product on
+    the stacked real and imaginary parts (_block_times): each part is a real
+    inner product of length n, off by at most gamma_n n max|x| max|y|.
+    Every f and g of the search has sup-norm at most 1, so the bound takes
+    max|y| = 1 and max|x| = entry, the largest matrix entry.  A computed
+    entry at or below the bound may stand for an exact zero whose computed
+    value is rounding noise with a phase set by the summation order (a +-1
+    row against a centred vector, say); _phase_of maps such entries to 0 so
+    that no choice follows rounding noise.  Taking
     max|y| = 1 rather than the vector's own maximum also zeroes the product
     of a centred vector that cancelled to rounding noise, as the phases of
     the two conjugate rows of a 2-element set's matrix do.
     """
     gamma = 2 * n * _UNIT / (1.0 - 2 * n * _UNIT)
     return math.sqrt(2.0) * gamma * n * entry
+
+
+def _block_times(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """block @ matrix for a complex (k, n) block and a real or complex matrix.
+
+    A real matrix stays real: the block's real and imaginary rows, stacked
+    into one (2k, n) real array, take one real product.  block @ matrix
+    would first cast the matrix up to complex, a full-size temporary on
+    every call.
+    """
+    if np.iscomplexobj(matrix):
+        return block @ matrix
+    k = block.shape[0]
+    parts = np.concatenate((block.real, block.imag)) @ matrix
+    return parts[:k] + 1j * parts[k:]
 
 
 def _phase_of(values: np.ndarray, bound: float) -> np.ndarray:
@@ -366,7 +384,11 @@ def _alternating_search(entries: np.ndarray, seed: int):
     1-norm estimator of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21
     (2000) 1185-1201): an iteration is the two products G M^T and F M.  A
     restart leaves the block when its value stops climbing by more than
-    1e-12, so each keeps its own early stop.  The value f^T M g =
+    1e-12, so each keeps its own early stop.  On a real matrix f and g stay
+    complex, since the sup over complex test functions can exceed the sup
+    over real ones, and _block_times keeps the matrix real in the products;
+    there the first restart, from g = 1, stays real throughout, and the
+    others start from random phases.  The value f^T M g =
     sum_j (f M)_j g_j is read off the vector just formed; on the
     unconstrained side it is sum |f M|.  Entries at or below the rounding
     bound of their product get phase 0 (_product_bound), and the best
@@ -390,10 +412,10 @@ def _alternating_search(entries: np.ndarray, seed: int):
         slots = side_idx * restarts + np.arange(restarts)
         prev = np.full(restarts, -1.0)
         for step in range(max_iter):
-            f = _phase_of(g @ entries.T, zero_f)
+            f = _phase_of(_block_times(g, entries.T), zero_f)
             if side == "rows":
                 f = _project_centered(f)
-            raw = f @ entries
+            raw = _block_times(f, entries)
             g = _phase_of(raw, zero_g)
             if side == "cols":
                 g = _project_centered(g)

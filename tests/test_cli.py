@@ -442,6 +442,22 @@ def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, n
     assert code == 1 and json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize("step,field,value", [
+    (1, "new_mean", math.nan), (0, "upper_bound", math.nan), (0, "upper_bound", math.inf),
+], ids=["growth-new-mean-nan", "minor-upper-bound-nan", "minor-upper-bound-infinity"])
+def test_report_rejects_a_non_finite_float_with_exit_2(tmp_path, step, field, value):
+    # no run writes NaN or Infinity, and the audit reads new_mean only on
+    # minor steps and upper_bound only on regular ones, so the reader refuses them
+    doc = json.loads(_v3_text(SHRINK_V2))
+    assert [s["action"] for s in doc["steps"][:2]] == ["minor", "growth"]
+    doc["steps"][step][field] = value
+    trace = tmp_path / "non-finite.json"
+    trace.write_text(json.dumps(doc))
+    proc = run_cli("report", "--trace", str(trace))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "must be finite" in proc.stderr
+
+
 def test_refine_audits_once(tmp_path):
     setfile = tmp_path / "a.json"
     run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))

@@ -63,7 +63,20 @@ def test_matrix_matches_naive_construction():
     t = dft(a)
     spec = spectrum(t, 0.2)
     m = build_matrix(a, spec, t)
+    assert m.entries.dtype == np.complex128  # a factor of order above 2
     assert np.max(np.abs(m.entries - _naive_matrix(a, spec.members, t))) < 1e-9
+
+
+@pytest.mark.parametrize("k", [6, 10])
+def test_pure_2_group_matrix_is_exact_real_signs(k):
+    g = FiniteAbelianGroup([2] * k)
+    a = random_subset(g, 2**k // 5, seed=k)
+    t = dft(a)
+    spec = spectrum(t, 0.1)
+    m = build_matrix(a, spec, t)
+    assert m.entries.dtype == np.float64
+    assert np.array_equal(np.abs(m.entries), np.ones(m.entries.shape))
+    assert np.array_equal(m.entries, _naive_matrix(a, spec.members, t).real)
 
 
 def test_grand_sum_bound_on_spectrum():
@@ -140,6 +153,9 @@ def test_from_entries_checks_modulus():
     block = np.ones((2, 2), dtype=complex)
     m = CoherenceMatrix(block)
     assert m.n_rows == m.n_cols == 2 and not m.entries.flags.writeable
+    # real input stays real, as float64
+    assert CoherenceMatrix(np.array([[1, -1]])).entries.dtype == np.float64
+    assert CoherenceMatrix([[1.0, 1j]]).entries.dtype == np.complex128
     with pytest.raises(AssertionError):
         CoherenceMatrix(np.array([[1.0, 0.5], [1.0, 1.0]]))
 

@@ -168,6 +168,26 @@ def test_char_matrix_matches_scalar():
             assert m[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("orders", [(32, 32, 2), (13, 13, 13), (3, 5, 11, 13), (2, 3, 2), (2,) * 12])
+def test_char_matrix_phases_match_the_int64_product(orders):
+    # the float64 phase product is exact: the same tabled root, bit for bit,
+    # as the int64 product computed here
+    g = FiniteAbelianGroup(orders)
+    rng = np.random.default_rng(list(orders))
+    rows = rng.choice(g.size, size=min(g.size, 300), replace=False)
+    cols = rng.choice(g.size, size=min(g.size, 200), replace=False)
+    L = np.lcm.reduce(orders)
+    w = L // np.array(orders)
+    phases = ((g.decode_indices(rows) * w) @ g.decode_indices(cols).T) % L
+    m = char_matrix(g, rows, cols)
+    assert np.array_equal(m, g.root_table()[phases])
+    if max(orders) == 2:
+        assert m.dtype == np.float64
+        assert np.array_equal(m, 1.0 - 2.0 * phases)
+    else:
+        assert m.dtype == np.complex128
+
+
 def _naive_counts(group, s, t):
     counts = np.zeros(group.size, dtype=np.int64)
     for a in s.indices():

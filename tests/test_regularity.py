@@ -234,12 +234,16 @@ def _unit_matrix(shape):
     return np.exp(2j * np.pi * np.random.default_rng([41, *shape]).random(shape))
 
 
+def _real_sign_matrix(shape=(30, 50)):
+    return np.random.default_rng([43, *shape]).choice([-1.0, 1.0], size=shape)
+
+
 def _sign_matrix(shape=(30, 50)):
-    return np.random.default_rng([43, *shape]).choice([-1.0, 1.0], size=shape).astype(complex)
+    return _real_sign_matrix(shape).astype(complex)
 
 
 def _noisy(entries):
-    # the Z_2^k case: root_table gives -1 as -1 + 1.2e-16j
+    # +-1 entries with imaginary rounding noise, as a complex computation of them leaves
     return entries + 1e-16j * np.random.default_rng(47).standard_normal(entries.shape)
 
 
@@ -247,8 +251,10 @@ def _noisy(entries):
     *(_unit_matrix(shape) for shape in [(1, 12), (12, 1), (7, 40), (40, 7), (60, 60)]),
     _sign_matrix(), _sign_matrix((50, 30)), _noisy(_sign_matrix()), _noisy(_sign_matrix((50, 30))),
     np.ones((5, 7), dtype=complex), block_sign_matrix().entries,
+    _real_sign_matrix(), _real_sign_matrix((50, 30)), np.ones((5, 7)),
 ], ids=["unit-1x12", "unit-12x1", "unit-7x40", "unit-40x7", "unit-60x60",
-        "sign-30x50", "sign-50x30", "noisy-sign-30x50", "noisy-sign-50x30", "ones", "block-sign"])
+        "sign-30x50", "sign-50x30", "noisy-sign-30x50", "noisy-sign-50x30", "ones", "block-sign",
+        "real-sign-30x50", "real-sign-50x30", "real-ones"])
 def test_certificate_is_sound_against_svd(entries):
     upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     reference = _svd_upper(entries)
@@ -496,6 +502,37 @@ def test_block_search_matches_the_sequential_reference(entries):
         assert value == pytest.approx(want_value, rel=1e-12)
         assert np.max(np.abs(f - want_f)) <= 1e-9
         assert np.max(np.abs(g - want_g)) <= 1e-9
+
+
+def _pure_2_group_matrix(k=8, size=100, level=0.08):
+    a = random_subset(FiniteAbelianGroup([2] * k), size, seed=k)
+    t = dft(a)
+    return build_matrix(a, spectrum(t, level), t).entries
+
+
+@pytest.mark.parametrize("entries", [
+    _real_sign_matrix(), _real_sign_matrix((50, 30)), _real_sign_matrix((2, 165)),
+    block_sign_matrix().entries, _pure_2_group_matrix(),
+], ids=["sign-30x50", "sign-50x30", "sign-2x165", "block-sign", "z2-8"])
+def test_real_matrix_search_and_minor_match_its_complex_copy(entries):
+    # the real path (one real product on the stacked block) and numpy's
+    # complex product pick the same witness, pieces and minor
+    assert entries.dtype == np.float64
+    for seed in (0, 3):
+        real, cplx = (_alternating_search(x, seed) for x in (entries, entries.astype(complex)))
+        assert real[3] == cplx[3]
+        assert real[0] == pytest.approx(cplx[0], rel=1e-9)
+        lam = min(real[0], cplx[0])
+        found = []
+        for (value, f, g, side), x in ((real, entries), (cplx, entries.astype(complex))):
+            witness = IrregularityWitness(
+                BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
+            )
+            for vec in (witness.f, witness.g):
+                found.append([p.tolist() for p, _ in step_approximate(vec, value / 8).pieces])
+            ext = extract_minor(CoherenceMatrix(x), witness, lam)
+            found.append((ext.row_positions.tolist(), ext.col_positions.tolist()))
+        assert found[:3] == found[3:]
 
 
 def test_block_search_runs_the_restarts_together():
