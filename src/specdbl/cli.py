@@ -65,32 +65,23 @@ def _parse_generators(text: str, rank: int) -> list:
 def _cmd_gen(args) -> int:
     if args.kind == "example1":
         if args.n is None:
-            print("error: --kind example1 needs --n", file=sys.stderr)
-            return 2
+            raise ValueError("--kind example1 needs --n")
         if args.group is not None:
-            print("error: --kind example1 fixes the group; drop --group", file=sys.stderr)
-            return 2
+            raise ValueError("--kind example1 fixes the group; drop --group")
         bundle = example_counterexample(args.n)
         members = bundle.members
         metadata = {"kind": "example1", "n": args.n}
     elif args.kind == "random":
         if args.group is None or args.size is None:
-            print("error: --kind random needs --group and --size", file=sys.stderr)
-            return 2
+            raise ValueError("--kind random needs --group and --size")
         group = FiniteAbelianGroup(args.group)
         members = random_subset(group, args.size, seed=args.seed)
         metadata = {"kind": "random", "size": args.size, "seed": args.seed}
     else:  # subgroup
         if args.group is None or args.gens is None:
-            print("error: --kind subgroup needs --group and --gens", file=sys.stderr)
-            return 2
+            raise ValueError("--kind subgroup needs --group and --gens")
         group = FiniteAbelianGroup(args.group)
-        try:
-            gens = _parse_generators(args.gens, len(args.group))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        members = subgroup_span(group, gens)
+        members = subgroup_span(group, _parse_generators(args.gens, len(args.group)))
         metadata = {"kind": "subgroup", "generators": args.gens}
     write_set_file(args.out, members, metadata)
     print(f"wrote {members.size} elements of a group of size {members.group.size} to {args.out}")
@@ -153,11 +144,11 @@ def _cmd_refine(args) -> int:
 
 def _cmd_verify(args) -> int:
     members, _ = read_set_file(args.input)
-    requested = False
+    if (args.statistical_doubling, args.closure, args.parseval) == (None, None, None):
+        raise ValueError("no checks requested")
     failures = 0
 
     if args.statistical_doubling is not None:
-        requested = True
         try:
             rep = statistical_doubling(members, args.statistical_doubling)
         except AssertionError as exc:
@@ -170,7 +161,6 @@ def _cmd_verify(args) -> int:
             )
 
     if args.closure is not None:
-        requested = True
         rep = high_threshold_closure(members, args.closure)
         if rep.ok:
             print(
@@ -182,7 +172,6 @@ def _cmd_verify(args) -> int:
             print(f"closure FAIL: witness pair {rep.violation}")
 
     if args.parseval is not None:
-        requested = True
         try:
             table = dft(members)
             spec = spectrum(table, args.parseval)
@@ -195,9 +184,6 @@ def _cmd_verify(args) -> int:
         else:
             print(f"parseval ok: {len(spec)} <= {_fmt(capacity)}")
 
-    if not requested:
-        print("error: no checks requested", file=sys.stderr)
-        return 2
     return 1 if failures else 0
 
 

@@ -3,23 +3,25 @@
 Starting from A_0 = A and rho_0 = epsilon, each round inspects the coherence
 matrix of A_i against its rho_i-spectrum:
 
-  (i)   certified regular and the gate |Spec_gate| <= K |Spec_rho| holds:
-        finish with A* = A_i;
+  (i)   the gate |Spec_gate| <= K |Spec_rho| holds and no minor is taken:
+        finish with A* = A_i, certified if the matrix is, else on a direct
+        check of the doubling conclusion;
   (ii)  a witness of irregularity exists: replace A_i by the extracted minor
         and raise rho;
   (iii) the gate fails: keep the set and drop rho to the gate level.
 
 The first procedure runs the linear-shrink schedule (lambda = eps*rho/150,
 gate at eps*rho/2); the second runs the squaring schedule (lambda = rho^2/150,
-gate at rho^2/2).  Every round appends a trace record; the audit recomputes
-the combinatorial claims from the records alone.  ``_measure`` derives the
+gate at rho^2/2).  Every round appends one trace record and moves rho by
+``_rho_after``; the audit replays that rule and recomputes the combinatorial
+claims from the records alone.  ``_measure`` derives the
 final measurements from four counts, which are all a stored trace keeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +30,7 @@ import numpy as np
 from .coherence import build_matrix
 from .fourier import dft, spectrum
 from .groups import ElementSet, sumset
-from .regularity import C_DEFAULT, decide_regularity, extract_minor
+from .regularity import decide_regularity, extract_minor
 
 __all__ = [
     "RefineConfig",
@@ -115,17 +117,18 @@ def _resolve_k(cfg: RefineConfig, theorem: int, group_size: int) -> float:
 def _rho_after(theorem: int, cfg: RefineConfig, action: str, rho: float,
                new_mean: Optional[float]) -> float:
     """rho after a step from rho: a minor raises it, a growth drops it to the
-    gate level, and a finish or an abort keeps it."""
+    gate level, and a finish or an abort keeps it.  The run and the audit
+    both call it for every action."""
     if action == "growth":
         return _gate_level(theorem, cfg.epsilon, rho)
     if action != "minor":
         return rho
     if cfg.mode == "faithful":
-        # the increment is below one ulp of rho; extraction asserted the
-        # minor beats the matrix mean (>= rho) by it, so the next float
-        # above rho still bounds the new mean from below
-        lam = _lambda_level(theorem, cfg.epsilon, rho)
-        return min(1.0, max(rho + (C_DEFAULT / 2.0) * lam**15, math.nextafter(rho, 2.0)))
+        # the proof's increment (c/2) lambda^15 is at most 5.2e-58 rho for
+        # lambda <= rho/150, below half an ulp of every rho in (0, 1], so it
+        # rounds away; extraction asserted the minor beats the matrix mean
+        # (>= rho) by it, so the next float above rho bounds the new mean
+        return min(1.0, math.nextafter(rho, 2.0))
     # nan equals no stored value: a minor without its mean has no next rho
     return math.nan if new_mean is None else min(1.0, new_mean)
 
@@ -191,80 +194,59 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
     table = dft(current)
     rho = cfg.epsilon
     trace: list[RefineTraceStep] = []
-    undecided: Optional[dict] = None
 
     for i in range(cfg.max_iterations + 1):
         lam = _lambda_level(theorem, cfg.epsilon, rho)
-        gate_level = _gate_level(theorem, cfg.epsilon, rho)
         spec_rho = spectrum(table, rho)
-        gate = spectrum(table, gate_level)
+        gate = spectrum(table, _gate_level(theorem, cfg.epsilon, rho))
         if i == cfg.max_iterations:
             break  # budget spent; every exit holds the final state's spectra
-        if len(spec_rho) < 1:
-            raise AssertionError("a spectrum can never be empty")
-        gate_ok = _gate_ok(len(gate), k_value, len(spec_rho))
-        base = dict(rho=rho, a_size=current.size, spec_size=len(spec_rho), gate_size=len(gate))
+        # the verdict fields are an abort's until a verdict replaces them
+        step = dict(rho=rho, a_size=current.size, spec_size=len(spec_rho), gate_size=len(gate),
+                    verdict_status="undetermined", upper_bound=1.0, witness_value=None)
         if rho < 1e-8:
             # the threshold has sunk to the numerical slack of the transform;
             # membership in the spectrum no longer means anything
-            trace.append(RefineTraceStep(action="abort", rho_next=rho, upper_bound=1.0,
-                                         verdict_status="undetermined", witness_value=None, **base))
+            action = "abort"
+        else:
+            matrix = build_matrix(current, spec_rho, table)
+            verdict = decide_regularity(matrix, lam, seed=cfg.seed + 7919 * i)
+            step.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
+                        witness_value=None if verdict.witness is None else verdict.witness.value)
+            # spectrum growth is sound whether or not the matrix was decided;
+            # a finish on a verdict other than regular rests on the direct check
+            action = "finish" if _gate_ok(len(gate), k_value, len(spec_rho)) else "growth"
+            if verdict.status == "irregular":
+                extraction = extract_minor(matrix, verdict.witness, lam, mode=cfg.mode)
+                # an opportunistic minor that does not raise the mean is no
+                # progress, and the step goes on as if undecided
+                if cfg.mode == "faithful" or extraction.new_mean > rho:
+                    action = "minor"
+                    step.update(new_mean=extraction.new_mean,
+                                minor_rows=int(extraction.row_positions.size),
+                                minor_cols=int(extraction.col_positions.size))
+        rho_next = _rho_after(theorem, cfg, action, rho, step.get("new_mean"))
+        trace.append(RefineTraceStep(action=action, rho_next=rho_next, **step))
+        if action in ("finish", "abort"):
             break
-        matrix = build_matrix(current, spec_rho, table)
-        verdict = decide_regularity(matrix, lam, seed=cfg.seed + 7919 * i)
-        base.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
-                    witness_value=None if verdict.witness is None else verdict.witness.value)
-
-        degenerate = False
-        if verdict.status == "irregular":
-            extraction = extract_minor(matrix, verdict.witness, lam, mode=cfg.mode)
-            if cfg.mode == "opportunistic" and extraction.new_mean <= rho:
-                degenerate = True  # no measurable progress; treat as undecided
-
-        if verdict.status == "irregular" and not degenerate:
-            rho_next = _rho_after(theorem, cfg, "minor", rho, extraction.new_mean)
-            trace.append(RefineTraceStep(
-                action="minor", rho_next=rho_next,
-                new_mean=extraction.new_mean,
-                minor_rows=int(extraction.row_positions.size),
-                minor_cols=int(extraction.col_positions.size),
-                **base,
-            ))
+        if action == "minor":
             # row i of the matrix stands for current.indices()[i]
             current = ElementSet.from_indices(group, current.indices()[extraction.row_positions])
             table = dft(current)
-            rho = rho_next
-            continue
+        rho = rho_next
 
-        if verdict.status == "regular" and gate_ok:
-            trace.append(RefineTraceStep(action="finish", rho_next=rho, **base))
-            break
-
-        if not gate_ok:
-            # spectrum-growth move is sound whether or not M was decided
-            trace.append(RefineTraceStep(action="growth", rho_next=gate_level, **base))
-            rho = gate_level
-            continue
-
-        # undecided verdict (or degenerate extraction) with a passing gate:
-        # the run ends on an exact test of the doubling conclusion,
-        # |S - S| <= 2 |Spec_gate|^2 / (0.8 |Spec_rho|), made on the final
-        # measurement below
-        undecided = base
-        break
-
-    # the measured level is epsilon (theorem 1) or rho (theorem 2); with no
-    # step recorded yet, spec_rho is step 0's
+    # the measured level is epsilon (theorem 1) or rho (theorem 2)
     final_spec = spec_rho if theorem == 2 or cfg.epsilon == rho else spectrum(table, cfg.epsilon)
     plus = sumset(final_spec.members, final_spec.members)
-    measured = _measure(theorem, cfg, group.size, current.size, rho,
-                        trace[0].spec_size if trace else len(spec_rho), spec_size=len(final_spec),
-                        sumset_size=len(plus), spec_rho_size=len(spec_rho), gate_size=len(gate))
-    if undecided is not None:
-        direct = measured["sumset_size"] <= measured["certified_doubling_bound"]
-        trace.append(RefineTraceStep(
-            action="finish", rho_next=rho, direct_check=direct, **undecided,
-        ))
+    measured = _measure(theorem, cfg, group.size, current.size, rho, trace[0].spec_size,
+                        spec_size=len(final_spec), sumset_size=len(plus),
+                        spec_rho_size=len(spec_rho), gate_size=len(gate))
+    last = trace[-1]
+    if last.action == "finish" and last.verdict_status != "regular":
+        # the exact test of the doubling conclusion,
+        # |S - S| <= 2 |Spec_gate|^2 / (0.8 |Spec_rho|), on the final measurement
+        trace[-1] = replace(last, direct_check=(
+            measured["sumset_size"] <= measured["certified_doubling_bound"]))
     terminated, certified = _outcome(trace)
     return RefineResult(
         theorem=theorem,

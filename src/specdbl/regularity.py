@@ -601,15 +601,13 @@ def extract_minor(
     cp = col_pieces[j]
     row_options = [("piece", rp), ("complement", _complement(rp, nr))]
     col_options = [("piece", cp), ("complement", _complement(cp, nc))]
-    candidates = []
+    candidates = []  # piece/piece at least: step functions keep nonempty pieces only
     for rname, rsel in row_options:
         for cname, csel in col_options:
             if rsel.size == 0 or csel.size == 0:
                 continue
             mu = _quadrant_mean(entries, rsel, csel)
             candidates.append((mu, min(rsel.size, csel.size), rname, cname, rsel, csel))
-    if not candidates:
-        raise ValueError("all candidate quadrants are empty on one side")
     best_mu = max(cand[0] for cand in candidates)
     tied = [cand for cand in candidates if cand[0] >= best_mu - 1e-12]
     best_min_side = max(cand[1] for cand in tied)
@@ -617,18 +615,12 @@ def extract_minor(
     mu, _, rname, cname, rsel, csel = tied[0]
 
     improvement = mu - rho
-    if mode == "faithful":
-        floor_rows = C_DEFAULT * lam**15 * nr
-        floor_cols = C_DEFAULT * lam**15 * nc
-        if rsel.size < floor_rows or csel.size < floor_cols:
-            raise AssertionError(
-                f"faithful minor sides {rsel.size}x{csel.size} fall below the "
-                f"c*lambda^15 floor ({floor_rows}, {floor_cols})"
-            )
-        if improvement < (C_DEFAULT / 2.0) * lam**15:
-            raise AssertionError(
-                f"faithful minor improves the mean by {improvement}, below (c/2)*lambda^15"
-            )
+    # the proof's side floor c*lambda^15*n is below 1 (1.1e-51 for lambda <=
+    # 1/150 and n <= 2^20), and every quadrant side holds an element
+    if mode == "faithful" and improvement < (C_DEFAULT / 2.0) * lam**15:
+        raise AssertionError(
+            f"faithful minor improves the mean by {improvement}, below (c/2)*lambda^15"
+        )
 
     return MinorExtraction(
         row_positions=rsel,

@@ -96,6 +96,12 @@ def test_gen_random_and_subgroup(tmp_path):
     members, _ = read_set_file(out3)
     assert members.size == 6
 
+    out4 = tmp_path / "h3.json"  # an empty chunk between semicolons is skipped
+    proc = run_cli("gen", "--kind", "subgroup", "--group", "2,2",
+                   "--gens", "10;;01", "--out", str(out4))
+    assert proc.returncode == 0, proc.stderr
+    assert read_set_file(out4)[0].size == 4
+
 
 @pytest.mark.parametrize("argv", [
     ("gen", "--kind", "example1", "--out", "x.json"),
@@ -103,6 +109,9 @@ def test_gen_random_and_subgroup(tmp_path):
     ("gen", "--kind", "random", "--group", "2,2", "--out", "x.json"),
     ("gen", "--kind", "subgroup", "--group", "2,2", "--out", "x.json"),
     ("gen", "--kind", "subgroup", "--group", "2,2", "--gens", "111", "--out", "x.json"),
+    ("gen", "--kind", "random", "--group", "2,x", "--size", "1", "--out", "x.json"),
+    ("gen", "--kind", "random", "--group", "0", "--size", "1", "--out", "x.json"),
+    ("gen", "--kind", "subgroup", "--group", "2,2", "--gens", ";", "--out", "x.json"),
 ])
 def test_gen_usage_errors(tmp_path, argv):
     argv = [a if a != "x.json" else str(tmp_path / "x.json") for a in argv]

@@ -14,6 +14,7 @@ from specdbl.refine import (
     refine_theorem1,
     refine_theorem2,
 )
+from specdbl import regularity
 from specdbl.regularity import RegularityVerdict
 
 
@@ -248,6 +249,31 @@ def test_undecided_verdict_falls_back_to_the_direct_check(plane, monkeypatch):
         "result finished with certified flag False, but the last step gives "
         "('inconclusive', False)",
     )
+
+
+@pytest.mark.parametrize("mode", ["opportunistic", "faithful"])
+def test_minor_without_progress(mode, monkeypatch):
+    def halved(matrix, witness, lam, mode="opportunistic"):
+        ext = regularity.extract_minor(matrix, witness, lam, mode=mode)
+        return dataclasses.replace(ext, new_mean=ext.old_mean / 2)
+
+    monkeypatch.setattr("specdbl.refine.extract_minor", halved)
+    members = example_counterexample(3).members
+    result = refine_theorem1(members, RefineConfig(epsilon=0.4, delta=0.3, mode=mode, seed=1))
+    first = result.trace[0]
+    if mode == "opportunistic":
+        # a minor that does not raise the mean ends the run on the direct check
+        assert [s.action for s in result.trace] == ["finish"]
+        assert first.verdict_status == "irregular"
+        assert first.direct_check is False
+        assert result.terminated == "inconclusive"
+    else:
+        # the faithful rho ignores the measured mean
+        assert first.action == "minor"
+        assert first.rho_next == math.nextafter(0.4, 2.0)
+        assert result.trace[-1].action == "finish"
+        assert result.certified
+    assert audit_trace(result, members).ok
 
 
 def test_threshold_floor_aborts_honestly(plane):

@@ -756,6 +756,24 @@ def test_extract_on_example_set_matrix():
     assert ext.new_mean == pytest.approx(np.mean(np.abs(block.mean(axis=0))), abs=1e-12)
 
 
+def test_extract_skips_a_quadrant_with_an_empty_side():
+    # g is constant, so its one piece covers every column and leaves no complement
+    entries = np.ones((6, 5))
+    entries[:3] = -1.0
+    f = np.array([1, 1, 1, -1, -1, -1], dtype=complex)
+    g = np.ones(5, dtype=complex)
+    m = CoherenceMatrix(entries)
+    value = abs(complex(f @ entries @ g)) / entries.size
+    witness = IrregularityWitness(
+        BoundedFunction("rows", f), BoundedFunction("cols", g), "rows", value
+    )
+    ext = extract_minor(m, witness, 0.05)
+    assert ext.quadrant == "piece/piece"
+    assert ext.row_positions.tolist() == [3, 4, 5]
+    assert ext.col_positions.tolist() == list(range(5))
+    assert ext.new_mean == 1.0
+
+
 def _loop_pick(entries, row_pieces, col_pieces):
     """The double loop over piece pairs that _best_piece_pair replaced (first strict maximum)."""
     rho_c = complex(entries.mean())
