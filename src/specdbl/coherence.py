@@ -90,6 +90,9 @@ def build_matrix(
     """Coherence matrix of the set A against the character family Gamma.
 
     Row i stands for ``a.indices()[i]``, column j for ``gamma.indices()[j]``.
+    The normaliser conj(c)/|c| of a column takes the table's dtype: on a
+    pure 2-group the table and the characters are real, so it is sign(c),
+    exactly +-1, and the whole matrix is built in float64.
     """
     if isinstance(gamma, SpectrumSet):
         gamma = gamma.members
@@ -108,7 +111,6 @@ def build_matrix(
         raise ValueError(
             f"characters with vanishing set-average cannot be normalised: {offenders}"
         )
-    # conj(c)/|c| is exactly +-1 on a pure 2-group, where char_matrix is real
     norm = np.conj(coeffs) / mags
     chars = char_matrix(group, rows, cols)
     chars *= norm.real if np.isrealobj(chars) else norm

@@ -64,9 +64,11 @@ class FileFormatError(ValueError):
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

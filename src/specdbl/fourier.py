@@ -11,11 +11,13 @@ eps * |A|, up to an absolute slack of 1e-9 * |A| so exact boundary ties land
 inside the set.
 
 ``dft`` and ``inverse_dft`` transform the order-2 axes of the group's array
-shape with an exact Walsh-Hadamard transform and every other axis with
-numpy's FFT (the transform pair lives in ``groups``, next to the group's
-array shape).  On a pure 2-group every coefficient
-of a set is an integer of magnitude at most |A|, computed exactly, with
-imaginary part 0; a group with no factor of order 2 takes one numpy FFT call.
+shape with an exact Walsh-Hadamard transform and every axis of order above 2
+with numpy's FFT (the transform pair lives in ``groups``, next to the group's
+array shape).  On a pure 2-group (every factor of order 1 or 2) every
+coefficient of a set is an integer of magnitude at most |A|, computed
+exactly, and the table is float64; every other group gives complex128, and
+one with no factor of order 2 takes one numpy FFT call.  Nothing downstream
+forks on the dtype.
 """
 
 from __future__ import annotations
@@ -42,16 +44,19 @@ REL_TOL = 1e-9
 class FourierTable:
     """All Fourier coefficients of one indicator function.
 
-    Construction checks the coefficient at 0 against the set size, Parseval's
-    energy |A| |G|, and conjugate symmetry coeffs[-gamma] = conj(coeffs[gamma]),
-    with -gamma taken by ``FiniteAbelianGroup.negate`` (on a pure 2-group,
-    where every character is its own negative, that is imaginary part 0).
+    The coefficients are float64 when real (the exact integer tables of a
+    pure 2-group) and complex128 otherwise.  Construction checks the
+    coefficient at 0 against the set size, Parseval's energy |A| |G|, and
+    conjugate symmetry coeffs[-gamma] = conj(coeffs[gamma]), with -gamma
+    taken by ``FiniteAbelianGroup.negate``; a real table on a pure 2-group,
+    where every character is its own negative, has that symmetry by dtype.
     """
 
     __slots__ = ("group", "coeffs", "set_size")
 
     def __init__(self, group: FiniteAbelianGroup, coeffs: np.ndarray, set_size: int):
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        coeffs = np.asarray(coeffs)
+        coeffs = coeffs.astype(np.float64 if np.isrealobj(coeffs) else np.complex128, copy=False)
         if coeffs.shape != (group.size,):
             raise ValueError(f"expected {group.size} coefficients, got {coeffs.shape}")
         scale = max(1.0, float(set_size))
@@ -59,15 +64,16 @@ class FourierTable:
             raise AssertionError(
                 f"coefficient at 0 is {coeffs[0]}, expected the set size {set_size}"
             )
-        energy = float(np.sum(np.abs(coeffs) ** 2))
+        energy = float(np.vdot(coeffs, coeffs).real)
         expected = float(set_size) * group.size
         if abs(energy - expected) > REL_TOL * max(1.0, expected):
             raise AssertionError(
                 f"Parseval mismatch: coefficient energy {energy}, expected {expected}"
             )
-        sym_err = float(np.max(np.abs(group.negate(coeffs) - np.conj(coeffs))))
-        if sym_err > REL_TOL * scale:
-            raise AssertionError(f"conjugate symmetry violated by {sym_err}")
+        if np.iscomplexobj(coeffs) or group._fft_axes:
+            sym_err = float(np.max(np.abs(group.negate(coeffs) - np.conj(coeffs))))
+            if sym_err > REL_TOL * scale:
+                raise AssertionError(f"conjugate symmetry violated by {sym_err}")
         coeffs.setflags(write=False)
         self.group = group
         self.coeffs = coeffs
@@ -83,13 +89,17 @@ def dft(a: ElementSet) -> FourierTable:
     The flat index vector is reshaped to the group's array ``shape``, one axis
     per cyclic factor.  The order-2 axes go first, through the Walsh-Hadamard
     transform in real arithmetic: on 0/1 input every partial sum is an integer
-    of magnitude at most |A| <= 2^20, so that step is exact.  The remaining
-    axes go through ``np.fft.fftn``; with no order-2 axis that is the one
-    call over the whole array.  The sign convention here is the conjugate of
-    the usual forward FFT, which coincides for real input.
+    of magnitude at most |A| <= 2^20, so that step is exact.  The axes of
+    order above 2 go through ``np.fft.fftn``; with no order-2 axis that is
+    the one call over the whole array.  A pure 2-group has no such axis, and
+    its table is that float64 transform as it stands.  The sign convention
+    here is the conjugate of the usual forward FFT, which coincides for real
+    input; the conjugate is taken in place.
     """
     group = a.group
-    coeffs = np.conj(_transform(group, a.mask)).ravel()
+    coeffs = _transform(group, a.mask).ravel()
+    if np.iscomplexobj(coeffs):
+        np.conjugate(coeffs, out=coeffs)
     return FourierTable(group, coeffs, a.size)
 
 
@@ -97,11 +107,12 @@ def dft_naive(a: ElementSet) -> FourierTable:
     """Fourier table by direct character summation (reference path).
 
     O(|A| * |G|) with exact root-of-unity phases; independent of the fast
-    transform above.
+    transform above.  The table takes the dtype of ``root_table``: float64,
+    and exact, on a pure 2-group.
     """
     group = a.group
     members = a.indices()
-    coeffs = np.zeros(group.size, dtype=np.complex128)
+    coeffs = np.zeros(group.size, dtype=group.root_table().dtype)
     gammas = np.arange(group.size, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, members.size))
     from .groups import char_matrix
@@ -115,7 +126,7 @@ def dft_naive(a: ElementSet) -> FourierTable:
 def inverse_dft(table: FourierTable) -> np.ndarray:
     """Recover the indicator vector from a Fourier table (real, near 0/1).
 
-    ``np.fft.ifftn`` over the axes of order other than 2, then the inverse
+    ``np.fft.ifftn`` over the axes of order above 2, then the inverse
     Walsh-Hadamard transform over the order-2 axes; on a pure 2-group with
     integer coefficients the whole inverse is exact.
     """

@@ -1,12 +1,14 @@
 """Finite abelian groups as products of cyclic factors, with dense element sets.
 
 A function on the group is a float64 array of the group's ``shape``, one axis
-per cyclic factor.  Transforms over that array split the axes in two: the
-axes of order 2 go through an exact Walsh-Hadamard transform (a +-1 matrix
-product in real arithmetic), and every other axis through numpy's FFT.
-``_transform`` and ``_inverse_transform`` are that pair, shared by
-``convolve_counts`` and ``fourier.dft``/``inverse_dft``; a group with no
-factor of order 2 takes numpy's FFT alone.
+per cyclic factor.  Transforms over that array split the axes: the axes of
+order 2 go through an exact Walsh-Hadamard transform (a +-1 matrix product
+in real arithmetic), every axis of order above 2 through numpy's FFT, and an
+axis of order 1 through neither.  ``_transform`` and ``_inverse_transform``
+are that pair, shared by ``convolve_counts`` and
+``fourier.dft``/``inverse_dft``; a group with no factor of order 2 takes
+numpy's FFT alone, and a pure 2-group (every factor of order 1 or 2) stays
+in float64 throughout.
 
 The same ``shape`` gives the rest of the layout.  The vectorised codec between
 flat indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
@@ -93,7 +95,8 @@ class FiniteAbelianGroup:
         self.shape = tuple(reversed(orders))
         # Transform plan: runs of consecutive order-2 axes, cut into chunks of
         # r <= _WHT_CHUNK axes, each stored as (pre, r, post) for the reshape
-        # (pre, 2^r, post); the remaining axes are the ones numpy's FFT takes.
+        # (pre, 2^r, post); the axes of order above 2 are the ones numpy's FFT
+        # takes (over an axis of order 1 it would be the identity).
         blocks = []
         axis = 0
         for is_two, run in itertools.groupby(self.shape, key=lambda n: n == 2):
@@ -105,7 +108,7 @@ class FiniteAbelianGroup:
                     blocks.append((pre, r, size // (pre << r)))
             axis = end
         self._wht_blocks = tuple(blocks)
-        self._fft_axes = tuple(i for i, n in enumerate(self.shape) if n != 2)
+        self._fft_axes = tuple(i for i, n in enumerate(self.shape) if n > 2)
         self._orders_arr = np.array(orders, dtype=np.int64)
         self._root_lcm = math.lcm(*orders)
         self._root_table: Optional[np.ndarray] = None
@@ -218,7 +221,8 @@ def char_matrix(
     root of unity (``root_table``): on a pure 2-group the float64 +-1 table,
     so the matrix is real and exact; elsewhere a complex128 matrix, exact
     within one rounding.  The phases come from one float64 BLAS product of
-    the weighted coordinates, cast back to int64 before ``% L``.  That is
+    the weighted coordinates, cast back to int64 and reduced mod L (by
+    ``& (L - 1)`` when L is a power of two, a quarter of the cost).  That is
     exact: each term a_j (L/n_j) g_j is an integer below L^2, so every
     partial sum is an integer below rank L^2, and integers below 2^53 add
     and multiply exactly in float64 in any order.  A group with
@@ -232,7 +236,10 @@ def char_matrix(
         phases = (a.astype(np.float64) @ g.T.astype(np.float64)).astype(np.int64)
     else:
         phases = a @ g.T
-    np.remainder(phases, L, out=phases)
+    if L & (L - 1) == 0:
+        np.bitwise_and(phases, L - 1, out=phases)
+    else:
+        np.remainder(phases, L, out=phases)
     return group.root_table()[phases]
 
 
@@ -339,13 +346,20 @@ def _walsh_hadamard(group: FiniteAbelianGroup, x: np.ndarray) -> np.ndarray:
 
     On an axis of order 2 the character sum is y[k] = sum_x (-1)^(k x) f(x),
     so the transform over a chunk of r such axes is a product with the
-    Sylvester matrix of size 2^r (symmetric, and its own inverse up to 2^-r),
-    one ``np.matmul`` over the reshape (pre, 2^r, post).  Every product is +-1
-    times an entry, so on integer input every partial sum is a signed sum of
-    input entries: exact while the sum of their magnitudes stays below 2^53.
+    Sylvester matrix H of size 2^r (symmetric, and its own inverse up to
+    2^-r), one ``np.matmul`` over the reshape (pre, 2^r, post).  A chunk that
+    ends in the last axis (post == 1) is instead the one right product
+    x.reshape(pre, 2^r) @ H, a single GEMM where the stacked form would run
+    pre matrix-vector products.  Every product is +-1 times an entry, so on
+    integer input every partial sum is a signed sum of input entries: exact
+    while the sum of their magnitudes stays below 2^53.
     """
     for pre, r, post in group._wht_blocks:
-        x = np.matmul(_sylvester(r), x.reshape(pre, 1 << r, post))
+        h = _sylvester(r)
+        if post == 1:
+            x = x.reshape(pre, 1 << r) @ h
+        else:
+            x = np.matmul(h, x.reshape(pre, 1 << r, post))
     return x.reshape(group.shape)
 
 
@@ -353,14 +367,15 @@ def _transform(group: FiniteAbelianGroup, mask: np.ndarray, real: bool = False) 
     """Forward transform of the 0/1 indicator ``mask``, over the group's ``shape``.
 
     The order-2 axes go first, through ``_walsh_hadamard`` in real arithmetic;
-    the other axes then go through ``np.fft.fftn``, or ``np.fft.rfftn`` when
-    ``real``.  A group with no order-2 factor makes that one numpy call alone;
-    a pure 2-group makes none (its result is complex128 unless ``real``).
+    the axes of order above 2 then go through ``np.fft.fftn``, or
+    ``np.fft.rfftn`` when ``real``.  A group with no order-2 factor makes that
+    one numpy call alone; a pure 2-group (every factor of order 1 or 2) makes
+    none, and its result is the float64 Walsh-Hadamard transform.
     """
     x = _walsh_hadamard(group, mask.reshape(group.shape).astype(np.float64))
     axes = group._fft_axes
     if not axes:
-        return x if real else x.astype(np.complex128)
+        return x
     return np.fft.rfftn(x, axes=axes) if real else np.fft.fftn(x, axes=axes)
 
 
@@ -368,7 +383,7 @@ def _inverse_transform(group: FiniteAbelianGroup, y: np.ndarray, real: bool = Fa
     """Inverse of ``_transform``, as a flat real vector.
 
     ``np.fft.ifftn`` (``np.fft.irfftn`` when ``real``) over the axes of order
-    other than 2, then, on the real part, ``_walsh_hadamard`` again divided by
+    above 2, then, on the real part, ``_walsh_hadamard`` again divided by
     2^(number of order-2 axes).  The Walsh-Hadamard matrix is real, so taking
     the real part first loses nothing, and dividing by a power of two is exact.
     """

@@ -26,9 +26,9 @@ a witness exists, a minor with a strictly larger mean is cut out of the
 matrix along the level pieces of the step-function approximation of the
 witness pair.
 
-The search and the cut are block linear algebra.  The 8 restarts of a side
-run as the rows of one block, two matrix products per iteration; the
-pieces come from one sort, and every piece-pair sum from one
+The search and the cut are block linear algebra.  The 16 restarts of both
+sides (8 per side) run as the rows of one block, two matrix products per
+iteration; the pieces come from one sort, and every piece-pair sum from one
 np.add.reduceat pass per axis.  Two rules keep their choices off rounding
 noise, so a block product and one restart at a time, or one BLAS thread and
 several, pick the same witness and minor:
@@ -347,23 +347,26 @@ def _block_times(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         return block @ matrix
     k = block.shape[0]
     parts = np.concatenate((block.real, block.imag)) @ matrix
-    return parts[:k] + 1j * parts[k:]
-
-
-def _phase_of(values: np.ndarray, bound: float) -> np.ndarray:
-    """conj(v)/|v| entrywise, and 0 where |v| <= bound (the zero rule); bound > 0."""
-    mags = np.abs(values)
-    scale = np.divide(mags > bound, np.maximum(mags, bound, out=mags), out=mags)
-    out = np.conj(values)
-    out *= scale  # in place: a fresh block-sized product costs page faults
+    out = np.empty((k, parts.shape[1]), dtype=complex)
+    out.real, out.imag = parts[:k], parts[k:]  # ten times faster than parts + 1j * parts
     return out
 
 
-def _project_centered(values: np.ndarray) -> np.ndarray:
-    """Subtract each row's mean, then scale rows back into the unit ball."""
-    shifted = values - values.mean(axis=-1, keepdims=True)
-    shifted *= 1.0 / np.maximum(np.abs(shifted).max(axis=-1, keepdims=True), 1.0)
-    return shifted
+def _phase_of(values: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
+    """conj(v)/|v| entrywise, and 0 where |v| <= bound (the zero rule); bound > 0.
+    Written into ``out``, which may be ``values``: block-sized arrays are the
+    search's peak memory, and a fresh one costs page faults."""
+    mags = np.abs(values)
+    scale = np.divide(mags > bound, np.maximum(mags, bound, out=mags), out=mags)
+    np.conjugate(values, out=out)
+    out *= scale
+    return out
+
+
+def _project_centered(values: np.ndarray) -> None:
+    """Subtract each row's mean, then scale rows back into the unit ball, in place."""
+    values -= values.mean(axis=-1, keepdims=True)
+    values *= 1.0 / np.maximum(np.abs(values).max(axis=-1, keepdims=True), 1.0)
 
 
 def _first_near_max(values) -> int:
@@ -380,55 +383,64 @@ def _first_near_max(values) -> int:
 def _alternating_search(entries: np.ndarray, seed: int):
     """Best (value, f, g, constrained_side) found by alternating phase ascent.
 
-    Per side, the restarts run as the rows of one block, as in the block
-    1-norm estimator of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21
-    (2000) 1185-1201): an iteration is the two products G M^T and F M.  A
-    restart leaves the block when its value stops climbing by more than
-    1e-12, so each keeps its own early stop.  On a real matrix f and g stay
-    complex, since the sup over complex test functions can exceed the sup
-    over real ones, and _block_times keeps the matrix real in the products;
-    there the first restart, from g = 1, stays real throughout, and the
-    others start from random phases.  The value f^T M g =
+    The 16 restarts of both sides run as the rows of one block, as in the
+    block 1-norm estimator of Higham and Tisseur (SIAM J. Matrix Anal. Appl.
+    21 (2000) 1185-1201): an iteration is the two products G M^T and F M for
+    both sides at once.  The 8 rows-side restarts come first, and the side
+    of a slot comes from its index; each side's centring applies to its own
+    rows only, to f on the rows side and to g on the cols side.  A restart
+    leaves the block when its value stops climbing by more than 1e-12, so
+    each keeps its own early stop, and the loop runs as long as the longest
+    restart of either side.  On a real matrix f and g stay complex, since
+    the sup over complex test functions can exceed the sup over real ones,
+    and _block_times keeps the matrix real in the products; there the first
+    restart of each side, from g = 1, stays real throughout, and the others
+    start from random phases.  The value f^T M g =
     sum_j (f M)_j g_j is read off the vector just formed; on the
     unconstrained side it is sum |f M|.  Entries at or below the rounding
     bound of their product get phase 0 (_product_bound), and the best
     candidate is picked by the tie rule over the order rows restarts 0..7,
-    cols restarts 0..7 (_first_near_max).  With both rules the result does
+    cols restarts 0..7 (_first_near_max).  With both rules the choices do
     not depend on how BLAS rounds, which a one-restart-at-a-time search
-    reproduces.
+    reproduces; only the value may move in its last bits with the block's
+    height.
     """
     restarts, max_iter = WITNESS_BUDGET
     nr, nc = entries.shape
     scale = nr * nc
     entry = float(np.max(np.abs(entries)))
     zero_f, zero_g = _product_bound(nc, entry), _product_bound(nr, entry)
-    found = [None] * (2 * restarts)
-    for side_idx, side in enumerate(("rows", "cols")):
-        g = np.empty((restarts, nc), dtype=complex)
-        g[0] = 1.0
-        for restart in range(1, restarts):
+    sides = ("rows", "cols")
+    g = np.ones((2 * restarts, nc), dtype=complex)
+    for slot in range(2 * restarts):
+        side_idx, restart = divmod(slot, restarts)
+        if restart:
             rng = np.random.default_rng([seed, side_idx, restart])
-            g[restart] = np.exp(2j * np.pi * rng.random(nc))
-        slots = side_idx * restarts + np.arange(restarts)
-        prev = np.full(restarts, -1.0)
-        for step in range(max_iter):
-            f = _phase_of(_block_times(g, entries.T), zero_f)
-            if side == "rows":
-                f = _project_centered(f)
-            raw = _block_times(f, entries)
-            g = _phase_of(raw, zero_g)
-            if side == "cols":
-                g = _project_centered(g)
-            value = np.abs((raw[:, None, :] @ g[:, :, None])[:, 0, 0]) / scale
-            stop = (value <= prev + 1e-12) | (step + 1 == max_iter)
-            if stop.any():
-                for k in np.flatnonzero(stop):
-                    found[slots[k]] = (float(value[k]), f[k].copy(), g[k].copy(), side)
-                if stop.all():
-                    break
-                keep = ~stop
-                g, value, slots = g[keep], value[keep], slots[keep]
-            prev = value
+            g[slot] = np.exp(2j * np.pi * rng.random(nc))
+    slots = np.arange(2 * restarts)
+    found = [None] * (2 * restarts)
+    prev = np.full(2 * restarts, -1.0)
+    for step in range(max_iter):
+        # rows-side slots come first and stay first as restarts leave
+        n_rows = int(np.count_nonzero(slots < restarts))
+        f = _block_times(g, entries.T)
+        _phase_of(f, zero_f, out=f)
+        _project_centered(f[:n_rows])
+        raw = _block_times(f, entries)
+        _phase_of(raw, zero_g, out=g)
+        _project_centered(g[n_rows:])
+        value = np.abs((raw[:, None, :] @ g[:, :, None])[:, 0, 0]) / scale
+        del raw  # one block less alive at the next product, the search's peak
+        stop = (value <= prev + 1e-12) | (step + 1 == max_iter)
+        if stop.any():
+            for k in np.flatnonzero(stop):
+                side = sides[slots[k] // restarts]
+                found[slots[k]] = (float(value[k]), f[k].copy(), g[k].copy(), side)
+            if stop.all():
+                break
+            keep = ~stop
+            g, value, slots = g[keep], value[keep], slots[keep]
+        prev = value
     return found[_first_near_max([c[0] for c in found])]
 
 

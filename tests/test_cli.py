@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specdbl import cli
-from specdbl.fileio import read_set_file, read_trace_file, write_trace_file
+from specdbl.fileio import read_set_file, read_trace_file, write_set_file, write_trace_file
+from specdbl.groups import ElementSet, FiniteAbelianGroup
 from specdbl.refine import audit_trace
 from specdbl.regularity import C1_DEFAULT, C_DEFAULT
 
@@ -557,6 +558,62 @@ def test_certificate_past_the_crossover_does_not_depend_on_blas_threads(tmp_path
     assert min(min(s["a_size"], s["spec_size"]) for s in doc["steps"]) >= 200
 
 
+# Golden traces, written with one BLAS thread before the search ran both sides
+# as one block and before pure 2-groups got real Fourier tables; the input
+# and the command line come from the stored trace itself:
+#   golden_example1_n5_moved_t1.json: example1 n = 5 in Z_2^10 under the
+#       coordinate permutation (3,8,0,5,9,1,6,2,7,4) and the translate
+#       (1,0,1,1,0,0,1,0,1,1); refine --epsilon 0.4 --delta 0.3 --seed 1
+#   golden_z3_5_7_t2.json: 50 elements of Z_3xZ_5xZ_7 drawn by
+#       default_rng(7).choice(105, 50, replace=False); refine --epsilon 0.2
+#       --delta 0.3 --theorem 2 --seed 1
+def _rerun_golden(tmp_path, name):
+    """(stored bytes, bytes of a fresh refine on the stored input and config)."""
+    stored = (DATA / name).read_bytes()
+    doc = json.loads(stored)
+    group = FiniteAbelianGroup(doc["orders"])
+    inp, out = tmp_path / "input.json", tmp_path / "trace.json"
+    write_set_file(inp, ElementSet.from_coords(group, doc["input_elements"]), {})
+    cfg = doc["config"]
+    proc = run_cli("refine", "--input", str(inp), "--epsilon", repr(cfg["epsilon"]),
+                   "--delta", repr(cfg["delta"]), "--theorem", str(doc["theorem"]),
+                   "--mode", cfg["mode"], "--max-iterations", str(cfg["max_iterations"]),
+                   "--seed", str(cfg["seed"]), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return stored, out.read_bytes()
+
+
+def test_golden_trace_on_a_pure_2_group_is_byte_identical(tmp_path):
+    stored, fresh = _rerun_golden(tmp_path, "golden_example1_n5_moved_t1.json")
+    assert fresh == stored
+
+
+def _assert_equal_but_witness_ulps(a, b, where="trace"):
+    """Equal field by field, except witness_value within 1e-12 relative."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            if key == "witness_value" and a[key] is not None and b[key] is not None:
+                assert math.isclose(a[key], b[key], rel_tol=1e-12), f"{where}.{key}"
+            else:
+                _assert_equal_but_witness_ulps(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_equal_but_witness_ulps(x, y, f"{where}[{i}]")
+    else:
+        assert a == b and type(a) is type(b), f"{where}: {a!r} vs {b!r}"
+
+
+def test_golden_trace_on_a_mixed_group_keeps_every_field(tmp_path):
+    # BLAS may round a witness value differently with the block size, so
+    # that field alone may move in its last digits
+    stored, fresh = _rerun_golden(tmp_path, "golden_z3_5_7_t2.json")
+    doc = json.loads(stored)
+    assert {step["action"] for step in doc["steps"]} == {"minor", "growth", "finish"}
+    _assert_equal_but_witness_ulps(json.loads(fresh), doc)
+
+
 def test_verify_checks_pass_on_a_subgroup(tmp_path):
     setfile = tmp_path / "h.json"
     run_cli("gen", "--kind", "subgroup", "--group", "2,2,2,2",
@@ -601,6 +658,19 @@ def test_file_errors_exit_2(tmp_path):
     proc = run_cli("spectrum", "--input", str(setfile), "--epsilon", "0.4")
     assert proc.returncode == 2
     assert "coordinate 2 out of range for Z_2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [("spectrum", "--input"), ("report", "--trace")],
+                         ids=["spectrum", "report"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, command):
+    name, flag = command
+    path = tmp_path / "bom16.json"
+    path.write_bytes(b"\xff\xfe")  # a UTF-16 byte-order mark and nothing else
+    argv = [name, flag, str(path)] + (["--epsilon", "0.4"] if name == "spectrum" else [])
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert f"error: {path}: not UTF-8 text" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

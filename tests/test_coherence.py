@@ -67,10 +67,12 @@ def test_matrix_matches_naive_construction():
     assert np.max(np.abs(m.entries - _naive_matrix(a, spec.members, t))) < 1e-9
 
 
-@pytest.mark.parametrize("k", [6, 10])
-def test_pure_2_group_matrix_is_exact_real_signs(k):
+@pytest.mark.parametrize("k, share", [(6, 5), (10, 5), (10, 3)], ids=["6", "10", "10-third"])
+def test_pure_2_group_matrix_is_exact_real_signs(k, share):
+    # (10, 3) has columns where complex division rounds conj(c)/|c| to
+    # 1 - 2^-53; the real table's sign(c) is exact
     g = FiniteAbelianGroup([2] * k)
-    a = random_subset(g, 2**k // 5, seed=k)
+    a = random_subset(g, 2**k // share, seed=k)
     t = dft(a)
     spec = spectrum(t, 0.1)
     m = build_matrix(a, spec, t)

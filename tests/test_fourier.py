@@ -14,6 +14,7 @@ from specdbl.fourier import (
     spectrum,
 )
 from specdbl.groups import ElementSet, FiniteAbelianGroup, convolve_counts, random_subset, subgroup_span
+from specdbl.coherence import build_matrix
 from specdbl.diagnostics import example_counterexample
 
 # order-2 factors between other factors, so the Walsh-Hadamard chunks and the
@@ -196,14 +197,17 @@ def test_parseval_capacity_values():
         parseval_capacity(16, 4, 0.0)
 
 
-@pytest.mark.parametrize("k", [1, 5, 8])
+@pytest.mark.parametrize("k", [1, 5, 6, 7, 8, 12, 13])
 def test_dft_on_a_2_group_is_exact(k):
+    # Walsh-Hadamard plans of one chunk ending in the last axis (k <= 6) and
+    # of a chunk with a stride behind it first (k = 7, 8, 12, 13); both the
+    # fast table and the direct sum are float64 and exact
     g = FiniteAbelianGroup([2] * k)
-    for size in [1, g.size // 3, g.size]:
+    for size in [1, min(g.size // 3, 300), min(g.size, 1000)]:
         a = random_subset(g, size, seed=size + k)
         t, ref = dft(a), dft_naive(a)
-        assert np.array_equal(t.coeffs.real, np.rint(ref.coeffs.real))
-        assert np.all(t.coeffs.imag == 0.0)
+        assert t.coeffs.dtype == ref.coeffs.dtype == np.float64
+        assert np.array_equal(t.coeffs, ref.coeffs)
 
 
 def _record_fft_lengths(monkeypatch):
@@ -249,3 +253,68 @@ def test_groups_without_order_2_keep_the_single_fft(orders):
     a = random_subset(g, g.size // 3, seed=4)
     expected = np.conj(np.fft.fftn(a.mask.astype(np.float64).reshape(g.shape))).ravel()
     assert np.array_equal(dft(a).coeffs, expected)
+
+
+@pytest.mark.parametrize("orders, dtype", [
+    ([2] * 6, np.float64), ([1], np.float64),
+    ([4, 2], np.complex128), ([3, 5, 7], np.complex128), ([32, 32, 2], np.complex128),
+], ids=str)
+def test_table_dtype_is_real_exactly_on_pure_2_groups(orders, dtype):
+    g = FiniteAbelianGroup(orders)
+    a = random_subset(g, max(1, g.size // 3), seed=2)
+    assert dft(a).coeffs.dtype == dtype
+    assert dft_naive(a).coeffs.dtype == dtype
+
+
+@pytest.mark.parametrize("orders", [[1, 2, 2, 2], [2, 1, 2, 1]], ids=str)
+def test_order_1_factors_take_no_fft(monkeypatch, orders):
+    # an FFT over an axis of order 1 is the identity, so these are pure
+    # 2-groups: a real table, equal to the direct sum
+    g = FiniteAbelianGroup(orders)
+    a = random_subset(g, 3, seed=1)
+    lengths = _record_fft_lengths(monkeypatch)
+    t = dft(a)
+    counts = convolve_counts(a, a)
+    monkeypatch.undo()
+    assert lengths == []
+    assert t.coeffs.dtype == np.float64
+    assert np.array_equal(t.coeffs, dft_naive(a).coeffs)
+    assert counts.sum() == a.size ** 2
+
+
+def test_forged_real_tables_still_raise():
+    g = FiniteAbelianGroup([2] * 6)
+    a = random_subset(g, 20, seed=3)
+    good = dft(a).coeffs
+    wrong_zero = good.copy()
+    wrong_zero[0] = 19.0
+    with pytest.raises(AssertionError, match="coefficient at 0"):
+        FourierTable(g, wrong_zero, 20)
+    # an energy off by one: a zero coefficient set to 1
+    off_by_one = good.copy()
+    zero_at = np.flatnonzero(off_by_one == 0.0)
+    assert zero_at.size
+    off_by_one[zero_at[0]] = 1.0
+    assert np.vdot(off_by_one, off_by_one) == 20 * 64 + 1
+    with pytest.raises(AssertionError, match="Parseval"):
+        FourierTable(g, off_by_one, 20)
+    FourierTable(g, good, 20)
+
+
+@pytest.mark.parametrize("k, share", [(6, 5), (10, 5), (10, 3)])
+def test_real_table_and_its_complex_copy_agree(k, share):
+    # the complex copy normalises by complex division, which numpy may round
+    # to 1 - 2^-53 (it does on (10, 3)); the real table's entries are +-1
+    g = FiniteAbelianGroup([2] * k)
+    a = random_subset(g, g.size // share, seed=k)
+    real = dft(a)
+    cplx = FourierTable(g, real.coeffs.astype(np.complex128), a.size)
+    assert cplx.coeffs.dtype == np.complex128
+    spec_real, spec_cplx = spectrum(real, 0.1), spectrum(cplx, 0.1)
+    assert spec_real.members == spec_cplx.members
+    m_real = build_matrix(a, spec_real, real).entries
+    m_cplx = build_matrix(a, spec_cplx, cplx).entries
+    assert m_real.dtype == m_cplx.dtype == np.float64
+    assert np.array_equal(np.abs(m_real), np.ones(m_real.shape))
+    assert np.array_equal(np.sign(m_cplx), m_real)
+    assert np.max(np.abs(m_cplx - m_real)) <= 2.0**-53

@@ -296,3 +296,14 @@ def test_convolution_on_a_2_group_rounds_nothing(monkeypatch):
     assert len(raws) == 2
     assert np.array_equal(raws[0], counts) and np.array_equal(raws[1], self_counts)
     assert counts.sum() == s.size * t.size and self_counts.sum() == s.size ** 2
+
+
+def test_convolution_on_z2_7_matches_the_pairwise_count():
+    # seven order-2 axes: a Walsh-Hadamard chunk of six with a stride behind
+    # it, then one ending in the last axis
+    g = FiniteAbelianGroup([2] * 7)
+    s = random_subset(g, 40, seed=11)
+    t = random_subset(g, 25, seed=12)
+    pairs = np.bitwise_xor.outer(s.indices(), t.indices()).ravel()
+    assert np.array_equal(convolve_counts(s, t), np.bincount(pairs, minlength=g.size))
+    assert np.array_equal(convolve_counts(s, t), _naive_counts(g, s, t))

@@ -536,9 +536,9 @@ def test_real_matrix_search_and_minor_match_its_complex_copy(entries):
 
 
 def test_block_search_runs_the_restarts_together():
-    # every product with the matrix is counted; a block search makes at most
-    # two per iteration and side, the one-restart-at-a-time form three per
-    # iteration and restart
+    # every product with the matrix is counted; the block search makes at
+    # most two per iteration for both sides together, the one-restart-at-a-
+    # time form three per iteration and restart
     calls = []
 
     class Counting(np.ndarray):
@@ -549,12 +549,12 @@ def test_block_search_runs_the_restarts_together():
             return getattr(ufunc, method)(*inputs, **kwargs)
 
     entries = _unit_matrix((60, 60)).view(Counting)
-    cap_per_side = 2 * WITNESS_BUDGET[1]
+    cap = 2 * WITNESS_BUDGET[1]
     _alternating_search(entries, 3)
-    assert 0 < len(calls) <= 2 * cap_per_side
+    assert 0 < len(calls) <= cap
     calls.clear()
     reference_search(entries, 3)
-    assert len(calls) > 2 * cap_per_side
+    assert len(calls) > 2 * cap
 
 
 # ---------------------------------------------------------------- brute force
