@@ -290,9 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line.  The parser is built once per process and reused:
+    parse_args fills a fresh namespace on each call, so no value carries over."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # fileio.FileFormatError is a ValueError

@@ -470,6 +470,8 @@ def random_subset(group: FiniteAbelianGroup, size: int, seed: int) -> ElementSet
     """Uniform random subset of the given size; deterministic for a fixed seed."""
     if not 0 <= size <= group.size:
         raise ValueError(f"subset size {size} out of range for group of size {group.size}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(group.size, size=size, replace=False)
     return ElementSet.from_indices(group, idx)

@@ -68,6 +68,8 @@ class RefineConfig:
             raise ValueError(f"mode must be 'faithful' or 'opportunistic', got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

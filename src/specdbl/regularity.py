@@ -248,16 +248,21 @@ def _gram_top(c: np.ndarray) -> float:
     return math.sqrt(max(top, 0.0) + margin)
 
 
-def _centred_bound(e: np.ndarray, top) -> float:
+def _max_modulus(e: np.ndarray) -> float:
+    """max|e|, which both the centring error and the search's zero rule scale with."""
+    return float(np.max(np.abs(e)))
+
+
+def _centred_bound(e: np.ndarray, top, entry: float) -> float:
     """Sound bound on sup |f^T e g| / (rows cols) from both centrings C of e.
 
     Each C gives (top(C) / sqrt(rows cols) + centring error) (1 + 8u), where
     top(C) bounds the largest singular value of the computed C from above;
-    spectral_certificate derives the other two terms.
+    spectral_certificate derives the other two terms.  entry is max|e|
+    (_max_modulus).
     """
     rows, cols = e.shape
     scale = math.sqrt(rows * cols)
-    entry = float(np.max(np.abs(e)))
     upper = 0.0
     for axis, k in ((0, rows), (1, cols)):
         sigma = top(e - e.mean(axis=axis, keepdims=True))
@@ -302,7 +307,7 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
     bound near 0.  decide_regularity's Frobenius tier is the same bound with
     ||C||_F >= sigma_max(C) in place of the Gram step.
     """
-    upper = _centred_bound(m.entries, _gram_top)
+    upper = _centred_bound(m.entries, _gram_top, _max_modulus(m.entries))
     return upper, upper < lam
 
 
@@ -319,7 +324,7 @@ def _product_bound(n: int, entry: float) -> float:
     sqrt(2) gamma_2n n max|x| max|y|: the real-arithmetic bound
     gamma_n n max|x| max|y|, widened for complex products.  The same bound
     covers a real matrix times a complex vector done as one real product on
-    the stacked real and imaginary parts (_block_times): each part is a real
+    the stacked real and imaginary parts (_real_times): each part is a real
     inner product of length n, off by at most gamma_n n max|x| max|y|.
     Every f and g of the search has sup-norm at most 1, so the bound takes
     max|y| = 1 and max|x| = entry, the largest matrix entry.  A computed
@@ -335,16 +340,13 @@ def _product_bound(n: int, entry: float) -> float:
     return math.sqrt(2.0) * gamma * n * entry
 
 
-def _block_times(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """block @ matrix for a complex (k, n) block and a real or complex matrix.
+def _real_times(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """block @ matrix for a complex (k, n) block and a real matrix.
 
-    A real matrix stays real: the block's real and imaginary rows, stacked
-    into one (2k, n) real array, take one real product.  block @ matrix
-    would first cast the matrix up to complex, a full-size temporary on
-    every call.
+    The block's real and imaginary rows, stacked into one (2k, n) real
+    array, take one real product.  block @ matrix would first cast the
+    matrix up to complex, a full-size temporary on every call.
     """
-    if np.iscomplexobj(matrix):
-        return block @ matrix
     k = block.shape[0]
     parts = np.concatenate((block.real, block.imag)) @ matrix
     out = np.empty((k, parts.shape[1]), dtype=complex)
@@ -364,9 +366,14 @@ def _phase_of(values: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
 
 
 def _project_centered(values: np.ndarray) -> None:
-    """Subtract each row's mean, then scale rows back into the unit ball, in place."""
-    values -= values.mean(axis=-1, keepdims=True)
-    values *= 1.0 / np.maximum(np.abs(values).max(axis=-1, keepdims=True), 1.0)
+    """Subtract each row's mean, then scale rows back into the unit ball, in place.
+
+    The mean is the sum divided by the count and the row maximum a maximum
+    reduction, which is what ndarray.mean and ndarray.max compute, without
+    their Python-level dispatch: on the search's few short rows that
+    dispatch costs more than the arithmetic."""
+    values -= np.add.reduce(values, axis=-1, keepdims=True) / values.shape[-1]
+    values *= 1.0 / np.maximum(np.maximum.reduce(np.abs(values), axis=-1, keepdims=True), 1.0)
 
 
 def _first_near_max(values) -> int:
@@ -380,7 +387,7 @@ def _first_near_max(values) -> int:
     return int(np.argmax(values >= values.max() * (1.0 - _TIE_REL)))
 
 
-def _alternating_search(entries: np.ndarray, seed: int):
+def _alternating_search(entries: np.ndarray, seed: int, entry: float):
     """Best (value, f, g, constrained_side) found by alternating phase ascent.
 
     The 16 restarts of both sides run as the rows of one block, as in the
@@ -388,58 +395,72 @@ def _alternating_search(entries: np.ndarray, seed: int):
     21 (2000) 1185-1201): an iteration is the two products G M^T and F M for
     both sides at once.  The 8 rows-side restarts come first, and the side
     of a slot comes from its index; each side's centring applies to its own
-    rows only, to f on the rows side and to g on the cols side.  A restart
+    rows only, to f on the rows side and to g on the cols side, and is
+    skipped once every restart of that side has left the block.  A restart
     leaves the block when its value stops climbing by more than 1e-12, so
     each keeps its own early stop, and the loop runs as long as the longest
     restart of either side.  On a real matrix f and g stay complex, since
     the sup over complex test functions can exceed the sup over real ones,
-    and _block_times keeps the matrix real in the products; there the first
+    and _real_times keeps the matrix real in the products; there the first
     restart of each side, from g = 1, stays real throughout, and the others
     start from random phases.  The value f^T M g =
     sum_j (f M)_j g_j is read off the vector just formed; on the
     unconstrained side it is sum |f M|.  Entries at or below the rounding
-    bound of their product get phase 0 (_product_bound), and the best
-    candidate is picked by the tie rule over the order rows restarts 0..7,
-    cols restarts 0..7 (_first_near_max).  With both rules the choices do
-    not depend on how BLAS rounds, which a one-restart-at-a-time search
-    reproduces; only the value may move in its last bits with the block's
-    height.
+    bound of their product get phase 0 (_product_bound, with entry = max|M|
+    from _max_modulus), and the best candidate is picked by the tie rule
+    over the order rows restarts 0..7, cols restarts 0..7 (_first_near_max).
+    With both rules the choices do not depend on how BLAS rounds, which a
+    one-restart-at-a-time search reproduces; only the value may move in its
+    last bits with the block's height.
+
+    Most iterations run on a few rows, where each numpy call costs more than
+    its arithmetic.  So the product is chosen once per call, and the values,
+    stop tests and live slots of the at most 16 restarts are Python floats
+    and lists; the count of live rows-side slots changes only when a
+    restart leaves.
     """
     restarts, max_iter = WITNESS_BUDGET
     nr, nc = entries.shape
     scale = nr * nc
-    entry = float(np.max(np.abs(entries)))
     zero_f, zero_g = _product_bound(nc, entry), _product_bound(nr, entry)
-    sides = ("rows", "cols")
+    times = np.matmul if np.iscomplexobj(entries) else _real_times
+    entries_t = entries.T
     g = np.ones((2 * restarts, nc), dtype=complex)
     for slot in range(2 * restarts):
         side_idx, restart = divmod(slot, restarts)
         if restart:
             rng = np.random.default_rng([seed, side_idx, restart])
             g[slot] = np.exp(2j * np.pi * rng.random(nc))
-    slots = np.arange(2 * restarts)
+    slots = list(range(2 * restarts))  # rows-side slots come first and stay first
+    n_rows = restarts
     found = [None] * (2 * restarts)
-    prev = np.full(2 * restarts, -1.0)
+    prev = [-1.0] * (2 * restarts)
     for step in range(max_iter):
-        # rows-side slots come first and stay first as restarts leave
-        n_rows = int(np.count_nonzero(slots < restarts))
-        f = _block_times(g, entries.T)
+        f = times(g, entries_t)
         _phase_of(f, zero_f, out=f)
-        _project_centered(f[:n_rows])
-        raw = _block_times(f, entries)
+        if n_rows:
+            _project_centered(f[:n_rows])
+        raw = times(f, entries)
         _phase_of(raw, zero_g, out=g)
-        _project_centered(g[n_rows:])
-        value = np.abs((raw[:, None, :] @ g[:, :, None])[:, 0, 0]) / scale
+        if n_rows < len(slots):
+            _project_centered(g[n_rows:])
+        value = (np.abs((raw[:, None, :] @ g[:, :, None])[:, 0, 0]) / scale).tolist()
         del raw  # one block less alive at the next product, the search's peak
-        stop = (value <= prev + 1e-12) | (step + 1 == max_iter)
-        if stop.any():
-            for k in np.flatnonzero(stop):
-                side = sides[slots[k] // restarts]
-                found[slots[k]] = (float(value[k]), f[k].copy(), g[k].copy(), side)
-            if stop.all():
-                break
-            keep = ~stop
-            g, value, slots = g[keep], value[keep], slots[keep]
+        last = step + 1 == max_iter
+        keep = []
+        for k, slot in enumerate(slots):
+            if last or value[k] <= prev[k] + 1e-12:
+                side = "rows" if slot < restarts else "cols"
+                found[slot] = (value[k], f[k].copy(), g[k].copy(), side)
+            else:
+                keep.append(k)
+        if not keep:
+            break
+        if len(keep) < len(slots):
+            g = g[keep]
+            slots = [slots[k] for k in keep]
+            value = [value[k] for k in keep]
+            n_rows = sum(slot < restarts for slot in slots)
         prev = value
     return found[_first_near_max([c[0] for c in found])]
 
@@ -502,10 +523,11 @@ def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> Regulari
     first that decides wins; else undetermined above the search value."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    upper = _centred_bound(m.entries, _frobenius_top)
+    entry = _max_modulus(m.entries)
+    upper = _centred_bound(m.entries, _frobenius_top, entry)
     if upper < lam:
         return RegularityVerdict("regular", lam, upper, None, 0.0)
-    value, f, g, side = _alternating_search(m.entries, seed)
+    value, f, g, side = _alternating_search(m.entries, seed, entry)
     if value < lam:
         upper, certified = spectral_certificate(m, lam)
         if certified:

@@ -74,6 +74,34 @@ def test_gen_example_set_is_deterministic(tmp_path):
     assert meta["kind"] == "example1"
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # main() builds its parser on the first call, not at import, and reuses
+    # it; each call must still print what a fresh process prints, with no
+    # value, such as the last --format, left over from the call before
+    setfile, trace = tmp_path / "a.json", tmp_path / "t.json"
+    run_cli("gen", "--kind", "example1", "--n", "3", "--out", str(setfile))
+    calls = [
+        ("spectrum", "--input", str(setfile), "--epsilon", "0.4", "--format", "json"),
+        ("spectrum", "--input", str(setfile), "--epsilon", "0.4"),
+        ("gen", "--kind", "example1", "--n", "2"),  # no --out: argparse exits 2
+        ("refine", "--input", str(setfile), "--epsilon", "0.4", "--delta", "0.3",
+         "--out", str(trace)),
+    ]
+    env = {**os.environ, "COLUMNS": "80"}  # argparse wraps its usage to the width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        here = [run_cli(*argv) for argv in calls]
+    fresh = [run_module(*argv, env=env) for argv in calls]
+    assert [p.returncode for p in here] == [0, 0, 2, 0]
+    assert here[1].stdout.startswith("spectrum at epsilon=0.4:")
+    for a, b in zip(here, fresh):
+        assert (a.returncode, a.stdout, a.stderr) == (b.returncode, b.stdout, b.stderr)
+    parser = cli._PARSER
+    run_cli("spectrum", "--input", str(setfile), "--epsilon", "0.4")
+    assert parser is not None and cli._PARSER is parser
+    probe = "import specdbl.cli as c, sys; sys.exit(c._PARSER is not None)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
 def test_gen_random_and_subgroup(tmp_path):
     out = tmp_path / "r.json"
     proc = run_cli("gen", "--kind", "random", "--group", "2,2,2,2",
@@ -558,15 +586,21 @@ def test_certificate_past_the_crossover_does_not_depend_on_blas_threads(tmp_path
     assert min(min(s["a_size"], s["spec_size"]) for s in doc["steps"]) >= 200
 
 
-# Golden traces, written with one BLAS thread before the search ran both sides
-# as one block and before pure 2-groups got real Fourier tables; the input
-# and the command line come from the stored trace itself:
+# Golden traces, written with one BLAS thread; the input and the command line
+# come from the stored trace itself.  The first two were written before the
+# search ran both sides as one block and before pure 2-groups got real
+# Fourier tables:
 #   golden_example1_n5_moved_t1.json: example1 n = 5 in Z_2^10 under the
 #       coordinate permutation (3,8,0,5,9,1,6,2,7,4) and the translate
 #       (1,0,1,1,0,0,1,0,1,1); refine --epsilon 0.4 --delta 0.3 --seed 1
 #   golden_z3_5_7_t2.json: 50 elements of Z_3xZ_5xZ_7 drawn by
 #       default_rng(7).choice(105, 50, replace=False); refine --epsilon 0.2
 #       --delta 0.3 --theorem 2 --seed 1
+# The third was written before the search kept its bookkeeping in Python
+# lists and skipped the centring of a side with no restart left:
+#   golden_z13_13_13_t2.json: gen --kind random --group 13,13,13 --size 350
+#       --seed 1; refine --epsilon 0.1 --delta 0.3 --theorem 2 --seed 1.  Its
+#       second search, on a 3x403 complex matrix, runs to the iteration cap.
 def _rerun_golden(tmp_path, name):
     """(stored bytes, bytes of a fresh refine on the stored input and config)."""
     stored = (DATA / name).read_bytes()
@@ -585,6 +619,12 @@ def _rerun_golden(tmp_path, name):
 
 def test_golden_trace_on_a_pure_2_group_is_byte_identical(tmp_path):
     stored, fresh = _rerun_golden(tmp_path, "golden_example1_n5_moved_t1.json")
+    assert fresh == stored
+
+
+def test_golden_trace_on_an_odd_prime_power_group_is_byte_identical(tmp_path):
+    stored, fresh = _rerun_golden(tmp_path, "golden_z13_13_13_t2.json")
+    assert [step["action"] for step in json.loads(stored)["steps"]] == ["minor", "minor", "finish"]
     assert fresh == stored
 
 
@@ -681,6 +721,37 @@ def test_bad_parameters_exit_2(tmp_path):
                    "--delta", "0.3", "--out", str(tmp_path / "t.json"))
     assert proc.returncode == 2
     assert "epsilon" in proc.stderr
+
+
+def test_a_negative_seed_exits_2_naming_it(tmp_path):
+    # refine used to store "seed": -1 when the search never ran (the subgroup,
+    # which the Frobenius bound certifies), and elsewhere failed inside
+    # numpy's seeding with a message that did not name the flag
+    sub, ex, trace = tmp_path / "h.json", tmp_path / "ex.json", tmp_path / "t.json"
+    run_cli("gen", "--kind", "subgroup", "--group", "2,2,2,2", "--gens", "1000;0100",
+            "--out", str(sub))
+    run_cli("gen", "--kind", "example1", "--n", "3", "--out", str(ex))
+    for setfile in (sub, ex):
+        proc = run_cli("refine", "--input", str(setfile), "--epsilon", "0.4", "--delta", "0.3",
+                       "--seed", "-1", "--out", str(trace))
+        assert proc.returncode == 2
+        assert "seed must be non-negative, got -1" in proc.stderr
+    assert not trace.exists()
+
+    proc = run_cli("gen", "--kind", "random", "--group", "2,2,2,2", "--size", "3",
+                   "--seed", "-5", "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 2
+    assert "seed must be non-negative, got -5" in proc.stderr
+
+    proc = run_cli("refine", "--input", str(sub), "--epsilon", "0.4", "--delta", "0.3",
+                   "--seed", "1", "--out", str(trace))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(trace.read_text())
+    doc["config"]["seed"] = -1
+    trace.write_text(json.dumps(doc))
+    code, out = report(trace)
+    assert code == 2
+    assert "field 'config': seed must be non-negative, got -1" in out
 
 
 def test_statistical_doubling_names_an_eps_whose_level_underflows(tmp_path):

@@ -17,7 +17,6 @@ from specdbl.regularity import (
     WITNESS_BUDGET,
     IrregularityWitness,
     StepFunction,
-    _alternating_search,
     _best_piece_pair,
     _build_pieces,
     brute_force_max,
@@ -31,6 +30,11 @@ from specdbl.regularity import (
 def block_sign_matrix(half=2):
     s = np.concatenate([np.ones(half), -np.ones(half)])
     return CoherenceMatrix(np.outer(s, s))
+
+
+def run_search(entries, seed):
+    """The witness search as decide_regularity runs it, with max|M| computed the same way."""
+    return regularity._alternating_search(entries, seed, regularity._max_modulus(entries))
 
 
 def planted_matrix(seed, size=16, block=8):
@@ -227,7 +231,9 @@ def _fro_upper(entries):
 
 def _frobenius_bound(entries):
     """The bound of decide_regularity's first tier."""
-    return regularity._centred_bound(entries, regularity._frobenius_top)
+    return regularity._centred_bound(
+        entries, regularity._frobenius_top, regularity._max_modulus(entries)
+    )
 
 
 def _unit_matrix(shape):
@@ -329,7 +335,7 @@ def test_search_value_within_the_witness_slack_waits_for_the_gram_tier():
     # value lies in the witness test's slack while the Gram bound, 8e-15
     # above it, certifies: the verdict must be the certificate's.
     m = CoherenceMatrix(np.kron(block_sign_matrix().entries, [[1, 1], [1, -1]]))
-    value = _alternating_search(m.entries, 0)[0]
+    value = run_search(m.entries, 0)[0]
     lam = value * (1 + 5e-13)
     assert lam * (1 - 1e-12) <= value < lam
     assert spectral_certificate(m, lam)[1]
@@ -449,8 +455,10 @@ def _reference_centre(v):
     return shifted / sup if sup > 1 else shifted
 
 
-def reference_search(entries, seed):
-    """One restart at a time with three products per step: the oracle for the block search."""
+def reference_search(entries, seed, iterations=None):
+    """One restart at a time with three products per step: the oracle for the block search.
+
+    When given a list, iterations gets (side, iterations run) for each restart."""
     restarts, max_iter = WITNESS_BUDGET
     nr, nc = entries.shape
     entry = np.max(np.abs(entries))
@@ -462,7 +470,7 @@ def reference_search(entries, seed):
             else:
                 g = np.exp(2j * np.pi * np.random.default_rng([seed, side_idx, restart]).random(nc))
             prev = -1.0
-            for _ in range(max_iter):
+            for step in range(max_iter):
                 f = _reference_phase(entries, g, entry)
                 if side == "rows":
                     f = _reference_centre(f)
@@ -474,6 +482,8 @@ def reference_search(entries, seed):
                     break
                 prev = value
             found.append((value, f, g, side))
+            if iterations is not None:
+                iterations.append((side, step + 1))
     top = max(c[0] for c in found)
     return next(c for c in found if c[0] >= top * (1 - 1e-9))  # the tie rule
 
@@ -489,19 +499,51 @@ def _pair_matrix():
 
 
 @pytest.mark.parametrize("entries", [
-    *(_unit_matrix(shape) for shape in [(3, 40), (40, 3), (60, 60)]),
+    *(_unit_matrix(shape) for shape in [(3, 40), (40, 3), (60, 60), (5, 600), (300, 50)]),
     _noisy(_sign_matrix((50, 30))), _noisy(_sign_matrix((2, 165))), block_sign_matrix().entries,
     _pair_matrix(),
-], ids=["unit-3x40", "unit-40x3", "unit-60x60", "noisy-sign-50x30", "noisy-sign-2x165",
-        "block-sign", "pair-set"])
+], ids=["unit-3x40", "unit-40x3", "unit-60x60", "unit-5x600", "unit-300x50", "noisy-sign-50x30",
+        "noisy-sign-2x165", "block-sign", "pair-set"])
 def test_block_search_matches_the_sequential_reference(entries):
     for seed in (0, 3):
-        value, f, g, side = _alternating_search(entries, seed)
-        want_value, want_f, want_g, want_side = reference_search(entries, seed)
-        assert side == want_side
-        assert value == pytest.approx(want_value, rel=1e-12)
-        assert np.max(np.abs(f - want_f)) <= 1e-9
-        assert np.max(np.abs(g - want_g)) <= 1e-9
+        _assert_same_search(run_search(entries, seed), reference_search(entries, seed))
+
+
+def _assert_same_search(got, want):
+    value, f, g, side = got
+    want_value, want_f, want_g, want_side = want
+    assert side == want_side
+    assert value == pytest.approx(want_value, rel=1e-12)
+    assert np.max(np.abs(f - want_f)) <= 1e-9
+    assert np.max(np.abs(g - want_g)) <= 1e-9
+
+
+@pytest.mark.parametrize("entries, first", [
+    (_unit_matrix((40, 3)), "rows"), (_noisy(_sign_matrix((40, 3))), "cols"),
+], ids=["rows-side-leaves-first", "cols-side-leaves-first"])
+def test_block_search_after_one_side_has_left(entries, first):
+    # once every restart of one side has left the block, the other side's
+    # restarts run on alone, and the empty side is not centred: the block
+    # centres the rows side for as many iterations as its longest restart
+    # runs, and likewise the cols side
+    project = regularity._project_centered
+    rows_centred = []
+
+    def centre(values):
+        rows_centred.append(values.shape[0])
+        project(values)
+
+    for seed in (0, 3):
+        iterations = []
+        want = reference_search(entries, seed, iterations)
+        last = {side: max(n for s, n in iterations if s == side) for side in ("rows", "cols")}
+        assert last[first] < max(last.values())
+        rows_centred.clear()
+        with mock.patch.object(regularity, "_project_centered", centre):
+            got = run_search(entries, seed)
+        _assert_same_search(got, want)
+        assert len(rows_centred) == last["rows"] + last["cols"]
+        assert min(rows_centred) >= 1
 
 
 def _pure_2_group_matrix(k=8, size=100, level=0.08):
@@ -519,7 +561,7 @@ def test_real_matrix_search_and_minor_match_its_complex_copy(entries):
     # complex product pick the same witness, pieces and minor
     assert entries.dtype == np.float64
     for seed in (0, 3):
-        real, cplx = (_alternating_search(x, seed) for x in (entries, entries.astype(complex)))
+        real, cplx = (run_search(x, seed) for x in (entries, entries.astype(complex)))
         assert real[3] == cplx[3]
         assert real[0] == pytest.approx(cplx[0], rel=1e-9)
         lam = min(real[0], cplx[0])
@@ -550,7 +592,7 @@ def test_block_search_runs_the_restarts_together():
 
     entries = _unit_matrix((60, 60)).view(Counting)
     cap = 2 * WITNESS_BUDGET[1]
-    _alternating_search(entries, 3)
+    run_search(entries, 3)
     assert 0 < len(calls) <= cap
     calls.clear()
     reference_search(entries, 3)
@@ -601,7 +643,7 @@ def test_decide_undetermined_between_the_search_and_the_gram_bound():
     # a certificate nor a witness decides, and the sandwich is what is left
     m = CoherenceMatrix(np.exp(2j * np.pi * np.random.default_rng(3).random((4, 5))))
     lam = 0.64
-    search = _alternating_search(m.entries, 0)[0]
+    search = run_search(m.entries, 0)[0]
     gram, certified = spectral_certificate(m, lam)
     assert search < lam <= gram and not certified
     verdict = decide_regularity(m, lam)
@@ -795,7 +837,7 @@ def _loop_pick(entries, row_pieces, col_pieces):
 def test_piece_pair_matches_the_double_loop(shape):
     entries = _unit_matrix(shape)
     m = CoherenceMatrix(entries)
-    value, f, g, side = _alternating_search(entries, 5)
+    value, f, g, side = run_search(entries, 5)
     witness = IrregularityWitness(BoundedFunction("rows", f), BoundedFunction("cols", g), side, value)
     f_step = step_approximate(witness.f, value / 8)
     g_step = step_approximate(witness.g, value / 8)
