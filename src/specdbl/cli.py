@@ -63,6 +63,8 @@ def _parse_generators(text: str, rank: int) -> list:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed is not None and args.kind != "random":
+        raise ValueError(f"--kind {args.kind} takes no --seed; only --kind random draws")
     if args.kind == "example1":
         if args.n is None:
             raise ValueError("--kind example1 needs --n")
@@ -75,8 +77,9 @@ def _cmd_gen(args) -> int:
         if args.group is None or args.size is None:
             raise ValueError("--kind random needs --group and --size")
         group = FiniteAbelianGroup(args.group)
-        members = random_subset(group, args.size, seed=args.seed)
-        metadata = {"kind": "random", "size": args.size, "seed": args.seed}
+        seed = 0 if args.seed is None else args.seed
+        members = random_subset(group, args.size, seed=seed)
+        metadata = {"kind": "random", "size": args.size, "seed": seed}
     else:  # subgroup
         if args.group is None or args.gens is None:
             raise ValueError("--kind subgroup needs --group and --gens")
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--group", type=_parse_orders, help="cyclic orders, e.g. 2,2,2,2")
     gen.add_argument("--size", type=int, help="number of elements (random)")
     gen.add_argument("--n", type=int, help="half-rank parameter (example1)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="seed of the draw (random only; default 0)")
     gen.add_argument("--gens", help="semicolon-separated generators (subgroup)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)

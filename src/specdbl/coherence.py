@@ -31,9 +31,11 @@ _TOL = 1e-9
 
 class CoherenceMatrix:
     """Dense matrix of unit-modulus entries: float64 when the input is real
-    (the exact +-1 matrices of a pure 2-group), complex128 otherwise."""
+    (the exact +-1 matrices of a pure 2-group), complex128 otherwise.
+    max_modulus is max|entries|, kept from the unit-modulus check for the
+    regularity certificate and the witness search."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "max_modulus")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
@@ -41,11 +43,13 @@ class CoherenceMatrix:
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError(f"entries must be a nonempty 2-d array, got shape {entries.shape}")
         mags = np.abs(entries)
-        mod_err = max(float(mags.max()) - 1.0, 1.0 - float(mags.min()))
+        max_modulus = float(mags.max())
+        mod_err = max(max_modulus - 1.0, 1.0 - float(mags.min()))
         if mod_err > _TOL:
             raise AssertionError(f"entries must have unit modulus, worst error {mod_err}")
         entries.setflags(write=False)
         self.entries = entries
+        self.max_modulus = max_modulus
 
     @property
     def n_rows(self) -> int:

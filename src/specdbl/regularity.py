@@ -2,29 +2,23 @@
 
 A matrix M on A x Gamma is lambda-regular when |f^T M g| < lambda * |A| *
 |Gamma| for every pair of sup-norm-1 test functions with at least one side
-summing to zero.  decide_regularity is the one decision, in three tiers,
-cheapest first; the first that decides wins:
+summing to zero.  decide_regularity is the one decision, in two tiers:
 
-1. Frobenius certificate: ||C||_F bounds the top singular value of the row-
-   and column-centred matrix C, plus stated rounding terms (Regular when
-   below lambda).
-2. The best pair of an alternating search (Irregular when it reaches
-   lambda).
-3. Gram certificate: the top eigenvalue of the smaller Gram matrix of each
-   centring, from one eigvalsh, plus a stated margin (Regular when below
-   lambda).
+1. spectral_certificate: the Frobenius norm of the row- and of the
+   column-centred matrix bounds its top singular value, plus stated
+   rounding terms (Regular when below lambda).
+2. Once that fails, the best pair of an alternating search (Irregular when
+   it reaches lambda).
 
-A sound bound below lambda and a witness at lambda cannot coexist, so the
-order decides which work is done, not the status.  The witness test allows
-1e-12 relative below lambda; a search value in that slack counts only once
-the Gram certificate has failed, so it never outranks a bound that would
-certify.  When no tier decides, the verdict is Undetermined and carries the
-sandwich between the search value and the Gram bound.  brute_force_max, an
-exhaustive grid over roots of unity on tiny matrices, takes no part in the
-decision; it is the tests' reference for the search and the bounds.  When
-a witness exists, a minor with a strictly larger mean is cut out of the
-matrix along the level pieces of the step-function approximation of the
-witness pair.
+The witness test allows 1e-12 relative below lambda for the search's
+rounding; the search runs only after the certificate has failed, so a value
+in that slack never outranks a bound that would certify.  When neither tier
+decides, the verdict is Undetermined and carries the sandwich between the
+search value and the certificate's bound.  brute_force_max, an exhaustive
+grid over roots of unity on tiny matrices, takes no part in the decision;
+it is the tests' reference for the search and the bound.  When a witness
+exists, a minor with a strictly larger mean is cut out of the matrix along
+the level pieces of the step-function approximation of the witness pair.
 
 The search and the cut are block linear algebra.  The 16 restarts of both
 sides (8 per side) run as the rows of one block, two matrix products per
@@ -76,7 +70,7 @@ C_DEFAULT = C1_DEFAULT**3 / 4.0
 WITNESS_BUDGET = (8, 60)
 
 _ORTH_TOL = 1e-8
-# unit roundoff of float64, the u of the certificates' margins
+# unit roundoff of float64, the u of the rounding bounds
 _UNIT = np.finfo(np.float64).eps / 2.0
 # witness values and piece-pair sums this close to the best count as tied
 _TIE_REL = 1e-9
@@ -194,10 +188,9 @@ class IrregularityWitness:
 class RegularityVerdict:
     """Outcome of the regularity decision.
 
-    upper_bound is the last certificate's bound: the Frobenius one when that
-    tier certifies or the search reaches lambda outright, the Gram one once
-    that tier has run.  lower_bound is the search value on irregular and
-    undetermined verdicts and 0 on regular ones.
+    upper_bound is spectral_certificate's bound, on every verdict.
+    lower_bound is the search value on irregular and undetermined verdicts
+    and 0 on regular ones.
     """
 
     status: str  # "regular" | "irregular" | "undetermined"
@@ -218,96 +211,46 @@ class RegularityVerdict:
             )
 
 
-def _frobenius_top(c: np.ndarray) -> float:
-    """Upper bound on ||c||_F, and so on the largest singular value of c.
-
-    The real part of vdot(c, c) sums 2 rows cols nonnegative real squares,
-    so in any summation order its computed value is at least
-    (1 - gamma_{2 rows cols}) times the exact one (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., eq. (3.5)).  Dividing by that
-    factor is covered by multiplying by 1 + 4 rows cols u while
-    rows cols u <= 1/8, which holds for any matrix that fits in memory; the
-    two roundings of that product add u to the square root, which the
-    1 + 8u factor of _centred_bound still covers.
-    """
-    return math.sqrt(float(np.vdot(c, c).real) * (1.0 + 4.0 * c.size * _UNIT))
-
-
-def _gram_top(c: np.ndarray) -> float:
-    """Upper bound on the largest singular value of c, from its smaller Gram matrix H.
-
-    H = c c^H or c^H c has side min(rows, cols); its top eigenvalue comes
-    from one eigvalsh, and the margin is the one derived in
-    spectral_certificate.
-    """
-    fro2 = float(np.vdot(c, c).real)
-    margin = 4.0 * (max(c.shape) + 1) * _UNIT * fro2
-    ch = c.conj().T
-    h = c @ ch if c.shape[0] <= c.shape[1] else ch @ c
-    top = float(np.linalg.eigvalsh(h)[-1])
-    return math.sqrt(max(top, 0.0) + margin)
-
-
-def _max_modulus(e: np.ndarray) -> float:
-    """max|e|, which both the centring error and the search's zero rule scale with."""
-    return float(np.max(np.abs(e)))
-
-
-def _centred_bound(e: np.ndarray, top, entry: float) -> float:
-    """Sound bound on sup |f^T e g| / (rows cols) from both centrings C of e.
-
-    Each C gives (top(C) / sqrt(rows cols) + centring error) (1 + 8u), where
-    top(C) bounds the largest singular value of the computed C from above;
-    spectral_certificate derives the other two terms.  entry is max|e|
-    (_max_modulus).
-    """
-    rows, cols = e.shape
-    scale = math.sqrt(rows * cols)
-    upper = 0.0
-    for axis, k in ((0, rows), (1, cols)):
-        sigma = top(e - e.mean(axis=axis, keepdims=True))
-        centring = 2.0 * (k + 2) * _UNIT * entry
-        upper = max(upper, (sigma / scale + centring) * (1.0 + 8.0 * _UNIT))
-    return upper
-
-
 def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
-    """Sound upper bound on sup_{f,g} |f^T M g| / (|A| |Gamma|), from the Gram matrices.
+    """Sound bound on sup_{f,g} |f^T M g| / (|A| |Gamma|), and whether it is below lam.
 
     Centring kills the uncontrolled all-ones direction on the constrained
     side: a sup-norm-1 f summing to zero has f^T M g = f^T C g with C = M
     minus its column means, so |f^T M g| <= ||C||_2 sqrt(|A| |Gamma|), and
     likewise with the row means when g sums to zero.  The bound is the
-    larger of the two normalised norms, each bounded from above in floating
-    point (unit roundoff u = 2^-53):
+    larger of the two normalised norms, each bounded from above by the
+    Frobenius norm in floating point (unit roundoff u = 2^-53):
 
     - Centring.  Each entry of the computed C is off by at most
       2 (k + 2) u max|M|, where k is the length of the averaged axis (a mean
       of k terms in any summation order, then one subtraction; the 2
       covers real and imaginary parts).  So ||C - C_computed||_2 is below
-      sqrt(|A| |Gamma|) times that.
-    - Gram matrix.  sigma_max(C)^2 is the top eigenvalue of H = C C^H (or
-      C^H C, whichever is smaller), formed after centring: a Gram product
-      of the uncentred matrix would cancel against the all-ones direction
-      and carry an error of order |A| |Gamma| instead of ||C||_F^2.  With
-      n = max(rows, cols) terms per entry, the computed H is within
-      1.5 (n + 2) u ||C||_F^2 of H in norm, and eigvalsh returns an exact
-      eigenvalue of a matrix within 2 n u ||H||_2 of the computed H
-      (LAPACK's backward error, whose modest growth factor is taken as
-      2n).  Both together stay below margin = 4 (n + 1) u ||C||_F^2, which
-      leaves room for the relative error of evaluating ||C||_F^2 (at most
-      4 rows cols u, below 1e-6 for any matrix that fits in memory).  So
-      sigma_max(C) <= sqrt(max(top, 0) + margin), top being the largest
-      eigenvalue eigvalsh returns for the computed H.
-    - Finally the square root, the sums and the division round by at most
-      5u relative, covered by the factor 1 + 8u.
+      sqrt(|A| |Gamma|) times that.  max|M| is m.max_modulus.
+    - Frobenius norm.  ||C||_F >= ||C||_2.  The real part of vdot(C, C)
+      sums 2 rows cols nonnegative real squares, so in any summation order
+      its computed value is at least (1 - gamma_{2 rows cols}) times the
+      exact one (Higham, Accuracy and Stability of Numerical Algorithms,
+      2nd ed., eq. (3.5)).  Dividing by that factor is covered by
+      multiplying by 1 + 4 rows cols u while rows cols u <= 1/8, which
+      holds for any matrix that fits in memory.
+    - Finally the roundings of that product, of the square roots, of the
+      division, of the centring term and of the sum add at most 6u
+      relative, which the factor 1 + 8u covers even after its own rounding.
 
-    The margin scales with ||C||_F, not with |A| |Gamma|, so a matrix whose
+    The bound scales with ||C||_F, not with |A| |Gamma|, so a matrix whose
     centring is (nearly) zero, such as the all-ones matrix, still gets a
-    bound near 0.  decide_regularity's Frobenius tier is the same bound with
-    ||C||_F >= sigma_max(C) in place of the Gram step.
+    bound near 0.
     """
-    upper = _centred_bound(m.entries, _gram_top, _max_modulus(m.entries))
+    e = m.entries
+    rows, cols = e.shape
+    scale = math.sqrt(rows * cols)
+    c = np.empty_like(e)  # both centrings in turn, in one buffer
+    upper = 0.0
+    for axis, k in ((0, rows), (1, cols)):
+        np.subtract(e, e.mean(axis=axis, keepdims=True), out=c)
+        frobenius = math.sqrt(float(np.vdot(c, c).real) * (1.0 + 4.0 * c.size * _UNIT))
+        centring = 2.0 * (k + 2) * _UNIT * m.max_modulus
+        upper = max(upper, (frobenius / scale + centring) * (1.0 + 8.0 * _UNIT))
     return upper, upper < lam
 
 
@@ -406,9 +349,10 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float):
     start from random phases.  The value f^T M g =
     sum_j (f M)_j g_j is read off the vector just formed; on the
     unconstrained side it is sum |f M|.  Entries at or below the rounding
-    bound of their product get phase 0 (_product_bound, with entry = max|M|
-    from _max_modulus), and the best candidate is picked by the tie rule
-    over the order rows restarts 0..7, cols restarts 0..7 (_first_near_max).
+    bound of their product get phase 0 (_product_bound, with entry = max|M|,
+    the matrix's max_modulus), and the best candidate is picked by the tie
+    rule over the order rows restarts 0..7, cols restarts 0..7
+    (_first_near_max).
     With both rules the choices do not depend on how BLAS rounds, which a
     one-restart-at-a-time search reproduces; only the value may move in its
     last bits with the block's height.
@@ -479,7 +423,7 @@ def brute_force_max(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exhaustive |f^T M g| / (|A| |Gamma|) over r-th roots of unity plus 0.
 
-    The tests' reference for the search and the certificates on tiny
+    The tests' reference for the search and the certificate on tiny
     matrices; decide_regularity does not call it.
 
     The constrained side keeps only grid vectors of minimal |sum| (exact zero
@@ -519,19 +463,14 @@ def brute_force_max(
 
 
 def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> RegularityVerdict:
-    """Frobenius certificate, search, Gram certificate (only below lambda): the
-    first that decides wins; else undetermined above the search value."""
+    """spectral_certificate, then the witness search once it fails: regular
+    below lambda, irregular at it, else undetermined between the two."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    entry = _max_modulus(m.entries)
-    upper = _centred_bound(m.entries, _frobenius_top, entry)
-    if upper < lam:
+    upper, certified = spectral_certificate(m, lam)
+    if certified:
         return RegularityVerdict("regular", lam, upper, None, 0.0)
-    value, f, g, side = _alternating_search(m.entries, seed, entry)
-    if value < lam:
-        upper, certified = spectral_certificate(m, lam)
-        if certified:
-            return RegularityVerdict("regular", lam, upper, None, 0.0)
+    value, f, g, side = _alternating_search(m.entries, seed, m.max_modulus)
     if value >= lam * (1 - _WITNESS_SLACK):
         witness = IrregularityWitness(
             BoundedFunction("rows", f), BoundedFunction("cols", g), side, value

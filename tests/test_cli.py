@@ -149,6 +149,25 @@ def test_gen_usage_errors(tmp_path, argv):
     assert "error" in proc.stderr.lower()
 
 
+def test_gen_seed_is_for_random_only(tmp_path):
+    # only the random kind draws; a seed given to another kind is a usage error
+    for argv in (("--kind", "subgroup", "--group", "2,2", "--gens", "10", "--seed", "5"),
+                 ("--kind", "example1", "--n", "2", "--seed", "0")):
+        out = tmp_path / "x.json"
+        proc = run_cli("gen", *argv, "--out", str(out))
+        assert proc.returncode == 2
+        assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+    # the random kind without --seed draws with seed 0, and records it
+    paths = [tmp_path / "default.json", tmp_path / "zero.json"]
+    for path, seed in zip(paths, ((), ("--seed", "0"))):
+        proc = run_cli("gen", "--kind", "random", "--group", "2,2,2", "--size", "3",
+                       *seed, "--out", str(path))
+        assert proc.returncode == 0, proc.stderr
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert read_set_file(paths[0])[1]["seed"] == 0
+
+
 def test_spectrum_formats(tmp_path):
     setfile = tmp_path / "a.json"
     run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))

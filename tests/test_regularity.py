@@ -33,8 +33,8 @@ def block_sign_matrix(half=2):
 
 
 def run_search(entries, seed):
-    """The witness search as decide_regularity runs it, with max|M| computed the same way."""
-    return regularity._alternating_search(entries, seed, regularity._max_modulus(entries))
+    """The witness search as decide_regularity runs it, with max|M| as CoherenceMatrix keeps it."""
+    return regularity._alternating_search(entries, seed, float(np.abs(entries).max()))
 
 
 def planted_matrix(seed, size=16, block=8):
@@ -229,13 +229,6 @@ def _fro_upper(entries):
     return max(np.linalg.norm(c) for c in _centrings(entries)) / np.sqrt(entries.size)
 
 
-def _frobenius_bound(entries):
-    """The bound of decide_regularity's first tier."""
-    return regularity._centred_bound(
-        entries, regularity._frobenius_top, regularity._max_modulus(entries)
-    )
-
-
 def _unit_matrix(shape):
     return np.exp(2j * np.pi * np.random.default_rng([41, *shape]).random(shape))
 
@@ -264,9 +257,7 @@ def _noisy(entries):
 def test_certificate_is_sound_against_svd(entries):
     upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     reference = _svd_upper(entries)
-    assert reference <= upper <= reference + 1e-9
-    frobenius = _frobenius_bound(entries)
-    assert reference <= frobenius <= _fro_upper(entries) + 1e-9
+    assert reference <= upper <= _fro_upper(entries) + 1e-9
 
 
 def _rank_one_noise(shape):
@@ -287,6 +278,22 @@ def _counting(owner, name):
     return mock.patch.object(owner, name, counted), calls
 
 
+def _linalg_calls():
+    """A patch of every function in np.linalg that records the name of each call."""
+    calls = []
+
+    def recording(name, real):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return recorded
+
+    functions = {name: getattr(np.linalg, name) for name in np.linalg.__all__}
+    patches = {name: recording(name, fn) for name, fn in functions.items()
+               if callable(fn) and not isinstance(fn, type)}
+    return mock.patch.multiple(np.linalg, **patches), calls
+
+
 LARGE = {
     "sign-256x300": _sign_matrix((256, 300)),
     "sign-300x256": _sign_matrix((300, 256)),
@@ -299,51 +306,51 @@ LARGE = {
 
 @pytest.mark.parametrize("name", sorted(LARGE))
 def test_large_certificate_is_sound_and_tight(name):
-    # Gram sides of 256 and more: never below the SVD bound, and within the
-    # small matrices' tolerance above it
+    # sides of 256 and more: never below the SVD bound, and within the
+    # small matrices' tolerance above the exact Frobenius norm
     entries = LARGE[name]
     upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     reference = _svd_upper(entries)
-    assert reference <= upper <= reference + 1e-9
+    assert reference <= upper <= _fro_upper(entries) + 1e-9
 
 
 @pytest.mark.parametrize("name", ["sign-256x300", "unit-400x256", "rank-one-noise-300x260"])
 def test_large_certificate_around_lambda(name):
     m = CoherenceMatrix(LARGE[name])
     reference = _svd_upper(m.entries)
-    # top singular value just above lambda: never certified
-    assert not spectral_certificate(m, reference * (1 - 1e-9))[1]
+    frobenius = _fro_upper(m.entries)
+    # at the top singular value or the Frobenius norm: never certified
+    assert reference < frobenius
     assert not spectral_certificate(m, reference)[1]
-    # just below: certified, and decide_regularity gets there through the
-    # Gram tier, since the Frobenius bound misses lambda and the search
-    # stays below it
-    lam = reference * (1 + 2e-3)
+    assert not spectral_certificate(m, frobenius)[1]
+    # just above the Frobenius norm: certified, and decide_regularity gets
+    # there with its one certificate call
+    lam = frobenius * (1 + 1e-9)
     assert spectral_certificate(m, lam)[1]
-    assert _frobenius_bound(m.entries) >= lam
     patch, calls = _counting(regularity, "spectral_certificate")
     with patch:
         verdict = decide_regularity(m, lam)
     assert verdict.status == "regular"
-    assert len(calls) == 1
+    assert calls == [m]
     assert verdict.upper_bound == spectral_certificate(m, lam)[0]
 
 
-def test_search_value_within_the_witness_slack_waits_for_the_gram_tier():
+def test_search_value_within_the_witness_slack_is_a_witness():
     # the block sign pattern times [[1, 1], [1, -1]]: flat top singular
-    # vectors that the search reaches, at 1/sqrt(2), against a Frobenius
+    # vectors that the search reaches, at 1/sqrt(2), against a certificate
     # bound of 1.  With lambda 5e-13 relative above the search value, that
-    # value lies in the witness test's slack while the Gram bound, 8e-15
-    # above it, certifies: the verdict must be the certificate's.
+    # value lies in the witness test's slack; the certificate has failed,
+    # so the value is a witness.
     m = CoherenceMatrix(np.kron(block_sign_matrix().entries, [[1, 1], [1, -1]]))
     value = run_search(m.entries, 0)[0]
     lam = value * (1 + 5e-13)
     assert lam * (1 - 1e-12) <= value < lam
-    assert spectral_certificate(m, lam)[1]
-    assert _frobenius_bound(m.entries) >= lam
+    upper, certified = spectral_certificate(m, lam)
+    assert upper == pytest.approx(1.0) and not certified
     verdict = decide_regularity(m, lam)
-    assert verdict.status == "regular"
-    assert verdict.witness is None
-    assert verdict.upper_bound < lam
+    assert verdict.status == "irregular"
+    assert verdict.witness.value == verdict.lower_bound == value
+    assert verdict.upper_bound == upper
 
 
 def test_large_all_ones_takes_the_fast_path():
@@ -352,14 +359,12 @@ def test_large_all_ones_takes_the_fast_path():
     upper, certified = spectral_certificate(m, 1e-4)
     assert upper < 1e-12
     assert certified
-    assert _frobenius_bound(m.entries) < 1e-12
 
 
-def test_certify_run_decides_without_the_gram_tier():
+def test_certify_run_makes_one_certificate_call_per_decision():
     # the certify workload's run on example_counterexample(9): its 1023x1023
-    # matrix is irregular and its 511x512 finishing matrix regular, and the
-    # Frobenius bound and the search decide both; a silent return to the
-    # Gram certificate first keeps every output and loses the speed
+    # matrix is irregular and its 511x512 finishing matrix regular; each
+    # decision makes one certificate call and no np.linalg call
     matrices, verdicts = [], []
 
     def recorded(m, lam, seed=0):
@@ -370,18 +375,16 @@ def test_certify_run_decides_without_the_gram_tier():
 
     bundle = example_counterexample(9)
     certificates, certificate_calls = _counting(regularity, "spectral_certificate")
-    eigensolver, eigvalsh_calls = _counting(np.linalg, "eigvalsh")
-    with certificates, eigensolver, mock.patch.object(refine, "decide_regularity", recorded):
+    linalg, linalg_calls = _linalg_calls()
+    with certificates, linalg, mock.patch.object(refine, "decide_regularity", recorded):
         result = refine.refine_theorem1(bundle.members, refine.RefineConfig(0.4, 0.3))
     assert verdicts == [((1023, 1023), "irregular"), ((511, 512), "regular")]
     assert result.certified
-    assert certificate_calls == [] and eigvalsh_calls == []
-    # both bounds stay sound on the large matrix, and the Gram one tight
+    assert certificate_calls == matrices and linalg_calls == []
+    # the bound stays sound on the large matrix
     entries = matrices[0].entries
-    reference = _svd_upper(entries)
     upper, _ = spectral_certificate(matrices[0], 1.0)
-    assert reference <= upper <= reference + 1e-9
-    assert reference <= _frobenius_bound(entries)
+    assert _svd_upper(entries) <= upper <= _fro_upper(entries) + 1e-9
 
 
 def test_certificate_dominates_brute_force():
@@ -390,11 +393,9 @@ def test_certificate_dominates_brute_force():
         entries = np.exp(2j * np.pi * rng.random((4, 4)))
         m = CoherenceMatrix(entries)
         upper, _ = spectral_certificate(m, 1.0)
-        frobenius = _frobenius_bound(entries)
         for side in ("rows", "cols"):
             value, _, _ = brute_force_max(m, 4, side)
             assert value <= upper + 1e-9
-            assert value <= frobenius + 1e-9
 
 
 # ---------------------------------------------------------------- witnesses
@@ -626,7 +627,7 @@ def test_brute_force_budget_guard():
 # ---------------------------------------------------------------- decide
 
 
-def test_decide_three_tiers():
+def test_decide_two_tiers():
     regular = decide_regularity(CoherenceMatrix(np.ones((4, 4), dtype=complex)), 1e-4)
     assert regular.status == "regular"
     assert regular.witness is None
@@ -638,21 +639,44 @@ def test_decide_three_tiers():
     assert irregular.lower_bound <= irregular.upper_bound + 1e-9
 
 
-def test_decide_undetermined_between_the_search_and_the_gram_bound():
-    # search 0.5795, Gram bound 0.6974, grid 0.5734: at lambda 0.64 neither
-    # a certificate nor a witness decides, and the sandwich is what is left
+def test_decide_undetermined_between_the_search_and_the_frobenius_bound():
+    # search 0.5795, certificate bound 0.9110, grid 0.5734: at lambda 0.64
+    # neither a certificate nor a witness decides, and the sandwich is what
+    # is left
     m = CoherenceMatrix(np.exp(2j * np.pi * np.random.default_rng(3).random((4, 5))))
     lam = 0.64
     search = run_search(m.entries, 0)[0]
-    gram, certified = spectral_certificate(m, lam)
-    assert search < lam <= gram and not certified
+    upper, certified = spectral_certificate(m, lam)
+    assert search < lam <= upper and not certified
+    assert _svd_upper(m.entries) <= upper <= _fro_upper(m.entries) + 1e-9
     verdict = decide_regularity(m, lam)
     assert verdict.status == "undetermined"
     assert verdict.witness is None
     assert verdict.lower_bound == search
-    assert verdict.upper_bound == gram
+    assert verdict.upper_bound == upper
     for side in ("rows", "cols"):
         assert brute_force_max(m, 4, side)[0] <= verdict.upper_bound
+
+
+def test_undetermined_verdict_makes_no_linalg_call():
+    # a subgroup of order 2^10 plus one point in Z_2^12: the search value,
+    # 1/1025, is below refine's first lambda at epsilon 0.4, and the
+    # certificate's bound far above it
+    group = FiniteAbelianGroup([2] * 12)
+    basis = [tuple(int(i == j) for i in range(12)) for j in range(10)]
+    mask = subgroup_span(group, basis).mask.copy()
+    mask[group.size - 1] = True
+    a = ElementSet(group, mask)
+    t = dft(a)
+    m = build_matrix(a, spectrum(t, 0.4), t)
+    lam = 0.4 * 0.4 / 150
+    patch, calls = _linalg_calls()
+    with patch:
+        verdict = decide_regularity(m, lam)
+    assert verdict.status == "undetermined"
+    assert calls == []
+    assert verdict.lower_bound == pytest.approx(1 / 1025)
+    assert verdict.upper_bound == spectral_certificate(m, lam)[0] > 10 * lam
 
 
 def test_decide_sandwich_on_random_matrices():
