@@ -62,27 +62,27 @@ def _parse_generators(text: str, rank: int) -> list:
     return gens
 
 
+# the flags each --kind needs, and the ones it takes besides
+_GEN_FLAGS = {"example1": (("n",), ()), "random": (("group", "size"), ("seed",)),
+              "subgroup": (("group", "gens"), ())}
+
+
 def _cmd_gen(args) -> int:
-    if args.seed is not None and args.kind != "random":
-        raise ValueError(f"--kind {args.kind} takes no --seed; only --kind random draws")
+    needs, takes = _GEN_FLAGS[args.kind]
+    for name in ("group", "size", "n", "seed", "gens"):
+        given = getattr(args, name) is not None
+        if name in needs and not given:
+            raise ValueError(f"--kind {args.kind} needs --{name}")
+        if given and name not in needs + takes:
+            raise ValueError(f"--kind {args.kind} takes no --{name}")
     if args.kind == "example1":
-        if args.n is None:
-            raise ValueError("--kind example1 needs --n")
-        if args.group is not None:
-            raise ValueError("--kind example1 fixes the group; drop --group")
-        bundle = example_counterexample(args.n)
-        members = bundle.members
+        members = example_counterexample(args.n).members
         metadata = {"kind": "example1", "n": args.n}
     elif args.kind == "random":
-        if args.group is None or args.size is None:
-            raise ValueError("--kind random needs --group and --size")
-        group = FiniteAbelianGroup(args.group)
         seed = 0 if args.seed is None else args.seed
-        members = random_subset(group, args.size, seed=seed)
+        members = random_subset(FiniteAbelianGroup(args.group), args.size, seed=seed)
         metadata = {"kind": "random", "size": args.size, "seed": seed}
     else:  # subgroup
-        if args.group is None or args.gens is None:
-            raise ValueError("--kind subgroup needs --group and --gens")
         group = FiniteAbelianGroup(args.group)
         members = subgroup_span(group, _parse_generators(args.gens, len(args.group)))
         metadata = {"kind": "subgroup", "generators": args.gens}

@@ -1,18 +1,15 @@
-"""JSON documents for sets and refinement traces.
+"""JSON documents for sets and refinement traces, each one compact line with sorted keys:
 
-Two formats, both plain JSON with sorted keys:
-
-  specdbl-set    orders of the ambient group plus the member coordinates,
-                 indented by two spaces (version 1)
-  specdbl-trace  a full refinement run on one compact line (version 3):
-                 config, input, result, step records, the four measured
-                 counts, and the audit computed at write time
+  specdbl-set    orders of the ambient group plus the member coordinates
+                 (version 2; version 1, the same schema indented, still reads)
+  specdbl-trace  a full refinement run (version 3): config, input, result,
+                 step records, the four measured counts, and the audit
+                 computed at write time
 
 Writing is canonical (same document, same bytes), so a load/save cycle of a
-set file reproduces it exactly.  A trace stores measurements only; reading
-it derives K, the bounds and the rest of ``measured`` with the run's own
-``refine._measure``.  Version 1 and 2 traces still read, and the derived
-values they stored are dropped unread.
+file reproduces it exactly.  A trace stores measurements only; reading it
+derives K, the bounds and the rest of ``measured`` with the run's own
+``refine._measure``, and a key the writer does not write is a format error.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from typing import Optional
 from .groups import ElementSet, FiniteAbelianGroup
 from .refine import (MEASURED_COUNTS, AuditReport, RefineConfig, RefineResult,
                      RefineTraceStep, _measure, audit_trace)
-from .regularity import C1_DEFAULT, C_DEFAULT, WITNESS_BUDGET
 
 __all__ = [
     "FileFormatError",
@@ -40,18 +36,11 @@ __all__ = [
 
 SET_FORMAT = "specdbl-set"
 TRACE_FORMAT = "specdbl-trace"
-_VERSIONS = {SET_FORMAT: (1,), TRACE_FORMAT: (1, 2, 3)}
-# Config keys that version 2 dropped, with the only values a version 1
-# writer ever stored; another value describes a run version 2 cannot express.
-_V1_CONFIG = {
-    "c1": C1_DEFAULT,
-    "c": C_DEFAULT,
-    "witness_restarts": WITNESS_BUDGET[0],
-    "witness_alternations": WITNESS_BUDGET[1],
-}
-# step keys version 3 derives: index is the position, lam the level of rho,
-# gate_ok and certified follow from the sizes and the verdict
-_V2_STEP_KEYS = frozenset(("index", "lam", "gate_ok", "certified"))
+# a set file's versions differ only in layout
+_VERSIONS = {SET_FORMAT: (1, 2), TRACE_FORMAT: (3,)}
+# every key a version 3 trace holds; any other is a format error
+_TRACE_KEYS = frozenset("format version theorem config orders input_elements a_star rho_star "
+                        "terminated certified measured steps audit".split())
 # JSON types each field accepts (Optional[X] gives X or None), resolved once
 # because resolving annotations costs more than reading a step
 _KINDS = {cls: {name: typing.get_args(t) or (t,) for name, t in typing.get_type_hints(cls).items()}
@@ -107,10 +96,10 @@ def _field(doc: dict, name: str, kind, path) -> object:
     return _float(value, f"{path}: field {name!r}") if kind is float else value
 
 
-def _typed(cls, raw, path, label, dropped=frozenset()):
-    """Build the dataclass cls from raw, checking each value; ``dropped`` keys go unread."""
+def _typed(cls, raw, path, label):
+    """Build the dataclass cls from raw, checking each value."""
     fields = _KINDS[cls]
-    if not isinstance(raw, dict) or set(raw) - dropped != set(fields):
+    if not isinstance(raw, dict) or set(raw) != set(fields):
         raise FileFormatError(f"{path}: {label} has the wrong keys")
     values = {}
     for name, kinds in fields.items():
@@ -126,14 +115,18 @@ def _typed(cls, raw, path, label, dropped=frozenset()):
         raise FileFormatError(f"{path}: {label}: {exc}") from exc
 
 
-def _check_header(doc: dict, expected: str, path) -> int:
+def _check_header(doc: dict, expected: str, path) -> None:
     fmt = _field(doc, "format", str, path)
     if fmt != expected:
         raise FileFormatError(f"{path}: format {fmt!r}, expected {expected!r}")
     version = _field(doc, "version", int, path)
     if version not in _VERSIONS[expected]:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    return version
+
+
+def _write(path, doc: dict) -> None:
+    # one compact line: a row per element, and only then does the C encoder run
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _set_from(orders: list, elements: list, path, label: str) -> ElementSet:
@@ -162,14 +155,13 @@ def _set_from(orders: list, elements: list, path, label: str) -> ElementSet:
 
 
 def write_set_file(path, members: ElementSet, metadata: Optional[dict] = None) -> None:
-    doc = {
+    _write(path, {
         "format": SET_FORMAT,
-        "version": 1,
+        "version": 2,
         "orders": list(members.group.orders),
         "elements": members.coords(),
         "metadata": metadata or {},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def read_set_file(path) -> tuple[ElementSet, dict]:
@@ -185,7 +177,7 @@ def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditR
     if original.group.orders != result.a_star.group.orders:
         raise ValueError("the original set lives in a different group than the result")
     audit = audit_trace(result, original)
-    doc = {
+    _write(path, {
         "format": TRACE_FORMAT,
         "version": 3,
         "theorem": result.theorem,
@@ -199,28 +191,21 @@ def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditR
         "measured": {key: result.measured[key] for key in MEASURED_COUNTS},
         "steps": [dataclasses.asdict(s) for s in result.trace],
         "audit": audit.to_dict(),
-    }
-    # one line: a row per input element, and only then does the C encoder run
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    })
     return audit
 
 
 def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
     """Rebuild (result, original input set, stored audit dict) from a trace file."""
     doc = _load_json(path)
-    version = _check_header(doc, TRACE_FORMAT, path)
+    _check_header(doc, TRACE_FORMAT, path)
+    if extra := sorted(doc.keys() - _TRACE_KEYS):
+        raise FileFormatError(f"{path}: unknown field {extra[0]!r}")
     theorem = _field(doc, "theorem", int, path)
     if theorem not in (1, 2):
         raise FileFormatError(f"{path}: field 'theorem' must be 1 or 2")
 
-    raw_cfg = dict(_field(doc, "config", dict, path))
-    if version == 1:
-        for key, expected in _V1_CONFIG.items():
-            value = raw_cfg.pop(key, None)
-            if type(value) is not type(expected) or value != expected:
-                raise FileFormatError(f"{path}: field 'config': version 1 key {key!r} "
-                                      f"must be {expected!r}, got {value!r}")
-    cfg = _typed(RefineConfig, raw_cfg, path, "field 'config'")
+    cfg = _typed(RefineConfig, doc.get("config"), path, "field 'config'")
 
     orders = doc.get("orders")
     original = _set_from(orders, doc.get("input_elements"), path, "input_elements")
@@ -229,11 +214,10 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
         raise FileFormatError(f"{path}: field 'a_star' is empty")
 
     steps = _field(doc, "steps", list, path)
-    dropped = _V2_STEP_KEYS if version < 3 else frozenset()
-    trace = [_typed(RefineTraceStep, raw, path, f"step {i}", dropped)
-             for i, raw in enumerate(steps)]
-    # only the counts are read; a version 1 or 2 trace's derived values are not
+    trace = [_typed(RefineTraceStep, raw, path, f"step {i}") for i, raw in enumerate(steps)]
     stored = _field(doc, "measured", dict, path)
+    if extra := sorted(stored.keys() - MEASURED_COUNTS):
+        raise FileFormatError(f"{path}: field 'measured': unknown field {extra[0]!r}")
     counts = {key: _field(stored, key, int, f"{path}: field 'measured'")
               for key in MEASURED_COUNTS}
     rho_star = _field(doc, "rho_star", float, path)

@@ -30,7 +30,7 @@ import numpy as np
 from .coherence import build_matrix
 from .fourier import dft, spectrum
 from .groups import ElementSet, sumset
-from .regularity import decide_regularity, extract_minor
+from .regularity import _WITNESS_SLACK, decide_regularity, extract_minor
 
 __all__ = [
     "RefineConfig",
@@ -293,7 +293,9 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     ``_rho_after``, and |A| from |original|, a minor leaving its ``minor_rows``.
     Each step must start where the walk stands and store the rho it moves to,
     and rho* and |A*| must be where the walk ends.  K and lambda are derived,
-    and a regular verdict's bound lies below lambda.  Counts must be ones a
+    and a regular verdict's bound lies below lambda.  Only irregular verdicts
+    store a witness value, in ``RegularityVerdict``'s window, and only minors,
+    on irregular verdicts, their mean and shape.  Counts must be ones a
     spectrum in G can have, only a non-regular finish carries the direct
     doubling check, the last step gives the stored outcome, a certified run
     meets both bounds, and the final set lies inside the input set ``original``.
@@ -331,6 +333,15 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
                 f"step {pos}: certified although the bound {s.upper_bound} "
                 f"is not below lambda {lam}"
             )
+        value = s.witness_value
+        if (value is not None) != (s.verdict_status == "irregular") or (
+                value is not None and not lam * (1 - _WITNESS_SLACK) <= value <= s.upper_bound + 1e-9):
+            violations.append(f"step {pos}: witness_value {value} with verdict {s.verdict_status}, "
+                              f"lambda {lam} and bound {s.upper_bound}")
+        minor_fields = (s.new_mean, s.minor_rows, s.minor_cols)
+        if minor_fields.count(None) != (0 if s.action == "minor" else 3):
+            violations.append(f"step {pos}: new_mean, minor_rows, minor_cols = {minor_fields} "
+                              f"on a {s.action} step")
         direct = (doubling_holds if s.action == "finish" and s.verdict_status != "regular"
                   else None)
         if s.direct_check != direct:
@@ -338,8 +349,12 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
         if s.action == "minor":
             if s.rho_next <= s.rho:
                 violations.append(f"step {pos}: minor step did not raise rho")
+            if s.verdict_status != "irregular":
+                violations.append(f"step {pos}: minor step with verdict {s.verdict_status}")
             if s.minor_rows is None or not 1 <= s.minor_rows <= s.a_size:
                 violations.append(f"step {pos}: a minor of {s.minor_rows} rows of {s.a_size}")
+            if s.minor_cols is None or not 1 <= s.minor_cols <= s.spec_size:
+                violations.append(f"step {pos}: a minor of {s.minor_cols} columns of {s.spec_size}")
         elif s.action == "growth":
             if _gate_ok(s.gate_size, k_value, s.spec_size):
                 violations.append(

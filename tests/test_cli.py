@@ -1,10 +1,10 @@
 import contextlib
-import functools
 import io
 import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,22 +15,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specdbl import cli
-from specdbl.fileio import read_set_file, read_trace_file, write_set_file, write_trace_file
+from specdbl.fileio import read_set_file, read_trace_file, write_set_file
 from specdbl.groups import ElementSet, FiniteAbelianGroup
 from specdbl.refine import audit_trace
-from specdbl.regularity import C1_DEFAULT, C_DEFAULT
 
-# Version 2 traces as the last version 2 writer wrote them, one BLAS thread:
+# Traces that the last version 2 writer wrote with one BLAS thread, read and
+# written again as version 3:
 #   specdbl gen --kind example1 --n 3 --out ex3.json
 #   specdbl refine --input ex3.json --epsilon 0.4 --delta 0.3 --seed 1 \
-#       --out v2_example1_n3_t1.json
-#   ... --theorem 2 --max-iterations 1 --out v2_example1_n3_t2_budget1.json
+#       --out v3_example1_n3_t1.json
+#   ... --theorem 2 --max-iterations 1 --out v3_example1_n3_t2_budget1.json
 #   specdbl gen --kind random --group 3,5,11,13 --size 350 --seed 3 --out z.json
 #   specdbl refine --input z.json --epsilon 0.1 --delta 0.3 --seed 3 --theorem 2 \
-#       --out v2_shrink_z3_5_11_13_t2.json
+#       --out v3_shrink_z3_5_11_13_t2.json
 DATA = Path(__file__).resolve().parent / "data"
-V2_TRACES = sorted(DATA.glob("v2_*.json"))
-SHRINK_V2 = DATA / "v2_shrink_z3_5_11_13_t2.json"
+V3_TRACES = sorted(DATA.glob("v3_*.json"))
+SHRINK = DATA / "v3_shrink_z3_5_11_13_t2.json"
 
 
 def run_module(*argv, env=None):
@@ -150,13 +150,20 @@ def test_gen_usage_errors(tmp_path, argv):
 
 
 def test_gen_seed_is_for_random_only(tmp_path):
-    # only the random kind draws; a seed given to another kind is a usage error
-    for argv in (("--kind", "subgroup", "--group", "2,2", "--gens", "10", "--seed", "5"),
-                 ("--kind", "example1", "--n", "2", "--seed", "0")):
+    # only the random kind draws, so a seed given to another kind is a usage
+    # error; so is any other flag that a kind does not read
+    for argv, flag in (
+        (("--kind", "subgroup", "--group", "2,2", "--gens", "10", "--seed", "5"), "--seed"),
+        (("--kind", "example1", "--n", "2", "--seed", "0"), "--seed"),
+        (("--kind", "subgroup", "--group", "2,2", "--gens", "10", "--size", "3", "--n", "7"),
+         "--size"),
+        (("--kind", "random", "--group", "2,2", "--size", "2", "--gens", "10", "--n", "4"), "--n"),
+        (("--kind", "example1", "--n", "2", "--size", "3", "--gens", "11"), "--size"),
+    ):
         out = tmp_path / "x.json"
         proc = run_cli("gen", *argv, "--out", str(out))
         assert proc.returncode == 2
-        assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+        assert f"takes no {flag}\n" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
     # the random kind without --seed draws with seed 0, and records it
     paths = [tmp_path / "default.json", tmp_path / "zero.json"]
@@ -244,29 +251,21 @@ def test_report_rejects_a_tampered_trace(tmp_path):
     assert "FAIL" in proc.stdout or "differs" in proc.stdout
 
 
-@pytest.mark.parametrize("version,forge,needle", [
-    (3, lambda s: s.update(upper_bound=0.9), "certified although the bound 0.9 is not below lambda"),
-    # version 3 stores no lambda, and a version 2 trace's is never read
-    (2, lambda s: s.update(lam=0.95, upper_bound=0.9),
-     "certified although the bound 0.9 is not below lambda"),
-    (3, lambda s: s.update(verdict_status="undetermined"),
+@pytest.mark.parametrize("forge,needle", [
+    (lambda s: s.update(upper_bound=0.9), "certified although the bound 0.9 is not below lambda"),
+    (lambda s: s.update(verdict_status="undetermined"),
      "certified flag True, but the last step gives ('inconclusive', False)"),
-], ids=["upper-bound", "lambda", "verdict"])
-def test_report_rejects_a_forged_certificate(tmp_path, version, forge, needle):
-    trace = tmp_path / "trace.json"
-    if version == 2:
-        trace.write_bytes((DATA / "v2_example1_n3_t1.json").read_bytes())
-    else:
-        setfile = tmp_path / "a.json"
-        run_cli("gen", "--kind", "example1", "--n", "3", "--out", str(setfile))
-        run_cli("refine", "--input", str(setfile), "--epsilon", "0.4",
-                "--delta", "0.3", "--seed", "1", "--out", str(trace))
+], ids=["upper-bound", "verdict"])
+def test_report_rejects_a_forged_certificate(tmp_path, forge, needle):
+    setfile, trace = tmp_path / "a.json", tmp_path / "trace.json"
+    run_cli("gen", "--kind", "example1", "--n", "3", "--out", str(setfile))
+    run_cli("refine", "--input", str(setfile), "--epsilon", "0.4",
+            "--delta", "0.3", "--seed", "1", "--out", str(trace))
     proc = run_cli("report", "--trace", str(trace))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "audit: ok" in proc.stdout
 
     doc = json.loads(trace.read_text())
-    assert doc["version"] == version
     finish = doc["steps"][-1]
     assert finish["action"] == "finish" and finish["verdict_status"] == "regular"
     assert finish["upper_bound"] < 0.9
@@ -303,14 +302,6 @@ def test_report_rejects_a_final_set_outside_the_input(tmp_path):
     assert f"1 of the {len(doc['a_star'])} final elements lie outside the input set" in proc.stdout
 
 
-def _as_version_1(doc, **old):
-    values = {"c1": C1_DEFAULT, "c": C_DEFAULT, "witness_restarts": 8,
-              "witness_alternations": 60}
-    values.update(old)
-    doc["version"] = 1
-    doc["config"].update(values)
-
-
 def _at(doc, path):
     """The container that holds the last key of ``path`` in ``doc``, and that key."""
     *parents, last = path
@@ -336,15 +327,15 @@ FLOAT_FIELDS = [("rho_star",), ("config", "epsilon"), ("config", "delta"), ("con
     *(_past_float_range(*path) for path in FLOAT_FIELDS),
     lambda d: d["steps"][0].update(rho="x"),
     lambda d: d["measured"].pop("gate_size"),
-    lambda d: _as_version_1(d, c1="zz"),
-    lambda d: _as_version_1(d, witness_restarts=3),
+    lambda d: d.update(initial_size=15),
+    lambda d: d["measured"].update(doubling=123),
     lambda d: d.update(a_star=[]),
     lambda d: d.update(rho_star=0.0),
     lambda d: d["measured"].update(gate_size=10**400),
     lambda d: d["config"].update(k_bound=math.inf),
     lambda d: d["config"].update(k_bound=math.nan),
 ], ids=[*("float-range-" + "-".join(map(str, path)) for path in FLOAT_FIELDS),
-        "step-rho-string", "measured-missing-key", "v1-c1-string", "v1-other-budget",
+        "step-rho-string", "measured-missing-key", "top-level-unknown-key", "measured-unknown-key",
         "empty-a-star", "rho-star-zero", "count-past-float-range", "k-bound-infinite",
         "k-bound-nan"])
 def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
@@ -359,39 +350,31 @@ def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
     assert "Traceback" not in proc.stderr
 
 
-def test_version_1_trace_reports_like_version_2(tmp_path):
-    # each stored version 2 trace, its version 1 form and its version 3
-    # rewrite give the same report, byte for byte
-    assert len(V2_TRACES) == 3
-    for stored in V2_TRACES:
-        doc = json.loads(stored.read_text())
-        assert doc["version"] == 2
-        old = tmp_path / "v1.json"
-        _as_version_1(doc)
-        old.write_text(json.dumps(doc))
-        new = tmp_path / "v3.json"
-        write_trace_file(new, *read_trace_file(stored)[:2])
-        assert json.loads(new.read_text())["version"] == 3
-        for fmt in ("text", "json"):
-            expected = report(stored, fmt)
-            assert expected[0] == 0, expected[1]
-            assert report(old, fmt) == expected
-            assert report(new, fmt) == expected
+def test_report_rejects_a_version_1_or_2_trace(tmp_path):
+    # only version 3 reads; the header names the version before any other field is read
+    doc = json.loads((DATA / "v3_example1_n3_t1.json").read_text())
+    for version in (1, 2):
+        doc["version"] = version
+        trace = tmp_path / f"v{version}.json"
+        trace.write_text(json.dumps(doc))
+        proc = run_cli("report", "--trace", str(trace))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {trace}: unsupported version {version}\n"
 
 
+# A version 2 trace also stored K, the bounds and each step's certified
+# flag, which each forgery below set to agree with it; version 3 derives them
 def _forge_k(doc):
-    doc["measured"]["K"] = 1e12
     doc["steps"][-1]["gate_size"] = 10**9
 
 
 def _forge_bounds(doc):
-    doc["measured"].update(certified_doubling_bound=1e30, interim_bound=1e30, sumset_size=10**8)
+    doc["measured"].update(sumset_size=10**8)
 
 
 def _forge_direct_check(doc):
     doc["certified"] = False
-    doc["measured"]["certified_doubling_bound"] = 1.0
-    doc["steps"][-1].update(verdict_status="undetermined", certified=False, direct_check=False)
+    doc["steps"][-1].update(verdict_status="undetermined", direct_check=False)
 
 
 @pytest.mark.parametrize("forge,needle", [
@@ -400,9 +383,7 @@ def _forge_direct_check(doc):
     (_forge_direct_check, "direct_check is False, expected True"),
 ], ids=["K", "bounds", "direct-check"])
 def test_report_derives_what_a_version_2_trace_stored(tmp_path, forge, needle):
-    # each forgery keeps the audit that a reader taking K and the bounds from
-    # the file recomputes, so such a reader printed "audit: ok" and exited 0
-    doc = json.loads((DATA / "v2_example1_n3_t1.json").read_text())
+    doc = json.loads((DATA / "v3_example1_n3_t1.json").read_text())
     forge(doc)
     trace = tmp_path / "forged.json"
     trace.write_text(json.dumps(doc))
@@ -423,7 +404,7 @@ def test_report_derives_what_a_version_2_trace_stored(tmp_path, forge, needle):
         "empty-rho-spectrum", "gate-below-rho", "theorem-2-levels"])
 def test_report_rejects_impossible_counts(tmp_path, counts):
     trace = tmp_path / "trace.json"
-    write_trace_file(trace, *read_trace_file(SHRINK_V2)[:2])
+    trace.write_bytes(SHRINK.read_bytes())
     assert report(trace)[0] == 0
     doc = json.loads(trace.read_text())
     assert doc["measured"] == {"gate_size": 2145, "spec_rho_size": 2145,
@@ -438,7 +419,7 @@ def test_report_rejects_impossible_counts(tmp_path, counts):
 def test_report_survives_a_step_count_past_float_range(tmp_path):
     # the gate test used to multiply K by this count in floating point and
     # end in an OverflowError traceback; the count check reports it instead
-    doc = json.loads((DATA / "v2_example1_n3_t1.json").read_text())
+    doc = json.loads((DATA / "v3_example1_n3_t1.json").read_text())
     doc["steps"][-1]["spec_size"] = 10**400
     trace = tmp_path / "trace.json"
     trace.write_text(json.dumps(doc))
@@ -448,13 +429,7 @@ def test_report_survives_a_step_count_past_float_range(tmp_path):
     assert f"violation: step 1: no spectrum in |G|=64 has |Spec_rho|={10**400}" in proc.stdout
 
 
-@functools.cache
-def _v3_text(stored):
-    """The version 3 rewrite of a stored trace, as JSON text."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "v3.json"
-        write_trace_file(path, *read_trace_file(stored)[:2])
-        return path.read_text()
+GOLDEN_T1 = "golden_example1_n5_moved_t1.json"
 
 
 def _forge_step(i, **fields):
@@ -462,32 +437,45 @@ def _forge_step(i, **fields):
 
 
 @pytest.mark.parametrize("stored,forge,needle", [
-    ("v2_example1_n3_t1.json", _forge_step(0, minor_rows=3), "step 1: |A|=7, but step 0 leaves 3"),
-    ("v2_shrink_z3_5_11_13_t2.json", _forge_step(2, a_size=3), "step 2: |A|=3, but step 1 leaves 4"),
-    ("v2_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=9),
+    ("v3_example1_n3_t1.json", _forge_step(0, minor_rows=3), "step 1: |A|=7, but step 0 leaves 3"),
+    ("v3_shrink_z3_5_11_13_t2.json", _forge_step(2, a_size=3), "step 2: |A|=3, but step 1 leaves 4"),
+    ("v3_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=9),
      "final |A*|=7, but the last step leaves 9"),
-    ("v2_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=20),
+    ("v3_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=20),
      "step 0: a minor of 20 rows of 15"),
-    ("v2_example1_n3_t1.json", lambda doc: doc["measured"].update(sumset_size=64),
+    ("v3_example1_n3_t1.json", lambda doc: doc["measured"].update(sumset_size=64),
      "certified, but |S+S|=64 is above the certified doubling bound 20.0"),
-    ("v2_example1_n3_t1.json", lambda doc: (doc["steps"][1].update(rho_next=0.5),
+    ("v3_example1_n3_t1.json", lambda doc: (doc["steps"][1].update(rho_next=0.5),
                                             doc.update(rho_star=0.5)),
      "step 1: finish step moved rho to 0.5, expected 1.0"),
-    ("v2_example1_n3_t1.json", _forge_step(0, a_size=40),
+    ("v3_example1_n3_t1.json", _forge_step(0, a_size=40),
      "step 0: |A|=40, but the run starts at 15"),
-    ("v2_example1_n3_t1.json", _forge_step(0, rho=0.45),
+    ("v3_example1_n3_t1.json", _forge_step(0, rho=0.45),
      "step 0: rho=0.45, but the run starts at 0.4"),
-    ("v2_example1_n3_t1.json", _forge_step(0, new_mean=None),
+    ("v3_example1_n3_t1.json", _forge_step(0, new_mean=None),
      "step 0: minor step moved rho to 1.0, expected nan"),
-    ("v2_example1_n3_t1.json", _forge_step(0, new_mean=0.3, rho_next=0.3),
+    ("v3_example1_n3_t1.json", _forge_step(0, new_mean=0.3, rho_next=0.3),
      "step 0: minor step did not raise rho"),
-    ("v2_example1_n3_t1.json", _forge_step(1, action="jump"), "step 1: unknown action 'jump'"),
-    ("v2_example1_n3_t1.json", lambda doc: doc["steps"].clear(), "empty trace"),
+    ("v3_example1_n3_t1.json", _forge_step(1, action="jump"), "step 1: unknown action 'jump'"),
+    ("v3_example1_n3_t1.json", lambda doc: doc["steps"].clear(), "empty trace"),
+    # step fields no run writes, on a minor then a certified finish
+    (GOLDEN_T1, _forge_step(1, witness_value=0.9), "step 1: witness_value 0.9 with verdict regular"),
+    (GOLDEN_T1, _forge_step(1, new_mean=1.0, minor_cols=32),
+     "step 1: new_mean, minor_rows, minor_cols = (1.0, None, 32) on a finish step"),
+    (GOLDEN_T1, _forge_step(0, witness_value=None), "step 0: witness_value None with verdict irregular"),
+    (GOLDEN_T1, _forge_step(0, witness_value=0.001),
+     "step 0: witness_value 0.001 with verdict irregular, lambda 0.00106"),
+    (GOLDEN_T1, _forge_step(0, witness_value=0.9),
+     "step 0: witness_value 0.9 with verdict irregular, lambda 0.00106"),
+    (GOLDEN_T1, _forge_step(0, minor_cols=10**6), "step 0: a minor of 1000000 columns of 63"),
+    (GOLDEN_T1, _forge_step(0, verdict_status="regular"), "step 0: minor step with verdict regular"),
 ], ids=["minor-rows", "size-without-a-minor", "final-size", "minor-past-its-matrix",
         "certified-bound", "finish-rho", "input-size", "start-rho", "minor-without-mean",
-        "minor-not-raising-rho", "unknown-action", "empty-trace"])
+        "minor-not-raising-rho", "unknown-action", "empty-trace", "finish-witness",
+        "finish-minor-fields", "minor-without-witness", "witness-below-lambda",
+        "witness-above-bound", "minor-past-its-columns", "minor-on-regular"])
 def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, needle):
-    doc = json.loads(_v3_text(DATA / stored))
+    doc = json.loads((DATA / stored).read_text())
     forge(doc)
     trace = tmp_path / "forged.json"
     trace.write_text(json.dumps(doc))
@@ -503,9 +491,8 @@ def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, n
     (1, "new_mean", math.nan), (0, "upper_bound", math.nan), (0, "upper_bound", math.inf),
 ], ids=["growth-new-mean-nan", "minor-upper-bound-nan", "minor-upper-bound-infinity"])
 def test_report_rejects_a_non_finite_float_with_exit_2(tmp_path, step, field, value):
-    # no run writes NaN or Infinity, and the audit reads new_mean only on
-    # minor steps and upper_bound only on regular ones, so the reader refuses them
-    doc = json.loads(_v3_text(SHRINK_V2))
+    # no run writes NaN or Infinity, so the reader refuses them before the audit
+    doc = json.loads(SHRINK.read_text())
     assert [s["action"] for s in doc["steps"][:2]] == ["minor", "growth"]
     doc["steps"][step][field] = value
     trace = tmp_path / "non-finite.json"
@@ -513,6 +500,24 @@ def test_report_rejects_a_non_finite_float_with_exit_2(tmp_path, step, field, va
     proc = run_cli("report", "--trace", str(trace))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "must be finite" in proc.stderr
+
+
+def test_readme_command_line_transcript(tmp_path):
+    # each "$ specdbl" line of README's "Command line" block, run in a fresh
+    # directory, prints the lines shown under it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    session = [chunk.splitlines() for chunk in block.strip().split("\n\n")]
+    assert [lines[0].split()[:3] for lines in session] == [
+        ["$", "specdbl", name] for name in ("gen", "spectrum", "refine", "report", "verify")]
+    # the child runs in tmp_path, so it finds this package by an absolute path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))}
+    for command, *shown in session:
+        proc = subprocess.run([sys.executable, "-m", "specdbl.cli", *shlex.split(command)[2:]],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert proc.stdout.splitlines() == shown, command
 
 
 def test_refine_audits_once(tmp_path):
@@ -878,7 +883,7 @@ DELETE = object()
 @st.composite
 def mutated_traces(draw):
     """A stored trace with one field replaced by a JSON value or a huge int, or deleted."""
-    doc = json.loads(_v3_text(draw(st.sampled_from(V2_TRACES))))
+    doc = json.loads(draw(st.sampled_from(V3_TRACES)).read_text())
     path = draw(st.sampled_from(list(_field_paths(doc))))
     value = draw(st.just(DELETE) | JSON_VALUES
                  | st.integers(10**300, 10**400) | st.integers(-10**400, -10**300))

@@ -32,12 +32,57 @@ def test_set_file_layout(tmp_path):
     a = random_subset(g, 2, seed=1)
     path = tmp_path / "a.json"
     write_set_file(path, a)
-    doc = json.loads(path.read_text())
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1 and " " not in text
+    doc = json.loads(text)
     assert doc["format"] == "specdbl-set"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["orders"] == [2, 2]
     assert all(len(row) == 2 for row in doc["elements"])
-    assert path.read_text().endswith("\n")
+
+
+# a version 1 set file, indented by two spaces, as the version 1 writer wrote
+# random_subset(FiniteAbelianGroup((4, 3)), 3, seed=5)
+V1_SET = """{
+  "elements": [
+    [
+      0,
+      0
+    ],
+    [
+      2,
+      1
+    ],
+    [
+      0,
+      2
+    ]
+  ],
+  "format": "specdbl-set",
+  "metadata": {
+    "kind": "random",
+    "seed": 5,
+    "size": 3
+  },
+  "orders": [
+    4,
+    3
+  ],
+  "version": 1
+}
+"""
+
+
+def test_version_1_set_file_reads_and_rewrites_as_version_2(tmp_path):
+    old, new, again = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "again.json"
+    old.write_text(V1_SET)
+    members, meta = read_set_file(old)
+    assert members == random_subset(FiniteAbelianGroup((4, 3)), 3, seed=5)
+    assert meta == {"kind": "random", "seed": 5, "size": 3}
+    write_set_file(new, members, meta)
+    assert json.loads(new.read_text()) == {**json.loads(V1_SET), "version": 2}
+    write_set_file(again, *read_set_file(new))
+    assert again.read_bytes() == new.read_bytes()
 
 
 ROWS = "must contain coordinate rows of length 2"
