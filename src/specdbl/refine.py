@@ -12,10 +12,11 @@ matrix of A_i against its rho_i-spectrum:
 
 The first procedure runs the linear-shrink schedule (lambda = eps*rho/150,
 gate at eps*rho/2); the second runs the squaring schedule (lambda = rho^2/150,
-gate at rho^2/2).  Every round appends one trace record and moves rho by
-``_rho_after``; the audit replays that rule and recomputes the combinatorial
-claims from the records alone.  ``_measure`` derives the
-final measurements from four counts, which are all a stored trace keeps.
+gate at rho^2/2).  Every round appends one trace record, takes its action
+from ``_action`` and moves rho by ``_rho_after``; the audit replays both
+rules and recomputes the combinatorial claims from the records alone.
+``_measure`` derives the final measurements from four counts, which are all
+a stored trace keeps.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .coherence import build_matrix
 from .fourier import dft, spectrum
 from .groups import ElementSet, sumset
-from .regularity import _WITNESS_SLACK, decide_regularity, extract_minor
+from .regularity import _verdict_fault, decide_regularity, extract_minor
 
 __all__ = [
     "RefineConfig",
@@ -46,6 +47,8 @@ __all__ = [
 
 # what a trace stores of ``RefineResult.measured``; ``_measure`` derives the rest
 MEASURED_COUNTS = ("spec_size", "sumset_size", "spec_rho_size", "gate_size")
+# below this rho, membership in the spectrum sinks into the transform's rounding
+_RHO_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,23 @@ def _rho_after(theorem: int, cfg: RefineConfig, action: str, rho: float,
     return math.nan if new_mean is None else min(1.0, new_mean)
 
 
+def _action(cfg: RefineConfig, k_value: float, rho: float, spec_size: int, gate_size: int,
+            verdict_status: str, new_mean: Optional[float]) -> str:
+    """The action of a step at rho: an abort below the rho floor; a minor on
+    an irregular verdict whose minor makes progress (any minor in faithful
+    mode, else one whose mean beats rho); else a finish when the gate
+    |Spec_gate| <= K |Spec_rho| holds, resting on the direct check unless the
+    verdict is regular, and a growth, sound with or without a verdict, when
+    it fails.  The run and the audit both call it for every step."""
+    if rho < _RHO_FLOOR:
+        return "abort"
+    if verdict_status == "irregular" and (
+            cfg.mode == "faithful" or (new_mean is not None and new_mean > rho)):
+        return "minor"
+    # compared exactly, so that no count a trace stores can overflow it
+    return "finish" if gate_size <= Fraction(k_value) * spec_size else "growth"
+
+
 def _outcome(trace) -> tuple:
     """(terminated, certified) of a run whose records are ``trace``."""
     last = trace[-1]
@@ -142,17 +162,6 @@ def _outcome(trace) -> tuple:
         regular = last.verdict_status == "regular"
         return ("finished" if regular or last.direct_check else "inconclusive"), regular
     return ("inconclusive" if last.action == "abort" else "budget_exhausted"), False
-
-
-def _size_after(step: RefineTraceStep) -> Optional[int]:
-    """|A| after ``step``: a minor keeps its rows, every other step the set."""
-    return step.minor_rows if step.action == "minor" else step.a_size
-
-
-def _gate_ok(gate_size: int, k_value: float, spec_size: int) -> bool:
-    """The gate |Spec_gate| <= K |Spec_rho|, compared exactly, so that no count
-    a trace stores can overflow it."""
-    return gate_size <= Fraction(k_value) * spec_size
 
 
 def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho: float,
@@ -206,36 +215,27 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
         # the verdict fields are an abort's until a verdict replaces them
         step = dict(rho=rho, a_size=current.size, spec_size=len(spec_rho), gate_size=len(gate),
                     verdict_status="undetermined", upper_bound=1.0, witness_value=None)
-        if rho < 1e-8:
-            # the threshold has sunk to the numerical slack of the transform;
-            # membership in the spectrum no longer means anything
-            action = "abort"
-        else:
+        new_mean = None
+        if rho >= _RHO_FLOOR:
             matrix = build_matrix(current, spec_rho, table)
             verdict = decide_regularity(matrix, lam, seed=cfg.seed + 7919 * i)
             step.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
                         witness_value=None if verdict.witness is None else verdict.witness.value)
-            # spectrum growth is sound whether or not the matrix was decided;
-            # a finish on a verdict other than regular rests on the direct check
-            action = "finish" if _gate_ok(len(gate), k_value, len(spec_rho)) else "growth"
             if verdict.status == "irregular":
                 extraction = extract_minor(matrix, verdict.witness, lam, mode=cfg.mode)
-                # an opportunistic minor that does not raise the mean is no
-                # progress, and the step goes on as if undecided
-                if cfg.mode == "faithful" or extraction.new_mean > rho:
-                    action = "minor"
-                    step.update(new_mean=extraction.new_mean,
-                                minor_rows=int(extraction.row_positions.size),
-                                minor_cols=int(extraction.col_positions.size))
-        rho_next = _rho_after(theorem, cfg, action, rho, step.get("new_mean"))
-        trace.append(RefineTraceStep(action=action, rho_next=rho_next, **step))
-        if action in ("finish", "abort"):
-            break
+                new_mean = extraction.new_mean
+        action = _action(cfg, k_value, rho, len(spec_rho), len(gate), step["verdict_status"],
+                         new_mean)
         if action == "minor":
+            step.update(new_mean=new_mean, minor_rows=int(extraction.row_positions.size),
+                        minor_cols=int(extraction.col_positions.size))
             # row i of the matrix stands for current.indices()[i]
             current = ElementSet.from_indices(group, current.indices()[extraction.row_positions])
             table = dft(current)
-        rho = rho_next
+        rho = _rho_after(theorem, cfg, action, rho, new_mean)
+        trace.append(RefineTraceStep(action=action, rho_next=rho, **step))
+        if action in ("finish", "abort"):
+            break
 
     # the measured level is epsilon (theorem 1) or rho (theorem 2)
     final_spec = spec_rho if theorem == 2 or cfg.epsilon == rho else spectrum(table, cfg.epsilon)
@@ -291,14 +291,15 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
 
     Two chains are walked as a run walks them: rho from epsilon by
     ``_rho_after``, and |A| from |original|, a minor leaving its ``minor_rows``.
-    Each step must start where the walk stands and store the rho it moves to,
-    and rho* and |A*| must be where the walk ends.  K and lambda are derived,
-    and a regular verdict's bound lies below lambda.  Only irregular verdicts
-    store a witness value, in ``RegularityVerdict``'s window, and only minors,
-    on irregular verdicts, their mean and shape.  Counts must be ones a
-    spectrum in G can have, only a non-regular finish carries the direct
-    doubling check, the last step gives the stored outcome, a certified run
-    meets both bounds, and the final set lies inside the input set ``original``.
+    Each step must start where the walk stands, store the rho it moves to and
+    take the action ``_action`` gives its stored fields; rho* and |A*| must be
+    where the walk ends.  Each verdict passes ``_verdict_fault``, as in
+    ``RegularityVerdict``: a known status, a bound in [0, 1 + 1e-3] and below
+    lambda exactly when regular, and a witness value, in its window, on
+    irregular verdicts only.  Only minors store their mean and shape.  Counts
+    must be ones a spectrum in G can have, only a non-regular finish carries
+    the direct doubling check, the last step gives the stored outcome, a
+    certified run meets both bounds, and the final set lies inside ``original``.
     """
     cfg = result.config
     theorem = result.theorem
@@ -310,7 +311,6 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     violations = []
     steps = result.trace
 
-    growth_positions = []
     bad_counts = False
     rho, size = eps, original.size
     for pos, s in enumerate(steps):
@@ -319,7 +319,8 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             violations.append(f"step {pos}: rho={s.rho}, but {before} {rho}")
         if s.a_size != size:
             violations.append(f"step {pos}: |A|={s.a_size}, but {before} {size}")
-        rho, size = _rho_after(theorem, cfg, s.action, rho, s.new_mean), _size_after(s)
+        rho = _rho_after(theorem, cfg, s.action, rho, s.new_mean)
+        size = s.minor_rows if s.action == "minor" else s.a_size
         if s.rho_next != rho:
             violations.append(f"step {pos}: {s.action} step moved rho to {s.rho_next}, "
                               f"expected {rho}")
@@ -328,16 +329,9 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             violations.append(f"step {pos}: no spectrum in |G|={group_size} has |Spec_rho|="
                               f"{s.spec_size} inside |Spec_gate|={s.gate_size}")
         lam = _lambda_level(theorem, eps, s.rho)
-        if s.verdict_status == "regular" and not s.upper_bound < lam:
-            violations.append(
-                f"step {pos}: certified although the bound {s.upper_bound} "
-                f"is not below lambda {lam}"
-            )
-        value = s.witness_value
-        if (value is not None) != (s.verdict_status == "irregular") or (
-                value is not None and not lam * (1 - _WITNESS_SLACK) <= value <= s.upper_bound + 1e-9):
-            violations.append(f"step {pos}: witness_value {value} with verdict {s.verdict_status}, "
-                              f"lambda {lam} and bound {s.upper_bound}")
+        fault = _verdict_fault(s.verdict_status, lam, s.upper_bound, s.witness_value)
+        if fault is not None:
+            violations.append(f"step {pos}: {fault}")
         minor_fields = (s.new_mean, s.minor_rows, s.minor_cols)
         if minor_fields.count(None) != (0 if s.action == "minor" else 3):
             violations.append(f"step {pos}: new_mean, minor_rows, minor_cols = {minor_fields} "
@@ -346,34 +340,16 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
                   else None)
         if s.direct_check != direct:
             violations.append(f"step {pos}: direct_check is {s.direct_check}, expected {direct}")
+        action = _action(cfg, k_value, s.rho, s.spec_size, s.gate_size, s.verdict_status,
+                         s.new_mean)
+        if s.action != action:
+            violations.append(f"step {pos}: action {s.action!r}, but the run's rule gives {action!r}")
         if s.action == "minor":
-            if s.rho_next <= s.rho:
-                violations.append(f"step {pos}: minor step did not raise rho")
-            if s.verdict_status != "irregular":
-                violations.append(f"step {pos}: minor step with verdict {s.verdict_status}")
             if s.minor_rows is None or not 1 <= s.minor_rows <= s.a_size:
                 violations.append(f"step {pos}: a minor of {s.minor_rows} rows of {s.a_size}")
             if s.minor_cols is None or not 1 <= s.minor_cols <= s.spec_size:
                 violations.append(f"step {pos}: a minor of {s.minor_cols} columns of {s.spec_size}")
-        elif s.action == "growth":
-            if _gate_ok(s.gate_size, k_value, s.spec_size):
-                violations.append(
-                    f"step {pos}: growth step fired although the gate held "
-                    f"({s.gate_size} <= {k_value} * {s.spec_size})"
-                )
-            growth_positions.append(pos)
-        elif s.action == "finish":
-            if not _gate_ok(s.gate_size, k_value, s.spec_size):
-                violations.append(
-                    f"step {pos}: finish with a failing gate "
-                    f"({s.gate_size} > {k_value} * {s.spec_size})"
-                )
-        elif s.action == "abort":
-            pass  # numerical-floor bailout carries no combinatorial claim
-        else:
-            violations.append(f"step {pos}: unknown action {s.action!r}")
-    k2 = len(growth_positions)
-    k1 = sum(1 for s in steps if s.action == "minor")
+    growth_positions = [pos for pos, s in enumerate(steps) if s.action == "growth"]
 
     if steps:
         if result.rho_star != rho:
@@ -412,8 +388,8 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     return AuditReport(
         ok=not violations,
         violations=tuple(violations),
-        k1=k1,
-        k2=k2,
+        k1=sum(1 for s in steps if s.action == "minor"),
+        k2=len(growth_positions),
         growth_positions=tuple(growth_positions),
         t_ratios=tuple(t_ratios),
     )

@@ -76,6 +76,8 @@ _UNIT = np.finfo(np.float64).eps / 2.0
 _TIE_REL = 1e-9
 # a witness value this close below lambda (relative) reaches it: the search's rounding
 _WITNESS_SLACK = 1e-12
+# the most spectral_certificate can return (see there)
+_BOUND_CEILING = 1.0 + 1e-3
 # step-function grid coordinates this close to an edge count as on it
 _EDGE_TOL = 1e-9
 
@@ -184,6 +186,26 @@ class IrregularityWitness:
             raise ValueError("witness value cannot be negative")
 
 
+def _verdict_fault(status: str, lam: float, upper_bound: float,
+                   witness_value: Optional[float]) -> Optional[str]:
+    """What a verdict's fields get wrong, or None; the audit of a trace calls it too."""
+    if status not in ("regular", "irregular", "undetermined"):
+        return f"unknown verdict {status!r}"
+    if not 0.0 <= upper_bound <= _BOUND_CEILING:
+        return f"the bound {upper_bound} lies outside [0, {_BOUND_CEILING}]"
+    regular = status == "regular"
+    if regular != (upper_bound < lam):
+        return (f"{'certified' if regular else status} although the bound {upper_bound} "
+                f"is {'not ' if regular else ''}below lambda {lam}")
+    # only an irregular verdict has a witness, at lambda and within the bound
+    if (witness_value is not None) != (status == "irregular") or (
+            witness_value is not None
+            and not lam * (1 - _WITNESS_SLACK) <= witness_value <= upper_bound + 1e-9):
+        return (f"witness_value {witness_value} with verdict {status}, "
+                f"lambda {lam} and bound {upper_bound}")
+    return None
+
+
 @dataclass(frozen=True)
 class RegularityVerdict:
     """Outcome of the regularity decision.
@@ -200,11 +222,10 @@ class RegularityVerdict:
     lower_bound: float
 
     def __post_init__(self):
-        if self.status not in ("regular", "irregular", "undetermined"):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status == "irregular":
-            if self.witness is None or self.witness.value < self.lam * (1 - _WITNESS_SLACK):
-                raise AssertionError("irregular verdicts need a witness at level lambda")
+        fault = _verdict_fault(self.status, self.lam, self.upper_bound,
+                               None if self.witness is None else self.witness.value)
+        if fault is not None:
+            raise AssertionError(fault)
         if self.lower_bound > self.upper_bound + 1e-9:
             raise AssertionError(
                 f"sandwich violated: lower {self.lower_bound} > upper {self.upper_bound}"
@@ -236,6 +257,13 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
     - Finally the roundings of that product, of the square roots, of the
       division, of the centring term and of the sum add at most 6u
       relative, which the factor 1 + 8u covers even after its own rounding.
+    - Ceiling.  Centring projects each column (or row) orthogonally, so
+      ||C||_F <= sqrt(rows cols) max|M| with max|M| <= 1 + 1e-9 (checked by
+      CoherenceMatrix).  No matrix that fits in memory has over 2^40 entries
+      (8 TiB of float64), so k <= rows cols <= 2^-13 / u, the computed vdot
+      is at most 1 + gamma_{2 rows cols} times the exact one, and the bound
+      is below max|M| (1 + 2 (k + 2) u)^2 (1 + 8u) sqrt((1 + gamma_{2 rows cols})
+      (1 + 4 rows cols u)) < 1 + 8.6e-4, below _BOUND_CEILING.
 
     The bound scales with ||C||_F, not with |A| |Gamma|, so a matrix whose
     centring is (nearly) zero, such as the all-ones matrix, still gets a

@@ -378,7 +378,7 @@ def _forge_direct_check(doc):
 
 
 @pytest.mark.parametrize("forge,needle", [
-    (_forge_k, "finish with a failing gate (1000000000 > "),
+    (_forge_k, "step 1: action 'finish', but the run's rule gives 'growth'"),
     (_forge_bounds, "no spectrum in |G|=64 has the measured |S|=8, |S+S|=100000000"),
     (_forge_direct_check, "direct_check is False, expected True"),
 ], ids=["K", "bounds", "direct-check"])
@@ -436,6 +436,19 @@ def _forge_step(i, **fields):
     return lambda doc: doc["steps"][i].update(fields)
 
 
+def _forge_abort(doc):
+    doc["steps"][1]["action"] = "abort"
+    doc.update(terminated="inconclusive", certified=False)
+
+
+def _forge_uncertified(status):
+    # the finish keeps its bound below lambda but drops to the direct check
+    def forge(doc):
+        doc["steps"][1].update(verdict_status=status, direct_check=True)
+        doc["certified"] = False
+    return forge
+
+
 @pytest.mark.parametrize("stored,forge,needle", [
     ("v3_example1_n3_t1.json", _forge_step(0, minor_rows=3), "step 1: |A|=7, but step 0 leaves 3"),
     ("v3_shrink_z3_5_11_13_t2.json", _forge_step(2, a_size=3), "step 2: |A|=3, but step 1 leaves 4"),
@@ -455,8 +468,9 @@ def _forge_step(i, **fields):
     ("v3_example1_n3_t1.json", _forge_step(0, new_mean=None),
      "step 0: minor step moved rho to 1.0, expected nan"),
     ("v3_example1_n3_t1.json", _forge_step(0, new_mean=0.3, rho_next=0.3),
-     "step 0: minor step did not raise rho"),
-    ("v3_example1_n3_t1.json", _forge_step(1, action="jump"), "step 1: unknown action 'jump'"),
+     "step 0: action 'minor', but the run's rule gives 'finish'"),
+    ("v3_example1_n3_t1.json", _forge_step(1, action="jump"),
+     "step 1: action 'jump', but the run's rule gives 'finish'"),
     ("v3_example1_n3_t1.json", lambda doc: doc["steps"].clear(), "empty trace"),
     # step fields no run writes, on a minor then a certified finish
     (GOLDEN_T1, _forge_step(1, witness_value=0.9), "step 1: witness_value 0.9 with verdict regular"),
@@ -468,12 +482,23 @@ def _forge_step(i, **fields):
     (GOLDEN_T1, _forge_step(0, witness_value=0.9),
      "step 0: witness_value 0.9 with verdict irregular, lambda 0.00106"),
     (GOLDEN_T1, _forge_step(0, minor_cols=10**6), "step 0: a minor of 1000000 columns of 63"),
-    (GOLDEN_T1, _forge_step(0, verdict_status="regular"), "step 0: minor step with verdict regular"),
+    (GOLDEN_T1, _forge_step(0, verdict_status="regular"),
+     "step 0: action 'minor', but the run's rule gives 'finish'"),
+    # an abort above the rho floor, and verdicts and bounds no certificate gives
+    ("v3_example1_n3_t1.json", _forge_abort, "step 1: action 'abort', but the run's rule gives 'finish'"),
+    ("v3_example1_n3_t1.json", _forge_step(0, upper_bound=10.0),
+     "step 0: the bound 10.0 lies outside [0, 1.001]"),
+    ("v3_example1_n3_t1.json", _forge_step(1, upper_bound=-3.0),
+     "step 1: the bound -3.0 lies outside [0, 1.001]"),
+    ("v3_example1_n3_t1.json", _forge_uncertified("bogus"), "step 1: unknown verdict 'bogus'"),
+    ("v3_example1_n3_t1.json", _forge_uncertified("undetermined"),
+     "step 1: undetermined although the bound 2.220446049250315e-15 is below lambda"),
 ], ids=["minor-rows", "size-without-a-minor", "final-size", "minor-past-its-matrix",
         "certified-bound", "finish-rho", "input-size", "start-rho", "minor-without-mean",
         "minor-not-raising-rho", "unknown-action", "empty-trace", "finish-witness",
         "finish-minor-fields", "minor-without-witness", "witness-below-lambda",
-        "witness-above-bound", "minor-past-its-columns", "minor-on-regular"])
+        "witness-above-bound", "minor-past-its-columns", "minor-on-regular", "abort-above-floor",
+        "bound-above-ceiling", "negative-bound", "unknown-verdict", "undetermined-below-lambda"])
 def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, needle):
     doc = json.loads((DATA / stored).read_text())
     forge(doc)

@@ -134,26 +134,13 @@ def test_closure_failure_reports_a_witness_pair(monkeypatch, tmp_path, capsys):
 
 
 def test_example_counterexample_small_cases():
-    b1 = example_counterexample(1)
-    assert b1.size_ok and len(b1.members) == 3
-    assert b1.sumset_is_group
-    assert b1.coeffs_ok
-    # n = 1 is degenerate: on-set and off-set coefficients coincide (both 1),
-    # so no threshold separates the set from the rest of the group
-    assert not b1.spec04_equals_set
-    assert b1.spec04_size == 1
-
+    # test_criterion_01 checks the size, the sumset, the coefficients and the
+    # 0.4-spectrum for n = 1..5; here the level 1/2 and the closed-form bound
     b2 = example_counterexample(2)
-    assert len(b2.members) == 7
-    assert b2.members.group.size == 16
-    assert b2.sumset_is_group
-    assert b2.spec04_equals_set
-    assert b2.spec_half_size == 1
+    assert b2.n == 2 and b2.members.group.size == 16
+    assert spectrum(dft(b2.members), 0.5).indices().tolist() == [0]
 
     b3 = example_counterexample(3)
-    assert b3.size_ok and b3.sumset_is_group and b3.coeffs_ok
-    assert b3.spec04_size == 15
-    assert b3.spec04_equals_set
     assert b3.valid_threshold_bound == pytest.approx(7 / 15)
 
     for bad in [0, 11, -2]:

@@ -158,7 +158,7 @@ def test_audit_flags_a_tampered_trace(plane):
     tampered = dataclasses.replace(result, trace=(fake_growth,))
     report = audit_trace(tampered, h)
     assert not report.ok
-    assert any("gate held" in v for v in report.violations)
+    assert "step 0: action 'growth', but the run's rule gives 'finish'" in report.violations
 
     drifted = dataclasses.replace(result, rho_star=0.25)
     report = audit_trace(drifted, h)

@@ -211,6 +211,10 @@ def test_certificate_block_sign_upper_is_one():
     assert not certified
     # never certifies any lambda below 1
     assert not spectral_certificate(m, 0.999)[1]
+    # centring removes nothing from it, so at the largest modulus
+    # CoherenceMatrix admits it comes closest to the ceiling
+    widest = CoherenceMatrix(np.kron(m.entries, np.ones((64, 64))) * (1 + 0.9e-9))
+    assert 1.0 < spectral_certificate(widest, 0.5)[0] <= regularity._BOUND_CEILING
 
 
 def _centrings(entries):
@@ -312,6 +316,7 @@ def test_large_certificate_is_sound_and_tight(name):
     upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     reference = _svd_upper(entries)
     assert reference <= upper <= _fro_upper(entries) + 1e-9
+    assert upper <= regularity._BOUND_CEILING
 
 
 @pytest.mark.parametrize("name", ["sign-256x300", "unit-400x256", "rank-one-noise-300x260"])
@@ -695,6 +700,23 @@ def test_decide_sandwich_on_random_matrices():
             recomputed = abs(w.f.values @ m.entries @ w.g.values) / m.entries.size
             assert recomputed == pytest.approx(w.value, abs=1e-9)
     assert "irregular" in statuses or "regular" in statuses
+
+
+@pytest.mark.parametrize("status,upper,needle", [
+    ("regular", 0.1, "certified although the bound 0.1 is not below lambda 0.1"),
+    ("regular", 0.5, "certified although the bound 0.5 is not below lambda 0.1"),
+    ("undetermined", 0.05, "undetermined although the bound 0.05 is below lambda 0.1"),
+    ("irregular", 0.05, "irregular although the bound 0.05 is below lambda 0.1"),
+    ("undetermined", -0.5, "the bound -0.5 lies outside [0, 1.001]"),
+    ("undetermined", 2.0, "the bound 2.0 lies outside [0, 1.001]"),
+    ("undetermined", math.nan, "the bound nan lies outside [0, 1.001]"),
+    ("bogus", 0.5, "unknown verdict 'bogus'"),
+])
+def test_verdict_rejects_what_the_audit_rejects(status, upper, needle):
+    with pytest.raises(AssertionError) as info:
+        regularity.RegularityVerdict(status, 0.1, upper, None, 0.0)
+    assert str(info.value) == needle
+    assert regularity._verdict_fault(status, 0.1, upper, None) == needle
 
 
 def test_decide_example_set_matrix_is_irregular():
