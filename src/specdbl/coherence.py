@@ -24,7 +24,7 @@ import numpy as np
 from .fourier import FourierTable, SpectrumSet
 from .groups import ElementSet, char_matrix
 
-__all__ = ["CoherenceMatrix", "BoundedFunction", "build_matrix", "bilinear"]
+__all__ = ["CoherenceMatrix", "BoundedFunction", "build_matrix"]
 
 _TOL = 1e-9
 
@@ -125,16 +125,4 @@ def build_matrix(
     if float(sums.real.min()) < -_TOL * a.size:
         raise AssertionError("column sums must be nonnegative")
     return m
-
-
-def bilinear(f: BoundedFunction, m: CoherenceMatrix, g: BoundedFunction) -> complex:
-    """Plain bilinear form f^T M g (no conjugation on either side)."""
-    if f.side != "rows" or g.side != "cols":
-        raise ValueError("bilinear expects a row-side f and a column-side g")
-    if len(f) != m.n_rows or len(g) != m.n_cols:
-        raise ValueError(
-            f"shape mismatch: f has {len(f)}, g has {len(g)}, matrix is "
-            f"{m.n_rows}x{m.n_cols}"
-        )
-    return complex(f.values @ m.entries @ g.values)
 

@@ -10,14 +10,13 @@ level eps collects the characters whose coefficient magnitude is at least
 eps * |A|, up to an absolute slack of 1e-9 * |A| so exact boundary ties land
 inside the set.
 
-``dft`` and ``inverse_dft`` transform the order-2 axes of the group's array
-shape with an exact Walsh-Hadamard transform and every axis of order above 2
-with numpy's FFT (the transform pair lives in ``groups``, next to the group's
-array shape).  On a pure 2-group (every factor of order 1 or 2) every
-coefficient of a set is an integer of magnitude at most |A|, computed
-exactly, and the table is float64; every other group gives complex128, and
-one with no factor of order 2 takes one numpy FFT call.  Nothing downstream
-forks on the dtype.
+``dft`` transforms the order-2 axes of the group's array shape with an exact
+Walsh-Hadamard transform and every axis of order above 2 with numpy's FFT
+(the transform lives in ``groups``, next to the group's array shape).  On a
+pure 2-group (every factor of order 1 or 2) every coefficient of a set is an
+integer of magnitude at most |A|, computed exactly, and the table is
+float64; every other group gives complex128, and one with no factor of
+order 2 takes one numpy FFT call.  Nothing downstream forks on the dtype.
 """
 
 from __future__ import annotations
@@ -26,14 +25,12 @@ import math
 
 import numpy as np
 
-from .groups import ElementSet, FiniteAbelianGroup, _inverse_transform, _transform
+from .groups import ElementSet, FiniteAbelianGroup, _transform
 
 __all__ = [
     "FourierTable",
     "SpectrumSet",
     "dft",
-    "dft_naive",
-    "inverse_dft",
     "spectrum",
     "parseval_capacity",
 ]
@@ -101,37 +98,6 @@ def dft(a: ElementSet) -> FourierTable:
     if np.iscomplexobj(coeffs):
         np.conjugate(coeffs, out=coeffs)
     return FourierTable(group, coeffs, a.size)
-
-
-def dft_naive(a: ElementSet) -> FourierTable:
-    """Fourier table by direct character summation (reference path).
-
-    O(|A| * |G|) with exact root-of-unity phases; independent of the fast
-    transform above.  The table takes the dtype of ``root_table``: float64,
-    and exact, on a pure 2-group.
-    """
-    group = a.group
-    members = a.indices()
-    coeffs = np.zeros(group.size, dtype=group.root_table().dtype)
-    gammas = np.arange(group.size, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, members.size))
-    from .groups import char_matrix
-
-    for start in range(0, group.size, chunk):
-        block = gammas[start : start + chunk]
-        coeffs[block] = char_matrix(group, members, block).sum(axis=0)
-    return FourierTable(group, coeffs, a.size)
-
-
-def inverse_dft(table: FourierTable) -> np.ndarray:
-    """Recover the indicator vector from a Fourier table (real, near 0/1).
-
-    ``np.fft.ifftn`` over the axes of order above 2, then the inverse
-    Walsh-Hadamard transform over the order-2 axes; on a pure 2-group with
-    integer coefficients the whole inverse is exact.
-    """
-    group = table.group
-    return _inverse_transform(group, np.conj(table.coeffs).reshape(group.shape))
 
 
 class SpectrumSet:

@@ -5,10 +5,10 @@ per cyclic factor.  Transforms over that array split the axes: the axes of
 order 2 go through an exact Walsh-Hadamard transform (a +-1 matrix product
 in real arithmetic), every axis of order above 2 through numpy's FFT, and an
 axis of order 1 through neither.  ``_transform`` and ``_inverse_transform``
-are that pair, shared by ``convolve_counts`` and
-``fourier.dft``/``inverse_dft``; a group with no factor of order 2 takes
-numpy's FFT alone, and a pure 2-group (every factor of order 1 or 2) stays
-in float64 throughout.
+are that pair: ``fourier.dft`` takes the forward transform, and
+``convolve_counts`` both; a group with no factor of order 2 takes numpy's
+FFT alone, and a pure 2-group (every factor of order 1 or 2) stays in
+float64 throughout.
 
 The same ``shape`` gives the rest of the layout.  The vectorised codec between
 flat indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
@@ -31,7 +31,6 @@ __all__ = [
     "FiniteAbelianGroup",
     "GroupElement",
     "ElementSet",
-    "char_value",
     "char_matrix",
     "convolve_counts",
     "sumset",
@@ -194,21 +193,6 @@ class FiniteAbelianGroup:
             if n > 2:
                 x = np.take(x, -np.arange(n) % n, axis=axis)
         return x.reshape(self.size)
-
-
-def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]) -> complex:
-    """Value of the character indexed by gamma at the element x.
-
-    gamma(x) = exp(2*pi*i * sum_j gamma_j x_j / n_j), evaluated through a table
-    of roots of unity so the modulus is 1 to machine precision.
-    """
-    g = np.asarray(tuple(gamma), dtype=np.int64) % group._orders_arr
-    c = np.asarray(tuple(x), dtype=np.int64) % group._orders_arr
-    if g.shape[0] != group.rank or c.shape[0] != group.rank:
-        raise ValueError(f"expected {group.rank} coordinates")
-    L = group._root_lcm
-    phase = int(np.sum(group.char_weights() * g * c) % L)
-    return complex(group.root_table()[phase])
 
 
 def char_matrix(
@@ -379,19 +363,17 @@ def _transform(group: FiniteAbelianGroup, mask: np.ndarray, real: bool = False) 
     return np.fft.rfftn(x, axes=axes) if real else np.fft.fftn(x, axes=axes)
 
 
-def _inverse_transform(group: FiniteAbelianGroup, y: np.ndarray, real: bool = False) -> np.ndarray:
-    """Inverse of ``_transform``, as a flat real vector.
+def _inverse_transform(group: FiniteAbelianGroup, y: np.ndarray) -> np.ndarray:
+    """Inverse of ``_transform(..., real=True)``, as a flat real vector.
 
-    ``np.fft.ifftn`` (``np.fft.irfftn`` when ``real``) over the axes of order
-    above 2, then, on the real part, ``_walsh_hadamard`` again divided by
-    2^(number of order-2 axes).  The Walsh-Hadamard matrix is real, so taking
-    the real part first loses nothing, and dividing by a power of two is exact.
+    ``np.fft.irfftn`` over the axes of order above 2, then ``_walsh_hadamard``
+    again divided by 2^(number of order-2 axes); dividing by a power of two
+    is exact.
     """
     axes = group._fft_axes
     if axes:
-        shape = [group.shape[i] for i in axes]
-        y = np.fft.irfftn(y, s=shape, axes=axes) if real else np.fft.ifftn(y, axes=axes)
-    y = _walsh_hadamard(group, y.real)
+        y = np.fft.irfftn(y, s=[group.shape[i] for i in axes], axes=axes)
+    y = _walsh_hadamard(group, y)
     if group._wht_blocks:
         y = y / (1 << group.shape.count(2))
     return y.ravel()
@@ -419,7 +401,7 @@ def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     group = _require_same_group(s, t)
     fs = _transform(group, s.mask, real=True)
     ft = fs if t is s else _transform(group, t.mask, real=True)
-    raw = _inverse_transform(group, fs * ft, real=True)
+    raw = _inverse_transform(group, fs * ft)
     counts = np.rint(raw)
     residue = float(np.max(np.abs(raw - counts)))
     if residue > 0.25:

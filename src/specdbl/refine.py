@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coherence import build_matrix
+from .coherence import _TOL, build_matrix
 from .fourier import dft, spectrum
 from .groups import ElementSet, sumset
 from .regularity import _verdict_fault, decide_regularity, extract_minor
@@ -296,10 +296,11 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     where the walk ends.  Each verdict passes ``_verdict_fault``, as in
     ``RegularityVerdict``: a known status, a bound in [0, 1 + 1e-3] and below
     lambda exactly when regular, and a witness value, in its window, on
-    irregular verdicts only.  Only minors store their mean and shape.  Counts
-    must be ones a spectrum in G can have, only a non-regular finish carries
-    the direct doubling check, the last step gives the stored outcome, a
-    certified run meets both bounds, and the final set lies inside ``original``.
+    irregular verdicts only.  Only minors store their mean, in [0, 1 + 1e-9],
+    and shape.  Counts must be ones a spectrum in G can have, only a
+    non-regular finish carries the direct doubling check, the last step
+    gives the stored outcome, a certified run meets both bounds, and the
+    final set lies inside ``original``.
     """
     cfg = result.config
     theorem = result.theorem
@@ -349,6 +350,10 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
                 violations.append(f"step {pos}: a minor of {s.minor_rows} rows of {s.a_size}")
             if s.minor_cols is None or not 1 <= s.minor_cols <= s.spec_size:
                 violations.append(f"step {pos}: a minor of {s.minor_cols} columns of {s.spec_size}")
+            # a mean of entries of modulus 1, up to CoherenceMatrix's tolerance
+            if s.new_mean is None or not 0.0 <= s.new_mean <= 1.0 + _TOL:
+                violations.append(f"step {pos}: the minor mean {s.new_mean} lies outside "
+                                  f"[0, {1.0 + _TOL}]")
     growth_positions = [pos for pos, s in enumerate(steps) if s.action == "growth"]
 
     if steps:

@@ -17,8 +17,9 @@ decides, the verdict is Undetermined and carries the sandwich between the
 search value and the certificate's bound.  brute_force_max, an exhaustive
 grid over roots of unity on tiny matrices, takes no part in the decision;
 it is the tests' reference for the search and the bound.  When a witness
-exists, a minor with a strictly larger mean is cut out of the matrix along
-the level pieces of the step-function approximation of the witness pair.
+exists, extract_minor cuts a minor with a strictly larger mean out of the
+matrix along the level pieces of a step function near the witness pair
+(_step_pieces, internal to the cut).
 
 The search and the cut are block linear algebra.  The 16 restarts of both
 sides (8 per side) run as the rows of one block, two matrix products per
@@ -50,11 +51,9 @@ from .coherence import BoundedFunction, CoherenceMatrix
 __all__ = [
     "C1_DEFAULT",
     "C_DEFAULT",
-    "StepFunction",
     "RegularityVerdict",
     "IrregularityWitness",
     "MinorExtraction",
-    "step_approximate",
     "spectral_certificate",
     "decide_regularity",
     "extract_minor",
@@ -80,42 +79,6 @@ _WITNESS_SLACK = 1e-12
 _BOUND_CEILING = 1.0 + 1e-3
 # step-function grid coordinates this close to an edge count as on it
 _EDGE_TOL = 1e-9
-
-
-class StepFunction:
-    """Sum of constant pieces alpha_i * 1_{P_i} with disjoint supports."""
-
-    __slots__ = ("pieces", "eta", "r", "domain_size")
-
-    def __init__(self, pieces, eta: float, r: int, domain_size: int):
-        self.pieces = list(pieces)
-        self.eta = float(eta)
-        self.r = int(r)
-        self.domain_size = int(domain_size)
-        sizes = np.array([p.size for p, _ in self.pieces], dtype=np.int64)
-        if (sizes == 0).any():
-            raise AssertionError("step functions keep nonempty pieces only")
-        alphas = np.abs(np.array([alpha for _, alpha in self.pieces], dtype=complex))
-        if (alphas > 1.0 + 1e-12).any():
-            raise AssertionError(f"piece coefficient {alphas.max()} exceeds the unit ball")
-        if self.pieces:
-            covered = np.bincount(np.concatenate([p for p, _ in self.pieces]))
-            if covered.size > domain_size or covered.max() > 1:
-                raise AssertionError("step function pieces must be disjoint and in the domain")
-        if len(self.pieces) > 100.0 / self.eta**2 + 1e-9:
-            raise AssertionError(
-                f"{len(self.pieces)} pieces exceed the bound 100/eta^2 for eta={self.eta}"
-            )
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.pieces)
-
-    def values(self) -> np.ndarray:
-        out = np.zeros(self.domain_size, dtype=np.complex128)
-        for positions, alpha in self.pieces:
-            out[positions] = alpha
-        return out
 
 
 def _on_grid(x: np.ndarray) -> np.ndarray:
@@ -145,23 +108,27 @@ def _build_pieces(values: np.ndarray, r: int):
             for start, end, alpha in zip([0] + ends[:-1], ends, alphas)]
 
 
-def step_approximate(f: BoundedFunction, eta: float) -> StepFunction:
-    """Approximate f within sup-error eta by magnitude/phase level pieces.
+def _step_pieces(values: np.ndarray, eta: float) -> tuple[list, int]:
+    """Level pieces of a step function within sup-error eta of values, and its grid r.
 
     Magnitude levels j/r and phase sectors 2*pi*k/r with r = ceil(10/eta); for
     fractional 10/eta the ceiling can push the worst-case piece count past
     100/eta^2, in which case the grid is rebuilt with r = floor(10/eta), which
-    still meets the sup-error target (error <= (1+2*pi)/r).
+    still meets the sup-error target (error <= (1+2*pi)/r).  The pieces come
+    from _build_pieces' one np.unique, so they are disjoint and nonempty with
+    coefficients in the unit ball; the count bound 100/eta^2, on which the
+    paper's argument rests, is asserted.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    values = f.values if isinstance(f, BoundedFunction) else np.asarray(f, dtype=complex)
     r = math.ceil(10.0 / eta)
     pieces = _build_pieces(values, r)
     if len(pieces) > 100.0 / eta**2:
         r = math.floor(10.0 / eta)
         pieces = _build_pieces(values, r)
-    return StepFunction(pieces, eta, r, values.size)
+    if len(pieces) > 100.0 / eta**2 + 1e-9:
+        raise AssertionError(f"{len(pieces)} pieces exceed the bound 100/eta^2 for eta={eta}")
+    return pieces, r
 
 
 @dataclass(frozen=True)
@@ -509,17 +476,12 @@ def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> Regulari
 
 @dataclass(frozen=True)
 class MinorExtraction:
-    """A quadrant of the matrix whose coherence mean beats the parent mean,
-    given by the positions of its rows and columns."""
+    """A quadrant of the matrix, given by the positions of its rows and
+    columns, and its coherence mean."""
 
     row_positions: np.ndarray
     col_positions: np.ndarray
-    old_mean: float
     new_mean: float
-    improvement: float
-    row_fraction: float
-    col_fraction: float
-    quadrant: str
 
 
 def _best_piece_pair(entries: np.ndarray, rho_c: complex, row_pieces, col_pieces):
@@ -568,8 +530,9 @@ def extract_minor(
 ) -> MinorExtraction:
     """Cut a quadrant with a larger coherence mean out of an irregular matrix.
 
-    The witness pair is step-approximated (eta = lambda/8 faithful, measured
-    value / 8 opportunistic); the piece pair carrying the largest raw sum of
+    The witness pair is cut into the level pieces of a step function
+    (_step_pieces, with eta = lambda/8 faithful, measured value / 8
+    opportunistic); the piece pair carrying the largest raw sum of
     the mean-subtracted matrix is located (_best_piece_pair), and of its four
     quadrants (piece or complement on each side) the one with the largest
     recomputed coherence mean wins.  Ties prefer the larger min-side, then
@@ -589,47 +552,29 @@ def extract_minor(
     rho = abs(rho_c)
 
     eta = min(1.0, (lam if mode == "faithful" else witness.value) / 8.0)
-    f_step = step_approximate(witness.f, eta)
-    g_step = step_approximate(witness.g, eta)
-    if not f_step.pieces or not g_step.pieces:
+    row_pieces = [p for p, _ in _step_pieces(witness.f.values, eta)[0]]
+    col_pieces = [p for p, _ in _step_pieces(witness.g.values, eta)[0]]
+    if not row_pieces or not col_pieces:
         raise ValueError("degenerate witness: step approximation has no pieces")
-
-    row_pieces = [p for p, _ in f_step.pieces]
-    col_pieces = [p for p, _ in g_step.pieces]
     i, j = _best_piece_pair(entries, rho_c, row_pieces, col_pieces)
 
     rp = row_pieces[i]
     cp = col_pieces[j]
-    row_options = [("piece", rp), ("complement", _complement(rp, nr))]
-    col_options = [("piece", cp), ("complement", _complement(cp, nc))]
-    candidates = []  # piece/piece at least: step functions keep nonempty pieces only
-    for rname, rsel in row_options:
-        for cname, csel in col_options:
-            if rsel.size == 0 or csel.size == 0:
-                continue
-            mu = _quadrant_mean(entries, rsel, csel)
-            candidates.append((mu, min(rsel.size, csel.size), rname, cname, rsel, csel))
+    candidates = []  # piece/piece at least: the pieces are nonempty
+    for rsel in (rp, _complement(rp, nr)):
+        for csel in (cp, _complement(cp, nc)):
+            if rsel.size and csel.size:
+                mu = _quadrant_mean(entries, rsel, csel)
+                candidates.append((mu, min(rsel.size, csel.size), rsel, csel))
     best_mu = max(cand[0] for cand in candidates)
     tied = [cand for cand in candidates if cand[0] >= best_mu - 1e-12]
     best_min_side = max(cand[1] for cand in tied)
-    tied = [cand for cand in tied if cand[1] == best_min_side]
-    mu, _, rname, cname, rsel, csel = tied[0]
+    mu, _, rsel, csel = next(cand for cand in tied if cand[1] == best_min_side)
 
-    improvement = mu - rho
     # the proof's side floor c*lambda^15*n is below 1 (1.1e-51 for lambda <=
     # 1/150 and n <= 2^20), and every quadrant side holds an element
-    if mode == "faithful" and improvement < (C_DEFAULT / 2.0) * lam**15:
+    if mode == "faithful" and mu - rho < (C_DEFAULT / 2.0) * lam**15:
         raise AssertionError(
-            f"faithful minor improves the mean by {improvement}, below (c/2)*lambda^15"
+            f"faithful minor improves the mean by {mu - rho}, below (c/2)*lambda^15"
         )
-
-    return MinorExtraction(
-        row_positions=rsel,
-        col_positions=csel,
-        old_mean=rho,
-        new_mean=mu,
-        improvement=improvement,
-        row_fraction=rsel.size / nr,
-        col_fraction=csel.size / nc,
-        quadrant=f"{rname}/{cname}",
-    )
+    return MinorExtraction(rsel, csel, mu)

@@ -1,0 +1,53 @@
+"""Reference paths the tests check the package against, kept out of the library."""
+
+from typing import Sequence
+
+import numpy as np
+
+from specdbl.fourier import FourierTable
+from specdbl.groups import ElementSet, FiniteAbelianGroup, char_matrix
+
+
+def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]) -> complex:
+    """Value of the character indexed by gamma at the element x.
+
+    gamma(x) = exp(2*pi*i * sum_j gamma_j x_j / n_j), evaluated through a table
+    of roots of unity so the modulus is 1 to machine precision.
+    """
+    g = np.asarray(tuple(gamma), dtype=np.int64) % group._orders_arr
+    c = np.asarray(tuple(x), dtype=np.int64) % group._orders_arr
+    if g.shape[0] != group.rank or c.shape[0] != group.rank:
+        raise ValueError(f"expected {group.rank} coordinates")
+    L = group._root_lcm
+    phase = int(np.sum(group.char_weights() * g * c) % L)
+    return complex(group.root_table()[phase])
+
+
+def dft_naive(a: ElementSet) -> FourierTable:
+    """Fourier table by direct character summation, the oracle for ``dft``.
+
+    O(|A| * |G|) with exact root-of-unity phases; independent of the fast
+    transform.  The table takes the dtype of ``root_table``: float64, and
+    exact, on a pure 2-group.
+    """
+    group = a.group
+    members = a.indices()
+    coeffs = np.zeros(group.size, dtype=group.root_table().dtype)
+    gammas = np.arange(group.size, dtype=np.int64)
+    chunk = max(1, (1 << 22) // max(1, members.size))
+    for start in range(0, group.size, chunk):
+        block = gammas[start : start + chunk]
+        coeffs[block] = char_matrix(group, members, block).sum(axis=0)
+    return FourierTable(group, coeffs, a.size)
+
+
+def step_values(pieces, n: int) -> np.ndarray:
+    """The step function sum alpha_i 1_{P_i} of ``regularity._step_pieces`` on
+    range(n), checking that the pieces are nonempty, disjoint and in the unit ball."""
+    out = np.zeros(n, dtype=np.complex128)
+    covered = np.zeros(n, dtype=bool)
+    for positions, alpha in pieces:
+        assert positions.size and not covered[positions].any() and abs(alpha) <= 1.0
+        covered[positions] = True
+        out[positions] = alpha
+    return out

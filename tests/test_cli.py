@@ -493,12 +493,18 @@ def _forge_uncertified(status):
     ("v3_example1_n3_t1.json", _forge_uncertified("bogus"), "step 1: unknown verdict 'bogus'"),
     ("v3_example1_n3_t1.json", _forge_uncertified("undetermined"),
      "step 1: undetermined although the bound 2.220446049250315e-15 is below lambda"),
+    # a mean of unit-modulus entries lies in [0, 1] up to rounding
+    ("v3_example1_n3_t1.json", _forge_step(0, new_mean=5.0),
+     "step 0: the minor mean 5.0 lies outside [0, 1.000000001]"),
+    ("v3_example1_n3_t1.json", _forge_step(0, new_mean=-0.5),
+     "step 0: the minor mean -0.5 lies outside [0, 1.000000001]"),
 ], ids=["minor-rows", "size-without-a-minor", "final-size", "minor-past-its-matrix",
         "certified-bound", "finish-rho", "input-size", "start-rho", "minor-without-mean",
         "minor-not-raising-rho", "unknown-action", "empty-trace", "finish-witness",
         "finish-minor-fields", "minor-without-witness", "witness-below-lambda",
         "witness-above-bound", "minor-past-its-columns", "minor-on-regular", "abort-above-floor",
-        "bound-above-ceiling", "negative-bound", "unknown-verdict", "undetermined-below-lambda"])
+        "bound-above-ceiling", "negative-bound", "unknown-verdict", "undetermined-below-lambda",
+        "minor-mean-above-1", "minor-mean-below-0"])
 def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, needle):
     doc = json.loads((DATA / stored).read_text())
     forge(doc)

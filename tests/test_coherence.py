@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from specdbl.coherence import BoundedFunction, CoherenceMatrix, bilinear, build_matrix
+from oracles import char_value
+from specdbl.coherence import BoundedFunction, CoherenceMatrix, build_matrix
 from specdbl.fourier import dft, spectrum
-from specdbl.groups import (
-    ElementSet,
-    FiniteAbelianGroup,
-    char_value,
-    random_subset,
-    subgroup_span,
-)
+from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span
+from specdbl.regularity import IrregularityWitness, extract_minor
 
 
 def test_subgroup_matrix_is_all_ones():
@@ -92,9 +88,7 @@ def test_grand_sum_bound_on_spectrum():
             t = dft(a)
             spec = spectrum(t, eps)
             m = build_matrix(a, spec, t)
-            ones_f = BoundedFunction("rows", np.ones(m.n_rows))
-            ones_g = BoundedFunction("cols", np.ones(m.n_cols))
-            total = bilinear(ones_f, m, ones_g)
+            total = complex(np.ones(m.n_rows) @ m.entries @ np.ones(m.n_cols))
             assert abs(total.imag) < 1e-9 * a.size * len(spec)
             assert total.real >= eps * a.size * len(spec) * (1 - 1e-6) - 1e-6
             assert total == pytest.approx(a.size * len(spec) * m.entries.mean())
@@ -116,28 +110,31 @@ def test_mean_value_naive_average():
 
 
 def test_bilinear_degenerate_cases():
+    # f^T M g on a subgroup's all-ones matrix
     g = FiniteAbelianGroup([2] * 4)
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
     t = dft(h)
     m = build_matrix(h, spectrum(t, 1.0), t)
-    zero = BoundedFunction("rows", np.zeros(4))
-    ones_g = BoundedFunction("cols", np.ones(4))
-    assert bilinear(zero, m, ones_g) == 0
+    ones_g = np.ones(4)
+    assert np.zeros(4) @ m.entries @ ones_g == 0
     # mean-zero f against the all-ones matrix vanishes
-    f = BoundedFunction("rows", np.array([1.0, -1.0, 0.5, -0.5]))
-    assert bilinear(f, m, ones_g) == pytest.approx(0.0, abs=1e-12)
+    f = np.array([1.0, -1.0, 0.5, -0.5])
+    assert f @ m.entries @ ones_g == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bilinear_shape_and_side_errors():
+    # a pair of test functions must match the matrix's shape, and a
+    # witness must name the side that sums to zero
     g = FiniteAbelianGroup([2, 2])
     a = ElementSet.from_indices(g, [0, 1])
     t = dft(a)
     m = build_matrix(a, spectrum(t, 0.4), t)
-    f = BoundedFunction("rows", np.ones(2))
-    with pytest.raises(ValueError):
-        bilinear(f, m, BoundedFunction("rows", np.ones(m.n_cols)))
-    with pytest.raises(ValueError):
-        bilinear(f, m, BoundedFunction("cols", np.ones(m.n_cols + 1)))
+    f = BoundedFunction("rows", np.array([1.0, -1.0]))
+    wide = BoundedFunction("cols", np.ones(m.n_cols + 1))
+    with pytest.raises(ValueError, match="shape"):
+        extract_minor(m, IrregularityWitness(f, wide, "rows", 0.5), 0.1)
+    with pytest.raises(ValueError, match="constrained_side"):
+        IrregularityWitness(f, BoundedFunction("cols", np.ones(m.n_cols)), "diag", 0.5)
 
 
 def test_bounded_function_validation():

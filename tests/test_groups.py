@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import char_value
 from specdbl.groups import (
     ElementSet,
     FiniteAbelianGroup,
-    char_value,
     char_matrix,
     convolve_counts,
     difference_set,

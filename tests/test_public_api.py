@@ -7,18 +7,17 @@ PUBLIC_NAMES = [
     "ClosureReport", "CoherenceMatrix", "DEFAULT_MAX_GROUP", "DoublingReport", "ElementSet",
     "ExampleSetBundle", "FileFormatError", "FiniteAbelianGroup", "FourierTable", "GroupElement",
     "IrregularityWitness", "MinorExtraction", "RefineConfig", "RefineResult", "RefineTraceStep",
-    "RegularityVerdict", "SpectrumSet", "StepFunction", "SumsetStats", "__version__",
-    "audit_trace", "bilinear", "build_matrix", "char_matrix", "char_value",
-    "convolve_counts", "decide_regularity", "dft", "dft_naive", "difference_set",
-    "example_counterexample", "extract_minor", "final_bound_report", "high_threshold_closure",
-    "inverse_dft", "negate_set", "parseval_capacity", "random_subset", "read_set_file",
-    "read_trace_file", "refine_theorem1", "refine_theorem2", "spectral_certificate", "spectrum",
-    "statistical_doubling", "step_approximate", "subgroup_span", "sumset", "sumset_stats",
-    "write_set_file", "write_trace_file",
+    "RegularityVerdict", "SpectrumSet", "SumsetStats", "__version__", "audit_trace",
+    "build_matrix", "char_matrix", "convolve_counts", "decide_regularity", "dft",
+    "difference_set", "example_counterexample", "extract_minor", "final_bound_report",
+    "high_threshold_closure", "negate_set", "parseval_capacity", "random_subset",
+    "read_set_file", "read_trace_file", "refine_theorem1", "refine_theorem2",
+    "spectral_certificate", "spectrum", "statistical_doubling", "subgroup_span", "sumset",
+    "sumset_stats", "write_set_file", "write_trace_file",
 ]
 
 
 def test_public_surface_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 56
+    assert len(PUBLIC_NAMES) == 50
     assert sorted(specdbl.__all__) == PUBLIC_NAMES
     assert all(hasattr(specdbl, name) for name in PUBLIC_NAMES)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import step_values
 from specdbl.coherence import BoundedFunction, CoherenceMatrix, build_matrix
 from specdbl.diagnostics import example_counterexample
 from specdbl.fourier import dft, spectrum
@@ -16,14 +17,13 @@ from specdbl.regularity import (
     C_DEFAULT,
     WITNESS_BUDGET,
     IrregularityWitness,
-    StepFunction,
     _best_piece_pair,
     _build_pieces,
+    _step_pieces,
     brute_force_max,
     decide_regularity,
     extract_minor,
     spectral_certificate,
-    step_approximate,
 )
 
 
@@ -56,11 +56,11 @@ def planted_witness(size=16, block=8):
 
 
 def test_step_constant_function_single_piece():
-    f = BoundedFunction("rows", np.full(10, 0.7 + 0.0j))
-    s = step_approximate(f, 0.1)
-    assert s.piece_count == 1
-    assert np.max(np.abs(s.values() - f.values)) <= 0.1
-    assert s.r == 100
+    values = np.full(10, 0.7 + 0.0j)
+    pieces, r = _step_pieces(values, 0.1)
+    assert len(pieces) == 1
+    assert np.max(np.abs(step_values(pieces, 10) - values)) <= 0.1
+    assert r == 100
 
 
 def test_step_constants_derived():
@@ -75,30 +75,27 @@ def test_step_pointwise_error_and_count_sweep():
         for n in [1, 7, 200]:
             mags = rng.random(n)
             vals = mags * np.exp(2j * np.pi * rng.random(n))
-            f = BoundedFunction("rows", vals)
-            s = step_approximate(f, eta)
-            assert np.max(np.abs(s.values() - vals)) <= eta + 1e-12
-            assert s.piece_count <= 100.0 / eta**2
-            for _, alpha in s.pieces:
-                assert abs(alpha) <= 1.0
+            pieces, _ = _step_pieces(vals, eta)
+            assert np.max(np.abs(step_values(pieces, n) - vals)) <= eta + 1e-12
+            assert len(pieces) <= 100.0 / eta**2
     # one value at the centre of each of the 11 x 12 cells of r = ceil(10/0.9)
     # = 12: 132 pieces pass 100/0.9^2, so the grid is rebuilt at r = 11
     mags = (np.arange(1, 12) + 0.5) / 12
     phases = 2 * np.pi * (np.arange(12) + 0.5) / 12
     vals = (mags[:, None] * np.exp(1j * phases[None, :])).ravel()
-    s = step_approximate(BoundedFunction("rows", vals), 0.9)
-    assert (s.r, s.piece_count) == (11, 110)
-    assert np.max(np.abs(s.values() - vals)) == pytest.approx(0.507, abs=1e-3)
+    pieces, r = _step_pieces(vals, 0.9)
+    assert (r, len(pieces)) == (11, 110)
+    assert np.max(np.abs(step_values(pieces, vals.size) - vals)) == pytest.approx(0.507, abs=1e-3)
 
 
 def test_step_boundary_magnitudes():
     # values sitting exactly on grid boundaries, including 0 and 1
     vals = np.array([0.0, 1.0, 0.5, -0.5, 1j, -1j, 0.1, -0.1])
-    s = step_approximate(BoundedFunction("rows", vals), 0.1)
-    assert np.max(np.abs(s.values() - vals)) <= 0.1
+    pieces, _ = _step_pieces(vals, 0.1)
+    assert np.max(np.abs(step_values(pieces, vals.size) - vals)) <= 0.1
     # the exact zero keeps no piece
     covered = np.zeros(vals.size, dtype=bool)
-    for pos, _ in s.pieces:
+    for pos, _ in pieces:
         covered[pos] = True
     assert not covered[0]
 
@@ -110,16 +107,15 @@ def test_step_boundary_magnitudes():
 )
 def test_step_property(values, eta):
     vals = np.asarray(values, dtype=complex)
-    s = step_approximate(BoundedFunction("rows", vals), eta)
-    assert np.max(np.abs(s.values() - vals)) <= eta + 1e-12
-    assert s.piece_count <= 100.0 / eta**2
+    pieces, _ = _step_pieces(vals, eta)
+    assert np.max(np.abs(step_values(pieces, vals.size) - vals)) <= eta + 1e-12
+    assert len(pieces) <= 100.0 / eta**2
 
 
 def test_step_rejects_bad_eta():
-    f = BoundedFunction("rows", np.ones(3))
     for eta in [0.0, -0.1, 1.5]:
         with pytest.raises(ValueError):
-            step_approximate(f, eta)
+            _step_pieces(np.ones(3, dtype=complex), eta)
 
 
 def _snapped(x):
@@ -179,19 +175,6 @@ def test_build_pieces_puts_rounding_noise_on_the_edge(r):
     for value in (level * edge * np.exp(1e-15j), level * edge * np.exp(-1e-15j),
                   (level + 1e-16) * edge, (level - 1e-16) * edge):
         assert _build_pieces(np.array([value]), r)[0][1] == want
-
-
-def test_step_function_rejects_overlapping_pieces():
-    fine = StepFunction([(np.array([0, 2]), 0.5), (np.array([1]), 1j)], 1.0, 10, 3)
-    assert fine.values().tolist() == [0.5, 1j, 0.5]
-    with pytest.raises(AssertionError, match="disjoint"):
-        StepFunction([(np.array([0, 2]), 0.5), (np.array([2]), 1j)], 1.0, 10, 3)
-    with pytest.raises(AssertionError, match="disjoint"):
-        StepFunction([(np.array([3]), 0.5)], 1.0, 10, 3)  # outside the domain
-    with pytest.raises(AssertionError, match="nonempty"):
-        StepFunction([(np.array([], dtype=np.int64), 0.5)], 1.0, 10, 3)
-    with pytest.raises(AssertionError, match="unit ball"):
-        StepFunction([(np.array([0]), 1.5)], 1.0, 10, 3)
 
 
 # ---------------------------------------------------------------- certificate
@@ -577,7 +560,7 @@ def test_real_matrix_search_and_minor_match_its_complex_copy(entries):
                 BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
             )
             for vec in (witness.f, witness.g):
-                found.append([p.tolist() for p, _ in step_approximate(vec, value / 8).pieces])
+                found.append([p.tolist() for p, _ in _step_pieces(vec.values, value / 8)[0]])
             ext = extract_minor(CoherenceMatrix(x), witness, lam)
             found.append((ext.row_positions.tolist(), ext.col_positions.tolist()))
         assert found[:3] == found[3:]
@@ -776,7 +759,7 @@ def test_extract_planted_blocks():
         )
         assert value >= 0.05
         ext = extract_minor(m, witness, 0.05)
-        assert ext.new_mean >= ext.old_mean + 0.1
+        assert ext.new_mean >= abs(complex(m.entries.mean())) + 0.1
         assert ext.row_positions.size > 0 and ext.col_positions.size > 0
         # the planted block is exactly the best quadrant
         assert ext.row_positions.tolist() == list(range(8))
@@ -798,7 +781,7 @@ def test_extract_faithful_mode_matches_on_planted():
     faith = extract_minor(m, witness, 0.05, mode="faithful")
     assert faith.row_positions.tolist() == opp.row_positions.tolist()
     assert faith.col_positions.tolist() == opp.col_positions.tolist()
-    assert faith.improvement >= (C_DEFAULT / 2.0) * 0.05**15
+    assert faith.new_mean - abs(complex(m.entries.mean())) >= (C_DEFAULT / 2.0) * 0.05**15
 
 
 def test_extract_mean_recomputation_invariant():
@@ -812,7 +795,7 @@ def test_extract_mean_recomputation_invariant():
     block = m.entries[np.ix_(ext.row_positions, ext.col_positions)]
     recomputed = float(np.mean(np.abs(block.mean(axis=0))))
     assert recomputed == pytest.approx(ext.new_mean, abs=1e-12)
-    assert abs(complex(m.entries.mean())) == pytest.approx(ext.old_mean, abs=1e-12)
+    assert ext.new_mean > abs(complex(m.entries.mean()))
 
 
 def test_extract_rejects_weak_witness():
@@ -832,13 +815,11 @@ def test_extract_on_example_set_matrix():
     verdict = decide_regularity(m, 0.01, seed=0)
     assert verdict.status == "irregular"
     ext = extract_minor(m, verdict.witness, 0.01)
-    assert ext.improvement > 0.0
+    assert ext.new_mean > abs(complex(m.entries.mean()))
     # the quadrant is given by distinct, sorted positions inside the matrix
     for positions, n in ((ext.row_positions, m.n_rows), (ext.col_positions, m.n_cols)):
         assert positions.size >= 1 and np.all(np.diff(positions) > 0)
         assert 0 <= positions[0] and positions[-1] < n
-    assert ext.row_fraction == ext.row_positions.size / m.n_rows
-    assert ext.col_fraction == ext.col_positions.size / m.n_cols
     # and its mean is the recomputed coherence mean of those rows and columns
     block = m.entries[np.ix_(ext.row_positions, ext.col_positions)]
     assert ext.new_mean == pytest.approx(np.mean(np.abs(block.mean(axis=0))), abs=1e-12)
@@ -856,7 +837,8 @@ def test_extract_skips_a_quadrant_with_an_empty_side():
         BoundedFunction("rows", f), BoundedFunction("cols", g), "rows", value
     )
     ext = extract_minor(m, witness, 0.05)
-    assert ext.quadrant == "piece/piece"
+    # rows 3-5 are the first piece, and the tied complement/piece quadrant,
+    # rows 0-2, comes later in the quadrant order
     assert ext.row_positions.tolist() == [3, 4, 5]
     assert ext.col_positions.tolist() == list(range(5))
     assert ext.new_mean == 1.0
@@ -885,22 +867,21 @@ def test_piece_pair_matches_the_double_loop(shape):
     m = CoherenceMatrix(entries)
     value, f, g, side = run_search(entries, 5)
     witness = IrregularityWitness(BoundedFunction("rows", f), BoundedFunction("cols", g), side, value)
-    f_step = step_approximate(witness.f, value / 8)
-    g_step = step_approximate(witness.g, value / 8)
-    _assert_same_pieces(f_step.pieces, _loop_build_pieces(witness.f.values, f_step.r))
-    _assert_same_pieces(g_step.pieces, _loop_build_pieces(witness.g.values, g_step.r))
-    rows = [p for p, _ in f_step.pieces]
-    cols = [p for p, _ in g_step.pieces]
+    f_pieces, f_r = _step_pieces(witness.f.values, value / 8)
+    g_pieces, g_r = _step_pieces(witness.g.values, value / 8)
+    _assert_same_pieces(f_pieces, _loop_build_pieces(witness.f.values, f_r))
+    _assert_same_pieces(g_pieces, _loop_build_pieces(witness.g.values, g_r))
+    rows = [p for p, _ in f_pieces]
+    cols = [p for p, _ in g_pieces]
     if shape == (7, 2155):
         assert len(cols) >= 200
     i, j = _best_piece_pair(entries, complex(entries.mean()), rows, cols)
     assert (i, j) == _loop_pick(entries, rows, cols)
     ext = extract_minor(m, witness, value)
-    row_piece, col_piece = ext.quadrant.split("/")
-    want_rows = rows[i] if row_piece == "piece" else np.setdiff1d(np.arange(shape[0]), rows[i])
-    want_cols = cols[j] if col_piece == "piece" else np.setdiff1d(np.arange(shape[1]), cols[j])
-    assert np.array_equal(ext.row_positions, want_rows)
-    assert np.array_equal(ext.col_positions, want_cols)
+    # each side of the minor is the chosen piece or its complement
+    for got, piece, n in ((ext.row_positions, rows[i], shape[0]),
+                          (ext.col_positions, cols[j], shape[1])):
+        assert np.array_equal(got, piece) or np.array_equal(got, np.setdiff1d(np.arange(n), piece))
 
 
 def test_tied_piece_pairs_go_to_the_first_in_row_major_order():
