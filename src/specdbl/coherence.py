@@ -30,10 +30,10 @@ _TOL = 1e-9
 
 
 class CoherenceMatrix:
-    """Dense matrix of unit-modulus entries: float64 when the input is real
-    (the exact +-1 matrices of a pure 2-group), complex128 otherwise.
-    max_modulus is max|entries|, kept from the unit-modulus check for the
-    regularity certificate and the witness search."""
+    """Dense matrix of unit-modulus entries: float64 when the input is real,
+    and then exactly +1 or -1 (the matrices of a pure 2-group), complex128
+    otherwise.  max_modulus is max|entries|, kept from the unit-modulus check
+    for the witness search."""
 
     __slots__ = ("entries", "max_modulus")
 
@@ -45,8 +45,11 @@ class CoherenceMatrix:
         mags = np.abs(entries)
         max_modulus = float(mags.max())
         mod_err = max(max_modulus - 1.0, 1.0 - float(mags.min()))
-        if mod_err > _TOL:
-            raise AssertionError(f"entries must have unit modulus, worst error {mod_err}")
+        # real entries must be exact signs: the regularity certificate sums them as integers
+        if not mod_err <= (0.0 if entries.dtype == np.float64 else _TOL):
+            raise AssertionError(
+                f"entries must have unit modulus, exactly when real, worst error {mod_err}"
+            )
         entries.setflags(write=False)
         self.entries = entries
         self.max_modulus = max_modulus
@@ -67,12 +70,9 @@ class CoherenceMatrix:
 class BoundedFunction:
     """Complex test function on one side of a matrix, sup-norm at most 1."""
 
-    side: str
     values: np.ndarray
 
     def __post_init__(self):
-        if self.side not in ("rows", "cols"):
-            raise ValueError(f"side must be 'rows' or 'cols', got {self.side!r}")
         values = np.asarray(self.values, dtype=np.complex128)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty vector")
@@ -94,9 +94,9 @@ def build_matrix(
     """Coherence matrix of the set A against the character family Gamma.
 
     Row i stands for ``a.indices()[i]``, column j for ``gamma.indices()[j]``.
-    The normaliser conj(c)/|c| of a column takes the table's dtype: on a
-    pure 2-group the table and the characters are real, so it is sign(c),
-    exactly +-1, and the whole matrix is built in float64.
+    The normaliser of a column is conj(c)/|c|: on a pure 2-group the
+    characters are real and so is c, so it is sign(c), exactly +-1, and the
+    whole matrix is built in float64.
     """
     if isinstance(gamma, SpectrumSet):
         gamma = gamma.members
@@ -115,9 +115,9 @@ def build_matrix(
         raise ValueError(
             f"characters with vanishing set-average cannot be normalised: {offenders}"
         )
-    norm = np.conj(coeffs) / mags
     chars = char_matrix(group, rows, cols)
-    chars *= norm.real if np.isrealobj(chars) else norm
+    # sign(c), exactly, also from a complex table of a pure 2-group
+    chars *= np.sign(coeffs.real) if np.isrealobj(chars) else np.conj(coeffs) / mags
     m = CoherenceMatrix(chars)
     sums = m.entries.sum(axis=0)
     if float(np.max(np.abs(sums.imag))) > _TOL * a.size:

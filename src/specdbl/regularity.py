@@ -4,11 +4,14 @@ A matrix M on A x Gamma is lambda-regular when |f^T M g| < lambda * |A| *
 |Gamma| for every pair of sup-norm-1 test functions with at least one side
 summing to zero.  decide_regularity is the one decision, in two tiers:
 
-1. spectral_certificate: the Frobenius norm of the row- and of the
-   column-centred matrix bounds its top singular value, plus stated
-   rounding terms (Regular when below lambda).
-2. Once that fails, the best pair of an alternating search (Irregular when
-   it reaches lambda).
+1. spectral_certificate: the l1 norm of the matrix minus a centre in each
+   column, or in each row, over |A| |Gamma|.  The centre is the majority
+   sign on a +-1 matrix, which makes the bound an exact integer ratio, and
+   the mean on a complex one, with one stated rounding factor.  Regular
+   when below lambda.
+2. Once that fails, the best pair of an alternating search, each of whose
+   restarts stops once it comes within the tie rule's 1e-9 of that bound,
+   since no pair exceeds it (Irregular when it reaches lambda).
 
 The witness test allows 1e-12 relative below lambda for the search's
 rounding; the search runs only after the certificate has failed, so a value
@@ -202,50 +205,61 @@ class RegularityVerdict:
 def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
     """Sound bound on sup_{f,g} |f^T M g| / (|A| |Gamma|), and whether it is below lam.
 
-    Centring kills the uncontrolled all-ones direction on the constrained
-    side: a sup-norm-1 f summing to zero has f^T M g = f^T C g with C = M
-    minus its column means, so |f^T M g| <= ||C||_2 sqrt(|A| |Gamma|), and
-    likewise with the row means when g sums to zero.  The bound is the
-    larger of the two normalised norms, each bounded from above by the
-    Frobenius norm in floating point (unit roundoff u = 2^-53):
+    A sup-norm-1 f that sums to zero has f^T M g = f^T (M - 1 u^T) g for any
+    row vector u, so |f^T M g| <= sum_ij |M_ij - u_j| when |g| <= 1 too;
+    likewise with a column vector v subtracted when g sums to zero.  Any
+    centre is sound.  The bound is the larger of the two sums (column side,
+    row side) divided by n = rows cols:
 
-    - Centring.  Each entry of the computed C is off by at most
-      2 (k + 2) u max|M|, where k is the length of the averaged axis (a mean
-      of k terms in any summation order, then one subtraction; the 2
-      covers real and imaginary parts).  So ||C - C_computed||_2 is below
-      sqrt(|A| |Gamma|) times that.  max|M| is m.max_modulus.
-    - Frobenius norm.  ||C||_F >= ||C||_2.  The real part of vdot(C, C)
-      sums 2 rows cols nonnegative real squares, so in any summation order
-      its computed value is at least (1 - gamma_{2 rows cols}) times the
-      exact one (Higham, Accuracy and Stability of Numerical Algorithms,
-      2nd ed., eq. (3.5)).  Dividing by that factor is covered by
-      multiplying by 1 + 4 rows cols u while rows cols u <= 1/8, which
-      holds for any matrix that fits in memory.
-    - Finally the roundings of that product, of the square roots, of the
-      division, of the centring term and of the sum add at most 6u
-      relative, which the factor 1 + 8u covers even after its own rounding.
-    - Ceiling.  Centring projects each column (or row) orthogonally, so
-      ||C||_F <= sqrt(rows cols) max|M| with max|M| <= 1 + 1e-9 (checked by
-      CoherenceMatrix).  No matrix that fits in memory has over 2^40 entries
-      (8 TiB of float64), so k <= rows cols <= 2^-13 / u, the computed vdot
-      is at most 1 + gamma_{2 rows cols} times the exact one, and the bound
-      is below max|M| (1 + 2 (k + 2) u)^2 (1 + 8u) sqrt((1 + gamma_{2 rows cols})
-      (1 + 4 rows cols u)) < 1 + 8.6e-4, below _BOUND_CEILING.
-
-    The bound scales with ||C||_F, not with |A| |Gamma|, so a matrix whose
-    centring is (nearly) zero, such as the all-ones matrix, still gets a
-    bound near 0.
+    - +-1 matrix (float64, whose entries CoherenceMatrix checks to be exact
+      signs).  The centre is the majority sign of each column, its median
+      and so the best centre: a column with sum s_j gives
+      sum_i |M_ij - u_j| = rows - |s_j|.  The column side is
+      (n - sum_j |s_j|) / n, the row side the same with the row sums.  The
+      sums are integers below 2^53, exact in float64 in any order, so the
+      one rounding is the division, taken upwards.  The all-ones matrix
+      gets exactly 0.
+    - Complex matrix.  The centre is the computed column (row) mean, so
+      its rounding does not matter.  Each term of the sum is one
+      subtraction (each part off by u = 2^-53 relative) and one modulus
+      (hypot, within one ulp); the n nonnegative terms sum, in any order,
+      to at least 1 - gamma_{n-1} times the exact sum (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., eq. (3.5)).  With the
+      division by n, the rounding of the factor below and the product by
+      it, the computed side is at least 1 - gamma_{n+5} times the exact
+      one, and the factor 1 + 2 (n + 5) u makes that up while
+      (n + 5) u <= 1/4.
+    - Never above the Frobenius bound it replaced, ||M - column means||_F
+      over sqrt(n) and likewise for rows, up to rounding: the mean-centred
+      sum is at most sqrt(n) times that norm by Cauchy-Schwarz, and the
+      median's sum at most the mean's.
+    - Ceiling.  On a +-1 matrix the bound is at most 1.  On a complex one,
+      centring a column at its exact mean is an orthogonal projection, and
+      the computed mean is within sqrt(2) gamma_rows max|M| of it, so by
+      Cauchy-Schwarz the column's sum is at most
+      rows max|M| sqrt(1 + 2 gamma_rows^2); likewise for rows.  No matrix
+      that fits in memory has over 2^40 entries (8 TiB of float64), so
+      n u <= 2^-13, and with max|M| <= 1 + 1e-9 (checked by
+      CoherenceMatrix) the computed bound is below
+      (1 + 1e-9) (1 + 2^-12) (1 + 2^-11) < 1 + 8e-4, below _BOUND_CEILING.
     """
     e = m.entries
     rows, cols = e.shape
-    scale = math.sqrt(rows * cols)
-    c = np.empty_like(e)  # both centrings in turn, in one buffer
-    upper = 0.0
-    for axis, k in ((0, rows), (1, cols)):
-        np.subtract(e, e.mean(axis=axis, keepdims=True), out=c)
-        frobenius = math.sqrt(float(np.vdot(c, c).real) * (1.0 + 4.0 * c.size * _UNIT))
-        centring = 2.0 * (k + 2) * _UNIT * m.max_modulus
-        upper = max(upper, (frobenius / scale + centring) * (1.0 + 8.0 * _UNIT))
+    n = rows * cols
+    if e.dtype == np.float64:
+        deviation = n - min(int(np.abs(e.sum(axis=axis)).sum()) for axis in (0, 1))
+        upper = deviation / n
+        num, den = upper.as_integer_ratio()
+        if num * n < deviation * den:  # rounded down: take the next float up
+            upper = math.nextafter(upper, math.inf)
+    else:
+        c = np.empty_like(e)  # both centrings in turn, in one buffer
+        mods = np.empty(e.shape)
+        deviation = max(
+            float(np.abs(np.subtract(e, e.mean(axis=axis, keepdims=True), out=c), out=mods).sum())
+            for axis in (0, 1)
+        )
+        upper = deviation / n * (1.0 + 2.0 * (n + 5) * _UNIT)
     return upper, upper < lam
 
 
@@ -325,7 +339,7 @@ def _first_near_max(values) -> int:
     return int(np.argmax(values >= values.max() * (1.0 - _TIE_REL)))
 
 
-def _alternating_search(entries: np.ndarray, seed: int, entry: float):
+def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: float):
     """Best (value, f, g, constrained_side) found by alternating phase ascent.
 
     The 16 restarts of both sides run as the rows of one block, as in the
@@ -335,13 +349,13 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float):
     of a slot comes from its index; each side's centring applies to its own
     rows only, to f on the rows side and to g on the cols side, and is
     skipped once every restart of that side has left the block.  A restart
-    leaves the block when its value stops climbing by more than 1e-12, so
-    each keeps its own early stop, and the loop runs as long as the longest
-    restart of either side.  On a real matrix f and g stay complex, since
-    the sup over complex test functions can exceed the sup over real ones,
-    and _real_times keeps the matrix real in the products; there the first
-    restart of each side, from g = 1, stays real throughout, and the others
-    start from random phases.  The value f^T M g =
+    leaves the block when its value stops climbing by more than 1e-12 or
+    reaches stop, so each keeps its own early stop, and the loop runs as
+    long as the longest restart of either side.  On a real matrix f and g
+    stay complex, since the sup over complex test functions can exceed the
+    sup over real ones, and _real_times keeps the matrix real in the
+    products; there the first restart of each side, from g = 1, stays real
+    throughout, and the others start from random phases.  The value f^T M g =
     sum_j (f M)_j g_j is read off the vector just formed; on the
     unconstrained side it is sum |f M|.  Entries at or below the rounding
     bound of their product get phase 0 (_product_bound, with entry = max|M|,
@@ -388,7 +402,7 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float):
         last = step + 1 == max_iter
         keep = []
         for k, slot in enumerate(slots):
-            if last or value[k] <= prev[k] + 1e-12:
+            if last or value[k] <= prev[k] + 1e-12 or value[k] >= stop:
                 side = "rows" if slot < restarts else "cols"
                 found[slot] = (value[k], f[k].copy(), g[k].copy(), side)
             else:
@@ -459,17 +473,22 @@ def brute_force_max(
 
 def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> RegularityVerdict:
     """spectral_certificate, then the witness search once it fails: regular
-    below lambda, irregular at it, else undetermined between the two."""
+    below lambda, irregular at it, else undetermined between the two.
+
+    A restart of the search stops once its value reaches
+    max(lambda, bound (1 - 1e-9)).  No pair exceeds the bound, so that value
+    is within the tie rule of the best any restart could reach, and at or
+    above lambda: a restart that stops is a witness, and the stop changes no
+    verdict."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     upper, certified = spectral_certificate(m, lam)
     if certified:
         return RegularityVerdict("regular", lam, upper, None, 0.0)
-    value, f, g, side = _alternating_search(m.entries, seed, m.max_modulus)
+    stop = max(lam, upper * (1 - _TIE_REL))
+    value, f, g, side = _alternating_search(m.entries, seed, m.max_modulus, stop)
     if value >= lam * (1 - _WITNESS_SLACK):
-        witness = IrregularityWitness(
-            BoundedFunction("rows", f), BoundedFunction("cols", g), side, value
-        )
+        witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), side, value)
         return RegularityVerdict("irregular", lam, upper, witness, value)
     return RegularityVerdict("undetermined", lam, upper, None, value)
 
@@ -517,11 +536,6 @@ def _complement(positions: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _quadrant_mean(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    block = entries[np.ix_(rows, cols)]
-    return float(np.mean(np.abs(block.mean(axis=0))))
-
-
 def extract_minor(
     m: CoherenceMatrix,
     witness: IrregularityWitness,
@@ -560,11 +574,14 @@ def extract_minor(
 
     rp = row_pieces[i]
     cp = col_pieces[j]
+    col_sides = [csel for csel in (cp, _complement(cp, nc)) if csel.size]
     candidates = []  # piece/piece at least: the pieces are nonempty
     for rsel in (rp, _complement(rp, nr)):
-        for csel in (cp, _complement(cp, nc)):
-            if rsel.size and csel.size:
-                mu = _quadrant_mean(entries, rsel, csel)
+        if rsel.size:
+            # the column means over these rows, for both column sides at once
+            col_means = entries[rsel].sum(axis=0) / rsel.size
+            for csel in col_sides:
+                mu = float(np.mean(np.abs(col_means[csel])))
                 candidates.append((mu, min(rsel.size, csel.size), rsel, csel))
     best_mu = max(cand[0] for cand in candidates)
     tied = [cand for cand in candidates if cand[0] >= best_mu - 1e-12]

@@ -51,3 +51,12 @@ def step_values(pieces, n: int) -> np.ndarray:
         covered[positions] = True
         out[positions] = alpha
     return out
+
+
+def frobenius_bound(entries: np.ndarray) -> float:
+    """The certificate that the l1 bound replaced, without its rounding terms:
+    the larger Frobenius norm of the column- and of the row-centred matrix,
+    over sqrt(rows cols)."""
+    entries = np.asarray(entries)
+    return max(float(np.linalg.norm(entries - entries.mean(axis=axis, keepdims=True)))
+               for axis in (0, 1)) / np.sqrt(entries.size)

@@ -246,9 +246,7 @@ def _planted(seed, size=16, block=8):
     g = np.zeros(size, dtype=complex)
     g[:block] = 1.0
     value = abs(complex(f @ entries @ g)) / (size * size)
-    witness = IrregularityWitness(
-        BoundedFunction("rows", f), BoundedFunction("cols", g), "rows", value
-    )
+    witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), "rows", value)
     return m, witness
 
 

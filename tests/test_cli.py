@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specdbl import cli
-from specdbl.fileio import read_set_file, read_trace_file, write_set_file
-from specdbl.groups import ElementSet, FiniteAbelianGroup
+from specdbl.fileio import read_set_file, read_trace_file
 from specdbl.refine import audit_trace
+from regen_golden import GOLDEN, ONE_BLAS_THREAD, refine_argv
 
 # Traces that the last version 2 writer wrote with one BLAS thread, read and
 # written again as version 3:
@@ -636,40 +637,31 @@ def test_refine_trace_does_not_depend_on_blas_threads(tmp_path):
 
 def test_certificate_past_the_crossover_does_not_depend_on_blas_threads(tmp_path):
     # the two-axis set in Z_2^16: matrices with 511 and 255 rows, whose
-    # verdicts come from the Frobenius bound and the search
+    # verdicts come from the certificate and the search
     doc = _refine_under_one_and_two_threads(tmp_path, ("--kind", "example1", "--n", "8"), "1")
     assert min(min(s["a_size"], s["spec_size"]) for s in doc["steps"]) >= 200
 
 
 # Golden traces, written with one BLAS thread; the input and the command line
-# come from the stored trace itself.  The first two were written before the
-# search ran both sides as one block and before pure 2-groups got real
-# Fourier tables:
+# come from the stored trace itself (regen_golden.refine_argv).  After a
+# change that moves stored outputs on purpose, rewrite all three with
+#   PYTHONPATH=src python tests/regen_golden.py
+# The inputs:
 #   golden_example1_n5_moved_t1.json: example1 n = 5 in Z_2^10 under the
 #       coordinate permutation (3,8,0,5,9,1,6,2,7,4) and the translate
 #       (1,0,1,1,0,0,1,0,1,1); refine --epsilon 0.4 --delta 0.3 --seed 1
 #   golden_z3_5_7_t2.json: 50 elements of Z_3xZ_5xZ_7 drawn by
 #       default_rng(7).choice(105, 50, replace=False); refine --epsilon 0.2
 #       --delta 0.3 --theorem 2 --seed 1
-# The third was written before the search kept its bookkeeping in Python
-# lists and skipped the centring of a side with no restart left:
 #   golden_z13_13_13_t2.json: gen --kind random --group 13,13,13 --size 350
 #       --seed 1; refine --epsilon 0.1 --delta 0.3 --theorem 2 --seed 1.  Its
 #       second search, on a 3x403 complex matrix, runs to the iteration cap.
 def _rerun_golden(tmp_path, name):
     """(stored bytes, bytes of a fresh refine on the stored input and config)."""
-    stored = (DATA / name).read_bytes()
-    doc = json.loads(stored)
-    group = FiniteAbelianGroup(doc["orders"])
-    inp, out = tmp_path / "input.json", tmp_path / "trace.json"
-    write_set_file(inp, ElementSet.from_coords(group, doc["input_elements"]), {})
-    cfg = doc["config"]
-    proc = run_cli("refine", "--input", str(inp), "--epsilon", repr(cfg["epsilon"]),
-                   "--delta", repr(cfg["delta"]), "--theorem", str(doc["theorem"]),
-                   "--mode", cfg["mode"], "--max-iterations", str(cfg["max_iterations"]),
-                   "--seed", str(cfg["seed"]), "--out", str(out))
+    argv, out = refine_argv(name, tmp_path)
+    proc = run_cli(*argv)
     assert proc.returncode == 0, proc.stderr
-    return stored, out.read_bytes()
+    return (DATA / name).read_bytes(), out.read_bytes()
 
 
 def test_golden_trace_on_a_pure_2_group_is_byte_identical(tmp_path):
@@ -707,6 +699,21 @@ def test_golden_trace_on_a_mixed_group_keeps_every_field(tmp_path):
     doc = json.loads(stored)
     assert {step["action"] for step in doc["steps"]} == {"minor", "growth", "finish"}
     _assert_equal_but_witness_ulps(json.loads(fresh), doc)
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="OPENBLAS_CORETYPE names x86_64 kernels")
+def test_golden_traces_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS's oldest x86_64 kernel sums its products in another order;
+    # the certificate's bound and the minors come from numpy's own
+    # reductions, so only witness_value, read off the search's products,
+    # may move in its last digits
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", **ONE_BLAS_THREAD)
+    for name in GOLDEN:
+        argv, out = refine_argv(name, tmp_path)
+        proc = run_module(*argv, env=env)
+        assert proc.returncode == 0, proc.stderr
+        _assert_equal_but_witness_ulps(json.loads(out.read_bytes()),
+                                       json.loads((DATA / name).read_bytes()), name)
 
 
 def test_verify_checks_pass_on_a_subgroup(tmp_path):
@@ -780,7 +787,7 @@ def test_bad_parameters_exit_2(tmp_path):
 
 def test_a_negative_seed_exits_2_naming_it(tmp_path):
     # refine used to store "seed": -1 when the search never ran (the subgroup,
-    # which the Frobenius bound certifies), and elsewhere failed inside
+    # which the certificate certifies), and elsewhere failed inside
     # numpy's seeding with a message that did not name the flag
     sub, ex, trace = tmp_path / "h.json", tmp_path / "ex.json", tmp_path / "t.json"
     run_cli("gen", "--kind", "subgroup", "--group", "2,2,2,2", "--gens", "1000;0100",

@@ -129,22 +129,20 @@ def test_bilinear_shape_and_side_errors():
     a = ElementSet.from_indices(g, [0, 1])
     t = dft(a)
     m = build_matrix(a, spectrum(t, 0.4), t)
-    f = BoundedFunction("rows", np.array([1.0, -1.0]))
-    wide = BoundedFunction("cols", np.ones(m.n_cols + 1))
+    f = BoundedFunction(np.array([1.0, -1.0]))
+    wide = BoundedFunction(np.ones(m.n_cols + 1))
     with pytest.raises(ValueError, match="shape"):
         extract_minor(m, IrregularityWitness(f, wide, "rows", 0.5), 0.1)
     with pytest.raises(ValueError, match="constrained_side"):
-        IrregularityWitness(f, BoundedFunction("cols", np.ones(m.n_cols)), "diag", 0.5)
+        IrregularityWitness(f, BoundedFunction(np.ones(m.n_cols)), "diag", 0.5)
 
 
 def test_bounded_function_validation():
     with pytest.raises(ValueError):
-        BoundedFunction("rows", np.array([1.0, 1.2]))
+        BoundedFunction(np.array([1.0, 1.2]))
     with pytest.raises(ValueError):
-        BoundedFunction("diag", np.array([1.0]))
-    with pytest.raises(ValueError):
-        BoundedFunction("cols", np.array([]))
-    f = BoundedFunction("rows", np.array([1.0, -1.0j]))
+        BoundedFunction(np.array([]))
+    f = BoundedFunction(np.array([1.0, -1.0j]))
     assert len(f) == 2
 
 
@@ -157,6 +155,13 @@ def test_from_entries_checks_modulus():
     assert CoherenceMatrix([[1.0, 1j]]).entries.dtype == np.complex128
     with pytest.raises(AssertionError):
         CoherenceMatrix(np.array([[1.0, 0.5], [1.0, 1.0]]))
+    # a real matrix holds exact signs; a complex one may be off by rounding
+    with pytest.raises(AssertionError, match="exactly when real"):
+        CoherenceMatrix(np.array([[1.0, -(1.0 - 2.0**-53)]]))
+    assert CoherenceMatrix(np.array([[1.0, -(1.0 - 2.0**-53)]], dtype=complex)).max_modulus == 1.0
+    for bad in (np.array([[1.0, np.nan]]), np.array([[1.0, complex(np.nan, 0.0)]])):
+        with pytest.raises(AssertionError):
+            CoherenceMatrix(bad)
 
 
 def test_build_matrix_input_validation():

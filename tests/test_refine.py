@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from specdbl.diagnostics import example_counterexample
 from specdbl.fourier import dft, spectrum
-from specdbl.groups import FiniteAbelianGroup, random_subset, subgroup_span, sumset
+from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span, sumset
 from specdbl.refine import (
     RefineConfig,
     audit_trace,
@@ -44,6 +45,28 @@ def test_subgroup_is_a_fixed_point(plane, run):
     assert result.measured["doubling"] == 1.0
     assert result.measured["spec_size"] == 4
     assert audit_trace(result, h).ok
+
+
+@pytest.mark.parametrize("run", [refine_theorem1, refine_theorem2])
+def test_subgroup_plus_a_point_is_certified(run):
+    # a subgroup of order 2^10 plus one point in Z_2^12: the search value,
+    # 1/1025, is below the first lambda at epsilon 0.4, and the +-1
+    # certificate's bound is that value rounded up, so the first matrix is
+    # certified; the Frobenius bound, 0.044, left it undetermined and the
+    # finish uncertified
+    g = z2(12)
+    mask = subgroup_span(g, [tuple(int(i == j) for i in range(12)) for j in range(10)]).mask.copy()
+    mask[g.size - 1] = True
+    a = ElementSet(g, mask)
+    result = run(a, RefineConfig(epsilon=0.4, delta=0.3, seed=0))
+    assert result.terminated == "finished"
+    assert result.certified
+    (step,) = result.trace
+    assert step.action == "finish" and step.verdict_status == "regular"
+    upper = step.upper_bound
+    assert Fraction(math.nextafter(upper, -math.inf)) < Fraction(1, 1025) <= upper
+    assert result.a_star == a
+    assert audit_trace(result, a).ok
 
 
 def test_example_set_collapses_to_a_subgroup_block():
