@@ -99,7 +99,7 @@ def _cmd_spectrum(args) -> int:
     if args.out:
         write_set_file(
             args.out,
-            spec.members,
+            spec,
             {"kind": "spectrum", "epsilon": args.epsilon, "source_size": members.size},
         )
     if args.format == "json":
@@ -108,13 +108,13 @@ def _cmd_spectrum(args) -> int:
             "set_size": members.size,
             "spectrum_size": len(spec),
             "capacity": capacity,
-            "members": spec.members.coords(),
+            "members": spec.coords(),
         }
         # one compact line: the member list has a row for each of up to |G|
         # characters, and an indented row takes about 4.5x the bytes
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
-        for row in spec.members.coords():
+        for row in spec.coords():
             print(",".join(map(str, row)))
     else:
         print(

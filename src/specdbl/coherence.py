@@ -16,15 +16,12 @@ the dtype: the regularity code takes either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
-from .fourier import FourierTable, SpectrumSet
+from .fourier import FourierTable
 from .groups import ElementSet, char_matrix
 
-__all__ = ["CoherenceMatrix", "BoundedFunction", "build_matrix"]
+__all__ = ["CoherenceMatrix", "build_matrix"]
 
 _TOL = 1e-9
 
@@ -54,43 +51,12 @@ class CoherenceMatrix:
         self.entries = entries
         self.max_modulus = max_modulus
 
-    @property
-    def n_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.entries.shape[1]
-
     def __repr__(self) -> str:
-        return f"CoherenceMatrix({self.n_rows}x{self.n_cols})"
+        rows, cols = self.entries.shape
+        return f"CoherenceMatrix({rows}x{cols})"
 
 
-@dataclass(frozen=True)
-class BoundedFunction:
-    """Complex test function on one side of a matrix, sup-norm at most 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a nonempty vector")
-        sup = float(np.max(np.abs(values)))
-        if sup > 1.0 + _TOL:
-            raise ValueError(f"sup-norm {sup} exceeds 1")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def build_matrix(
-    a: ElementSet,
-    gamma: Union[ElementSet, SpectrumSet],
-    table: FourierTable,
-) -> CoherenceMatrix:
+def build_matrix(a: ElementSet, gamma: ElementSet, table: FourierTable) -> CoherenceMatrix:
     """Coherence matrix of the set A against the character family Gamma.
 
     Row i stands for ``a.indices()[i]``, column j for ``gamma.indices()[j]``.
@@ -98,8 +64,6 @@ def build_matrix(
     characters are real and so is c, so it is sign(c), exactly +-1, and the
     whole matrix is built in float64.
     """
-    if isinstance(gamma, SpectrumSet):
-        gamma = gamma.members
     group = a.group
     if gamma.group != group or table.group != group:
         raise ValueError("set, characters and table must share one group")

@@ -53,8 +53,8 @@ def statistical_doubling(a: ElementSet, eps: float) -> DoublingReport:
     spec = spectrum(table, eps)
     small = spectrum(table, lower)
     m = len(spec)
-    counts = convolve_counts(spec.members, spec.members)
-    hits = int(counts[small.members.mask].sum())
+    counts = convolve_counts(spec, spec)
+    hits = int(counts[small.mask].sum())
     total = m * m
     p = hits / total
     if p < lower:
@@ -84,14 +84,14 @@ def high_threshold_closure(a: ElementSet, eps: float) -> ClosureReport:
     table = dft(a)
     spec = spectrum(table, eps)
     target = spectrum(table, 4.0 * eps - 3.0)
-    sums = sumset(spec.members, spec.members)
-    outside = sums.mask & ~target.members.mask
+    sums = sumset(spec, spec)
+    outside = sums.mask & ~target.mask
     if not outside.any():
         return ClosureReport(eps, 4.0 * eps - 3.0, True, len(spec), len(target), None)
     bad = group.decode(int(np.flatnonzero(outside)[0]))
     members = spec.indices()
     partners = group.encode_coords(np.asarray(bad) - group.decode_indices(members))
-    first = int(np.flatnonzero(spec.members.mask[partners])[0])
+    first = int(np.flatnonzero(spec.mask[partners])[0])
     witness = (group.decode(members[first]), group.decode(partners[first]))
     return ClosureReport(eps, 4.0 * eps - 3.0, False, len(spec), len(target), witness)
 

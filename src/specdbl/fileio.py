@@ -62,6 +62,8 @@ def _load_json(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     return doc

@@ -29,7 +29,6 @@ from .groups import ElementSet, FiniteAbelianGroup, _transform
 
 __all__ = [
     "FourierTable",
-    "SpectrumSet",
     "dft",
     "spectrum",
     "parseval_capacity",
@@ -100,50 +99,31 @@ def dft(a: ElementSet) -> FourierTable:
     return FourierTable(group, coeffs, a.size)
 
 
-class SpectrumSet:
-    """Characters whose coefficient is large relative to the set size.
-
-    For a nonempty base set, construction checks that the members contain the
-    trivial character, are closed under negation (``FiniteAbelianGroup.negate``
-    of the mask is the mask) and fit in the Parseval capacity.
-    """
-
-    __slots__ = ("threshold", "base_size", "members")
-
-    def __init__(self, threshold: float, base_size: int, members: ElementSet):
-        group = members.group
-        if base_size > 0:
-            if not members.contains_index(0):
-                raise AssertionError("spectrum must contain the trivial character")
-            if not np.array_equal(members.mask, group.negate(members.mask)):
-                raise AssertionError("spectrum must be closed under negation")
-            cap = parseval_capacity(group.size, base_size, threshold)
-            if members.size > cap + REL_TOL * cap:
-                raise AssertionError(
-                    f"spectrum size {members.size} exceeds Parseval capacity {cap}"
-                )
-        self.threshold = float(threshold)
-        self.base_size = int(base_size)
-        self.members = members
-
-    def indices(self) -> np.ndarray:
-        return self.members.indices()
-
-    def __len__(self) -> int:
-        return self.members.size
-
-    def __repr__(self) -> str:
-        return f"SpectrumSet(eps={self.threshold}, size={self.members.size})"
-
-
-def spectrum(table: FourierTable, eps: float) -> SpectrumSet:
-    """Spectrum of A at level eps: characters with |coeff| >= eps * |A|."""
+def spectrum(table: FourierTable, eps: float) -> ElementSet:
+    """Spectrum of A at level eps: the characters with |coeff| >= eps * |A|,
+    as a set of group elements under the self-duality."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"spectrum level must lie in (0, 1], got {eps}")
     cut = eps * table.set_size - REL_TOL * table.set_size
-    mask = np.abs(table.coeffs) >= cut
-    members = ElementSet(table.group, mask)
-    return SpectrumSet(eps, table.set_size, members)
+    members = ElementSet(table.group, np.abs(table.coeffs) >= cut)
+    _check_spectrum(members, table.set_size, eps)
+    return members
+
+
+def _check_spectrum(members: ElementSet, base_size: int, eps: float) -> None:
+    """For a nonempty base set, check that the spectrum contains the trivial
+    character, is closed under negation (``FiniteAbelianGroup.negate`` of the
+    mask is the mask) and fits in the Parseval capacity."""
+    if base_size == 0:
+        return
+    group = members.group
+    if not members.mask[0]:
+        raise AssertionError("spectrum must contain the trivial character")
+    if not np.array_equal(members.mask, group.negate(members.mask)):
+        raise AssertionError("spectrum must be closed under negation")
+    cap = parseval_capacity(group.size, base_size, eps)
+    if members.size > cap + REL_TOL * cap:
+        raise AssertionError(f"spectrum size {members.size} exceeds Parseval capacity {cap}")
 
 
 def parseval_capacity(group_size: int, set_size: int, epsilon: float) -> float:

@@ -286,9 +286,6 @@ class ElementSet:
         """Member coordinate rows in index order, as tuples of Python ints."""
         return list(map(tuple, self.group.decode_indices(self.indices()).tolist()))
 
-    def contains_index(self, index: int) -> bool:
-        return bool(self.mask[index])
-
     def __contains__(self, element: Sequence[int]) -> bool:
         return bool(self.mask[self.group.encode(element)])
 

@@ -63,6 +63,8 @@ class RefineConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not self.epsilon * self.epsilon / 2.0 > 0:  # the first gate level of either theorem
+            raise ValueError(f"refinement needs eps^2/2 > 0, got epsilon={self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.k_bound is not None and not 1.0 <= self.k_bound < math.inf:
@@ -239,7 +241,7 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
 
     # the measured level is epsilon (theorem 1) or rho (theorem 2)
     final_spec = spec_rho if theorem == 2 or cfg.epsilon == rho else spectrum(table, cfg.epsilon)
-    plus = sumset(final_spec.members, final_spec.members)
+    plus = sumset(final_spec, final_spec)
     measured = _measure(theorem, cfg, group.size, current.size, rho, trace[0].spec_size,
                         spec_size=len(final_spec), sumset_size=len(plus),
                         spec_rho_size=len(spec_rho), gate_size=len(gate))

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coherence import BoundedFunction, CoherenceMatrix
+from .coherence import _TOL, CoherenceMatrix
 
 __all__ = [
     "C1_DEFAULT",
@@ -136,17 +136,28 @@ def _step_pieces(values: np.ndarray, eta: float) -> tuple[list, int]:
 
 @dataclass(frozen=True)
 class IrregularityWitness:
-    """A violating pair: |f^T M g| >= lambda * |A| * |Gamma|."""
+    """A violating pair: |f^T M g| >= lambda * |A| * |Gamma|, with f on the
+    rows and g on the columns read-only complex128 vectors of sup-norm at
+    most 1."""
 
-    f: BoundedFunction
-    g: BoundedFunction
+    f: np.ndarray
+    g: np.ndarray
     constrained_side: str
     value: float
 
     def __post_init__(self):
+        for name in ("f", "g"):
+            vec = np.asarray(getattr(self, name), dtype=np.complex128)
+            if vec.ndim != 1 or vec.size == 0:
+                raise ValueError(f"{name} must be a nonempty vector")
+            sup = float(np.max(np.abs(vec)))
+            if not sup <= 1.0 + _TOL:  # NaN too
+                raise ValueError(f"sup-norm {sup} of {name} exceeds 1")
+            vec.setflags(write=False)
+            object.__setattr__(self, name, vec)
         if self.constrained_side not in ("rows", "cols"):
             raise ValueError(f"constrained_side must be 'rows' or 'cols', got {self.constrained_side!r}")
-        vec = self.f.values if self.constrained_side == "rows" else self.g.values
+        vec = self.f if self.constrained_side == "rows" else self.g
         drift = abs(complex(vec.sum()))
         if drift > _ORTH_TOL * vec.size:
             raise ValueError(
@@ -488,7 +499,7 @@ def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> Regulari
     stop = max(lam, upper * (1 - _TIE_REL))
     value, f, g, side = _alternating_search(m.entries, seed, m.max_modulus, stop)
     if value >= lam * (1 - _WITNESS_SLACK):
-        witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), side, value)
+        witness = IrregularityWitness(f, g, side, value)
         return RegularityVerdict("irregular", lam, upper, witness, value)
     return RegularityVerdict("undetermined", lam, upper, None, value)
 
@@ -566,8 +577,8 @@ def extract_minor(
     rho = abs(rho_c)
 
     eta = min(1.0, (lam if mode == "faithful" else witness.value) / 8.0)
-    row_pieces = [p for p, _ in _step_pieces(witness.f.values, eta)[0]]
-    col_pieces = [p for p, _ in _step_pieces(witness.g.values, eta)[0]]
+    row_pieces = [p for p, _ in _step_pieces(witness.f, eta)[0]]
+    col_pieces = [p for p, _ in _step_pieces(witness.g, eta)[0]]
     if not row_pieces or not col_pieces:
         raise ValueError("degenerate witness: step approximation has no pieces")
     i, j = _best_piece_pair(entries, rho_c, row_pieces, col_pieces)

@@ -8,7 +8,6 @@ import pytest
 
 from oracles import dft_naive, step_values
 from specdbl import (
-    BoundedFunction,
     CoherenceMatrix,
     IrregularityWitness,
     RefineConfig,
@@ -67,9 +66,9 @@ def test_criterion_01_structured_example_reproduction():
             # magnitude, so no threshold separates the set from its
             # complement; the spectrum collapses to the trivial character
             assert len(spec) == 1
-            assert spec.members.contains_index(0)
+            assert spec.mask[0]
         else:
-            assert spec.members == a
+            assert spec == a
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     _verdict(1, "structured example reproduction")
@@ -100,8 +99,8 @@ def test_criterion_02_statistical_doubling_exact():
 
 
 def test_criterion_03_parseval_bound_sweep():
-    # the SpectrumSet constructor enforces the capacity bound on every
-    # spectrum built anywhere in the suite; this sweep checks it explicitly
+    # spectrum() enforces the capacity bound on every spectrum built
+    # anywhere in the suite; this sweep checks it explicitly
     groups = [z2(4), FiniteAbelianGroup((3, 3, 3)), FiniteAbelianGroup((4, 5))]
     for gi, group in enumerate(groups):
         for seed in range(20):
@@ -174,7 +173,7 @@ def test_criterion_05_certified_finish_doubling_bounds():
         spec_rho = spectrum(table, rho)
         gate_level = (cfg.epsilon * rho if result.theorem == 1 else rho * rho) / 2
         gate = spectrum(table, gate_level)
-        diff = difference_set(spec.members, spec.members)
+        diff = difference_set(spec, spec)
         doubling_bound = 2 * len(gate) ** 2 / (0.8 * len(spec_rho))
         assert len(diff) <= doubling_bound
         if result.theorem == 1:
@@ -182,7 +181,7 @@ def test_criterion_05_certified_finish_doubling_bounds():
             interim = 8 * k_value * a_star.group.size / (
                 cfg.epsilon**2 * rho**2 * a_star.size
             )
-            plus = sumset(spec.members, spec.members)
+            plus = sumset(spec, spec)
             assert len(plus) <= interim
     assert certified >= 10
     _verdict(5, f"doubling bound on {certified} certified finishes")
@@ -246,7 +245,7 @@ def _planted(seed, size=16, block=8):
     g = np.zeros(size, dtype=complex)
     g[:block] = 1.0
     value = abs(complex(f @ entries @ g)) / (size * size)
-    witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), "rows", value)
+    witness = IrregularityWitness(f, g, "rows", value)
     return m, witness
 
 
@@ -302,7 +301,7 @@ def test_criterion_10_end_to_end_refinement():
 
         table = dft(result.a_star)
         spec = spectrum(table, 0.4)
-        plus = sumset(spec.members, spec.members)
+        plus = sumset(spec, spec)
         assert len(plus) < limit
 
         report = audit_trace(result, bundle.members)

@@ -846,6 +846,51 @@ def test_tiny_epsilon_exits_0_or_2(tmp_path, command, flag, value):
         assert json.loads(out)["measured"]["interim_bound"] == math.inf
 
 
+@pytest.mark.parametrize("theorem", ["1", "2"])
+def test_refine_names_an_epsilon_whose_gate_level_underflows(tmp_path, theorem):
+    # eps^2/2, the first gate level of either theorem, is 0 at eps = 1e-170
+    setfile, trace = tmp_path / "a.json", tmp_path / "t.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    proc = run_cli("refine", "--input", str(setfile), "--epsilon", "1e-170", "--delta", "0.3",
+                   "--theorem", theorem, "--out", str(trace))
+    assert proc.returncode == 2
+    assert "epsilon=1e-170" in proc.stderr
+    assert "spectrum level" not in proc.stderr
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "refine", "verify", "report"])
+def test_deeply_nested_json_exits_2(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    extra = {"spectrum": ("--epsilon", "0.4"),
+             "refine": ("--epsilon", "0.4", "--delta", "0.3", "--out", str(tmp_path / "t.json")),
+             "verify": ("--parseval", "0.4"), "report": ()}[command]
+    flag = "--trace" if command == "report" else "--input"
+    proc = run_cli(command, flag, str(path), *extra)
+    assert proc.returncode == 2
+    assert f"error: {path}: invalid JSON: nested too deeply" in proc.stderr
+
+
+def test_verify_prints_each_failed_check_and_exits_1(tmp_path, monkeypatch):
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+
+    def broken(*args):
+        raise AssertionError("forged failure")
+
+    monkeypatch.setattr(cli, "statistical_doubling", broken)
+    monkeypatch.setattr(cli, "spectrum", broken)
+    proc = run_cli("verify", "--input", str(setfile), "--statistical-doubling", "0.4",
+                   "--closure", "0.9", "--parseval", "0.4")
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "statistical-doubling FAIL: forged failure",
+        "closure ok: spectrum size 1 closed into level 0.6 (size 1)",
+        "parseval FAIL: forged failure",
+    ]
+
+
 def test_report_in_the_trivial_group_skips_the_bound_sheet(tmp_path):
     setfile, trace = tmp_path / "z1.json", tmp_path / "t.json"
     run_cli("gen", "--kind", "random", "--group", "1", "--size", "1", "--out", str(setfile))

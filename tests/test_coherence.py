@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import char_value
-from specdbl.coherence import BoundedFunction, CoherenceMatrix, build_matrix
+from specdbl.coherence import CoherenceMatrix, build_matrix
 from specdbl.fourier import dft, spectrum
 from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span
 from specdbl.regularity import IrregularityWitness, extract_minor
@@ -23,7 +23,7 @@ def test_trivial_set_matrix():
     a = ElementSet.from_indices(g, [0])
     t = dft(a)
     m = build_matrix(a, spectrum(t, 1.0), t)
-    assert m.n_rows == 1 and m.n_cols == 9
+    assert m.entries.shape == (1, 9)
     assert np.max(np.abs(np.abs(m.entries) - 1.0)) < 1e-12
     # every column sum of a coherence matrix is real nonnegative
     sums = m.entries.sum(axis=0)
@@ -60,7 +60,7 @@ def test_matrix_matches_naive_construction():
     spec = spectrum(t, 0.2)
     m = build_matrix(a, spec, t)
     assert m.entries.dtype == np.complex128  # a factor of order above 2
-    assert np.max(np.abs(m.entries - _naive_matrix(a, spec.members, t))) < 1e-9
+    assert np.max(np.abs(m.entries - _naive_matrix(a, spec, t))) < 1e-9
 
 
 @pytest.mark.parametrize("k, share", [(6, 5), (10, 5), (10, 3)], ids=["6", "10", "10-third"])
@@ -74,7 +74,7 @@ def test_pure_2_group_matrix_is_exact_real_signs(k, share):
     m = build_matrix(a, spec, t)
     assert m.entries.dtype == np.float64
     assert np.array_equal(np.abs(m.entries), np.ones(m.entries.shape))
-    assert np.array_equal(m.entries, _naive_matrix(a, spec.members, t).real)
+    assert np.array_equal(m.entries, _naive_matrix(a, spec, t).real)
 
 
 def test_grand_sum_bound_on_spectrum():
@@ -88,7 +88,8 @@ def test_grand_sum_bound_on_spectrum():
             t = dft(a)
             spec = spectrum(t, eps)
             m = build_matrix(a, spec, t)
-            total = complex(np.ones(m.n_rows) @ m.entries @ np.ones(m.n_cols))
+            rows, cols = m.entries.shape
+            total = complex(np.ones(rows) @ m.entries @ np.ones(cols))
             assert abs(total.imag) < 1e-9 * a.size * len(spec)
             assert total.real >= eps * a.size * len(spec) * (1 - 1e-6) - 1e-6
             assert total == pytest.approx(a.size * len(spec) * m.entries.mean())
@@ -102,11 +103,12 @@ def test_mean_value_naive_average():
     a = random_subset(g, 6, seed=8)
     t = dft(a)
     m = build_matrix(a, spectrum(t, 0.1), t)
+    rows, cols = m.entries.shape
     acc = 0j
-    for i in range(m.n_rows):
-        for j in range(m.n_cols):
+    for i in range(rows):
+        for j in range(cols):
             acc += m.entries[i, j]
-    assert m.entries.mean() == pytest.approx(acc / (m.n_rows * m.n_cols), abs=1e-12)
+    assert m.entries.mean() == pytest.approx(acc / (rows * cols), abs=1e-12)
 
 
 def test_bilinear_degenerate_cases():
@@ -129,27 +131,35 @@ def test_bilinear_shape_and_side_errors():
     a = ElementSet.from_indices(g, [0, 1])
     t = dft(a)
     m = build_matrix(a, spectrum(t, 0.4), t)
-    f = BoundedFunction(np.array([1.0, -1.0]))
-    wide = BoundedFunction(np.ones(m.n_cols + 1))
+    f = np.array([1.0, -1.0])
+    wide = np.ones(m.entries.shape[1] + 1)
     with pytest.raises(ValueError, match="shape"):
         extract_minor(m, IrregularityWitness(f, wide, "rows", 0.5), 0.1)
     with pytest.raises(ValueError, match="constrained_side"):
-        IrregularityWitness(f, BoundedFunction(np.ones(m.n_cols)), "diag", 0.5)
+        IrregularityWitness(f, np.ones(m.entries.shape[1]), "diag", 0.5)
 
 
 def test_bounded_function_validation():
-    with pytest.raises(ValueError):
-        BoundedFunction(np.array([1.0, 1.2]))
-    with pytest.raises(ValueError):
-        BoundedFunction(np.array([]))
-    f = BoundedFunction(np.array([1.0, -1.0j]))
-    assert len(f) == 2
+    # a witness holds each test function as a read-only complex vector of
+    # sup-norm at most 1
+    ok = np.array([1.0, -1.0])
+    for bad, needle in [(np.array([1.0, 1.2]), "sup-norm 1.2 of {} exceeds 1"),
+                        (np.array([np.nan, 1.0]), "sup-norm nan of {} exceeds 1"),
+                        (np.array([]), "{} must be a nonempty vector"),
+                        (np.ones((2, 1)), "{} must be a nonempty vector")]:
+        with pytest.raises(ValueError, match=needle.format("f")):
+            IrregularityWitness(bad, ok, "cols", 0.5)
+        with pytest.raises(ValueError, match=needle.format("g")):
+            IrregularityWitness(ok, bad, "rows", 0.5)
+    w = IrregularityWitness(ok, np.array([1.0, -1.0j]), "rows", 0.5)
+    assert w.f.dtype == w.g.dtype == np.complex128 and len(w.g) == 2
+    assert not w.f.flags.writeable and not w.g.flags.writeable
 
 
 def test_from_entries_checks_modulus():
     block = np.ones((2, 2), dtype=complex)
     m = CoherenceMatrix(block)
-    assert m.n_rows == m.n_cols == 2 and not m.entries.flags.writeable
+    assert m.entries.shape == (2, 2) and not m.entries.flags.writeable
     # real input stays real, as float64
     assert CoherenceMatrix(np.array([[1, -1]])).entries.dtype == np.float64
     assert CoherenceMatrix([[1.0, 1j]]).entries.dtype == np.complex128

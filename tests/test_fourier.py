@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import dft_naive
-from specdbl.fourier import FourierTable, SpectrumSet, dft, parseval_capacity, spectrum
+from specdbl.fourier import FourierTable, _check_spectrum, dft, parseval_capacity, spectrum
 from specdbl.groups import ElementSet, FiniteAbelianGroup, convolve_counts, random_subset, subgroup_span
 from specdbl.coherence import build_matrix
 from specdbl.diagnostics import example_counterexample
@@ -132,9 +132,9 @@ def test_spectrum_invariants_random_sweep():
             t = dft(a)
             for eps in [0.05, 0.25, 0.5, 0.9, 1.0]:
                 s = spectrum(t, eps)
-                assert s.members.contains_index(0)
+                assert s.mask[0]
                 neg = g.negate(np.arange(g.size))
-                assert np.array_equal(s.members.mask, s.members.mask[neg])
+                assert np.array_equal(s.mask, s.mask[neg])
                 assert len(s) <= parseval_capacity(g.size, size, eps) * (1 + 1e-9)
 
 
@@ -158,11 +158,18 @@ def test_table_rejects_broken_conjugate_symmetry():
 
 
 def test_spectrum_set_rejects_a_mask_not_closed_under_negation():
+    # forged masks that no table yields, each failing one of spectrum's checks
     g = FiniteAbelianGroup([5])
-    members = ElementSet.from_indices(g, [0, 1])  # -1 = 4 is missing
-    with pytest.raises(AssertionError, match="closed under negation"):
-        SpectrumSet(0.5, 4, members)
-    SpectrumSet(0.5, 4, ElementSet.from_indices(g, [0, 1, 4]))
+    for indices, eps, needle in [
+        ([0, 1], 0.5, "closed under negation"),  # -1 = 4 is missing
+        ([1, 4], 0.5, "trivial character"),
+        ([0, 1, 4], 1.0, "exceeds Parseval capacity"),  # capacity 5 / (1 * 4)
+    ]:
+        with pytest.raises(AssertionError, match=needle):
+            _check_spectrum(ElementSet.from_indices(g, indices), 4, eps)
+    _check_spectrum(ElementSet.from_indices(g, [0, 1, 4]), 4, 0.5)
+    # an empty base set has no spectrum to check
+    _check_spectrum(ElementSet.from_indices(g, [1]), 0, 0.5)
 
 
 def test_spectrum_rejects_bad_eps():
@@ -296,7 +303,7 @@ def test_real_table_and_its_complex_copy_agree(k, share):
     cplx = FourierTable(g, real.coeffs.astype(np.complex128), a.size)
     assert cplx.coeffs.dtype == np.complex128
     spec_real, spec_cplx = spectrum(real, 0.1), spectrum(cplx, 0.1)
-    assert spec_real.members == spec_cplx.members
+    assert spec_real == spec_cplx
     m_real = build_matrix(a, spec_real, real).entries
     m_cplx = build_matrix(a, spec_cplx, cplx).entries
     assert m_real.dtype == m_cplx.dtype == np.float64

@@ -144,7 +144,7 @@ def test_final_spectrum_state_matches_measured():
     table = dft(result.a_star)
     spec = spectrum(table, result.measured["spec_level"])
     assert len(spec) == result.measured["spec_size"]
-    plus = sumset(spec.members, spec.members)
+    plus = sumset(spec, spec)
     assert len(plus) == result.measured["sumset_size"]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import frobenius_bound, step_values
-from specdbl.coherence import BoundedFunction, CoherenceMatrix, build_matrix
+from specdbl.coherence import CoherenceMatrix, build_matrix
 from specdbl.diagnostics import example_counterexample
 from specdbl.fourier import dft, spectrum
 from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span
@@ -446,7 +446,7 @@ def test_witness_block_sign():
     assert verdict.status == "irregular"
     w = verdict.witness
     assert w.value >= 0.5
-    recomputed = abs(w.f.values @ m.entries @ w.g.values) / m.entries.size
+    recomputed = abs(w.f @ m.entries @ w.g) / m.entries.size
     assert recomputed == pytest.approx(w.value, abs=1e-9)
 
 
@@ -462,14 +462,14 @@ def test_witness_deterministic():
     a = decide_regularity(m, 0.05, seed=9).witness
     b = decide_regularity(m, 0.05, seed=9).witness
     assert a is not None and b is not None
-    assert np.array_equal(a.f.values, b.f.values)
-    assert np.array_equal(a.g.values, b.g.values)
+    assert np.array_equal(a.f, b.f)
+    assert np.array_equal(a.g, b.g)
     assert a.value == b.value
 
 
 def test_witness_validation():
-    f = BoundedFunction(np.array([1.0, 1.0]))
-    g = BoundedFunction(np.array([1.0, -1.0]))
+    f = np.array([1.0, 1.0])
+    g = np.array([1.0, -1.0])
     with pytest.raises(ValueError):
         IrregularityWitness(f, g, "rows", 0.5)  # rows side does not sum to zero
     w = IrregularityWitness(f, g, "cols", 0.5)
@@ -625,9 +625,9 @@ def test_real_matrix_search_and_minor_match_its_complex_copy(entries):
         lam = min(real[0], cplx[0])
         found = []
         for (value, f, g, side), x in ((real, entries), (cplx, entries.astype(complex))):
-            witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), side, value)
+            witness = IrregularityWitness(f, g, side, value)
             for vec in (witness.f, witness.g):
-                found.append([p.tolist() for p, _ in _step_pieces(vec.values, value / 8)[0]])
+                found.append([p.tolist() for p, _ in _step_pieces(vec, value / 8)[0]])
             ext = extract_minor(CoherenceMatrix(x), witness, lam)
             found.append((ext.row_positions.tolist(), ext.col_positions.tolist()))
         assert found[:3] == found[3:]
@@ -747,7 +747,7 @@ def test_decide_sandwich_on_random_matrices():
         assert verdict.lower_bound <= verdict.upper_bound + 1e-9
         if verdict.status == "irregular":
             w = verdict.witness
-            recomputed = abs(w.f.values @ m.entries @ w.g.values) / m.entries.size
+            recomputed = abs(w.f @ m.entries @ w.g) / m.entries.size
             assert recomputed == pytest.approx(w.value, abs=1e-9)
     assert "irregular" in statuses or "regular" in statuses
 
@@ -808,7 +808,7 @@ def test_neighbourhood_count_under_certified_regularity():
         for gamma in spec_eps.indices():
             gamma_coords = g.decode_indices(np.array([gamma]))[0]
             shifted = g.encode_coords(rho_coords + gamma_coords)
-            good = int(np.count_nonzero(gate.members.mask[shifted]))
+            good = int(np.count_nonzero(gate.mask[shifted]))
             assert good >= 0.9 * len(spec_rho)
     assert certified_count >= 1
 
@@ -821,7 +821,7 @@ def test_extract_planted_blocks():
         m = planted_matrix(trial)
         f, g = planted_witness()
         value = abs(complex(f @ m.entries @ g)) / m.entries.size
-        witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), "rows", value)
+        witness = IrregularityWitness(f, g, "rows", value)
         assert value >= 0.05
         ext = extract_minor(m, witness, 0.05)
         assert ext.new_mean >= abs(complex(m.entries.mean())) + 0.1
@@ -839,7 +839,7 @@ def test_extract_faithful_mode_matches_on_planted():
     m = planted_matrix(1)
     f, g = planted_witness()
     value = abs(complex(f @ m.entries @ g)) / m.entries.size
-    witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), "rows", value)
+    witness = IrregularityWitness(f, g, "rows", value)
     opp = extract_minor(m, witness, 0.05, mode="opportunistic")
     faith = extract_minor(m, witness, 0.05, mode="faithful")
     assert faith.row_positions.tolist() == opp.row_positions.tolist()
@@ -851,7 +851,7 @@ def test_extract_mean_recomputation_invariant():
     m = planted_matrix(2)
     f, g = planted_witness()
     value = abs(complex(f @ m.entries @ g)) / m.entries.size
-    witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), "rows", value)
+    witness = IrregularityWitness(f, g, "rows", value)
     ext = extract_minor(m, witness, 0.05)
     block = m.entries[np.ix_(ext.row_positions, ext.col_positions)]
     recomputed = float(np.mean(np.abs(block.mean(axis=0))))
@@ -862,7 +862,7 @@ def test_extract_mean_recomputation_invariant():
 def test_extract_rejects_weak_witness():
     m = planted_matrix(0)
     f, g = planted_witness()
-    witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), "rows", 0.0)
+    witness = IrregularityWitness(f, g, "rows", 0.0)
     with pytest.raises(ValueError, match="below"):
         extract_minor(m, witness, 0.3)
 
@@ -876,7 +876,7 @@ def test_extract_on_example_set_matrix():
     ext = extract_minor(m, verdict.witness, 0.01)
     assert ext.new_mean > abs(complex(m.entries.mean()))
     # the quadrant is given by distinct, sorted positions inside the matrix
-    for positions, n in ((ext.row_positions, m.n_rows), (ext.col_positions, m.n_cols)):
+    for positions, n in zip((ext.row_positions, ext.col_positions), m.entries.shape):
         assert positions.size >= 1 and np.all(np.diff(positions) > 0)
         assert 0 <= positions[0] and positions[-1] < n
     # and its mean is the recomputed coherence mean of those rows and columns
@@ -892,7 +892,7 @@ def test_extract_skips_a_quadrant_with_an_empty_side():
     g = np.ones(5, dtype=complex)
     m = CoherenceMatrix(entries)
     value = abs(complex(f @ entries @ g)) / entries.size
-    witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), "rows", value)
+    witness = IrregularityWitness(f, g, "rows", value)
     ext = extract_minor(m, witness, 0.05)
     # rows 3-5 are the first piece, and the tied complement/piece quadrant,
     # rows 0-2, comes later in the quadrant order
@@ -923,11 +923,11 @@ def test_piece_pair_matches_the_double_loop(shape):
     entries = _unit_matrix(shape)
     m = CoherenceMatrix(entries)
     value, f, g, side = run_search(entries, 5)
-    witness = IrregularityWitness(BoundedFunction(f), BoundedFunction(g), side, value)
-    f_pieces, f_r = _step_pieces(witness.f.values, value / 8)
-    g_pieces, g_r = _step_pieces(witness.g.values, value / 8)
-    _assert_same_pieces(f_pieces, _loop_build_pieces(witness.f.values, f_r))
-    _assert_same_pieces(g_pieces, _loop_build_pieces(witness.g.values, g_r))
+    witness = IrregularityWitness(f, g, side, value)
+    f_pieces, f_r = _step_pieces(witness.f, value / 8)
+    g_pieces, g_r = _step_pieces(witness.g, value / 8)
+    _assert_same_pieces(f_pieces, _loop_build_pieces(witness.f, f_r))
+    _assert_same_pieces(g_pieces, _loop_build_pieces(witness.g, g_r))
     rows = [p for p, _ in f_pieces]
     cols = [p for p, _ in g_pieces]
     if shape == (7, 2155):
