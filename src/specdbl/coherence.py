@@ -75,7 +75,7 @@ def build_matrix(a: ElementSet, gamma: ElementSet, table: FourierTable) -> Coher
     mags = np.abs(coeffs)
     dead = mags <= 1e-12 * max(1, a.size)
     if dead.any():
-        offenders = [group.decode(int(i)) for i in cols[dead][:4]]
+        offenders = list(map(tuple, group.decode_indices(cols[dead][:4]).tolist()))
         raise ValueError(
             f"characters with vanishing set-average cannot be normalised: {offenders}"
         )

@@ -88,11 +88,11 @@ def high_threshold_closure(a: ElementSet, eps: float) -> ClosureReport:
     outside = sums.mask & ~target.mask
     if not outside.any():
         return ClosureReport(eps, 4.0 * eps - 3.0, True, len(spec), len(target), None)
-    bad = group.decode(int(np.flatnonzero(outside)[0]))
+    bad = group.decode_indices(np.flatnonzero(outside)[:1])  # one (1, rank) row
     members = spec.indices()
-    partners = group.encode_coords(np.asarray(bad) - group.decode_indices(members))
+    partners = group.encode_coords(bad - group.decode_indices(members))
     first = int(np.flatnonzero(spec.mask[partners])[0])
-    witness = (group.decode(members[first]), group.decode(partners[first]))
+    witness = tuple(map(tuple, group.decode_indices([members[first], partners[first]]).tolist()))
     return ClosureReport(eps, 4.0 * eps - 3.0, False, len(spec), len(target), witness)
 
 

@@ -10,8 +10,8 @@ are that pair: ``fourier.dft`` takes the forward transform, and
 FFT alone, and a pure 2-group (every factor of order 1 or 2) stays in
 float64 throughout.
 
-The same ``shape`` gives the rest of the layout.  The vectorised codec between
-flat indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
+The same ``shape`` gives the rest of the layout.  The one codec between flat
+indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
 over it, and negation is a reversal mod n of each axis of order above 2
 (``FiniteAbelianGroup.negate``); axes of order 1 and 2 are their own negatives.
 """
@@ -123,40 +123,13 @@ class FiniteAbelianGroup:
 
     # -- element indexing -------------------------------------------------
 
-    def encode(self, coords: Sequence[int]) -> int:
-        """Flat index of a coordinate vector (coordinates must be in range)."""
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.rank:
-            raise ValueError(
-                f"expected {self.rank} coordinates, got {len(coords)}"
-            )
-        for c, n in zip(coords, self.orders):
-            if not 0 <= c < n:
-                raise ValueError(f"coordinate {c} out of range for Z_{n}")
-        idx = 0
-        for c, n in zip(reversed(coords), self.shape):
-            idx = idx * n + c
-        return idx
-
-    def decode(self, index: int) -> GroupElement:
-        """Coordinate vector of a flat index."""
-        index = int(index)
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for group of size {self.size}")
-        coords = []
-        r = index
-        for n in self.orders:
-            coords.append(r % n)
-            r //= n
-        return tuple(coords)
-
     def decode_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorised decode: (m,) index array -> (m, rank) coordinate array."""
+        """(m,) flat index array -> (m, rank) coordinate array."""
         axes = np.unravel_index(np.asarray(indices, dtype=np.int64), self.shape)
         return np.stack(axes[::-1], axis=-1)
 
     def encode_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorised encode of an (m, rank) coordinate array, reducing mod orders."""
+        """Flat indices of an (m, rank) coordinate array, reducing mod orders."""
         c = np.asarray(coords, dtype=np.int64)
         return np.ravel_multi_index(tuple(np.moveaxis(c, -1, 0)[::-1]), self.shape, mode="wrap")
 
@@ -248,10 +221,12 @@ class ElementSet:
         raise AttributeError("ElementSet is immutable")
 
     @classmethod
-    def from_indices(cls, group: FiniteAbelianGroup, indices: Iterable[int]) -> "ElementSet":
+    def from_indices(cls, group: FiniteAbelianGroup, indices: np.ndarray) -> "ElementSet":
         mask = np.zeros(group.size, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.int64)
+        idx = np.asarray(indices)
         if idx.size:
+            if idx.dtype.kind not in "iu":  # a float or a boolean mask is no index array
+                raise ValueError(f"element indices must be integers, got dtype {idx.dtype}")
             if idx.min() < 0 or idx.max() >= group.size:
                 raise ValueError("element index out of range")
             mask[idx] = True
@@ -259,16 +234,15 @@ class ElementSet:
 
     @classmethod
     def from_coords(cls, group: FiniteAbelianGroup, coords: Iterable[Sequence[int]]) -> "ElementSet":
-        """Set of the given coordinate rows, each checked like ``encode`` checks it."""
+        """Set of the given coordinate rows, each coordinate in range for its factor."""
         rows = list(coords)
         if not rows:
             return cls(group, np.zeros(group.size, dtype=bool))
         try:
             c = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            for row in rows:
-                group.encode(row)  # raises the out-of-range error for the huge value
-            raise
+        except OverflowError:  # a coordinate past int64 is out of range for any factor
+            x, n = next((x, n) for row in rows for x, n in zip(row, group.orders) if not 0 <= x < n)
+            raise ValueError(f"coordinate {x} out of range for Z_{n}") from None
         if c.ndim != 2 or c.shape[1] != group.rank:
             raise ValueError(f"expected {group.rank} coordinates, got rows of shape {c.shape[1:]}")
         bad = np.argwhere((c < 0) | (c >= group._orders_arr))
@@ -285,9 +259,6 @@ class ElementSet:
     def coords(self) -> list[GroupElement]:
         """Member coordinate rows in index order, as tuples of Python ints."""
         return list(map(tuple, self.group.decode_indices(self.indices()).tolist()))
-
-    def __contains__(self, element: Sequence[int]) -> bool:
-        return bool(self.mask[self.group.encode(element)])
 
     def __len__(self) -> int:
         return self.size

@@ -26,10 +26,10 @@ matrix along the level pieces of a step function near the witness pair
 
 The search and the cut are block linear algebra.  The 16 restarts of both
 sides (8 per side) run as the rows of one block, two matrix products per
-iteration; the pieces come from one sort, and every piece-pair sum from one
-np.add.reduceat pass per axis.  Two rules keep their choices off rounding
-noise, so a block product and one restart at a time, or one BLAS thread and
-several, pick the same witness and minor:
+iteration; the pieces are the runs of one sort, and every piece-pair sum
+comes from one np.add.reduceat pass per axis.  Two rules keep their choices
+off rounding noise, so a block product and one restart at a time, or one
+BLAS thread and several, pick the same witness and minor:
 
 - Zero rule: an entry of a product whose modulus is at or below the
   a-priori rounding bound of its inner product, sqrt(2) gamma_2n n max|M|
@@ -91,10 +91,11 @@ def _on_grid(x: np.ndarray) -> np.ndarray:
 
 
 def _build_pieces(values: np.ndarray, r: int):
-    """Level pieces: magnitude band j holds (j/r, (j+1)/r], phase sector k the
-    angles in (2 pi k / r, 2 pi (k+1) / r] with angle 0 taken as 2 pi.  A value
-    within rounding of an edge counts as on it (_on_grid), so 1, 1 + 1e-17j
-    and 1 - 1e-17j share the last sector."""
+    """Level pieces, the runs of one stable sort of the keys j r + k: band j
+    holds the magnitudes (j/r, (j+1)/r], sector k the angles in (2 pi k / r,
+    2 pi (k+1) / r] with angle 0 taken as 2 pi, and a value within rounding of
+    an edge counts as on it (_on_grid).  Returns the positions sorted by
+    (key, position), the start of each run in them and each run's key."""
     j = np.ceil(_on_grid(np.abs(values) * r)).astype(np.int64) - 1
     j = np.minimum(j, r - 1)
     x = _on_grid(np.angle(values) * r / (2 * np.pi))
@@ -102,36 +103,33 @@ def _build_pieces(values: np.ndarray, r: int):
     k = np.clip(np.ceil(x).astype(np.int64) - 1, 0, r - 1)
     positions = np.flatnonzero(j >= 1)  # the zero magnitude band contributes coefficient 0
     keys = j[positions] * r + k[positions]
-    uniq, label, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    by_label = positions[np.argsort(label, kind="stable")]
-    ends = np.cumsum(counts).tolist()
-    jj, kk = np.divmod(uniq, r)
-    alphas = ((jj / r) * np.exp(2j * np.pi * kk / r)).tolist()
-    return [(by_label[start:end], alpha)
-            for start, end, alpha in zip([0] + ends[:-1], ends, alphas)]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # every key is at least r
+    return positions[order], starts, keys[starts]
 
 
-def _step_pieces(values: np.ndarray, eta: float) -> tuple[list, int]:
+def _step_pieces(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Level pieces of a step function within sup-error eta of values, and its grid r.
 
     Magnitude levels j/r and phase sectors 2*pi*k/r with r = ceil(10/eta); for
     fractional 10/eta the ceiling can push the worst-case piece count past
     100/eta^2, in which case the grid is rebuilt with r = floor(10/eta), which
-    still meets the sup-error target (error <= (1+2*pi)/r).  The pieces come
-    from _build_pieces' one np.unique, so they are disjoint and nonempty with
-    coefficients in the unit ball; the count bound 100/eta^2, on which the
-    paper's argument rests, is asserted.
+    still meets the sup-error target (error <= (1+2*pi)/r).  The pieces are
+    _build_pieces' (positions, starts, keys), and the step function is
+    (j/r) e^{2 pi i k/r} on the run of key j r + k.  The count bound
+    100/eta^2, on which the paper's argument rests, is asserted.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     r = math.ceil(10.0 / eta)
-    pieces = _build_pieces(values, r)
-    if len(pieces) > 100.0 / eta**2:
+    positions, starts, keys = _build_pieces(values, r)
+    if starts.size > 100.0 / eta**2:
         r = math.floor(10.0 / eta)
-        pieces = _build_pieces(values, r)
-    if len(pieces) > 100.0 / eta**2 + 1e-9:
-        raise AssertionError(f"{len(pieces)} pieces exceed the bound 100/eta^2 for eta={eta}")
-    return pieces, r
+        positions, starts, keys = _build_pieces(values, r)
+    if starts.size > 100.0 / eta**2 + 1e-9:
+        raise AssertionError(f"{starts.size} pieces exceed the bound 100/eta^2 for eta={eta}")
+    return positions, starts, keys, r
 
 
 @dataclass(frozen=True)
@@ -514,30 +512,24 @@ class MinorExtraction:
     new_mean: float
 
 
-def _best_piece_pair(entries: np.ndarray, rho_c: complex, row_pieces, col_pieces):
+def _best_piece_pair(entries: np.ndarray, rho_c: complex, rows, row_starts, cols, col_starts):
     """(i, j) of the piece pair whose block sum deviates most from the mean.
 
     For pieces P, Q with entry sum S over P x Q, the deviation is
     |phase * S - rho |P| |Q||, where rho = |mean| and phase = conj(mean) / rho:
-    the sum of the mean-subtracted matrix, rotated onto the mean.  Pieces
-    are disjoint and come ordered by label, so concatenating them sorts the
-    positions by label, and np.add.reduceat over the label runs sums the
+    the sum of the mean-subtracted matrix, rotated onto the mean.  The pieces
+    are runs (_build_pieces), so np.add.reduceat over the run starts sums the
     rows and then the columns: two passes and no indicator matrices, which
     would hold (pieces x positions) complex numbers.  The pick is the tie
     rule's, the first pair in row-major order within 1e-9 of the largest.
     """
-    def runs(pieces):
-        sizes = np.array([p.size for p in pieces])
-        return np.concatenate(pieces), sizes, np.cumsum(sizes) - sizes
-
-    rows, row_sizes, row_starts = runs(row_pieces)
-    cols, col_sizes, col_starts = runs(col_pieces)
     by_row = np.add.reduceat(entries[rows], row_starts, axis=0)
     sums = np.add.reduceat(by_row[:, cols], col_starts, axis=1)
     rho = abs(rho_c)
     phase = np.conj(rho_c) / rho if rho > 0 else 1.0
-    raw = np.abs(phase * sums - rho * np.outer(row_sizes, col_sizes))
-    return divmod(_first_near_max(raw.ravel()), len(col_pieces))
+    sizes = np.outer(np.diff(row_starts, append=rows.size), np.diff(col_starts, append=cols.size))
+    raw = np.abs(phase * sums - rho * sizes)
+    return divmod(_first_near_max(raw.ravel()), col_starts.size)
 
 
 def _complement(positions: np.ndarray, n: int) -> np.ndarray:
@@ -577,14 +569,14 @@ def extract_minor(
     rho = abs(rho_c)
 
     eta = min(1.0, (lam if mode == "faithful" else witness.value) / 8.0)
-    row_pieces = [p for p, _ in _step_pieces(witness.f, eta)[0]]
-    col_pieces = [p for p, _ in _step_pieces(witness.g, eta)[0]]
-    if not row_pieces or not col_pieces:
+    rows, row_starts, _, _ = _step_pieces(witness.f, eta)
+    cols, col_starts, _, _ = _step_pieces(witness.g, eta)
+    if not row_starts.size or not col_starts.size:
         raise ValueError("degenerate witness: step approximation has no pieces")
-    i, j = _best_piece_pair(entries, rho_c, row_pieces, col_pieces)
+    i, j = _best_piece_pair(entries, rho_c, rows, row_starts, cols, col_starts)
 
-    rp = row_pieces[i]
-    cp = col_pieces[j]
+    rp = np.split(rows, row_starts[i:i + 2])[1]  # run i: from its start to the next one's
+    cp = np.split(cols, col_starts[j:j + 2])[1]
     col_sides = [csel for csel in (cp, _complement(cp, nc)) if csel.size]
     candidates = []  # piece/piece at least: the pieces are nonempty
     for rsel in (rp, _complement(rp, nr)):

@@ -8,6 +8,31 @@ from specdbl.fourier import FourierTable
 from specdbl.groups import ElementSet, FiniteAbelianGroup, char_matrix
 
 
+def encode(group: FiniteAbelianGroup, coords: Sequence[int]) -> int:
+    """Flat index of a coordinate vector, one coordinate at a time: the
+    oracle for ``encode_coords`` (coordinates must be in range)."""
+    coords = tuple(int(c) for c in coords)
+    if len(coords) != group.rank or not all(0 <= c < n for c, n in zip(coords, group.orders)):
+        raise ValueError(f"coordinates {coords} out of range for {group!r}")
+    idx = 0
+    for c, n in zip(reversed(coords), reversed(group.orders)):
+        idx = idx * n + c
+    return idx
+
+
+def decode(group: FiniteAbelianGroup, index: int) -> tuple:
+    """Coordinate vector of a flat index, one coordinate at a time: the
+    oracle for ``decode_indices``."""
+    index = int(index)
+    if not 0 <= index < group.size:
+        raise ValueError(f"index {index} out of range for group of size {group.size}")
+    coords = []
+    for n in group.orders:
+        index, c = divmod(index, n)
+        coords.append(c)
+    return tuple(coords)
+
+
 def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]) -> complex:
     """Value of the character indexed by gamma at the element x.
 
@@ -41,15 +66,21 @@ def dft_naive(a: ElementSet) -> FourierTable:
     return FourierTable(group, coeffs, a.size)
 
 
-def step_values(pieces, n: int) -> np.ndarray:
-    """The step function sum alpha_i 1_{P_i} of ``regularity._step_pieces`` on
-    range(n), checking that the pieces are nonempty, disjoint and in the unit ball."""
+def step_values(n: int, positions, starts, keys, r: int) -> np.ndarray:
+    """The step function of ``regularity._step_pieces``' runs on range(n):
+    (j/r) e^{2 pi i k/r} on the run of key j r + k, 0 off the runs.  Checks
+    that the runs are nonempty and disjoint, their keys increasing and their
+    coefficients in the unit ball."""
     out = np.zeros(n, dtype=np.complex128)
     covered = np.zeros(n, dtype=bool)
-    for positions, alpha in pieces:
-        assert positions.size and not covered[positions].any() and abs(alpha) <= 1.0
-        covered[positions] = True
-        out[positions] = alpha
+    assert np.all(np.diff(keys) > 0)
+    ends = list(starts[1:]) + [positions.size]
+    for start, end, key in zip(starts, ends, keys):
+        j, k = divmod(int(key), r)
+        run = positions[start:end]
+        assert run.size and not covered[run].any() and 1 <= j < r and 0 <= k < r
+        covered[run] = True
+        out[run] = (j / r) * np.exp(2j * np.pi * k / r)
     return out
 
 

@@ -224,9 +224,9 @@ def test_criterion_07_step_function_approximation():
         size = int(rng.integers(4, 400))
         values = rng.random(size) * np.exp(2j * np.pi * rng.random(size))
         for eta in (0.05, 0.1, 0.2, 0.5):
-            pieces, _ = _step_pieces(values, eta)
-            assert np.max(np.abs(step_values(pieces, size) - values)) <= eta + 1e-12
-            assert len(pieces) <= 100 / eta**2 + 1e-9
+            pieces = _step_pieces(values, eta)
+            assert np.max(np.abs(step_values(size, *pieces) - values)) <= eta + 1e-12
+            assert pieces[1].size <= 100 / eta**2 + 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     _verdict(7, "step approximation error and piece count")

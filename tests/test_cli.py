@@ -117,7 +117,7 @@ def test_gen_random_and_subgroup(tmp_path):
     assert proc.returncode == 0, proc.stderr
     members, _ = read_set_file(out2)
     assert members.size == 4
-    assert (0, 0, 0, 0) in members
+    assert (0, 0, 0, 0) in members.coords()
 
     out3 = tmp_path / "h2.json"
     proc = run_cli("gen", "--kind", "subgroup", "--group", "4,3",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import char_value
+from oracles import char_value, decode
 from specdbl.coherence import CoherenceMatrix, build_matrix
 from specdbl.fourier import dft, spectrum
 from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span
@@ -48,7 +48,7 @@ def _naive_matrix(a, gamma, table):
     for j, ci in enumerate(cols):
         cval = table.coeffs[ci]
         for i, ai in enumerate(rows):
-            chi = char_value(g, g.decode(int(ci)), g.decode(int(ai)))
+            chi = char_value(g, decode(g, ci), decode(g, ai))
             out[i, j] = chi * np.conj(cval) / abs(cval)
     return out
 

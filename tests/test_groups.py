@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import char_value
+from oracles import char_value, decode, encode
 from specdbl.groups import (
     ElementSet,
     FiniteAbelianGroup,
@@ -50,32 +50,33 @@ def test_group_size_ceiling(monkeypatch):
 
 def test_encode_examples():
     g = FiniteAbelianGroup([2, 2])
-    assert g.encode((0, 0)) == 0
-    assert g.encode((1, 0)) == 1
-    assert g.encode((0, 1)) == 2
+    assert g.encode_coords(np.array([(0, 0), (1, 0), (0, 1)])).tolist() == [0, 1, 2]
     g23 = FiniteAbelianGroup([2, 3])
-    assert g23.encode((1, 2)) == 5
+    assert g23.encode_coords(np.array([1, 2])) == 5
+    assert [encode(g, (0, 1)), encode(g23, (1, 2))] == [2, 5]
+    assert g23.decode_indices(np.array([5])).tolist() == [[1, 2]]
 
 
 def test_encode_decode_roundtrip_exhaustive():
+    # the codec against the one-coordinate-at-a-time oracle, over all of each group
     for orders in SMALL_ORDERS:
         g = FiniteAbelianGroup(orders)
-        for i in range(g.size):
-            assert g.encode(g.decode(i)) == i
-        seen = {g.encode(c) for c in itertools.product(*[range(n) for n in orders])}
-        assert seen == set(range(g.size))
+        every = np.array(list(itertools.product(*map(range, orders))))
+        assert g.encode_coords(every).tolist() == [encode(g, c) for c in every]
+        assert sorted(g.encode_coords(every).tolist()) == list(range(g.size))
+        assert np.array_equal(g.decode_indices(g.encode_coords(every)), every)
 
 
 def test_encode_rejects_out_of_range():
+    # encode_coords reduces mod the orders; from_coords checks the range
+    # and decode_indices rejects an index outside the group
     g = FiniteAbelianGroup([2, 3])
-    with pytest.raises(ValueError):
-        g.encode((2, 0))
-    with pytest.raises(ValueError):
-        g.encode((0, -1))
-    with pytest.raises(ValueError):
-        g.encode((0, 0, 0))
-    with pytest.raises(ValueError):
-        g.decode(6)
+    for bad in [(2, 0), (0, -1), (0, 0, 0)]:
+        with pytest.raises(ValueError):
+            ElementSet.from_coords(g, [bad])
+    for index in (6, -1):
+        with pytest.raises(ValueError):
+            g.decode_indices(np.array([index]))
 
 
 def test_vectorised_codec_matches_scalar():
@@ -84,7 +85,7 @@ def test_vectorised_codec_matches_scalar():
         idx = np.arange(g.size)
         coords = g.decode_indices(idx)
         for i in range(g.size):
-            assert tuple(coords[i]) == g.decode(i)
+            assert tuple(coords[i]) == decode(g, i)
         assert np.array_equal(g.encode_coords(coords), idx)
         empty = g.decode_indices(np.array([], dtype=np.int64))
         assert empty.shape == (0, g.rank)
@@ -97,7 +98,7 @@ def test_vectorised_codec_matches_scalar():
 def test_negation_matches_coordinate_negation():
     for orders in SMALL_ORDERS + [[1, 3], [5], [9, 2, 4], [2] * 7]:
         g = FiniteAbelianGroup(orders)
-        expected = [g.encode(tuple(-c % n for c, n in zip(g.decode(i), orders)))
+        expected = [encode(g, tuple(-c % n for c, n in zip(decode(g, i), orders)))
                     for i in range(g.size)]
         assert g.negate(np.arange(g.size)).tolist() == expected
         s = random_subset(g, (g.size + 1) // 2, seed=len(expected))
@@ -108,7 +109,7 @@ def test_coords_are_tuples_of_python_ints():
     g = FiniteAbelianGroup([3, 2, 5])
     s = random_subset(g, 11, seed=2)
     rows = s.coords()
-    assert rows == [g.decode(i) for i in s.indices()]
+    assert rows == [decode(g, i) for i in s.indices()]
     assert all(type(row) is tuple and all(type(c) is int for c in row) for row in rows)
     assert ElementSet.from_indices(g, []).coords() == []
 
@@ -117,7 +118,7 @@ def test_from_coords_matches_scalar_encode():
     g = FiniteAbelianGroup([2, 3, 5])
     rng = np.random.default_rng(4)
     rows = [tuple(int(rng.integers(n)) for n in g.orders) for _ in range(20)]
-    expected = ElementSet.from_indices(g, [g.encode(r) for r in rows])
+    expected = ElementSet.from_indices(g, [encode(g, r) for r in rows])
     assert ElementSet.from_coords(g, rows) == expected
     assert ElementSet.from_coords(g, iter(rows)) == expected
     assert ElementSet.from_coords(g, []).size == 0
@@ -127,6 +128,30 @@ def test_from_coords_matches_scalar_encode():
                          ([(0, 0)], "expected 3 coordinates")]:
         with pytest.raises(ValueError, match=message):
             ElementSet.from_coords(g, bad)
+
+
+def test_from_coords_names_a_coordinate_past_int64():
+    # the row fails np.array's int64 cast; the message names the coordinate
+    # and its factor, in any column
+    g = FiniteAbelianGroup([2, 3])
+    for rows, message in [([[0, 10**30]], f"coordinate {10**30} out of range for Z_3"),
+                          ([[1, 2], [-10**30, 0]], f"coordinate {-10**30} out of range for Z_2")]:
+        with pytest.raises(ValueError) as err:
+            ElementSet.from_coords(g, rows)
+        assert str(err.value) == message
+
+
+def test_from_indices_takes_integer_arrays_only():
+    g = FiniteAbelianGroup([2, 2])
+    assert ElementSet.from_indices(g, np.array([3, 1], dtype=np.uint8)).indices().tolist() == [1, 3]
+    assert ElementSet.from_indices(g, range(2)).indices().tolist() == [0, 1]
+    for empty in ([], np.array([]), np.zeros(0, dtype=bool)):
+        assert ElementSet.from_indices(g, empty).size == 0
+    # neither floats nor a boolean mask are indices: [1.7] is not {1}, and
+    # [False, True, True] not {0, 1}
+    for bad in ([1.7], [True, True], np.array([False, True, True]), np.array([0.0, 2.0])):
+        with pytest.raises(ValueError, match="element indices must be integers"):
+            ElementSet.from_indices(g, bad)
 
 
 def test_char_value_examples():
@@ -142,7 +167,7 @@ def test_char_value_is_a_character():
     # exhaustively on small groups
     for orders in [[2, 3], [4], [2, 2, 2], [3, 3]]:
         g = FiniteAbelianGroup(orders)
-        elems = [g.decode(i) for i in range(g.size)]
+        elems = [decode(g, i) for i in range(g.size)]
         for gamma in elems:
             for x in elems:
                 v = char_value(g, gamma, x)
@@ -164,7 +189,7 @@ def test_char_matrix_matches_scalar():
     m = char_matrix(g, rows, cols)
     for i, a in enumerate(rows):
         for j, c in enumerate(cols):
-            expected = char_value(g, g.decode(c), g.decode(a))
+            expected = char_value(g, decode(g, c), decode(g, a))
             assert m[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -191,10 +216,10 @@ def test_char_matrix_phases_match_the_int64_product(orders):
 def _naive_counts(group, s, t):
     counts = np.zeros(group.size, dtype=np.int64)
     for a in s.indices():
-        ca = group.decode(a)
+        ca = decode(group, a)
         for b in t.indices():
-            cb = group.decode(b)
-            counts[group.encode(tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders)))] += 1
+            cb = decode(group, b)
+            counts[encode(group, tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders)))] += 1
     return counts
 
 

@@ -72,10 +72,12 @@ def _example_matrix(n, level=0.4):
 
 def test_step_constant_function_single_piece():
     values = np.full(10, 0.7 + 0.0j)
-    pieces, r = _step_pieces(values, 0.1)
-    assert len(pieces) == 1
-    assert np.max(np.abs(step_values(pieces, 10) - values)) <= 0.1
-    assert r == 100
+    pieces = _step_pieces(values, 0.1)
+    positions, starts, keys, r = pieces
+    assert starts.tolist() == [0] and positions.tolist() == list(range(10))
+    assert np.max(np.abs(step_values(10, *pieces) - values)) <= 0.1
+    # band 69 holds (0.69, 0.7], and angle 0 is the top of the last sector
+    assert r == 100 and keys.tolist() == [69 * 100 + 99]
 
 
 def test_step_constants_derived():
@@ -90,29 +92,26 @@ def test_step_pointwise_error_and_count_sweep():
         for n in [1, 7, 200]:
             mags = rng.random(n)
             vals = mags * np.exp(2j * np.pi * rng.random(n))
-            pieces, _ = _step_pieces(vals, eta)
-            assert np.max(np.abs(step_values(pieces, n) - vals)) <= eta + 1e-12
-            assert len(pieces) <= 100.0 / eta**2
+            pieces = _step_pieces(vals, eta)
+            assert np.max(np.abs(step_values(n, *pieces) - vals)) <= eta + 1e-12
+            assert pieces[1].size <= 100.0 / eta**2
     # one value at the centre of each of the 11 x 12 cells of r = ceil(10/0.9)
     # = 12: 132 pieces pass 100/0.9^2, so the grid is rebuilt at r = 11
     mags = (np.arange(1, 12) + 0.5) / 12
     phases = 2 * np.pi * (np.arange(12) + 0.5) / 12
     vals = (mags[:, None] * np.exp(1j * phases[None, :])).ravel()
-    pieces, r = _step_pieces(vals, 0.9)
-    assert (r, len(pieces)) == (11, 110)
-    assert np.max(np.abs(step_values(pieces, vals.size) - vals)) == pytest.approx(0.507, abs=1e-3)
+    pieces = _step_pieces(vals, 0.9)
+    assert (pieces[3], pieces[1].size) == (11, 110)
+    assert np.max(np.abs(step_values(vals.size, *pieces) - vals)) == pytest.approx(0.507, abs=1e-3)
 
 
 def test_step_boundary_magnitudes():
     # values sitting exactly on grid boundaries, including 0 and 1
     vals = np.array([0.0, 1.0, 0.5, -0.5, 1j, -1j, 0.1, -0.1])
-    pieces, _ = _step_pieces(vals, 0.1)
-    assert np.max(np.abs(step_values(pieces, vals.size) - vals)) <= 0.1
+    pieces = _step_pieces(vals, 0.1)
+    assert np.max(np.abs(step_values(vals.size, *pieces) - vals)) <= 0.1
     # the exact zero keeps no piece
-    covered = np.zeros(vals.size, dtype=bool)
-    for pos, _ in pieces:
-        covered[pos] = True
-    assert not covered[0]
+    assert sorted(pieces[0].tolist()) == list(range(1, vals.size))
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,9 +121,9 @@ def test_step_boundary_magnitudes():
 )
 def test_step_property(values, eta):
     vals = np.asarray(values, dtype=complex)
-    pieces, _ = _step_pieces(vals, eta)
-    assert np.max(np.abs(step_values(pieces, vals.size) - vals)) <= eta + 1e-12
-    assert len(pieces) <= 100.0 / eta**2
+    pieces = _step_pieces(vals, eta)
+    assert np.max(np.abs(step_values(vals.size, *pieces) - vals)) <= eta + 1e-12
+    assert pieces[1].size <= 100.0 / eta**2
 
 
 def test_step_rejects_bad_eta():
@@ -140,29 +139,24 @@ def _snapped(x):
 
 def _loop_build_pieces(values, r):
     """The per-key loop that _build_pieces replaced, one value at a time with the
-    edge rule: oracle for its pieces and their order."""
+    edge rule: oracle for its runs, their order and their keys."""
     j = np.array([min(math.ceil(_snapped(abs(v) * r)) - 1, r - 1) for v in values], dtype=np.int64)
     sectors = [_snapped(np.angle(v) * r / (2 * np.pi)) for v in values]
     k = np.array([min(max(math.ceil(x if x > 0 else x + r) - 1, 0), r - 1) for x in sectors],
                  dtype=np.int64)
-    live = j >= 1
-    pieces = []
-    if live.any():
-        keys = j[live] * r + k[live]
-        positions = np.flatnonzero(live)
-        for key in np.unique(keys):
-            jj, kk = divmod(int(key), r)
-            pieces.append((positions[keys == key], complex((jj / r) * np.exp(2j * np.pi * kk / r))))
-    return pieces
+    live = np.flatnonzero(j >= 1)
+    keys = j[live] * r + k[live]
+    positions, starts, run_keys = [], [], []
+    for key in sorted(set(keys.tolist())):
+        starts.append(len(positions))
+        run_keys.append(key)
+        positions.extend(live[keys == key].tolist())
+    return positions, starts, run_keys
 
 
 def _assert_same_pieces(pieces, expected):
-    # np.exp over an array may take another code path than the scalar call,
-    # a few ulp apart, so coefficients agree to 8 eps; positions exactly
-    assert len(pieces) == len(expected)
-    for (pos, alpha), (want_pos, want_alpha) in zip(pieces, expected):
-        assert np.array_equal(pos, want_pos)
-        assert abs(alpha - want_alpha) <= 8 * np.finfo(np.float64).eps
+    # positions, run starts and keys, exactly
+    assert [x.tolist() for x in pieces[:3]] == list(expected)
 
 
 def test_build_pieces_matches_the_loop():
@@ -172,7 +166,7 @@ def test_build_pieces_matches_the_loop():
         values = rng.random(n) * np.exp(2j * np.pi * rng.random(n))
         values[: min(n, boundary.size)] = boundary[: min(n, boundary.size)]
         _assert_same_pieces(_build_pieces(values, r), _loop_build_pieces(values, r))
-    assert _build_pieces(np.zeros(5, dtype=complex), 10) == []
+    assert [x.size for x in _build_pieces(np.zeros(5, dtype=complex), 10)] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("r", [10, 13, 800])
@@ -180,16 +174,15 @@ def test_build_pieces_puts_rounding_noise_on_the_edge(r):
     # +1 lies on the edge between the last sector and sector 0; its two
     # rounded neighbours used to land on either side of it
     for value in (1.0 + 0j, 1 + 1e-17j, 1 - 1e-17j):
-        [(positions, alpha)] = _build_pieces(np.array([value]), r)
-        assert positions.tolist() == [0]
-        assert alpha == pytest.approx((r - 1) / r * np.exp(-2j * np.pi / r), abs=1e-15)
-    # the same on an inner sector edge and on a magnitude level
+        positions, starts, keys = _build_pieces(np.array([value]), r)
+        assert (positions.tolist(), starts.tolist()) == ([0], [0])
+        assert keys.tolist() == [(r - 1) * r + r - 1]  # the top band, the last sector
+    # the same on an inner sector edge and on a magnitude level: the lower
+    # band and sector, key 3 r + 2
     level, edge = 4 / r, np.exp(2j * np.pi * 3 / r)
-    want = _build_pieces(np.array([level * edge]), r)[0][1]
-    assert want == pytest.approx(3 / r * np.exp(2j * np.pi * 2 / r), abs=1e-15)  # the lower band and sector
-    for value in (level * edge * np.exp(1e-15j), level * edge * np.exp(-1e-15j),
+    for value in (level * edge, level * edge * np.exp(1e-15j), level * edge * np.exp(-1e-15j),
                   (level + 1e-16) * edge, (level - 1e-16) * edge):
-        assert _build_pieces(np.array([value]), r)[0][1] == want
+        assert _build_pieces(np.array([value]), r)[2].tolist() == [3 * r + 2]
 
 
 # ---------------------------------------------------------------- certificate
@@ -627,7 +620,7 @@ def test_real_matrix_search_and_minor_match_its_complex_copy(entries):
         for (value, f, g, side), x in ((real, entries), (cplx, entries.astype(complex))):
             witness = IrregularityWitness(f, g, side, value)
             for vec in (witness.f, witness.g):
-                found.append([p.tolist() for p, _ in _step_pieces(vec, value / 8)[0]])
+                found.append([x.tolist() for x in _step_pieces(vec, value / 8)[:3]])
             ext = extract_minor(CoherenceMatrix(x), witness, lam)
             found.append((ext.row_positions.tolist(), ext.col_positions.tolist()))
         assert found[:3] == found[3:]
@@ -924,15 +917,15 @@ def test_piece_pair_matches_the_double_loop(shape):
     m = CoherenceMatrix(entries)
     value, f, g, side = run_search(entries, 5)
     witness = IrregularityWitness(f, g, side, value)
-    f_pieces, f_r = _step_pieces(witness.f, value / 8)
-    g_pieces, g_r = _step_pieces(witness.g, value / 8)
-    _assert_same_pieces(f_pieces, _loop_build_pieces(witness.f, f_r))
-    _assert_same_pieces(g_pieces, _loop_build_pieces(witness.g, g_r))
-    rows = [p for p, _ in f_pieces]
-    cols = [p for p, _ in g_pieces]
+    f_pieces = _step_pieces(witness.f, value / 8)
+    g_pieces = _step_pieces(witness.g, value / 8)
+    _assert_same_pieces(f_pieces, _loop_build_pieces(witness.f, f_pieces[3]))
+    _assert_same_pieces(g_pieces, _loop_build_pieces(witness.g, g_pieces[3]))
+    rows = np.split(f_pieces[0], f_pieces[1][1:])
+    cols = np.split(g_pieces[0], g_pieces[1][1:])
     if shape == (7, 2155):
         assert len(cols) >= 200
-    i, j = _best_piece_pair(entries, complex(entries.mean()), rows, cols)
+    i, j = _best_piece_pair(entries, complex(entries.mean()), *f_pieces[:2], *g_pieces[:2])
     assert (i, j) == _loop_pick(entries, rows, cols)
     ext = extract_minor(m, witness, value)
     # each side of the minor is the chosen piece or its complement
@@ -952,7 +945,7 @@ def test_tied_piece_pairs_go_to_the_first_in_row_major_order():
     angles[0:5, 10:15] = block
     angles[10:15, 0:5] = block.T
     entries = np.exp(2j * np.pi * (angles + angles.T) / 2)
-    pieces = [np.arange(s, s + 5) for s in range(0, 20, 5)]
-    assert _best_piece_pair(entries, complex(entries.mean()), pieces, pieces) == (0, 2)
+    pieces = (np.arange(20), np.arange(0, 20, 5))  # four runs of five
+    assert _best_piece_pair(entries, complex(entries.mean()), *pieces, *pieces) == (0, 2)
     flipped = entries[::-1, ::-1]  # now the block pairs are (1, 3) and (3, 1)
-    assert _best_piece_pair(flipped, complex(flipped.mean()), pieces, pieces) == (1, 3)
+    assert _best_piece_pair(flipped, complex(flipped.mean()), *pieces, *pieces) == (1, 3)
