@@ -10,7 +10,8 @@ summing to zero.  decide_regularity is the one decision, in two tiers:
    the mean on a complex one, with one stated rounding factor.  Regular
    when below lambda.
 2. Once that fails, the best pair of an alternating search, each of whose
-   restarts stops once it comes within the tie rule's 1e-9 of that bound,
+   restarts stops once an iteration raises its value by at most 1e-4
+   relative, or once it comes within the tie rule's 1e-9 of that bound,
    since no pair exceeds it (Irregular when it reaches lambda).
 
 The witness test allows 1e-12 relative below lambda for the search's
@@ -76,6 +77,8 @@ _ORTH_TOL = 1e-8
 _UNIT = np.finfo(np.float64).eps / 2.0
 # witness values and piece-pair sums this close to the best count as tied
 _TIE_REL = 1e-9
+# a restart whose value climbs by at most this (relative) in an iteration leaves
+_CLIMB_REL = 1e-4
 # a witness value this close below lambda (relative) reaches it: the search's rounding
 _WITNESS_SLACK = 1e-12
 # the most spectral_certificate can return (see there)
@@ -358,13 +361,14 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: floa
     of a slot comes from its index; each side's centring applies to its own
     rows only, to f on the rows side and to g on the cols side, and is
     skipped once every restart of that side has left the block.  A restart
-    leaves the block when its value stops climbing by more than 1e-12 or
-    reaches stop, so each keeps its own early stop, and the loop runs as
-    long as the longest restart of either side.  On a real matrix f and g
-    stay complex, since the sup over complex test functions can exceed the
-    sup over real ones, and _real_times keeps the matrix real in the
-    products; there the first restart of each side, from g = 1, stays real
-    throughout, and the others start from random phases.  The value f^T M g =
+    leaves the block once an iteration raises its value by at most 1e-4
+    relative (_CLIMB_REL) or its value reaches stop, so each keeps its own
+    early stop, and the loop runs as long as the longest restart of either
+    side.  Restart 0 of each side starts from g = 1, the other 14 from the
+    phases of one default_rng(seed) draw.  On a real matrix f and g stay
+    complex, since the sup over complex test functions can exceed the sup
+    over real ones, and _real_times keeps the matrix real in the products;
+    there restart 0 of each side stays real throughout.  The value f^T M g =
     sum_j (f M)_j g_j is read off the vector just formed; on the
     unconstrained side it is sum |f M|.  Entries at or below the rounding
     bound of their product get phase 0 (_product_bound, with entry = max|M|,
@@ -387,12 +391,9 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: floa
     zero_f, zero_g = _product_bound(nc, entry), _product_bound(nr, entry)
     times = np.matmul if np.iscomplexobj(entries) else _real_times
     entries_t = entries.T
-    g = np.ones((2 * restarts, nc), dtype=complex)
-    for slot in range(2 * restarts):
-        side_idx, restart = divmod(slot, restarts)
-        if restart:
-            rng = np.random.default_rng([seed, side_idx, restart])
-            g[slot] = np.exp(2j * np.pi * rng.random(nc))
+    g = np.ones((2, restarts, nc), dtype=complex)  # restart 0 of each side: g = 1
+    g[:, 1:] = np.exp(2j * np.pi * np.random.default_rng(seed).random((2, restarts - 1, nc)))
+    g = g.reshape(2 * restarts, nc)
     slots = list(range(2 * restarts))  # rows-side slots come first and stay first
     n_rows = restarts
     found = [None] * (2 * restarts)
@@ -411,7 +412,7 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: floa
         last = step + 1 == max_iter
         keep = []
         for k, slot in enumerate(slots):
-            if last or value[k] <= prev[k] + 1e-12 or value[k] >= stop:
+            if last or value[k] <= prev[k] * (1.0 + _CLIMB_REL) or value[k] >= stop:
                 side = "rows" if slot < restarts else "cols"
                 found[slot] = (value[k], f[k].copy(), g[k].copy(), side)
             else:
@@ -429,8 +430,7 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: floa
 
 def _root_grid(n: int, r: int) -> np.ndarray:
     choices = np.append(np.exp(2j * np.pi * np.arange(r) / r), 0.0)
-    grid = np.array(list(itertools.product(choices, repeat=n)), dtype=complex)
-    return grid
+    return np.array(list(itertools.product(choices, repeat=n)), dtype=complex)
 
 
 def brute_force_max(

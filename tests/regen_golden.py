@@ -5,7 +5,10 @@
 Run it after a change that moves stored outputs on purpose, then review the
 diff.  Each trace is rerun through the refine command line that the golden
 tests in test_cli.py compare against (refine_argv), in a child process with
-one BLAS thread, and the fresh trace replaces the stored one.
+one BLAS thread, and the fresh trace replaces the stored one.  For each trace
+it prints what moved: the step actions, |A*|, rho* and certified, and the
+largest relative change of witness_value and of upper_bound over the steps
+that both traces have.
 """
 
 import json
@@ -38,14 +41,43 @@ def refine_argv(name, workdir):
     return argv, out
 
 
+def _largest_rel_change(old_steps, new_steps, key):
+    """(change, step) of the largest |new - old| / |old| of a step field over
+    the steps both traces have, where both store it; None when none does."""
+    changes = [(abs(b[key] - a[key]) / abs(a[key]) if a[key] else abs(b[key]), i)
+               for i, (a, b) in enumerate(zip(old_steps, new_steps))
+               if a[key] is not None and b[key] is not None]
+    return max(changes, default=None)
+
+
+def moved(old, new):
+    """Lines that say what moved between two trace documents."""
+    lines = []
+    for label, get in (("actions", lambda d: ",".join(s["action"] for s in d["steps"])),
+                       ("|A*|", lambda d: len(d["a_star"])),
+                       ("rho*", lambda d: d["rho_star"]),
+                       ("certified", lambda d: d["certified"])):
+        a, b = get(old), get(new)
+        lines.append(f"{label}: {a}" if a == b else f"{label}: {a} -> {b}")
+    for key in ("witness_value", "upper_bound"):
+        largest = _largest_rel_change(old["steps"], new["steps"], key)
+        lines.append(f"{key}: " + ("in no common step" if largest is None else
+                                   "largest relative change {:.3g} (step {})".format(*largest)))
+    return lines
+
+
 def main():
     env = dict(os.environ, **ONE_BLAS_THREAD)
     for name in GOLDEN:
+        old = json.loads((DATA / name).read_bytes())
         with tempfile.TemporaryDirectory() as workdir:
             argv, out = refine_argv(name, workdir)
             subprocess.run([sys.executable, "-m", "specdbl.cli", *argv], env=env, check=True)
-            (DATA / name).write_bytes(out.read_bytes())
-        print(f"rewrote {DATA / name}")
+            fresh = out.read_bytes()
+        (DATA / name).write_bytes(fresh)
+        print(f"rewrote tests/data/{name}")
+        for line in moved(old, json.loads(fresh)):
+            print(f"  {line}")
 
 
 if __name__ == "__main__":

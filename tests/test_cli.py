@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from specdbl import cli
 from specdbl.fileio import read_set_file, read_trace_file
 from specdbl.refine import audit_trace
-from regen_golden import GOLDEN, ONE_BLAS_THREAD, refine_argv
+from regen_golden import GOLDEN, ONE_BLAS_THREAD, moved, refine_argv
 
 # Traces that the last version 2 writer wrote with one BLAS thread, read and
 # written again as version 3:
@@ -655,7 +655,7 @@ def test_certificate_past_the_crossover_does_not_depend_on_blas_threads(tmp_path
 #       --delta 0.3 --theorem 2 --seed 1
 #   golden_z13_13_13_t2.json: gen --kind random --group 13,13,13 --size 350
 #       --seed 1; refine --epsilon 0.1 --delta 0.3 --theorem 2 --seed 1.  Its
-#       second search, on a 3x403 complex matrix, runs to the iteration cap.
+#       second search runs on a 5x215 complex matrix.
 def _rerun_golden(tmp_path, name):
     """(stored bytes, bytes of a fresh refine on the stored input and config)."""
     argv, out = refine_argv(name, tmp_path)
@@ -673,6 +673,21 @@ def test_golden_trace_on_an_odd_prime_power_group_is_byte_identical(tmp_path):
     stored, fresh = _rerun_golden(tmp_path, "golden_z13_13_13_t2.json")
     assert [step["action"] for step in json.loads(stored)["steps"]] == ["minor", "minor", "finish"]
     assert fresh == stored
+
+
+def test_regen_golden_says_what_moved():
+    stored = (DATA / "golden_z3_5_7_t2.json").read_bytes()
+    doc, fresh = json.loads(stored), json.loads(stored)
+    assert [line.split(":")[0] for line in moved(doc, doc)] == [
+        "actions", "|A*|", "rho*", "certified", "witness_value", "upper_bound"]
+    assert not any("->" in line for line in moved(doc, doc))
+    fresh["steps"][0]["witness_value"] *= 1.01
+    fresh["steps"][1]["action"] = "finish"
+    fresh["certified"] = False
+    lines = moved(doc, fresh)
+    assert lines[0].startswith("actions: minor,growth,minor,") and "-> minor,finish,minor," in lines[0]
+    assert lines[3] == "certified: True -> False"
+    assert lines[4] == "witness_value: largest relative change 0.01 (step 0)"
 
 
 def _assert_equal_but_witness_ulps(a, b, where="trace"):

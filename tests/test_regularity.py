@@ -488,20 +488,36 @@ def _reference_centre(v):
     return shifted / sup if sup > 1 else shifted
 
 
-def reference_search(entries, seed, iterations=None, stop=math.inf):
+def relative_climb(value, prev):
+    """The search's climb rule: a restart leaves once an iteration raises its
+    value by at most 1e-4 relative."""
+    return value <= prev * (1 + 1e-4)
+
+
+def absolute_climb(value, prev):
+    """The climb rule the relative one replaced: leave once an iteration
+    raises the value by at most 1e-12."""
+    return value <= prev + 1e-12
+
+
+def reference_search(entries, seed, iterations=None, stop=math.inf, leaves=relative_climb):
     """One restart at a time with three products per step: the oracle for the block search.
 
-    When given a list, iterations gets (side, iterations run) for each restart."""
+    Restart 0 of each side starts from g = 1, the others from the random
+    phases of one generator draw for both sides; a restart leaves when
+    leaves(value, previous value) holds or its value reaches stop.  When
+    given a list, iterations gets (side, iterations run) for each restart."""
     restarts, max_iter = WITNESS_BUDGET
     nr, nc = entries.shape
     entry = np.max(np.abs(entries))
+    phases = np.random.default_rng(seed).random((2, restarts - 1, nc))
     found = []
     for side_idx, side in enumerate(("rows", "cols")):
         for restart in range(restarts):
             if restart == 0:
                 g = np.ones(nc, dtype=complex)
             else:
-                g = np.exp(2j * np.pi * np.random.default_rng([seed, side_idx, restart]).random(nc))
+                g = np.exp(2j * np.pi * phases[side_idx, restart - 1])
             prev = -1.0
             for step in range(max_iter):
                 f = _reference_phase(entries, g, entry)
@@ -511,7 +527,7 @@ def reference_search(entries, seed, iterations=None, stop=math.inf):
                 if side == "cols":
                     g = _reference_centre(g)
                 value = abs(complex(f @ entries @ g)) / (nr * nc)
-                if value <= prev + 1e-12 or value >= stop:
+                if leaves(value, prev) or value >= stop:
                     break
                 prev = value
             found.append((value, f, g, side))
@@ -531,15 +547,35 @@ def _pair_matrix():
     return build_matrix(a, spectrum(t, 0.1), t).entries
 
 
-@pytest.mark.parametrize("entries", [
+_SEQUENTIAL_CASES = pytest.mark.parametrize("entries", [
     *(_unit_matrix(shape) for shape in [(3, 40), (40, 3), (60, 60), (5, 600), (300, 50)]),
     _noisy(_sign_matrix((50, 30))), _noisy(_sign_matrix((2, 165))), block_sign_matrix().entries,
     _pair_matrix(),
 ], ids=["unit-3x40", "unit-40x3", "unit-60x60", "unit-5x600", "unit-300x50", "noisy-sign-50x30",
         "noisy-sign-2x165", "block-sign", "pair-set"])
+
+
+@_SEQUENTIAL_CASES
 def test_block_search_matches_the_sequential_reference(entries):
     for seed in (0, 3):
         _assert_same_search(run_search(entries, seed), reference_search(entries, seed))
+
+
+@_SEQUENTIAL_CASES
+def test_relative_climb_stop_costs_at_most_a_thousandth(entries):
+    # from the same starts, climbing on until an iteration gains at most
+    # 1e-12 finds little more than the relative stop does
+    for seed in (0, 3):
+        full = reference_search(entries, seed, leaves=absolute_climb)[0]
+        assert run_search(entries, seed)[0] >= (1 - 1e-3) * full
+
+
+def test_search_draws_all_starts_from_one_generator():
+    entries = _unit_matrix((60, 60))
+    patch, seeds = _counting(np.random, "default_rng")
+    with patch:
+        run_search(entries, 3)
+    assert seeds == [3]
 
 
 @pytest.mark.parametrize("entries", [
@@ -576,7 +612,7 @@ def _assert_same_search(got, want):
 
 
 @pytest.mark.parametrize("entries, first", [
-    (_unit_matrix((40, 3)), "rows"), (_noisy(_sign_matrix((40, 3))), "cols"),
+    (_unit_matrix((60, 3)), "rows"), (_noisy(_sign_matrix((40, 3))), "cols"),
 ], ids=["rows-side-leaves-first", "cols-side-leaves-first"])
 def test_block_search_after_one_side_has_left(entries, first):
     # once every restart of one side has left the block, the other side's
