@@ -2,13 +2,13 @@
 
   specdbl-set    orders of the ambient group plus the member coordinates
                  (version 2; version 1, the same schema indented, still reads)
-  specdbl-trace  a full refinement run (version 3): config, input, result,
-                 step records, the four measured counts, and the audit
-                 computed at write time
+  specdbl-trace  a full refinement run (version 4): config, input, result,
+                 each step's observations, the four measured counts, and
+                 the audit computed at write time
 
 Writing is canonical (same document, same bytes), so a load/save cycle of a
-file reproduces it exactly.  A trace stores measurements only; reading it
-derives K, the bounds and the rest of ``measured`` with the run's own
+file reproduces it exactly.  A trace stores observations only; reading it
+derives the steps and ``measured`` with the run's own ``refine._replay`` and
 ``refine._measure``, and a key the writer does not write is a format error.
 """
 
@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Optional
 
 from .groups import ElementSet, FiniteAbelianGroup
-from .refine import (MEASURED_COUNTS, AuditReport, RefineConfig, RefineResult,
-                     RefineTraceStep, _measure, audit_trace)
+from .refine import (MEASURED_COUNTS, OBSERVED, AuditReport, RefineConfig, RefineResult,
+                     RefineTraceStep, _measure, _replay, _resolve_k, audit_trace)
 
 __all__ = [
     "FileFormatError",
@@ -37,14 +37,16 @@ __all__ = [
 SET_FORMAT = "specdbl-set"
 TRACE_FORMAT = "specdbl-trace"
 # a set file's versions differ only in layout
-_VERSIONS = {SET_FORMAT: (1, 2), TRACE_FORMAT: (3,)}
-# every key a version 3 trace holds; any other is a format error
+_VERSIONS = {SET_FORMAT: (1, 2), TRACE_FORMAT: (4,)}
+# every key a version 4 trace holds; any other is a format error
 _TRACE_KEYS = frozenset("format version theorem config orders input_elements a_star rho_star "
                         "terminated certified measured steps audit".split())
 # JSON types each field accepts (Optional[X] gives X or None), resolved once
 # because resolving annotations costs more than reading a step
-_KINDS = {cls: {name: typing.get_args(t) or (t,) for name, t in typing.get_type_hints(cls).items()}
-          for cls in (RefineConfig, RefineTraceStep)}
+_KINDS = {name: typing.get_args(t) or (t,) for cls in (RefineConfig, RefineTraceStep)
+          for name, t in typing.get_type_hints(cls).items()}
+_CONFIG_KINDS = {f.name: _KINDS[f.name] for f in dataclasses.fields(RefineConfig)}
+_STEP_KINDS = {name: _KINDS[name] for name in OBSERVED}  # a step stores its observations
 
 
 class FileFormatError(ValueError):
@@ -98,11 +100,14 @@ def _field(doc: dict, name: str, kind, path) -> object:
     return _float(value, f"{path}: field {name!r}") if kind is float else value
 
 
-def _typed(cls, raw, path, label):
-    """Build the dataclass cls from raw, checking each value."""
-    fields = _KINDS[cls]
-    if not isinstance(raw, dict) or set(raw) != set(fields):
-        raise FileFormatError(f"{path}: {label} has the wrong keys")
+def _typed(build, fields: dict, raw, path, label):
+    """build(**raw) for an object raw that holds exactly ``fields``, each
+    value of one of its field's JSON kinds."""
+    if not isinstance(raw, dict):
+        raise FileFormatError(f"{path}: {label} must be an object")
+    if odd := sorted(raw.keys() ^ fields.keys()):
+        raise FileFormatError(f"{path}: {label}: {'unknown' if odd[0] in raw else 'missing'} "
+                              f"field {odd[0]!r}")
     values = {}
     for name, kinds in fields.items():
         value = raw[name]
@@ -112,7 +117,7 @@ def _typed(cls, raw, path, label):
             value = _float(value, f"{path}: {label}: field {name!r}")
         values[name] = value
     try:
-        return cls(**values)
+        return build(**values)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {label}: {exc}") from exc
 
@@ -175,13 +180,13 @@ def read_set_file(path) -> tuple[ElementSet, dict]:
 
 
 def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditReport:
-    """Write ``result`` as a version 3 trace; return the audit stored in it."""
+    """Write ``result`` as a version 4 trace; return the audit stored in it."""
     if original.group.orders != result.a_star.group.orders:
         raise ValueError("the original set lives in a different group than the result")
     audit = audit_trace(result, original)
     _write(path, {
         "format": TRACE_FORMAT,
-        "version": 3,
+        "version": 4,
         "theorem": result.theorem,
         "config": dataclasses.asdict(result.config),
         "orders": list(original.group.orders),
@@ -191,7 +196,7 @@ def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditR
         "terminated": result.terminated,
         "certified": result.certified,
         "measured": {key: result.measured[key] for key in MEASURED_COUNTS},
-        "steps": [dataclasses.asdict(s) for s in result.trace],
+        "steps": [s.observed() for s in result.trace],
         "audit": audit.to_dict(),
     })
     return audit
@@ -207,7 +212,7 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
     if theorem not in (1, 2):
         raise FileFormatError(f"{path}: field 'theorem' must be 1 or 2")
 
-    cfg = _typed(RefineConfig, doc.get("config"), path, "field 'config'")
+    cfg = _typed(RefineConfig, _CONFIG_KINDS, doc.get("config"), path, "field 'config'")
 
     orders = doc.get("orders")
     original = _set_from(orders, doc.get("input_elements"), path, "input_elements")
@@ -216,7 +221,9 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
         raise FileFormatError(f"{path}: field 'a_star' is empty")
 
     steps = _field(doc, "steps", list, path)
-    trace = [_typed(RefineTraceStep, raw, path, f"step {i}") for i, raw in enumerate(steps)]
+    observed = [_typed(dict, _STEP_KINDS, raw, path, f"step {i}") for i, raw in enumerate(steps)]
+    k_value = _resolve_k(cfg, theorem, original.group.size)
+    trace = tuple(_replay(theorem, cfg, k_value, cfg.epsilon, original.size, observed))
     stored = _field(doc, "measured", dict, path)
     if extra := sorted(stored.keys() - MEASURED_COUNTS):
         raise FileFormatError(f"{path}: field 'measured': unknown field {extra[0]!r}")
@@ -241,7 +248,7 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
         rho_star=rho_star,
         terminated=terminated,
         certified=bool(_field(doc, "certified", bool, path)),
-        trace=tuple(trace),
+        trace=trace,
         measured=measured,
         config=cfg,
     )

@@ -12,17 +12,17 @@ matrix of A_i against its rho_i-spectrum:
 
 The first procedure runs the linear-shrink schedule (lambda = eps*rho/150,
 gate at eps*rho/2); the second runs the squaring schedule (lambda = rho^2/150,
-gate at rho^2/2).  Every round appends one trace record, takes its action
-from ``_action`` and moves rho by ``_rho_after``; the audit replays both
-rules and recomputes the combinatorial claims from the records alone.
-``_measure`` derives the final measurements from four counts, which are all
-a stored trace keeps.
+gate at rho^2/2).  A round observes two spectrum sizes, a verdict and, on an
+irregular verdict, a minor; ``_replay`` derives its action, rho and |A| from
+them for the run, the trace reader and the audit alike.  ``_measure`` derives
+the final measurements from four counts.  A trace stores only the
+observations (``OBSERVED``) and the counts (``MEASURED_COUNTS``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -47,6 +47,9 @@ __all__ = [
 
 # what a trace stores of ``RefineResult.measured``; ``_measure`` derives the rest
 MEASURED_COUNTS = ("spec_size", "sumset_size", "spec_rho_size", "gate_size")
+# what a trace stores of a step; ``_replay`` derives the rest
+OBSERVED = ("spec_size", "gate_size", "verdict_status", "upper_bound", "witness_value",
+            "new_mean", "minor_rows", "minor_cols")
 # below this rho, membership in the spectrum sinks into the transform's rounding
 _RHO_FLOOR = 1e-8
 
@@ -79,19 +82,24 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class RefineTraceStep:
+    # derived by _replay from the observations below and the steps before
     action: str  # "finish" | "minor" | "growth" | "abort"
     rho: float
     rho_next: float
     a_size: int
+    # observed by the run; the minor is that of an irregular verdict, taken or not
     spec_size: int
     gate_size: int
     verdict_status: str
     upper_bound: float
     witness_value: Optional[float]
-    new_mean: Optional[float] = None
-    minor_rows: Optional[int] = None
-    minor_cols: Optional[int] = None
-    direct_check: Optional[bool] = None
+    new_mean: Optional[float]
+    minor_rows: Optional[int]
+    minor_cols: Optional[int]
+
+    def observed(self) -> dict:
+        """The fields a trace stores of this step."""
+        return {name: getattr(self, name) for name in OBSERVED}
 
 
 @dataclass(frozen=True)
@@ -121,48 +129,53 @@ def _resolve_k(cfg: RefineConfig, theorem: int, group_size: int) -> float:
     return float(group_size) ** power
 
 
-def _rho_after(theorem: int, cfg: RefineConfig, action: str, rho: float,
-               new_mean: Optional[float]) -> float:
-    """rho after a step from rho: a minor raises it, a growth drops it to the
-    gate level, and a finish or an abort keeps it.  The run and the audit
-    both call it for every action."""
-    if action == "growth":
-        return _gate_level(theorem, cfg.epsilon, rho)
-    if action != "minor":
-        return rho
-    if cfg.mode == "faithful":
-        # the proof's increment (c/2) lambda^15 is at most 5.2e-58 rho for
-        # lambda <= rho/150, below half an ulp of every rho in (0, 1], so it
-        # rounds away; extraction asserted the minor beats the matrix mean
-        # (>= rho) by it, so the next float above rho bounds the new mean
-        return min(1.0, math.nextafter(rho, 2.0))
-    # nan equals no stored value: a minor without its mean has no next rho
-    return math.nan if new_mean is None else min(1.0, new_mean)
+def _replay(theorem: int, cfg: RefineConfig, k_value: float, rho: float, size: int,
+            observed):
+    """The steps of a run from rho and a set of ``size`` elements that
+    observes ``observed``, one dict of ``OBSERVED`` fields per step.
+
+    A step aborts below the rho floor.  It takes a minor on an irregular
+    verdict whose minor makes progress (any minor in faithful mode, else one
+    whose mean beats rho), which raises rho and leaves the minor's rows.
+    Else it finishes when the gate |Spec_gate| <= K |Spec_rho| holds and
+    grows, dropping rho to the gate level, when it fails.  The rule is total
+    on observations of the right types, so that the audit can name what is
+    wrong with them: an irregular verdict without its minor's rows takes no
+    minor.
+    """
+    for obs in observed:
+        new_mean, rows = obs["new_mean"], obs["minor_rows"]
+        rho_next, size_next = rho, size
+        if rho < _RHO_FLOOR:
+            action = "abort"
+        elif obs["verdict_status"] == "irregular" and rows is not None and (
+                cfg.mode == "faithful" or (new_mean is not None and new_mean > rho)):
+            action = "minor"
+            # the proof's increment (c/2) lambda^15 is at most 5.2e-58 rho for
+            # lambda <= rho/150, below half an ulp of every rho in (0, 1], so
+            # it rounds away; faithful extraction asserted that the minor beats
+            # the matrix mean (>= rho), so its mean is at least the next float
+            rho_next = min(1.0, math.nextafter(rho, 2.0) if cfg.mode == "faithful" else new_mean)
+            size_next = rows
+        # compared exactly, so that no count a trace stores can overflow it
+        elif obs["gate_size"] <= Fraction(k_value) * obs["spec_size"]:
+            action = "finish"
+        else:
+            action = "growth"
+            rho_next = _gate_level(theorem, cfg.epsilon, rho)
+        yield RefineTraceStep(action=action, rho=rho, rho_next=rho_next, a_size=size, **obs)
+        rho, size = rho_next, size_next
 
 
-def _action(cfg: RefineConfig, k_value: float, rho: float, spec_size: int, gate_size: int,
-            verdict_status: str, new_mean: Optional[float]) -> str:
-    """The action of a step at rho: an abort below the rho floor; a minor on
-    an irregular verdict whose minor makes progress (any minor in faithful
-    mode, else one whose mean beats rho); else a finish when the gate
-    |Spec_gate| <= K |Spec_rho| holds, resting on the direct check unless the
-    verdict is regular, and a growth, sound with or without a verdict, when
-    it fails.  The run and the audit both call it for every step."""
-    if rho < _RHO_FLOOR:
-        return "abort"
-    if verdict_status == "irregular" and (
-            cfg.mode == "faithful" or (new_mean is not None and new_mean > rho)):
-        return "minor"
-    # compared exactly, so that no count a trace stores can overflow it
-    return "finish" if gate_size <= Fraction(k_value) * spec_size else "growth"
-
-
-def _outcome(trace) -> tuple:
-    """(terminated, certified) of a run whose records are ``trace``."""
+def _outcome(trace, measured: dict) -> tuple:
+    """(terminated, certified) of a run with these steps and final
+    measurement.  A finish without a regular verdict rests on the exact test
+    of the doubling conclusion, |S+S| <= 2 |Spec_gate|^2 / (0.8 |Spec_rho|)."""
     last = trace[-1]
     if last.action == "finish":
         regular = last.verdict_status == "regular"
-        return ("finished" if regular or last.direct_check else "inconclusive"), regular
+        holds = regular or measured["sumset_size"] <= measured["certified_doubling_bound"]
+        return ("finished" if holds else "inconclusive"), regular
     return ("inconclusive" if last.action == "abort" else "budget_exhausted"), False
 
 
@@ -177,7 +190,6 @@ def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho:
         "spec_level": cfg.epsilon if theorem == 1 else rho,
         "spec_size": spec_size,
         "sumset_size": sumset_size,
-        "difference_size": sumset_size,
         "spec_rho_size": spec_rho_size,
         "gate_size": gate_size,
         # max(1, .) only acts on counts no spectrum has, which the audit rejects
@@ -215,28 +227,26 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
         if i == cfg.max_iterations:
             break  # budget spent; every exit holds the final state's spectra
         # the verdict fields are an abort's until a verdict replaces them
-        step = dict(rho=rho, a_size=current.size, spec_size=len(spec_rho), gate_size=len(gate),
-                    verdict_status="undetermined", upper_bound=1.0, witness_value=None)
-        new_mean = None
+        observed = dict(dict.fromkeys(OBSERVED), spec_size=len(spec_rho), gate_size=len(gate),
+                        verdict_status="undetermined", upper_bound=1.0)
         if rho >= _RHO_FLOOR:
             matrix = build_matrix(current, spec_rho, table)
             verdict = decide_regularity(matrix, lam, seed=cfg.seed + 7919 * i)
-            step.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
-                        witness_value=None if verdict.witness is None else verdict.witness.value)
+            observed.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
+                            witness_value=None if verdict.witness is None else verdict.witness.value)
             if verdict.status == "irregular":
                 extraction = extract_minor(matrix, verdict.witness, lam, mode=cfg.mode)
-                new_mean = extraction.new_mean
-        action = _action(cfg, k_value, rho, len(spec_rho), len(gate), step["verdict_status"],
-                         new_mean)
-        if action == "minor":
-            step.update(new_mean=new_mean, minor_rows=int(extraction.row_positions.size),
-                        minor_cols=int(extraction.col_positions.size))
+                observed.update(new_mean=extraction.new_mean,
+                                minor_rows=int(extraction.row_positions.size),
+                                minor_cols=int(extraction.col_positions.size))
+        (step,) = _replay(theorem, cfg, k_value, rho, current.size, [observed])
+        trace.append(step)
+        rho = step.rho_next
+        if step.action == "minor":
             # row i of the matrix stands for current.indices()[i]
             current = ElementSet.from_indices(group, current.indices()[extraction.row_positions])
             table = dft(current)
-        rho = _rho_after(theorem, cfg, action, rho, new_mean)
-        trace.append(RefineTraceStep(action=action, rho_next=rho, **step))
-        if action in ("finish", "abort"):
+        elif step.action in ("finish", "abort"):
             break
 
     # the measured level is epsilon (theorem 1) or rho (theorem 2)
@@ -245,13 +255,7 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
     measured = _measure(theorem, cfg, group.size, current.size, rho, trace[0].spec_size,
                         spec_size=len(final_spec), sumset_size=len(plus),
                         spec_rho_size=len(spec_rho), gate_size=len(gate))
-    last = trace[-1]
-    if last.action == "finish" and last.verdict_status != "regular":
-        # the exact test of the doubling conclusion,
-        # |S - S| <= 2 |Spec_gate|^2 / (0.8 |Spec_rho|), on the final measurement
-        trace[-1] = replace(last, direct_check=(
-            measured["sumset_size"] <= measured["certified_doubling_bound"]))
-    terminated, certified = _outcome(trace)
+    terminated, certified = _outcome(trace, measured)
     return RefineResult(
         theorem=theorem,
         a_star=current,
@@ -289,82 +293,76 @@ class AuditReport:
 
 
 def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
-    """Replay the trace by the run's own rules and recompute its side-conditions.
+    """Replay the trace's observations by the run's own rule and recheck them.
 
-    Two chains are walked as a run walks them: rho from epsilon by
-    ``_rho_after``, and |A| from |original|, a minor leaving its ``minor_rows``.
-    Each step must start where the walk stands, store the rho it moves to and
-    take the action ``_action`` gives its stored fields; rho* and |A*| must be
-    where the walk ends.  Each verdict passes ``_verdict_fault``, as in
-    ``RegularityVerdict``: a known status, a bound in [0, 1 + 1e-3] and below
-    lambda exactly when regular, and a witness value, in its window, on
-    irregular verdicts only.  Only minors store their mean, in [0, 1 + 1e-9],
-    and shape.  Counts must be ones a spectrum in G can have, only a
-    non-regular finish carries the direct doubling check, the last step
-    gives the stored outcome, a certified run meets both bounds, and the
-    final set lies inside ``original``.
+    ``_replay`` derives every step from the observations, from rho = epsilon
+    and |A| = |original|.  The trace must be its replay, which a trace read
+    from a file is by construction; it must end at its first finish or abort,
+    or else after ``max_iterations`` steps; and rho*, |A*| and the stored
+    outcome must be where the replay ends.  The checks on observations:
+    counts a spectrum in G can have; each verdict passes ``_verdict_fault``,
+    as in ``RegularityVerdict`` (a known status, a bound in [0, 1 + 1e-3] and
+    below lambda exactly when regular, and a witness value, in its window, on
+    irregular verdicts only); exactly the irregular verdicts store a minor,
+    whose mean lies in [0, 1 + 1e-9] and whose shape fits the matrix; a
+    certified run meets both bounds; and the final set lies inside
+    ``original``.
     """
     cfg = result.config
     theorem = result.theorem
-    eps = cfg.epsilon
     group_size = original.group.size
     k_value = _resolve_k(cfg, theorem, group_size)
     m = result.measured
-    doubling_holds = m["sumset_size"] <= m["certified_doubling_bound"]
     violations = []
     steps = result.trace
+    replayed = tuple(_replay(theorem, cfg, k_value, cfg.epsilon, original.size,
+                             (s.observed() for s in steps)))
+    if steps != replayed:
+        # the observations are the trace's own, so only derived fields differ
+        pos = next(pos for pos, (s, r) in enumerate(zip(steps, replayed)) if s != r)
+        has, gives = ((s.action, s.rho, s.rho_next, s.a_size) for s in (steps[pos], replayed[pos]))
+        violations.append(f"step {pos}: action, rho, rho_next, a_size = {has}, but the run's "
+                          f"rule gives {gives}")
 
     bad_counts = False
-    rho, size = eps, original.size
-    for pos, s in enumerate(steps):
-        before = f"step {pos - 1} leaves" if pos else "the run starts at"
-        if s.rho != rho:
-            violations.append(f"step {pos}: rho={s.rho}, but {before} {rho}")
-        if s.a_size != size:
-            violations.append(f"step {pos}: |A|={s.a_size}, but {before} {size}")
-        rho = _rho_after(theorem, cfg, s.action, rho, s.new_mean)
-        size = s.minor_rows if s.action == "minor" else s.a_size
-        if s.rho_next != rho:
-            violations.append(f"step {pos}: {s.action} step moved rho to {s.rho_next}, "
-                              f"expected {rho}")
+    for pos, s in enumerate(replayed):
         if not 1 <= s.spec_size <= s.gate_size <= group_size:
             bad_counts = True  # the t-ratios below take the counts to floating point
             violations.append(f"step {pos}: no spectrum in |G|={group_size} has |Spec_rho|="
                               f"{s.spec_size} inside |Spec_gate|={s.gate_size}")
-        lam = _lambda_level(theorem, eps, s.rho)
+        lam = _lambda_level(theorem, cfg.epsilon, s.rho)
         fault = _verdict_fault(s.verdict_status, lam, s.upper_bound, s.witness_value)
         if fault is not None:
             violations.append(f"step {pos}: {fault}")
-        minor_fields = (s.new_mean, s.minor_rows, s.minor_cols)
-        if minor_fields.count(None) != (0 if s.action == "minor" else 3):
-            violations.append(f"step {pos}: new_mean, minor_rows, minor_cols = {minor_fields} "
-                              f"on a {s.action} step")
-        direct = (doubling_holds if s.action == "finish" and s.verdict_status != "regular"
-                  else None)
-        if s.direct_check != direct:
-            violations.append(f"step {pos}: direct_check is {s.direct_check}, expected {direct}")
-        action = _action(cfg, k_value, s.rho, s.spec_size, s.gate_size, s.verdict_status,
-                         s.new_mean)
-        if s.action != action:
-            violations.append(f"step {pos}: action {s.action!r}, but the run's rule gives {action!r}")
-        if s.action == "minor":
-            if s.minor_rows is None or not 1 <= s.minor_rows <= s.a_size:
-                violations.append(f"step {pos}: a minor of {s.minor_rows} rows of {s.a_size}")
-            if s.minor_cols is None or not 1 <= s.minor_cols <= s.spec_size:
-                violations.append(f"step {pos}: a minor of {s.minor_cols} columns of {s.spec_size}")
-            # a mean of entries of modulus 1, up to CoherenceMatrix's tolerance
-            if s.new_mean is None or not 0.0 <= s.new_mean <= 1.0 + _TOL:
-                violations.append(f"step {pos}: the minor mean {s.new_mean} lies outside "
-                                  f"[0, {1.0 + _TOL}]")
-    growth_positions = [pos for pos, s in enumerate(steps) if s.action == "growth"]
+        minor = (s.new_mean, s.minor_rows, s.minor_cols)
+        if minor.count(None) != (0 if s.verdict_status == "irregular" else 3):
+            violations.append(f"step {pos}: new_mean, minor_rows, minor_cols = {minor} "
+                              f"with verdict {s.verdict_status}")
+        if s.minor_rows is not None and not 1 <= s.minor_rows <= s.a_size:
+            violations.append(f"step {pos}: a minor of {s.minor_rows} rows of {s.a_size}")
+        if s.minor_cols is not None and not 1 <= s.minor_cols <= s.spec_size:
+            violations.append(f"step {pos}: a minor of {s.minor_cols} columns of {s.spec_size}")
+        # a mean of entries of modulus 1, up to CoherenceMatrix's tolerance
+        if s.new_mean is not None and not 0.0 <= s.new_mean <= 1.0 + _TOL:
+            violations.append(f"step {pos}: the minor mean {s.new_mean} lies outside "
+                              f"[0, {1.0 + _TOL}]")
+    growth_positions = [pos for pos, s in enumerate(replayed) if s.action == "growth"]
 
-    if steps:
-        if result.rho_star != rho:
-            violations.append(f"final rho {result.rho_star} does not match the last step ({rho})")
-        outcome = _outcome(steps)
+    if replayed:
+        ends = [pos for pos, s in enumerate(replayed) if s.action in ("finish", "abort")]
+        end = ends[0] if ends else cfg.max_iterations - 1  # else it spends its budget
+        if len(replayed) != end + 1:
+            violations.append(f"the run ends at step {end}, but the trace holds "
+                              f"{len(replayed)} steps")
+        last = replayed[-1]
+        if result.rho_star != last.rho_next:
+            violations.append(f"final rho {result.rho_star} does not match the last step "
+                              f"({last.rho_next})")
+        outcome = _outcome(replayed, m)
         if (result.terminated, result.certified) != outcome:
             violations.append(f"result {result.terminated} with certified flag "
                               f"{result.certified}, but the last step gives {outcome}")
+        size = last.minor_rows if last.action == "minor" else last.a_size
         if result.a_star.size != size:
             violations.append(f"final |A*|={result.a_star.size}, but the last step leaves {size}")
     else:
@@ -389,13 +387,13 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     # spectrum size after each growth over that at the next (below 1: a violation);
     # none when a step's counts failed their check
     t_ratios = [] if bad_counts else [
-        steps[p + 1].spec_size / max(1, steps[q].spec_size)
+        replayed[p + 1].spec_size / max(1, replayed[q].spec_size)
         for p, q in zip(growth_positions, growth_positions[1:])]
 
     return AuditReport(
         ok=not violations,
         violations=tuple(violations),
-        k1=sum(1 for s in steps if s.action == "minor"),
+        k1=sum(1 for s in replayed if s.action == "minor"),
         k2=len(growth_positions),
         growth_positions=tuple(growth_positions),
         t_ratios=tuple(t_ratios),

@@ -8,7 +8,8 @@ tests in test_cli.py compare against (refine_argv), in a child process with
 one BLAS thread, and the fresh trace replaces the stored one.  For each trace
 it prints what moved: the step actions, |A*|, rho* and certified, and the
 largest relative change of witness_value and of upper_bound over the steps
-that both traces have.
+that both traces have.  A trace stores no actions, so both traces are read
+with read_trace_file, which derives them.
 """
 
 import json
@@ -18,7 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from specdbl.fileio import write_set_file
+from specdbl.fileio import read_trace_file, write_set_file
 from specdbl.groups import ElementSet, FiniteAbelianGroup
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -44,23 +45,24 @@ def refine_argv(name, workdir):
 def _largest_rel_change(old_steps, new_steps, key):
     """(change, step) of the largest |new - old| / |old| of a step field over
     the steps both traces have, where both store it; None when none does."""
-    changes = [(abs(b[key] - a[key]) / abs(a[key]) if a[key] else abs(b[key]), i)
-               for i, (a, b) in enumerate(zip(old_steps, new_steps))
-               if a[key] is not None and b[key] is not None]
+    pairs = [(getattr(a, key), getattr(b, key)) for a, b in zip(old_steps, new_steps)]
+    changes = [(abs(b - a) / abs(a) if a else abs(b), i)
+               for i, (a, b) in enumerate(pairs) if a is not None and b is not None]
     return max(changes, default=None)
 
 
-def moved(old, new):
-    """Lines that say what moved between two trace documents."""
+def moved(old_path, new_path):
+    """Lines that say what moved between two trace files."""
+    old, new = (read_trace_file(path)[0] for path in (old_path, new_path))
     lines = []
-    for label, get in (("actions", lambda d: ",".join(s["action"] for s in d["steps"])),
-                       ("|A*|", lambda d: len(d["a_star"])),
-                       ("rho*", lambda d: d["rho_star"]),
-                       ("certified", lambda d: d["certified"])):
+    for label, get in (("actions", lambda r: ",".join(s.action for s in r.trace)),
+                       ("|A*|", lambda r: r.a_star.size),
+                       ("rho*", lambda r: r.rho_star),
+                       ("certified", lambda r: r.certified)):
         a, b = get(old), get(new)
         lines.append(f"{label}: {a}" if a == b else f"{label}: {a} -> {b}")
     for key in ("witness_value", "upper_bound"):
-        largest = _largest_rel_change(old["steps"], new["steps"], key)
+        largest = _largest_rel_change(old.trace, new.trace, key)
         lines.append(f"{key}: " + ("in no common step" if largest is None else
                                    "largest relative change {:.3g} (step {})".format(*largest)))
     return lines
@@ -69,14 +71,13 @@ def moved(old, new):
 def main():
     env = dict(os.environ, **ONE_BLAS_THREAD)
     for name in GOLDEN:
-        old = json.loads((DATA / name).read_bytes())
         with tempfile.TemporaryDirectory() as workdir:
             argv, out = refine_argv(name, workdir)
             subprocess.run([sys.executable, "-m", "specdbl.cli", *argv], env=env, check=True)
-            fresh = out.read_bytes()
-        (DATA / name).write_bytes(fresh)
+            lines = moved(DATA / name, out)
+            (DATA / name).write_bytes(out.read_bytes())
         print(f"rewrote tests/data/{name}")
-        for line in moved(old, json.loads(fresh)):
+        for line in lines:
             print(f"  {line}")
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from specdbl import regularity
 from specdbl.diagnostics import example_counterexample
 from specdbl.fileio import (
     FileFormatError,
@@ -10,8 +12,8 @@ from specdbl.fileio import (
     write_set_file,
     write_trace_file,
 )
-from specdbl.groups import FiniteAbelianGroup, random_subset
-from specdbl.refine import RefineConfig, audit_trace, refine_theorem1
+from specdbl.groups import FiniteAbelianGroup, random_subset, subgroup_span
+from specdbl.refine import RefineConfig, audit_trace, refine_theorem1, refine_theorem2
 
 
 def test_set_file_round_trip_is_byte_identical(tmp_path):
@@ -155,11 +157,56 @@ def test_trace_file_layout(tmp_path):
     text = path.read_text()
     assert text.endswith("}\n") and text.count("\n") == 1 and " " not in text
     doc = json.loads(text)
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     assert "initial_size" not in doc
     assert doc["measured"] == {"spec_size": 8, "sumset_size": 8, "spec_rho_size": 8, "gate_size": 8}
-    assert all(set(step).isdisjoint({"index", "lam", "gate_ok", "certified"})
+    # a step stores what the run observed; the reader derives the rest
+    assert all(set(step) == {"spec_size", "gate_size", "verdict_status", "upper_bound",
+                             "witness_value", "new_mean", "minor_rows", "minor_cols"}
                for step in doc["steps"])
+
+
+def _halved(matrix, witness, lam, mode="opportunistic"):
+    """extract_minor with the minor's mean halved, so that no minor makes progress."""
+    ext = regularity.extract_minor(matrix, witness, lam, mode=mode)
+    return dataclasses.replace(ext, new_mean=abs(complex(matrix.entries.mean())) / 2)
+
+
+def test_trace_file_round_trip_rebuilds_every_step(tmp_path, monkeypatch):
+    # the reader derives each step's action, rho, rho_next and a_size from the
+    # stored observations; on runs that take every action, in both modes,
+    # it rebuilds the run's own steps
+    plane = subgroup_span(FiniteAbelianGroup((2,) * 4), [(1, 0, 0, 0), (0, 1, 0, 0)])
+    z105 = random_subset(FiniteAbelianGroup((3, 5, 7)), 50, seed=3)
+    runs = [
+        (refine_theorem1, z105, RefineConfig(epsilon=0.2, delta=0.3, mode="faithful", seed=1)),
+        (refine_theorem2, random_subset(FiniteAbelianGroup((3, 3, 3)), 12, seed=0),
+         RefineConfig(epsilon=0.2, delta=0.3, seed=1)),
+        (refine_theorem2, example_counterexample(3).members,
+         RefineConfig(epsilon=0.4, delta=0.3, seed=1, max_iterations=1)),
+        (refine_theorem1, plane, RefineConfig(epsilon=1e-9, delta=0.3)),
+    ]
+    seen = set()
+    for i, (run, members, cfg) in enumerate(runs):
+        result = run(members, cfg)
+        path = tmp_path / f"trace{i}.json"
+        write_trace_file(path, result, members)
+        loaded, original, _ = read_trace_file(path)
+        assert loaded.trace == result.trace and loaded == result
+        seen.update(s.action for s in result.trace)
+    assert seen == {"minor", "growth", "finish", "abort"}
+    assert {r[2].mode for r in runs} == {"faithful", "opportunistic"}
+
+    # an irregular verdict whose minor the run does not take stores it too
+    monkeypatch.setattr("specdbl.refine.extract_minor", _halved)
+    members = example_counterexample(3).members
+    result = refine_theorem1(members, RefineConfig(epsilon=0.4, delta=0.3, seed=1))
+    (step,) = result.trace
+    assert step.action == "finish" and step.verdict_status == "irregular"
+    path = tmp_path / "untaken.json"
+    write_trace_file(path, result, members)
+    assert json.loads(path.read_text())["steps"][0]["minor_rows"] == step.minor_rows
+    assert read_trace_file(path)[0].trace == result.trace
 
 
 def test_trace_file_rejects_mismatched_groups(tmp_path):

@@ -171,17 +171,20 @@ def test_audit_flags_a_tampered_trace(plane):
     result = refine_theorem1(h, cfg)
     assert audit_trace(result, h).ok
 
+    # the audit derives every step from its observations, as the run does
     low = dataclasses.replace(result.trace[0], rho=1e-6, rho_next=1e-6)
     tampered = dataclasses.replace(result, trace=(low,), rho_star=1e-6)
     report = audit_trace(tampered, h)
     assert not report.ok
-    assert "step 0: rho=1e-06, but the run starts at 0.5" in report.violations
+    assert ("step 0: action, rho, rho_next, a_size = ('finish', 1e-06, 1e-06, 4), but the "
+            "run's rule gives ('finish', 0.5, 0.5, 4)") in report.violations
 
     fake_growth = dataclasses.replace(result.trace[0], action="growth")
     tampered = dataclasses.replace(result, trace=(fake_growth,))
     report = audit_trace(tampered, h)
     assert not report.ok
-    assert "step 0: action 'growth', but the run's rule gives 'finish'" in report.violations
+    assert ("step 0: action, rho, rho_next, a_size = ('growth', 0.5, 0.5, 4), but the run's "
+            "rule gives ('finish', 0.5, 0.5, 4)") in report.violations
 
     drifted = dataclasses.replace(result, rho_star=0.25)
     report = audit_trace(drifted, h)
@@ -194,9 +197,10 @@ def test_audit_flags_a_tampered_trace(plane):
     assert not report.ok
     assert any("certified flag" in v for v in report.violations)
 
-    checked = dataclasses.replace(result.trace[0], direct_check=True)
-    report = audit_trace(dataclasses.replace(result, trace=(checked,)), h)
-    assert report.violations == ("step 0: direct_check is True, expected None",)
+    shrunk = dataclasses.replace(result.trace[0], a_size=3)
+    report = audit_trace(dataclasses.replace(result, trace=(shrunk,)), h)
+    assert report.violations == ("step 0: action, rho, rho_next, a_size = ('finish', 0.5, 0.5, 3), "
+                                 "but the run's rule gives ('finish', 0.5, 0.5, 4)",)
 
     unfinished = dataclasses.replace(result, terminated="inconclusive", certified=False)
     report = audit_trace(unfinished, h)
@@ -220,7 +224,8 @@ def test_audit_floor_is_rho_after_the_growths(plane, run):
     assert result.rho_star == 0.5 and audit_trace(result, h).ok
     low = dataclasses.replace(result.trace[0], rho=0.49, rho_next=0.49)
     report = audit_trace(dataclasses.replace(result, trace=(low,), rho_star=0.49), h)
-    assert "step 0: rho=0.49, but the run starts at 0.5" in report.violations
+    assert ("step 0: action, rho, rho_next, a_size = ('finish', 0.49, 0.49, 4), but the "
+            "run's rule gives ('finish', 0.5, 0.5, 4)") in report.violations
     assert "final rho 0.49 does not match the last step (0.5)" in report.violations
 
 
@@ -262,13 +267,14 @@ def test_undecided_verdict_falls_back_to_the_direct_check(plane, monkeypatch):
     # so the run finishes without a certificate
     assert result.terminated == "finished"
     assert not result.certified
-    assert result.trace[-1].direct_check is True
     assert audit_trace(result, h).ok
 
-    failed = dataclasses.replace(result.trace[-1], direct_check=False)
-    report = audit_trace(dataclasses.replace(result, trace=(failed,)), h)
+    # the audit takes the direct check from the measured counts: |S+S| = 12
+    # is above 2 |Spec_gate|^2 / (0.8 |Spec_rho|) = 10
+    assert result.measured["certified_doubling_bound"] == 10.0
+    failed = dataclasses.replace(result, measured=dict(result.measured, sumset_size=12))
+    report = audit_trace(failed, h)
     assert report.violations == (
-        "step 0: direct_check is False, expected True",
         "result finished with certified flag False, but the last step gives "
         "('inconclusive', False)",
     )
@@ -288,7 +294,7 @@ def test_minor_without_progress(mode, monkeypatch):
         # a minor that does not raise the mean ends the run on the direct check
         assert [s.action for s in result.trace] == ["finish"]
         assert first.verdict_status == "irregular"
-        assert first.direct_check is False
+        assert first.minor_rows is not None  # the minor it did not take
         assert result.terminated == "inconclusive"
     else:
         # the faithful rho ignores the measured mean
