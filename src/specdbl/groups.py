@@ -111,6 +111,7 @@ class FiniteAbelianGroup:
         self._orders_arr = np.array(orders, dtype=np.int64)
         self._root_lcm = math.lcm(*orders)
         self._root_table: Optional[np.ndarray] = None
+        self._negation: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup(orders={list(self.orders)})"
@@ -157,15 +158,22 @@ class FiniteAbelianGroup:
     def negate(self, values: np.ndarray) -> np.ndarray:
         """``values(-x)`` for a flat vector ``values`` indexed by the group.
 
-        Negation acts on each axis of ``shape`` alone, as i -> -i mod n: one
-        ``np.take`` per axis of order above 2.  Axes of order 1 and 2 are
-        their own negatives, so on a pure 2-group the result is ``values``.
+        Negation acts on each axis of ``shape`` alone, as i -> -i mod n.  The
+        flat permutation comes from one ``np.take`` per axis of order above 2
+        on ``arange``, once per group, and each call is one gather with it.
+        Axes of order 1 and 2 are their own negatives, so on a pure 2-group
+        the result is ``values``.
         """
-        x = np.asarray(values).reshape(self.shape)
-        for axis, n in enumerate(self.shape):
-            if n > 2:
+        values = np.asarray(values).reshape(self.size)
+        if not self._fft_axes:
+            return values
+        if self._negation is None:
+            x = np.arange(self.size).reshape(self.shape)
+            for axis in self._fft_axes:
+                n = self.shape[axis]
                 x = np.take(x, -np.arange(n) % n, axis=axis)
-        return x.reshape(self.size)
+            self._negation = x.reshape(self.size)
+        return values[self._negation]
 
 
 def char_matrix(

@@ -11,8 +11,9 @@ summing to zero.  decide_regularity is the one decision, in two tiers:
    when below lambda.
 2. Once that fails, the best pair of an alternating search, each of whose
    restarts stops once an iteration raises its value by at most 1e-4
-   relative, or once it comes within the tie rule's 1e-9 of that bound,
-   since no pair exceeds it (Irregular when it reaches lambda).
+   relative, once it comes within the tie rule's 1e-9 of that bound, since
+   no pair exceeds it, or after WITNESS_BUDGET's 8 iterations (Irregular
+   when it reaches lambda).
 
 The witness test allows 1e-12 relative below lambda for the search's
 rounding; the search runs only after the certificate has failed, so a value
@@ -62,7 +63,9 @@ __all__ = [
 ]
 
 # Alternating search: restarts per constrained side, alternations per restart.
-WITNESS_BUDGET = (8, 60)
+# A witness need only reach lambda, and the block 1-norm estimator the search
+# follows (Higham and Tisseur) stops after 5 iterations.
+WITNESS_BUDGET = (8, 8)
 
 _ORTH_TOL = 1e-8
 # unit roundoff of float64, the u of the rounding bounds
@@ -354,9 +357,9 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: floa
     rows only, to f on the rows side and to g on the cols side, and is
     skipped once every restart of that side has left the block.  A restart
     leaves the block once an iteration raises its value by at most 1e-4
-    relative (_CLIMB_REL) or its value reaches stop, so each keeps its own
-    early stop, and the loop runs as long as the longest restart of either
-    side.  Restart 0 of each side starts from g = 1, the other 14 from the
+    relative (_CLIMB_REL), once its value reaches stop, or after the
+    WITNESS_BUDGET cap of 8 iterations, so each keeps its own early stop,
+    and the loop runs as long as the longest restart of either side.  Restart 0 of each side starts from g = 1, the other 14 from the
     phases of one default_rng(seed) draw.  On a real matrix f and g stay
     complex, since the sup over complex test functions can exceed the sup
     over real ones, and _real_times keeps the matrix real in the products;

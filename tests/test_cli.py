@@ -690,7 +690,7 @@ def test_certificate_past_the_crossover_does_not_depend_on_blas_threads(tmp_path
 #       --delta 0.3 --theorem 2 --seed 1
 #   golden_z13_13_13_t2.json: gen --kind random --group 13,13,13 --size 350
 #       --seed 1; refine --epsilon 0.1 --delta 0.3 --theorem 2 --seed 1.  Its
-#       second search runs on a 5x215 complex matrix.
+#       second search runs on a 5x103 complex matrix.
 def _rerun_golden(tmp_path, name):
     """(stored bytes, bytes of a fresh refine on the stored input and config)."""
     argv, out = refine_argv(name, tmp_path)

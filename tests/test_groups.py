@@ -105,6 +105,34 @@ def test_negation_matches_coordinate_negation():
         assert set(negate_set(s).indices().tolist()) == {expected[i] for i in s.indices()}
 
 
+def _negate_per_axis(group, values):
+    """values(-x) by one np.take per axis of order above 2 on the values themselves."""
+    x = np.asarray(values).reshape(group.shape)
+    for axis, n in enumerate(group.shape):
+        if n > 2:
+            x = np.take(x, -np.arange(n) % n, axis=axis)
+    return x.reshape(group.size)
+
+
+@pytest.mark.parametrize("orders", [[3, 2, 5], [9, 2, 4], [2, 2, 3, 1, 7], [4, 4], [5, 1]])
+def test_negation_gather_matches_the_per_axis_form(orders):
+    g = FiniteAbelianGroup(orders)
+    rng = np.random.default_rng(len(orders))
+    for values in (rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size),
+                   rng.random(g.size) < 0.5, np.arange(g.size)):
+        for _ in range(2):  # the first call builds the permutation, the second reuses it
+            got = g.negate(values)
+            assert got.dtype == values.dtype
+            assert np.array_equal(got, _negate_per_axis(g, values))
+
+
+def test_negation_on_a_pure_2_group_returns_the_values():
+    g = FiniteAbelianGroup([2, 1, 2, 2])
+    values = np.arange(g.size, dtype=float)
+    assert np.shares_memory(g.negate(values), values)
+    assert g._negation is None
+
+
 def test_coords_are_tuples_of_python_ints():
     g = FiniteAbelianGroup([3, 2, 5])
     s = random_subset(g, 11, seed=2)

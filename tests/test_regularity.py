@@ -492,14 +492,16 @@ def absolute_climb(value, prev):
     return value <= prev + 1e-12
 
 
-def reference_search(entries, seed, iterations=None, stop=math.inf, leaves=relative_climb):
+def reference_search(entries, seed, iterations=None, stop=math.inf, leaves=relative_climb,
+                     cap=WITNESS_BUDGET[1]):
     """One restart at a time with three products per step: the oracle for the block search.
 
     Restart 0 of each side starts from g = 1, the others from the random
     phases of one generator draw for both sides; a restart leaves when
-    leaves(value, previous value) holds or its value reaches stop.  When
-    given a list, iterations gets (side, iterations run) for each restart."""
-    restarts, max_iter = WITNESS_BUDGET
+    leaves(value, previous value) holds, its value reaches stop or it has
+    run cap iterations.  When given a list, iterations gets (side,
+    iterations run) for each restart."""
+    restarts = WITNESS_BUDGET[0]
     nr, nc = entries.shape
     entry = np.max(np.abs(entries))
     phases = np.random.default_rng(seed).random((2, restarts - 1, nc))
@@ -511,7 +513,7 @@ def reference_search(entries, seed, iterations=None, stop=math.inf, leaves=relat
             else:
                 g = np.exp(2j * np.pi * phases[side_idx, restart - 1])
             prev = -1.0
-            for step in range(max_iter):
+            for step in range(cap):
                 f = _reference_phase(entries, g, entry)
                 if side == "rows":
                     f = _reference_centre(f)
@@ -562,6 +564,33 @@ def test_relative_climb_stop_costs_at_most_a_thousandth(entries):
         assert run_search(entries, seed)[0] >= (1 - 1e-3) * full
 
 
+@_SEQUENTIAL_CASES
+def test_iteration_cap_costs_at_most_a_twentieth(entries):
+    # from the same starts, running each restart up to 60 iterations in
+    # place of the cap finds little more than the capped search does
+    assert WITNESS_BUDGET[1] < 60
+    for seed in (0, 3):
+        uncapped = reference_search(entries, seed, cap=60)[0]
+        assert run_search(entries, seed)[0] >= 0.95 * uncapped
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_search_on_example1_ends_before_the_cap(n):
+    # certify's searches: on the example1 matrix against its spectrum every
+    # restart leaves before the cap, so the cap does not bind there; the
+    # search for n = 9 (certify's size) leaves at the certificate's bound,
+    # the one for n = 4 by the climb rule, within 1e-6 of it
+    entries = _example_matrix(n)
+    upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
+    stop = upper * (1 - 1e-9)
+    for seed in (0, 3):
+        patch, phases = _counting(regularity, "_phase_of")
+        with patch:
+            value = run_search(entries, seed, stop)[0]
+        assert len(phases) // 2 < WITNESS_BUDGET[1]  # two phase maps per block iteration
+        assert value >= (stop if n == 9 else upper * (1 - 1e-6))
+
+
 def test_search_draws_all_starts_from_one_generator():
     entries = _unit_matrix((60, 60))
     patch, seeds = _counting(np.random, "default_rng")
@@ -604,7 +633,7 @@ def _assert_same_search(got, want):
 
 
 @pytest.mark.parametrize("entries, first", [
-    (_unit_matrix((60, 3)), "rows"), (_noisy(_sign_matrix((40, 3))), "cols"),
+    (_noisy(_sign_matrix((4, 10))), "rows"), (_noisy(_sign_matrix((10, 4))), "cols"),
 ], ids=["rows-side-leaves-first", "cols-side-leaves-first"])
 def test_block_search_after_one_side_has_left(entries, first):
     # once every restart of one side has left the block, the other side's
