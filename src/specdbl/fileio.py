@@ -38,15 +38,20 @@ SET_FORMAT = "specdbl-set"
 TRACE_FORMAT = "specdbl-trace"
 # a set file's versions differ only in layout
 _VERSIONS = {SET_FORMAT: (1, 2), TRACE_FORMAT: (4,)}
-# every key a version 4 trace holds; any other is a format error
-_TRACE_KEYS = frozenset("format version theorem config orders input_elements a_star rho_star "
-                        "terminated certified measured steps audit".split())
+# every key a version 4 trace holds and its JSON kind; any other key is a format error
+_TRACE_KINDS = {"format": (str,), "version": (int,), "theorem": (int,), "config": (dict,),
+                "orders": (list,), "input_elements": (list,), "a_star": (list,),
+                "rho_star": (float,), "terminated": (str,), "certified": (bool,),
+                "measured": (dict,), "steps": (list,), "audit": (dict,)}
+# the keys a set file reader checks; it ignores any other
+_SET_KINDS = {"orders": (list,), "elements": (list,), "metadata": (dict,)}
 # JSON types each field accepts (Optional[X] gives X or None), resolved once
 # because resolving annotations costs more than reading a step
 _KINDS = {name: typing.get_args(t) or (t,) for cls in (RefineConfig, RefineTraceStep)
           for name, t in typing.get_type_hints(cls).items()}
 _CONFIG_KINDS = {f.name: _KINDS[f.name] for f in dataclasses.fields(RefineConfig)}
 _STEP_KINDS = {name: _KINDS[name] for name in OBSERVED}  # a step stores its observations
+_COUNT_KINDS = dict.fromkeys(MEASURED_COUNTS, (int,))
 
 
 class FileFormatError(ValueError):
@@ -90,45 +95,34 @@ def _float(value, where: str) -> float:
     return number
 
 
-def _field(doc: dict, name: str, kind, path) -> object:
-    if name not in doc:
-        raise FileFormatError(f"{path}: missing field {name!r}")
-    value = doc[name]
-    if not _is(value, kind):
-        noun = "a number" if kind is float else kind.__name__
-        raise FileFormatError(f"{path}: field {name!r} must be {noun}")
-    return _float(value, f"{path}: field {name!r}") if kind is float else value
-
-
-def _typed(build, fields: dict, raw, path, label):
+def _typed(build, fields: dict, raw, where):
     """build(**raw) for an object raw that holds exactly ``fields``, each
-    value of one of its field's JSON kinds."""
+    value of one of its field's JSON kinds; ``where`` names raw in errors."""
     if not isinstance(raw, dict):
-        raise FileFormatError(f"{path}: {label} must be an object")
+        raise FileFormatError(f"{where} must be an object")
     if odd := sorted(raw.keys() ^ fields.keys()):
-        raise FileFormatError(f"{path}: {label}: {'unknown' if odd[0] in raw else 'missing'} "
+        raise FileFormatError(f"{where}: {'unknown' if odd[0] in raw else 'missing'} "
                               f"field {odd[0]!r}")
     values = {}
     for name, kinds in fields.items():
         value = raw[name]
         if not any(_is(value, kind) for kind in kinds):
-            raise FileFormatError(f"{path}: {label}: field {name!r} has the wrong type")
+            raise FileFormatError(f"{where}: field {name!r} has the wrong type")
         if float in kinds and value is not None:
-            value = _float(value, f"{path}: {label}: field {name!r}")
+            value = _float(value, f"{where}: field {name!r}")
         values[name] = value
     try:
         return build(**values)
     except ValueError as exc:
-        raise FileFormatError(f"{path}: {label}: {exc}") from exc
+        raise FileFormatError(f"{where}: {exc}") from exc
 
 
 def _check_header(doc: dict, expected: str, path) -> None:
-    fmt = _field(doc, "format", str, path)
+    fmt, version = doc.get("format"), doc.get("version")
     if fmt != expected:
         raise FileFormatError(f"{path}: format {fmt!r}, expected {expected!r}")
-    version = _field(doc, "version", int, path)
-    if version not in _VERSIONS[expected]:
-        raise FileFormatError(f"{path}: unsupported version {version}")
+    if type(version) is not int or version not in _VERSIONS[expected]:  # True == 1.0 == 1
+        raise FileFormatError(f"{path}: unsupported version {version!r}")
 
 
 def _write(path, doc: dict) -> None:
@@ -137,16 +131,12 @@ def _write(path, doc: dict) -> None:
 
 
 def _set_from(orders: list, elements: list, path, label: str) -> ElementSet:
-    if not isinstance(orders, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders
-    ):
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders):
         raise FileFormatError(f"{path}: field 'orders' must be a list of positive integers")
     try:
         group = FiniteAbelianGroup(tuple(orders))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    if not isinstance(elements, list):
-        raise FileFormatError(f"{path}: field {label!r} must be a list")
     # whole-list passes in C: JSON gives rows as lists and coordinates as
     # ints, and a bool (an int subclass) is not a coordinate
     if not (set(map(type, elements)) <= {list}
@@ -174,9 +164,8 @@ def write_set_file(path, members: ElementSet, metadata: Optional[dict] = None) -
 def read_set_file(path) -> tuple[ElementSet, dict]:
     doc = _load_json(path)
     _check_header(doc, SET_FORMAT, path)
-    members = _set_from(doc.get("orders"), doc.get("elements"), path, "elements")
-    metadata = _field(doc, "metadata", dict, path)
-    return members, metadata
+    doc = _typed(dict, _SET_KINDS, {key: doc[key] for key in _SET_KINDS if key in doc}, path)
+    return _set_from(doc["orders"], doc["elements"], path, "elements"), doc["metadata"]
 
 
 def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditReport:
@@ -206,30 +195,24 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
     """Rebuild (result, original input set, stored audit dict) from a trace file."""
     doc = _load_json(path)
     _check_header(doc, TRACE_FORMAT, path)
-    if extra := sorted(doc.keys() - _TRACE_KEYS):
-        raise FileFormatError(f"{path}: unknown field {extra[0]!r}")
-    theorem = _field(doc, "theorem", int, path)
+    doc = _typed(dict, _TRACE_KINDS, doc, path)
+    theorem = doc["theorem"]
     if theorem not in (1, 2):
         raise FileFormatError(f"{path}: field 'theorem' must be 1 or 2")
 
-    cfg = _typed(RefineConfig, _CONFIG_KINDS, doc.get("config"), path, "field 'config'")
+    cfg = _typed(RefineConfig, _CONFIG_KINDS, doc["config"], f"{path}: field 'config'")
 
-    orders = doc.get("orders")
-    original = _set_from(orders, doc.get("input_elements"), path, "input_elements")
-    a_star = _set_from(orders, doc.get("a_star"), path, "a_star")
+    original = _set_from(doc["orders"], doc["input_elements"], path, "input_elements")
+    a_star = _set_from(doc["orders"], doc["a_star"], path, "a_star")
     if not a_star.size:  # a refinement never empties its set
         raise FileFormatError(f"{path}: field 'a_star' is empty")
 
-    steps = _field(doc, "steps", list, path)
-    observed = [_typed(dict, _STEP_KINDS, raw, path, f"step {i}") for i, raw in enumerate(steps)]
+    observed = [_typed(dict, _STEP_KINDS, raw, f"{path}: step {i}")
+                for i, raw in enumerate(doc["steps"])]
     k_value = _resolve_k(cfg, theorem, original.group.size)
     trace = tuple(_replay(theorem, cfg, k_value, cfg.epsilon, original.size, observed))
-    stored = _field(doc, "measured", dict, path)
-    if extra := sorted(stored.keys() - MEASURED_COUNTS):
-        raise FileFormatError(f"{path}: field 'measured': unknown field {extra[0]!r}")
-    counts = {key: _field(stored, key, int, f"{path}: field 'measured'")
-              for key in MEASURED_COUNTS}
-    rho_star = _field(doc, "rho_star", float, path)
+    counts = _typed(dict, _COUNT_KINDS, doc["measured"], f"{path}: field 'measured'")
+    rho_star = doc["rho_star"]
     if not rho_star > 0:  # a spectrum level
         raise FileFormatError(f"{path}: field 'rho_star' must be positive, got {rho_star}")
     try:
@@ -238,19 +221,17 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
     except ArithmeticError as exc:  # a count past float range
         raise FileFormatError(f"{path}: cannot derive the measured values: {exc}") from exc
 
-    terminated = _field(doc, "terminated", str, path)
-    if terminated not in ("finished", "budget_exhausted", "inconclusive"):
-        raise FileFormatError(f"{path}: unknown terminated state {terminated!r}")
+    if doc["terminated"] not in ("finished", "budget_exhausted", "inconclusive"):
+        raise FileFormatError(f"{path}: unknown terminated state {doc['terminated']!r}")
 
     result = RefineResult(
         theorem=theorem,
         a_star=a_star,
         rho_star=rho_star,
-        terminated=terminated,
-        certified=bool(_field(doc, "certified", bool, path)),
+        terminated=doc["terminated"],
+        certified=doc["certified"],
         trace=trace,
         measured=measured,
         config=cfg,
     )
-    audit = _field(doc, "audit", dict, path)
-    return result, original, audit
+    return result, original, doc["audit"]

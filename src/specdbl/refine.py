@@ -205,7 +205,8 @@ def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho:
         )
     else:
         measured["interim_bound"] = 2.0 * k_value * gate_size
-        measured["k_squared_bound"] = 2.0 * k_value**2 * spec_rho_size
+        # K * K is inf past float range, where K**2 raises OverflowError
+        measured["k_squared_bound"] = 2.0 * k_value * k_value * spec_rho_size
         measured["spec_ratio"] = spec_rho_size / max(1, initial_spec_size)
     return measured
 
@@ -327,7 +328,7 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
     bad_counts = False
     for pos, s in enumerate(replayed):
         if not 1 <= s.spec_size <= s.gate_size <= group_size:
-            bad_counts = True  # the t-ratios below take the counts to floating point
+            bad_counts = True  # only so that a huge count cannot overflow the t-ratios
             violations.append(f"step {pos}: no spectrum in |G|={group_size} has |Spec_rho|="
                               f"{s.spec_size} inside |Spec_gate|={s.gate_size}")
         lam = _lambda_level(theorem, cfg.epsilon, s.rho)
@@ -384,8 +385,8 @@ def audit_trace(result: RefineResult, original: ElementSet) -> AuditReport:
             f"{outside} of the {result.a_star.size} final elements lie outside the input set"
         )
 
-    # spectrum size after each growth over that at the next (below 1: a violation);
-    # none when a step's counts failed their check
+    # spectrum size after each growth over that at the next: a statistic the
+    # audit reports and never judges; none when a step's counts failed their check
     t_ratios = [] if bad_counts else [
         replayed[p + 1].spec_size / max(1, replayed[q].spec_size)
         for p, q in zip(growth_positions, growth_positions[1:])]

@@ -374,6 +374,24 @@ def test_report_rejects_a_version_1_or_2_trace(tmp_path):
         assert proc.stderr == f"error: {trace}: unsupported version {version}\n"
 
 
+@pytest.mark.parametrize("key", sorted(json.loads(EX3.read_text())))
+def test_every_top_level_trace_key_is_required_and_typed(tmp_path, key):
+    doc = json.loads(EX3.read_text())
+    wrong = 0 if isinstance(doc[key], str) else "0"  # a JSON kind the key does not take
+    trace = tmp_path / "forged.json"
+    for forge in (lambda d: d.pop(key), lambda d: d.update({key: wrong})):
+        forged = json.loads(EX3.read_text())
+        forge(forged)
+        trace.write_text(json.dumps(forged))
+        proc = run_cli("report", "--trace", str(trace))
+        assert proc.returncode == 2
+        assert key in proc.stderr.replace(str(trace), ""), proc.stderr
+        if key not in ("format", "version"):  # the header is checked first
+            trace.write_text(json.dumps({**forged, "version": 3}))
+            proc = run_cli("report", "--trace", str(trace))
+            assert proc.stderr == f"error: {trace}: unsupported version 3\n"
+
+
 # A version 2 trace also stored K, the bounds and each step's certified
 # flag, and a version 3 trace each finish's direct check; version 4 derives
 # them, so each forgery below changes what they are derived from
@@ -882,20 +900,26 @@ def test_statistical_doubling_names_an_eps_whose_level_underflows(tmp_path):
     ("verify", "--parseval", "1e-300"),
     ("verify", "--statistical-doubling", "1e-300"),
     ("refine", "--epsilon", "1e-100"),
+    ("refine", "--k-bound", "1e200"),
 ])
 def test_tiny_epsilon_exits_0_or_2(tmp_path, command, flag, value):
     # eps^2 (or eps^2 rho^2) underflows to 0; the Parseval capacity and the
-    # interim bound are then inf, not a division by zero
+    # interim bound are then inf, not a division by zero.  A K of 1e200
+    # takes theorem 2's 2 K^2 |Spec_rho| past float range: inf, not an OverflowError
     setfile, trace = tmp_path / "a.json", tmp_path / "t.json"
     run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
     extra = ("--delta", "0.3", "--out", str(trace)) if command == "refine" else ()
+    huge_k = flag == "--k-bound"
+    if huge_k:
+        extra += ("--epsilon", "0.4", "--theorem", "2")
     proc = run_cli(command, "--input", str(setfile), flag, value, *extra)
-    assert proc.returncode in (0, 2), proc.stderr
+    assert proc.returncode in ((0,) if huge_k else (0, 2)), proc.stderr
     assert "Traceback" not in proc.stderr
     if command == "refine":
         code, out = report(trace, "json")
         assert code == 0, out
-        assert json.loads(out)["measured"]["interim_bound"] == math.inf
+        bound = "k_squared_bound" if huge_k else "interim_bound"
+        assert json.loads(out)["measured"][bound] == math.inf
 
 
 @pytest.mark.parametrize("theorem", ["1", "2"])

@@ -121,6 +121,18 @@ def test_malformed_set_files_are_reported(tmp_path, mutate, needle):
         read_set_file(path)
 
 
+def test_set_files_ignore_keys_the_writer_does_not_write(tmp_path):
+    g = FiniteAbelianGroup((2, 3))
+    a = random_subset(g, 3, seed=1)
+    path = tmp_path / "a.json"
+    write_set_file(path, a, {"note": "x"})
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "surprise": [1, "two"], "comment": None}))
+    members, metadata = read_set_file(path)
+    assert members == a
+    assert metadata == {"note": "x"}
+
+
 def test_broken_json_reports_the_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "format": "specdbl-set",\n  "version": oops\n}\n')
