@@ -10,8 +10,9 @@ sum is therefore at least eps * |A| * |Gamma|.
 
 On a pure 2-group (every factor of order 1 or 2) every character and every
 set-average is real, so each entry is exactly +1 or -1 and the matrix is
-float64; every other group gives complex128.  Nothing downstream forks on
-the dtype: the regularity code takes either.
+float64, its character values written from the sign bit of their phases
+(``groups.char_matrix``); every other group gives complex128.  Nothing
+downstream forks on the dtype: the regularity code takes either.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def build_matrix(a: ElementSet, gamma: ElementSet, table: FourierTable) -> Coher
     Row i stands for ``a.indices()[i]``, column j for ``gamma.indices()[j]``.
     The normaliser of a column is conj(c)/|c|: on a pure 2-group the
     characters are real and so is c, so it is sign(c), exactly +-1, and the
-    whole matrix is built in float64.
+    whole matrix is built in float64: ``char_matrix`` writes the exact +-1
+    character values, and one in-place product applies the signs.
     """
     group = a.group
     if gamma.group != group or table.group != group:

@@ -71,6 +71,8 @@ def _load_json(path) -> dict:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     return doc

@@ -14,9 +14,10 @@ inside the set.
 Walsh-Hadamard transform and every axis of order above 2 with numpy's FFT
 (the transform lives in ``groups``, next to the group's array shape).  On a
 pure 2-group (every factor of order 1 or 2) every coefficient of a set is an
-integer of magnitude at most |A|, computed exactly, and the table is
-float64; every other group gives complex128, and one with no factor of
-order 2 takes one numpy FFT call.  Nothing downstream forks on the dtype.
+integer of magnitude at most |A|, computed exactly in float32 while
+|G| <= 2^24, and the table is float64; every other group gives complex128,
+and one with no factor of order 2 takes one numpy FFT call.  Nothing
+downstream forks on the dtype.
 """
 
 from __future__ import annotations
@@ -85,12 +86,13 @@ def dft(a: ElementSet) -> FourierTable:
     The flat index vector is reshaped to the group's array ``shape``, one axis
     per cyclic factor.  The order-2 axes go first, through the Walsh-Hadamard
     transform in real arithmetic: on 0/1 input every partial sum is an integer
-    of magnitude at most |A| <= 2^20, so that step is exact.  The axes of
-    order above 2 go through ``np.fft.fftn``; with no order-2 axis that is
-    the one call over the whole array.  A pure 2-group has no such axis, and
-    its table is that float64 transform as it stands.  The sign convention
-    here is the conjugate of the usual forward FFT, which coincides for real
-    input; the conjugate is taken in place.
+    of magnitude at most |A| <= |G|, so that step is exact, in float32 while
+    |G| <= 2^24 and in float64 past it.  Its result is cast to float64, and
+    the axes of order above 2 go through ``np.fft.fftn``; with no order-2 axis
+    that is the one call over the whole array.  A pure 2-group has no such
+    axis, and its table is that float64 transform as it stands.  The sign
+    convention here is the conjugate of the usual forward FFT, which
+    coincides for real input; the conjugate is taken in place.
     """
     group = a.group
     coeffs = _transform(group, a.mask).ravel()

@@ -7,8 +7,14 @@ in real arithmetic), every axis of order above 2 through numpy's FFT, and an
 axis of order 1 through neither.  ``_transform`` and ``_inverse_transform``
 are that pair: ``fourier.dft`` takes the forward transform, and
 ``convolve_counts`` both; a group with no factor of order 2 takes numpy's
-FFT alone, and a pure 2-group (every factor of order 1 or 2) stays in
-float64 throughout.
+FFT alone, and a pure 2-group (every factor of order 1 or 2) stays in real
+arithmetic throughout.
+
+On a pure 2-group every value these layers compute is a small integer, so
+each uses the narrowest arithmetic that holds it exactly: the forward
+Walsh-Hadamard pass of a 0/1 mask runs in float32 (``_F32_EXACT``), a sumset
+of few pairs is counted by XOR on the flat indices (``convolve_counts``),
+and ``char_matrix`` writes each +-1 entry from the sign bit of its phase.
 
 The same ``shape`` gives the rest of the layout.  The one codec between flat
 indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
@@ -44,6 +50,16 @@ DEFAULT_MAX_GROUP = 1 << 20
 
 # Most order-2 axes one Sylvester matrix covers: 2^6 = 64 rows.
 _WHT_CHUNK = 6
+
+# Largest group whose forward Walsh-Hadamard pass runs in float32.  Every
+# partial sum of that pass on a 0/1 mask is a signed sum of distinct mask
+# entries, an integer of magnitude at most |A| <= |G|, and float32 holds
+# every integer of magnitude up to 2^24 (24 significand bits) exactly, so
+# each sum, product by +-1 and fused multiply-add is exact in any order.
+_F32_EXACT = 1 << 24
+
+# Bit pattern of the float64 1.0: sign 0, biased exponent 1023, mantissa 0.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 GroupElement = tuple[int, ...]
 
@@ -182,25 +198,42 @@ def char_matrix(
     """Matrix of character values gamma(a): rows are elements, columns gammas.
 
     Both arguments are flat index arrays.  The phase of gamma(a) is
-    sum_j (a_j L/n_j) g_j mod L, L = lcm(orders), and the entry is the tabled
-    root of unity (``root_table``): on a pure 2-group the float64 +-1 table,
-    so the matrix is real and exact; elsewhere a complex128 matrix, exact
-    within one rounding.  The phases come from one float64 BLAS product of
-    the weighted coordinates, cast back to int64 and reduced mod L (by
-    ``& (L - 1)`` when L is a power of two, a quarter of the cost).  That is
-    exact: each term a_j (L/n_j) g_j is an integer below L^2, so every
-    partial sum is an integer below rank L^2, and integers below 2^53 add
-    and multiply exactly in float64 in any order.  A group with
-    rank L^2 >= 2^53 (none under ``DEFAULT_MAX_GROUP`` comes near) keeps the
-    int64 product.
+    sum_j (a_j L/n_j) g_j mod L, L = lcm(orders), and the entry is the root
+    of unity exp(2 pi i phase / L): on a pure 2-group (L <= 2) the real
+    (-1)^phase, so the matrix is float64 and exact; elsewhere the tabled root
+    (``root_table``) in a complex128 matrix, exact within one rounding.
+
+    The phases come from one float64 BLAS product of the weighted
+    coordinates.  That is exact: each term a_j (L/n_j) g_j is an integer
+    below L^2, so every partial sum is an integer below rank L^2, and
+    integers below 2^53 add and multiply exactly in float64 in any order.
+    A group with rank L^2 >= 2^53 (none under ``DEFAULT_MAX_GROUP`` comes
+    near) keeps the int64 product.  With L > 2 the product is cast back to
+    int64, reduced mod L (by ``& (L - 1)`` when L is a power of two, a
+    quarter of the cost) and looked up in the table.
+
+    With L <= 2 the entry is written in place from the product p, an integer
+    with 0 <= p <= rank.  Adding 2^52 is exact, and p + 2^52 lies in
+    [2^52, 2^53), where the float64 spacing is 1: its 52 mantissa bits are p
+    itself, so the lowest is p mod 2.  Shifting the 64-bit pattern left by
+    63 moves that bit to the sign and clears the rest; OR-ing in the bits of
+    1.0 then gives exactly +1.0 (p even) or -1.0 (p odd), never -0.0.  The
+    pattern is viewed as uint64, where the shift into the top bit is defined.
     """
     a = group.decode_indices(np.asarray(elements, dtype=np.int64)) * group.char_weights()
     g = group.decode_indices(np.asarray(gammas, dtype=np.int64))
     L = group._root_lcm
-    if group.rank * L * L < 2**53:
-        phases = (a.astype(np.float64) @ g.T.astype(np.float64)).astype(np.int64)
-    else:
+    if group.rank * L * L >= 2**53:
         phases = a @ g.T
+    else:
+        p = a.astype(np.float64) @ g.T.astype(np.float64)
+        if L <= 2:
+            p += 2.0**52
+            bits = p.view(np.uint64)
+            bits <<= np.uint64(63)
+            bits |= _ONE_BITS
+            return p
+        phases = p.astype(np.int64)
     if L & (L - 1) == 0:
         np.bitwise_and(phases, L - 1, out=phases)
     else:
@@ -292,9 +325,9 @@ def _require_same_group(s: ElementSet, t: ElementSet) -> FiniteAbelianGroup:
 
 
 @functools.lru_cache(maxsize=None)
-def _sylvester(r: int) -> np.ndarray:
+def _sylvester(r: int, dtype: np.dtype) -> np.ndarray:
     """The 2^r x 2^r +-1 Sylvester-Hadamard matrix, entry (-1)^popcount(j & k)."""
-    h = np.ones((1, 1))
+    h = np.ones((1, 1), dtype=dtype)
     for _ in range(r):
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
@@ -310,12 +343,13 @@ def _walsh_hadamard(group: FiniteAbelianGroup, x: np.ndarray) -> np.ndarray:
     2^-r), one ``np.matmul`` over the reshape (pre, 2^r, post).  A chunk that
     ends in the last axis (post == 1) is instead the one right product
     x.reshape(pre, 2^r) @ H, a single GEMM where the stacked form would run
-    pre matrix-vector products.  Every product is +-1 times an entry, so on
-    integer input every partial sum is a signed sum of input entries: exact
-    while the sum of their magnitudes stays below 2^53.
+    pre matrix-vector products.  H takes the dtype of ``x``, float32 or
+    float64.  Every product is +-1 times an entry, so on integer input every
+    partial sum is a signed sum of input entries: exact while the sum of
+    their magnitudes stays at most 2^24 in float32, or below 2^53 in float64.
     """
     for pre, r, post in group._wht_blocks:
-        h = _sylvester(r)
+        h = _sylvester(r, x.dtype)
         if post == 1:
             x = x.reshape(pre, 1 << r) @ h
         else:
@@ -326,13 +360,18 @@ def _walsh_hadamard(group: FiniteAbelianGroup, x: np.ndarray) -> np.ndarray:
 def _transform(group: FiniteAbelianGroup, mask: np.ndarray, real: bool = False) -> np.ndarray:
     """Forward transform of the 0/1 indicator ``mask``, over the group's ``shape``.
 
-    The order-2 axes go first, through ``_walsh_hadamard`` in real arithmetic;
-    the axes of order above 2 then go through ``np.fft.fftn``, or
-    ``np.fft.rfftn`` when ``real``.  A group with no order-2 factor makes that
-    one numpy call alone; a pure 2-group (every factor of order 1 or 2) makes
-    none, and its result is the float64 Walsh-Hadamard transform.
+    The order-2 axes go first, through ``_walsh_hadamard`` in real arithmetic:
+    float32 when |G| <= ``_F32_EXACT`` = 2^24, where every partial sum is an
+    integer of magnitude at most |A| <= 2^24 and so exact, else float64.  The
+    result is cast to float64, and the axes of order above 2 then go through
+    ``np.fft.fftn``, or ``np.fft.rfftn`` when ``real``.  A group with no
+    order-2 factor makes that one numpy call alone; a pure 2-group (every
+    factor of order 1 or 2) makes none, and its result is the Walsh-Hadamard
+    transform in float64.
     """
-    x = _walsh_hadamard(group, mask.reshape(group.shape).astype(np.float64))
+    dtype = np.float32 if group.size <= _F32_EXACT else np.float64
+    x = _walsh_hadamard(group, mask.reshape(group.shape).astype(dtype))
+    x = x.astype(np.float64, copy=False)
     axes = group._fft_axes
     if not axes:
         return x
@@ -358,12 +397,21 @@ def _inverse_transform(group: FiniteAbelianGroup, y: np.ndarray) -> np.ndarray:
 def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     """Counts r(x) = #{(a, b) in S x T : a + b = x} for every flat index x.
 
-    The additive convolution 1_S * 1_T, computed by transform, pointwise
-    product and inverse transform over the group's array shape, then rounded
-    (one forward transform when ``t is s``).  ``_transform`` and
-    ``_inverse_transform`` take the order-2 axes through the Walsh-Hadamard
-    transform and the other axes through ``rfftn``/``irfftn``; a group with
-    no order-2 factor takes the two numpy calls alone.
+    On a pure 2-group (every factor of order 1 or 2) with |S| |T| <= |G|,
+    the pairs are counted directly: there a flat index is the bit vector of
+    the element's coordinates and addition is XOR, so the counts are one
+    ``np.bincount`` of the |S| |T| XORs of the index pairs.  That array
+    holds at most |G| entries (8 MB at ``DEFAULT_MAX_GROUP``), and its cost
+    grows with |S| |T| where the transforms' grows with |G|, so past
+    |S| |T| = |G| the transforms cost less.
+
+    Every other case is the additive convolution 1_S * 1_T, computed by
+    transform, pointwise product and inverse transform over the group's
+    array shape, then rounded (one forward transform when ``t is s``).
+    ``_transform`` and ``_inverse_transform`` take the order-2 axes through
+    the Walsh-Hadamard transform and the other axes through
+    ``rfftn``/``irfftn``; a group with no order-2 factor takes the two numpy
+    calls alone.
 
     On a pure 2-group every step is exact: the forward transforms are integers
     of magnitude at most |S| and |T|, and every partial sum of the inverse is a
@@ -375,6 +423,9 @@ def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     itself failed.
     """
     group = _require_same_group(s, t)
+    if not group._fft_axes and s.size * t.size <= group.size:
+        pairs = np.bitwise_xor.outer(s.indices(), t.indices())
+        return np.bincount(pairs.ravel(), minlength=group.size)
     fs = _transform(group, s.mask, real=True)
     ft = fs if t is s else _transform(group, t.mask, real=True)
     raw = _inverse_transform(group, fs * ft)

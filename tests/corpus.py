@@ -27,6 +27,10 @@ The corpora are fixed by seeds:
 
 C1 and C2 run with delta 0.3, seed 3 and at most 40 iterations; the
 certify72 runs take their manifest's command line.
+
+Beside what a run did, each summary holds the paper's quantities: alpha =
+log|A| / log|G|, the shrink factor |A|/|A*|, and the doubling |S+S|/|S| of
+the final measured spectrum S next to the gate constant K.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from specdbl.fileio import read_set_file, write_trace_file
 from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span
 from specdbl.refine import RefineConfig, refine_theorem1, refine_theorem2
 
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 CERTIFY_SEEDS = (1, 2, 3, 11)
 CERTIFY_REPS = (0, 1, 2)
 C1_GROUPS = ((2,) * 10, (2,) * 12, (3,) * 6, (5,) * 4, (4,) * 4, (3, 5, 7), (2, 4, 8, 8),
@@ -166,6 +170,8 @@ def summarise(corpus, name, members, theorem, cfg, workdir):
         "corpus": corpus, "run": name, "orders": list(members.group.orders),
         "size": members.size, "theorem": theorem, "epsilon": cfg.epsilon,
         "alpha": math.log(members.size) / math.log(members.group.size),
+        "a_ratio": members.size / result.a_star.size,
+        "doubling": result.measured["doubling"], "K": result.measured["K"],
         "actions": [step.action for step in result.trace], "a_star": result.a_star.size,
         "rho_star": result.rho_star, "terminated": result.terminated,
         "certified": result.certified,
@@ -210,6 +216,9 @@ def _totals(runs_):
         "minor / growth / finish": " / ".join(str(steps[a]) for a in ("minor", "growth", "finish")),
         "sum of abs(A*)": str(sum(r["a_star"] for r in runs_)),
         "mean rho*": f"{sum(r['rho_star'] for r in runs_) / max(len(runs_), 1):.4f}",
+        "mean abs(A)/abs(A*)": f"{sum(r['a_ratio'] for r in runs_) / max(len(runs_), 1):.4f}",
+        "mean abs(S+S)/abs(S)": f"{sum(r['doubling'] for r in runs_) / max(len(runs_), 1):.4f}",
+        "abs(S+S)/abs(S) <= K": str(sum(r["doubling"] <= r["K"] for r in runs_)),
         "finished": str(sum(r["terminated"] == "finished" for r in runs_)),
         "certified": str(sum(r["certified"] for r in runs_)),
         "regular / irregular / undetermined": " / ".join(

@@ -48,6 +48,18 @@ def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]
     return complex(group.root_table()[phase])
 
 
+def pair_counts(group: FiniteAbelianGroup, s: ElementSet, t: ElementSet) -> np.ndarray:
+    """#{(a, b) in S x T : a + b = x} for every flat index x, one pair at a
+    time with coordinatewise addition: the oracle for ``convolve_counts``."""
+    counts = np.zeros(group.size, dtype=np.int64)
+    for a in s.indices():
+        ca = decode(group, a)
+        for b in t.indices():
+            cb = decode(group, b)
+            counts[encode(group, tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders)))] += 1
+    return counts
+
+
 def dft_naive(a: ElementSet) -> FourierTable:
     """Fourier table by direct character summation, the oracle for ``dft``.
 

@@ -771,19 +771,43 @@ def test_golden_trace_on_a_mixed_group_keeps_every_field(tmp_path):
     _assert_equal_but_witness_ulps(json.loads(fresh), json.loads(stored))
 
 
-@pytest.mark.skipif(platform.machine() != "x86_64", reason="OPENBLAS_CORETYPE names x86_64 kernels")
+# OpenBLAS's oldest x86_64 kernel, which sums its products in another order
+PRESCOTT = dict(OPENBLAS_CORETYPE="Prescott", **ONE_BLAS_THREAD)
+ON_X86_64 = pytest.mark.skipif(platform.machine() != "x86_64",
+                               reason="OPENBLAS_CORETYPE names x86_64 kernels")
+
+
+@ON_X86_64
 def test_golden_traces_do_not_depend_on_the_blas_kernel(tmp_path):
     # OpenBLAS's oldest x86_64 kernel sums its products in another order;
     # the certificate's bound and the minors come from numpy's own
     # reductions, so only witness_value, read off the search's products,
     # may move in its last digits
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", **ONE_BLAS_THREAD)
+    env = dict(os.environ, **PRESCOTT)
     for name in GOLDEN:
         argv, out = refine_argv(name, tmp_path)
         proc = run_module(*argv, env=env)
         assert proc.returncode == 0, proc.stderr
         _assert_equal_but_witness_ulps(json.loads(out.read_bytes()),
                                        json.loads((DATA / name).read_bytes()), name)
+
+
+@ON_X86_64
+def test_a_z2_18_table_does_not_depend_on_the_blas_kernel():
+    # the float32 Walsh-Hadamard pass is one sgemm per chunk of axes; its sums
+    # are integers of at most 2^18, exact in any order, so any kernel gives
+    # the same bytes
+    code = ("import hashlib; from specdbl.fourier import dft; "
+            "from specdbl.groups import FiniteAbelianGroup, random_subset; "
+            "a = random_subset(FiniteAbelianGroup([2] * 18), 100000, seed=18); "
+            "print(hashlib.sha256(dft(a).coeffs.tobytes()).hexdigest())")
+    digests = []
+    for extra in (ONE_BLAS_THREAD, PRESCOTT):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, **extra))
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def test_verify_checks_pass_on_a_subgroup(tmp_path):
@@ -946,6 +970,27 @@ def test_deeply_nested_json_exits_2(tmp_path, command):
     proc = run_cli(command, flag, str(path), *extra)
     assert proc.returncode == 2
     assert f"error: {path}: invalid JSON: nested too deeply" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["spectrum", "report"])
+def test_an_integer_past_the_digit_limit_exits_2_naming_the_file(tmp_path, command):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit == 0:
+        pytest.skip("this interpreter converts integer strings of any length")
+    if command == "spectrum":
+        source = tmp_path / "a.json"
+        run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(source))
+    else:
+        source = EX3
+    path = tmp_path / "big.json"
+    text = source.read_text().rstrip()
+    path.write_text(text[:-1] + ', "extra": ' + "7" * (limit + 700) + "}")
+    argv = ["spectrum", "--input", str(path), "--epsilon", "0.4"] if command == "spectrum" \
+        else ["report", "--trace", str(path)]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert f"error: {path}: invalid JSON: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_prints_each_failed_check_and_exits_1(tmp_path, monkeypatch):

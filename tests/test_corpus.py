@@ -12,8 +12,9 @@ from specdbl.diagnostics import example_counterexample
 from specdbl.groups import FiniteAbelianGroup, random_subset
 from specdbl.refine import RefineConfig
 
-KEYS = {"corpus", "run", "orders", "size", "theorem", "epsilon", "alpha", "actions", "a_star",
-        "rho_star", "terminated", "certified", "verdicts", "audit_ok", "trace_sha256"}
+KEYS = {"corpus", "run", "orders", "size", "theorem", "epsilon", "alpha", "a_ratio", "doubling",
+        "K", "actions", "a_star", "rho_star", "terminated", "certified", "verdicts", "audit_ok",
+        "trace_sha256"}
 
 
 def _toy_summaries():
@@ -34,6 +35,8 @@ def test_summary_schema(tmp_path):
         assert sum(s["verdicts"].values()) == len(s["actions"])
         assert 1 <= s["a_star"] <= s["size"] and 0 < s["rho_star"] <= 1
         assert 0 < s["alpha"] <= 1 and len(s["trace_sha256"]) == 64
+        assert s["a_ratio"] == s["size"] / s["a_star"]
+        assert 1 <= s["doubling"] and 1 <= s["K"]
     assert summaries[0]["size"] == 15 and summaries[0]["orders"] == [2] * 6
     path = tmp_path / "summary.json"
     corpus.write_summary(path, summaries)

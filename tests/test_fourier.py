@@ -6,6 +6,7 @@ import pytest
 
 from oracles import decode, dft_naive, encode
 from specdbl.fourier import FourierTable, _check_spectrum, dft, parseval_capacity, spectrum
+from specdbl import groups
 from specdbl.groups import ElementSet, FiniteAbelianGroup, convolve_counts, random_subset, subgroup_span
 from specdbl.coherence import build_matrix
 from specdbl.diagnostics import example_counterexample
@@ -199,6 +200,55 @@ def test_dft_on_a_2_group_is_exact(k):
         t, ref = dft(a), dft_naive(a)
         assert t.coeffs.dtype == ref.coeffs.dtype == np.float64
         assert np.array_equal(t.coeffs, ref.coeffs)
+
+
+def _parity(x):
+    """popcount(x) mod 2 of a nonnegative int64 array below 2^32."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+def test_dft_on_z2_20_gives_the_exact_tables():
+    # |G| = 2^20 <= 2^24, so the float32 Walsh-Hadamard pass runs, and its
+    # largest partial sums (2^20 at 0 for the full set) are exact
+    g = FiniteAbelianGroup([2] * 20)
+    full = dft(ElementSet(g, np.ones(g.size, dtype=bool))).coeffs
+    expected = np.zeros(g.size)
+    expected[0] = 2.0**20
+    assert np.array_equal(full, expected)
+    rng = np.random.default_rng(20)
+    gens = rng.integers(0, 2, size=(10, 20))
+    h = subgroup_span(g, gens.tolist())
+    # the table of a subgroup H is |H| on the characters that vanish on H
+    gammas = np.arange(g.size, dtype=np.int64)
+    perp = np.ones(g.size, dtype=bool)
+    for flat in g.encode_coords(gens):
+        perp &= _parity(gammas & flat) == 0
+    assert np.array_equal(dft(h).coeffs, np.where(perp, float(h.size), 0.0))
+
+
+@pytest.mark.parametrize("orders", [[2] * 12, [2, 1, 2, 2, 1], [32, 32, 2], [4, 2, 2, 3]], ids=str)
+def test_the_float64_walsh_hadamard_fallback_gives_the_same_bytes(monkeypatch, orders):
+    # past _F32_EXACT the pass runs in float64; on integers both are exact
+    g = FiniteAbelianGroup(orders)
+    a = random_subset(g, g.size // 2, seed=5)
+    b = random_subset(g, g.size // 2 + 1, seed=6)  # |A||B| > |G|: the transform route
+    dtypes = []
+    wht = groups._walsh_hadamard
+
+    def spy(group, x):
+        dtypes.append(x.dtype)
+        return wht(group, x)
+
+    monkeypatch.setattr(groups, "_walsh_hadamard", spy)
+    runs = []
+    for limit in (groups._F32_EXACT, g.size - 1):
+        monkeypatch.setattr(groups, "_F32_EXACT", limit)
+        runs.append((dft(a).coeffs.tobytes(), convolve_counts(a, b).tobytes()))
+    # dft, two forward transforms, then the inverse, which is always float64
+    assert dtypes == [np.float32] * 3 + [np.float64] * 5
+    assert runs[0] == runs[1]
 
 
 def _record_fft_lengths(monkeypatch):

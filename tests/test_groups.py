@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import char_value, decode, encode
+from oracles import char_value, decode, encode, pair_counts
+from specdbl import groups
 from specdbl.groups import (
     ElementSet,
     FiniteAbelianGroup,
@@ -241,18 +242,8 @@ def test_char_matrix_phases_match_the_int64_product(orders):
         assert m.dtype == np.complex128
 
 
-def _naive_counts(group, s, t):
-    counts = np.zeros(group.size, dtype=np.int64)
-    for a in s.indices():
-        ca = decode(group, a)
-        for b in t.indices():
-            cb = decode(group, b)
-            counts[encode(group, tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders)))] += 1
-    return counts
-
-
 def _naive_sumset(group, s, t):
-    return set(np.flatnonzero(_naive_counts(group, s, t)).tolist())
+    return set(np.flatnonzero(pair_counts(group, s, t)).tolist())
 
 
 def test_sumset_against_naive_oracle():
@@ -267,8 +258,8 @@ def test_sumset_against_naive_oracle():
             seed += 2
             counts = convolve_counts(s, t)
             assert counts.dtype == np.int64
-            assert np.array_equal(counts, _naive_counts(g, s, t))
-            assert np.array_equal(convolve_counts(s, s), _naive_counts(g, s, s))
+            assert np.array_equal(counts, pair_counts(g, s, t))
+            assert np.array_equal(convolve_counts(s, s), pair_counts(g, s, s))
             got = sumset(s, t)
             assert set(got.indices()) == _naive_sumset(g, s, t)
             assert got == sumset(t, s)
@@ -359,4 +350,61 @@ def test_convolution_on_z2_7_matches_the_pairwise_count():
     t = random_subset(g, 25, seed=12)
     pairs = np.bitwise_xor.outer(s.indices(), t.indices()).ravel()
     assert np.array_equal(convolve_counts(s, t), np.bincount(pairs, minlength=g.size))
-    assert np.array_equal(convolve_counts(s, t), _naive_counts(g, s, t))
+    assert np.array_equal(convolve_counts(s, t), pair_counts(g, s, t))
+
+
+@pytest.mark.parametrize("orders, s_size, t_size, route", [
+    ((1,), 1, 1, "xor"),
+    ((2, 1, 2, 2, 1), 1, 7, "xor"),  # |S||T| one below |G| = 8
+    ((2, 1, 2, 2, 1), 2, 4, "xor"),  # equal to |G|
+    ((2, 1, 2, 2, 1), 3, 3, "transform"),  # one above
+    ((2, 1, 2, 2, 1), 0, 5, "xor"),
+    ((2,) * 10, 31, 33, "xor"),
+    ((2,) * 10, 32, 32, "xor"),
+    ((2,) * 10, 25, 41, "transform"),
+    ((2,) * 10, 0, 40, "xor"),
+    ((2,) * 10, 300, 200, "transform"),
+    ((2, 3, 4), 2, 3, "transform"),  # one order-2 factor beside larger ones: no XOR
+    ((4, 2, 2), 2, 8, "transform"),
+], ids=str)
+def test_both_convolution_routes_match_the_pair_oracle(monkeypatch, orders, s_size, t_size, route):
+    # a pure 2-group with |S||T| <= |G| counts XORs of flat indices; every
+    # other case transforms, which the spy counts
+    g = FiniteAbelianGroup(orders)
+    s = random_subset(g, s_size, seed=s_size)
+    t = random_subset(g, t_size, seed=100 + t_size)
+    assert s != t or s.size == t.size == g.size
+    transforms = []
+    transform = groups._transform
+
+    def spy(*args, **kwargs):
+        transforms.append(args[0])
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_transform", spy)
+    counts = convolve_counts(s, t)
+    swapped = convolve_counts(t, s)
+    got = sumset(s, t)
+    assert bool(transforms) == (route == "transform")
+    monkeypatch.undo()
+    expected = pair_counts(g, s, t)
+    assert counts.dtype == np.int64 and counts.shape == (g.size,)
+    assert np.array_equal(counts, expected) and np.array_equal(swapped, expected)
+    assert set(got.indices().tolist()) == _naive_sumset(g, s, t)
+    assert counts.sum() == s.size * t.size
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (1, 1), (2, 1, 2, 2, 1), (1, 2, 2, 2), (2,) * 7],
+                         ids=str)
+def test_char_matrix_on_pure_2_groups_is_exact_signs(orders):
+    # written from the sign bit of the phase: bit for bit +1.0 or -1.0, never
+    # -0.0 or a rounded value, and equal to the character oracle
+    g = FiniteAbelianGroup(orders)
+    idx = np.arange(g.size)
+    m = char_matrix(g, idx, idx[::-1])
+    assert m.dtype == np.float64 and m.shape == (g.size, g.size)
+    signs = {int(np.float64(v).view(np.uint64)) for v in (1.0, -1.0)}
+    assert set(np.unique(m.view(np.uint64)).tolist()) <= signs
+    for i, a in enumerate(idx):
+        for j, c in enumerate(idx[::-1]):
+            assert m[i, j] == char_value(g, decode(g, c), decode(g, a)).real
