@@ -14,7 +14,8 @@ On a pure 2-group every value these layers compute is a small integer, so
 each uses the narrowest arithmetic that holds it exactly: the forward
 Walsh-Hadamard pass of a 0/1 mask runs in float32 (``_F32_EXACT``), a sumset
 of few pairs is counted by XOR on the flat indices (``convolve_counts``),
-and ``char_matrix`` writes each +-1 entry from the sign bit of its phase.
+and ``char_matrix`` writes each +-1 entry, column signs included, from the
+sign bit of its phase.
 
 The same ``shape`` gives the rest of the layout.  The one codec between flat
 indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
@@ -57,6 +58,10 @@ _WHT_CHUNK = 6
 # every integer of magnitude up to 2^24 (24 significand bits) exactly, so
 # each sum, product by +-1 and fused multiply-add is exact in any order.
 _F32_EXACT = 1 << 24
+
+# Bound below which every integer is exact in float64 (53 significand bits):
+# ``char_matrix`` takes its phase product in float64 while rank L^2 is below.
+_F64_EXACT = 1 << 53
 
 # Bit pattern of the float64 1.0: sign 0, biased exponent 1023, mantissa 0.
 _ONE_BITS = np.float64(1.0).view(np.uint64)
@@ -193,7 +198,10 @@ class FiniteAbelianGroup:
 
 
 def char_matrix(
-    group: FiniteAbelianGroup, elements: np.ndarray, gammas: np.ndarray
+    group: FiniteAbelianGroup,
+    elements: np.ndarray,
+    gammas: np.ndarray,
+    offsets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix of character values gamma(a): rows are elements, columns gammas.
 
@@ -202,38 +210,52 @@ def char_matrix(
     of unity exp(2 pi i phase / L): on a pure 2-group (L <= 2) the real
     (-1)^phase, so the matrix is float64 and exact; elsewhere the tabled root
     (``root_table``) in a complex128 matrix, exact within one rounding.
+    ``offsets``, one integer per column, is added to the phases of its column
+    before they are reduced mod L, so column j is multiplied by the root of
+    phase offsets[j] (on a pure 2-group, offset 1 flips the column's sign).
 
     The phases come from one float64 BLAS product of the weighted
     coordinates.  That is exact: each term a_j (L/n_j) g_j is an integer
     below L^2, so every partial sum is an integer below rank L^2, and
     integers below 2^53 add and multiply exactly in float64 in any order.
-    A group with rank L^2 >= 2^53 (none under ``DEFAULT_MAX_GROUP`` comes
-    near) keeps the int64 product.  With L > 2 the product is cast back to
-    int64, reduced mod L (by ``& (L - 1)`` when L is a power of two, a
-    quarter of the cost) and looked up in the table.
+    A group with rank L^2 >= 2^53 (``_F64_EXACT``; none under
+    ``DEFAULT_MAX_GROUP`` comes near) keeps the int64 product.  With L > 2
+    the product is cast back to int64, the offsets added, the sum reduced
+    mod L (by ``& (L - 1)`` when L is a power of two, a quarter of the cost)
+    and looked up in the table.
 
-    With L <= 2 the entry is written in place from the product p, an integer
-    with 0 <= p <= rank.  Adding 2^52 is exact, and p + 2^52 lies in
-    [2^52, 2^53), where the float64 spacing is 1: its 52 mantissa bits are p
-    itself, so the lowest is p mod 2.  Shifting the 64-bit pattern left by
-    63 moves that bit to the sign and clears the rest; OR-ing in the bits of
-    1.0 then gives exactly +1.0 (p even) or -1.0 (p odd), never -0.0.  The
-    pattern is viewed as uint64, where the shift into the top bit is defined.
+    With L <= 2 the product carries one more coordinate: 1 on the element
+    side and 2^52 + f_j on the character side, f_j = offsets[j] mod L.  Each
+    entry is then p = phase + f_j + 2^52, with 0 <= phase <= rank, and
+    every partial sum, in any order, is an integer below 2^52 + rank + 1,
+    which is below 2^53 because the guard above keeps 4 rank < 2^53; so p is
+    exact.  It lies in [2^52, 2^53), where the float64 spacing is 1: its 52
+    mantissa bits are phase + f_j itself, so the lowest is its parity.
+    Shifting the 64-bit pattern left by 63 moves that bit to the sign and
+    clears the rest; OR-ing in the bits of 1.0 then gives exactly
+    (-1)^(phase + f_j), +1.0 or -1.0 and never -0.0, in place.  The pattern
+    is viewed as uint64, where the shift into the top bit is defined.
     """
     a = group.decode_indices(np.asarray(elements, dtype=np.int64)) * group.char_weights()
     g = group.decode_indices(np.asarray(gammas, dtype=np.int64))
     L = group._root_lcm
-    if group.rank * L * L >= 2**53:
+    if offsets is not None:
+        offsets = np.asarray(offsets, dtype=np.int64)
+    if group.rank * L * L >= _F64_EXACT:
         phases = a @ g.T
+    elif L <= 2:
+        lift = np.full(len(g), 2.0**52)
+        if offsets is not None:
+            lift += offsets & (L - 1)
+        p = np.column_stack((a, np.ones(len(a)))) @ np.column_stack((g, lift)).T
+        bits = p.view(np.uint64)
+        bits <<= np.uint64(63)
+        bits |= _ONE_BITS
+        return p
     else:
-        p = a.astype(np.float64) @ g.T.astype(np.float64)
-        if L <= 2:
-            p += 2.0**52
-            bits = p.view(np.uint64)
-            bits <<= np.uint64(63)
-            bits |= _ONE_BITS
-            return p
-        phases = p.astype(np.int64)
+        phases = (a.astype(np.float64) @ g.T.astype(np.float64)).astype(np.int64)
+    if offsets is not None:
+        phases += offsets
     if L & (L - 1) == 0:
         np.bitwise_and(phases, L - 1, out=phases)
     else:

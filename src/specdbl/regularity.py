@@ -225,9 +225,11 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
       (n - sum_j |s_j|) / n, the row side the same with the row sums.  The
       sums are integers below 2^53, exact in float64 in any order, so the
       one rounding is the division, taken upwards.  The all-ones matrix
-      gets exactly 0.
+      gets exactly 0.  The column sums are the matrix's ``col_sums``.
     - Complex matrix.  The centre is the computed column (row) mean, so
-      its rounding does not matter.  Each term of the sum is one
+      its rounding does not matter; the column mean is ``col_sums / rows``,
+      which is bit for bit ``e.mean(axis=0)``, numpy's axis mean being that
+      sum divided by the count.  Each term of the sum is one
       subtraction (each part off by u = 2^-53 relative) and one modulus
       (hypot, within one ulp); the n nonnegative terms sum, in any order,
       to at least 1 - gamma_{n-1} times the exact sum (Higham, Accuracy and
@@ -254,7 +256,7 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
     rows, cols = e.shape
     n = rows * cols
     if e.dtype == np.float64:
-        deviation = n - min(int(np.abs(e.sum(axis=axis)).sum()) for axis in (0, 1))
+        deviation = n - min(int(np.abs(s).sum()) for s in (m.col_sums, e.sum(axis=1)))
         upper = deviation / n
         num, den = upper.as_integer_ratio()
         if num * n < deviation * den:  # rounded down: take the next float up
@@ -263,8 +265,8 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
         c = np.empty_like(e)  # both centrings in turn, in one buffer
         mods = np.empty(e.shape)
         deviation = max(
-            float(np.abs(np.subtract(e, e.mean(axis=axis, keepdims=True), out=c), out=mods).sum())
-            for axis in (0, 1)
+            float(np.abs(np.subtract(e, centre, out=c), out=mods).sum())
+            for centre in (m.col_sums / rows, e.mean(axis=1, keepdims=True))
         )
         upper = deviation / n * (1.0 + 2.0 * (n + 5) * _UNIT)
     return upper, upper < lam
@@ -548,7 +550,9 @@ def extract_minor(
     the mean-subtracted matrix is located (_best_piece_pair), and of its four
     quadrants (piece or complement on each side) the one with the largest
     recomputed coherence mean wins.  Ties prefer the larger min-side, then
-    the fixed quadrant order.
+    the fixed quadrant order.  The matrix's mean rho comes from its
+    ``col_sums``: on a +-1 matrix the same exact integer ratio as
+    ``entries.mean()``, on a complex one within rounding of it.
     """
     if mode not in ("faithful", "opportunistic"):
         raise ValueError(f"mode must be 'faithful' or 'opportunistic', got {mode!r}")
@@ -560,7 +564,7 @@ def extract_minor(
     nr, nc = entries.shape
     if len(witness.f) != nr or len(witness.g) != nc:
         raise ValueError("witness shape does not match the matrix")
-    rho_c = complex(entries.mean())
+    rho_c = complex(m.col_sums.sum() / entries.size)
     rho = abs(rho_c)
 
     eta = min(1.0, (lam if mode == "faithful" else witness.value) / 8.0)

@@ -1,5 +1,6 @@
 """Reference paths the tests check the package against, kept out of the library."""
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -103,3 +104,28 @@ def frobenius_bound(entries: np.ndarray) -> float:
     entries = np.asarray(entries)
     return max(float(np.linalg.norm(entries - entries.mean(axis=axis, keepdims=True)))
                for axis in (0, 1)) / np.sqrt(entries.size)
+
+
+def modulus_range(entries: np.ndarray) -> tuple:
+    """max|entries| and min|entries| from one full-size ``np.abs``: the oracle
+    for ``CoherenceMatrix``'s blocked modulus check."""
+    mags = np.abs(np.asarray(entries))
+    return float(mags.max()), float(mags.min())
+
+
+def spectral_certificate_one_shot(entries: np.ndarray) -> float:
+    """The bound of ``regularity.spectral_certificate``, each side's sums and
+    means taken from the entries afresh: the reference for the certificate
+    that reads the matrix's kept column sums."""
+    e = np.asarray(entries)
+    rows, cols = e.shape
+    n = rows * cols
+    if e.dtype == np.float64:
+        deviation = n - min(int(np.abs(e.sum(axis=axis)).sum()) for axis in (0, 1))
+        upper = deviation / n
+        num, den = upper.as_integer_ratio()
+        if num * n < deviation * den:
+            upper = math.nextafter(upper, math.inf)
+        return upper
+    deviation = max(float(np.abs(e - e.mean(axis=axis, keepdims=True)).sum()) for axis in (0, 1))
+    return deviation / n * (1.0 + 2.0 * (n + 5) * (np.finfo(np.float64).eps / 2.0))

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import char_value, decode
+from oracles import char_value, decode, modulus_range
+from specdbl import coherence
 from specdbl.coherence import CoherenceMatrix, build_matrix
-from specdbl.fourier import dft, spectrum
-from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span
+from specdbl.fourier import FourierTable, dft, spectrum
+from specdbl.groups import (
+    ElementSet,
+    FiniteAbelianGroup,
+    char_matrix,
+    random_subset,
+    subgroup_span,
+)
 from specdbl.regularity import IrregularityWitness, extract_minor
 
 
@@ -61,6 +68,52 @@ def test_matrix_matches_naive_construction():
     m = build_matrix(a, spec, t)
     assert m.entries.dtype == np.complex128  # a factor of order above 2
     assert np.max(np.abs(m.entries - _naive_matrix(a, spec, t))) < 1e-9
+
+
+@pytest.mark.parametrize("orders", [(2, 3, 4), (4, 4), (3, 5, 7), (2, 2, 9)], ids=str)
+def test_matrix_off_pure_2_groups_applies_the_normaliser(orders):
+    # L > 2: the character matrix times conj(c)/|c| in one product, bit for
+    # bit, and the naive construction within rounding
+    g = FiniteAbelianGroup(orders)
+    a = random_subset(g, g.size // 3, seed=len(orders))
+    t = dft(a)
+    spec = spectrum(t, 0.15)
+    m = build_matrix(a, spec, t)
+    c = t.coeffs[spec.indices()]
+    expected = char_matrix(g, a.indices(), spec.indices()) * (np.conj(c) / np.abs(c))
+    assert m.entries.dtype == np.complex128
+    assert m.entries.tobytes() == expected.tobytes()
+    assert np.max(np.abs(m.entries - _naive_matrix(a, spec, t))) < 1e-9
+
+
+def test_pure_2_group_matrix_from_a_complex_table():
+    # the column signs are sign(Re c), so a complex table of a pure 2-group
+    # gives the same float64 matrix as its real one
+    g = FiniteAbelianGroup([2] * 8)
+    a = random_subset(g, 60, seed=8)
+    t = dft(a)
+    spec = spectrum(t, 0.1)
+    m = build_matrix(a, spec, t)
+    c = t.coeffs[spec.indices()]
+    assert (c < 0).any() and (c > 0).any()  # flipped columns and kept ones
+    other = build_matrix(a, spec, FourierTable(g, t.coeffs.astype(complex), a.size))
+    assert other.entries.dtype == np.float64
+    assert other.entries.tobytes() == m.entries.tobytes()
+
+
+def test_signless_set_average_rejected():
+    # on a pure 2-group a NaN coefficient, or a complex one whose real part
+    # is 0, has no sign to fold into the matrix
+    g = FiniteAbelianGroup([2] * 4)
+    a = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    t = dft(a)
+    perp = spectrum(t, 1.0).indices()
+    for table, gamma in [
+        (np.where(np.arange(g.size) == perp[-1], np.nan, t.coeffs), perp),
+        (np.where(np.arange(g.size) == 1, 1e-10j, t.coeffs), [*perp, 1]),
+    ]:
+        with pytest.raises(ValueError, match="vanishing"):
+            build_matrix(a, ElementSet.from_indices(g, gamma), FourierTable(g, table, a.size))
 
 
 @pytest.mark.parametrize("k, share", [(6, 5), (10, 5), (10, 3)], ids=["6", "10", "10-third"])
@@ -183,3 +236,47 @@ def test_build_matrix_input_validation():
         build_matrix(a, ElementSet.from_indices(g2, [0]), t)
     with pytest.raises(ValueError):
         build_matrix(a, ElementSet.from_indices(g, []), t)
+
+
+def _unit_entries(dtype, rng, shape=(70, 1500)):
+    """+-1 signs or unit phases; the complex moduli are off 1 by up to 5e-10
+    either way, within the check's tolerance, so max_modulus is not just 1."""
+    if dtype == np.float64:
+        return rng.choice([-1.0, 1.0], size=shape)
+    return np.exp(2j * np.pi * rng.random(shape)) * (1.0 + 5e-10 * rng.uniform(-1, 1, shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_blocked_modulus_check_matches_one_shot(dtype):
+    rng = np.random.default_rng(17)
+    entries = _unit_entries(dtype, rng)
+    rows_per_block = coherence._BLOCK_CELLS // entries.shape[1]
+    assert entries.shape[0] > 3 * rows_per_block  # the check reads several row blocks
+    hi, lo = modulus_range(entries)
+    assert CoherenceMatrix(entries.copy()).max_modulus == hi
+    if dtype == np.complex128:
+        assert hi > 1.0 > lo
+    # a bad entry only in the last block fails the blocked check as it fails the one-shot one
+    tol = 0.0 if dtype == np.float64 else 1e-9
+    bad_values = [np.nan, 1.0 - 2.0**-53] if dtype == np.float64 else [
+        complex(np.nan, 0.0), (1.0 + 2e-9) * np.exp(0.3j)]
+    for value in bad_values:
+        bad = entries.copy()
+        bad[-1, -1] = value
+        hi, lo = modulus_range(bad)
+        assert not max(hi - 1.0, 1.0 - lo) <= tol
+        with pytest.raises(AssertionError, match="unit modulus"):
+            CoherenceMatrix(bad)
+
+
+def test_column_sums_are_kept_and_give_the_column_means_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 300, size=2))
+        entries = _unit_entries(np.complex128, rng, (rows, cols))
+        m = CoherenceMatrix(entries)
+        assert not m.col_sums.flags.writeable
+        assert m.col_sums.tobytes() == entries.sum(axis=0).tobytes()
+        assert (m.col_sums / rows).tobytes() == entries.mean(axis=0).tobytes()
+        signs = CoherenceMatrix(_unit_entries(np.float64, rng, (rows, cols)))
+        assert signs.col_sums.sum() / signs.entries.size == signs.entries.mean()

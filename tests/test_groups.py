@@ -396,6 +396,51 @@ def test_both_convolution_routes_match_the_pair_oracle(monkeypatch, orders, s_si
 
 @pytest.mark.parametrize("orders", [(1,), (2,), (1, 1), (2, 1, 2, 2, 1), (1, 2, 2, 2), (2,) * 7],
                          ids=str)
+def test_char_matrix_folds_column_flips(orders, monkeypatch):
+    # offset 1 flips a column of a pure 2-group, folded into the phase product:
+    # the character value times (-1)^offset (times 1 when L = 1, where every
+    # phase is 0 mod 1), bit for bit +1.0 or -1.0, and the int64 product the
+    # guard falls back to gives the same matrix
+    g = FiniteAbelianGroup(orders)
+    L = g._root_lcm
+    idx = np.arange(g.size)
+    rng = np.random.default_rng(len(orders))
+    signs = {int(np.float64(v).view(np.uint64)) for v in (1.0, -1.0)}
+    for flips in (np.zeros(g.size, dtype=bool), np.ones(g.size, dtype=bool),
+                  rng.random(g.size) < 0.5):
+        m = char_matrix(g, idx, idx[::-1], flips)
+        assert m.dtype == np.float64 and m.shape == (g.size, g.size)
+        assert set(np.unique(m.view(np.uint64)).tolist()) <= signs
+        for i, a in enumerate(idx):
+            for j, c in enumerate(idx[::-1]):
+                sign = g.root_table()[int(flips[j]) % L]
+                assert m[i, j] == char_value(g, decode(g, c), decode(g, a)).real * sign
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "_F64_EXACT", 1)
+            fallback = char_matrix(g, idx, idx[::-1], flips)
+        assert fallback.dtype == np.float64 and fallback.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("orders", [(4, 4), (3, 5, 7), (2, 4, 8)], ids=str)
+def test_char_matrix_offsets_off_pure_2_groups(orders, monkeypatch):
+    # L > 2: an offset is added to the phase before its reduction mod L, in
+    # the float64 product's path and in the int64 fallback alike
+    g = FiniteAbelianGroup(orders)
+    L = g._root_lcm
+    rng = np.random.default_rng(list(orders))
+    rows = rng.choice(g.size, size=min(g.size, 60), replace=False)
+    cols = rng.choice(g.size, size=min(g.size, 40), replace=False)
+    offsets = rng.integers(-L, 2 * L, size=cols.size)
+    w = L // np.array(orders)
+    phases = ((g.decode_indices(rows) * w) @ g.decode_indices(cols).T + offsets) % L
+    m = char_matrix(g, rows, cols, offsets)
+    assert m.tobytes() == g.root_table()[phases].tobytes()
+    monkeypatch.setattr(groups, "_F64_EXACT", 1)
+    assert char_matrix(g, rows, cols, offsets).tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (1, 1), (2, 1, 2, 2, 1), (1, 2, 2, 2), (2,) * 7],
+                         ids=str)
 def test_char_matrix_on_pure_2_groups_is_exact_signs(orders):
     # written from the sign bit of the phase: bit for bit +1.0 or -1.0, never
     # -0.0 or a rounded value, and equal to the character oracle

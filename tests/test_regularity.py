@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frobenius_bound, step_values
+from oracles import frobenius_bound, spectral_certificate_one_shot, step_values
 from specdbl.coherence import CoherenceMatrix, build_matrix
 from specdbl.diagnostics import example_counterexample
 from specdbl.fourier import dft, spectrum
@@ -202,6 +202,22 @@ def test_certificate_block_sign_upper_is_one():
         CoherenceMatrix(wide)
     widest = CoherenceMatrix(wide.astype(complex))
     assert 1.0 < spectral_certificate(widest, 0.5)[0] <= regularity._BOUND_CEILING
+
+
+def test_certificate_matches_the_one_shot_bound():
+    # the column side read from the kept column sums (their modulus on +-1,
+    # col_sums / rows as the centre on complex) gives the same float as the
+    # sums and means taken from the entries
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        shape = tuple(int(x) for x in rng.integers(1, 120, size=2))
+        signs = np.outer(rng.choice([-1.0, 1.0], shape[0]), rng.choice([-1.0, 1.0], shape[1]))
+        signs[rng.random(shape) < rng.uniform(0.0, 0.5)] *= -1.0
+        phases = np.exp(2j * np.pi * (np.add.outer(rng.random(shape[0]), rng.random(shape[1]))
+                                      + rng.uniform(0.0, 0.5) * rng.random(shape)))
+        for entries in (signs, phases):
+            upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
+            assert upper == spectral_certificate_one_shot(entries)
 
 
 def _svd_pair_value(entries):
