@@ -130,7 +130,6 @@ def _cmd_refine(args) -> int:
         epsilon=args.epsilon,
         delta=args.delta,
         k_bound=args.k_bound,
-        mode=args.mode,
         max_iterations=args.max_iterations,
         seed=args.seed,
     )
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     ref.add_argument("--epsilon", type=float, required=True)
     ref.add_argument("--delta", type=float, required=True)
     ref.add_argument("--theorem", type=int, choices=[1, 2], default=1)
-    ref.add_argument("--mode", choices=["opportunistic", "faithful"], default="opportunistic")
     ref.add_argument("--k-bound", type=float, default=None)
     ref.add_argument("--max-iterations", type=int, default=500)
     ref.add_argument("--seed", type=int, default=0)

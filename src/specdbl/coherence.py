@@ -116,8 +116,8 @@ def build_matrix(a: ElementSet, gamma: ElementSet, table: FourierTable) -> Coher
         chars *= np.conj(coeffs) / mags
         m = CoherenceMatrix(chars)
     sums = m.col_sums
-    if float(np.max(np.abs(sums.imag))) > _TOL * a.size:
+    if not float(np.max(np.abs(sums.imag))) <= _TOL * a.size:  # NaN too
         raise AssertionError("column sums must be real")
-    if float(sums.real.min()) < -_TOL * a.size:
+    if not float(sums.real.min()) >= -_TOL * a.size:
         raise AssertionError("column sums must be nonnegative")
     return m

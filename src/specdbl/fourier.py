@@ -57,19 +57,19 @@ class FourierTable:
         if coeffs.shape != (group.size,):
             raise ValueError(f"expected {group.size} coefficients, got {coeffs.shape}")
         scale = max(1.0, float(set_size))
-        if abs(coeffs[0] - set_size) > REL_TOL * scale:
+        if not abs(coeffs[0] - set_size) <= REL_TOL * scale:  # NaN too
             raise AssertionError(
                 f"coefficient at 0 is {coeffs[0]}, expected the set size {set_size}"
             )
         energy = float(np.vdot(coeffs, coeffs).real)
         expected = float(set_size) * group.size
-        if abs(energy - expected) > REL_TOL * max(1.0, expected):
+        if not abs(energy - expected) <= REL_TOL * max(1.0, expected):
             raise AssertionError(
                 f"Parseval mismatch: coefficient energy {energy}, expected {expected}"
             )
         if np.iscomplexobj(coeffs) or group._fft_axes:
             sym_err = float(np.max(np.abs(group.negate(coeffs) - np.conj(coeffs))))
-            if sym_err > REL_TOL * scale:
+            if not sym_err <= REL_TOL * scale:
                 raise AssertionError(f"conjugate symmetry violated by {sym_err}")
         coeffs.setflags(write=False)
         self.group = group

@@ -453,7 +453,7 @@ def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     raw = _inverse_transform(group, fs * ft)
     counts = np.rint(raw)
     residue = float(np.max(np.abs(raw - counts)))
-    if residue > 0.25:
+    if not residue <= 0.25:  # NaN too
         raise AssertionError(f"convolution rounding residue {residue} exceeds 0.25")
     return counts.astype(np.int64)
 

@@ -59,7 +59,6 @@ class RefineConfig:
     epsilon: float
     delta: float
     k_bound: Optional[float] = None  # default |G|^delta (linear) or |G|^(delta/2) (squaring)
-    mode: str = "opportunistic"
     max_iterations: int = 500
     seed: int = 0
 
@@ -72,8 +71,6 @@ class RefineConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.k_bound is not None and not 1.0 <= self.k_bound < math.inf:
             raise ValueError(f"the gate constant K must be finite and at least 1, got {self.k_bound}")
-        if self.mode not in ("faithful", "opportunistic"):
-            raise ValueError(f"mode must be 'faithful' or 'opportunistic', got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.seed < 0:
@@ -135,27 +132,22 @@ def _replay(theorem: int, cfg: RefineConfig, k_value: float, rho: float, size: i
     observes ``observed``, one dict of ``OBSERVED`` fields per step.
 
     A step aborts below the rho floor.  It takes a minor on an irregular
-    verdict whose minor makes progress (any minor in faithful mode, else one
-    whose mean beats rho), which raises rho and leaves the minor's rows.
-    Else it finishes when the gate |Spec_gate| <= K |Spec_rho| holds and
-    grows, dropping rho to the gate level, when it fails.  The rule is total
-    on observations of the right types, so that the audit can name what is
-    wrong with them: an irregular verdict without its minor's rows takes no
-    minor.
+    verdict whose minor's mean beats rho, which raises rho to that mean
+    (capped at 1) and leaves the minor's rows.  Else it finishes when the
+    gate |Spec_gate| <= K |Spec_rho| holds and grows, dropping rho to the
+    gate level, when it fails.  The rule is total on observations of the
+    right types, so that the audit can name what is wrong with them: an
+    irregular verdict without its minor's rows takes no minor.
     """
     for obs in observed:
         new_mean, rows = obs["new_mean"], obs["minor_rows"]
         rho_next, size_next = rho, size
         if rho < _RHO_FLOOR:
             action = "abort"
-        elif obs["verdict_status"] == "irregular" and rows is not None and (
-                cfg.mode == "faithful" or (new_mean is not None and new_mean > rho)):
+        elif (obs["verdict_status"] == "irregular" and rows is not None
+              and new_mean is not None and new_mean > rho):
             action = "minor"
-            # the proof's increment (c/2) lambda^15 is at most 5.2e-58 rho for
-            # lambda <= rho/150, below half an ulp of every rho in (0, 1], so
-            # it rounds away; faithful extraction asserted that the minor beats
-            # the matrix mean (>= rho), so its mean is at least the next float
-            rho_next = min(1.0, math.nextafter(rho, 2.0) if cfg.mode == "faithful" else new_mean)
+            rho_next = min(1.0, new_mean)
             size_next = rows
         # compared exactly, so that no count a trace stores can overflow it
         elif obs["gate_size"] <= Fraction(k_value) * obs["spec_size"]:
@@ -236,7 +228,7 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
             observed.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
                             witness_value=None if verdict.witness is None else verdict.witness.value)
             if verdict.status == "irregular":
-                extraction = extract_minor(matrix, verdict.witness, lam, mode=cfg.mode)
+                extraction = extract_minor(matrix, verdict.witness, lam)
                 observed.update(new_mean=extraction.new_mean,
                                 minor_rows=int(extraction.row_positions.size),
                                 minor_cols=int(extraction.col_positions.size))

@@ -159,8 +159,8 @@ class IrregularityWitness:
             raise ValueError(
                 f"constrained side of a witness must sum to zero, got |sum| = {drift}"
             )
-        if self.value < 0:
-            raise ValueError("witness value cannot be negative")
+        if not self.value >= 0:  # NaN too
+            raise ValueError(f"witness value must be non-negative, got {self.value}")
 
 
 def _verdict_fault(status: str, lam: float, upper_bound: float,
@@ -203,7 +203,7 @@ class RegularityVerdict:
                                None if self.witness is None else self.witness.value)
         if fault is not None:
             raise AssertionError(fault)
-        if self.lower_bound > self.upper_bound + 1e-9:
+        if not self.lower_bound <= self.upper_bound + 1e-9:  # NaN too
             raise AssertionError(
                 f"sandwich violated: lower {self.lower_bound} > upper {self.upper_bound}"
             )
@@ -486,7 +486,7 @@ def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> Regulari
     is within the tie rule of the best any restart could reach, and at or
     above lambda: a restart that stops is a witness, and the stop changes no
     verdict."""
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise ValueError(f"lambda must be positive, got {lam}")
     upper, certified = spectral_certificate(m, lam)
     if certified:
@@ -536,26 +536,18 @@ def _complement(positions: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def extract_minor(
-    m: CoherenceMatrix,
-    witness: IrregularityWitness,
-    lam: float,
-    mode: str = "opportunistic",
-) -> MinorExtraction:
+def extract_minor(m: CoherenceMatrix, witness: IrregularityWitness, lam: float) -> MinorExtraction:
     """Cut a quadrant with a larger coherence mean out of an irregular matrix.
 
     The witness pair is cut into the level pieces of a step function
-    (_step_pieces, with eta = lambda/8 faithful, measured value / 8
-    opportunistic); the piece pair carrying the largest raw sum of
-    the mean-subtracted matrix is located (_best_piece_pair), and of its four
-    quadrants (piece or complement on each side) the one with the largest
-    recomputed coherence mean wins.  Ties prefer the larger min-side, then
-    the fixed quadrant order.  The matrix's mean rho comes from its
-    ``col_sums``: on a +-1 matrix the same exact integer ratio as
-    ``entries.mean()``, on a complex one within rounding of it.
+    (_step_pieces, with eta = witness value / 8); the piece pair carrying the
+    largest raw sum of the mean-subtracted matrix is located
+    (_best_piece_pair), and of its four quadrants (piece or complement on
+    each side) the one with the largest recomputed coherence mean wins.  Ties
+    prefer the larger min-side, then the fixed quadrant order.  The matrix's
+    mean comes from its ``col_sums``: on a +-1 matrix the same exact integer
+    ratio as ``entries.mean()``, on a complex one within rounding of it.
     """
-    if mode not in ("faithful", "opportunistic"):
-        raise ValueError(f"mode must be 'faithful' or 'opportunistic', got {mode!r}")
     if witness.value < lam * (1 - _WITNESS_SLACK):
         raise ValueError(
             f"witness value {witness.value} is below the regularity level {lam}"
@@ -565,9 +557,8 @@ def extract_minor(
     if len(witness.f) != nr or len(witness.g) != nc:
         raise ValueError("witness shape does not match the matrix")
     rho_c = complex(m.col_sums.sum() / entries.size)
-    rho = abs(rho_c)
 
-    eta = min(1.0, (lam if mode == "faithful" else witness.value) / 8.0)
+    eta = min(1.0, witness.value / 8.0)
     rows, row_starts, _, _ = _step_pieces(witness.f, eta)
     cols, col_starts, _, _ = _step_pieces(witness.g, eta)
     if not row_starts.size or not col_starts.size:
@@ -589,12 +580,4 @@ def extract_minor(
     tied = [cand for cand in candidates if cand[0] >= best_mu - 1e-12]
     best_min_side = max(cand[1] for cand in tied)
     mu, _, rsel, csel = next(cand for cand in tied if cand[1] == best_min_side)
-
-    # the proof's side floor c*lambda^15*n is below 1 (1.1e-51 for lambda <=
-    # 1/150 and n <= 2^20), and every quadrant side holds an element; its
-    # mean increment (c/2)*lambda^15 <= 2.3e-25 is below half an ulp of any
-    # mean >= 1e-8, the refinement's rho floor, so there the proof's test
-    # is that the mean rises
-    if mode == "faithful" and mu <= rho:
-        raise AssertionError(f"faithful minor does not raise the mean {rho} (got {mu})")
     return MinorExtraction(rsel, csel, mu)

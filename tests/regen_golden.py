@@ -19,7 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from specdbl.fileio import read_trace_file, write_set_file
+from specdbl.fileio import FileFormatError, read_trace_file, write_set_file
 from specdbl.groups import ElementSet, FiniteAbelianGroup
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -37,7 +37,7 @@ def refine_argv(name, workdir):
     cfg = doc["config"]
     argv = ["refine", "--input", str(inp), "--epsilon", repr(cfg["epsilon"]),
             "--delta", repr(cfg["delta"]), "--theorem", str(doc["theorem"]),
-            "--mode", cfg["mode"], "--max-iterations", str(cfg["max_iterations"]),
+            "--max-iterations", str(cfg["max_iterations"]),
             "--seed", str(cfg["seed"]), "--out", str(out)]
     return argv, out
 
@@ -52,8 +52,13 @@ def _largest_rel_change(old_steps, new_steps, key):
 
 
 def moved(old_path, new_path):
-    """Lines that say what moved between two trace files."""
-    old, new = (read_trace_file(path)[0] for path in (old_path, new_path))
+    """Lines that say what moved between two trace files; one line when the
+    old trace is of a version the reader no longer reads."""
+    try:
+        old = read_trace_file(old_path)[0]
+    except FileFormatError as exc:
+        return [f"the old trace does not read ({exc}); compare the bytes"]
+    new = read_trace_file(new_path)[0]
     lines = []
     for label, get in (("actions", lambda r: ",".join(s.action for s in r.trace)),
                        ("|A*|", lambda r: r.a_star.size),

@@ -22,18 +22,20 @@ from regen_golden import GOLDEN, ONE_BLAS_THREAD, moved, refine_argv
 
 # Traces that the last version 2 writer wrote with one BLAS thread, read and
 # written again as version 3, then as version 4 by dropping the step fields
-# that version 4 derives (every one of which the replay reproduced):
+# that version 4 derives (every one of which the replay reproduced), then as
+# version 5 by dropping config's refinement mode (the v4 bytes without
+# "mode":"opportunistic", and "version":5):
 #   specdbl gen --kind example1 --n 3 --out ex3.json
 #   specdbl refine --input ex3.json --epsilon 0.4 --delta 0.3 --seed 1 \
-#       --out v4_example1_n3_t1.json
-#   ... --theorem 2 --max-iterations 1 --out v4_example1_n3_t2_budget1.json
+#       --out v5_example1_n3_t1.json
+#   ... --theorem 2 --max-iterations 1 --out v5_example1_n3_t2_budget1.json
 #   specdbl gen --kind random --group 3,5,11,13 --size 350 --seed 3 --out z.json
 #   specdbl refine --input z.json --epsilon 0.1 --delta 0.3 --seed 3 --theorem 2 \
-#       --out v4_shrink_z3_5_11_13_t2.json
+#       --out v5_shrink_z3_5_11_13_t2.json
 DATA = Path(__file__).resolve().parent / "data"
-V4_TRACES = sorted(DATA.glob("v4_*.json"))
-EX3 = DATA / "v4_example1_n3_t1.json"
-SHRINK = DATA / "v4_shrink_z3_5_11_13_t2.json"
+V5_TRACES = sorted(DATA.glob("v5_*.json"))
+EX3 = DATA / "v5_example1_n3_t1.json"
+SHRINK = DATA / "v5_shrink_z3_5_11_13_t2.json"
 
 
 def run_module(*argv, env=None):
@@ -329,7 +331,7 @@ def _past_float_range(*path):
 # every float field a trace stores, as a path into its document
 FLOAT_FIELDS = [("rho_star",), ("config", "epsilon"), ("config", "delta"), ("config", "k_bound"),
                 *(("steps", 0, name) for name in ("upper_bound", "witness_value", "new_mean"))]
-# the float fields a version 3 step stored and a version 4 step derives; a
+# the float fields a version 3 step stored and a version 5 step derives; a
 # step that carries one, past float range or not, is malformed
 DERIVED_FLOAT_FIELDS = [("steps", 0, "rho"), ("steps", 0, "rho_next")]
 
@@ -362,10 +364,10 @@ def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
 
 
 def test_report_rejects_a_version_1_or_2_trace(tmp_path):
-    # only version 4 reads, so version 3 exits 2 too; the header names the
-    # version before any other field is read
+    # only version 5 reads, so versions 3 and 4 exit 2 too; the header names
+    # the version before any other field is read
     doc = json.loads(EX3.read_text())
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         doc["version"] = version
         trace = tmp_path / f"v{version}.json"
         trace.write_text(json.dumps(doc))
@@ -393,7 +395,7 @@ def test_every_top_level_trace_key_is_required_and_typed(tmp_path, key):
 
 
 # A version 2 trace also stored K, the bounds and each step's certified
-# flag, and a version 3 trace each finish's direct check; version 4 derives
+# flag, and a version 3 trace each finish's direct check; version 5 derives
 # them, so each forgery below changes what they are derived from
 def _forge_k(doc):
     # |Spec_gate| = 40 is above K |Spec_rho| = 64^0.3 * 8 = 27.9: the finish becomes a growth
@@ -492,23 +494,23 @@ def _drop_final_element(doc):
 
 
 @pytest.mark.parametrize("stored,forge,needle", [
-    ("v4_example1_n3_t1.json", _forge_step(0, minor_rows=3), "final |A*|=7, but the last step leaves 3"),
-    ("v4_example1_n3_t1.json", _drop_final_element, "final |A*|=6, but the last step leaves 7"),
-    ("v4_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=9),
+    ("v5_example1_n3_t1.json", _forge_step(0, minor_rows=3), "final |A*|=7, but the last step leaves 3"),
+    ("v5_example1_n3_t1.json", _drop_final_element, "final |A*|=6, but the last step leaves 7"),
+    ("v5_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=9),
      "final |A*|=7, but the last step leaves 9"),
-    ("v4_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=20),
+    ("v5_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=20),
      "step 0: a minor of 20 rows of 15"),
-    ("v4_example1_n3_t1.json", lambda doc: doc["measured"].update(sumset_size=64),
+    ("v5_example1_n3_t1.json", lambda doc: doc["measured"].update(sumset_size=64),
      "certified, but |S+S|=64 is above the certified doubling bound 20.0"),
-    ("v4_example1_n3_t1.json", lambda doc: doc.update(rho_star=0.5),
+    ("v5_example1_n3_t1.json", lambda doc: doc.update(rho_star=0.5),
      "final rho 0.5 does not match the last step (1.0)"),
-    ("v4_example1_n3_t1.json", _forge_step(0, new_mean=None),
+    ("v5_example1_n3_t1.json", _forge_step(0, new_mean=None),
      "step 0: new_mean, minor_rows, minor_cols = (None, 7, 8) with verdict irregular"),
-    ("v4_example1_n3_t1.json", _forge_step(0, minor_rows=None),
+    ("v5_example1_n3_t1.json", _forge_step(0, minor_rows=None),
      "step 0: new_mean, minor_rows, minor_cols = (1.0, None, 8) with verdict irregular"),
-    ("v4_example1_n3_t1.json", _forge_step(0, new_mean=0.3),
+    ("v5_example1_n3_t1.json", _forge_step(0, new_mean=0.3),
      "the run ends at step 0, but the trace holds 2 steps"),
-    ("v4_example1_n3_t1.json", lambda doc: doc["steps"].clear(), "empty trace"),
+    ("v5_example1_n3_t1.json", lambda doc: doc["steps"].clear(), "empty trace"),
     # step fields no run writes, on a minor then a certified finish
     (GOLDEN_T1, _forge_step(1, witness_value=0.9), "step 1: witness_value 0.9 with verdict regular"),
     (GOLDEN_T1, _forge_step(1, new_mean=1.0, minor_cols=32),
@@ -522,19 +524,19 @@ def _drop_final_element(doc):
     (GOLDEN_T1, _forge_step(0, verdict_status="regular"),
      "step 0: new_mean, minor_rows, minor_cols = (1.0, 31, 32) with verdict regular"),
     # an abort above the rho floor, and verdicts and bounds no certificate gives
-    ("v4_example1_n3_t1.json", _forge_abort,
+    ("v5_example1_n3_t1.json", _forge_abort,
      "result inconclusive with certified flag False, but the last step gives ('finished', False)"),
-    ("v4_example1_n3_t1.json", _forge_step(0, upper_bound=10.0),
+    ("v5_example1_n3_t1.json", _forge_step(0, upper_bound=10.0),
      "step 0: the bound 10.0 lies outside [0, 1.001]"),
-    ("v4_example1_n3_t1.json", _forge_step(1, upper_bound=-3.0),
+    ("v5_example1_n3_t1.json", _forge_step(1, upper_bound=-3.0),
      "step 1: the bound -3.0 lies outside [0, 1.001]"),
-    ("v4_example1_n3_t1.json", _forge_uncertified("bogus"), "step 1: unknown verdict 'bogus'"),
-    ("v4_example1_n3_t1.json", _forge_uncertified("undetermined"),
+    ("v5_example1_n3_t1.json", _forge_uncertified("bogus"), "step 1: unknown verdict 'bogus'"),
+    ("v5_example1_n3_t1.json", _forge_uncertified("undetermined"),
      "step 1: undetermined although the bound 2.220446049250315e-15 is below lambda"),
     # a mean of unit-modulus entries lies in [0, 1] up to rounding
-    ("v4_example1_n3_t1.json", _forge_step(0, new_mean=5.0),
+    ("v5_example1_n3_t1.json", _forge_step(0, new_mean=5.0),
      "step 0: the minor mean 5.0 lies outside [0, 1.000000001]"),
-    ("v4_example1_n3_t1.json", _forge_step(0, new_mean=-0.5),
+    ("v5_example1_n3_t1.json", _forge_step(0, new_mean=-0.5),
      "step 0: the minor mean -0.5 lies outside [0, 1.000000001]"),
 ], ids=["minor-rows", "size-without-a-minor", "final-size", "minor-past-its-matrix",
         "certified-bound", "finish-rho", "minor-without-mean", "minor-without-rows",
@@ -556,7 +558,7 @@ def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, n
     assert code == 1 and json.loads(out)["ok"] is False
 
 
-# the fields a version 4 step derives; a version 3 step stored them
+# the fields a version 5 step derives; a version 3 step stored them
 @pytest.mark.parametrize("field,value", [
     ("rho", 0.45), ("rho_next", 0.5), ("a_size", 40), ("action", "jump"), ("direct_check", None),
 ], ids=["rho", "rho_next", "a_size", "action", "direct_check"])
@@ -622,21 +624,28 @@ def test_refine_audits_once(tmp_path):
     assert len(calls) == 1
 
 
-def test_faithful_mode_passes_its_audit(tmp_path):
-    setfile = tmp_path / "a.json"
-    run_cli("gen", "--kind", "random", "--group", "3,5,11,13", "--size", "60",
-            "--seed", "1", "--out", str(setfile))
+def test_report_rejects_a_refinement_mode_with_exit_2(tmp_path):
+    # version 5 has no refinement mode, and nothing migrates one; a version 4
+    # trace, which had it, exits 2 on its header
+    doc = json.loads(EX3.read_text())
+    doc["config"]["mode"] = "opportunistic"
     trace = tmp_path / "trace.json"
-    proc = run_cli("refine", "--input", str(setfile), "--mode", "faithful",
-                   "--epsilon", "0.3", "--delta", "0.2", "--max-iterations", "5",
-                   "--out", str(trace))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "audit=ok" in proc.stdout
+    trace.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    proc = run_cli("report", "--trace", str(trace))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {trace}: field 'config': unknown field 'mode'\n"
 
-    result, _, _ = read_trace_file(trace)
-    minors = [s for s in result.trace if s.action == "minor"]
-    assert minors
-    assert all(s.rho_next > s.rho for s in minors)
+
+def test_refine_has_no_mode_option(tmp_path):
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    proc = run_cli("refine", "--input", str(setfile), "--epsilon", "0.4", "--delta", "0.3",
+                   "--mode", "faithful", "--out", str(tmp_path / "t.json"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage:")
+    assert "unrecognized arguments: --mode faithful" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "t.json").exists()
 
 
 def _assert_same_document(a, b, where="trace"):
@@ -1087,7 +1096,7 @@ DELETE = object()
 @st.composite
 def mutated_traces(draw):
     """A stored trace with one field replaced by a JSON value or a huge int, or deleted."""
-    doc = json.loads(draw(st.sampled_from(V4_TRACES)).read_text())
+    doc = json.loads(draw(st.sampled_from(V5_TRACES)).read_text())
     path = draw(st.sampled_from(list(_field_paths(doc))))
     value = draw(st.just(DELETE) | JSON_VALUES
                  | st.integers(10**300, 10**400) | st.integers(-10**400, -10**300))

@@ -169,7 +169,7 @@ def test_trace_file_layout(tmp_path):
     text = path.read_text()
     assert text.endswith("}\n") and text.count("\n") == 1 and " " not in text
     doc = json.loads(text)
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     assert "initial_size" not in doc
     assert doc["measured"] == {"spec_size": 8, "sumset_size": 8, "spec_rho_size": 8, "gate_size": 8}
     # a step stores what the run observed; the reader derives the rest
@@ -178,20 +178,20 @@ def test_trace_file_layout(tmp_path):
                for step in doc["steps"])
 
 
-def _halved(matrix, witness, lam, mode="opportunistic"):
+def _halved(matrix, witness, lam):
     """extract_minor with the minor's mean halved, so that no minor makes progress."""
-    ext = regularity.extract_minor(matrix, witness, lam, mode=mode)
+    ext = regularity.extract_minor(matrix, witness, lam)
     return dataclasses.replace(ext, new_mean=abs(complex(matrix.entries.mean())) / 2)
 
 
 def test_trace_file_round_trip_rebuilds_every_step(tmp_path, monkeypatch):
     # the reader derives each step's action, rho, rho_next and a_size from the
-    # stored observations; on runs that take every action, in both modes,
-    # it rebuilds the run's own steps
+    # stored observations; on runs that take every action it rebuilds the
+    # run's own steps
     plane = subgroup_span(FiniteAbelianGroup((2,) * 4), [(1, 0, 0, 0), (0, 1, 0, 0)])
     z105 = random_subset(FiniteAbelianGroup((3, 5, 7)), 50, seed=3)
     runs = [
-        (refine_theorem1, z105, RefineConfig(epsilon=0.2, delta=0.3, mode="faithful", seed=1)),
+        (refine_theorem1, z105, RefineConfig(epsilon=0.2, delta=0.3, seed=1)),
         (refine_theorem2, random_subset(FiniteAbelianGroup((3, 3, 3)), 12, seed=0),
          RefineConfig(epsilon=0.2, delta=0.3, seed=1)),
         (refine_theorem2, example_counterexample(3).members,
@@ -207,7 +207,6 @@ def test_trace_file_round_trip_rebuilds_every_step(tmp_path, monkeypatch):
         assert loaded.trace == result.trace and loaded == result
         seen.update(s.action for s in result.trace)
     assert seen == {"minor", "growth", "finish", "abort"}
-    assert {r[2].mode for r in runs} == {"faithful", "opportunistic"}
 
     # an irregular verdict whose minor the run does not take stores it too
     monkeypatch.setattr("specdbl.refine.extract_minor", _halved)

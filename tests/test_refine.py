@@ -280,28 +280,20 @@ def test_undecided_verdict_falls_back_to_the_direct_check(plane, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("mode", ["opportunistic", "faithful"])
-def test_minor_without_progress(mode, monkeypatch):
-    def halved(matrix, witness, lam, mode="opportunistic"):
-        ext = regularity.extract_minor(matrix, witness, lam, mode=mode)
+def test_minor_without_progress(monkeypatch):
+    def halved(matrix, witness, lam):
+        ext = regularity.extract_minor(matrix, witness, lam)
         return dataclasses.replace(ext, new_mean=abs(complex(matrix.entries.mean())) / 2)
 
     monkeypatch.setattr("specdbl.refine.extract_minor", halved)
     members = example_counterexample(3).members
-    result = refine_theorem1(members, RefineConfig(epsilon=0.4, delta=0.3, mode=mode, seed=1))
+    result = refine_theorem1(members, RefineConfig(epsilon=0.4, delta=0.3, seed=1))
     first = result.trace[0]
-    if mode == "opportunistic":
-        # a minor that does not raise the mean ends the run on the direct check
-        assert [s.action for s in result.trace] == ["finish"]
-        assert first.verdict_status == "irregular"
-        assert first.minor_rows is not None  # the minor it did not take
-        assert result.terminated == "inconclusive"
-    else:
-        # the faithful rho ignores the measured mean
-        assert first.action == "minor"
-        assert first.rho_next == math.nextafter(0.4, 2.0)
-        assert result.trace[-1].action == "finish"
-        assert result.certified
+    # a minor that does not raise the mean ends the run on the direct check
+    assert [s.action for s in result.trace] == ["finish"]
+    assert first.verdict_status == "irregular"
+    assert first.minor_rows is not None  # the minor it did not take
+    assert result.terminated == "inconclusive"
     assert audit_trace(result, members).ok
 
 
@@ -325,8 +317,6 @@ def test_config_validation():
     for k_bound in (0.5, math.inf, math.nan):  # the gate compares K exactly, as a fraction
         with pytest.raises(ValueError, match="K"):
             RefineConfig(epsilon=0.4, delta=0.3, k_bound=k_bound)
-    with pytest.raises(ValueError, match="mode"):
-        RefineConfig(epsilon=0.4, delta=0.3, mode="sloppy")
     with pytest.raises(ValueError, match="max_iterations"):
         RefineConfig(epsilon=0.4, delta=0.3, max_iterations=0)
 

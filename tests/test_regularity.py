@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from oracles import frobenius_bound, spectral_certificate_one_shot, step_values
 from specdbl.coherence import CoherenceMatrix, build_matrix
 from specdbl.diagnostics import example_counterexample
-from specdbl.fourier import dft, spectrum
-from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span
-from specdbl import refine, regularity
+from specdbl.fourier import FourierTable, dft, spectrum
+from specdbl.groups import (ElementSet, FiniteAbelianGroup, convolve_counts, random_subset,
+                            subgroup_span)
+from specdbl import coherence, groups, refine, regularity
 from specdbl.regularity import (
     WITNESS_BUDGET,
     IrregularityWitness,
     _best_piece_pair,
     _build_pieces,
+    _complement,
     _step_pieces,
     brute_force_max,
     decide_regularity,
@@ -477,6 +479,72 @@ def test_witness_validation():
     assert w.constrained_side == "cols"
 
 
+def _table_with_nan(members, at):
+    coeffs = dft(members).coeffs.copy()
+    coeffs[at] = math.nan
+    return lambda: FourierTable(members.group, coeffs, members.size)
+
+
+def _plane_in_z2_4():
+    return subgroup_span(FiniteAbelianGroup((2,) * 4), [(1, 0, 0, 0)])
+
+
+def _table_with_nan_negation(monkeypatch):
+    # every coefficient finite, so only the symmetry check sees the NaN
+    monkeypatch.setattr(FiniteAbelianGroup, "negate", lambda self, c: np.full_like(c, math.nan))
+    members = random_subset(FiniteAbelianGroup((3, 3)), 4, seed=0)
+    return lambda: FourierTable(members.group, dft(members).coeffs, members.size)
+
+
+def _convolution_with_nan(monkeypatch):
+    inverse = groups._inverse_transform
+
+    def with_nan(group, y):
+        raw = inverse(group, y)
+        raw.flat[1] = math.nan
+        return raw
+
+    monkeypatch.setattr(groups, "_inverse_transform", with_nan)
+    members = random_subset(FiniteAbelianGroup((3, 3)), 4, seed=0)
+    return lambda: convolve_counts(members, members)
+
+
+def _matrix_with_nan_column_sum(monkeypatch):
+    def with_nan(entries):
+        m = CoherenceMatrix(entries)
+        m.col_sums = np.where(np.arange(m.col_sums.size) == 0, math.nan, m.col_sums)
+        return m
+
+    monkeypatch.setattr(coherence, "CoherenceMatrix", with_nan)
+    members = _plane_in_z2_4()
+    table = dft(members)
+    return lambda: build_matrix(members, spectrum(table, 0.4), table)
+
+
+@pytest.mark.parametrize("make,error,needle", [
+    (lambda mp: _table_with_nan(_plane_in_z2_4(), 0), AssertionError, "coefficient at 0"),
+    (lambda mp: _table_with_nan(_plane_in_z2_4(), 3), AssertionError, "Parseval"),
+    (lambda mp: _table_with_nan(random_subset(FiniteAbelianGroup((3, 3)), 4, seed=0), 3),
+     AssertionError, "Parseval"),
+    (_table_with_nan_negation, AssertionError, "conjugate symmetry"),
+    (lambda mp: lambda: IrregularityWitness(np.array([1.0, -1.0]), np.ones(2), "rows", math.nan),
+     ValueError, "witness value"),
+    (lambda mp: lambda: regularity.RegularityVerdict("undetermined", 0.1, 0.5, None, math.nan),
+     AssertionError, "sandwich"),
+    (lambda mp: lambda: decide_regularity(CoherenceMatrix(np.ones((2, 2))), math.nan),
+     ValueError, "lambda"),
+    (_convolution_with_nan, AssertionError, "residue"),
+    (_matrix_with_nan_column_sum, AssertionError, "column sums"),
+], ids=["table-coefficient-at-0", "table-parseval-real", "table-parseval-complex",
+        "table-symmetry", "witness-value", "verdict-sandwich", "decide-lambda",
+        "convolution-residue", "matrix-column-sums"])
+def test_tolerance_checks_reject_nan(monkeypatch, make, error, needle):
+    # each check is written `not err <= tol`, since `err > tol` is false for NaN
+    build = make(monkeypatch)
+    with pytest.raises(error, match=needle):
+        build()
+
+
 _U = np.finfo(np.float64).eps / 2
 
 
@@ -901,16 +969,33 @@ def test_extract_planted_blocks():
         assert again.new_mean == ext.new_mean
 
 
-def test_extract_faithful_mode_matches_on_planted():
-    m = planted_matrix(1)
-    f, g = planted_witness()
-    value = abs(complex(f @ m.entries @ g)) / m.entries.size
-    witness = IrregularityWitness(f, g, "rows", value)
-    opp = extract_minor(m, witness, 0.05, mode="opportunistic")
-    faith = extract_minor(m, witness, 0.05, mode="faithful")
-    assert faith.row_positions.tolist() == opp.row_positions.tolist()
-    assert faith.col_positions.tolist() == opp.col_positions.tolist()
-    assert faith.new_mean > abs(complex(m.entries.mean()))
+def test_cut_on_the_proofs_grid_raises_the_mean():
+    """The proof's constants, which the deleted faithful mode ran: step 0 of
+    example1 n = 3 at epsilon 0.4, cut on the grid of eta = lambda / 8 in
+    place of the run's witness value / 8.  The grid keeps the 100/eta^2
+    piece bound, and the best piece pair's best quadrant beats the mean."""
+    members = example_counterexample(3).members
+    table = dft(members)
+    m = build_matrix(members, spectrum(table, 0.4), table)
+    lam = 0.4 * 0.4 / 150
+    verdict = decide_regularity(m, lam, seed=1)
+    assert m.entries.shape == (15, 15) and verdict.status == "irregular"
+    eta = lam / 8
+    rows, row_starts, _, _ = _step_pieces(verdict.witness.f, eta)
+    cols, col_starts, _, _ = _step_pieces(verdict.witness.g, eta)
+    assert max(row_starts.size, col_starts.size) <= 100 / eta**2
+    mean = complex(m.col_sums.sum() / m.entries.size)
+    assert abs(mean) == pytest.approx(0.5022, abs=1e-4)
+    i, j = _best_piece_pair(m.entries, mean, rows, row_starts, cols, col_starts)
+    rp = np.split(rows, row_starts[i:i + 2])[1]
+    cp = np.split(cols, col_starts[j:j + 2])[1]
+    quadrants = [(float(np.mean(np.abs(m.entries[np.ix_(rsel, csel)].mean(axis=0)))),
+                  rsel.size, csel.size)
+                 for rsel in (rp, _complement(rp, 15)) for csel in (cp, _complement(cp, 15))
+                 if rsel.size and csel.size]
+    best = max(quadrants, key=lambda q: q[0])
+    assert best[0] > abs(mean)
+    assert best == (1.0, 7, 8)
 
 
 def test_extract_mean_recomputation_invariant():
