@@ -129,7 +129,6 @@ def _cmd_refine(args) -> int:
     cfg = RefineConfig(
         epsilon=args.epsilon,
         delta=args.delta,
-        k_bound=args.k_bound,
         max_iterations=args.max_iterations,
         seed=args.seed,
     )
@@ -148,11 +147,12 @@ def _cmd_verify(args) -> int:
     members, _ = read_set_file(args.input)
     if (args.statistical_doubling, args.closure, args.parseval) == (None, None, None):
         raise ValueError("no checks requested")
+    table = dft(members)
     failures = 0
 
     if args.statistical_doubling is not None:
         try:
-            rep = statistical_doubling(members, args.statistical_doubling)
+            rep = statistical_doubling(table, args.statistical_doubling)
         except AssertionError as exc:
             failures += 1
             print(f"statistical-doubling FAIL: {exc}")
@@ -163,7 +163,7 @@ def _cmd_verify(args) -> int:
             )
 
     if args.closure is not None:
-        rep = high_threshold_closure(members, args.closure)
+        rep = high_threshold_closure(table, args.closure)
         if rep.ok:
             print(
                 f"closure ok: spectrum size {rep.spec_size} closed into "
@@ -175,7 +175,6 @@ def _cmd_verify(args) -> int:
 
     if args.parseval is not None:
         try:
-            table = dft(members)
             spec = spectrum(table, args.parseval)
             capacity = parseval_capacity(
                 members.group.size, members.size, args.parseval
@@ -270,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     ref.add_argument("--epsilon", type=float, required=True)
     ref.add_argument("--delta", type=float, required=True)
     ref.add_argument("--theorem", type=int, choices=[1, 2], default=1)
-    ref.add_argument("--k-bound", type=float, default=None)
-    ref.add_argument("--max-iterations", type=int, default=500)
-    ref.add_argument("--seed", type=int, default=0)
+    ref.add_argument("--max-iterations", type=int, default=RefineConfig.max_iterations)
+    ref.add_argument("--seed", type=int, default=RefineConfig.seed)
     ref.add_argument("--out", required=True)
     ref.set_defaults(func=_cmd_refine)
 

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fourier import dft, spectrum
+from .fourier import FourierTable, spectrum
 from .groups import ElementSet, FiniteAbelianGroup, convolve_counts, difference_set, sumset
 
 __all__ = [
@@ -39,9 +39,9 @@ class DoublingReport:
     exact: bool
 
 
-def statistical_doubling(a: ElementSet, eps: float) -> DoublingReport:
+def statistical_doubling(table: FourierTable, eps: float) -> DoublingReport:
     """Measure Pr[g1 + g2 lands in the (eps^2/2)-spectrum] over ordered pairs
-    g1, g2 drawn from the eps-spectrum.
+    g1, g2 drawn from the eps-spectrum of the set whose table is ``table``.
 
     Counts all pairs at once through one convolution of the spectrum with
     itself, and asserts the lower bound eps^2/2.
@@ -49,7 +49,6 @@ def statistical_doubling(a: ElementSet, eps: float) -> DoublingReport:
     lower = eps * eps / 2.0
     if not lower > 0:  # a tiny eps underflows; name it, not the level
         raise ValueError(f"statistical doubling needs eps^2/2 > 0, got eps={eps}")
-    table = dft(a)
     spec = spectrum(table, eps)
     small = spectrum(table, lower)
     m = len(spec)
@@ -76,12 +75,12 @@ class ClosureReport:
     violation: Optional[tuple]
 
 
-def high_threshold_closure(a: ElementSet, eps: float) -> ClosureReport:
-    """For eps > 3/4, check Spec_eps + Spec_eps is contained in Spec_{4*eps-3}."""
+def high_threshold_closure(table: FourierTable, eps: float) -> ClosureReport:
+    """For eps > 3/4, check Spec_eps + Spec_eps is contained in Spec_{4*eps-3},
+    the spectra of the set whose table is ``table``."""
     if not 0.75 < eps <= 1.0:
         raise ValueError(f"closure check needs a level in (3/4, 1], got {eps}")
-    group = a.group
-    table = dft(a)
+    group = table.group
     spec = spectrum(table, eps)
     target = spectrum(table, 4.0 * eps - 3.0)
     sums = sumset(spec, spec)

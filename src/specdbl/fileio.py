@@ -2,10 +2,10 @@
 
   specdbl-set    orders of the ambient group plus the member coordinates
                  (version 2; version 1, the same schema indented, still reads)
-  specdbl-trace  a full refinement run (version 5): config, input, result,
+  specdbl-trace  a full refinement run (version 6): config, input, result,
                  each step's observations, the four measured counts, and
-                 the audit computed at write time (version 4 also stored a
-                 refinement mode in config, and no longer reads)
+                 the audit computed at write time (version 5 also stored an
+                 optional gate constant K in config, and no longer reads)
 
 Writing is canonical (same document, same bytes), so a load/save cycle of a
 file reproduces it exactly.  A trace stores observations only; reading it
@@ -38,8 +38,8 @@ __all__ = [
 SET_FORMAT = "specdbl-set"
 TRACE_FORMAT = "specdbl-trace"
 # a set file's versions differ only in layout
-_VERSIONS = {SET_FORMAT: (1, 2), TRACE_FORMAT: (5,)}
-# every key a version 5 trace holds and its JSON kind; any other key is a format error
+_VERSIONS = {SET_FORMAT: (1, 2), TRACE_FORMAT: (6,)}
+# every key a version 6 trace holds and its JSON kind; any other key is a format error
 _TRACE_KINDS = {"format": (str,), "version": (int,), "theorem": (int,), "config": (dict,),
                 "orders": (list,), "input_elements": (list,), "a_star": (list,),
                 "rho_star": (float,), "terminated": (str,), "certified": (bool,),
@@ -172,13 +172,13 @@ def read_set_file(path) -> tuple[ElementSet, dict]:
 
 
 def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditReport:
-    """Write ``result`` as a version 5 trace; return the audit stored in it."""
+    """Write ``result`` as a version 6 trace; return the audit stored in it."""
     if original.group.orders != result.a_star.group.orders:
         raise ValueError("the original set lives in a different group than the result")
     audit = audit_trace(result, original)
     _write(path, {
         "format": TRACE_FORMAT,
-        "version": 5,
+        "version": 6,
         "theorem": result.theorem,
         "config": dataclasses.asdict(result.config),
         "orders": list(original.group.orders),

@@ -58,7 +58,6 @@ _RHO_FLOOR = 1e-8
 class RefineConfig:
     epsilon: float
     delta: float
-    k_bound: Optional[float] = None  # default |G|^delta (linear) or |G|^(delta/2) (squaring)
     max_iterations: int = 500
     seed: int = 0
 
@@ -69,8 +68,6 @@ class RefineConfig:
             raise ValueError(f"refinement needs eps^2/2 > 0, got epsilon={self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.k_bound is not None and not 1.0 <= self.k_bound < math.inf:
-            raise ValueError(f"the gate constant K must be finite and at least 1, got {self.k_bound}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.seed < 0:
@@ -120,8 +117,7 @@ def _lambda_level(theorem: int, epsilon: float, rho: float) -> float:
 
 
 def _resolve_k(cfg: RefineConfig, theorem: int, group_size: int) -> float:
-    if cfg.k_bound is not None:
-        return cfg.k_bound
+    """The gate constant K: |G|^delta (linear) or |G|^(delta/2) (squaring)."""
     power = cfg.delta if theorem == 1 else cfg.delta / 2.0
     return float(group_size) ** power
 
@@ -197,7 +193,7 @@ def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho:
         )
     else:
         measured["interim_bound"] = 2.0 * k_value * gate_size
-        # K * K is inf past float range, where K**2 raises OverflowError
+        # K < |G| keeps K * K finite; a forged count past float range raises OverflowError
         measured["k_squared_bound"] = 2.0 * k_value * k_value * spec_rho_size
         measured["spec_ratio"] = spec_rho_size / max(1, initial_spec_size)
     return measured

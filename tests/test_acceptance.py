@@ -83,9 +83,9 @@ def test_criterion_02_statistical_doubling_exact():
     checked = 0
     for seed in range(100):
         size = 1 + seed % 15
-        a = random_subset(group, size, seed=seed)
+        table = dft(random_subset(group, size, seed=seed))
         for eps in (0.3, 0.5, 0.7):
-            report = statistical_doubling(a, eps)  # raises on violation
+            report = statistical_doubling(table, eps)  # raises on violation
             assert report.exact
             assert report.p >= eps**2 / 2
             checked += 1
@@ -123,9 +123,9 @@ def test_criterion_04_high_threshold_closure():
     for group in groups:
         for seed in range(25):
             size = 1 + (5 * seed) % (group.size - 1)
-            a = random_subset(group, size, seed=1000 + seed)
+            table = dft(random_subset(group, size, seed=1000 + seed))
             for eps in (0.8, 0.9):
-                report = high_threshold_closure(a, eps)
+                report = high_threshold_closure(table, eps)
                 assert report.ok, report.violation
             sets += 1
     assert sets == 50

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from specdbl import cli
 from specdbl.fileio import read_set_file, read_trace_file
+from specdbl.fourier import dft
 from specdbl.refine import audit_trace
 from regen_golden import GOLDEN, ONE_BLAS_THREAD, moved, refine_argv
 
@@ -24,18 +25,19 @@ from regen_golden import GOLDEN, ONE_BLAS_THREAD, moved, refine_argv
 # written again as version 3, then as version 4 by dropping the step fields
 # that version 4 derives (every one of which the replay reproduced), then as
 # version 5 by dropping config's refinement mode (the v4 bytes without
-# "mode":"opportunistic", and "version":5):
+# "mode":"opportunistic", and "version":5), then as version 6 by dropping
+# config's gate constant (the v5 bytes without "k_bound":null, and "version":6):
 #   specdbl gen --kind example1 --n 3 --out ex3.json
 #   specdbl refine --input ex3.json --epsilon 0.4 --delta 0.3 --seed 1 \
-#       --out v5_example1_n3_t1.json
-#   ... --theorem 2 --max-iterations 1 --out v5_example1_n3_t2_budget1.json
+#       --out v6_example1_n3_t1.json
+#   ... --theorem 2 --max-iterations 1 --out v6_example1_n3_t2_budget1.json
 #   specdbl gen --kind random --group 3,5,11,13 --size 350 --seed 3 --out z.json
 #   specdbl refine --input z.json --epsilon 0.1 --delta 0.3 --seed 3 --theorem 2 \
-#       --out v5_shrink_z3_5_11_13_t2.json
+#       --out v6_shrink_z3_5_11_13_t2.json
 DATA = Path(__file__).resolve().parent / "data"
-V5_TRACES = sorted(DATA.glob("v5_*.json"))
-EX3 = DATA / "v5_example1_n3_t1.json"
-SHRINK = DATA / "v5_shrink_z3_5_11_13_t2.json"
+V6_TRACES = sorted(DATA.glob("v6_*.json"))
+EX3 = DATA / "v6_example1_n3_t1.json"
+SHRINK = DATA / "v6_shrink_z3_5_11_13_t2.json"
 
 
 def run_module(*argv, env=None):
@@ -329,9 +331,9 @@ def _past_float_range(*path):
 
 
 # every float field a trace stores, as a path into its document
-FLOAT_FIELDS = [("rho_star",), ("config", "epsilon"), ("config", "delta"), ("config", "k_bound"),
+FLOAT_FIELDS = [("rho_star",), ("config", "epsilon"), ("config", "delta"),
                 *(("steps", 0, name) for name in ("upper_bound", "witness_value", "new_mean"))]
-# the float fields a version 3 step stored and a version 5 step derives; a
+# the float fields a version 3 step stored and a version 6 step derives; a
 # step that carries one, past float range or not, is malformed
 DERIVED_FLOAT_FIELDS = [("steps", 0, "rho"), ("steps", 0, "rho_next")]
 
@@ -345,12 +347,9 @@ DERIVED_FLOAT_FIELDS = [("steps", 0, "rho"), ("steps", 0, "rho_next")]
     lambda d: d.update(a_star=[]),
     lambda d: d.update(rho_star=0.0),
     lambda d: d["measured"].update(gate_size=10**400),
-    lambda d: d["config"].update(k_bound=math.inf),
-    lambda d: d["config"].update(k_bound=math.nan),
 ], ids=[*("float-range-" + "-".join(map(str, path)) for path in FLOAT_FIELDS + DERIVED_FLOAT_FIELDS),
         "step-rho-string", "measured-missing-key", "top-level-unknown-key", "measured-unknown-key",
-        "empty-a-star", "rho-star-zero", "count-past-float-range", "k-bound-infinite",
-        "k-bound-nan"])
+        "empty-a-star", "rho-star-zero", "count-past-float-range"])
 def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
     trace = _refined_trace(tmp_path)
     doc = json.loads(trace.read_text())
@@ -364,10 +363,10 @@ def test_report_rejects_a_malformed_trace_with_exit_2(tmp_path, tamper):
 
 
 def test_report_rejects_a_version_1_or_2_trace(tmp_path):
-    # only version 5 reads, so versions 3 and 4 exit 2 too; the header names
-    # the version before any other field is read
+    # only version 6 reads, so versions 3, 4 and 5 exit 2 too; the header
+    # names the version before any other field is read
     doc = json.loads(EX3.read_text())
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         doc["version"] = version
         trace = tmp_path / f"v{version}.json"
         trace.write_text(json.dumps(doc))
@@ -395,7 +394,7 @@ def test_every_top_level_trace_key_is_required_and_typed(tmp_path, key):
 
 
 # A version 2 trace also stored K, the bounds and each step's certified
-# flag, and a version 3 trace each finish's direct check; version 5 derives
+# flag, and a version 3 trace each finish's direct check; version 6 derives
 # them, so each forgery below changes what they are derived from
 def _forge_k(doc):
     # |Spec_gate| = 40 is above K |Spec_rho| = 64^0.3 * 8 = 27.9: the finish becomes a growth
@@ -494,23 +493,23 @@ def _drop_final_element(doc):
 
 
 @pytest.mark.parametrize("stored,forge,needle", [
-    ("v5_example1_n3_t1.json", _forge_step(0, minor_rows=3), "final |A*|=7, but the last step leaves 3"),
-    ("v5_example1_n3_t1.json", _drop_final_element, "final |A*|=6, but the last step leaves 7"),
-    ("v5_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=9),
+    ("v6_example1_n3_t1.json", _forge_step(0, minor_rows=3), "final |A*|=7, but the last step leaves 3"),
+    ("v6_example1_n3_t1.json", _drop_final_element, "final |A*|=6, but the last step leaves 7"),
+    ("v6_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=9),
      "final |A*|=7, but the last step leaves 9"),
-    ("v5_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=20),
+    ("v6_example1_n3_t2_budget1.json", _forge_step(0, minor_rows=20),
      "step 0: a minor of 20 rows of 15"),
-    ("v5_example1_n3_t1.json", lambda doc: doc["measured"].update(sumset_size=64),
+    ("v6_example1_n3_t1.json", lambda doc: doc["measured"].update(sumset_size=64),
      "certified, but |S+S|=64 is above the certified doubling bound 20.0"),
-    ("v5_example1_n3_t1.json", lambda doc: doc.update(rho_star=0.5),
+    ("v6_example1_n3_t1.json", lambda doc: doc.update(rho_star=0.5),
      "final rho 0.5 does not match the last step (1.0)"),
-    ("v5_example1_n3_t1.json", _forge_step(0, new_mean=None),
+    ("v6_example1_n3_t1.json", _forge_step(0, new_mean=None),
      "step 0: new_mean, minor_rows, minor_cols = (None, 7, 8) with verdict irregular"),
-    ("v5_example1_n3_t1.json", _forge_step(0, minor_rows=None),
+    ("v6_example1_n3_t1.json", _forge_step(0, minor_rows=None),
      "step 0: new_mean, minor_rows, minor_cols = (1.0, None, 8) with verdict irregular"),
-    ("v5_example1_n3_t1.json", _forge_step(0, new_mean=0.3),
+    ("v6_example1_n3_t1.json", _forge_step(0, new_mean=0.3),
      "the run ends at step 0, but the trace holds 2 steps"),
-    ("v5_example1_n3_t1.json", lambda doc: doc["steps"].clear(), "empty trace"),
+    ("v6_example1_n3_t1.json", lambda doc: doc["steps"].clear(), "empty trace"),
     # step fields no run writes, on a minor then a certified finish
     (GOLDEN_T1, _forge_step(1, witness_value=0.9), "step 1: witness_value 0.9 with verdict regular"),
     (GOLDEN_T1, _forge_step(1, new_mean=1.0, minor_cols=32),
@@ -524,19 +523,19 @@ def _drop_final_element(doc):
     (GOLDEN_T1, _forge_step(0, verdict_status="regular"),
      "step 0: new_mean, minor_rows, minor_cols = (1.0, 31, 32) with verdict regular"),
     # an abort above the rho floor, and verdicts and bounds no certificate gives
-    ("v5_example1_n3_t1.json", _forge_abort,
+    ("v6_example1_n3_t1.json", _forge_abort,
      "result inconclusive with certified flag False, but the last step gives ('finished', False)"),
-    ("v5_example1_n3_t1.json", _forge_step(0, upper_bound=10.0),
+    ("v6_example1_n3_t1.json", _forge_step(0, upper_bound=10.0),
      "step 0: the bound 10.0 lies outside [0, 1.001]"),
-    ("v5_example1_n3_t1.json", _forge_step(1, upper_bound=-3.0),
+    ("v6_example1_n3_t1.json", _forge_step(1, upper_bound=-3.0),
      "step 1: the bound -3.0 lies outside [0, 1.001]"),
-    ("v5_example1_n3_t1.json", _forge_uncertified("bogus"), "step 1: unknown verdict 'bogus'"),
-    ("v5_example1_n3_t1.json", _forge_uncertified("undetermined"),
+    ("v6_example1_n3_t1.json", _forge_uncertified("bogus"), "step 1: unknown verdict 'bogus'"),
+    ("v6_example1_n3_t1.json", _forge_uncertified("undetermined"),
      "step 1: undetermined although the bound 2.220446049250315e-15 is below lambda"),
     # a mean of unit-modulus entries lies in [0, 1] up to rounding
-    ("v5_example1_n3_t1.json", _forge_step(0, new_mean=5.0),
+    ("v6_example1_n3_t1.json", _forge_step(0, new_mean=5.0),
      "step 0: the minor mean 5.0 lies outside [0, 1.000000001]"),
-    ("v5_example1_n3_t1.json", _forge_step(0, new_mean=-0.5),
+    ("v6_example1_n3_t1.json", _forge_step(0, new_mean=-0.5),
      "step 0: the minor mean -0.5 lies outside [0, 1.000000001]"),
 ], ids=["minor-rows", "size-without-a-minor", "final-size", "minor-past-its-matrix",
         "certified-bound", "finish-rho", "minor-without-mean", "minor-without-rows",
@@ -558,7 +557,7 @@ def test_audit_follows_set_sizes_and_certified_bounds(tmp_path, stored, forge, n
     assert code == 1 and json.loads(out)["ok"] is False
 
 
-# the fields a version 5 step derives; a version 3 step stored them
+# the fields a version 6 step derives; a version 3 step stored them
 @pytest.mark.parametrize("field,value", [
     ("rho", 0.45), ("rho_next", 0.5), ("a_size", 40), ("action", "jump"), ("direct_check", None),
 ], ids=["rho", "rho_next", "a_size", "action", "direct_check"])
@@ -625,7 +624,7 @@ def test_refine_audits_once(tmp_path):
 
 
 def test_report_rejects_a_refinement_mode_with_exit_2(tmp_path):
-    # version 5 has no refinement mode, and nothing migrates one; a version 4
+    # version 6 has no refinement mode, and nothing migrates one; a version 4
     # trace, which had it, exits 2 on its header
     doc = json.loads(EX3.read_text())
     doc["config"]["mode"] = "opportunistic"
@@ -645,6 +644,28 @@ def test_refine_has_no_mode_option(tmp_path):
     assert proc.stderr.startswith("usage:")
     assert "unrecognized arguments: --mode faithful" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_report_rejects_a_gate_constant_with_exit_2(tmp_path):
+    # version 6 takes K from delta and |G| alone, and nothing migrates a stored
+    # one; a version 5 trace, which had the field, exits 2 on its header
+    doc = json.loads(EX3.read_text())
+    doc["config"]["k_bound"] = None
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    proc = run_cli("report", "--trace", str(trace))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {trace}: field 'config': unknown field 'k_bound'\n"
+
+
+def test_refine_has_no_k_bound_option(tmp_path):
+    setfile = tmp_path / "a.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    proc = run_cli("refine", "--input", str(setfile), "--epsilon", "0.4", "--delta", "0.3",
+                   "--k-bound", "2", "--out", str(tmp_path / "t.json"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --k-bound 2" in proc.stderr
     assert not (tmp_path / "t.json").exists()
 
 
@@ -832,6 +853,23 @@ def test_verify_checks_pass_on_a_subgroup(tmp_path):
     assert "FAIL" not in proc.stdout
 
 
+def test_verify_transforms_its_set_once(tmp_path):
+    setfile = tmp_path / "h.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    calls = []
+
+    def counted(members):
+        calls.append(members)
+        return dft(members)
+
+    with mock.patch("specdbl.cli.dft", counted):
+        proc = run_cli("verify", "--input", str(setfile), "--statistical-doubling", "0.4",
+                       "--closure", "0.9", "--parseval", "0.4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("ok") == 3
+    assert len(calls) == 1
+
+
 def test_verify_without_checks_is_a_usage_error(tmp_path):
     setfile = tmp_path / "h.json"
     run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
@@ -933,26 +971,20 @@ def test_statistical_doubling_names_an_eps_whose_level_underflows(tmp_path):
     ("verify", "--parseval", "1e-300"),
     ("verify", "--statistical-doubling", "1e-300"),
     ("refine", "--epsilon", "1e-100"),
-    ("refine", "--k-bound", "1e200"),
 ])
 def test_tiny_epsilon_exits_0_or_2(tmp_path, command, flag, value):
     # eps^2 (or eps^2 rho^2) underflows to 0; the Parseval capacity and the
-    # interim bound are then inf, not a division by zero.  A K of 1e200
-    # takes theorem 2's 2 K^2 |Spec_rho| past float range: inf, not an OverflowError
+    # interim bound are then inf, not a division by zero
     setfile, trace = tmp_path / "a.json", tmp_path / "t.json"
     run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
     extra = ("--delta", "0.3", "--out", str(trace)) if command == "refine" else ()
-    huge_k = flag == "--k-bound"
-    if huge_k:
-        extra += ("--epsilon", "0.4", "--theorem", "2")
     proc = run_cli(command, "--input", str(setfile), flag, value, *extra)
-    assert proc.returncode in ((0,) if huge_k else (0, 2)), proc.stderr
+    assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
     if command == "refine":
         code, out = report(trace, "json")
         assert code == 0, out
-        bound = "k_squared_bound" if huge_k else "interim_bound"
-        assert json.loads(out)["measured"][bound] == math.inf
+        assert json.loads(out)["measured"]["interim_bound"] == math.inf
 
 
 @pytest.mark.parametrize("theorem", ["1", "2"])
@@ -1096,7 +1128,7 @@ DELETE = object()
 @st.composite
 def mutated_traces(draw):
     """A stored trace with one field replaced by a JSON value or a huge int, or deleted."""
-    doc = json.loads(draw(st.sampled_from(V5_TRACES)).read_text())
+    doc = json.loads(draw(st.sampled_from(V6_TRACES)).read_text())
     path = draw(st.sampled_from(list(_field_paths(doc))))
     value = draw(st.just(DELETE) | JSON_VALUES
                  | st.integers(10**300, 10**400) | st.integers(-10**400, -10**300))

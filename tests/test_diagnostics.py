@@ -23,7 +23,7 @@ from specdbl.groups import (
 def test_doubling_subgroup_is_certain():
     g = FiniteAbelianGroup([2] * 4)
     h = subgroup_span(g, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    rep = statistical_doubling(h, 0.5)
+    rep = statistical_doubling(dft(h), 0.5)
     assert rep.exact
     assert rep.p == 1.0
     assert rep.total_pairs == 16
@@ -31,7 +31,7 @@ def test_doubling_subgroup_is_certain():
 
 def test_doubling_example_set_exact_oracle():
     bundle = example_counterexample(2)
-    rep = statistical_doubling(bundle.members, 0.4)
+    rep = statistical_doubling(dft(bundle.members), 0.4)
     assert rep.exact
     assert rep.spec_size == 7
 
@@ -61,7 +61,7 @@ def test_doubling_random_sweep_exact():
             for eps in [0.3, 0.5, 0.7]:
                 a = random_subset(g, size, seed=seed)
                 seed += 1
-                rep = statistical_doubling(a, eps)
+                rep = statistical_doubling(dft(a), eps)
                 assert rep.exact
                 assert rep.p >= eps * eps / 2.0
 
@@ -70,13 +70,13 @@ def test_doubling_counts_every_pair_of_a_large_spectrum():
     # more than 3162 characters, so more than 10^7 ordered pairs
     g = FiniteAbelianGroup([2] * 12)
     a = random_subset(g, 100, seed=0)
-    rep = statistical_doubling(a, 0.02)
+    table = dft(a)
+    rep = statistical_doubling(table, 0.02)
     assert rep.exact
     assert rep.spec_size > 3162
     assert rep.total_pairs == rep.spec_size ** 2
 
     # row-by-row pair count; in Z_2^k the flat index of a sum is the XOR
-    table = dft(a)
     spec = spectrum(table, 0.02).indices()
     small = spectrum(table, 0.02 * 0.02 / 2).mask
     hits = sum(int(np.count_nonzero(small[spec ^ x])) for x in spec)
@@ -86,10 +86,10 @@ def test_doubling_counts_every_pair_of_a_large_spectrum():
 
 def test_closure_requires_high_threshold():
     g = FiniteAbelianGroup([2] * 4)
-    a = random_subset(g, 6, seed=0)
+    table = dft(random_subset(g, 6, seed=0))
     for eps in [0.5, 0.75]:
         with pytest.raises(ValueError):
-            high_threshold_closure(a, eps)
+            high_threshold_closure(table, eps)
 
 
 def test_closure_holds_on_sweep():
@@ -97,10 +97,10 @@ def test_closure_holds_on_sweep():
     for orders in [[2] * 4, [3, 3, 3]]:
         g = FiniteAbelianGroup(orders)
         for size in [1, 4, g.size // 2]:
-            a = random_subset(g, size, seed=seed)
+            table = dft(random_subset(g, size, seed=seed))
             seed += 1
             for eps in [0.8, 0.9, 1.0]:
-                rep = high_threshold_closure(a, eps)
+                rep = high_threshold_closure(table, eps)
                 assert rep.ok, rep
                 assert rep.target_level == pytest.approx(4 * eps - 3)
                 assert rep.violation is None
@@ -120,7 +120,7 @@ def test_closure_failure_reports_a_witness_pair(monkeypatch, tmp_path, capsys):
         return spectrum(table, level)
 
     monkeypatch.setattr(diagnostics, "spectrum", starved)
-    rep = high_threshold_closure(h, eps)
+    rep = high_threshold_closure(dft(h), eps)
     assert rep.ok is False
     assert rep.target_size == 1
     first, second = rep.violation

@@ -169,7 +169,8 @@ def test_trace_file_layout(tmp_path):
     text = path.read_text()
     assert text.endswith("}\n") and text.count("\n") == 1 and " " not in text
     doc = json.loads(text)
-    assert doc["version"] == 5
+    assert doc["version"] == 6
+    assert doc["config"] == {"delta": 0.3, "epsilon": 0.4, "max_iterations": 500, "seed": 1}
     assert "initial_size" not in doc
     assert doc["measured"] == {"spec_size": 8, "sumset_size": 8, "spec_rho_size": 8, "gate_size": 8}
     # a step stores what the run observed; the reader derives the rest

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from specdbl.diagnostics import example_counterexample
+from specdbl.fileio import read_trace_file, write_trace_file
 from specdbl.fourier import dft, spectrum
 from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span, sumset
 from specdbl.refine import (
@@ -314,19 +315,21 @@ def test_config_validation():
         RefineConfig(epsilon=1.0, delta=0.3)
     with pytest.raises(ValueError, match="delta"):
         RefineConfig(epsilon=0.4, delta=1.5)
-    for k_bound in (0.5, math.inf, math.nan):  # the gate compares K exactly, as a fraction
-        with pytest.raises(ValueError, match="K"):
-            RefineConfig(epsilon=0.4, delta=0.3, k_bound=k_bound)
     with pytest.raises(ValueError, match="max_iterations"):
         RefineConfig(epsilon=0.4, delta=0.3, max_iterations=0)
 
 
-def test_explicit_gate_constant_is_respected(plane):
-    _, h = plane
-    cfg = RefineConfig(epsilon=0.5, delta=0.3, k_bound=1.0, seed=0)
-    result = refine_theorem1(h, cfg)
-    assert result.measured["K"] == 1.0
-    assert result.terminated == "finished"
+@pytest.mark.parametrize("run, power", [(refine_theorem1, 0.3), (refine_theorem2, 0.15)],
+                         ids=["theorem1", "theorem2"])
+def test_gate_constant_comes_from_delta(tmp_path, run, power):
+    # K = |G|^delta on the linear schedule and |G|^(delta/2) on the squaring
+    # one, in the run and in the result a reader rebuilds from its trace
+    a = random_subset(FiniteAbelianGroup((3, 5, 7)), 20, seed=4)
+    result = run(a, RefineConfig(epsilon=0.4, delta=0.3, seed=0))
+    assert result.measured["K"] == 105 ** power
+    path = tmp_path / "trace.json"
+    write_trace_file(path, result, a)
+    assert read_trace_file(path)[0].measured == result.measured
 
 
 def test_empty_set_is_rejected(plane):
