@@ -9,11 +9,12 @@ summing to zero.  decide_regularity is the one decision, in two tiers:
    sign on a +-1 matrix, which makes the bound an exact integer ratio, and
    the mean on a complex one, with one stated rounding factor.  Regular
    when below lambda.
-2. Once that fails, the best pair of an alternating search, each of whose
-   restarts stops once an iteration raises its value by at most 1e-4
-   relative, once it comes within the tie rule's 1e-9 of that bound, since
-   no pair exceeds it, or after WITNESS_BUDGET's 8 iterations (Irregular
-   when it reaches lambda).
+2. Once that fails, the pair of an alternating search (irregular when its
+   value reaches lambda).  A restart leaves once an iteration raises its
+   value by at most 1e-4 relative, and the search ends after
+   WITNESS_BUDGET's 8 iterations, or as soon as any restart's value comes
+   within the tie rule's 1e-9 of that bound: no pair exceeds it, so that
+   restart holds the answer.
 
 The witness test allows 1e-12 relative below lambda for the search's
 rounding; the search runs only after the certificate has failed, so a value
@@ -28,8 +29,10 @@ matrix along the level pieces of a step function near the witness pair
 
 The search and the cut are block linear algebra.  The 16 restarts of both
 sides (8 per side) run as the rows of one block, two matrix products per
-iteration; the pieces are the runs of one sort, and every piece-pair sum
-comes from one np.add.reduceat pass per axis.  Two rules keep their choices
+iteration; the pieces are the runs of one sort, the row pieces' column sums
+are one product with their 0/1 indicator rows on a +-1 matrix and one
+np.add.reduceat pass otherwise, and the piece-pair sums one np.add.reduceat
+pass over the columns.  Two rules keep their choices
 off rounding noise, so a block product and one restart at a time, or one
 BLAS thread and several, pick the same witness and minor:
 
@@ -39,7 +42,10 @@ BLAS thread and several, pick the same witness and minor:
   0 and gets phase 0.
 - Tie rule: of candidates within 1e-9 relative of the best, the first in a
   fixed order wins: rows restarts 0..7 then cols restarts 0..7 for the
-  search, row-major order for the piece pair.
+  search, row-major order for the piece pair.  A search that ends at the
+  bound takes the first restart in that order whose value reached the
+  stop, and the tie rule picks only when none did: it could pick a value
+  within 1e-9 below the stop.
 """
 
 from __future__ import annotations
@@ -359,20 +365,24 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: floa
     rows only, to f on the rows side and to g on the cols side, and is
     skipped once every restart of that side has left the block.  A restart
     leaves the block once an iteration raises its value by at most 1e-4
-    relative (_CLIMB_REL), once its value reaches stop, or after the
-    WITNESS_BUDGET cap of 8 iterations, so each keeps its own early stop,
-    and the loop runs as long as the longest restart of either side.  Restart 0 of each side starts from g = 1, the other 14 from the
-    phases of one default_rng(seed) draw.  On a real matrix f and g stay
+    relative (_CLIMB_REL), so each keeps its own climb stop, and the loop
+    runs as long as the longest restart of either side, up to the
+    WITNESS_BUDGET cap of 8 iterations.  The whole block ends at the first
+    iteration at which any restart's value reaches stop, as the block
+    estimator ends once it can prove its answer: stop is within the tie
+    rule of the certificate's bound, which no pair exceeds.  Restart 0 of
+    each side starts from g = 1, the other 14 from the phases of one
+    default_rng(seed) draw.  On a real matrix f and g stay
     complex, since the sup over complex test functions can exceed the sup
     over real ones, and _real_times keeps the matrix real in the products;
     there restart 0 of each side stays real throughout.  The value f^T M g =
     sum_j (f M)_j g_j is read off the vector just formed; on the
     unconstrained side it is sum |f M|.  Entries at or below the rounding
     bound of their product get phase 0 (_product_bound, with entry = max|M|,
-    the matrix's max_modulus), and the best candidate is picked by the tie
-    rule over the order rows restarts 0..7, cols restarts 0..7
-    (_first_near_max).
-    With both rules the choices do not depend on how BLAS rounds, which a
+    the matrix's max_modulus).  The pick is the first restart, in the order
+    rows restarts 0..7, cols restarts 0..7, whose value reached stop; when
+    none did, the tie rule picks over that order (_first_near_max).  With
+    both rules the choices do not depend on how BLAS rounds, which a
     one-restart-at-a-time search reproduces; only the value may move in its
     last bits with the block's height.
 
@@ -406,10 +416,10 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: floa
             _project_centered(g[n_rows:])
         value = (np.abs((raw[:, None, :] @ g[:, :, None])[:, 0, 0]) / scale).tolist()
         del raw  # one block less alive at the next product, the search's peak
-        last = step + 1 == max_iter
+        last = step + 1 == max_iter or max(value) >= stop
         keep = []
         for k, slot in enumerate(slots):
-            if last or value[k] <= prev[k] * (1.0 + _CLIMB_REL) or value[k] >= stop:
+            if last or value[k] <= prev[k] * (1.0 + _CLIMB_REL):
                 side = "rows" if slot < restarts else "cols"
                 found[slot] = (value[k], f[k].copy(), g[k].copy(), side)
             else:
@@ -422,7 +432,9 @@ def _alternating_search(entries: np.ndarray, seed: int, entry: float, stop: floa
             value = [value[k] for k in keep]
             n_rows = sum(slot < restarts for slot in slots)
         prev = value
-    return found[_first_near_max([c[0] for c in found])]
+    values = [c[0] for c in found]
+    best = next((k for k, v in enumerate(values) if v >= stop), None)
+    return found[_first_near_max(values) if best is None else best]
 
 
 def _root_grid(n: int, r: int) -> np.ndarray:
@@ -481,11 +493,11 @@ def decide_regularity(m: CoherenceMatrix, lam: float, seed: int = 0) -> Regulari
     """spectral_certificate, then the witness search once it fails: regular
     below lambda, irregular at it, else undetermined between the two.
 
-    A restart of the search stops once its value reaches
-    max(lambda, bound (1 - 1e-9)).  No pair exceeds the bound, so that value
-    is within the tie rule of the best any restart could reach, and at or
-    above lambda: a restart that stops is a witness, and the stop changes no
-    verdict."""
+    The search ends once any restart's value reaches
+    max(lambda, bound (1 - 1e-9)), and that restart's pair is the one
+    returned.  No pair exceeds the bound, so that value is within the tie
+    rule of the best any restart could reach, and at or above lambda: the
+    pair is a witness, and the stop changes no verdict."""
     if not lam > 0:  # NaN too
         raise ValueError(f"lambda must be positive, got {lam}")
     upper, certified = spectral_certificate(m, lam)
@@ -509,22 +521,42 @@ class MinorExtraction:
     new_mean: float
 
 
-def _best_piece_pair(entries: np.ndarray, rho_c: complex, rows, row_starts, cols, col_starts):
+def _row_piece_sums(entries: np.ndarray, rows, row_starts) -> np.ndarray:
+    """The column sums of each row piece, one row per piece.
+
+    The pieces are runs (_build_pieces).  On a +-1 matrix (float64) with at
+    most as many pieces as columns they are one product with the pieces' 0/1
+    indicator rows, no larger than the matrix; every sum is then an integer
+    below 2^53, exact in any order, so the product equals the gather and
+    np.add.reduceat below bit for bit.  Otherwise the rows are gathered in
+    run order and summed with np.add.reduceat over the run starts, which
+    holds no (pieces x rows) indicator.
+    """
+    nr, nc = entries.shape
+    if entries.dtype == np.float64 and row_starts.size <= nc:
+        indicator = np.zeros((row_starts.size, nr))
+        piece = np.repeat(np.arange(row_starts.size), np.diff(row_starts, append=rows.size))
+        indicator[piece, rows] = 1.0
+        return indicator @ entries
+    return np.add.reduceat(entries[rows], row_starts, axis=0)
+
+
+def _best_piece_pair(by_row: np.ndarray, rho_c: complex, row_sizes, cols, col_starts):
     """(i, j) of the piece pair whose block sum deviates most from the mean.
 
-    For pieces P, Q with entry sum S over P x Q, the deviation is
-    |phase * S - rho |P| |Q||, where rho = |mean| and phase = conj(mean) / rho:
-    the sum of the mean-subtracted matrix, rotated onto the mean.  The pieces
-    are runs (_build_pieces), so np.add.reduceat over the run starts sums the
-    rows and then the columns: two passes and no indicator matrices, which
-    would hold (pieces x positions) complex numbers.  The pick is the tie
-    rule's, the first pair in row-major order within 1e-9 of the largest.
+    by_row holds the row pieces' column sums (_row_piece_sums) and row_sizes
+    their sizes.  For pieces P, Q with entry sum S over P x Q, the deviation
+    is |phase * S - rho |P| |Q||, where rho = |mean| and
+    phase = conj(mean) / rho: the sum of the mean-subtracted matrix, rotated
+    onto the mean.  The column pieces are runs too, so one np.add.reduceat
+    over their starts sums them; on a +-1 matrix the sums stay exact
+    integers.  The pick is the tie rule's, the first pair in row-major order
+    within 1e-9 of the largest.
     """
-    by_row = np.add.reduceat(entries[rows], row_starts, axis=0)
     sums = np.add.reduceat(by_row[:, cols], col_starts, axis=1)
     rho = abs(rho_c)
     phase = np.conj(rho_c) / rho if rho > 0 else 1.0
-    sizes = np.outer(np.diff(row_starts, append=rows.size), np.diff(col_starts, append=cols.size))
+    sizes = np.outer(row_sizes, np.diff(col_starts, append=cols.size))
     raw = np.abs(phase * sums - rho * sizes)
     return divmod(_first_near_max(raw.ravel()), col_starts.size)
 
@@ -547,6 +579,13 @@ def extract_minor(m: CoherenceMatrix, witness: IrregularityWitness, lam: float) 
     prefer the larger min-side, then the fixed quadrant order.  The matrix's
     mean comes from its ``col_sums``: on a +-1 matrix the same exact integer
     ratio as ``entries.mean()``, on a complex one within rounding of it.
+
+    On a +-1 matrix the quadrants' column sums are not gathered again: the
+    piece's are its row of _row_piece_sums, the complement's the matrix's
+    ``col_sums`` minus that row.  All three are exact integers below 2^53,
+    so both equal ``entries[rows].sum(axis=0)`` bit for bit, and so do the
+    means and the pick.  A complex matrix gathers each side's rows, since
+    the 1e-12 tie rule of the means does not cover another rounding.
     """
     if witness.value < lam * (1 - _WITNESS_SLACK):
         raise ValueError(
@@ -563,16 +602,22 @@ def extract_minor(m: CoherenceMatrix, witness: IrregularityWitness, lam: float) 
     cols, col_starts, _, _ = _step_pieces(witness.g, eta)
     if not row_starts.size or not col_starts.size:
         raise ValueError("degenerate witness: step approximation has no pieces")
-    i, j = _best_piece_pair(entries, rho_c, rows, row_starts, cols, col_starts)
+    by_row = _row_piece_sums(entries, rows, row_starts)
+    i, j = _best_piece_pair(by_row, rho_c, np.diff(row_starts, append=rows.size), cols, col_starts)
 
     rp = np.split(rows, row_starts[i:i + 2])[1]  # run i: from its start to the next one's
     cp = np.split(cols, col_starts[j:j + 2])[1]
     col_sides = [csel for csel in (cp, _complement(cp, nc)) if csel.size]
+    rest = _complement(rp, nr)
+    # the column sums over each row side, for both column sides at once
+    if entries.dtype == np.float64:
+        row_sides = ((rp, by_row[i]), (rest, m.col_sums - by_row[i]))
+    else:
+        row_sides = ((rp, entries[rp].sum(axis=0)), (rest, entries[rest].sum(axis=0)))
     candidates = []  # piece/piece at least: the pieces are nonempty
-    for rsel in (rp, _complement(rp, nr)):
+    for rsel, sums in row_sides:
         if rsel.size:
-            # the column means over these rows, for both column sides at once
-            col_means = entries[rsel].sum(axis=0) / rsel.size
+            col_means = sums / rsel.size
             for csel in col_sides:
                 mu = float(np.mean(np.abs(col_means[csel])))
                 candidates.append((mu, min(rsel.size, csel.size), rsel, csel))

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from specdbl import cli
 from specdbl.fileio import read_set_file, read_trace_file
-from specdbl.fourier import dft
+from specdbl.fourier import dft, spectrum
 from specdbl.refine import audit_trace
 from regen_golden import GOLDEN, ONE_BLAS_THREAD, moved, refine_argv
 
@@ -776,6 +776,23 @@ def test_regen_golden_says_what_moved(tmp_path):
     assert lines[4] == "witness_value: largest relative change 0.01 (step 0)"
 
 
+def test_regen_golden_says_what_moved_across_a_version_bump(tmp_path):
+    # an old trace whose version the reader refuses is read from its raw
+    # JSON, so the same lines print, and a last one says so
+    stored = DATA / "golden_z3_5_7_t2.json"
+    doc = json.loads(stored.read_text())
+    doc["version"] -= 1
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    lines = moved(old, stored)
+    assert lines[:-1] == moved(stored, stored)
+    assert lines[-1].startswith("the old trace is read from its raw JSON (")
+    assert f"unsupported version {doc['version']}" in lines[-1]
+    del doc["steps"][0]["gate_size"]  # and when that fails too, one line
+    old.write_text(json.dumps(doc))
+    assert [line.split(" (")[0] for line in moved(old, stored)] == ["the old trace does not read"]
+
+
 def _assert_equal_but_witness_ulps(a, b, where="trace"):
     """Equal field by field, except witness_value within 1e-12 relative."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -868,6 +885,29 @@ def test_verify_transforms_its_set_once(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("ok") == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doubling, parseval, spectra", [("0.4", "0.4", 2), ("0.4", "0.5", 3)])
+def test_verify_takes_each_spectrum_once(tmp_path, doubling, parseval, spectra):
+    # the doubling check takes the eps- and the (eps^2/2)-spectrum; at the
+    # same level the Parseval check reuses the first one's size, and prints
+    # the same line as when it takes the spectrum itself
+    setfile = tmp_path / "h.json"
+    run_cli("gen", "--kind", "example1", "--n", "2", "--out", str(setfile))
+    alone = run_cli("verify", "--input", str(setfile), "--parseval", parseval)
+    calls = []
+
+    def counted(table, eps):
+        calls.append(eps)
+        return spectrum(table, eps)
+
+    with mock.patch("specdbl.cli.spectrum", counted), \
+            mock.patch("specdbl.diagnostics.spectrum", counted):
+        proc = run_cli("verify", "--input", str(setfile), "--statistical-doubling", doubling,
+                       "--parseval", parseval)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(calls) == spectra
+    assert proc.stdout.splitlines()[1] == alone.stdout.strip()
 
 
 def test_verify_without_checks_is_a_usage_error(tmp_path):

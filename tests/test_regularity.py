@@ -19,6 +19,7 @@ from specdbl.regularity import (
     IrregularityWitness,
     _best_piece_pair,
     _build_pieces,
+    _row_piece_sums,
     _complement,
     _step_pieces,
     brute_force_max,
@@ -582,14 +583,16 @@ def reference_search(entries, seed, iterations=None, stop=math.inf, leaves=relat
 
     Restart 0 of each side starts from g = 1, the others from the random
     phases of one generator draw for both sides; a restart leaves when
-    leaves(value, previous value) holds, its value reaches stop or it has
-    run cap iterations.  When given a list, iterations gets (side,
-    iterations run) for each restart."""
+    leaves(value, previous value) holds or it has run cap iterations.  Every
+    restart ends at the first iteration at which any restart's value reaches
+    stop, and the pick is then the first restart, rows 0..7 then cols 0..7,
+    whose value reached it; when none did, the tie rule picks.  When given a
+    list, iterations gets (side, iterations run) for each restart."""
     restarts = WITNESS_BUDGET[0]
     nr, nc = entries.shape
     entry = np.max(np.abs(entries))
     phases = np.random.default_rng(seed).random((2, restarts - 1, nc))
-    found = []
+    runs = []  # each restart's (value, f, g, side) after each of its iterations
     for side_idx, side in enumerate(("rows", "cols")):
         for restart in range(restarts):
             if restart == 0:
@@ -597,7 +600,8 @@ def reference_search(entries, seed, iterations=None, stop=math.inf, leaves=relat
             else:
                 g = np.exp(2j * np.pi * phases[side_idx, restart - 1])
             prev = -1.0
-            for step in range(cap):
+            run = []
+            for _ in range(cap):
                 f = _reference_phase(entries, g, entry)
                 if side == "rows":
                     f = _reference_centre(f)
@@ -605,12 +609,18 @@ def reference_search(entries, seed, iterations=None, stop=math.inf, leaves=relat
                 if side == "cols":
                     g = _reference_centre(g)
                 value = abs(complex(f @ entries @ g)) / (nr * nc)
-                if leaves(value, prev) or value >= stop:
+                run.append((value, f, g, side))
+                if leaves(value, prev):
                     break
                 prev = value
-            found.append((value, f, g, side))
-            if iterations is not None:
-                iterations.append((side, step + 1))
+            runs.append(run)
+    end = min((t for run in runs for t, c in enumerate(run) if c[0] >= stop), default=cap)
+    found = [run[min(end, len(run) - 1)] for run in runs]
+    if iterations is not None:
+        iterations.extend((c[3], min(end, len(run) - 1) + 1) for c, run in zip(found, runs))
+    reached = [c for c in found if c[0] >= stop]
+    if reached:
+        return reached[0]
     top = max(c[0] for c in found)
     return next(c for c in found if c[0] >= top * (1 - 1e-9))  # the tie rule
 
@@ -690,8 +700,9 @@ def test_search_draws_all_starts_from_one_generator():
 def test_block_search_stops_each_restart_as_the_reference_does(entries):
     # stops at the certificate's bound, where decide_regularity puts it (only
     # example1's matrix reaches it), and halfway between the best value after
-    # one iteration and the last one: in both forms a restart leaves once
-    # its value reaches the stop, and the tie rule picks among the rest
+    # one iteration and the last one: in both forms every restart ends at the
+    # first iteration at which any restart's value reaches the stop, and the
+    # pick is the first restart that reached it
     upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
     for seed in (0, 3):
         full = []
@@ -703,8 +714,30 @@ def test_block_search_stops_each_restart_as_the_reference_does(entries):
             want = reference_search(entries, seed, cut, stop)
             _assert_same_search(run_search(entries, seed, stop), want)
             if stop < last:
-                assert want[0] >= stop * (1 - 1e-9)
+                assert want[0] >= stop
                 assert sum(n for _, n in cut) < sum(n for _, n in full)
+
+
+def test_search_on_certifys_matrix_ends_when_one_restart_reaches_the_bound():
+    # certify's step-0 matrix: the block ends at the first iteration at which
+    # any restart reaches the stop, two phase maps per iteration, and the pick
+    # is the first restart that reached it, not the tie rule's, which may sit
+    # within 1e-9 below the stop
+    entries = _example_matrix(9)
+    upper, _ = spectral_certificate(CoherenceMatrix(entries), 1.0)
+    stop = upper * (1 - 1e-9)
+    for seed in (0, 3):
+        iterations, uncut = [], []
+        want = reference_search(entries, seed, iterations, stop)
+        reference_search(entries, seed, uncut)
+        end = max(n for _, n in iterations)
+        assert end < max(n for _, n in uncut)
+        patch, phases = _counting(regularity, "_phase_of")
+        with patch:
+            got = run_search(entries, seed, stop)
+        assert len(phases) == 2 * end
+        _assert_same_search(got, want)
+        assert got[0] >= stop
 
 
 def _assert_same_search(got, want):
@@ -986,7 +1019,7 @@ def test_cut_on_the_proofs_grid_raises_the_mean():
     assert max(row_starts.size, col_starts.size) <= 100 / eta**2
     mean = complex(m.col_sums.sum() / m.entries.size)
     assert abs(mean) == pytest.approx(0.5022, abs=1e-4)
-    i, j = _best_piece_pair(m.entries, mean, rows, row_starts, cols, col_starts)
+    i, j = _piece_pair(m.entries, mean, rows, row_starts, cols, col_starts)
     rp = np.split(rows, row_starts[i:i + 2])[1]
     cp = np.split(cols, col_starts[j:j + 2])[1]
     quadrants = [(float(np.mean(np.abs(m.entries[np.ix_(rsel, csel)].mean(axis=0)))),
@@ -1052,6 +1085,90 @@ def test_extract_skips_a_quadrant_with_an_empty_side():
     assert ext.new_mean == 1.0
 
 
+def _piece_pair(entries, mean, rows, row_starts, cols, col_starts):
+    """_best_piece_pair on the row pieces' column sums, as extract_minor calls it."""
+    by_row = _row_piece_sums(entries, rows, row_starts)
+    return _best_piece_pair(by_row, mean, np.diff(row_starts, append=rows.size), cols, col_starts)
+
+
+def _gathered_cut(m, witness):
+    """extract_minor as it was before it reused sums: the row pieces' column
+    sums from one gather and np.add.reduceat, and each quadrant's column sums
+    from a gather of its rows.  Returns (row positions, col positions, mean)."""
+    entries = m.entries
+    nr, nc = entries.shape
+    eta = min(1.0, witness.value / 8.0)
+    rows, row_starts, _, _ = _step_pieces(witness.f, eta)
+    cols, col_starts, _, _ = _step_pieces(witness.g, eta)
+    by_row = np.add.reduceat(entries[rows], row_starts, axis=0)
+    i, j = _best_piece_pair(by_row, complex(m.col_sums.sum() / entries.size),
+                            np.diff(row_starts, append=rows.size), cols, col_starts)
+    rp = np.split(rows, row_starts[i:i + 2])[1]
+    cp = np.split(cols, col_starts[j:j + 2])[1]
+    candidates = []
+    for rsel in (rp, _complement(rp, nr)):
+        for csel in (cp, _complement(cp, nc)):
+            if rsel.size and csel.size:
+                mu = float(np.mean(np.abs((entries[rsel].sum(axis=0) / rsel.size)[csel])))
+                candidates.append((mu, min(rsel.size, csel.size), rsel, csel))
+    best_mu = max(c[0] for c in candidates)
+    tied = [c for c in candidates if c[0] >= best_mu - 1e-12]
+    mu, _, rsel, csel = next(c for c in tied if c[1] == max(t[1] for t in tied))
+    return rsel, csel, mu
+
+
+@pytest.mark.parametrize("entries", [
+    _example_matrix(9), _real_sign_matrix((40, 3)), _real_sign_matrix((3, 40)),
+    _pure_2_group_matrix(), _unit_matrix((60, 60)), _noisy(_sign_matrix((50, 30))),
+], ids=["certify-1023x1023", "sign-40x3", "sign-3x40", "z2-8", "unit-60x60", "noisy-sign-50x30"])
+def test_cut_from_reused_sums_equals_the_gathered_cut(entries):
+    # on a +-1 matrix every column sum is an exact integer, so the indicator
+    # product equals the gather and np.add.reduceat, and a piece's row of it
+    # and col_sums minus that row equal the gathers of the piece's rows and
+    # of the rest, bit for bit; with more row pieces than columns (sign-40x3)
+    # the sums are gathered; a complex matrix gathers as before
+    m = CoherenceMatrix(entries)
+    for seed in (0, 3):
+        value, f, g, side = run_search(entries, seed)
+        witness = IrregularityWitness(f, g, side, value)
+        rows, row_starts, _, _ = _step_pieces(witness.f, value / 8)
+        by_row = _row_piece_sums(entries, rows, row_starts)
+        assert np.array_equal(by_row, np.add.reduceat(entries[rows], row_starts, axis=0))
+        if entries.dtype == np.float64:
+            for i, rp in enumerate(np.split(rows, row_starts[1:])):
+                assert np.array_equal(by_row[i], entries[rp].sum(axis=0))
+                rest = _complement(rp, entries.shape[0])
+                assert np.array_equal(m.col_sums - by_row[i], entries[rest].sum(axis=0))
+        ext = extract_minor(m, witness, value)
+        rsel, csel, mu = _gathered_cut(m, witness)
+        assert np.array_equal(ext.row_positions, rsel)
+        assert np.array_equal(ext.col_positions, csel)
+        assert ext.new_mean == mu
+
+
+def test_indicator_sums_only_while_the_pieces_fit_the_columns():
+    # the 0/1 indicator is (pieces x rows): it is taken only while it is no
+    # larger than the matrix, and never on a complex matrix
+    def products(entries, n_pieces):
+        rows, starts = np.arange(entries.shape[0]), np.arange(n_pieces)
+        calls = []
+
+        class Counting(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls.append(ufunc)
+                inputs = tuple(x.view(np.ndarray) if isinstance(x, Counting) else x
+                               for x in inputs)
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        got = _row_piece_sums(entries.view(Counting), rows, starts)
+        assert np.array_equal(np.asarray(got), np.add.reduceat(entries, starts, axis=0))
+        return calls.count(np.matmul)
+
+    assert products(_real_sign_matrix((8, 3)), 3) == 1
+    assert products(_real_sign_matrix((8, 3)), 4) == 0
+    assert products(_sign_matrix((8, 3)), 3) == 0
+
+
 def _loop_pick(entries, row_pieces, col_pieces):
     """The double loop over piece pairs that _best_piece_pair replaced (first strict maximum)."""
     rho_c = complex(entries.mean())
@@ -1083,7 +1200,7 @@ def test_piece_pair_matches_the_double_loop(shape):
     cols = np.split(g_pieces[0], g_pieces[1][1:])
     if shape == (7, 2155):
         assert len(cols) >= 200
-    i, j = _best_piece_pair(entries, complex(entries.mean()), *f_pieces[:2], *g_pieces[:2])
+    i, j = _piece_pair(entries, complex(entries.mean()), *f_pieces[:2], *g_pieces[:2])
     assert (i, j) == _loop_pick(entries, rows, cols)
     ext = extract_minor(m, witness, value)
     # each side of the minor is the chosen piece or its complement
@@ -1104,6 +1221,6 @@ def test_tied_piece_pairs_go_to_the_first_in_row_major_order():
     angles[10:15, 0:5] = block.T
     entries = np.exp(2j * np.pi * (angles + angles.T) / 2)
     pieces = (np.arange(20), np.arange(0, 20, 5))  # four runs of five
-    assert _best_piece_pair(entries, complex(entries.mean()), *pieces, *pieces) == (0, 2)
+    assert _piece_pair(entries, complex(entries.mean()), *pieces, *pieces) == (0, 2)
     flipped = entries[::-1, ::-1]  # now the block pairs are (1, 3) and (3, 1)
-    assert _best_piece_pair(flipped, complex(flipped.mean()), *pieces, *pieces) == (1, 3)
+    assert _piece_pair(flipped, complex(flipped.mean()), *pieces, *pieces) == (1, 3)
