@@ -16,7 +16,8 @@ from .diagnostics import (
     high_threshold_closure,
     statistical_doubling,
 )
-from .fileio import read_set_file, read_trace_file, write_set_file, write_trace_file
+from .fileio import (_csv_lines, _dumps, _rows_json, read_set_file, read_trace_file,
+                     write_set_file, write_trace_file)
 from .fourier import dft, parseval_capacity, spectrum
 from .groups import FiniteAbelianGroup, random_subset, subgroup_span
 from .refine import (
@@ -96,8 +97,9 @@ def _cmd_spectrum(args) -> int:
     table = dft(members)
     spec = spectrum(table, args.epsilon)
     capacity = parseval_capacity(members.group.size, members.size, args.epsilon)
+    rows = None
     if args.out:
-        write_set_file(
+        rows = write_set_file(
             args.out,
             spec,
             {"kind": "spectrum", "epsilon": args.epsilon, "source_size": members.size},
@@ -108,14 +110,12 @@ def _cmd_spectrum(args) -> int:
             "set_size": members.size,
             "spectrum_size": len(spec),
             "capacity": capacity,
-            "members": spec.coords(),
         }
         # one compact line: the member list has a row for each of up to |G|
         # characters, and an indented row takes about 4.5x the bytes
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        print(_dumps(doc, {"members": rows or _rows_json(spec)}))
     elif args.format == "csv":
-        for row in spec.coords():
-            print(",".join(map(str, row)))
+        print(_csv_lines(rows or _rows_json(spec)))  # a spectrum holds at least one row
     else:
         print(
             f"spectrum at epsilon={_fmt(args.epsilon)}: {len(spec)} of "
@@ -164,7 +164,7 @@ def _cmd_verify(args) -> int:
             )
 
     if args.closure is not None:
-        rep = high_threshold_closure(table, args.closure)
+        rep = high_threshold_closure(table, args.closure, doubling=doubling)
         if rep.ok:
             print(
                 f"closure ok: spectrum size {rep.spec_size} closed into "

@@ -26,7 +26,8 @@ __all__ = [
 class DoublingReport:
     """Probability that a random ordered pair of large characters sums large.
 
-    Every pair is counted, so ``exact`` is always True.
+    Every pair is counted, so ``exact`` is always True.  ``sums`` is the
+    spectrum's sumset, the support of the pair counts.
     """
 
     epsilon: float
@@ -37,6 +38,7 @@ class DoublingReport:
     spec_size: int
     small_spec_size: int
     exact: bool
+    sums: ElementSet
 
 
 def statistical_doubling(table: FourierTable, eps: float) -> DoublingReport:
@@ -60,7 +62,8 @@ def statistical_doubling(table: FourierTable, eps: float) -> DoublingReport:
         raise AssertionError(
             f"exact doubling probability {p} fell below the bound {lower}"
         )
-    return DoublingReport(eps, p, lower, total, hits, m, len(small), True)
+    return DoublingReport(eps, p, lower, total, hits, m, len(small), True,
+                          ElementSet(table.group, counts > 0))
 
 
 @dataclass(frozen=True)
@@ -75,15 +78,24 @@ class ClosureReport:
     violation: Optional[tuple]
 
 
-def high_threshold_closure(table: FourierTable, eps: float) -> ClosureReport:
+def high_threshold_closure(table: FourierTable, eps: float,
+                           doubling: Optional[DoublingReport] = None) -> ClosureReport:
     """For eps > 3/4, check Spec_eps + Spec_eps is contained in Spec_{4*eps-3},
-    the spectra of the set whose table is ``table``."""
+    the spectra of the set whose table is ``table``.
+
+    ``doubling``, a report on the same table, lends its sumset when its
+    spectrum has the size of Spec_eps: the spectra of one table are nested,
+    so two of one size are the same set.
+    """
     if not 0.75 < eps <= 1.0:
         raise ValueError(f"closure check needs a level in (3/4, 1], got {eps}")
     group = table.group
     spec = spectrum(table, eps)
     target = spectrum(table, 4.0 * eps - 3.0)
-    sums = sumset(spec, spec)
+    if doubling is not None and doubling.spec_size == len(spec):
+        sums = doubling.sums
+    else:
+        sums = sumset(spec, spec)
     outside = sums.mask & ~target.mask
     if not outside.any():
         return ClosureReport(eps, 4.0 * eps - 3.0, True, len(spec), len(target), None)

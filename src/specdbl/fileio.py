@@ -8,7 +8,10 @@
                  optional gate constant K in config, and no longer reads)
 
 Writing is canonical (same document, same bytes), so a load/save cycle of a
-file reproduces it exactly.  A trace stores observations only; reading it
+file reproduces it exactly.  ``_rows_json`` writes the coordinate rows: their
+digits go into one numpy byte array, with no Python object per coordinate,
+and the text is byte for byte what ``json.dumps`` gives for the rows;
+``json.dumps`` writes every other value.  A trace stores observations only; reading it
 derives the steps and ``measured`` with the run's own ``refine._replay`` and
 ``refine._measure``, and a key the writer does not write is a format error.
 """
@@ -22,6 +25,8 @@ import math
 import typing
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .groups import ElementSet, FiniteAbelianGroup
 from .refine import (MEASURED_COUNTS, OBSERVED, AuditReport, RefineConfig, RefineResult,
@@ -128,9 +133,54 @@ def _check_header(doc: dict, expected: str, path) -> None:
         raise FileFormatError(f"{path}: unsupported version {version!r}")
 
 
-def _write(path, doc: dict) -> None:
-    # one compact line: a row per element, and only then does the C encoder run
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+def _rows_json(members: ElementSet) -> str:
+    """``json.dumps(rows, separators=(",", ":"))`` for the coordinate rows of
+    ``members`` in index order, built as one byte array.
+
+    A row's cells are, for each coordinate, a lead ("[" before the first, else
+    ",") and ``width`` digits, enough for the largest order, written by
+    integer division; then "]" and ",", the last row's "," closing the list.
+    One mask drops the leading zeros.  ``decode_indices``' int64 array is cast
+    at once to the narrowest type that holds the largest order, and every
+    other temporary holds one byte a cell or that type.
+    """
+    if not members.size:
+        return "[]"
+    top = max(members.group.orders) - 1
+    width = len(str(top))
+    coords = members.group.decode_indices(members.indices()).astype(np.min_scalar_type(top))
+    m, rank = coords.shape
+    step = width + 1
+    cells = np.empty((m, rank * step + 2), dtype=np.uint8)
+    cells[:, 0:-2:step] = ord(",")
+    cells[:, 0] = ord("[")
+    cells[:, -2:] = (ord("]"), ord(","))
+    cells[-1, -1] = ord("]")
+    keep = np.ones(cells.shape, dtype=bool)
+    for k in range(width):  # the digit of 10^k sits in column width - k of a coordinate
+        digits = slice(width - k, -2, step)
+        cells[:, digits] = coords // 10**k % 10 + ord("0")
+        if k:
+            keep[:, digits] = coords >= 10**k
+    return "[" + cells[keep].tobytes().decode("ascii")
+
+
+def _csv_lines(rows: str) -> str:
+    """The text of ``_rows_json`` as comma-separated lines, one per row."""
+    return rows[2:-2].replace("],[", "\n")
+
+
+def _dumps(doc: dict, rows: dict) -> str:
+    """``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of ``doc``
+    with the keys of ``rows`` added, whose values are already JSON text."""
+    parts = {key: json.dumps(value, sort_keys=True, separators=(",", ":"))
+             for key, value in doc.items()}
+    parts.update(rows)
+    return "{" + ",".join(f"{json.dumps(key)}:{parts[key]}" for key in sorted(parts)) + "}"
+
+
+def _write(path, doc: dict, rows: dict) -> None:
+    Path(path).write_text(_dumps(doc, rows) + "\n")
 
 
 def _set_from(orders: list, elements: list, path, label: str) -> ElementSet:
@@ -154,14 +204,17 @@ def _set_from(orders: list, elements: list, path, label: str) -> ElementSet:
         raise FileFormatError(f"{path}: field {label!r}: {exc}") from exc
 
 
-def write_set_file(path, members: ElementSet, metadata: Optional[dict] = None) -> None:
+def write_set_file(path, members: ElementSet, metadata: Optional[dict] = None) -> str:
+    """Write ``members`` as a version 2 set file; return the JSON text of its
+    rows, so a caller that prints them too encodes them once."""
+    rows = _rows_json(members)
     _write(path, {
         "format": SET_FORMAT,
         "version": 2,
         "orders": list(members.group.orders),
-        "elements": members.coords(),
         "metadata": metadata or {},
-    })
+    }, {"elements": rows})
+    return rows
 
 
 def read_set_file(path) -> tuple[ElementSet, dict]:
@@ -182,15 +235,13 @@ def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditR
         "theorem": result.theorem,
         "config": dataclasses.asdict(result.config),
         "orders": list(original.group.orders),
-        "input_elements": original.coords(),
-        "a_star": result.a_star.coords(),
         "rho_star": result.rho_star,
         "terminated": result.terminated,
         "certified": result.certified,
         "measured": {key: result.measured[key] for key in MEASURED_COUNTS},
         "steps": [s.observed() for s in result.trace],
         "audit": audit.to_dict(),
-    })
+    }, {"input_elements": _rows_json(original), "a_star": _rows_json(result.a_star)})
     return audit
 
 

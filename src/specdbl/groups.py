@@ -319,10 +319,6 @@ class ElementSet:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def coords(self) -> list[GroupElement]:
-        """Member coordinate rows in index order, as tuples of Python ints."""
-        return list(map(tuple, self.group.decode_indices(self.indices()).tolist()))
-
     def __len__(self) -> int:
         return self.size
 

@@ -34,6 +34,12 @@ def decode(group: FiniteAbelianGroup, index: int) -> tuple:
     return tuple(coords)
 
 
+def coords(members: ElementSet) -> list:
+    """Member coordinate rows in index order, as tuples of Python ints: the
+    rows whose ``json.dumps`` the set and trace writers' text must equal."""
+    return list(map(tuple, members.group.decode_indices(members.indices()).tolist()))
+
+
 def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]) -> complex:
     """Value of the character indexed by gamma at the element x.
 

@@ -15,10 +15,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from specdbl import cli
+from specdbl import cli, fileio
 from specdbl.fileio import read_set_file, read_trace_file
 from specdbl.fourier import dft, spectrum
 from specdbl.refine import audit_trace
+from oracles import coords
 from regen_golden import GOLDEN, ONE_BLAS_THREAD, moved, refine_argv
 
 # Traces that the last version 2 writer wrote with one BLAS thread, read and
@@ -128,7 +129,7 @@ def test_gen_random_and_subgroup(tmp_path):
     assert proc.returncode == 0, proc.stderr
     members, _ = read_set_file(out2)
     assert members.size == 4
-    assert (0, 0, 0, 0) in members.coords()
+    assert (0, 0, 0, 0) in coords(members)
 
     out3 = tmp_path / "h2.json"
     proc = run_cli("gen", "--kind", "subgroup", "--group", "4,3",
@@ -215,6 +216,32 @@ def test_spectrum_formats(tmp_path):
     members, meta = read_set_file(out)
     assert members.size == 7
     assert meta["kind"] == "spectrum"
+
+
+def test_spectrum_prints_the_rows_its_set_file_holds(tmp_path):
+    setfile, out = tmp_path / "a.json", tmp_path / "s.json"
+    run_cli("gen", "--kind", "random", "--group", "13,13,4", "--size", "60", "--out", str(setfile))
+    encoded, encode = [], fileio._rows_json
+
+    def counted(members):
+        encoded.append(members)
+        return encode(members)
+
+    with mock.patch("specdbl.cli._rows_json", counted), \
+            mock.patch("specdbl.fileio._rows_json", counted):
+        proc = run_cli("spectrum", "--input", str(setfile), "--epsilon", "0.2",
+                       "--format", "json", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert len(encoded) == 1  # one encoding serves both documents
+    printed, stored = json.loads(proc.stdout), json.loads(out.read_text())
+    assert len(stored["elements"]) > 1
+    assert printed["members"] == stored["elements"]
+    assert proc.stdout == json.dumps(printed, sort_keys=True, separators=(",", ":")) + "\n"
+
+    for args in ((), ("--out", str(tmp_path / "t.json"))):
+        proc = run_cli("spectrum", "--input", str(setfile), "--epsilon", "0.2",
+                       "--format", "csv", *args)
+        assert proc.stdout == "".join(",".join(map(str, row)) + "\n" for row in stored["elements"])
 
 
 def test_refine_and_report_round_trip(tmp_path):

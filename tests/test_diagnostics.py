@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import decode, encode
+from oracles import coords, decode, encode
 from specdbl import cli, diagnostics
 from specdbl.diagnostics import (
     example_counterexample,
@@ -106,6 +106,43 @@ def test_closure_holds_on_sweep():
                 assert rep.violation is None
 
 
+def _subgroup_plus_point():
+    # a subgroup of order 32 in Z_2^8 and one point outside it: the spectra at
+    # every level in (1/33, 31/33] are its annihilator, 8 characters
+    g = FiniteAbelianGroup([2] * 8)
+    h = subgroup_span(g, [tuple(int(i == j) for j in range(8)) for i in range(5)])
+    return ElementSet(g, h.mask | (np.arange(g.size) == 255))
+
+
+@pytest.mark.parametrize("doubling_eps, reused", [(0.4, True), (0.03, False)])
+def test_closure_takes_the_doubling_sumset_of_the_same_spectrum(monkeypatch, doubling_eps, reused):
+    table = dft(_subgroup_plus_point())
+    alone = high_threshold_closure(table, 0.9)
+    doubling = statistical_doubling(table, doubling_eps)
+    assert (doubling.spec_size == alone.spec_size) is reused
+    assert doubling.sums == sumset(spectrum(table, doubling_eps), spectrum(table, doubling_eps))
+    calls = []
+
+    def counted(s, t):
+        calls.append(s)
+        return sumset(s, t)
+
+    monkeypatch.setattr(diagnostics, "sumset", counted)
+    assert high_threshold_closure(table, 0.9, doubling=doubling) == alone
+    assert len(calls) == (0 if reused else 1)
+
+
+def test_verify_with_closure_and_doubling_prints_what_each_prints_alone(tmp_path, capsys):
+    setfile = tmp_path / "h.json"
+    write_set_file(setfile, _subgroup_plus_point())
+    lines = []
+    for args in (["--statistical-doubling", "0.4"], ["--closure", "0.9"],
+                 ["--closure", "0.9", "--statistical-doubling", "0.4"]):
+        assert cli.main(["verify", "--input", str(setfile), *args]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[2] == lines[0] + lines[1]
+
+
 def test_closure_failure_reports_a_witness_pair(monkeypatch, tmp_path, capsys):
     g = FiniteAbelianGroup([3, 4])
     h = subgroup_span(g, [(1, 0)])
@@ -124,7 +161,7 @@ def test_closure_failure_reports_a_witness_pair(monkeypatch, tmp_path, capsys):
     assert rep.ok is False
     assert rep.target_size == 1
     first, second = rep.violation
-    assert first in spec.coords() and second in spec.coords()
+    assert first in coords(spec) and second in coords(spec)
     total = tuple((x + y) % n for x, y, n in zip(first, second, g.orders))
     assert total != (0, 0)
 

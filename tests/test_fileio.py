@@ -1,18 +1,22 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from oracles import coords
 from specdbl import regularity
 from specdbl.diagnostics import example_counterexample
 from specdbl.fileio import (
     FileFormatError,
+    _csv_lines,
+    _rows_json,
     read_set_file,
     read_trace_file,
     write_set_file,
     write_trace_file,
 )
-from specdbl.groups import FiniteAbelianGroup, random_subset, subgroup_span
+from specdbl.groups import ElementSet, FiniteAbelianGroup, random_subset, subgroup_span
 from specdbl.refine import RefineConfig, audit_trace, refine_theorem1, refine_theorem2
 
 
@@ -41,6 +45,59 @@ def test_set_file_layout(tmp_path):
     assert doc["version"] == 2
     assert doc["orders"] == [2, 2]
     assert all(len(row) == 2 for row in doc["elements"])
+
+
+ALL = "all"  # every element of the group
+
+
+@pytest.mark.parametrize("orders, members", [
+    ((3, 2), []),
+    ((5, 7), [34]),
+    ((10,), ALL),  # coordinates 0-9: one digit
+    ((11,), ALL),  # 9 then 10: two digits
+    ((100,), ALL),  # 99: still two
+    ((101,), ALL),  # 99 then 100: three
+    ((102,), ALL),  # 100 then 101
+    ((10, 101, 3), ALL),  # one and three digit coordinates in a row
+    ((1, 4, 1), ALL),  # factors of order 1
+    ((2**20,), [0, 9, 10, 99, 100, 101, 999_999, 2**20 - 1]),
+    ((13, 13, 13), 300),
+    ((2,) * 16, 2000),
+], ids=["empty", "one-row", "9", "9-10", "99", "99-100", "100-101", "mixed-widths",
+        "order-1", "2^20", "Z_13^3", "Z_2^16"])
+def test_rows_are_the_bytes_json_dumps_writes(orders, members):
+    g = FiniteAbelianGroup(orders)
+    if members == ALL:
+        s = ElementSet(g, np.ones(g.size, dtype=bool))
+    elif isinstance(members, int):
+        s = random_subset(g, members, seed=7)
+    else:
+        s = ElementSet.from_indices(g, members)
+    rows = coords(s)
+    text = _rows_json(s)
+    assert text == json.dumps(rows, separators=(",", ":"))
+    assert _csv_lines(text) == "\n".join(",".join(map(str, row)) for row in rows)
+
+
+def test_set_and_trace_files_are_json_dumps_of_their_documents(tmp_path):
+    # each document is the one compact, key-sorted line json.dumps writes
+    g = FiniteAbelianGroup((13, 13, 13))
+    a = random_subset(g, 300, seed=2)
+    path = tmp_path / "a.json"
+    rows = write_set_file(path, a, {"kind": "random", "note": [1.5, None, "x"]})
+    doc = {"format": "specdbl-set", "version": 2, "orders": [13, 13, 13],
+           "elements": coords(a), "metadata": {"kind": "random", "note": [1.5, None, "x"]}}
+    assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert rows == json.dumps(coords(a), separators=(",", ":"))
+
+    ex = example_counterexample(3)
+    result = refine_theorem1(ex.members, RefineConfig(epsilon=0.4, delta=0.3, seed=1))
+    write_trace_file(path, result, ex.members)
+    text = path.read_text()
+    doc = json.loads(text)
+    assert doc["input_elements"] == [list(row) for row in coords(ex.members)]
+    assert doc["a_star"] == [list(row) for row in coords(result.a_star)]
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # a version 1 set file, indented by two spaces, as the version 1 writer wrote

