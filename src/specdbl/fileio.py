@@ -11,15 +11,20 @@ Writing is canonical (same document, same bytes), so a load/save cycle of a
 file reproduces it exactly.  ``_rows_json`` writes the coordinate rows: their
 digits go into one numpy byte array, with no Python object per coordinate,
 and the text is byte for byte what ``json.dumps`` gives for the rows;
-``json.dumps`` writes every other value.  A trace stores observations only; reading it
-derives the steps and ``measured`` with the run's own ``refine._replay`` and
+``json.dumps`` writes every other value.  Reading mirrors it: ``_load_json``
+walks the top-level keys with the C scanner of the ``json`` module, and
+``_rows_from_json`` parses each row field's text into one int64 array, again
+with no Python object per coordinate.  It accepts and refuses the documents
+``json.loads`` and a type check of the rows did (any layout, key order or
+whitespace), and a syntax error inside the rows may name the field in place
+of a line.  A trace stores observations only; reading it derives the steps
+and ``measured`` with the run's own ``refine._replay`` and
 ``refine._measure``, and a key the writer does not write is a format error.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import typing
@@ -44,13 +49,17 @@ SET_FORMAT = "specdbl-set"
 TRACE_FORMAT = "specdbl-trace"
 # a set file's versions differ only in layout
 _VERSIONS = {SET_FORMAT: (1, 2), TRACE_FORMAT: (6,)}
+# the keys whose values are coordinate rows; each holds the _rows_from_json
+# array, or the JSON list it could not take, which is no coordinate rows
+_ROW_FIELDS = ("elements", "input_elements", "a_star")
+_ROWS = (np.ndarray, list)
 # every key a version 6 trace holds and its JSON kind; any other key is a format error
 _TRACE_KINDS = {"format": (str,), "version": (int,), "theorem": (int,), "config": (dict,),
-                "orders": (list,), "input_elements": (list,), "a_star": (list,),
+                "orders": (list,), "input_elements": _ROWS, "a_star": _ROWS,
                 "rho_star": (float,), "terminated": (str,), "certified": (bool,),
                 "measured": (dict,), "steps": (list,), "audit": (dict,)}
 # the keys a set file reader checks; it ignores any other
-_SET_KINDS = {"orders": (list,), "elements": (list,), "metadata": (dict,)}
+_SET_KINDS = {"orders": (list,), "elements": _ROWS, "metadata": (dict,)}
 # JSON types each field accepts (Optional[X] gives X or None), resolved once
 # because resolving annotations costs more than reading a step
 _KINDS = {name: typing.get_args(t) or (t,) for cls in (RefineConfig, RefineTraceStep)
@@ -59,29 +68,140 @@ _CONFIG_KINDS = {f.name: _KINDS[f.name] for f in dataclasses.fields(RefineConfig
 _STEP_KINDS = {name: _KINDS[name] for name in OBSERVED}  # a step stores its observations
 _COUNT_KINDS = dict.fromkeys(MEASURED_COUNTS, (int,))
 
+_WS = json.decoder.WHITESPACE.match
+_scanstring = json.decoder.scanstring
+_scan = json.JSONDecoder().scan_once
+# each byte's class in _rows_from_json: "0" for a digit or "-", " " for JSON
+# whitespace, itself for "[", "]" and ",", and "?" for any byte rows do not hold
+_DIGIT, _SPACE, _MINUS = ord("0"), ord(" "), ord("-")
+_ROW_CLASS = bytes(_DIGIT if c in b"0123456789-" else _SPACE if c in b" \t\n\r"
+                   else c if c in b"[]," else ord("?") for c in range(256))
+
 
 class FileFormatError(ValueError):
     """Raised when a document cannot be read or does not match its schema."""
 
 
 def _load_json(path) -> dict:
+    """The top-level object of the JSON document at ``path``; the value of a
+    top-level key in ``_ROW_FIELDS`` that is coordinate rows comes back as
+    the ``_rows_from_json`` array, with no Python int per coordinate."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    is_object = text.startswith("{", _WS(text).end())
     try:
-        doc = json.loads(text)
+        if is_object:
+            return _object(text)
+        json.loads(text)  # words the error of a document that is no object
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from exc
     except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
+    raise FileFormatError(f"{path}: top level must be an object")
+
+
+def _object(text: str) -> dict:
+    """The object that starts ``text`` after whitespace, walked key by key as
+    ``json.loads`` walks it, and with its messages: each value goes through
+    the C scanner, except a row field's value that ``_rows_from_json``
+    takes.  The last of duplicate keys wins."""
+    doc = {}
+    i = _WS(text, _WS(text).end() + 1).end()
+    while doc or not text.startswith("}", i):  # only an empty object closes before a key
+        if not text.startswith('"', i):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+        key, i = _scanstring(text, i + 1)
+        i = _WS(text, i).end()
+        if not text.startswith(":", i):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+        i = _WS(text, i + 1).end()
+        value, end = _rows_from_json(text, i) if key in _ROW_FIELDS else (None, i)
+        if value is None:
+            try:
+                value, end = _scan(text, i)
+            except StopIteration as err:
+                raise json.JSONDecodeError("Expecting value", text, err.value) from None
+        doc[key] = value
+        i = _WS(text, end).end()
+        if text.startswith("}", i):
+            break
+        if not text.startswith(",", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        i = _WS(text, i + 1).end()
+    i = _WS(text, i + 1).end()
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
     return doc
+
+
+def _rows_from_json(text: str, start: int) -> tuple:
+    """(rows, end) for the JSON array of equal-length integer rows that
+    starts at ``text[start]``, as an (m, rank) int64 array (shape (0, 0) for
+    ``[]``), or (None, start) if no such array starts there.
+
+    A rows value holds no '"', so it ends at the last "]" before the next
+    one.  Its bytes are read in whole-array passes.  One table maps each to
+    its class: "0" for a digit or "-", " " for whitespace, "?" for a byte no
+    rows value holds.  A number is a run of "0" cells; with whitespace
+    dropped and each run cut to one cell, the classes must be the text
+    ``[[0,..,0],..,[0,..,0]]``.  A "-" may only lead a run, and a run of more
+    than one digit may not start with "0".  The digits are then summed by
+    place value.  A number of more than 18 digits is past int64, so out of
+    range for every factor: the rows are then Python ints, which
+    ``ElementSet.from_coords`` names in its error.
+    """
+    stop = text.find('"', start)
+    end = text.rfind("]", start, len(text) if stop < 0 else stop) + 1
+    if not (end and text.startswith("[", start)):
+        return None, start
+    raw = text[start:end].encode()
+    cls = np.frombuffer(raw.translate(_ROW_CLASS), dtype=np.uint8)
+    raw = np.frombuffer(raw, dtype=np.uint8)
+    num = cls == _DIGIT
+    begins = num[1:] > num[:-1]  # a number starts one cell on; the first cell is "["
+    keep = cls != _SPACE
+    keep[1:] &= begins | ~num[1:]
+    shape = cls[keep].tobytes()
+    starts = np.flatnonzero(begins)
+    starts += 1
+    last = np.flatnonzero(num[1:] < num[:-1])  # each number's last digit; the last cell is "]"
+    count = starts.size
+    if shape == b"[]":
+        return np.zeros((0, 0), dtype=np.int64), end
+    m = (len(shape) - 1) // 2 - count  # a row of r numbers is 2 r + 2 cells with its ","
+    rank = count // m if m > 0 else 0
+    if not rank or shape != (b"[" + (b"[0" + b",0" * (rank - 1) + b"],") * m)[:-1] + b"]":
+        return None, start
+    first = starts
+    if minus := np.count_nonzero(raw == _MINUS):
+        negative = raw[starts] == _MINUS
+        first = starts + negative
+        if np.count_nonzero(negative) != minus or (last < first).any():
+            return None, start
+    top = int((last - first).max()) + 1  # the most digits in a number
+    if top > 1:
+        width = last - first + 1
+        if ((raw[first] == _DIGIT) & (width > 1)).any():  # a leading zero
+            return None, start
+    if top > 18:
+        values = np.array([int(raw[a:b + 1].tobytes()) for a, b in zip(starts, last)], dtype=object)
+    else:
+        values = raw[last].astype(np.int64)
+        values -= _DIGIT
+        for k in range(1, top):
+            digits = raw[last - k].astype(np.int64)
+            digits -= _DIGIT
+            digits[width <= k] = 0
+            values += digits * 10**k
+        if minus:
+            np.negative(values, out=values, where=negative)
+    return values.reshape(m, rank), end
 
 
 def _is(value, kind) -> bool:
@@ -183,24 +303,20 @@ def _write(path, doc: dict, rows: dict) -> None:
     Path(path).write_text(_dumps(doc, rows) + "\n")
 
 
-def _set_from(orders: list, elements: list, path, label: str) -> ElementSet:
+def _set_from(orders: list, rows, path, label: str) -> ElementSet:
     if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders):
         raise FileFormatError(f"{path}: field 'orders' must be a list of positive integers")
     try:
         group = FiniteAbelianGroup(tuple(orders))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    # whole-list passes in C: JSON gives rows as lists and coordinates as
-    # ints, and a bool (an int subclass) is not a coordinate
-    if not (set(map(type, elements)) <= {list}
-            and set(map(len, elements)) <= {len(orders)}
-            and set(map(type, itertools.chain.from_iterable(elements))) <= {int}):
+    if not isinstance(rows, np.ndarray) or rows.size and rows.shape[1] != group.rank:
         raise FileFormatError(
             f"{path}: field {label!r} must contain coordinate rows of length {len(orders)}"
         )
     try:
-        return ElementSet.from_coords(group, elements)
-    except (ValueError, IndexError) as exc:
+        return ElementSet.from_coords(group, rows)
+    except ValueError as exc:
         raise FileFormatError(f"{path}: field {label!r}: {exc}") from exc
 
 

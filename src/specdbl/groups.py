@@ -59,6 +59,10 @@ _WHT_CHUNK = 6
 # each sum, product by +-1 and fused multiply-add is exact in any order.
 _F32_EXACT = 1 << 24
 
+# Rows ``decode_indices`` fills from one ``np.unravel_index`` call: every
+# set the benchmark workloads decode fits in one chunk.
+_DECODE_CHUNK = 1 << 16
+
 # Bound below which every integer is exact in float64 (53 significand bits):
 # ``char_matrix`` takes its phase product in float64 while rank L^2 is below.
 _F64_EXACT = 1 << 53
@@ -146,9 +150,18 @@ class FiniteAbelianGroup:
     # -- element indexing -------------------------------------------------
 
     def decode_indices(self, indices: np.ndarray) -> np.ndarray:
-        """(m,) flat index array -> (m, rank) coordinate array."""
-        axes = np.unravel_index(np.asarray(indices, dtype=np.int64), self.shape)
-        return np.stack(axes[::-1], axis=-1)
+        """(m,) flat index array -> (m, rank) coordinate array.
+
+        The array is filled in row chunks of ``_DECODE_CHUNK``, so the one
+        int64 array per axis that ``np.unravel_index`` returns is a chunk's
+        size, not a second copy of the result.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        coords = np.empty((indices.size, self.rank), dtype=np.int64)
+        for start in range(0, indices.size, _DECODE_CHUNK):
+            chunk = slice(start, start + _DECODE_CHUNK)
+            np.stack(np.unravel_index(indices[chunk], self.shape)[::-1], axis=-1, out=coords[chunk])
+        return coords
 
     def encode_coords(self, coords: np.ndarray) -> np.ndarray:
         """Flat indices of an (m, rank) coordinate array, reducing mod orders."""
@@ -297,12 +310,13 @@ class ElementSet:
 
     @classmethod
     def from_coords(cls, group: FiniteAbelianGroup, coords: Iterable[Sequence[int]]) -> "ElementSet":
-        """Set of the given coordinate rows, each coordinate in range for its factor."""
-        rows = list(coords)
-        if not rows:
+        """Set of the given coordinate rows, each coordinate in range for its
+        factor; an (m, rank) array is taken as it is."""
+        rows = coords if isinstance(coords, np.ndarray) else list(coords)
+        if not len(rows):
             return cls(group, np.zeros(group.size, dtype=bool))
         try:
-            c = np.array(rows, dtype=np.int64)
+            c = np.asarray(rows, dtype=np.int64)
         except OverflowError:  # a coordinate past int64 is out of range for any factor
             x, n = next((x, n) for row in rows for x, n in zip(row, group.orders) if not 0 <= x < n)
             raise ValueError(f"coordinate {x} out of range for Z_{n}") from None

@@ -1,10 +1,14 @@
 """Reference paths the tests check the package against, kept out of the library."""
 
+import itertools
+import json
 import math
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from specdbl.fileio import _SET_KINDS, SET_FORMAT, FileFormatError, _check_header, _typed
 from specdbl.fourier import FourierTable
 from specdbl.groups import ElementSet, FiniteAbelianGroup, char_matrix
 
@@ -38,6 +42,45 @@ def coords(members: ElementSet) -> list:
     """Member coordinate rows in index order, as tuples of Python ints: the
     rows whose ``json.dumps`` the set and trace writers' text must equal."""
     return list(map(tuple, members.group.decode_indices(members.indices()).tolist()))
+
+
+def set_from_lists(orders: list, elements: list, path, label: str) -> ElementSet:
+    """The set of a row field that ``json.loads`` gave as Python lists: the
+    row check of the set and trace readers before rows were parsed in numpy,
+    whole-list type passes and then ``ElementSet.from_coords``."""
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders):
+        raise FileFormatError(f"{path}: field 'orders' must be a list of positive integers")
+    try:
+        group = FiniteAbelianGroup(tuple(orders))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    # JSON gives rows as lists and coordinates as ints, and a bool (an int
+    # subclass) is not a coordinate
+    if not (set(map(type, elements)) <= {list}
+            and set(map(len, elements)) <= {len(orders)}
+            and set(map(type, itertools.chain.from_iterable(elements))) <= {int}):
+        raise FileFormatError(
+            f"{path}: field {label!r} must contain coordinate rows of length {len(orders)}"
+        )
+    try:
+        return ElementSet.from_coords(group, elements)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: field {label!r}: {exc}") from exc
+
+
+def read_set_json(path) -> tuple:
+    """(set, metadata) of a set file by ``json.loads`` of the whole document
+    and ``set_from_lists``: the reference for ``read_set_file``, which parses
+    the rows in numpy.  Every error is a ``FileFormatError``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: top level must be an object")
+    _check_header(doc, SET_FORMAT, path)
+    doc = _typed(dict, _SET_KINDS, {key: doc[key] for key in _SET_KINDS if key in doc}, path)
+    return set_from_lists(doc["orders"], doc["elements"], path, "elements"), doc["metadata"]
 
 
 def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]) -> complex:

@@ -971,6 +971,26 @@ def test_file_errors_exit_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("rows", ["[[01,1]]", "[[0,1],]", "[[0 1]]", "[[0,,1]]", "[[1e0,1]]",
+                                  "[[0,1],[1,0]"])
+@pytest.mark.parametrize("command", ["spectrum", "report"])
+def test_rows_that_are_not_json_exit_2(tmp_path, rows, command):
+    # the numpy row reader refuses what json.loads refuses; the message may
+    # name the field in place of a line
+    path = tmp_path / "bad.json"
+    if command == "spectrum":
+        text = '{"elements":' + rows + ',"format":"specdbl-set","orders":[2,2],"version":2}'
+        path.write_text(text)
+        proc = run_cli("spectrum", "--input", str(path), "--epsilon", "0.4")
+    else:
+        doc = EX3.read_text()
+        path.write_text(doc.replace('"a_star":[', '"a_star":' + rows[:-1] + ",", 1))
+        proc = run_cli("report", "--trace", str(path))
+    assert proc.returncode == 2
+    assert f"error: {path}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", [("spectrum", "--input"), ("report", "--trace")],
                          ids=["spectrum", "report"])
 def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, command):

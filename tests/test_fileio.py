@@ -3,9 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import coords
-from specdbl import regularity
+from oracles import coords, read_set_json
+from specdbl import fileio, regularity
 from specdbl.diagnostics import example_counterexample
 from specdbl.fileio import (
     FileFormatError,
@@ -178,6 +179,105 @@ def test_malformed_set_files_are_reported(tmp_path, mutate, needle):
         read_set_file(path)
 
 
+# every group shape the benchmark workloads read, and two small ones
+READ_GROUPS = [(2,) * 16, (2,) * 18, (32, 32, 2), (13, 13, 13), (3, 5, 11, 13), (2, 2), (101, 3)]
+# row texts of Z_2 x Z_2 that read, or that both readers refuse
+ROW_TEXTS = ["[[0,1],[1,1]]", "[]", "[ [ 1 ,\n 0 ] ,\r\n\t[0,0] ]", "[[-0,1]]", "[[01,1]]",
+             "[[0,1],]", "[[0 1]]", "[[0,,1]]", "[[1e0,1]]", "[[1.0,1]]", "[[0,1]", "[[0,1],[1]]",
+             "[[-1,0]]", "[[2,0]]", "[[-,1]]", "[[1-0,1]]", "[[--1,1]]", "[[0,1],[1,0]]]", "[[]]",
+             "[[true,0]]", "[[null,0]]", '[[0,"1"]]', "[[[0],1]]", "[[0,1],3]", "[0,1]",
+             f"[[{10**30},0]]", f"[[0,-{10**19}]]", "[[1,0],[0,1]],[1,1]", "{}", "7", '"[[0,1]]"']
+# row texts of Z_101 x Z_3, where a "-" or a zero read as a digit would give a
+# coordinate in range
+WIDE_ROW_TEXTS = ["[[100,2],[10,0]]", "[[1-1,0]]", "[[--5,0]]", "[[-5,0]]", "[[007,1]]",
+                  "[[70,01]]"]
+
+
+def _set_document(draw, orders, rows=None) -> str:
+    """A set file's text as another writer might lay it out: its keys in any
+    order, any separators and whitespace, the rows' text given or drawn."""
+    group = FiniteAbelianGroup(orders)
+    members = random_subset(group, draw(st.integers(0, min(group.size, 40))),
+                            seed=draw(st.integers(0, 2**16)))
+    sep = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :\t")]))
+    indent = draw(st.sampled_from([None, 2]))
+    if rows is None:
+        cells = json.dumps(coords(members), separators=(",", ":")).replace("]", " ] ")
+        rows = "".join(draw(st.sampled_from(["", " ", "\n", "\t", "\r\n"])) if c == " " else c
+                       for c in cells.replace("[", " [ ").replace(",", " , "))
+    parts = {"format": '"specdbl-set"', "version": draw(st.sampled_from(["2", "1"])),
+             "orders": json.dumps(list(orders), separators=sep, indent=indent),
+             # a nested key of a row field's name, and non-ASCII text
+             "metadata": json.dumps({"elements": [[9]], "note": "größe \u2203"}, separators=sep,
+                                    indent=indent, ensure_ascii=draw(st.booleans())),
+             "elements": rows}
+    keys = draw(st.permutations(sorted(parts)))
+    return "{" + sep[0].join(f'"{key}"{sep[1]}{parts[key]}' for key in keys) + "}\n"
+
+
+def _read_both(path):
+    """(new, reference) results of reading ``path``: (set, metadata) or the
+    FileFormatError's class."""
+    out = []
+    for read in (read_set_file, read_set_json):
+        try:
+            out.append(read(path))
+        except FileFormatError:
+            out.append(FileFormatError)
+    return out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_numpy_reader_reads_what_json_loads_reads(tmp_path, data):
+    # either both readers give the same set and metadata, or both refuse the
+    # document with a FileFormatError
+    orders = data.draw(st.sampled_from(READ_GROUPS))
+    rows = data.draw(st.sampled_from([None, None] + ROW_TEXTS)) if orders == (2, 2) else None
+    path = tmp_path / "a.json"
+    path.write_text(_set_document(data.draw, orders, rows), encoding="utf-8")
+    new, reference = _read_both(path)
+    assert new == reference
+
+
+@pytest.mark.parametrize("rows, orders", [(rows, "[2,2]") for rows in ROW_TEXTS]
+                         + [(rows, "[101,3]") for rows in WIDE_ROW_TEXTS])
+def test_each_row_text_reads_as_json_loads_reads_it(tmp_path, rows, orders):
+    path = tmp_path / "a.json"
+    path.write_text('{"metadata":{"n":"ü"},"elements":' + rows + ',"format":"specdbl-set",'
+                    f'"orders":{orders},"version":2}}')
+    new, reference = _read_both(path)
+    assert new == reference
+
+
+def test_the_last_of_duplicate_keys_wins(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"elements":[[5,5]],"format":"specdbl-set","metadata":{},"orders":[2,2],'
+                    '"version":2,"elements":[[0,1]]}')
+    new, reference = _read_both(path)
+    assert new == reference
+    assert new[0] == ElementSet.from_coords(FiniteAbelianGroup((2, 2)), [(0, 1)])
+
+
+def test_rows_come_back_as_one_int64_array():
+    text = '{"elements": [[0, 12], [-0,\n7]], "other": [[1]]}'
+    doc = fileio._object(text)
+    assert doc["elements"].dtype == np.int64 and doc["elements"].tolist() == [[0, 12], [0, 7]]
+    assert doc["other"] == [[1]]
+
+
+def test_from_coords_takes_an_array_without_iterating_it():
+    class NoIteration(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("from_coords iterated the rows")
+
+    g = FiniteAbelianGroup((2,) * 16)
+    a = random_subset(g, 2000, seed=3)
+    rows = g.decode_indices(a.indices())
+    assert ElementSet.from_coords(g, rows.view(NoIteration)) == a
+
+
 def test_set_files_ignore_keys_the_writer_does_not_write(tmp_path):
     g = FiniteAbelianGroup((2, 3))
     a = random_subset(g, 3, seed=1)
@@ -194,6 +294,14 @@ def test_broken_json_reports_the_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "format": "specdbl-set",\n  "version": oops\n}\n')
     with pytest.raises(FileFormatError, match="line 3"):
+        read_set_file(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"x"', "null"])
+def test_a_document_that_is_no_object_is_reported(tmp_path, text):
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match="top level must be an object$"):
         read_set_file(path)
 
 

@@ -96,6 +96,24 @@ def test_vectorised_codec_matches_scalar():
         assert np.ndim(last) == 0 and last == g.size - 1
 
 
+def test_decode_holds_one_copy_of_the_coordinates():
+    # the (m, rank) result plus one chunk of np.unravel_index's per-axis
+    # arrays; unravelling all rows and stacking them held two full copies
+    import tracemalloc
+
+    g = FiniteAbelianGroup((2,) * 20)
+    indices = np.arange(4 * groups._DECODE_CHUNK, dtype=np.int64) * 3
+    tracemalloc.start()
+    try:
+        coords = g.decode_indices(indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.encode_coords(coords), indices)
+    chunk = groups._DECODE_CHUNK * g.rank * 8
+    assert coords.nbytes <= peak <= coords.nbytes + chunk + (1 << 20)
+
+
 def test_negation_matches_coordinate_negation():
     for orders in SMALL_ORDERS + [[1, 3], [5], [9, 2, 4], [2] * 7]:
         g = FiniteAbelianGroup(orders)
