@@ -15,11 +15,13 @@ sign from the sign bit of one phase sum; every other group gives
 complex128.  Nothing downstream forks on the dtype: the regularity code
 takes either.
 
-A ``CoherenceMatrix`` holds its entries, their largest modulus and their
-column sums.  Its check and every later reader take those from one pass
-each: the modulus is read in row blocks through one small buffer, and the
-column sums, which ``build_matrix`` checks and the regularity certificate
-and minor extraction read, are summed once.
+A ``CoherenceMatrix`` holds its entries, their largest modulus, their
+column sums and their row sums.  Its check and every later reader take
+those from one pass each: the modulus and the row sums are read in row
+blocks through one small buffer, and the column sums, which
+``build_matrix`` checks and the regularity certificate and minor extraction
+read, are summed once.  The refinement loop keeps one step's matrix alive
+at a time, so a matrix is the largest array a step holds.
 """
 
 from __future__ import annotations
@@ -38,27 +40,34 @@ _BLOCK_CELLS = 1 << 15  # cells per row block of the modulus check
 class CoherenceMatrix:
     """Dense matrix of unit-modulus entries: float64 when the input is real,
     and then exactly +1 or -1 (the matrices of a pure 2-group), complex128
-    otherwise.  max_modulus is max|entries|, kept from the unit-modulus check
-    for the witness search; col_sums is the read-only ``entries.sum(axis=0)``.
+    otherwise, in C order.  max_modulus is max|entries|, kept from the
+    unit-modulus check for the witness search; col_sums is the read-only
+    ``entries.sum(axis=0)``, and _row_sums the read-only
+    ``entries.sum(axis=1)``, which only the regularity certificate reads.
 
     The check takes |entries| in row blocks of about ``_BLOCK_CELLS`` cells
     through one reused buffer, so no matrix-size temporary is made; numpy's
     max and min propagate NaN, and so does ``np.maximum``, so a NaN in any
-    block fails it."""
+    block fails it.  The same blocks give the row sums: numpy sums each row
+    of a C-ordered array on its own, so a row's sum is the same number in a
+    block as in the whole matrix."""
 
-    __slots__ = ("entries", "max_modulus", "col_sums")
+    __slots__ = ("entries", "max_modulus", "col_sums", "_row_sums")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
-        entries = entries.astype(np.float64 if np.isrealobj(entries) else np.complex128, copy=False)
+        entries = np.asarray(entries, order="C",
+                             dtype=np.float64 if np.isrealobj(entries) else np.complex128)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError(f"entries must be a nonempty 2-d array, got shape {entries.shape}")
         rows, cols = entries.shape
         step = max(1, _BLOCK_CELLS // cols)
         buf = np.empty((min(rows, step), cols))
+        row_sums = np.empty(rows, dtype=entries.dtype)
         hi, lo = np.float64(-np.inf), np.float64(np.inf)
         for start in range(0, rows, step):
             block = entries[start:start + step]
+            np.add.reduce(block, axis=1, out=row_sums[start:start + step])
             mags = np.abs(block, out=buf[:len(block)])
             hi, lo = np.maximum(hi, mags.max()), np.minimum(lo, mags.min())
         max_modulus = float(hi)
@@ -70,10 +79,12 @@ class CoherenceMatrix:
             )
         entries.setflags(write=False)
         col_sums = entries.sum(axis=0)
-        col_sums.setflags(write=False)
+        for sums in (col_sums, row_sums):
+            sums.setflags(write=False)
         self.entries = entries
         self.max_modulus = max_modulus
         self.col_sums = col_sums
+        self._row_sums = row_sums
 
     def __repr__(self) -> str:
         rows, cols = self.entries.shape

@@ -260,16 +260,20 @@ def _rows_json(members: ElementSet) -> str:
     A row's cells are, for each coordinate, a lead ("[" before the first, else
     ",") and ``width`` digits, enough for the largest order, written by
     integer division; then "]" and ",", the last row's "," closing the list.
-    One mask drops the leading zeros.  ``decode_indices``' int64 array is cast
-    at once to the narrowest type that holds the largest order, and every
-    other temporary holds one byte a cell or that type.
+    One mask drops the leading zeros.  The coordinates are decoded chunk by
+    chunk straight into the narrowest type that holds the largest order, with
+    no int64 copy of them all, and every other temporary holds one byte a
+    cell or that type.  The kept cells are decoded as text from their own
+    buffer, once the cell array and the mask are freed.
     """
     if not members.size:
         return "[]"
-    top = max(members.group.orders) - 1
+    group = members.group
+    top = max(group.orders) - 1
     width = len(str(top))
-    coords = members.group.decode_indices(members.indices()).astype(np.min_scalar_type(top))
-    m, rank = coords.shape
+    m, rank = members.size, group.rank
+    coords = group._decode_into(members.indices(),
+                                np.empty((m, rank), dtype=np.min_scalar_type(top)))
     step = width + 1
     cells = np.empty((m, rank * step + 2), dtype=np.uint8)
     cells[:, 0:-2:step] = ord(",")
@@ -282,7 +286,9 @@ def _rows_json(members: ElementSet) -> str:
         cells[:, digits] = coords // 10**k % 10 + ord("0")
         if k:
             keep[:, digits] = coords >= 10**k
-    return "[" + cells[keep].tobytes().decode("ascii")
+    kept = cells[keep]
+    del coords, cells, keep
+    return "[" + str(kept.data, "ascii")
 
 
 def _csv_lines(rows: str) -> str:

@@ -17,7 +17,9 @@ pure 2-group (every factor of order 1 or 2) every coefficient of a set is an
 integer of magnitude at most |A|, computed exactly in float32 while
 |G| <= 2^24, and the table is float64; every other group gives complex128,
 and one with no factor of order 2 takes one numpy FFT call.  Nothing
-downstream forks on the dtype.
+downstream forks on the dtype.  A spectrum's mask is made fresh and becomes
+its ``ElementSet`` without a copy; on a real table it is taken from the
+signed coefficients, with no array of magnitudes.
 """
 
 from __future__ import annotations
@@ -103,11 +105,22 @@ def dft(a: ElementSet) -> FourierTable:
 
 def spectrum(table: FourierTable, eps: float) -> ElementSet:
     """Spectrum of A at level eps: the characters with |coeff| >= eps * |A|,
-    as a set of group elements under the self-duality."""
+    as a set of group elements under the self-duality.
+
+    On a real table the signed coefficients are compared with the cut:
+    negation is exact, so |c| >= cut exactly when c >= cut or c <= -cut, for
+    every cut, at -0.0 too, and neither holds for NaN.  So no |G| array of
+    magnitudes is made, and the fresh mask becomes the set as it is."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"spectrum level must lie in (0, 1], got {eps}")
     cut = eps * table.set_size - REL_TOL * table.set_size
-    members = ElementSet(table.group, np.abs(table.coeffs) >= cut)
+    coeffs = table.coeffs
+    if np.iscomplexobj(coeffs):
+        mask = np.abs(coeffs) >= cut
+    else:
+        mask = coeffs >= cut
+        mask |= coeffs <= -cut
+    members = ElementSet._adopt(table.group, mask)
     _check_spectrum(members, table.set_size, eps)
     return members
 

@@ -13,9 +13,16 @@ arithmetic throughout.
 On a pure 2-group every value these layers compute is a small integer, so
 each uses the narrowest arithmetic that holds it exactly: the forward
 Walsh-Hadamard pass of a 0/1 mask runs in float32 (``_F32_EXACT``), a sumset
-of few pairs is counted by XOR on the flat indices (``convolve_counts``),
-and ``char_matrix`` writes each +-1 entry, column signs included, from the
-sign bit of its phase.
+of few pairs is taken by XOR on the flat indices (``_xor_pairs``, which
+``convolve_counts`` counts and ``sumset`` scatters into a mask), and
+``char_matrix`` writes each +-1 entry, column signs included, from the sign
+bit of its phase.
+
+An ``ElementSet`` owns its mask.  The public constructor copies the array
+it is given, so no caller's array can change the set; the package's own
+builders (``from_indices``, ``from_coords``, ``fourier.spectrum``,
+``sumset``) make a fresh mask that nothing else holds and hand it over
+without a copy (``ElementSet._adopt``).
 
 The same ``shape`` gives the rest of the layout.  The one codec between flat
 indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
@@ -157,11 +164,17 @@ class FiniteAbelianGroup:
         size, not a second copy of the result.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        coords = np.empty((indices.size, self.rank), dtype=np.int64)
+        return self._decode_into(indices, np.empty((indices.size, self.rank), dtype=np.int64))
+
+    def _decode_into(self, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``decode_indices`` written into ``out``, an (m, rank) array of any
+        integer type that holds every coordinate; each chunk's coordinates
+        are cast into it as they are decoded."""
         for start in range(0, indices.size, _DECODE_CHUNK):
             chunk = slice(start, start + _DECODE_CHUNK)
-            np.stack(np.unravel_index(indices[chunk], self.shape)[::-1], axis=-1, out=coords[chunk])
-        return coords
+            np.stack(np.unravel_index(indices[chunk], self.shape)[::-1], axis=-1,
+                     out=out[chunk], casting="unsafe")
+        return out
 
     def encode_coords(self, coords: np.ndarray) -> np.ndarray:
         """Flat indices of an (m, rank) coordinate array, reducing mod orders."""
@@ -277,7 +290,10 @@ def char_matrix(
 
 
 class ElementSet:
-    """Immutable subset of a group stored as a dense boolean mask over indices."""
+    """Immutable subset of a group stored as a dense boolean mask over indices.
+
+    The constructor copies the mask it is given; ``_adopt`` takes a fresh
+    one as it is (the copy rule in the module docstring)."""
 
     __slots__ = ("group", "mask", "size")
 
@@ -287,7 +303,17 @@ class ElementSet:
             raise ValueError(
                 f"mask length {mask.shape} does not match group size {group.size}"
             )
-        mask = mask.copy()
+        self._hold(group, mask.copy())
+
+    @classmethod
+    def _adopt(cls, group: FiniteAbelianGroup, mask: np.ndarray) -> "ElementSet":
+        """The set whose mask is ``mask`` itself: a fresh bool array of the
+        group's size, which the caller gives up and no one else holds."""
+        members = object.__new__(cls)
+        members._hold(group, mask)
+        return members
+
+    def _hold(self, group: FiniteAbelianGroup, mask: np.ndarray) -> None:
         mask.setflags(write=False)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "mask", mask)
@@ -306,7 +332,7 @@ class ElementSet:
             if idx.min() < 0 or idx.max() >= group.size:
                 raise ValueError("element index out of range")
             mask[idx] = True
-        return cls(group, mask)
+        return cls._adopt(group, mask)
 
     @classmethod
     def from_coords(cls, group: FiniteAbelianGroup, coords: Iterable[Sequence[int]]) -> "ElementSet":
@@ -328,7 +354,7 @@ class ElementSet:
             raise ValueError(f"coordinate {c[i, j]} out of range for Z_{group.orders[j]}")
         mask = np.zeros(group.size, dtype=bool)
         mask[group.encode_coords(c)] = True
-        return cls(group, mask)
+        return cls._adopt(group, mask)
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
@@ -426,16 +452,27 @@ def _inverse_transform(group: FiniteAbelianGroup, y: np.ndarray) -> np.ndarray:
     return y.ravel()
 
 
+def _xor_pairs(s: ElementSet, t: ElementSet) -> Optional[np.ndarray]:
+    """The |S| |T| sums of the index pairs, flat, when they are the cheaper
+    count; else None.
+
+    On a pure 2-group (every factor of order 1 or 2) a flat index is the bit
+    vector of the element's coordinates and addition is XOR.  The pairs'
+    array holds at most |G| entries (8 MB at ``DEFAULT_MAX_GROUP``) while
+    |S| |T| <= |G|, and its cost grows with |S| |T| where the transforms'
+    grows with |G|, so past |S| |T| = |G| the transforms cost less.
+    """
+    group = _require_same_group(s, t)
+    if group._fft_axes or s.size * t.size > group.size:
+        return None
+    return np.bitwise_xor.outer(s.indices(), t.indices()).ravel()
+
+
 def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     """Counts r(x) = #{(a, b) in S x T : a + b = x} for every flat index x.
 
-    On a pure 2-group (every factor of order 1 or 2) with |S| |T| <= |G|,
-    the pairs are counted directly: there a flat index is the bit vector of
-    the element's coordinates and addition is XOR, so the counts are one
-    ``np.bincount`` of the |S| |T| XORs of the index pairs.  That array
-    holds at most |G| entries (8 MB at ``DEFAULT_MAX_GROUP``), and its cost
-    grows with |S| |T| where the transforms' grows with |G|, so past
-    |S| |T| = |G| the transforms cost less.
+    While ``_xor_pairs`` gives the pairs' sums (a pure 2-group with
+    |S| |T| <= |G|), the counts are one ``np.bincount`` of them.
 
     Every other case is the additive convolution 1_S * 1_T, computed by
     transform, pointwise product and inverse transform over the group's
@@ -454,10 +491,10 @@ def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     recovers the counts exactly; a residue over 0.25 means the transform
     itself failed.
     """
-    group = _require_same_group(s, t)
-    if not group._fft_axes and s.size * t.size <= group.size:
-        pairs = np.bitwise_xor.outer(s.indices(), t.indices())
-        return np.bincount(pairs.ravel(), minlength=group.size)
+    pairs = _xor_pairs(s, t)  # which checks that S and T share a group
+    group = s.group
+    if pairs is not None:
+        return np.bincount(pairs, minlength=group.size)
     fs = _transform(group, s.mask, real=True)
     ft = fs if t is s else _transform(group, t.mask, real=True)
     raw = _inverse_transform(group, fs * ft)
@@ -469,8 +506,17 @@ def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
 
 
 def sumset(s: ElementSet, t: ElementSet) -> ElementSet:
-    """Exact sumset S + T = {a + b : a in S, b in T}, the support of the counts."""
-    return ElementSet(s.group, convolve_counts(s, t) > 0)
+    """Exact sumset S + T = {a + b : a in S, b in T}, the support of the counts.
+
+    Where ``_xor_pairs`` gives the pairs' sums, they are scattered into the
+    mask directly, with no |G| array of counts."""
+    pairs = _xor_pairs(s, t)
+    if pairs is None:
+        mask = convolve_counts(s, t) > 0
+    else:
+        mask = np.zeros(s.group.size, dtype=bool)
+        mask[pairs] = True
+    return ElementSet._adopt(s.group, mask)
 
 
 def negate_set(s: ElementSet) -> ElementSet:

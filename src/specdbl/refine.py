@@ -17,6 +17,13 @@ irregular verdict, a minor; ``_replay`` derives its action, rho and |A| from
 them for the run, the trace reader and the audit alike.  ``_measure`` derives
 the final measurements from four counts.  A trace stores only the
 observations (``OBSERVED``) and the counts (``MEASURED_COUNTS``).
+
+One step's arrays are alive at a time.  A round's coherence matrix, verdict
+and minor are the locals of ``_observe``, freed when it returns, and the
+round's table and spectra are dropped before the next round's ``dft``; so
+the largest array a run holds is one matrix.  A matrix past
+``_CELLS_PER_ELEMENT`` cells per element of the largest group allowed
+(``SPECDBL_MAX_GROUP``) is refused before it is built, with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .coherence import _TOL, build_matrix
 from .fourier import dft, spectrum
-from .groups import ElementSet, sumset
+from .groups import ElementSet, _max_group_size, sumset
 from .regularity import _verdict_fault, decide_regularity, extract_minor
 
 __all__ = [
@@ -52,6 +59,10 @@ OBSERVED = ("spec_size", "gate_size", "verdict_status", "upper_bound", "witness_
             "new_mean", "minor_rows", "minor_cols")
 # below this rho, membership in the spectrum sinks into the transform's rounding
 _RHO_FLOOR = 1e-8
+# cells of the one coherence matrix a step may build, per element of the
+# largest group allowed: 2^26 cells at the default 2^20, 512 MiB in float64
+# and 1 GiB in complex128
+_CELLS_PER_ELEMENT = 64
 
 
 @dataclass(frozen=True)
@@ -199,6 +210,38 @@ def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho:
     return measured
 
 
+def _observe(step: int, current: ElementSet, spec_rho: ElementSet, table, lam: float,
+             seed: int, observed: dict):
+    """Fill in ``observed`` with the verdict on the coherence matrix of
+    ``current`` against ``spec_rho`` and, when it is irregular, the minor;
+    return the minor's row positions, or None.
+
+    The matrix, the verdict and the minor are this function's locals, so
+    they are freed when it returns, before the next step's ``dft``.  A matrix
+    of more cells than the budget is refused before it is built."""
+    rows, cols = current.size, spec_rho.size
+    ceiling = _max_group_size()
+    budget = _CELLS_PER_ELEMENT * ceiling
+    if rows * cols > budget:
+        itemsize = table.coeffs.itemsize  # float64 tables give float64 matrices
+        raise ValueError(
+            f"step {step}: the coherence matrix of {rows} x {cols} cells would take "
+            f"{rows * cols * itemsize} bytes, past the budget of {budget} cells "
+            f"({budget * itemsize} bytes; {_CELLS_PER_ELEMENT} cells per element of "
+            f"SPECDBL_MAX_GROUP = {ceiling})")
+    matrix = build_matrix(current, spec_rho, table)
+    verdict = decide_regularity(matrix, lam, seed=seed)
+    observed.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
+                    witness_value=None if verdict.witness is None else verdict.witness.value)
+    if verdict.status != "irregular":
+        return None
+    extraction = extract_minor(matrix, verdict.witness, lam)
+    observed.update(new_mean=extraction.new_mean,
+                    minor_rows=int(extraction.row_positions.size),
+                    minor_cols=int(extraction.col_positions.size))
+    return extraction.row_positions
+
+
 def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
     if a.size == 0:
         raise ValueError("refinement needs a nonempty starting set")
@@ -218,22 +261,16 @@ def _run(a: ElementSet, cfg: RefineConfig, theorem: int) -> RefineResult:
         # the verdict fields are an abort's until a verdict replaces them
         observed = dict(dict.fromkeys(OBSERVED), spec_size=len(spec_rho), gate_size=len(gate),
                         verdict_status="undetermined", upper_bound=1.0)
+        minor_rows = None
         if rho >= _RHO_FLOOR:
-            matrix = build_matrix(current, spec_rho, table)
-            verdict = decide_regularity(matrix, lam, seed=cfg.seed + 7919 * i)
-            observed.update(verdict_status=verdict.status, upper_bound=verdict.upper_bound,
-                            witness_value=None if verdict.witness is None else verdict.witness.value)
-            if verdict.status == "irregular":
-                extraction = extract_minor(matrix, verdict.witness, lam)
-                observed.update(new_mean=extraction.new_mean,
-                                minor_rows=int(extraction.row_positions.size),
-                                minor_cols=int(extraction.col_positions.size))
+            minor_rows = _observe(i, current, spec_rho, table, lam, cfg.seed + 7919 * i, observed)
         (step,) = _replay(theorem, cfg, k_value, rho, current.size, [observed])
         trace.append(step)
         rho = step.rho_next
         if step.action == "minor":
             # row i of the matrix stands for current.indices()[i]
-            current = ElementSet.from_indices(group, current.indices()[extraction.row_positions])
+            current = ElementSet.from_indices(group, current.indices()[minor_rows])
+            del table, spec_rho, gate  # before the next step's arrays are made
             table = dft(current)
         elif step.action in ("finish", "abort"):
             break

@@ -231,11 +231,13 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
       (n - sum_j |s_j|) / n, the row side the same with the row sums.  The
       sums are integers below 2^53, exact in float64 in any order, so the
       one rounding is the division, taken upwards.  The all-ones matrix
-      gets exactly 0.  The column sums are the matrix's ``col_sums``.
+      gets exactly 0.  The column and row sums are the matrix's
+      ``col_sums`` and ``_row_sums``, so no pass here reads the matrix.
     - Complex matrix.  The centre is the computed column (row) mean, so
       its rounding does not matter; the column mean is ``col_sums / rows``,
       which is bit for bit ``e.mean(axis=0)``, numpy's axis mean being that
-      sum divided by the count.  Each term of the sum is one
+      sum divided by the count, and the row mean likewise
+      ``_row_sums / cols``.  Each term of the sum is one
       subtraction (each part off by u = 2^-53 relative) and one modulus
       (hypot, within one ulp); the n nonnegative terms sum, in any order,
       to at least 1 - gamma_{n-1} times the exact sum (Higham, Accuracy and
@@ -262,7 +264,7 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
     rows, cols = e.shape
     n = rows * cols
     if e.dtype == np.float64:
-        deviation = n - min(int(np.abs(s).sum()) for s in (m.col_sums, e.sum(axis=1)))
+        deviation = n - min(int(np.abs(s).sum()) for s in (m.col_sums, m._row_sums))
         upper = deviation / n
         num, den = upper.as_integer_ratio()
         if num * n < deviation * den:  # rounded down: take the next float up
@@ -272,7 +274,7 @@ def spectral_certificate(m: CoherenceMatrix, lam: float) -> tuple[float, bool]:
         mods = np.empty(e.shape)
         deviation = max(
             float(np.abs(np.subtract(e, centre, out=c), out=mods).sum())
-            for centre in (m.col_sums / rows, e.mean(axis=1, keepdims=True))
+            for centre in (m.col_sums / rows, (m._row_sums / cols)[:, None])
         )
         upper = deviation / n * (1.0 + 2.0 * (n + 5) * _UNIT)
     return upper, upper < lam

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from specdbl import cli, fileio
+from specdbl import cli, fileio, refine
 from specdbl.fileio import read_set_file, read_trace_file
 from specdbl.fourier import dft, spectrum
 from specdbl.refine import audit_trace
@@ -1011,6 +1011,21 @@ def test_bad_parameters_exit_2(tmp_path):
                    "--delta", "0.3", "--out", str(tmp_path / "t.json"))
     assert proc.returncode == 2
     assert "epsilon" in proc.stderr
+
+
+def test_a_matrix_past_the_cell_budget_exits_2_and_writes_no_trace(tmp_path, monkeypatch):
+    # a budget of 108 cells refuses step 1's 12 x 23 matrix (test_refine.py)
+    setfile, trace = tmp_path / "a.json", tmp_path / "t.json"
+    run_cli("gen", "--kind", "random", "--group", "3,3,3", "--size", "12", "--seed", "3",
+            "--out", str(setfile))
+    monkeypatch.setattr(refine, "_CELLS_PER_ELEMENT", 4)
+    monkeypatch.setenv("SPECDBL_MAX_GROUP", "27")
+    proc = run_cli("refine", "--input", str(setfile), "--epsilon", "0.4", "--delta", "0.3",
+                   "--out", str(trace))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: step 1: the coherence matrix of 12 x 23 cells")
+    assert "Traceback" not in proc.stderr
+    assert not trace.exists()
 
 
 def test_a_negative_seed_exits_2_naming_it(tmp_path):

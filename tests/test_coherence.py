@@ -270,13 +270,23 @@ def test_blocked_modulus_check_matches_one_shot(dtype):
 
 
 def test_column_sums_are_kept_and_give_the_column_means_bit_for_bit():
+    # and the row sums, which come from the modulus check's row blocks:
+    # shapes of one block, of several (300 x 300 is 3 blocks of 109 rows),
+    # of one row per block (cols > _BLOCK_CELLS) and a Fortran-ordered
+    # input, which the matrix holds in C order
     rng = np.random.default_rng(19)
-    for _ in range(60):
-        rows, cols = (int(x) for x in rng.integers(1, 300, size=2))
-        entries = _unit_entries(np.complex128, rng, (rows, cols))
-        m = CoherenceMatrix(entries)
-        assert not m.col_sums.flags.writeable
-        assert m.col_sums.tobytes() == entries.sum(axis=0).tobytes()
-        assert (m.col_sums / rows).tobytes() == entries.mean(axis=0).tobytes()
-        signs = CoherenceMatrix(_unit_entries(np.float64, rng, (rows, cols)))
-        assert signs.col_sums.sum() / signs.entries.size == signs.entries.mean()
+    shapes = [tuple(int(x) for x in rng.integers(1, 300, size=2)) for _ in range(60)]
+    shapes += [(300, 300), (1000, 40), (3, coherence._BLOCK_CELLS + 5)]
+    for rows, cols in shapes:
+        for dtype in (np.complex128, np.float64):
+            entries = _unit_entries(dtype, rng, (rows, cols))
+            for given in (entries, np.asfortranarray(entries)):
+                m = CoherenceMatrix(given)
+                assert m.entries.flags.c_contiguous and np.array_equal(m.entries, entries)
+                assert not m.col_sums.flags.writeable and not m._row_sums.flags.writeable
+                assert m.col_sums.tobytes() == entries.sum(axis=0).tobytes()
+                assert m._row_sums.tobytes() == entries.sum(axis=1).tobytes()
+                assert (m.col_sums / rows).tobytes() == entries.mean(axis=0).tobytes()
+                assert (m._row_sums / cols).tobytes() == entries.mean(axis=1).tobytes()
+            if dtype == np.float64:
+                assert m.col_sums.sum() / m.entries.size == m.entries.mean()

@@ -80,6 +80,24 @@ def test_rows_are_the_bytes_json_dumps_writes(orders, members):
     assert _csv_lines(text) == "\n".join(",".join(map(str, row)) for row in rows)
 
 
+def test_rows_hold_no_int64_copy_of_the_coordinates():
+    # the coordinates are decoded chunk by chunk into uint8, and the cells
+    # and their mask are freed before the text is made: the peak stays below
+    # the int64 (m, rank) array that decoding them all at once would hold
+    import tracemalloc
+
+    g = FiniteAbelianGroup((2,) * 18)
+    s = ElementSet(g, np.ones(g.size, dtype=bool))
+    tracemalloc.start()
+    try:
+        text = _rows_json(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("[[0,0,") and text.endswith(",1,1]]")
+    assert peak < g.size * g.rank * 8
+
+
 def test_set_and_trace_files_are_json_dumps_of_their_documents(tmp_path):
     # each document is the one compact, key-sorted line json.dumps writes
     g = FiniteAbelianGroup((13, 13, 13))

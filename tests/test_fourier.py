@@ -1,12 +1,14 @@
 import cmath
 import inspect
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from oracles import decode, dft_naive, encode
 from specdbl.fourier import FourierTable, _check_spectrum, dft, parseval_capacity, spectrum
-from specdbl import groups
+from specdbl import fourier, groups
 from specdbl.groups import ElementSet, FiniteAbelianGroup, convolve_counts, random_subset, subgroup_span
 from specdbl.coherence import build_matrix
 from specdbl.diagnostics import example_counterexample
@@ -359,3 +361,60 @@ def test_real_table_and_its_complex_copy_agree(k, share):
     assert m_real.dtype == m_cplx.dtype == np.float64
     assert np.array_equal(np.abs(m_real), np.ones(m_real.shape))
     assert np.array_equal(m_cplx, m_real)
+
+
+def _threshold_cases():
+    # exact ties at +-cut, the floats next to them, +-0, NaN of either sign
+    # and +-inf, at a positive cut, at cut = 0 (an empty base set) and at a
+    # negative cut (a level below the 1e-9 slack)
+    g = FiniteAbelianGroup((2,) * 5)
+    for size, eps in ((4, 0.5), (4, 1.0), (0, 0.5), (4, 1e-10)):
+        cut = eps * size - 1e-9 * size
+        near = [cut, -cut, np.nextafter(cut, np.inf), np.nextafter(cut, -np.inf),
+                np.nextafter(-cut, np.inf), np.nextafter(-cut, -np.inf), 0.0, -0.0,
+                np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0]
+        coeffs = np.zeros(g.size)
+        coeffs[0] = size
+        coeffs[1:1 + len(near)] = near
+        coeffs[1 + len(near):] = np.random.default_rng(size).normal(0.0, 3.0, g.size - 1 - len(near))
+        yield g, coeffs, size, eps, cut
+
+
+def test_real_threshold_is_the_magnitude_threshold(monkeypatch):
+    # the signed comparisons on a real table take the same characters as
+    # np.abs(coeffs) >= cut; the table is a stand-in, since no FourierTable
+    # holds NaN, so the spectrum's own checks are left out
+    monkeypatch.setattr(fourier, "_check_spectrum", lambda *args: None)
+    for g, coeffs, size, eps, cut in _threshold_cases():
+        table = types.SimpleNamespace(group=g, coeffs=coeffs, set_size=size)
+        got = spectrum(table, eps).mask
+        assert np.array_equal(got, np.abs(coeffs) >= cut)
+        complex_table = types.SimpleNamespace(group=g, coeffs=coeffs.astype(complex), set_size=size)
+        assert np.array_equal(spectrum(complex_table, eps).mask, got)
+
+
+def test_set_builders_allocate_one_mask():
+    # each builder makes the set's mask and hands it over: no copy of it, no
+    # |G| float array of magnitudes in the spectrum (whose negation check
+    # compares with one more |G| bool array) and no |G| int64 counts in a
+    # sumset on the XOR route, whose 10^4 pair sums take 80 kB.  A copy of the
+    # mask, the magnitudes and the counts would take |G|, 8 |G| and 8 |G| bytes
+    g = FiniteAbelianGroup((2,) * 20)
+    small = random_subset(g, 100, seed=5)
+    table = dft(random_subset(g, 3000, seed=6))
+    rows = g.decode_indices(small.indices())
+    builders = [
+        (lambda: ElementSet.from_indices(g, small.indices()), 1),
+        (lambda: ElementSet.from_coords(g, rows), 1),
+        (lambda: spectrum(table, 0.05), 2),
+        (lambda: groups.sumset(small, small), 1),
+    ]
+    for build, masks in builders:
+        tracemalloc.start()
+        try:
+            built = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.size
+        assert peak <= masks * g.size + (1 << 17)

@@ -387,27 +387,35 @@ def test_convolution_on_z2_7_matches_the_pairwise_count():
 ], ids=str)
 def test_both_convolution_routes_match_the_pair_oracle(monkeypatch, orders, s_size, t_size, route):
     # a pure 2-group with |S||T| <= |G| counts XORs of flat indices; every
-    # other case transforms, which the spy counts
+    # other case transforms, which the spy counts.  On the XOR route sumset
+    # scatters the XORs into its mask and takes no counts at all
     g = FiniteAbelianGroup(orders)
     s = random_subset(g, s_size, seed=s_size)
     t = random_subset(g, t_size, seed=100 + t_size)
     assert s != t or s.size == t.size == g.size
-    transforms = []
-    transform = groups._transform
+    transforms, counted = [], []
+    transform, count = groups._transform, groups.convolve_counts
 
     def spy(*args, **kwargs):
         transforms.append(args[0])
         return transform(*args, **kwargs)
 
+    def counting(*args):
+        counted.append(args)
+        return count(*args)
+
     monkeypatch.setattr(groups, "_transform", spy)
     counts = convolve_counts(s, t)
     swapped = convolve_counts(t, s)
-    got = sumset(s, t)
     assert bool(transforms) == (route == "transform")
+    monkeypatch.setattr(groups, "convolve_counts", counting)
+    got = sumset(s, t)
+    assert bool(counted) == (route == "transform")
     monkeypatch.undo()
     expected = pair_counts(g, s, t)
     assert counts.dtype == np.int64 and counts.shape == (g.size,)
     assert np.array_equal(counts, expected) and np.array_equal(swapped, expected)
+    assert np.array_equal(got.mask, counts > 0)
     assert set(got.indices().tolist()) == _naive_sumset(g, s, t)
     assert counts.sum() == s.size * t.size
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from specdbl.refine import (
     refine_theorem1,
     refine_theorem2,
 )
-from specdbl import regularity
+from specdbl import refine, regularity
 from specdbl.regularity import RegularityVerdict
 
 
@@ -340,3 +341,58 @@ def test_empty_set_is_rejected(plane):
     cfg = RefineConfig(epsilon=0.5, delta=0.3)
     with pytest.raises(ValueError, match="nonempty"):
         refine_theorem1(empty, cfg)
+
+
+def test_a_run_holds_one_step_matrix_at_a_time(monkeypatch):
+    # example1 at n = 9 (Z_2^18, the certify workload's set) takes a minor
+    # at step 0 and finishes certified at step 1.  The allowance over step
+    # 0's matrix is the size of step 1's table and matrix: the run's peak
+    # stays within it, while a run that kept step 0's matrix alive into step
+    # 1 holds both of those on top of it, with their temporaries.  At n = 7
+    # and 8 step 0's own temporaries set the peak either way.  A first run
+    # outside the trace does the lazy imports and caches
+    a = example_counterexample(9).members
+    cfg = RefineConfig(epsilon=0.4, delta=0.3)
+    refine_theorem1(a, cfg)
+    at_build = []
+    build = refine.build_matrix
+
+    def spy(*args):
+        at_build.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
+
+    monkeypatch.setattr(refine, "build_matrix", spy)
+    tracemalloc.start()
+    try:
+        result = refine_theorem1(a, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    first, second = result.trace
+    assert (first.action, second.action, result.certified) == ("minor", "finish", True)
+    matrix0 = first.a_size * first.spec_size * 8
+    allowance = second.a_size * second.spec_size * 8 + a.group.size * 8
+    # step 0's matrix is freed before step 1 builds its own
+    assert at_build[1] < matrix0
+    assert peak <= matrix0 + allowance
+
+
+def test_a_matrix_past_the_cell_budget_is_refused_naming_the_step(monkeypatch):
+    # 12 elements of Z_3^3: step 0 grows from a 12 x 1 matrix, step 1 would
+    # build a 12 x 23 complex one.  The budget is 4 cells per element of
+    # SPECDBL_MAX_GROUP = 27, 108 cells
+    a = random_subset(FiniteAbelianGroup((3, 3, 3)), 12, seed=3)
+    monkeypatch.setattr(refine, "_CELLS_PER_ELEMENT", 4)
+    monkeypatch.setenv("SPECDBL_MAX_GROUP", "27")
+    built = []
+    build = refine.build_matrix
+    monkeypatch.setattr(refine, "build_matrix", lambda *args: built.append(args) or build(*args))
+    with pytest.raises(ValueError) as err:
+        refine_theorem1(a, RefineConfig(epsilon=0.4, delta=0.3))
+    assert str(err.value) == (
+        "step 1: the coherence matrix of 12 x 23 cells would take 4416 bytes, past the "
+        "budget of 108 cells (1728 bytes; 4 cells per element of SPECDBL_MAX_GROUP = 27)")
+    assert [args[1].size for args in built] == [1]  # the refused matrix was never built
+    monkeypatch.setattr(refine, "_CELLS_PER_ELEMENT", 23)
+    assert [s.action for s in refine_theorem1(a, RefineConfig(epsilon=0.4, delta=0.3)).trace][:2] \
+        == ["growth", "minor"]

@@ -208,12 +208,13 @@ def test_certificate_block_sign_upper_is_one():
 
 
 def test_certificate_matches_the_one_shot_bound():
-    # the column side read from the kept column sums (their modulus on +-1,
-    # col_sums / rows as the centre on complex) gives the same float as the
-    # sums and means taken from the entries
+    # both sides read from the kept sums (their modulus on +-1, sums over
+    # the count as the centre on complex) give the same float as the sums
+    # and means taken from the entries; the last shapes span several row
+    # blocks of the modulus check, or one row a block
     rng = np.random.default_rng(23)
-    for _ in range(40):
-        shape = tuple(int(x) for x in rng.integers(1, 120, size=2))
+    shapes = [tuple(int(x) for x in rng.integers(1, 120, size=2)) for _ in range(40)]
+    for shape in shapes + [(400, 300), (2, coherence._BLOCK_CELLS + 3)]:
         signs = np.outer(rng.choice([-1.0, 1.0], shape[0]), rng.choice([-1.0, 1.0], shape[1]))
         signs[rng.random(shape) < rng.uniform(0.0, 0.5)] *= -1.0
         phases = np.exp(2j * np.pi * (np.add.outer(rng.random(shape[0]), rng.random(shape[1]))
