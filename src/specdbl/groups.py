@@ -21,8 +21,8 @@ bit of its phase.
 An ``ElementSet`` owns its mask.  The public constructor copies the array
 it is given, so no caller's array can change the set; the package's own
 builders (``from_indices``, ``from_coords``, ``fourier.spectrum``,
-``sumset``) make a fresh mask that nothing else holds and hand it over
-without a copy (``ElementSet._adopt``).
+``sumset``, ``subgroup_span``) make a fresh mask that nothing else holds and
+hand it over without a copy (``ElementSet._adopt``).
 
 The same ``shape`` gives the rest of the layout.  The one codec between flat
 indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
@@ -43,13 +43,11 @@ import numpy as np
 __all__ = [
     "DEFAULT_MAX_GROUP",
     "FiniteAbelianGroup",
-    "GroupElement",
     "ElementSet",
     "char_matrix",
     "convolve_counts",
     "sumset",
     "difference_set",
-    "negate_set",
     "subgroup_span",
     "random_subset",
 ]
@@ -76,8 +74,6 @@ _F64_EXACT = 1 << 53
 
 # Bit pattern of the float64 1.0: sign 0, biased exponent 1023, mantissa 0.
 _ONE_BITS = np.float64(1.0).view(np.uint64)
-
-GroupElement = tuple[int, ...]
 
 
 def _max_group_size() -> int:
@@ -519,38 +515,36 @@ def sumset(s: ElementSet, t: ElementSet) -> ElementSet:
     return ElementSet._adopt(s.group, mask)
 
 
-def negate_set(s: ElementSet) -> ElementSet:
-    """Pointwise inverse -S."""
-    return ElementSet(s.group, s.group.negate(s.mask))
-
-
 def difference_set(s: ElementSet, t: ElementSet) -> ElementSet:
-    """Exact difference set S - T."""
-    return sumset(s, negate_set(t))
+    """Exact difference set S - T, the sumset of S and -T."""
+    return sumset(s, ElementSet(t.group, t.group.negate(t.mask)))
 
 
 def subgroup_span(group: FiniteAbelianGroup, generators: Iterable[Sequence[int]]) -> ElementSet:
-    """Smallest subgroup containing the given generators (always contains 0)."""
-    gen_coords = []
+    """Smallest subgroup containing the given generators (always contains 0).
+
+    Coordinates are read mod the factor orders, as Python ints.  Each
+    generator g is doubled in: a round ORs in the mask shifted by the step,
+    then doubles the step, so after j rounds the mask is the span so far plus
+    {0, ..., 2^j - 1} g.  The order of g divides L = lcm(orders) < 2^b,
+    b = bit_length(L), so b rounds take every multiple; the loop ends sooner
+    once the step is 0.
+    """
+    mask = np.zeros(group.size, dtype=bool)
+    mask[0] = True
     for g in generators:
         g = tuple(int(c) for c in g)
         if len(g) != group.rank:
             raise ValueError(f"generator {g} has wrong rank for {group!r}")
-        gen_coords.append(np.asarray(g, dtype=np.int64) % group._orders_arr)
-    mask = np.zeros(group.size, dtype=bool)
-    mask[0] = True
-    changed = True
-    while changed:
-        changed = False
-        members = np.flatnonzero(mask)
-        member_coords = group.decode_indices(members)
-        for g in gen_coords:
-            shifted = group.encode_coords(member_coords + g)
-            fresh = shifted[~mask[shifted]]
-            if fresh.size:
-                mask[fresh] = True
-                changed = True
-    return ElementSet(group, mask)
+        step = [c % n for c, n in zip(g, group.orders)]
+        for _ in range(group._root_lcm.bit_length()):
+            if not any(step):
+                break
+            members = group.decode_indices(np.flatnonzero(mask))
+            members += step
+            mask[group.encode_coords(members)] = True
+            step = [2 * c % n for c, n in zip(step, group.orders)]
+    return ElementSet._adopt(group, mask)
 
 
 def random_subset(group: FiniteAbelianGroup, size: int, seed: int) -> ElementSet:

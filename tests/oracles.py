@@ -83,6 +83,33 @@ def read_set_json(path) -> tuple:
     return set_from_lists(doc["orders"], doc["elements"], path, "elements"), doc["metadata"]
 
 
+def subgroup_span_fixpoint(group: FiniteAbelianGroup, generators) -> ElementSet:
+    """Smallest subgroup containing the generators, by adding every generator
+    to every member until a sweep adds nothing: the oracle for
+    ``subgroup_span``, one sweep per multiple of a generator.  Coordinates are
+    reduced mod the orders as Python ints, so any integer is a coordinate."""
+    gen_coords = []
+    for g in generators:
+        g = tuple(int(c) for c in g)
+        if len(g) != group.rank:
+            raise ValueError(f"generator {g} has wrong rank for {group!r}")
+        gen_coords.append(np.array([c % n for c, n in zip(g, group.orders)], dtype=np.int64))
+    mask = np.zeros(group.size, dtype=bool)
+    mask[0] = True
+    changed = True
+    while changed:
+        changed = False
+        members = np.flatnonzero(mask)
+        member_coords = group.decode_indices(members)
+        for g in gen_coords:
+            shifted = group.encode_coords(member_coords + g)
+            fresh = shifted[~mask[shifted]]
+            if fresh.size:
+                mask[fresh] = True
+                changed = True
+    return ElementSet(group, mask)
+
+
 def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]) -> complex:
     """Value of the character indexed by gamma at the element x.
 

@@ -144,6 +144,12 @@ def test_gen_random_and_subgroup(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert read_set_file(out4)[0].size == 4
 
+    out5 = tmp_path / "h4.json"  # coordinates are read mod the orders, past int64 too
+    proc = run_cli("gen", "--kind", "subgroup", "--group", "2,2",
+                   "--gens", "99999999999999999999999,0", "--out", str(out5))
+    assert proc.returncode == 0, proc.stderr
+    assert coords(read_set_file(out5)[0]) == [(0, 0), (1, 0)]
+
 
 @pytest.mark.parametrize("argv", [
     ("gen", "--kind", "example1", "--out", "x.json"),

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import char_value, coords, decode, encode, pair_counts
+from oracles import char_value, coords, decode, encode, pair_counts, subgroup_span_fixpoint
 from specdbl import groups
 from specdbl.groups import (
     ElementSet,
@@ -11,7 +11,6 @@ from specdbl.groups import (
     char_matrix,
     convolve_counts,
     difference_set,
-    negate_set,
     random_subset,
     subgroup_span,
     sumset,
@@ -121,7 +120,7 @@ def test_negation_matches_coordinate_negation():
                     for i in range(g.size)]
         assert g.negate(np.arange(g.size)).tolist() == expected
         s = random_subset(g, (g.size + 1) // 2, seed=len(expected))
-        assert set(negate_set(s).indices().tolist()) == {expected[i] for i in s.indices()}
+        assert set(np.flatnonzero(g.negate(s.mask)).tolist()) == {expected[i] for i in s.indices()}
 
 
 def _negate_per_axis(group, values):
@@ -296,11 +295,14 @@ def test_negate_involution_and_difference():
     for orders in [[5], [2, 3], [4, 4]]:
         g = FiniteAbelianGroup(orders)
         s = random_subset(g, g.size // 2, seed=3)
-        assert negate_set(negate_set(s)) == s
-        assert set(difference_set(s, s).indices()) == _naive_sumset(g, s, negate_set(s))
+        assert np.array_equal(g.negate(g.negate(s.mask)), s.mask)
+        minus = ElementSet(g, g.negate(s.mask))
+        assert set(difference_set(s, s).indices()) == _naive_sumset(g, s, minus)
+        assert difference_set(ElementSet.from_indices(g, [0]), s) == minus
     g2 = FiniteAbelianGroup([2, 2, 2])
     s = random_subset(g2, 4, seed=9)
-    assert negate_set(s) == s  # every element is its own inverse
+    # every element is its own inverse
+    assert difference_set(ElementSet.from_indices(g2, [0]), s) == s
 
 
 def test_subgroup_span_examples():
@@ -313,6 +315,54 @@ def test_subgroup_span_examples():
     assert len(subgroup_span(cyc, [(4,)])) == 3
     # closed under addition
     assert sumset(h, h) == h
+
+
+def _random_generators(rng, orders):
+    """0-4 generators whose coordinates are small, negative, zero or past
+    int64, with a repeated generator now and then."""
+    pool = [0, 1, -1, 2**64 + 3, -(2**70) - 1]
+    gens = [tuple(int(rng.integers(-3 * n, 3 * n + 1)) if rng.random() < 0.6
+                  else pool[rng.integers(len(pool))] for n in orders)
+            for _ in range(rng.integers(0, 5))]
+    if gens and rng.random() < 0.3:
+        gens.append(gens[0])
+    return gens
+
+
+def test_subgroup_span_matches_the_fixpoint_oracle():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        orders = [int(n) for n in rng.integers(1, 9, size=rng.integers(1, 5))]
+        g = FiniteAbelianGroup(orders)
+        gens = _random_generators(rng, orders)
+        assert subgroup_span(g, gens) == subgroup_span_fixpoint(g, gens), (orders, gens)
+    named = [
+        ([1, 1], []),
+        ([1, 4], [(5, 3)]),
+        ([6], [(0,), (0,)]),
+        ([12], [(-4,), (-4,), (6,)]),
+        ([2, 2], [(99999999999999999999999, 0)]),
+        ([3, 5, 7], [(-(2**80), 2**66, -1)]),
+        ([8, 8], [(2, 4), (4, 2), (0, 0)]),
+        ([2, 4, 8, 8], [(1, 1, 1, 1), (0, 2, 4, 6)]),
+        ([4096], [(1,)]),
+    ]
+    for orders, gens in named:
+        g = FiniteAbelianGroup(orders)
+        assert subgroup_span(g, gens) == subgroup_span_fixpoint(g, gens), (orders, gens)
+
+
+def test_subgroup_span_doubles_each_generator_in(monkeypatch):
+    # the fixpoint decodes every member once per multiple of a generator,
+    # 4096 times for 1 in Z_4096; doubling takes one decode per round, and
+    # at most bit_length(4096) = 13 rounds
+    calls = []
+    decode = FiniteAbelianGroup.decode_indices
+    monkeypatch.setattr(FiniteAbelianGroup, "decode_indices",
+                        lambda self, indices: calls.append(1) or decode(self, indices))
+    h = subgroup_span(FiniteAbelianGroup([4096]), [(1,)])
+    assert h.size == 4096
+    assert len(calls) <= (4096).bit_length()
 
 
 def test_random_subset_deterministic():
