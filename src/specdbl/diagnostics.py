@@ -63,7 +63,7 @@ def statistical_doubling(table: FourierTable, eps: float) -> DoublingReport:
             f"exact doubling probability {p} fell below the bound {lower}"
         )
     return DoublingReport(eps, p, lower, total, hits, m, len(small), True,
-                          ElementSet(table.group, counts > 0))
+                          ElementSet._adopt(table.group, counts > 0))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ bit of its phase.
 An ``ElementSet`` owns its mask.  The public constructor copies the array
 it is given, so no caller's array can change the set; the package's own
 builders (``from_indices``, ``from_coords``, ``fourier.spectrum``,
-``sumset``, ``subgroup_span``) make a fresh mask that nothing else holds and
-hand it over without a copy (``ElementSet._adopt``).
+``sumset``, ``subgroup_span``, ``diagnostics.statistical_doubling``) make a
+fresh mask that nothing else holds and hand it over without a copy
+(``ElementSet._adopt``).
 
 The same ``shape`` gives the rest of the layout.  The one codec between flat
 indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
@@ -336,7 +337,7 @@ class ElementSet:
         factor; an (m, rank) array is taken as it is."""
         rows = coords if isinstance(coords, np.ndarray) else list(coords)
         if not len(rows):
-            return cls(group, np.zeros(group.size, dtype=bool))
+            return cls._adopt(group, np.zeros(group.size, dtype=bool))
         try:
             c = np.asarray(rows, dtype=np.int64)
         except OverflowError:  # a coordinate past int64 is out of range for any factor

@@ -61,7 +61,9 @@ OBSERVED = ("spec_size", "gate_size", "verdict_status", "upper_bound", "witness_
 _RHO_FLOOR = 1e-8
 # cells of the one coherence matrix a step may build, per element of the
 # largest group allowed: 2^26 cells at the default 2^20, 512 MiB in float64
-# and 1 GiB in complex128
+# and 1 GiB in complex128.  A step's tracemalloc peak is about 2.5 times the
+# matrix on a complex one (the certificate's centred copy and moduli) and
+# 2.1 times on a real one, so about 2.5 GiB and 1.1 GiB at the budget
 _CELLS_PER_ELEMENT = 64
 
 
@@ -182,8 +184,9 @@ def _measure(theorem: int, cfg: RefineConfig, group_size: int, a_size: int, rho:
              initial_spec_size: int, *, spec_size: int, sumset_size: int,
              spec_rho_size: int, gate_size: int) -> dict:
     """Every measured quantity of a final state (A*, rho*) from its counts:
-    |S| for S = Spec at the measured level, |S + S| (= |S - S|, spectra being
-    closed under negation), |Spec_rho*|, |Spec_gate| and step 0's |Spec_eps|."""
+    |S| for S = Spec at the measured level, |S + S| (= |S - S|, since
+    ``spectrum`` makes every spectrum closed under negation), |Spec_rho*|,
+    |Spec_gate| and step 0's |Spec_eps|."""
     k_value = _resolve_k(cfg, theorem, group_size)
     measured = {
         "spec_level": cfg.epsilon if theorem == 1 else rho,

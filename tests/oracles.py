@@ -4,12 +4,12 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from specdbl.fileio import _SET_KINDS, SET_FORMAT, FileFormatError, _check_header, _typed
-from specdbl.fourier import FourierTable
+from specdbl.fourier import REL_TOL, FourierTable
 from specdbl.groups import ElementSet, FiniteAbelianGroup, char_matrix
 
 
@@ -123,6 +123,25 @@ def char_value(group: FiniteAbelianGroup, gamma: Sequence[int], x: Sequence[int]
     L = group._root_lcm
     phase = int(np.sum(group.char_weights() * g * c) % L)
     return complex(group.root_table()[phase])
+
+
+def level_parting_a_pair(table) -> Optional[float]:
+    """A spectrum level whose cut, eps |A| - 1e-9 |A| as ``spectrum`` takes
+    it, has |coeffs[gamma]| below it and |coeffs[-gamma]| at or above it for
+    some character gamma, the largest such pair first; None when rounding
+    parted no pair below the cut of level 1."""
+    size = table.set_size
+    mags = np.abs(table.coeffs)
+    negated = table.group.negate(mags)
+    for i in sorted(np.flatnonzero(mags < negated), key=lambda i: -negated[i]):
+        lo, hi = mags[i], negated[i]
+        eps = float(hi / size + REL_TOL)
+        for _ in range(16):  # a step of eps moves the cut by a few ulps
+            cut = eps * size - REL_TOL * size
+            if lo < cut <= hi and eps <= 1.0:
+                return eps
+            eps = math.nextafter(eps, 0.0 if cut > hi else 1.0)
+    return None
 
 
 def pair_counts(group: FiniteAbelianGroup, s: ElementSet, t: ElementSet) -> np.ndarray:

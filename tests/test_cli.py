@@ -19,7 +19,7 @@ from specdbl import cli, fileio, refine
 from specdbl.fileio import read_set_file, read_trace_file
 from specdbl.fourier import dft, spectrum
 from specdbl.refine import audit_trace
-from oracles import coords
+from oracles import coords, level_parting_a_pair
 from regen_golden import GOLDEN, ONE_BLAS_THREAD, moved, refine_argv
 
 # Traces that the last version 2 writer wrote with one BLAS thread, read and
@@ -1159,6 +1159,29 @@ def test_verify_prints_each_failed_check_and_exits_1(tmp_path, monkeypatch):
         "closure ok: spectrum size 1 closed into level 0.6 (size 1)",
         "parseval FAIL: forged failure",
     ]
+
+
+def test_a_level_that_parts_a_pair_of_coefficients_exits_0(tmp_path):
+    # on Z_32 x Z_32 x Z_2 the FFT's rounding leaves |c(gamma)| and |c(-gamma)|
+    # a few ulps apart for some characters of this set; at a level whose cut
+    # falls between the two, the spectrum still holds both, and every command
+    # that takes it succeeds
+    setfile, trace = tmp_path / "a.json", tmp_path / "t.json"
+    run_cli("gen", "--kind", "random", "--group", "32,32,2", "--size", "409", "--seed", "1",
+            "--out", str(setfile))
+    members = read_set_file(setfile)[0]
+    eps = level_parting_a_pair(dft(members))
+    assert eps is not None, "no pair of this set's coefficients is parted by rounding"
+    level = repr(eps)
+    for argv in (["spectrum", "--input", str(setfile), "--epsilon", level],
+                 ["verify", "--input", str(setfile), "--parseval", level],
+                 ["refine", "--input", str(setfile), "--epsilon", level, "--delta", "0.3",
+                  "--seed", "1", "--out", str(trace)]):
+        proc = run_module(*argv)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "FAIL" not in proc.stdout
+    assert "audit=ok" in proc.stdout
 
 
 def test_report_in_the_trivial_group_skips_the_bound_sheet(tmp_path):

@@ -5,13 +5,14 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import decode, dft_naive, encode
-from specdbl.fourier import FourierTable, _check_spectrum, dft, parseval_capacity, spectrum
-from specdbl import fourier, groups
+from oracles import decode, dft_naive, encode, level_parting_a_pair
+from specdbl.fourier import FourierTable, dft, parseval_capacity, spectrum
+from specdbl import groups
 from specdbl.groups import ElementSet, FiniteAbelianGroup, convolve_counts, random_subset, subgroup_span
 from specdbl.coherence import build_matrix
-from specdbl.diagnostics import example_counterexample
+from specdbl.diagnostics import example_counterexample, statistical_doubling
 
 # order-2 factors between other factors, so the Walsh-Hadamard chunks and the
 # FFT axes interleave in the group's array shape
@@ -160,19 +161,52 @@ def test_table_rejects_broken_conjugate_symmetry():
     FourierTable(g2, np.ones(g2.size), 1)
 
 
-def test_spectrum_set_rejects_a_mask_not_closed_under_negation():
-    # forged masks that no table yields, each failing one of spectrum's checks
-    g = FiniteAbelianGroup([5])
-    for indices, eps, needle in [
-        ([0, 1], 0.5, "closed under negation"),  # -1 = 4 is missing
-        ([1, 4], 0.5, "trivial character"),
-        ([0, 1, 4], 1.0, "exceeds Parseval capacity"),  # capacity 5 / (1 * 4)
-    ]:
-        with pytest.raises(AssertionError, match=needle):
-            _check_spectrum(ElementSet.from_indices(g, indices), 4, eps)
-    _check_spectrum(ElementSet.from_indices(g, [0, 1, 4]), 4, 0.5)
-    # an empty base set has no spectrum to check
-    _check_spectrum(ElementSet.from_indices(g, [1]), 0, 0.5)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_spectrum_takes_both_of_a_pair_that_rounding_parts(dtype):
+    # A = {0, 1, 7} in Z_8 has the real coefficients 1 + 2 cos(2 pi gamma / 8);
+    # one ulp more at gamma = 1 than at -gamma = 7, far inside the table's
+    # 1e-9, leaves a cut between the two magnitudes, and the spectrum takes both
+    g = FiniteAbelianGroup([8])
+    r = np.sqrt(2.0)
+    coeffs = np.array([3.0, 1 + r, 1.0, 1 - r, -1.0, 1 - r, 1.0, 1 + r])
+    coeffs[1] = np.nextafter(coeffs[1], np.inf)
+    table = FourierTable(g, coeffs.astype(dtype), 3)
+    eps = level_parting_a_pair(table)
+    assert eps is not None
+    cut = eps * 3 - 1e-9 * 3
+    assert (np.abs(table.coeffs) >= cut).tolist() == [True, True] + [False] * 6
+    assert spectrum(table, eps).indices().tolist() == [0, 1, 7]
+
+
+# a pure 2-group, odd orders, and FFT axes of even order above 2, whose
+# rounding can part |c(gamma)| from |c(-gamma)|
+SPECTRUM_ORDERS = [[2] * 6, [3, 5, 7], [8], [4, 2], [4, 4, 4, 4], [2, 4, 8, 8], [32, 32, 2]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(orders=st.sampled_from(SPECTRUM_ORDERS), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), eps=st.floats(1e-3, 1.0), parted=st.booleans())
+def test_spectrum_holds_zero_and_is_its_own_negation(orders, share, seed, eps, parted):
+    # at any level, and at a level that parts a pair where the table has one
+    g = FiniteAbelianGroup(orders)
+    a = random_subset(g, max(1, round(share * g.size)), seed=seed)
+    table = dft(a)
+    if parted:
+        eps = level_parting_a_pair(table) or eps
+    s = spectrum(table, eps)
+    assert s.mask[0]
+    assert np.array_equal(s.mask, g.negate(s.mask))
+    assert not np.any((np.abs(table.coeffs) >= eps * a.size - 1e-9 * a.size) & ~s.mask)
+
+
+@pytest.mark.parametrize("coeffs", [np.full(5, 4.0), np.full(5, 4.0 + 0j)], ids=["real", "complex"])
+def test_spectrum_past_the_parseval_capacity_raises(coeffs):
+    # a stand-in table that breaks Parseval: every character at |A| = 4,
+    # 5 characters against a capacity of 5 / (1 * 4)
+    table = types.SimpleNamespace(group=FiniteAbelianGroup([5]), coeffs=coeffs, set_size=4)
+    with pytest.raises(AssertionError, match="exceeds Parseval capacity"):
+        spectrum(table, 1.0)
+    assert spectrum(table, 0.5).size == 5
 
 
 def test_spectrum_rejects_bad_eps():
@@ -366,55 +400,64 @@ def test_real_table_and_its_complex_copy_agree(k, share):
 def _threshold_cases():
     # exact ties at +-cut, the floats next to them, +-0, NaN of either sign
     # and +-inf, at a positive cut, at cut = 0 (an empty base set) and at a
-    # negative cut (a level below the 1e-9 slack)
-    g = FiniteAbelianGroup((2,) * 5)
-    for size, eps in ((4, 0.5), (4, 1.0), (0, 0.5), (4, 1e-10)):
-        cut = eps * size - 1e-9 * size
-        near = [cut, -cut, np.nextafter(cut, np.inf), np.nextafter(cut, -np.inf),
-                np.nextafter(-cut, np.inf), np.nextafter(-cut, -np.inf), 0.0, -0.0,
-                np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0]
-        coeffs = np.zeros(g.size)
-        coeffs[0] = size
-        coeffs[1:1 + len(near)] = near
-        coeffs[1 + len(near):] = np.random.default_rng(size).normal(0.0, 3.0, g.size - 1 - len(near))
-        yield g, coeffs, size, eps, cut
+    # negative cut (a level below the 1e-9 slack), on a pure 2-group and on
+    # one whose negation moves characters; the group is large enough for
+    # every case's mask to fit the Parseval capacity
+    for g in (FiniteAbelianGroup((2,) * 7), FiniteAbelianGroup((8, 16))):
+        for size, eps in ((4, 0.5), (4, 1.0), (0, 0.5), (4, 1e-10)):
+            cut = eps * size - 1e-9 * size
+            near = [cut, -cut, np.nextafter(cut, np.inf), np.nextafter(cut, -np.inf),
+                    np.nextafter(-cut, np.inf), np.nextafter(-cut, -np.inf), 0.0, -0.0,
+                    np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0]
+            coeffs = np.zeros(g.size)
+            coeffs[0] = size
+            coeffs[1:1 + len(near)] = near
+            coeffs[1 + len(near):] = np.random.default_rng(size).normal(0.0, 1.0, g.size - 1 - len(near))
+            yield g, coeffs, size, eps, cut
 
 
-def test_real_threshold_is_the_magnitude_threshold(monkeypatch):
+def test_real_threshold_is_the_magnitude_threshold():
     # the signed comparisons on a real table take the same characters as
-    # np.abs(coeffs) >= cut; the table is a stand-in, since no FourierTable
-    # holds NaN, so the spectrum's own checks are left out
-    monkeypatch.setattr(fourier, "_check_spectrum", lambda *args: None)
+    # np.abs(coeffs) >= cut, and then their negatives; the table is a
+    # stand-in, since no FourierTable holds NaN
     for g, coeffs, size, eps, cut in _threshold_cases():
         table = types.SimpleNamespace(group=g, coeffs=coeffs, set_size=size)
         got = spectrum(table, eps).mask
-        assert np.array_equal(got, np.abs(coeffs) >= cut)
+        above = np.abs(coeffs) >= cut
+        assert np.array_equal(got, above | g.negate(above))
         complex_table = types.SimpleNamespace(group=g, coeffs=coeffs.astype(complex), set_size=size)
         assert np.array_equal(spectrum(complex_table, eps).mask, got)
 
 
 def test_set_builders_allocate_one_mask():
     # each builder makes the set's mask and hands it over: no copy of it, no
-    # |G| float array of magnitudes in the spectrum (whose negation check
-    # compares with one more |G| bool array) and no |G| int64 counts in a
-    # sumset on the XOR route, whose 10^4 pair sums take 80 kB.  A copy of the
-    # mask, the magnitudes and the counts would take |G|, 8 |G| and 8 |G| bytes
+    # |G| float array of magnitudes in the spectrum (whose negation is the
+    # mask itself on a pure 2-group, and one more |G| bool array elsewhere)
+    # and no |G| int64 counts in a sumset on the XOR route, whose 10^4 pair
+    # sums take 80 kB.  A copy of the mask, the magnitudes and the counts
+    # would take |G|, 8 |G| and 8 |G| bytes.  Statistical doubling holds its
+    # two spectra, the int64 counts and their support, 11 |G| bytes, and the
+    # empty set of coordinate rows its one mask
     g = FiniteAbelianGroup((2,) * 20)
     small = random_subset(g, 100, seed=5)
     table = dft(random_subset(g, 3000, seed=6))
     rows = g.decode_indices(small.indices())
+    # a subgroup of order 2^15, whose spectrum at every level is its 32-element annihilator
+    span_table = dft(subgroup_span(g, [tuple(int(i == j) for j in range(20)) for i in range(15)]))
     builders = [
-        (lambda: ElementSet.from_indices(g, small.indices()), 1),
-        (lambda: ElementSet.from_coords(g, rows), 1),
-        (lambda: spectrum(table, 0.05), 2),
-        (lambda: groups.sumset(small, small), 1),
+        (lambda: ElementSet.from_indices(g, small.indices()), 1, 100),
+        (lambda: ElementSet.from_coords(g, rows), 1, 100),
+        (lambda: ElementSet.from_coords(g, rows[:0]), 1, 0),
+        (lambda: spectrum(table, 0.05), 2, None),
+        (lambda: groups.sumset(small, small), 1, None),
+        (lambda: statistical_doubling(span_table, 0.5).sums, 11, 32),
     ]
-    for build, masks in builders:
+    for build, masks, size in builders:
         tracemalloc.start()
         try:
             built = build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert built.size
+        assert built.size == size if size is not None else built.size
         assert peak <= masks * g.size + (1 << 17)

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -302,6 +304,58 @@ def _rank_one_noise(shape):
     rng = np.random.default_rng([53, *shape])
     angles = rng.random(shape[0])[:, None] + rng.random(shape[1]) + 0.05 * rng.random(shape)
     return np.exp(2j * np.pi * angles)
+
+
+def _l1_side_exact(entries, centre):
+    """sum_ij |M_ij - centre| in decimal at 40 digits, from the float entries
+    and the float centre as they stand (a float converts exactly, and each
+    difference, square, root and partial sum is off by 1e-40 relative)."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        total = Decimal(0)
+        for z, u in zip(entries.ravel().tolist(), np.broadcast_to(centre, entries.shape).ravel().tolist()):
+            dr = Decimal(z.real) - Decimal(u.real)
+            di = Decimal(z.imag) - Decimal(u.imag)
+            total += (dr * dr + di * di).sqrt()
+        return total
+
+
+def _near_constant_columns(shape):
+    # each column one phase to within 1e-12 turns: every |M_ij - u_j| is a
+    # cancellation of nearly equal floats
+    rng = np.random.default_rng([59, *shape])
+    return np.exp(2j * np.pi * (rng.random(shape[1]) + 1e-12 * rng.random(shape)))
+
+
+def _cancelling_columns(shape):
+    # each column all the rows-th roots of unity, turned: column means of
+    # rounding size, and a row of near-equal phases where one column shifts
+    rng = np.random.default_rng([61, *shape])
+    turns = np.arange(shape[0])[:, None] / shape[0] + rng.random(shape[1])
+    return np.exp(2j * np.pi * (turns + 1e-13 * rng.random(shape)))
+
+
+@pytest.mark.parametrize("entries", [
+    *(_unit_matrix(shape) for shape in [(1, 12), (12, 1), (7, 40), (40, 7), (60, 60)]),
+    _rank_one_noise((50, 30)), _noisy(_sign_matrix()), np.ones((5, 7), dtype=complex),
+    _near_constant_columns((30, 50)), _near_constant_columns((50, 30)),
+    _cancelling_columns((64, 48)), _cancelling_columns((48, 64)),
+    _near_constant_columns((512, 128)), _cancelling_columns((128, 512)),
+], ids=["unit-1x12", "unit-12x1", "unit-7x40", "unit-40x7", "unit-60x60", "rank-one-50x30",
+        "noisy-sign-30x50", "ones", "near-constant-30x50", "near-constant-50x30",
+        "cancelling-64x48", "cancelling-48x64", "near-constant-512x128", "cancelling-128x512"])
+def test_complex_bound_is_at_least_the_exact_sum(entries):
+    # the computed bound against sum |M_ij - u_j| over n in exact arithmetic,
+    # each side about the centres the certificate takes; the largest cases
+    # are 2^16 entries, where the factor 1 + 2 (n + 5) u is widest at test
+    # scale; and the factor is not slack: the bound is within 4 (n + 5) u of it
+    m = CoherenceMatrix(entries)
+    upper, _ = spectral_certificate(m, 1.0)
+    rows, cols = entries.shape
+    n = rows * cols
+    exact = max(_l1_side_exact(entries, m.col_sums / rows),
+                _l1_side_exact(entries, (m._row_sums / cols)[:, None])) / n
+    assert Decimal(upper) >= exact
+    assert Decimal(upper) <= exact * (1 + Decimal(4 * (n + 5)) * Decimal(regularity._UNIT))
 
 
 def _counting(owner, name):
