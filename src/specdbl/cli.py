@@ -164,7 +164,7 @@ def _cmd_verify(args) -> int:
             )
 
     if args.closure is not None:
-        rep = high_threshold_closure(table, args.closure, doubling=doubling)
+        rep = high_threshold_closure(table, args.closure)
         if rep.ok:
             print(
                 f"closure ok: spectrum size {rep.spec_size} closed into "

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .fourier import FourierTable, spectrum
-from .groups import ElementSet, FiniteAbelianGroup, convolve_counts, difference_set, sumset
+from .groups import ElementSet, FiniteAbelianGroup, _pair_count, difference_set, sumset
 
 __all__ = [
     "DoublingReport",
@@ -26,8 +26,9 @@ __all__ = [
 class DoublingReport:
     """Probability that a random ordered pair of large characters sums large.
 
-    Every pair is counted, so ``exact`` is always True.  ``sums`` is the
-    spectrum's sumset, the support of the pair counts.
+    Every pair is counted, so ``exact`` is always True.  ``hit_pairs`` of
+    the ``total_pairs`` = ``spec_size``^2 ordered pairs land in the smaller
+    spectrum, of ``small_spec_size`` characters.
     """
 
     epsilon: float
@@ -38,15 +39,14 @@ class DoublingReport:
     spec_size: int
     small_spec_size: int
     exact: bool
-    sums: ElementSet
 
 
 def statistical_doubling(table: FourierTable, eps: float) -> DoublingReport:
     """Measure Pr[g1 + g2 lands in the (eps^2/2)-spectrum] over ordered pairs
     g1, g2 drawn from the eps-spectrum of the set whose table is ``table``.
 
-    Counts all pairs at once through one convolution of the spectrum with
-    itself, and asserts the lower bound eps^2/2.
+    Counts all pairs at once (``groups._pair_count``), with no array of
+    pair counts on a pure 2-group, and asserts the lower bound eps^2/2.
     """
     lower = eps * eps / 2.0
     if not lower > 0:  # a tiny eps underflows; name it, not the level
@@ -54,16 +54,14 @@ def statistical_doubling(table: FourierTable, eps: float) -> DoublingReport:
     spec = spectrum(table, eps)
     small = spectrum(table, lower)
     m = len(spec)
-    counts = convolve_counts(spec, spec)
-    hits = int(counts[small.mask].sum())
+    hits = _pair_count(spec, spec, small)
     total = m * m
     p = hits / total
     if p < lower:
         raise AssertionError(
             f"exact doubling probability {p} fell below the bound {lower}"
         )
-    return DoublingReport(eps, p, lower, total, hits, m, len(small), True,
-                          ElementSet._adopt(table.group, counts > 0))
+    return DoublingReport(eps, p, lower, total, hits, m, len(small), True)
 
 
 @dataclass(frozen=True)
@@ -78,27 +76,22 @@ class ClosureReport:
     violation: Optional[tuple]
 
 
-def high_threshold_closure(table: FourierTable, eps: float,
-                           doubling: Optional[DoublingReport] = None) -> ClosureReport:
+def high_threshold_closure(table: FourierTable, eps: float) -> ClosureReport:
     """For eps > 3/4, check Spec_eps + Spec_eps is contained in Spec_{4*eps-3},
     the spectra of the set whose table is ``table``.
 
-    ``doubling``, a report on the same table, lends its sumset when its
-    spectrum has the size of Spec_eps: the spectra of one table are nested,
-    so two of one size are the same set.
+    The check holds exactly when every one of the |Spec_eps|^2 ordered pairs
+    sums into the target (``groups._pair_count``).  Only a failed check forms
+    the sumset, to name one pair whose sum falls outside.
     """
     if not 0.75 < eps <= 1.0:
         raise ValueError(f"closure check needs a level in (3/4, 1], got {eps}")
     group = table.group
     spec = spectrum(table, eps)
     target = spectrum(table, 4.0 * eps - 3.0)
-    if doubling is not None and doubling.spec_size == len(spec):
-        sums = doubling.sums
-    else:
-        sums = sumset(spec, spec)
-    outside = sums.mask & ~target.mask
-    if not outside.any():
+    if _pair_count(spec, spec, target) == len(spec) ** 2:
         return ClosureReport(eps, 4.0 * eps - 3.0, True, len(spec), len(target), None)
+    outside = sumset(spec, spec).mask & ~target.mask
     bad = group.decode_indices(np.flatnonzero(outside)[:1])  # one (1, rank) row
     members = spec.indices()
     partners = group.encode_coords(bad - group.decode_indices(members))

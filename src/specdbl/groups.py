@@ -14,16 +14,17 @@ On a pure 2-group every value these layers compute is a small integer, so
 each uses the narrowest arithmetic that holds it exactly: the forward
 Walsh-Hadamard pass of a 0/1 mask runs in float32 (``_F32_EXACT``), a sumset
 of few pairs is taken by XOR on the flat indices (``_xor_pairs``, which
-``convolve_counts`` counts and ``sumset`` scatters into a mask), and
+``convolve_counts`` counts, ``_pair_count`` looks up and ``sumset`` scatters
+into a mask), the count of the pairs whose sums lie in a set is otherwise an
+int64 inner product of forward transforms (``_pair_count``), and
 ``char_matrix`` writes each +-1 entry, column signs included, from the sign
 bit of its phase.
 
 An ``ElementSet`` owns its mask.  The public constructor copies the array
 it is given, so no caller's array can change the set; the package's own
 builders (``from_indices``, ``from_coords``, ``fourier.spectrum``,
-``sumset``, ``subgroup_span``, ``diagnostics.statistical_doubling``) make a
-fresh mask that nothing else holds and hand it over without a copy
-(``ElementSet._adopt``).
+``sumset``, ``subgroup_span``) make a fresh mask that nothing else holds and
+hand it over without a copy (``ElementSet._adopt``).
 
 The same ``shape`` gives the rest of the layout.  The one codec between flat
 indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
@@ -72,6 +73,10 @@ _DECODE_CHUNK = 1 << 16
 # Bound below which every integer is exact in float64 (53 significand bits):
 # ``char_matrix`` takes its phase product in float64 while rank L^2 is below.
 _F64_EXACT = 1 << 53
+
+# Bound below which every integer is exact in int64: ``_pair_count`` takes
+# its inner product of transforms in int64 while its bound stays below.
+_I64_EXACT = 1 << 63
 
 # Bit pattern of the float64 1.0: sign 0, biased exponent 1023, mantissa 0.
 _ONE_BITS = np.float64(1.0).view(np.uint64)
@@ -502,11 +507,53 @@ def convolve_counts(s: ElementSet, t: ElementSet) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def _pair_count(s: ElementSet, t: ElementSet, u: ElementSet) -> int:
+    """#{(a, b) in S x T : a + b in U}, with no |G| array of counts where the
+    group allows.
+
+    While ``_xor_pairs`` gives the pairs' sums (a pure 2-group with
+    |S| |T| <= |G|), the count is how many of them U's mask holds.
+
+    On any other pure 2-group it is Parseval's identity: the count is
+    sum_x r(x) 1_U(x) = (1/|G|) sum_g S^(g) T^(g) U^(g), with r the pair counts
+    of ``convolve_counts`` and the transforms real.  The three forward
+    transforms from ``_transform`` are integers; their int64 inner product is
+    divided by |G|, and a nonzero remainder means a transform was wrong.  It
+    is exact while no partial sum reaches 2^63 (``_I64_EXACT``).  Each term
+    has |U^(g)| <= |U|, and by Cauchy-Schwarz and Parseval (sum S^(g)^2 =
+    |G| |S|) sum |S^ T^| <= |G| sqrt(|S| |T|), so every partial sum is at most
+    |U| |G| sqrt(|S| |T|) <= |G|^3, which is 2^60 at ``DEFAULT_MAX_GROUP``.
+    ``SPECDBL_MAX_GROUP`` may raise |G| past that, so a count whose bound
+    reaches 2^63 takes the route below.
+
+    On a group with an axis of order above 2 the count is the sum of
+    ``convolve_counts`` over U.
+    """
+    group = _require_same_group(s, u)
+    pairs = _xor_pairs(s, t)  # which checks that S and T share a group
+    if pairs is not None:
+        return int(np.count_nonzero(u.mask[pairs]))
+    if group._fft_axes or (u.size * group.size) ** 2 * s.size * t.size >= _I64_EXACT ** 2:
+        return int(convolve_counts(s, t)[u.mask].sum())
+    fs = _transform(group, s.mask).astype(np.int64).ravel()
+    ft = fs if t is s else _transform(group, t.mask).astype(np.int64).ravel()
+    fu = _transform(group, u.mask).astype(np.int64).ravel()
+    count, remainder = divmod(int(np.dot(fs * ft, fu)), group.size)
+    if remainder:
+        raise AssertionError(f"pair count inner product leaves remainder {remainder} mod |G|")
+    return count
+
+
 def sumset(s: ElementSet, t: ElementSet) -> ElementSet:
     """Exact sumset S + T = {a + b : a in S, b in T}, the support of the counts.
 
-    Where ``_xor_pairs`` gives the pairs' sums, they are scattered into the
-    mask directly, with no |G| array of counts."""
+    When |S| + |T| > |G| it is the whole group: for every x the sets S and
+    x - T, of |S| + |T| elements in all, meet, so x = a + b.  Where
+    ``_xor_pairs`` gives the pairs' sums, they are scattered into the mask
+    directly, with no |G| array of counts."""
+    group = _require_same_group(s, t)
+    if s.size + t.size > group.size:
+        return ElementSet._adopt(group, np.ones(group.size, dtype=bool))
     pairs = _xor_pairs(s, t)
     if pairs is None:
         mask = convolve_counts(s, t) > 0

@@ -156,6 +156,18 @@ def pair_counts(group: FiniteAbelianGroup, s: ElementSet, t: ElementSet) -> np.n
     return counts
 
 
+def pairs_summing_into(group: FiniteAbelianGroup, s: ElementSet, t: ElementSet,
+                       u: ElementSet) -> int:
+    """#{(a, b) in S x T : a + b in U}, one pair at a time with coordinatewise
+    addition, U held as coordinate tuples: the oracle for
+    ``groups._pair_count``."""
+    targets = {decode(group, x) for x in u.indices()}
+    left = [decode(group, a) for a in s.indices()]
+    right = [decode(group, b) for b in t.indices()]
+    return sum(tuple((x + y) % n for x, y, n in zip(ca, cb, group.orders)) in targets
+               for ca in left for cb in right)
+
+
 def dft_naive(a: ElementSet) -> FourierTable:
     """Fourier table by direct character summation, the oracle for ``dft``.
 

@@ -84,6 +84,15 @@ def test_doubling_counts_every_pair_of_a_large_spectrum():
     assert rep.p == hits / rep.total_pairs
 
 
+def test_doubling_on_the_recheck_input_shape_keeps_its_count():
+    # the 2000-element random set of Z_2^16 that the recheck workload verifies
+    # at 0.05: 1613^2 pairs, too many for XOR sums, so the inner product
+    # counts them; the figures are pinned from the convolution route
+    rep = statistical_doubling(dft(random_subset(FiniteAbelianGroup([2] * 16), 2000, seed=0)), 0.05)
+    assert (rep.spec_size, rep.small_spec_size) == (1613, 61903)
+    assert (rep.hit_pairs, rep.total_pairs) == (2460093, 1613 ** 2)
+
+
 def test_closure_requires_high_threshold():
     g = FiniteAbelianGroup([2] * 4)
     table = dft(random_subset(g, 6, seed=0))
@@ -114,13 +123,12 @@ def _subgroup_plus_point():
     return ElementSet(g, h.mask | (np.arange(g.size) == 255))
 
 
-@pytest.mark.parametrize("doubling_eps, reused", [(0.4, True), (0.03, False)])
-def test_closure_takes_the_doubling_sumset_of_the_same_spectrum(monkeypatch, doubling_eps, reused):
-    table = dft(_subgroup_plus_point())
-    alone = high_threshold_closure(table, 0.9)
-    doubling = statistical_doubling(table, doubling_eps)
-    assert (doubling.spec_size == alone.spec_size) is reused
-    assert doubling.sums == sumset(spectrum(table, doubling_eps), spectrum(table, doubling_eps))
+@pytest.mark.parametrize("members", [
+    _subgroup_plus_point(),  # 8 characters, 64 pairs: the XOR route
+    ElementSet.from_indices(FiniteAbelianGroup([2] * 6), [5]),  # every character: the inner product
+    subgroup_span(FiniteAbelianGroup([3, 3, 3]), [(1, 0, 0)]),  # an odd group: the convolution
+], ids=["xor", "inner", "convolution"])
+def test_closure_that_holds_forms_no_sumset(monkeypatch, members):
     calls = []
 
     def counted(s, t):
@@ -128,8 +136,9 @@ def test_closure_takes_the_doubling_sumset_of_the_same_spectrum(monkeypatch, dou
         return sumset(s, t)
 
     monkeypatch.setattr(diagnostics, "sumset", counted)
-    assert high_threshold_closure(table, 0.9, doubling=doubling) == alone
-    assert len(calls) == (0 if reused else 1)
+    rep = high_threshold_closure(dft(members), 0.9)
+    assert rep.ok and rep.violation is None
+    assert calls == []
 
 
 def test_verify_with_closure_and_doubling_prints_what_each_prints_alone(tmp_path, capsys):
@@ -156,9 +165,17 @@ def test_closure_failure_reports_a_witness_pair(monkeypatch, tmp_path, capsys):
             return ElementSet.from_indices(table.group, [0])
         return spectrum(table, level)
 
+    calls = []
+
+    def counted(s, t):
+        calls.append(s)
+        return sumset(s, t)
+
     monkeypatch.setattr(diagnostics, "spectrum", starved)
+    monkeypatch.setattr(diagnostics, "sumset", counted)
     rep = high_threshold_closure(dft(h), eps)
     assert rep.ok is False
+    assert calls == [spec]  # formed once, only to name the witness
     assert rep.target_size == 1
     first, second = rep.violation
     assert first in coords(spec) and second in coords(spec)

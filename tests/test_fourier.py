@@ -435,9 +435,10 @@ def test_set_builders_allocate_one_mask():
     # mask itself on a pure 2-group, and one more |G| bool array elsewhere)
     # and no |G| int64 counts in a sumset on the XOR route, whose 10^4 pair
     # sums take 80 kB.  A copy of the mask, the magnitudes and the counts
-    # would take |G|, 8 |G| and 8 |G| bytes.  Statistical doubling holds its
-    # two spectra, the int64 counts and their support, 11 |G| bytes, and the
-    # empty set of coordinate rows its one mask
+    # would take |G|, 8 |G| and 8 |G| bytes.  Statistical doubling holds one
+    # spectrum while it builds the other, 3 |G| bytes, and counts its 32^2
+    # pairs by XOR with no |G| counts; the empty set of coordinate rows holds
+    # its one mask
     g = FiniteAbelianGroup((2,) * 20)
     small = random_subset(g, 100, seed=5)
     table = dft(random_subset(g, 3000, seed=6))
@@ -450,7 +451,7 @@ def test_set_builders_allocate_one_mask():
         (lambda: ElementSet.from_coords(g, rows[:0]), 1, 0),
         (lambda: spectrum(table, 0.05), 2, None),
         (lambda: groups.sumset(small, small), 1, None),
-        (lambda: statistical_doubling(span_table, 0.5).sums, 11, 32),
+        (lambda: types.SimpleNamespace(size=statistical_doubling(span_table, 0.5).spec_size), 3, 32),
     ]
     for build, masks, size in builders:
         tracemalloc.start()

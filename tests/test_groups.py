@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import char_value, coords, decode, encode, pair_counts, subgroup_span_fixpoint
+from oracles import (char_value, coords, decode, encode, pair_counts, pairs_summing_into,
+                     subgroup_span_fixpoint)
 from specdbl import groups
 from specdbl.groups import (
     ElementSet,
@@ -468,6 +469,109 @@ def test_both_convolution_routes_match_the_pair_oracle(monkeypatch, orders, s_si
     assert np.array_equal(got.mask, counts > 0)
     assert set(got.indices().tolist()) == _naive_sumset(g, s, t)
     assert counts.sum() == s.size * t.size
+
+
+@pytest.mark.parametrize("orders", [(2,) * 4, (3, 3), (4, 2), (3, 5)], ids=str)
+def test_sumset_of_more_than_g_elements_is_the_group(monkeypatch, orders):
+    # past |S| + |T| = |G| the sets S and x - T meet for every x, so the sumset
+    # is the group, taken with no transform and no pair sums; at |G| it is
+    # counted, and a singleton S leaves it one element short of the group
+    g = FiniteAbelianGroup(orders)
+    transform, xor_pairs = groups._transform, groups._xor_pairs
+    for s_size in (1, g.size // 2, g.size - 1):
+        for total in (g.size, g.size + 1):
+            s = random_subset(g, s_size, seed=s_size)
+            t = random_subset(g, total - s_size, seed=total)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(groups, "_transform", lambda *a, **k: calls.append(a) or transform(*a, **k))
+                patch.setattr(groups, "_xor_pairs", lambda *a: calls.append(a) or xor_pairs(*a))
+                got = sumset(s, t)
+            assert np.array_equal(got.mask, convolve_counts(s, t) > 0)
+            assert bool(calls) == (total == g.size)
+            if total > g.size:
+                assert got.size == g.size
+            elif s_size == 1:
+                assert got.size == g.size - 1
+
+
+@pytest.mark.parametrize("target", ["zero", "random", "group"])
+@pytest.mark.parametrize("orders, s_size, t_size, route", [
+    ((2,) * 6, 8, 8, "xor"),  # |S||T| = |G|
+    ((2,) * 6, 5, 13, "inner"),  # |G| + 1
+    ((2, 1, 2, 2, 1), 2, 4, "xor"),
+    ((2, 1, 2, 2, 1), 3, 3, "inner"),
+    ((4, 2), 3, 5, "convolution"),
+    ((3, 3, 3), 6, 9, "convolution"),
+    ((3, 5, 7), 20, 30, "convolution"),
+], ids=str)
+def test_pair_count_routes_match_the_coordinate_oracle(monkeypatch, orders, s_size, t_size,
+                                                       route, target):
+    # a pure 2-group looks XOR sums up in U while |S||T| <= |G| and takes
+    # the inner product of three transforms past it (two when T is S); a
+    # group with an axis of order above 2 sums the convolution over U
+    g = FiniteAbelianGroup(orders)
+    s = random_subset(g, s_size, seed=s_size)
+    t = random_subset(g, t_size, seed=100 + t_size)
+    u = {"zero": ElementSet.from_indices(g, [0]),
+         "random": random_subset(g, g.size // 3, seed=7),
+         "group": ElementSet(g, np.ones(g.size, dtype=bool))}[target]
+    transforms, convolved = [], []
+    transform, convolve = groups._transform, groups.convolve_counts
+
+    def spy(*args, **kwargs):
+        transforms.append(args)
+        return transform(*args, **kwargs)
+
+    def counting(*args):
+        convolved.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(groups, "_transform", spy)
+    monkeypatch.setattr(groups, "convolve_counts", counting)
+    got = groups._pair_count(s, t, u)
+    assert len(transforms) == {"xor": 0, "inner": 3, "convolution": 2}[route]
+    assert bool(convolved) == (route == "convolution")
+    self_count = groups._pair_count(s, s, u)
+    monkeypatch.undo()
+    assert type(got) is int and got == pairs_summing_into(g, s, t, u)
+    assert self_count == pairs_summing_into(g, s, s, u)
+    if target == "group":
+        assert got == s.size * t.size
+
+
+def test_pair_count_routes_past_its_int64_bound_through_the_convolution(monkeypatch):
+    # |U| |G| sqrt(|S||T|) = 10 * 64 * 9 = 5760 bounds every partial sum of
+    # the inner product: a bound of 5760 sends the count to the convolution,
+    # one of 5761 keeps the inner product, and both give the oracle's count
+    g = FiniteAbelianGroup([2] * 6)
+    s, t, u = random_subset(g, 9, seed=1), random_subset(g, 9, seed=2), random_subset(g, 10, seed=3)
+    expected = pairs_summing_into(g, s, t, u)
+    convolve = groups.convolve_counts
+    for bound, convolved in ((5760, True), (5761, False)):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "_I64_EXACT", bound)
+            patch.setattr(groups, "convolve_counts", lambda *a: calls.append(a) or convolve(*a))
+            assert groups._pair_count(s, t, u) == expected
+        assert bool(calls) == convolved
+
+
+def test_pair_count_names_the_remainder_of_a_wrong_transform(monkeypatch):
+    # a stand-in transform one too large at the trivial character adds
+    # (9 + 1)(9 + 1)(10 + 1) - 9 * 9 * 10 = 290 to the inner product: 34 mod 64
+    g = FiniteAbelianGroup([2] * 6)
+    s, t, u = random_subset(g, 9, seed=1), random_subset(g, 9, seed=2), random_subset(g, 10, seed=3)
+    transform = groups._transform
+
+    def off_by_one(*args, **kwargs):
+        y = transform(*args, **kwargs)
+        y.flat[0] += 1
+        return y
+
+    monkeypatch.setattr(groups, "_transform", off_by_one)
+    with pytest.raises(AssertionError, match="remainder 34 mod"):
+        groups._pair_count(s, t, u)
 
 
 @pytest.mark.parametrize("orders", [(1,), (2,), (1, 1), (2, 1, 2, 2, 1), (1, 2, 2, 2), (2,) * 7],
