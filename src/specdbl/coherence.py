@@ -29,12 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import FourierTable
-from .groups import ElementSet, char_matrix
+from .groups import _BLOCK_CELLS, ElementSet, char_matrix
 
 __all__ = ["CoherenceMatrix", "build_matrix"]
 
 _TOL = 1e-9
-_BLOCK_CELLS = 1 << 15  # cells per row block of the modulus check
 
 
 class CoherenceMatrix:

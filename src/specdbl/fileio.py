@@ -14,10 +14,12 @@ and the text is byte for byte what ``json.dumps`` gives for the rows;
 ``json.dumps`` writes every other value.  Reading mirrors it: ``_load_json``
 walks the top-level keys with the C scanner of the ``json`` module, and
 ``_rows_from_json`` parses each row field's text into one int64 array, again
-with no Python object per coordinate.  It accepts and refuses the documents
-``json.loads`` and a type check of the rows did (any layout, key order or
-whitespace), and a syntax error inside the rows may name the field in place
-of a line.  A trace stores observations only; reading it derives the steps
+with no Python object per coordinate, and in fewer passes when every number
+is one digit (every file of a pure 2-group).  ``ElementSet.from_coords`` then
+checks the rows' range and encodes them; a trace's two row fields share one
+group.  The reader accepts and refuses the documents ``json.loads`` and a
+type check of the rows did (any layout, key order or whitespace), and a
+syntax error inside the rows may name the field in place of a line.  A trace stores observations only; reading it derives the steps
 and ``measured`` with the run's own ``refine._replay`` and
 ``refine._measure``, and a key the writer does not write is a format error.
 """
@@ -152,9 +154,12 @@ def _rows_from_json(text: str, start: int) -> tuple:
     dropped and each run cut to one cell, the classes must be the text
     ``[[0,..,0],..,[0,..,0]]``.  A "-" may only lead a run, and a run of more
     than one digit may not start with "0".  The digits are then summed by
-    place value.  A number of more than 18 digits is past int64, so out of
-    range for every factor: the rows are then Python ints, which
-    ``ElementSet.from_coords`` names in its error.
+    place value.  With no "-" and no two "0" cells adjacent, as in every row
+    of a pure 2-group, each number is one digit, its own first and last: the
+    runs need no cutting, no second scan finds their ends, and the values
+    are the digits themselves.  A number of more than 18 digits is past
+    int64, so out of range for every factor: the rows are then Python ints,
+    which ``ElementSet.from_coords`` names in its error.
     """
     stop = text.find('"', start)
     end = text.rfind("]", start, len(text) if stop < 0 else stop) + 1
@@ -163,32 +168,37 @@ def _rows_from_json(text: str, start: int) -> tuple:
     raw = text[start:end].encode()
     cls = np.frombuffer(raw.translate(_ROW_CLASS), dtype=np.uint8)
     raw = np.frombuffer(raw, dtype=np.uint8)
+    minus = np.count_nonzero(raw == _MINUS)
     num = cls == _DIGIT
     begins = num[1:] > num[:-1]  # a number starts one cell on; the first cell is "["
-    keep = cls != _SPACE
-    keep[1:] &= begins | ~num[1:]
-    shape = cls[keep].tobytes()
     starts = np.flatnonzero(begins)
     starts += 1
-    last = np.flatnonzero(num[1:] < num[:-1])  # each number's last digit; the last cell is "]"
     count = starts.size
+    one_digit = not minus and np.count_nonzero(num) == count
+    keep = cls != _SPACE
+    if not one_digit:
+        keep[1:] &= begins | ~num[1:]
+    shape = cls[keep].tobytes()
     if shape == b"[]":
         return np.zeros((0, 0), dtype=np.int64), end
     m = (len(shape) - 1) // 2 - count  # a row of r numbers is 2 r + 2 cells with its ","
     rank = count // m if m > 0 else 0
     if not rank or shape != (b"[" + (b"[0" + b",0" * (rank - 1) + b"],") * m)[:-1] + b"]":
         return None, start
-    first = starts
-    if minus := np.count_nonzero(raw == _MINUS):
-        negative = raw[starts] == _MINUS
-        first = starts + negative
-        if np.count_nonzero(negative) != minus or (last < first).any():
-            return None, start
-    top = int((last - first).max()) + 1  # the most digits in a number
-    if top > 1:
-        width = last - first + 1
-        if ((raw[first] == _DIGIT) & (width > 1)).any():  # a leading zero
-            return None, start
+    last, top = starts, 1
+    if not one_digit:
+        last = np.flatnonzero(num[1:] < num[:-1])  # each number's last digit; the last cell is "]"
+        first = starts
+        if minus:
+            negative = raw[starts] == _MINUS
+            first = starts + negative
+            if np.count_nonzero(negative) != minus or (last < first).any():
+                return None, start
+        top = int((last - first).max()) + 1  # the most digits in a number
+        if top > 1:
+            width = last - first + 1
+            if ((raw[first] == _DIGIT) & (width > 1)).any():  # a leading zero
+                return None, start
     if top > 18:
         values = np.array([int(raw[a:b + 1].tobytes()) for a, b in zip(starts, last)], dtype=object)
     else:
@@ -309,16 +319,19 @@ def _write(path, doc: dict, rows: dict) -> None:
     Path(path).write_text(_dumps(doc, rows) + "\n")
 
 
-def _set_from(orders: list, rows, path, label: str) -> ElementSet:
+def _group_from(orders: list, path) -> FiniteAbelianGroup:
     if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders):
         raise FileFormatError(f"{path}: field 'orders' must be a list of positive integers")
     try:
-        group = FiniteAbelianGroup(tuple(orders))
+        return FiniteAbelianGroup(tuple(orders))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _set_from(group: FiniteAbelianGroup, rows, path, label: str) -> ElementSet:
     if not isinstance(rows, np.ndarray) or rows.size and rows.shape[1] != group.rank:
         raise FileFormatError(
-            f"{path}: field {label!r} must contain coordinate rows of length {len(orders)}"
+            f"{path}: field {label!r} must contain coordinate rows of length {group.rank}"
         )
     try:
         return ElementSet.from_coords(group, rows)
@@ -343,7 +356,8 @@ def read_set_file(path) -> tuple[ElementSet, dict]:
     doc = _load_json(path)
     _check_header(doc, SET_FORMAT, path)
     doc = _typed(dict, _SET_KINDS, {key: doc[key] for key in _SET_KINDS if key in doc}, path)
-    return _set_from(doc["orders"], doc["elements"], path, "elements"), doc["metadata"]
+    group = _group_from(doc["orders"], path)
+    return _set_from(group, doc["elements"], path, "elements"), doc["metadata"]
 
 
 def write_trace_file(path, result: RefineResult, original: ElementSet) -> AuditReport:
@@ -378,8 +392,9 @@ def read_trace_file(path) -> tuple[RefineResult, ElementSet, dict]:
 
     cfg = _typed(RefineConfig, _CONFIG_KINDS, doc["config"], f"{path}: field 'config'")
 
-    original = _set_from(doc["orders"], doc["input_elements"], path, "input_elements")
-    a_star = _set_from(doc["orders"], doc["a_star"], path, "a_star")
+    group = _group_from(doc["orders"], path)
+    original = _set_from(group, doc["input_elements"], path, "input_elements")
+    a_star = _set_from(group, doc["a_star"], path, "a_star")
     if not a_star.size:  # a refinement never empties its set
         raise FileFormatError(f"{path}: field 'a_star' is empty")
 

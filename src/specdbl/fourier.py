@@ -109,10 +109,11 @@ def spectrum(table: FourierTable, eps: float) -> ElementSet:
     as a set of group elements under the self-duality, closed under negation.
 
     1_A is real, so |coeff[gamma]| = |coeff[-gamma]|, but an FFT's rounding
-    can put the two on either side of the cut; the mask is ORed with its
-    negation, which changes no mask that is closed already.  The trivial
-    character is always in: the table's own check gives
-    coeff[0] >= |A| (1 - 1e-9), and eps <= 1 puts the cut at or below that.
+    can put the two on either side of the cut; on a group with an axis of
+    order above 2 the mask is ORed with its negation, which changes no mask
+    that is closed already.  The trivial character is always in: the table's
+    own check gives coeff[0] >= |A| (1 - 1e-9), and eps <= 1 puts the cut at
+    or below that.
 
     On a real table the signed coefficients are compared with the cut:
     negation is exact, so |c| >= cut exactly when c >= cut or c <= -cut, for
@@ -127,7 +128,8 @@ def spectrum(table: FourierTable, eps: float) -> ElementSet:
     else:
         mask = coeffs >= cut
         mask |= coeffs <= -cut
-    mask |= table.group.negate(mask)
+    if table.group._fft_axes:  # on a pure 2-group every character is its own negative
+        mask |= table.group.negate(mask)
     members = ElementSet._adopt(table.group, mask)
     cap = parseval_capacity(table.group.size, table.set_size, eps)
     if members.size > cap + REL_TOL * cap:

@@ -26,10 +26,14 @@ builders (``from_indices``, ``from_coords``, ``fourier.spectrum``,
 ``sumset``, ``subgroup_span``) make a fresh mask that nothing else holds and
 hand it over without a copy (``ElementSet._adopt``).
 
-The same ``shape`` gives the rest of the layout.  The one codec between flat
-indices and coordinate rows is ``np.unravel_index``/``np.ravel_multi_index``
-over it, and negation is a reversal mod n of each axis of order above 2
-(``FiniteAbelianGroup.negate``); axes of order 1 and 2 are their own negatives.
+The same ``shape`` gives the rest of the layout.  Flat indices decode to
+coordinate rows by ``np.unravel_index`` over it.  Rows encode by
+``np.ravel_multi_index`` over it in ``encode_coords``, which reduces each
+coordinate mod its order, since its callers pass sums that leave the range;
+``from_coords`` checks its rows in range and so encodes them by one int64
+product with the place values (1, n_1, n_1 n_2, ...).  Negation is a
+reversal mod n of each axis of order above 2 (``FiniteAbelianGroup.negate``);
+axes of order 1 and 2 are their own negatives.
 """
 
 from __future__ import annotations
@@ -69,6 +73,10 @@ _F32_EXACT = 1 << 24
 # Rows ``decode_indices`` fills from one ``np.unravel_index`` call: every
 # set the benchmark workloads decode fits in one chunk.
 _DECODE_CHUNK = 1 << 16
+
+# Cells per row block of the passes that stream a matrix: ``char_matrix``'s
+# phases when L > 2, and ``coherence.CoherenceMatrix``'s modulus check.
+_BLOCK_CELLS = 1 << 15
 
 # Bound below which every integer is exact in float64 (53 significand bits):
 # ``char_matrix`` takes its phase product in float64 while rank L^2 is below.
@@ -143,6 +151,9 @@ class FiniteAbelianGroup:
         self._wht_blocks = tuple(blocks)
         self._fft_axes = tuple(i for i, n in enumerate(self.shape) if n > 2)
         self._orders_arr = np.array(orders, dtype=np.int64)
+        # place value of each coordinate in the flat index: 1, n_1, n_1 n_2, ...
+        self._places = np.array([math.prod(orders[:j]) for j in range(len(orders))],
+                                dtype=np.int64)
         self._root_lcm = math.lcm(*orders)
         self._root_table: Optional[np.ndarray] = None
         self._negation: Optional[np.ndarray] = None
@@ -250,7 +261,9 @@ def char_matrix(
     ``DEFAULT_MAX_GROUP`` comes near) keeps the int64 product.  With L > 2
     the product is cast back to int64, the offsets added, the sum reduced
     mod L (by ``& (L - 1)`` when L is a power of two, a quarter of the cost)
-    and looked up in the table.
+    and looked up in the table, one row block of about ``_BLOCK_CELLS``
+    cells at a time, straight into the output: the phases are exact integers
+    in any block, and no matrix-size array of them is made.
 
     With L <= 2 the product carries one more coordinate: 1 on the element
     side and 2^52 + f_j on the character side, f_j = offsets[j] mod L.  Each
@@ -269,9 +282,8 @@ def char_matrix(
     L = group._root_lcm
     if offsets is not None:
         offsets = np.asarray(offsets, dtype=np.int64)
-    if group.rank * L * L >= _F64_EXACT:
-        phases = a @ g.T
-    elif L <= 2:
+    exact = group.rank * L * L < _F64_EXACT
+    if exact and L <= 2:
         lift = np.full(len(g), 2.0**52)
         if offsets is not None:
             lift += offsets & (L - 1)
@@ -280,15 +292,23 @@ def char_matrix(
         bits <<= np.uint64(63)
         bits |= _ONE_BITS
         return p
-    else:
-        phases = (a.astype(np.float64) @ g.T.astype(np.float64)).astype(np.int64)
-    if offsets is not None:
-        phases += offsets
-    if L & (L - 1) == 0:
-        np.bitwise_and(phases, L - 1, out=phases)
-    else:
-        np.remainder(phases, L, out=phases)
-    return group.root_table()[phases]
+    if exact:
+        a, g = a.astype(np.float64), g.astype(np.float64)
+    table = group.root_table()
+    out = np.empty((len(a), len(g)), dtype=table.dtype)
+    step = max(1, _BLOCK_CELLS // max(1, len(g)))
+    for start in range(0, len(a), step):
+        phases = a[start:start + step] @ g.T
+        if exact:
+            phases = phases.astype(np.int64)
+        if offsets is not None:
+            phases += offsets
+        if L & (L - 1) == 0:
+            np.bitwise_and(phases, L - 1, out=phases)
+        else:
+            np.remainder(phases, L, out=phases)
+        np.take(table, phases, out=out[start:start + step], mode="clip")  # phases lie in [0, L)
+    return out
 
 
 class ElementSet:
@@ -339,7 +359,15 @@ class ElementSet:
     @classmethod
     def from_coords(cls, group: FiniteAbelianGroup, coords: Iterable[Sequence[int]]) -> "ElementSet":
         """Set of the given coordinate rows, each coordinate in range for its
-        factor; an (m, rank) array is taken as it is."""
+        factor; an (m, rank) array is taken as it is.
+
+        The range test is one minimum and one maximum, then a maximum per axis
+        only if some coordinate reaches the smallest order (on a group whose
+        orders are all equal, only if the rows fail).  Only rows that fail it
+        are compared cell by cell, to name the first coordinate out of range
+        in row-major order.  Rows in range need no reduction, so their flat
+        indices are one int64 product with the place values
+        (1, n_1, n_1 n_2, ...), each below |G|."""
         rows = coords if isinstance(coords, np.ndarray) else list(coords)
         if not len(rows):
             return cls._adopt(group, np.zeros(group.size, dtype=bool))
@@ -350,12 +378,12 @@ class ElementSet:
             raise ValueError(f"coordinate {x} out of range for Z_{n}") from None
         if c.ndim != 2 or c.shape[1] != group.rank:
             raise ValueError(f"expected {group.rank} coordinates, got rows of shape {c.shape[1:]}")
-        bad = np.argwhere((c < 0) | (c >= group._orders_arr))
-        if bad.size:
-            i, j = bad[0]
+        if c.min() < 0 or (c.max() >= min(group.orders)
+                           and (c.max(axis=0) >= group._orders_arr).any()):
+            i, j = np.argwhere((c < 0) | (c >= group._orders_arr))[0]
             raise ValueError(f"coordinate {c[i, j]} out of range for Z_{group.orders[j]}")
         mask = np.zeros(group.size, dtype=bool)
-        mask[group.encode_coords(c)] = True
+        mask[c @ group._places] = True
         return cls._adopt(group, mask)
 
     def indices(self) -> np.ndarray:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import char_value, decode, modulus_range
-from specdbl import coherence
+from specdbl import coherence, groups
 from specdbl.coherence import CoherenceMatrix, build_matrix
 from specdbl.fourier import FourierTable, dft, spectrum
 from specdbl.groups import (
@@ -84,6 +86,27 @@ def test_matrix_off_pure_2_groups_applies_the_normaliser(orders):
     assert m.entries.dtype == np.complex128
     assert m.entries.tobytes() == expected.tobytes()
     assert np.max(np.abs(m.entries - _naive_matrix(a, spec, t))) < 1e-9
+
+
+def test_complex_build_matrix_makes_its_phases_in_row_blocks(monkeypatch):
+    # with L > 2 the int64 phases are made one row block at a time, straight
+    # into the output, so the build peaks near the matrix itself (1.51 times
+    # it with the whole matrix's phases), and the entries are a one-block
+    # build's, bit for bit
+    g = FiniteAbelianGroup((3,) * 10)
+    a = random_subset(g, 1000, seed=0)
+    t = dft(a)
+    gamma = spectrum(t, 0.06)
+    tracemalloc.start()
+    try:
+        m = build_matrix(a, gamma, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.entries.shape == (1000, 1559)
+    assert peak <= 1.1 * m.entries.nbytes
+    monkeypatch.setattr(groups, "_BLOCK_CELLS", m.entries.size)
+    assert build_matrix(a, gamma, t).entries.tobytes() == m.entries.tobytes()
 
 
 def test_pure_2_group_matrix_from_a_complex_table():

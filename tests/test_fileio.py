@@ -204,11 +204,16 @@ ROW_TEXTS = ["[[0,1],[1,1]]", "[]", "[ [ 1 ,\n 0 ] ,\r\n\t[0,0] ]", "[[-0,1]]", 
              "[[0,1],]", "[[0 1]]", "[[0,,1]]", "[[1e0,1]]", "[[1.0,1]]", "[[0,1]", "[[0,1],[1]]",
              "[[-1,0]]", "[[2,0]]", "[[-,1]]", "[[1-0,1]]", "[[--1,1]]", "[[0,1],[1,0]]]", "[[]]",
              "[[true,0]]", "[[null,0]]", '[[0,"1"]]', "[[[0],1]]", "[[0,1],3]", "[0,1]",
-             f"[[{10**30},0]]", f"[[0,-{10**19}]]", "[[1,0],[0,1]],[1,1]", "{}", "7", '"[[0,1]]"']
+             f"[[{10**30},0]]", f"[[0,-{10**19}]]", "[[1,0],[0,1]],[1,1]", "{}", "7", '"[[0,1]]"',
+             # at the one-digit boundary: a two-digit number among one-digit
+             # ones, a lone "-", "-0", "01" and whitespace inside a row
+             "[[0,1],[10,1]]", "[[0,1],[-,0]]", "[[-]]", "[[1,-0],[0,1]]", "[[1,01]]",
+             "[[1 ,0],[0,\t1]]", "[[1 1]]"]
 # row texts of Z_101 x Z_3, where a "-" or a zero read as a digit would give a
 # coordinate in range
 WIDE_ROW_TEXTS = ["[[100,2],[10,0]]", "[[1-1,0]]", "[[--5,0]]", "[[-5,0]]", "[[007,1]]",
-                  "[[70,01]]"]
+                  "[[70,01]]", "[[1,2],[3,0]]", "[[1,2],[10,0],[3,1]]", "[[5,-],[1,1]]",
+                  "[[-0,1]]", "[[01,1]]", "[[1 ,2],[3,\n0]]", "[[1 0,2]]"]
 
 
 def _set_document(draw, orders, rows=None) -> str:
@@ -234,14 +239,14 @@ def _set_document(draw, orders, rows=None) -> str:
 
 
 def _read_both(path):
-    """(new, reference) results of reading ``path``: (set, metadata) or the
-    FileFormatError's class."""
+    """(new, reference) results of reading ``path``: (set, metadata), or the
+    FileFormatError's class and whether it calls the text invalid JSON."""
     out = []
     for read in (read_set_file, read_set_json):
         try:
             out.append(read(path))
-        except FileFormatError:
-            out.append(FileFormatError)
+        except FileFormatError as exc:
+            out.append((FileFormatError, "invalid JSON" in str(exc)))
     return out
 
 

@@ -188,6 +188,41 @@ def test_from_coords_names_a_coordinate_past_int64():
         assert str(err.value) == message
 
 
+def test_from_coords_names_the_first_offender_in_row_major_order():
+    # the range test is a minimum and maxima; rows that fail it are compared
+    # cell by cell, and the message names the first offending cell, row by
+    # row, even where a later row offends in an earlier column
+    g = FiniteAbelianGroup([2, 3, 5])
+    for rows, message in [([(0, 0, -1)], "coordinate -1 out of range for Z_5"),
+                          ([(0, 3, 0)], "coordinate 3 out of range for Z_3"),
+                          ([(1, 2, 4), (2, 0, 0)], "coordinate 2 out of range for Z_2"),
+                          ([(0, 0, 5), (7, 0, 0)], "coordinate 5 out of range for Z_5"),
+                          ([(1, 2, 4), (0, 0, 9), (-1, 0, 0)], "coordinate 9 out of range for Z_5"),
+                          ([(0, 0, 0), (1, -1, 7)], "coordinate -1 out of range for Z_3"),
+                          ([(0, 0, 2**63), (5, 0, 0)], f"coordinate {2**63} out of range for Z_5")]:
+        with pytest.raises(ValueError) as err:
+            ElementSet.from_coords(g, rows)
+        assert str(err.value) == message
+    # a coordinate past the smallest order, in range for its own factor
+    assert ElementSet.from_coords(g, [(1, 2, 4)]).indices().tolist() == [29]
+    # equal orders: the one maximum finds it
+    with pytest.raises(ValueError) as err:
+        ElementSet.from_coords(FiniteAbelianGroup([2] * 4), [(0, 1, 1, 0), (1, 0, 2, 0)])
+    assert str(err.value) == "coordinate 2 out of range for Z_2"
+
+
+@pytest.mark.parametrize("orders", [(2,) * 18, (32, 32, 2), (3, 5, 11, 13), (3, 1, 4)], ids=str)
+def test_from_coords_encodes_as_encode_coords(orders):
+    # rows in range encode by one product with the place values, to the
+    # indices the wrapping codec gives
+    g = FiniteAbelianGroup(orders)
+    rows = np.random.default_rng(list(orders)).integers(0, orders, size=(500, len(orders)))
+    expected = np.zeros(g.size, dtype=bool)
+    expected[g.encode_coords(rows)] = True
+    assert np.array_equal(ElementSet.from_coords(g, rows).mask, expected)
+    assert np.array_equal(ElementSet.from_coords(g, rows.tolist()).mask, expected)
+
+
 def test_from_indices_takes_integer_arrays_only():
     g = FiniteAbelianGroup([2, 2])
     assert ElementSet.from_indices(g, np.array([3, 1], dtype=np.uint8)).indices().tolist() == [1, 3]
@@ -615,6 +650,11 @@ def test_char_matrix_offsets_off_pure_2_groups(orders, monkeypatch):
     phases = ((g.decode_indices(rows) * w) @ g.decode_indices(cols).T + offsets) % L
     m = char_matrix(g, rows, cols, offsets)
     assert m.tobytes() == g.root_table()[phases].tobytes()
+    # row blocks of one row, and of 7 rows with a short last block
+    for cells in (1, 7 * cols.size):
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "_BLOCK_CELLS", cells)
+            assert char_matrix(g, rows, cols, offsets).tobytes() == m.tobytes()
     monkeypatch.setattr(groups, "_F64_EXACT", 1)
     assert char_matrix(g, rows, cols, offsets).tobytes() == m.tobytes()
 
