@@ -60,8 +60,13 @@ __all__ = [
 
 DEFAULT_MAX_GROUP = 1 << 20
 
-# Most order-2 axes one Sylvester matrix covers: 2^6 = 64 rows.
-_WHT_CHUNK = 6
+# Most order-2 axes one Sylvester matrix covers: 2^5 = 32 rows.  A run of m
+# order-2 axes takes ceil(m / 5) chunks whose sizes differ by at most one
+# (Z_2^16: 4,4,4,4; Z_2^20: 5,5,5,5).  In a sweep of a float32 pass over
+# m = 6..20 on one BLAS thread, chunks of 4-5 axes beat chunks of 6 from
+# m = 13 up, by 21 to 58 %; chunks of 6 won below that by at most 3
+# microseconds, and at m = 19 and 20 they left a last chunk of 1 or 2 axes.
+_WHT_CHUNK = 5
 
 # Largest group whose forward Walsh-Hadamard pass runs in float32.  Every
 # partial sum of that pass on a 0/1 mask is a signed sum of distinct mask
@@ -134,20 +139,25 @@ class FiniteAbelianGroup:
         self.rank = len(orders)
         self.size = size
         self.shape = tuple(reversed(orders))
-        # Transform plan: runs of consecutive order-2 axes, cut into chunks of
-        # r <= _WHT_CHUNK axes, each stored as (pre, r, post) for the reshape
+        # Transform plan: each run of m consecutive order-2 axes is cut into
+        # ceil(m / _WHT_CHUNK) chunks whose sizes differ by at most one, the
+        # smaller ones first, each stored as (pre, r, post) for the reshape
         # (pre, 2^r, post); the axes of order above 2 are the ones numpy's FFT
         # takes (over an axis of order 1 it would be the identity).
         blocks = []
         axis = 0
         for is_two, run in itertools.groupby(self.shape, key=lambda n: n == 2):
-            end = axis + len(list(run))
+            m = len(list(run))
             if is_two:
-                for start in range(axis, end, _WHT_CHUNK):
-                    r = min(_WHT_CHUNK, end - start)
+                count = -(-m // _WHT_CHUNK)
+                base, extra = divmod(m, count)
+                start = axis
+                for j in range(count):
+                    r = base + (j >= count - extra)
                     pre = math.prod(self.shape[:start])
                     blocks.append((pre, r, size // (pre << r)))
-            axis = end
+                    start += r
+            axis += m
         self._wht_blocks = tuple(blocks)
         self._fft_axes = tuple(i for i, n in enumerate(self.shape) if n > 2)
         self._orders_arr = np.array(orders, dtype=np.int64)
@@ -431,35 +441,42 @@ def _walsh_hadamard(group: FiniteAbelianGroup, x: np.ndarray) -> np.ndarray:
     2^-r), one ``np.matmul`` over the reshape (pre, 2^r, post).  A chunk that
     ends in the last axis (post == 1) is instead the one right product
     x.reshape(pre, 2^r) @ H, a single GEMM where the stacked form would run
-    pre matrix-vector products.  H takes the dtype of ``x``, float32 or
-    float64.  Every product is +-1 times an entry, so on integer input every
-    partial sum is a signed sum of input entries: exact while the sum of
-    their magnitudes stays at most 2^24 in float32, or below 2^53 in float64.
+    pre matrix-vector products.  The chunks write their products into two
+    buffers of |G| entries in turn, allocated once per transform whatever
+    the number of chunks.  H takes the dtype of ``x``, float32 or float64.
+    Every product is +-1 times an entry, so on integer input every partial
+    sum is a signed sum of input entries: exact while the sum of their
+    magnitudes stays at most 2^24 in float32, or below 2^53 in float64.
     """
-    for pre, r, post in group._wht_blocks:
+    buffers = [np.empty(group.size, x.dtype) for _ in group._wht_blocks[:2]]
+    for i, (pre, r, post) in enumerate(group._wht_blocks):
         h = _sylvester(r, x.dtype)
+        out = buffers[i % 2]
         if post == 1:
-            x = x.reshape(pre, 1 << r) @ h
+            np.matmul(x.reshape(pre, 1 << r), h, out=out.reshape(pre, 1 << r))
         else:
-            x = np.matmul(h, x.reshape(pre, 1 << r, post))
+            np.matmul(h, x.reshape(pre, 1 << r, post), out=out.reshape(pre, 1 << r, post))
+        x = out
     return x.reshape(group.shape)
 
 
-def _transform(group: FiniteAbelianGroup, mask: np.ndarray, real: bool = False) -> np.ndarray:
+def _transform(group: FiniteAbelianGroup, mask: np.ndarray, real: bool = False,
+               dtype: type = np.float64) -> np.ndarray:
     """Forward transform of the 0/1 indicator ``mask``, over the group's ``shape``.
 
     The order-2 axes go first, through ``_walsh_hadamard`` in real arithmetic:
     float32 when |G| <= ``_F32_EXACT`` = 2^24, where every partial sum is an
     integer of magnitude at most |A| <= 2^24 and so exact, else float64.  The
-    result is cast to float64, and the axes of order above 2 then go through
+    result is cast to ``dtype``, and the axes of order above 2 then go through
     ``np.fft.fftn``, or ``np.fft.rfftn`` when ``real``.  A group with no
     order-2 factor makes that one numpy call alone; a pure 2-group (every
     factor of order 1 or 2) makes none, and its result is the Walsh-Hadamard
-    transform in float64.
+    transform in ``dtype``: float64, or int64 for ``_pair_count``, which
+    takes the integers in one cast.
     """
-    dtype = np.float32 if group.size <= _F32_EXACT else np.float64
-    x = _walsh_hadamard(group, mask.reshape(group.shape).astype(dtype))
-    x = x.astype(np.float64, copy=False)
+    pass_dtype = np.float32 if group.size <= _F32_EXACT else np.float64
+    x = _walsh_hadamard(group, mask.reshape(group.shape).astype(pass_dtype))
+    x = x.astype(dtype, copy=False)
     axes = group._fft_axes
     if not axes:
         return x
@@ -545,7 +562,8 @@ def _pair_count(s: ElementSet, t: ElementSet, u: ElementSet) -> int:
     On any other pure 2-group it is Parseval's identity: the count is
     sum_x r(x) 1_U(x) = (1/|G|) sum_g S^(g) T^(g) U^(g), with r the pair counts
     of ``convolve_counts`` and the transforms real.  The three forward
-    transforms from ``_transform`` are integers; their int64 inner product is
+    transforms from ``_transform`` are integers, cast to int64 straight from
+    the Walsh-Hadamard pass, with no float64 copy; their int64 inner product is
     divided by |G|, and a nonzero remainder means a transform was wrong.  It
     is exact while no partial sum reaches 2^63 (``_I64_EXACT``).  Each term
     has |U^(g)| <= |U|, and by Cauchy-Schwarz and Parseval (sum S^(g)^2 =
@@ -563,9 +581,9 @@ def _pair_count(s: ElementSet, t: ElementSet, u: ElementSet) -> int:
         return int(np.count_nonzero(u.mask[pairs]))
     if group._fft_axes or (u.size * group.size) ** 2 * s.size * t.size >= _I64_EXACT ** 2:
         return int(convolve_counts(s, t)[u.mask].sum())
-    fs = _transform(group, s.mask).astype(np.int64).ravel()
-    ft = fs if t is s else _transform(group, t.mask).astype(np.int64).ravel()
-    fu = _transform(group, u.mask).astype(np.int64).ravel()
+    fs = _transform(group, s.mask, dtype=np.int64).ravel()
+    ft = fs if t is s else _transform(group, t.mask, dtype=np.int64).ravel()
+    fu = _transform(group, u.mask, dtype=np.int64).ravel()
     count, remainder = divmod(int(np.dot(fs * ft, fu)), group.size)
     if remainder:
         raise AssertionError(f"pair count inner product leaves remainder {remainder} mod |G|")

@@ -227,8 +227,8 @@ def test_parseval_capacity_values():
 
 @pytest.mark.parametrize("k", [1, 5, 6, 7, 8, 12, 13])
 def test_dft_on_a_2_group_is_exact(k):
-    # Walsh-Hadamard plans of one chunk ending in the last axis (k <= 6) and
-    # of a chunk with a stride behind it first (k = 7, 8, 12, 13); both the
+    # Walsh-Hadamard plans of one chunk ending in the last axis (k <= 5) and
+    # of a chunk with a stride behind it first (k = 6, 7, 8, 12, 13); both the
     # fast table and the direct sum are float64 and exact
     g = FiniteAbelianGroup([2] * k)
     for size in [1, min(g.size // 3, 300), min(g.size, 1000)]:
@@ -236,6 +236,16 @@ def test_dft_on_a_2_group_is_exact(k):
         t, ref = dft(a), dft_naive(a)
         assert t.coeffs.dtype == ref.coeffs.dtype == np.float64
         assert np.array_equal(t.coeffs, ref.coeffs)
+
+
+@pytest.mark.parametrize("k, chunks", [(19, [4, 5, 5, 5]), (20, [5, 5, 5, 5])])
+def test_dft_at_the_ceiling_matches_the_direct_sum(k, chunks):
+    # the sizes where chunks of 6 axes left a tail chunk of 1 or 2 axes; at
+    # Z_2^20 the float32 pass runs at the default size ceiling
+    g = FiniteAbelianGroup([2] * k)
+    assert [r for _, r, _ in g._wht_blocks] == chunks
+    a = random_subset(g, 16, seed=k)
+    assert dft(a).coeffs.tobytes() == dft_naive(a).coeffs.tobytes()
 
 
 def _parity(x):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -528,6 +529,67 @@ def test_sumset_of_more_than_g_elements_is_the_group(monkeypatch, orders):
                 assert got.size == g.size
             elif s_size == 1:
                 assert got.size == g.size - 1
+
+
+def _order_2_runs(shape):
+    """The runs of consecutive order-2 axes of ``shape``, as lists of axis positions."""
+    runs, axis = [], 0
+    for is_two, run in itertools.groupby(shape, key=lambda n: n == 2):
+        width = len(list(run))
+        if is_two:
+            runs.append(list(range(axis, axis + width)))
+        axis += width
+    return runs
+
+
+def _runs_id(orders):
+    """``(2, 2, 2, 3, 2)`` -> ``'2^3,3,2^1'``."""
+    return ",".join(f"{n}^{len(list(run))}" for n, run in itertools.groupby(orders))
+
+
+WHT_PLAN_ORDERS = ([(2,) * m for m in range(1, 21)]
+                   + [(2,) * (m // 2) + (odd,) + (2,) * (m - m // 2)
+                      for odd in (3, 1) for m in range(1, 21)]
+                   + [(2,) * 9 + (3,) + (2,) * 11, (2, 1, 2, 2, 1)])
+
+
+@pytest.mark.parametrize("orders", WHT_PLAN_ORDERS, ids=_runs_id)
+def test_walsh_hadamard_plan_covers_each_order_2_axis_once_in_balanced_chunks(monkeypatch, orders):
+    # each run of order-2 axes, alone or split by an odd or an order-1 axis,
+    # is cut in order into the fewest chunks of at most _WHT_CHUNK axes, with
+    # sizes within one of each other, smaller first; (pre, r, post) locates
+    # each chunk in the array shape
+    monkeypatch.setenv("SPECDBL_MAX_GROUP", str(3 << 20))
+    g = FiniteAbelianGroup(orders)
+    covered, start = [], 0
+    for pre, r, post in g._wht_blocks:
+        assert 1 <= r <= groups._WHT_CHUNK and pre * (1 << r) * post == g.size
+        start = next(s for s in range(start, g.rank)
+                     if math.prod(g.shape[:s]) == pre and g.shape[s] == 2)
+        assert g.shape[start:start + r] == (2,) * r
+        covered.append(range(start, start + r))
+        start += r
+    runs = _order_2_runs(g.shape)
+    assert [a for chunk in covered for a in chunk] == [a for run in runs for a in run]
+    for run in runs:
+        sizes = [len(chunk) for chunk in covered if chunk[0] in run]
+        assert len(sizes) == -(-len(run) // groups._WHT_CHUNK)
+        assert sizes == sorted(sizes) and sizes[-1] - sizes[0] <= 1
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_walsh_hadamard_equals_one_sylvester_product(m):
+    # the chunked pass over Z_2^m is the product with the one 2^m x 2^m
+    # Sylvester matrix (symmetric; the flat index is the bit vector), bit for
+    # bit on 0/1 input, in float32 and float64; __wrapped__ keeps the large
+    # matrices out of the cache
+    g = FiniteAbelianGroup([2] * m)
+    x = np.random.default_rng(m).integers(0, 2, size=g.size)
+    for dtype in (np.float32, np.float64):
+        expected = x.astype(dtype) @ groups._sylvester.__wrapped__(m, dtype)
+        got = groups._walsh_hadamard(g, x.astype(dtype).reshape(g.shape))
+        assert got.dtype == dtype and got.shape == g.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("target", ["zero", "random", "group"])
